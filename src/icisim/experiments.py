@@ -4,13 +4,12 @@ Each runner sweeps one scenario knob, evaluates a batch of seeded
 scenarios per sweep point, and aggregates the physical flow deviation into
 a table with a fixed column layout (sweep variable, level, P_d, mean, std,
 n).  Scenario replicas differ only in seed, so a run is reproducible byte
-for byte from its spec.  Replicas are evaluated on a thread pool; rows are
-assembled in sweep order, never completion order.
+for byte from its spec.  Replicas are generated one after another, in seed
+order.
 """
 from __future__ import annotations
 
 import xml.sax.saxutils
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -41,8 +40,6 @@ _DEFAULT_LEVELS = (
     StealthLevel.POWER_LINE,
     StealthLevel.BASE_STATION,
 )
-
-_MAX_WORKERS = 8
 
 
 @dataclass(frozen=True)
@@ -118,9 +115,7 @@ def _config_lines(spec: ExperimentSpec) -> tuple[str, ...]:
 
 def _replicas(base: ScenarioConfig, reps: int) -> list[Scenario]:
     """Generate ``reps`` scenarios differing only in seed, in order."""
-    seeds = [replace(base, seed=base.seed + rep) for rep in range(reps)]
-    with ThreadPoolExecutor(max_workers=min(_MAX_WORKERS, reps)) as pool:
-        return list(pool.map(generate, seeds))
+    return [generate(replace(base, seed=base.seed + rep)) for rep in range(reps)]
 
 
 def _stat_row(

@@ -201,16 +201,15 @@ def detection_prob(
         capacity = float(instance.headroom[b])
     else:
         raise ValueError("the overt level has no detection model")
-    if capacity <= 0.0:
-        return 0.0 if drained <= 0.0 else 1.0
-    ratio = drained / capacity
-    if ratio > 1.0 + _FEAS_RTOL:
-        raise InfeasibleError(f"detection ratio {ratio} exceeds 1 at {level.value} unit {unit}")
-    return float(min(ratio, 1.0))
+    return float(_ratio_array(np.array([drained]), np.array([capacity]), level)[0])
 
 
 def _ratio_array(drained: np.ndarray, capacity: np.ndarray, level: StealthLevel) -> np.ndarray:
-    """Vectorised counterpart of :func:`detection_prob` over all units."""
+    """Detection ratios ``drained / capacity`` of many units, clipped to 1.
+
+    A unit with no capacity is certain to be detected once anything is
+    drained from it; a ratio above ``1 + _FEAS_RTOL`` raises InfeasibleError.
+    """
     ratios = np.divide(
         drained, capacity, out=np.zeros_like(drained, dtype=float), where=capacity > 0.0
     )

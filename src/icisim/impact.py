@@ -2,19 +2,14 @@
 
 A power shortfall at a base station shrinks the vehicle coverage on the
 streets inside its cell, which shows up as flow deviations over the whole
-network.  For street ``i`` the per-unit deviation pattern is the reduced
-least-squares solution with ``-1`` spliced in at row ``i``; weighting those
-patterns by covered fraction over power headroom and summing over a
+network.  Because the balance matrix has a one-dimensional null space,
+spanned by ``v``, the per-unit deviation pattern of street ``i`` is the
+same vector rescaled: ``-v / v[i]``, exactly ``-1`` at row ``i``.  Weighting
+those patterns by covered fraction over power headroom and summing over a
 station's streets gives its per-watt impact vector.  The L1 norm of that
 vector is the station's scalar importance score used by the allocation
-game.
-
-Because the balance matrix has a one-dimensional null space, every street's
-pattern is the same vector rescaled: if ``v`` spans the null space then the
-pattern for street ``i`` is ``-v / v[i]``.  Model construction exploits
-this (one factorisation for the whole network); the per-street operation
-below keeps the direct least-squares route, and the two are checked against
-each other in the tests.
+game.  The whole model therefore costs one QR factorisation of the
+network; the tests check it against an independent least-squares solve.
 """
 from __future__ import annotations
 
@@ -25,8 +20,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from .coverage import BaseStation, CoverageMap
-from .errors import SingularError
-from .traffic import FlowNetwork, _reduced_solution
+from .traffic import FlowNetwork, _null_patterns
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,23 +47,10 @@ class ImpactModel:
 def street_impact_vector(net: FlowNetwork, street: int) -> np.ndarray:
     """Unit deviation pattern of street ``street`` over the whole network.
 
-    Row ``street`` is exactly -1; the remaining rows hold the reduced
-    least-squares solution, shifted down past the inserted row.
+    Row ``street`` is exactly -1; raises SingularError where the pattern is
+    undefined.
     """
-    reduced = _reduced_solution(net, street)
-    return np.insert(reduced, street, -1.0)
-
-
-def _null_patterns(net: FlowNetwork, streets: Sequence[int]) -> np.ndarray:
-    """Rows ``-v / v[i]`` for the requested streets, from the shared null vector."""
-    v = net.null_vector
-    vmax = float(np.max(np.abs(v)))
-    idx = np.asarray(streets, dtype=int)
-    small = np.abs(v[idx]) < 1e-9 * vmax
-    if np.any(small):
-        bad = idx[small][0]
-        raise SingularError(f"reduced system for street {bad} is numerically singular")
-    return -v[None, :] / v[idx, None]
+    return _null_patterns(net, [street])[0]
 
 
 def bs_impact(net: FlowNetwork, coverage: CoverageMap, bs: BaseStation) -> tuple[np.ndarray, float]:

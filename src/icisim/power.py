@@ -72,8 +72,9 @@ def build_assignment(
 
     ``shares[b, g]`` is a nonnegative raw weight, positive exactly where
     generator ``g`` lists station ``b``.  Each station's weights are scaled
-    to sum to one; a station with no positive weight raises
-    DisconnectedError.
+    to sum to one, except that rows already summing to one within 1e-12
+    are kept bit for bit, so a stored ``T`` loads unchanged.  A station with
+    no positive weight raises DisconnectedError.
     """
     B = len(base_stations)
     G = len(generators)
@@ -96,6 +97,8 @@ def build_assignment(
     dead = np.nonzero(totals <= 0.0)[0]
     if dead.size:
         raise DisconnectedError(f"stations {dead.tolist()} have no supplying generator")
+    # Re-dividing a normalised row by its rounded sum would move it by an ulp.
+    totals[np.abs(totals - 1.0) <= 1e-12] = 1.0
     T = shares / totals[:, None]
     p_full = np.array([bs.p_full for bs in base_stations])
     return PowerAssignment(T, p_full)

@@ -4,9 +4,10 @@ A network of directed streets is balanced by a turning-ratio matrix: the
 flow entering an intersection along one street equals a weighted sum of
 the flows leaving that intersection.  Stacking one balance row per street
 gives ``q = Q q``, i.e. ``A q = 0`` with ``A = I - Q``.  For a connected
-network ``A`` has rank ``n - 1``, so fixing the flow on one anchor street
-determines all others: drop column ``i`` from ``A`` to get ``A_i``, and
-solve ``A_i q_rest = -a_i * q_i`` in the least-squares sense.
+network ``A`` has rank ``n - 1``, so its null space is spanned by one
+vector ``v`` and every balanced flow is a multiple of it.  One
+column-pivoted QR factorisation of ``A`` both checks the rank and yields
+``v``; fixing the flow on an anchor street ``i`` then gives ``q = q_i v / v[i]``.
 
 Flows are veh/h/lane, positions and lengths are km.  All objects here are
 immutable after construction and safe for concurrent reads.
@@ -22,10 +23,8 @@ import scipy.linalg
 
 from .errors import RankError, SingularError, TopologyError
 
-# Singular values below this fraction of the largest count as zero.
+# Pivoted-QR diagonal entries below this fraction of the largest count as zero.
 RANK_TOLERANCE = 1e-10
-# Limit on the condition number of the normal matrix of the reduced system.
-CONDITION_LIMIT = 1e12
 
 Point = tuple[float, float]
 
@@ -109,8 +108,10 @@ class FlowNetwork:
     def null_vector(self) -> np.ndarray:
         """Unit-norm spanning vector of the one-dimensional null space of ``A``.
 
-        Computed by inverse iteration on the normal matrix; every flow
-        solution is a scalar multiple of this vector.
+        Computed from one column-pivoted QR factorisation, which also checks
+        that ``A`` has rank ``n - 1`` (RankError otherwise); every flow
+        solution is a scalar multiple of this vector.  Its largest-magnitude
+        entry is positive.
         """
         return _null_vector(self.A)
 
@@ -138,47 +139,26 @@ def _check_structure(
             raise ValueError(f"street {s.id} missing from its intersections' incidence lists")
 
 
-def _numerical_rank(matrix: np.ndarray) -> int:
-    sv = np.linalg.svd(matrix, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(sv > RANK_TOLERANCE * sv[0]))
-
-
-def _check_rank(A: np.ndarray) -> None:
+def _null_vector(A: np.ndarray) -> np.ndarray:
     n = A.shape[0]
-    rank = _numerical_rank(A)
+    # A P = Q R with |R[k, k]| nonincreasing (Businger & Golub 1965): the
+    # count of non-negligible diagonal entries is the numerical rank.
+    R, perm = scipy.linalg.qr(A, pivoting=True, mode="r")
+    diag = np.abs(np.diag(R))
+    rank = int(np.count_nonzero(diag > RANK_TOLERANCE * diag[0])) if n else 0
     if rank != n - 1:
         raise RankError(
             f"balance matrix has rank {rank}, expected {n - 1}; "
             "the street network is disconnected or over-constrained"
         )
-
-
-def _null_vector(A: np.ndarray) -> np.ndarray:
-    n = A.shape[0]
-    if n == 1:
-        return np.ones(1)
-    # Inverse iteration on A^T A + eps*I; the eigenvalue gap makes this
-    # converge in a handful of iterations for rank n-1 matrices.
-    normal = A.T @ A
-    scale = float(np.trace(normal)) / n
-    eps = 1e-10 * max(scale, 1.0)
-    normal[np.diag_indices(n)] += eps
-    try:
-        factor = scipy.linalg.cho_factor(normal, check_finite=False)
-    except scipy.linalg.LinAlgError:
-        # Fall back to a full decomposition for pathological inputs.
-        _, _, vt = np.linalg.svd(A)
-        return vt[-1]
-    x = np.ones(n)
-    a_norm = np.linalg.norm(A, ord=np.inf)
-    for _ in range(50):
-        x = scipy.linalg.cho_solve(factor, x, check_finite=False)
-        x /= np.linalg.norm(x)
-        if np.linalg.norm(A @ x, ord=np.inf) <= 1e-12 * max(a_norm, 1.0):
-            break
-    return x
+    # With the last row of R negligible, y = (-R11^-1 r, 1) solves R y = 0,
+    # where R11 is the leading (n-1)x(n-1) block and r the rest of the last
+    # column; v = P y spans the null space of A.
+    y = np.append(scipy.linalg.solve_triangular(R[:-1, :-1], -R[:-1, -1]), 1.0)
+    v = np.empty(n)
+    v[perm] = y
+    v /= np.linalg.norm(v)
+    return v if v[np.argmax(np.abs(v))] > 0.0 else -v
 
 
 def build_flow_matrix(
@@ -225,9 +205,9 @@ def build_flow_matrix(
     if bad:
         raise ValueError(f"outflow shares of inflow streets {bad} do not sum to 1")
 
-    A = np.eye(n) - Q
-    _check_rank(A)
-    return FlowNetwork(streets, intersections, Q, A)
+    net = FlowNetwork(streets, intersections, Q, np.eye(n) - Q)
+    net.null_vector  # factorise now so a rank failure surfaces at construction
+    return net
 
 
 def network_from_matrix(
@@ -255,9 +235,9 @@ def network_from_matrix(
             raise TopologyError(
                 f"ratio matrix entry ({j}, {k}) links streets that do not meet head-to-tail"
             )
-    A = np.eye(n) - Q
-    _check_rank(A)
-    return FlowNetwork(streets, intersections, Q, A)
+    net = FlowNetwork(streets, intersections, Q, np.eye(n) - Q)
+    net.null_vector  # factorise now so a rank failure surfaces at construction
+    return net
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,32 +253,30 @@ class FlowSolution:
         return float(np.linalg.norm(net.A @ self.flows, ord=np.inf))
 
 
-def _reduced_solution(net: FlowNetwork, street: int) -> np.ndarray:
-    """Least-squares solution of ``A_i x = a_i`` (column ``street`` removed).
+def _null_patterns(net: FlowNetwork, streets: Sequence[int]) -> np.ndarray:
+    """Rows ``-v / v[i]`` for the requested streets, from the shared null vector.
 
-    Solved by orthogonal factorisation rather than the normal equations.
-    Raises SingularError when the normal matrix is numerically singular.
+    Row ``k`` is the balanced flow change per unit cut on street
+    ``streets[k]``: exactly -1 there.  Raises SingularError for a street
+    whose null-vector entry vanishes, since no balanced state moves its flow.
     """
-    if not 0 <= street < net.n:
-        raise ValueError(f"street id {street} out of range")
-    A_i = np.delete(net.A, street, axis=1)
-    a_i = net.A[:, street]
-    x, _, _, sv = np.linalg.lstsq(A_i, a_i, rcond=None)
-    if sv.size and sv[0] > 0.0:
-        smallest = sv[-1]
-        if smallest == 0.0 or (sv[0] / smallest) ** 2 > CONDITION_LIMIT:
-            raise SingularError(
-                f"reduced system for street {street} is numerically singular"
-            )
-    return x
+    idx = np.asarray(streets, dtype=int)
+    if np.any((idx < 0) | (idx >= net.n)):
+        raise ValueError(f"street ids {idx.tolist()} out of range")
+    v = net.null_vector
+    vmax = float(np.max(np.abs(v)))
+    small = np.abs(v[idx]) < 1e-9 * vmax
+    if np.any(small):
+        bad = idx[small][0]
+        raise SingularError(f"reduced system for street {bad} is numerically singular")
+    return -v[None, :] / v[idx, None]
 
 
 def solve_flows(net: FlowNetwork, anchor: int, anchor_flow: float) -> FlowSolution:
     """Solve all street flows given the flow on one anchor street."""
     if anchor_flow < 0.0:
         raise ValueError("anchor flow must be nonnegative")
-    rest = -_reduced_solution(net, anchor) * anchor_flow
-    flows = np.insert(rest, anchor, anchor_flow)
+    flows = -anchor_flow * _null_patterns(net, [anchor])[0]
     return FlowSolution(anchor, float(anchor_flow), flows)
 
 
@@ -308,5 +286,4 @@ def propagate_deviation(net: FlowNetwork, street: int, delta: float) -> np.ndarr
     Returns the full change vector (new flows minus old): entry ``street``
     is ``-delta`` and a negative entry means a flow reduction.
     """
-    rest = _reduced_solution(net, street) * delta
-    return np.insert(rest, street, -delta)
+    return delta * _null_patterns(net, [street])[0]

@@ -3,9 +3,10 @@
 Each oracle deliberately takes a different route from the production code:
 the LP oracle is a tableau simplex instead of a greedy fill, the clipping
 oracle moves segment endpoints half-plane by half-plane instead of tracking
-a parameter interval, the flow oracle uses an explicit QR factorisation
-instead of LAPACK least squares, and the attack oracle scans payoff
-lattices instead of using closed forms.
+a parameter interval, the rank oracle counts singular values and the flow
+oracles solve the anchored cut system (least squares, or an explicit QR)
+instead of rescaling the pivoted-QR null vector, and the attack oracle
+scans payoff lattices instead of using closed forms.
 """
 from __future__ import annotations
 
@@ -13,8 +14,9 @@ import numpy as np
 import scipy.linalg
 
 from icisim.coverage import Hexagon, _HEX_AXES
+from icisim.errors import SingularError
 from icisim.game import GameInstance, StealthLevel, attacker_payoff
-from icisim.traffic import solve_flows
+from icisim.traffic import RANK_TOLERANCE
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +114,29 @@ def clip_length_sequential(segment, hexagon: Hexagon) -> float:
 # Flow solving
 
 
+def svd_rank(matrix: np.ndarray) -> int:
+    """Numerical rank: singular values above RANK_TOLERANCE times the largest."""
+    sv = np.linalg.svd(matrix, compute_uv=False)
+    if sv.size == 0 or sv[0] == 0.0:
+        return 0
+    return int(np.count_nonzero(sv > RANK_TOLERANCE * sv[0]))
+
+
+def lstsq_pattern(A: np.ndarray, street: int) -> np.ndarray:
+    """Unit deviation pattern of ``street`` from the anchored cut system.
+
+    Solves ``A_i x = a_i`` (column ``street`` removed) by LAPACK least
+    squares and splices ``-1`` in at row ``street``.  Raises SingularError
+    when the cut system's normal matrix has condition number above 1e12.
+    """
+    A_i = np.delete(A, street, axis=1)
+    a_i = A[:, street]
+    x, _, _, sv = np.linalg.lstsq(A_i, a_i, rcond=None)
+    if sv.size and sv[0] > 0.0 and (sv[-1] == 0.0 or (sv[0] / sv[-1]) ** 2 > 1e12):
+        raise SingularError(f"reduced system for street {street} is numerically singular")
+    return np.insert(x, street, -1.0)
+
+
 def qr_flow_solution(A: np.ndarray, anchor: int, anchor_flow: float) -> np.ndarray:
     """Flows from an explicit reduced QR factorisation of the cut matrix."""
     A_i = np.delete(A, anchor, axis=1)
@@ -125,8 +150,8 @@ def finite_difference_total(scenario, station: int, cut_watts: float) -> float:
     """Two-solve flow deviation summed over a station's covered streets.
 
     For each covered street the direct flow cut is propagated by solving the
-    whole network before and after; the per-street deviation vectors are
-    summed and measured in the L1 norm.
+    whole network before and after with the least-squares oracle; the
+    per-street deviation vectors are summed and measured in the L1 norm.
     """
     net = scenario.network
     bs = scenario.base_stations[station]
@@ -135,8 +160,8 @@ def finite_difference_total(scenario, station: int, cut_watts: float) -> float:
     for i in scenario.coverage.covered_street_ids(station):
         street_cut = lost_fraction * scenario.coverage.C[i, station] * scenario.config.delta
         base = 1000.0 + street_cut
-        before = solve_flows(net, i, base).flows
-        after = solve_flows(net, i, base - street_cut).flows
+        before = -base * lstsq_pattern(net.A, i)
+        after = -(base - street_cut) * lstsq_pattern(net.A, i)
         total += after - before
     return float(np.abs(total).sum())
 

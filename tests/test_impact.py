@@ -18,7 +18,7 @@ from icisim.impact import (
 from icisim.traffic import network_from_matrix
 
 from conftest import cycle_network, synthetic_impact
-from oracles import finite_difference_total
+from oracles import finite_difference_total, lstsq_pattern
 from test_traffic import _parallel_streets
 
 
@@ -61,7 +61,7 @@ def test_null_pattern_route_matches_least_squares(grid3_scenario):
     streets = [0, 3, 11]
     fast = _null_patterns(net, streets)
     for row, street in zip(fast, streets):
-        assert np.allclose(row, street_impact_vector(net, street), rtol=1e-9, atol=1e-12)
+        assert np.allclose(row, lstsq_pattern(net.A, street), rtol=1e-9, atol=1e-12)
 
 
 def _single_station_setup():

@@ -3,11 +3,17 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse
+from scipy.sparse.csgraph import connected_components
 
 from icisim.errors import FormatError
 from icisim.scenario import (
+    _STREAM_RATIOS,
     Scenario,
     ScenarioConfig,
+    _grid_topology,
+    _rng,
+    _sample_ratios,
     dumps,
     generate,
     load,
@@ -81,10 +87,26 @@ def test_generated_invariants_hold():
 
 
 def test_round_trip_identity(tmp_path):
-    sc = generate(ScenarioConfig(grid_n=3, seed=9))
-    path = str(tmp_path / "scenario.txt")
-    save(sc, path)
-    assert scenarios_equal(sc, load(path))
+    for config in (ScenarioConfig(grid_n=3, seed=9), ScenarioConfig(grid_n=5, seed=0)):
+        sc = generate(config)
+        path = str(tmp_path / "scenario.txt")
+        save(sc, path)
+        assert scenarios_equal(sc, load(path)), config
+
+
+def test_ratio_support_is_one_strong_component():
+    # generate draws ratios once and relies on this: a stochastic Q whose
+    # support is strongly connected gives a balance matrix of rank n - 1.
+    # The support does not depend on the seed.
+    for grid_n in range(2, 13):
+        streets, nodes = _grid_topology(ScenarioConfig(grid_n=grid_n))
+        pairs = np.array(list(_sample_ratios(streets, nodes, _rng(0, 0, _STREAM_RATIOS))))
+        n = len(streets)
+        support = scipy.sparse.coo_matrix(
+            (np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n)
+        )
+        count, _ = connected_components(support, directed=True, connection="strong")
+        assert count == 1, grid_n
 
 
 def test_round_trip_without_impact_recomputes(tmp_path):

@@ -16,7 +16,7 @@ from icisim.traffic import (
 )
 
 from conftest import cycle_network, parallel_pair_network
-from oracles import qr_flow_solution
+from oracles import qr_flow_solution, svd_rank
 
 
 def test_cycle_matrix_and_rank():
@@ -179,3 +179,54 @@ def test_loader_matrix_structure_validated():
     Q[0, 1] = 1.0  # street 1 does not start where street 0 ends
     with pytest.raises(TopologyError):
         network_from_matrix(streets, nodes, Q)
+
+
+def _rank_fixtures():
+    """(name, streets, nodes, Q) for hand-made matrices on both sides of rank n-1."""
+    cycle = cycle_network()
+    yield "2-street cycle", cycle.streets, cycle.intersections, cycle.Q
+    positions = {0: (0.0, 0.0), 1: (1.0, 0.0), 2: (5.0, 0.0), 3: (6.0, 0.0)}
+    streets = [
+        make_street(0, 0, 1, (positions[0], positions[1])),
+        make_street(1, 1, 0, (positions[1], positions[0])),
+        make_street(2, 2, 3, (positions[2], positions[3])),
+        make_street(3, 3, 2, (positions[3], positions[2])),
+    ]
+    Q = np.zeros((4, 4))
+    Q[0, 1] = Q[1, 0] = Q[2, 3] = Q[3, 2] = 1.0
+    yield "disconnected", streets, intersections_from_streets(streets, positions), Q
+    streets, nodes = _parallel_streets()
+    Q = np.zeros((4, 4))
+    Q[0, 2] = Q[2, 0] = 1.0
+    Q[1, 2] = Q[3, 0] = 1e-6
+    yield "weak coupling", streets, nodes, Q
+    Q = np.zeros((4, 4))
+    Q[0, 2] = Q[0, 3] = Q[2, 0] = Q[3, 1] = 1.0
+    yield "zero-flow anchor", streets, nodes, Q
+    Q = np.zeros((4, 4))
+    Q[0, 2] = 0.5
+    Q[2, 0] = 1.0
+    yield "full rank", streets, nodes, Q
+    for grid_n in range(2, 7):
+        streets, nodes = _grid_topology(ScenarioConfig(grid_n=grid_n))
+        ratios = _sample_ratios(streets, nodes, _rng(0, 0, _STREAM_RATIOS))
+        Q = np.zeros((len(streets), len(streets)))
+        for (j, k), share in ratios.items():
+            Q[j, k] = share
+        yield f"grid {grid_n}", streets, nodes, Q
+
+
+def test_qr_rank_decision_matches_svd_oracle():
+    decisions = {}
+    for name, streets, nodes, Q in _rank_fixtures():
+        n = Q.shape[0]
+        try:
+            network_from_matrix(streets, nodes, Q)
+            accepted = True
+        except RankError:
+            accepted = False
+        assert accepted == (svd_rank(np.eye(n) - Q) == n - 1), name
+        decisions[name] = accepted
+    assert not decisions["disconnected"] and not decisions["full rank"]
+    assert decisions["weak coupling"] and decisions["zero-flow anchor"]
+    assert all(decisions[f"grid {g}"] for g in range(2, 7))
