@@ -44,7 +44,6 @@ from .game import (
 )
 from .impact import (
     ImpactModel,
-    bs_impact,
     build_impact_model,
     export_impact_csv,
     its_deviation,

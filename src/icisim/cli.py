@@ -53,7 +53,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     config = _load_config(args.config, args.seed, {"grid_n": args.grid_n})
     sc = scenario_io.generate(config)
     out = args.out or os.path.join(args.out_dir, f"scenario-seed{config.seed}.txt")
-    scenario_io.save(sc, out, include_impact=not args.no_impact)
+    scenario_io.save(sc, out)
     print(f"wrote {out} ({sc.network.n} streets, {len(sc.base_stations)} stations)")
     return EXIT_OK
 
@@ -130,7 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--grid-n", dest="grid_n", type=int, help="override grid size")
     gen.add_argument("--out", help="output scenario path")
     gen.add_argument("--out-dir", default=".", help="directory for the default filename")
-    gen.add_argument("--no-impact", action="store_true", help="omit the impact section")
     gen.set_defaults(func=_cmd_generate)
 
     ins = sub.add_parser("inspect", help="print stations ranked by impact score")

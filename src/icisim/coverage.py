@@ -194,6 +194,8 @@ def coverage_from_lengths(streets: Sequence[Street], lengths: np.ndarray) -> Cov
     lengths = np.asarray(lengths, dtype=float)
     if lengths.shape[0] != len(streets):
         raise ValueError("covered-length matrix does not match the street count")
+    if np.any(lengths < 0.0):
+        raise ValueError("covered lengths must be nonnegative")
     street_len = np.array([s.length for s in streets])
     _check_totals(street_len, lengths)
     C = lengths / street_len[:, None]

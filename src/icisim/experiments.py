@@ -1,10 +1,12 @@
 """Batch experiment runners with CSV and SVG output.
 
-Each runner sweeps one scenario knob, evaluates a batch of seeded
-scenarios per sweep point, and aggregates the physical flow deviation into
-a table with a fixed column layout (sweep variable, level, P_d, mean, std,
-n).  Scenario replicas differ only in seed, so a run is reproducible byte
-for byte from its spec.  Replicas are generated one after another, in seed
+Each experiment sweeps one knob, evaluates a batch of seeded scenarios per
+sweep point, and aggregates the physical flow deviation into a table with a
+fixed column layout (sweep variable, level, P_d, mean, std, n).  Four of
+them sweep one ``ScenarioConfig`` field and share one runner driven by
+``_CONFIG_SWEEPS``; :func:`run_experiment` is the entry point for all.
+Scenario replicas differ only in seed, so a run is reproducible byte for
+byte from its spec.  Replicas are generated one after another, in seed
 order.
 """
 from __future__ import annotations
@@ -34,6 +36,15 @@ EXPERIMENT_IDS = (
     "generators-single",
     "allocation-compare",
 )
+
+# Experiments that sweep one ScenarioConfig field and report the equilibrium
+# deviation per level and budget: id -> (field, type, single attack source).
+_CONFIG_SWEEPS = {
+    "scale-sweep": ("grid_n", int, False),
+    "radius-sweep": ("cell_radius", float, False),
+    "generators-all": ("num_generators", int, False),
+    "generators-single": ("num_generators", int, True),
+}
 
 _DEFAULT_LEVELS = (
     StealthLevel.POWER_SOURCE,
@@ -128,7 +139,7 @@ def _stat_row(
     )
 
 
-def run_power_sweep(spec: ExperimentSpec) -> SweepTable:
+def _run_power_sweep(spec: ExperimentSpec) -> SweepTable:
     """Uniform percentage cut of all generation versus total flow deviation."""
     scenarios = _replicas(spec.base, spec.reps)
     rows = []
@@ -139,48 +150,6 @@ def run_power_sweep(spec: ExperimentSpec) -> SweepTable:
             samples.append(its_deviation(sc.impact, shortfall))
         rows.append(_stat_row(pct, "none", 0.0, samples))
     return SweepTable("reduction_pct", tuple(rows), _config_lines(spec))
-
-
-def _equilibrium_deviation(
-    scenario: Scenario,
-    level: StealthLevel,
-    budget: float,
-    bs_cap_rule: str,
-    sources: Sequence[int] | None = None,
-) -> float:
-    instance = scenario.game_instance()
-    _, _, outcome = stackelberg_equilibrium(level, instance, budget, bs_cap_rule, sources)
-    return outcome.residual_deviation
-
-
-def run_scale_sweep(spec: ExperimentSpec) -> SweepTable:
-    """Street-grid size versus equilibrium deviation, per level and budget."""
-    rows = []
-    for grid_n in spec.sweep:
-        scenarios = _replicas(replace(spec.base, grid_n=int(grid_n)), spec.reps)
-        for level in spec.levels:
-            for budget in spec.budgets:
-                samples = [
-                    _equilibrium_deviation(sc, level, budget, spec.bs_cap_rule)
-                    for sc in scenarios
-                ]
-                rows.append(_stat_row(grid_n, level.value, budget, samples))
-    return SweepTable("grid_n", tuple(rows), _config_lines(spec))
-
-
-def run_radius_sweep(spec: ExperimentSpec) -> SweepTable:
-    """Cell radius versus equilibrium deviation, with and without backup."""
-    rows = []
-    for radius in spec.sweep:
-        scenarios = _replicas(replace(spec.base, cell_radius=float(radius)), spec.reps)
-        for level in spec.levels:
-            for budget in spec.budgets:
-                samples = [
-                    _equilibrium_deviation(sc, level, budget, spec.bs_cap_rule)
-                    for sc in scenarios
-                ]
-                rows.append(_stat_row(radius, level.value, budget, samples))
-    return SweepTable("cell_radius", tuple(rows), _config_lines(spec))
 
 
 def pick_attack_source(scenario: Scenario, level: StealthLevel) -> int:
@@ -199,28 +168,28 @@ def pick_attack_source(scenario: Scenario, level: StealthLevel) -> int:
     return best_g
 
 
-def run_generator_experiments(spec: ExperimentSpec, mode: str) -> SweepTable:
-    """Generator count versus deviation; ``mode`` is 'all' or 'single'."""
-    if mode not in ("all", "single"):
-        raise ValueError(f"mode must be 'all' or 'single', not {mode!r}")
-    extra = ()
-    if mode == "single":
-        extra = ("single_source_rule = highest unconstrained best-response payoff",)
+def _run_config_sweep(spec: ExperimentSpec) -> SweepTable:
+    """One config field versus equilibrium deviation, per level and budget.
+
+    The single-source variant attacks only the generator chosen by
+    :func:`pick_attack_source` for each scenario and level.
+    """
+    name, kind, single = _CONFIG_SWEEPS[spec.experiment]
     rows = []
-    for count in spec.sweep:
-        scenarios = _replicas(replace(spec.base, num_generators=int(count)), spec.reps)
+    for value in spec.sweep:
+        scenarios = _replicas(replace(spec.base, **{name: kind(value)}), spec.reps)
         for level in spec.levels:
             for budget in spec.budgets:
                 samples = []
                 for sc in scenarios:
-                    sources = None
-                    if mode == "single":
-                        sources = [pick_attack_source(sc, level)]
-                    samples.append(
-                        _equilibrium_deviation(sc, level, budget, spec.bs_cap_rule, sources)
+                    sources = [pick_attack_source(sc, level)] if single else None
+                    _, _, outcome = stackelberg_equilibrium(
+                        level, sc.game_instance(), budget, spec.bs_cap_rule, sources
                     )
-                rows.append(_stat_row(count, level.value, budget, samples))
-    return SweepTable("num_generators", tuple(rows), _config_lines(spec) + extra)
+                    samples.append(outcome.residual_deviation)
+                rows.append(_stat_row(value, level.value, budget, samples))
+    extra = ("single_source_rule = highest unconstrained best-response payoff",) if single else ()
+    return SweepTable(name, tuple(rows), _config_lines(spec) + extra)
 
 
 def resolve_budget_sweep(spec: ExperimentSpec) -> tuple[float, ...]:
@@ -237,7 +206,7 @@ def resolve_budget_sweep(spec: ExperimentSpec) -> tuple[float, ...]:
     return tuple(float(v) * saturation if v <= 1.0 else float(v) for v in spec.sweep)
 
 
-def run_allocation_compare(spec: ExperimentSpec) -> SweepTable:
+def _run_allocation_compare(spec: ExperimentSpec) -> SweepTable:
     """Equilibrium allocation versus uniform split, over the budget sweep.
 
     The level column carries the strategy suffix, e.g. ``line:se`` and
@@ -267,18 +236,12 @@ def run_allocation_compare(spec: ExperimentSpec) -> SweepTable:
 
 
 def run_experiment(spec: ExperimentSpec) -> SweepTable:
-    """Dispatch on the experiment id."""
+    """Run the experiment named by ``spec.experiment``."""
     if spec.experiment == "power-sweep":
-        return run_power_sweep(spec)
-    if spec.experiment == "scale-sweep":
-        return run_scale_sweep(spec)
-    if spec.experiment == "radius-sweep":
-        return run_radius_sweep(spec)
-    if spec.experiment == "generators-all":
-        return run_generator_experiments(spec, "all")
-    if spec.experiment == "generators-single":
-        return run_generator_experiments(spec, "single")
-    return run_allocation_compare(spec)
+        return _run_power_sweep(spec)
+    if spec.experiment == "allocation-compare":
+        return _run_allocation_compare(spec)
+    return _run_config_sweep(spec)
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,9 @@ from .power import PowerAssignment
 
 _FEAS_RTOL = 1e-9
 _FEAS_ATOL = 1e-12
+# Scores within this fraction of the first score of their run are tied, so
+# rounding noise in the impact model never decides the fill order.
+_TIE_RTOL = 1e-12
 
 
 class StealthLevel(enum.Enum):
@@ -356,11 +359,25 @@ def defender_caps(
     return response.per_station
 
 
+def _fill_order(scores: np.ndarray) -> np.ndarray:
+    """Station ids by decreasing score, each run of tied scores by id."""
+    order = np.lexsort((np.arange(scores.size), -scores))
+    ranked = scores[order].tolist()
+    runs, lead = [], 0
+    for k, z in enumerate(ranked):
+        if ranked[lead] - z > _TIE_RTOL * abs(ranked[lead]):
+            lead = k
+        runs.append(lead)
+    return order[np.lexsort((order, runs))]
+
+
 def solve_defender_lp(impact: ImpactModel, caps: np.ndarray, budget: float) -> DefenseStrategy:
     """Maximise impact-weighted backup subject to budget and per-station caps.
 
     The LP is a continuous knapsack, solved exactly by filling stations in
-    decreasing score order (ties broken by lower station id).
+    decreasing score order.  Scores within ``_TIE_RTOL`` relative of the
+    first score of their run count as ties and are filled by lower station
+    id.
     """
     caps = np.asarray(caps, dtype=float)
     if np.any(caps < 0.0):
@@ -369,8 +386,7 @@ def solve_defender_lp(impact: ImpactModel, caps: np.ndarray, budget: float) -> D
         raise ValueError("budget must be nonnegative")
     allocation = np.zeros_like(caps)
     remaining = float(budget)
-    order = np.lexsort((np.arange(caps.size), -impact.z_scores))
-    for b in order:
+    for b in _fill_order(impact.z_scores):
         if remaining <= 0.0:
             break
         take = min(float(caps[b]), remaining)

@@ -6,42 +6,55 @@ network.  Because the balance matrix has a one-dimensional null space,
 spanned by ``v``, the per-unit deviation pattern of street ``i`` is the
 same vector rescaled: ``-v / v[i]``, exactly ``-1`` at row ``i``.  Weighting
 those patterns by covered fraction over power headroom and summing over a
-station's streets gives its per-watt impact vector.  The L1 norm of that
-vector is the station's scalar importance score used by the allocation
-game.  The whole model therefore costs one QR factorisation of the
-network; the tests check it against an independent least-squares solve.
+station's streets gives its per-watt impact vector ``-s_b v`` with one
+scale per station, ``s_b = sum_i C[i, b] / (headroom_b v[i])``.  The L1
+norm of that vector, ``|s_b| ||v||_1``, is the station's scalar importance
+score used by the allocation game.  The model is therefore ``v`` plus one
+number per station, built from one QR factorisation of the network; the
+tests check it against the dense per-street sum.
 """
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 from typing import IO, Sequence
 
 import numpy as np
 
 from .coverage import BaseStation, CoverageMap
-from .traffic import FlowNetwork, _null_patterns
+from .traffic import FlowNetwork, _anchor_entries, _null_patterns
 
 
 @dataclass(frozen=True, eq=False)
 class ImpactModel:
-    """Per-watt impact vectors and scores of every station.
+    """Per-watt impact of every station as one shared vector and a scale each.
 
-    ``z_vectors[b]`` maps one watt of shortfall at station ``b`` to flow
-    deviations on all streets (scaled by ``delta``); ``z_scores[b]`` is its
-    L1 norm.  ``headroom[b]`` is the watt band beyond which a station is
-    dead and further shortfall has no extra effect.  ``delta`` converts the
-    dimensionless fractions to veh/h/lane per km of affected street.
+    ``z_vectors[b] = -scale[b] * null_vector`` maps one watt of shortfall at
+    station ``b`` to flow deviations on all streets (scaled by ``delta``);
+    ``z_scores[b]`` is its L1 norm.  ``headroom[b]`` is the watt band beyond
+    which a station is dead and further shortfall has no extra effect.
+    ``delta`` converts the dimensionless fractions to veh/h/lane per km of
+    affected street.
     """
 
-    z_vectors: np.ndarray
-    z_scores: np.ndarray
+    null_vector: np.ndarray
+    scale: np.ndarray
     headroom: np.ndarray
     delta: float
 
     @property
     def num_stations(self) -> int:
-        return self.z_scores.shape[0]
+        return self.scale.shape[0]
+
+    @cached_property
+    def z_scores(self) -> np.ndarray:
+        return np.abs(self.scale) * np.abs(self.null_vector).sum()
+
+    @property
+    def z_vectors(self) -> np.ndarray:
+        """Dense (stations, streets) impact matrix, built on each access."""
+        return -np.outer(self.scale, self.null_vector)
 
 
 def street_impact_vector(net: FlowNetwork, street: int) -> np.ndarray:
@@ -53,31 +66,24 @@ def street_impact_vector(net: FlowNetwork, street: int) -> np.ndarray:
     return _null_patterns(net, [street])[0]
 
 
-def bs_impact(net: FlowNetwork, coverage: CoverageMap, bs: BaseStation) -> tuple[np.ndarray, float]:
-    """Impact vector and score of one station over its covered streets."""
-    fractions = coverage.C[:, bs.id]
-    covered = np.nonzero(fractions > 0.0)[0]
-    if covered.size == 0:
-        return np.zeros(net.n), 0.0
-    patterns = _null_patterns(net, covered)
-    z_vec = (fractions[covered] / bs.headroom) @ patterns
-    return z_vec, float(np.abs(z_vec).sum())
-
-
 def build_impact_model(
     net: FlowNetwork,
     coverage: CoverageMap,
     base_stations: Sequence[BaseStation],
     delta: float = 1.0,
 ) -> ImpactModel:
-    """Assemble the impact model for all stations of a scenario."""
-    B = len(base_stations)
-    z_vectors = np.zeros((B, net.n))
-    z_scores = np.zeros(B)
-    for bs in base_stations:
-        z_vectors[bs.id], z_scores[bs.id] = bs_impact(net, coverage, bs)
-    headroom = np.array([bs.headroom for bs in base_stations])
-    return ImpactModel(z_vectors, z_scores, headroom, float(delta))
+    """Assemble the impact model for all stations of a scenario.
+
+    Raises SingularError when a covered street's null-vector entry vanishes;
+    uncovered streets are never divided by.
+    """
+    headroom = np.array([bs.headroom for bs in base_stations], dtype=float)
+    streets, stations = np.nonzero(coverage.C > 0.0)
+    weights = coverage.C[streets, stations] / (
+        headroom[stations] * _anchor_entries(net, streets)
+    )
+    scale = np.bincount(stations, weights, minlength=len(base_stations))
+    return ImpactModel(net.null_vector, scale, headroom, float(delta))
 
 
 def its_deviation(impact: ImpactModel, power_deviations: np.ndarray) -> float:

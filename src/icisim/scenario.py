@@ -9,19 +9,23 @@ numbered PCG64 stream, so changing how many draws one component makes never
 perturbs the others.  Stream 0 is reserved for topology, which is currently
 deterministic.
 
-Scenario files are plain text with a versioned header and ``[its]``,
-``[ci]``, ``[pg]`` and optional ``[impact]`` sections; floats are written
-with ``repr`` so they round-trip exactly.
+Scenario files are plain text with a versioned header and ``[config]``,
+``[its]``, ``[ci]`` and ``[pg]`` sections; floats are written with ``repr``
+so they round-trip exactly.  The impact model is derived data, so it is not
+written: loading always recomputes it.  Older files may end with an
+``[impact]`` section of stored scores and vectors; it is still read, and
+must agree with the recomputed model to 1e-9 of its largest entry.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
 
 from .coverage import BaseStation, CoverageMap, build_coverage, coverage_from_lengths, hex_tiling
-from .errors import FormatError
+from .errors import FormatError, IcisimError
 from .game import GameInstance
 from .impact import ImpactModel, build_impact_model
 from .power import Generator, build_assignment
@@ -256,7 +260,7 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def dumps(scenario: Scenario, include_impact: bool = True) -> str:
+def dumps(scenario: Scenario) -> str:
     """Render a scenario in the versioned text format."""
     cfg = scenario.config
     out: list[str] = [FILE_HEADER, "[config]"]
@@ -315,22 +319,12 @@ def dumps(scenario: Scenario, include_impact: bool = True) -> str:
     out.append(f"links {rows.size}")
     for b, g in zip(rows.tolist(), cols.tolist()):
         out.append(f"{b} {g} {_fmt(scenario.assignment.T[b, g])}")
-
-    if include_impact:
-        out.append("[impact]")
-        imp = scenario.impact
-        out.append(f"scores {imp.num_stations}")
-        for b in range(imp.num_stations):
-            out.append(f"{b} {_fmt(imp.z_scores[b])}")
-        out.append(f"vectors {imp.num_stations}")
-        for b in range(imp.num_stations):
-            out.append(f"{b} " + " ".join(_fmt(v) for v in imp.z_vectors[b]))
     return "\n".join(out) + "\n"
 
 
-def save(scenario: Scenario, path: str, include_impact: bool = True) -> None:
+def save(scenario: Scenario, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(scenario, include_impact))
+        fh.write(dumps(scenario))
 
 
 class _Reader:
@@ -364,9 +358,12 @@ class _Reader:
         if len(parts) != 2 or parts[0] != keyword:
             raise FormatError(f"[{self.section}] expected '{keyword} <count>', found {line!r}")
         try:
-            return int(parts[1])
+            count = int(parts[1])
         except ValueError:
             raise FormatError(f"[{self.section}] bad count in {line!r}") from None
+        if count < 0:
+            raise FormatError(f"[{self.section}] negative count in {line!r}")
+        return count
 
     def fields(self, count: int, what: str) -> list[str]:
         line = self.next_line()
@@ -392,9 +389,12 @@ class _Reader:
 
 def _parse_float(reader: _Reader, token: str, what: str) -> float:
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise FormatError(f"[{reader.section}] {what}: bad float {token!r}") from None
+    if not math.isfinite(value):
+        raise FormatError(f"[{reader.section}] {what}: non-finite value {token!r}")
+    return value
 
 
 def _parse_int(reader: _Reader, token: str, what: str) -> int:
@@ -402,6 +402,27 @@ def _parse_int(reader: _Reader, token: str, what: str) -> int:
         return int(token)
     except ValueError:
         raise FormatError(f"[{reader.section}] {what}: bad integer {token!r}") from None
+
+
+def _check_ids(reader: _Reader, ids: Sequence[int], count: int, what: str) -> None:
+    if sorted(ids) != list(range(count)):
+        raise FormatError(f"[{reader.section}] {what} ids must be 0..{count - 1} with no gaps")
+
+
+def _impact_rows(reader: _Reader, keyword: str, n_stations: int, width: int) -> np.ndarray:
+    """One ``[impact]`` block of a legacy file: ``width`` values per station."""
+    count = reader.counted(keyword)
+    if count != n_stations:
+        raise FormatError(f"[impact] {keyword} count {count} != station count {n_stations}")
+    ids, rows = [], []
+    for _ in range(count):
+        parts = reader.fields(1 + width, keyword)
+        ids.append(_parse_int(reader, parts[0], f"{keyword} station"))
+        rows.append([_parse_float(reader, t, f"{keyword} value") for t in parts[1:]])
+    _check_ids(reader, ids, n_stations, f"{keyword} station")
+    out = np.zeros((n_stations, width))
+    out[ids] = rows
+    return out
 
 
 def loads(text: str) -> Scenario:
@@ -419,24 +440,17 @@ def loads(text: str) -> Scenario:
             raise FormatError(f"[config] malformed entry {' '.join(parts)!r}")
         raw[parts[0]] = parts[2]
     try:
-        if raw["bs_per_generator_min"] == "auto":
-            bs_range = None
-        else:
-            bs_range = (int(raw["bs_per_generator_min"]), int(raw["bs_per_generator_max"]))
-        config = ScenarioConfig(
-            grid_n=int(raw["grid_n"]),
-            street_length=float(raw["street_length"]),
-            cell_radius=float(raw["cell_radius"]),
-            num_generators=int(raw["num_generators"]),
-            p_activation=float(raw["p_activation"]),
-            power_ratio=float(raw["power_ratio"]),
-            budget=float(raw["budget"]),
-            seed=int(raw["seed"]),
-            bs_per_generator_range=bs_range,
-            anchor_street=int(raw["anchor_street"]),
-            anchor_flow=float(raw["anchor_flow"]),
-            delta=float(raw["delta"]),
-        )
+        # Every other config field is annotated "int" or "float".
+        values = {
+            f.name: (_parse_int if f.type == "int" else _parse_float)(reader, raw[f.name], f.name)
+            for f in fields(ScenarioConfig) if f.name != "bs_per_generator_range"
+        }
+        if raw["bs_per_generator_min"] != "auto":
+            values["bs_per_generator_range"] = tuple(
+                _parse_int(reader, raw[key], key)
+                for key in ("bs_per_generator_min", "bs_per_generator_max")
+            )
+        config = ScenarioConfig(**values)
     except KeyError as err:
         raise FormatError(f"[config] missing key {err.args[0]!r}") from None
     except ValueError as err:
@@ -485,6 +499,8 @@ def loads(text: str) -> Scenario:
             stations.append(BaseStation(sid, (vals[0], vals[1]), vals[2], vals[3], vals[4]))
         except ValueError as err:
             raise FormatError(f"[ci] station {sid}: {err}") from None
+    _check_ids(reader, [bs.id for bs in stations], n_stations, "station")
+    stations.sort(key=lambda bs: bs.id)
     n_cov = reader.counted("coverage")
     covered = np.zeros((n_streets, n_stations))
     for _ in range(n_cov):
@@ -505,6 +521,7 @@ def loads(text: str) -> Scenario:
             _parse_float(reader, parts[1], "generator x"),
             _parse_float(reader, parts[2], "generator y"),
         )
+    _check_ids(reader, list(gen_positions), n_gens, "generator")
     n_links = reader.counted("links")
     shares = np.zeros((n_stations, n_gens))
     for _ in range(n_links):
@@ -515,37 +532,25 @@ def loads(text: str) -> Scenario:
             raise FormatError(f"[pg] link indices ({b}, {g}) out of range")
         shares[b, g] = _parse_float(reader, parts[2], "link share")
 
-    impact_given: tuple[np.ndarray, np.ndarray] | None = None
+    legacy_impact: tuple[np.ndarray, np.ndarray] | None = None
     if reader.peek_is("[impact]"):
         reader.expect_section("impact")
-        n_scores = reader.counted("scores")
-        if n_scores != n_stations:
-            raise FormatError(f"[impact] scores count {n_scores} != station count {n_stations}")
-        scores = np.zeros(n_stations)
-        for _ in range(n_scores):
-            parts = reader.fields(2, "score")
-            b = _parse_int(reader, parts[0], "score station")
-            scores[b] = _parse_float(reader, parts[1], "score value")
-        n_vec = reader.counted("vectors")
-        if n_vec != n_stations:
-            raise FormatError(f"[impact] vectors count {n_vec} != station count {n_stations}")
-        vectors = np.zeros((n_stations, n_streets))
-        for _ in range(n_vec):
-            parts = reader.fields(1 + n_streets, "vector")
-            b = _parse_int(reader, parts[0], "vector station")
-            vectors[b] = [_parse_float(reader, t, "vector value") for t in parts[1:]]
-        impact_given = (vectors, scores)
+        scores = _impact_rows(reader, "scores", n_stations, 1)[:, 0]
+        legacy_impact = (scores, _impact_rows(reader, "vectors", n_stations, n_streets))
     if not reader.at_end():
         raise FormatError(f"unexpected trailing content: {reader.next_line()!r}")
 
+    # Library errors about the parsed content all become FormatError here.
     try:
         intersections = intersections_from_streets(streets, positions)
         network = network_from_matrix(streets, intersections, Q)
-    except ValueError as err:
+    except (ValueError, IcisimError) as err:
         raise FormatError(f"[its] {err}") from None
+    stations_t = tuple(stations)
     try:
-        coverage = coverage_from_lengths(streets, covered)
-    except ValueError as err:
+        coverage = coverage_from_lengths(network.streets, covered)
+        impact = build_impact_model(network, coverage, stations_t, config.delta)
+    except (ValueError, IcisimError) as err:
         raise FormatError(f"[ci] {err}") from None
     try:
         generators = tuple(
@@ -554,17 +559,15 @@ def loads(text: str) -> Scenario:
             )
             for g in sorted(gen_positions)
         )
-        assignment = build_assignment(generators, stations, shares)
-    except ValueError as err:
+        assignment = build_assignment(generators, stations_t, shares)
+    except (ValueError, IcisimError) as err:
         raise FormatError(f"[pg] {err}") from None
-
-    stations_t = tuple(stations)
-    if impact_given is not None:
-        vectors, scores = impact_given
-        headroom = np.array([bs.headroom for bs in stations_t])
-        impact = ImpactModel(vectors, scores, headroom, config.delta)
-    else:
-        impact = build_impact_model(network, coverage, stations_t, config.delta)
+    if legacy_impact is not None:
+        for what, stored, fresh in zip(
+            ("scores", "vectors"), legacy_impact, (impact.z_scores, impact.z_vectors)
+        ):
+            if np.any(np.abs(stored - fresh) > 1e-9 * np.max(np.abs(fresh), initial=0.0)):
+                raise FormatError(f"[impact] stored {what} disagree with the recomputed model")
     return Scenario(config, network, stations_t, coverage, generators, assignment, impact)
 
 
@@ -585,6 +588,6 @@ def scenarios_equal(a: Scenario, b: Scenario) -> bool:
         and np.array_equal(a.coverage.C, b.coverage.C)
         and a.generators == b.generators
         and np.array_equal(a.assignment.T, b.assignment.T)
-        and np.array_equal(a.impact.z_vectors, b.impact.z_vectors)
-        and np.array_equal(a.impact.z_scores, b.impact.z_scores)
+        and np.array_equal(a.impact.null_vector, b.impact.null_vector)
+        and np.array_equal(a.impact.scale, b.impact.scale)
     )

@@ -253,12 +253,11 @@ class FlowSolution:
         return float(np.linalg.norm(net.A @ self.flows, ord=np.inf))
 
 
-def _null_patterns(net: FlowNetwork, streets: Sequence[int]) -> np.ndarray:
-    """Rows ``-v / v[i]`` for the requested streets, from the shared null vector.
+def _anchor_entries(net: FlowNetwork, streets: Sequence[int]) -> np.ndarray:
+    """Null-vector entries ``v[i]`` of the requested streets.
 
-    Row ``k`` is the balanced flow change per unit cut on street
-    ``streets[k]``: exactly -1 there.  Raises SingularError for a street
-    whose null-vector entry vanishes, since no balanced state moves its flow.
+    Raises SingularError for a street whose entry vanishes, since no
+    balanced state moves its flow.
     """
     idx = np.asarray(streets, dtype=int)
     if np.any((idx < 0) | (idx >= net.n)):
@@ -269,7 +268,12 @@ def _null_patterns(net: FlowNetwork, streets: Sequence[int]) -> np.ndarray:
     if np.any(small):
         bad = idx[small][0]
         raise SingularError(f"reduced system for street {bad} is numerically singular")
-    return -v[None, :] / v[idx, None]
+    return v[idx]
+
+
+def _null_patterns(net: FlowNetwork, streets: Sequence[int]) -> np.ndarray:
+    """Rows ``-v / v[i]``: balanced flow change per unit cut on each street."""
+    return -net.null_vector[None, :] / _anchor_entries(net, streets)[:, None]
 
 
 def solve_flows(net: FlowNetwork, anchor: int, anchor_flow: float) -> FlowSolution:

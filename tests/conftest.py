@@ -52,10 +52,10 @@ def parallel_pair_network(ratio: float = 0.5) -> FlowNetwork:
 
 
 def synthetic_impact(z_scores: np.ndarray, headroom: np.ndarray, delta: float = 1.0) -> ImpactModel:
-    """Impact model with given scores; vectors are score-scaled placeholders."""
+    """Impact model with given nonnegative scores over a one-street network."""
     z_scores = np.asarray(z_scores, dtype=float)
     headroom = np.asarray(headroom, dtype=float)
-    return ImpactModel(-z_scores[:, None], z_scores, headroom, delta)
+    return ImpactModel(np.ones(1), z_scores, headroom, delta)
 
 
 def make_instance(

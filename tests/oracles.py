@@ -5,8 +5,10 @@ the LP oracle is a tableau simplex instead of a greedy fill, the clipping
 oracle moves segment endpoints half-plane by half-plane instead of tracking
 a parameter interval, the rank oracle counts singular values and the flow
 oracles solve the anchored cut system (least squares, or an explicit QR)
-instead of rescaling the pivoted-QR null vector, and the attack oracle
-scans payoff lattices instead of using closed forms.
+instead of rescaling the pivoted-QR null vector, the impact oracle sums
+dense per-street patterns station by station instead of scaling one shared
+vector, and the attack oracle scans payoff lattices instead of using closed
+forms.
 """
 from __future__ import annotations
 
@@ -144,6 +146,27 @@ def qr_flow_solution(A: np.ndarray, anchor: int, anchor_flow: float) -> np.ndarr
     Qm, R = np.linalg.qr(A_i)
     rest = scipy.linalg.solve_triangular(R, Qm.T @ (-a_i * anchor_flow))
     return np.insert(rest, anchor, anchor_flow)
+
+
+def dense_impact(net, coverage, base_stations) -> tuple[np.ndarray, np.ndarray]:
+    """Impact vectors and scores summed pattern by pattern for each station.
+
+    Stacks the unit patterns ``-v / v[i]`` of a station's covered streets
+    into a dense matrix, weights them by covered fraction over headroom and
+    takes the L1 norm of the sum.  Raises SingularError when a covered
+    street's null-vector entry is below 1e-9 of the largest.
+    """
+    v = net.null_vector
+    vmax = float(np.max(np.abs(v)))
+    vectors = np.zeros((len(base_stations), net.n))
+    for bs in base_stations:
+        fractions = coverage.C[:, bs.id]
+        covered = np.nonzero(fractions > 0.0)[0]
+        if np.any(np.abs(v[covered]) < 1e-9 * vmax):
+            raise SingularError(f"station {bs.id} covers a street that carries no flow")
+        patterns = -v[None, :] / v[covered, None]
+        vectors[bs.id] = (fractions[covered] / bs.headroom) @ patterns
+    return vectors, np.abs(vectors).sum(axis=1)
 
 
 def finite_difference_total(scenario, station: int, cut_watts: float) -> float:

@@ -9,17 +9,12 @@ from __future__ import annotations
 
 import gc
 import time
+from dataclasses import replace
 
 import numpy as np
 
 from icisim.coverage import BaseStation, build_coverage, hex_tiling
-from icisim.experiments import (
-    ExperimentSpec,
-    run_generator_experiments,
-    run_power_sweep,
-    run_scale_sweep,
-    table_to_csv,
-)
+from icisim.experiments import ExperimentSpec, run_experiment, table_to_csv
 from icisim.game import (
     GameInstance,
     StealthLevel,
@@ -115,7 +110,7 @@ def test_criterion_04_power_sweep_is_linear_then_flat():
         sweep=tuple(float(p) for p in range(0, 101, 5)),
         reps=3,
     )
-    table = run_power_sweep(spec)
+    table = run_experiment(spec)
     means = {row[0]: row[3] for row in table.rows}
     xs = sorted(means)
     values = np.array([means[x] for x in xs])
@@ -168,7 +163,7 @@ def test_criterion_06_line_stealth_is_most_damaging_at_scale():
         reps=30,
         budgets=(0.0, 100.0),
     )
-    table = run_scale_sweep(spec)
+    table = run_experiment(spec)
     rows = {(r[0], r[1], r[2]): r[3] for r in table.rows}
     for grid_n in (4.0, 6.0, 8.0):
         # No-backup rows: the severity comparison the orderings refer to.
@@ -193,8 +188,8 @@ def test_criterion_07_generator_count_effects():
         reps=30,
         budgets=(0.0,),
     )
-    table_all = run_generator_experiments(spec, "all")
-    table_single = run_generator_experiments(spec, "single")
+    table_all = run_experiment(spec)
+    table_single = run_experiment(replace(spec, experiment="generators-single"))
     spreads = {}
     for level in ("source", "line", "bs"):
         means = np.array([r[3] for r in table_all.rows if r[1] == level])
@@ -250,9 +245,9 @@ def test_criterion_09_experiments_are_deterministic():
         reps=3,
         budgets=(0.0, 60.0),
     )
-    for spec, runner in ((power, run_power_sweep), (scale, run_scale_sweep)):
-        first = table_to_csv(runner(spec))
-        second = table_to_csv(runner(spec))
+    for spec in (power, scale):
+        first = table_to_csv(run_experiment(spec))
+        second = table_to_csv(run_experiment(spec))
         assert first.encode() == second.encode()
     print("criterion 09 PASS - repeated runs emit byte-identical CSV")
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 import csv
 import io
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,11 +16,7 @@ from icisim.experiments import (
     emit,
     pick_attack_source,
     resolve_budget_sweep,
-    run_allocation_compare,
     run_experiment,
-    run_generator_experiments,
-    run_power_sweep,
-    run_scale_sweep,
     table_to_csv,
     table_to_svg,
 )
@@ -53,7 +50,7 @@ def test_spec_validation():
 
 
 def test_power_sweep_shape():
-    table = run_power_sweep(_spec("power-sweep", sweep=tuple(range(0, 101, 10))))
+    table = run_experiment(_spec("power-sweep", sweep=tuple(range(0, 101, 10))))
     means = {row[0]: row[3] for row in table.rows}
     assert means[0.0] == 0.0
     # Monotone, linear to half power, then exactly flat.
@@ -68,7 +65,7 @@ def test_power_sweep_shape():
 
 
 def test_scale_sweep_orderings():
-    table = run_scale_sweep(_spec("scale-sweep", sweep=(2.0, 3.0), reps=2))
+    table = run_experiment(_spec("scale-sweep", sweep=(2.0, 3.0), reps=2))
     rows = {(r[0], r[1], r[2]): r[3] for r in table.rows}
     for grid_n in (2.0, 3.0):
         for level in LEVELS:
@@ -81,10 +78,8 @@ def test_scale_sweep_orderings():
 
 
 def test_radius_sweep_reports_both_budgets():
-    from icisim.experiments import run_radius_sweep
-
     spec = _spec("radius-sweep", sweep=(0.9, 1.2), reps=1, budgets=(0.0, 50.0))
-    table = run_radius_sweep(spec)
+    table = run_experiment(spec)
     assert table.sweep_name == "cell_radius"
     rows = {(r[0], r[1], r[2]): r[3] for r in table.rows}
     for radius in (0.9, 1.2):
@@ -96,7 +91,7 @@ def test_radius_sweep_reports_both_budgets():
 
 def test_allocation_compare_dominance():
     spec = _spec("allocation-compare", sweep=(0.0, 0.25, 0.5, 1.0), reps=2)
-    table = run_allocation_compare(spec)
+    table = run_experiment(spec)
     rows = {(r[0], r[1]): r[3] for r in table.rows}
     budgets = sorted({r[0] for r in table.rows})
     assert len(budgets) == 4
@@ -118,16 +113,15 @@ def test_budget_sweep_resolution():
 
 def test_generator_experiments_run_both_modes():
     spec = _spec("generators-all", sweep=(1.0, 2.0), reps=2, budgets=(0.0,))
-    table_all = run_generator_experiments(spec, "all")
-    table_single = run_generator_experiments(spec, "single")
+    table_all = run_experiment(spec)
+    table_single = run_experiment(replace(spec, experiment="generators-single"))
+    assert table_all.sweep_name == table_single.sweep_name == "num_generators"
     assert len(table_all.rows) == len(table_single.rows) == 2 * len(LEVELS)
     rows_all = {(r[0], r[1]): r[3] for r in table_all.rows}
     rows_single = {(r[0], r[1]): r[3] for r in table_single.rows}
     # Attacking one source never exceeds attacking all of them.
     for key, value in rows_single.items():
         assert value <= rows_all[key] + 1e-9
-    with pytest.raises(ValueError):
-        run_generator_experiments(spec, "some")
 
 
 def test_pick_attack_source_is_deterministic(grid3_scenario):
@@ -143,7 +137,7 @@ def test_run_experiment_dispatch():
 
 
 def test_csv_structure_and_round_trip(tmp_path):
-    table = run_power_sweep(_spec("power-sweep", sweep=(0.0, 30.0, 60.0)))
+    table = run_experiment(_spec("power-sweep", sweep=(0.0, 30.0, 60.0)))
     text = table_to_csv(table)
     comments = [ln for ln in text.splitlines() if ln.startswith("#")]
     assert any("seed = 100" in ln for ln in comments)
@@ -171,7 +165,7 @@ def test_single_row_table_is_valid_csv():
 
 
 def test_svg_is_well_formed_xml(tmp_path):
-    table = run_scale_sweep(_spec("scale-sweep", sweep=(2.0, 3.0), reps=1, budgets=(0.0,)))
+    table = run_experiment(_spec("scale-sweep", sweep=(2.0, 3.0), reps=1, budgets=(0.0,)))
     text = table_to_svg(table, title="scale")
     root = ET.fromstring(text)
     assert root.tag.endswith("svg")
@@ -192,6 +186,4 @@ def test_emit_rejects_empty_and_unknown(tmp_path):
 
 def test_runs_are_reproducible():
     spec = _spec("allocation-compare", sweep=(0.0, 0.5), reps=2)
-    assert table_to_csv(run_allocation_compare(spec)) == table_to_csv(
-        run_allocation_compare(spec)
-    )
+    assert table_to_csv(run_experiment(spec)) == table_to_csv(run_experiment(spec))

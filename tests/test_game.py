@@ -23,6 +23,8 @@ from icisim.game import (
     validate_attack,
 )
 
+from icisim.scenario import ScenarioConfig, generate
+
 from conftest import make_instance, random_feasible_defense, random_instance, synthetic_impact
 from oracles import budgeted_allocation_lp, lattice_best_attack
 
@@ -329,6 +331,24 @@ def test_lp_fills_by_score_with_lower_id_ties():
     caps = np.full(4, 10.0)
     defense = solve_defender_lp(impact, caps, 15.0)
     assert np.allclose(defense.allocation, [0.0, 10.0, 5.0, 0.0])
+
+
+def test_lp_ties_survive_rounding_noise():
+    # Grid-5 seed-0 scores fall into a few values that differ only by
+    # rounding; perturbing them by a few ulps must not reorder the fill.
+    scores = generate(ScenarioConfig(grid_n=5, seed=0)).impact.z_scores
+    headroom = np.full(scores.size, 100.0)
+    rng = np.random.default_rng(3)
+    caps = rng.uniform(5.0, 30.0, scores.size)
+    budgets = np.linspace(0.0, caps.sum(), 17)
+    reference = [solve_defender_lp(synthetic_impact(scores, headroom), caps, b) for b in budgets]
+    for _ in range(10):
+        ulps = rng.integers(-4, 5, scores.size) * np.finfo(float).eps
+        noisy = synthetic_impact(scores * (1.0 + ulps), headroom)
+        for budget, expected in zip(budgets, reference):
+            assert np.array_equal(
+                solve_defender_lp(noisy, caps, budget).allocation, expected.allocation
+            )
 
 
 def test_lp_matches_simplex_oracle():

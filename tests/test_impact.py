@@ -7,18 +7,20 @@ import numpy as np
 import pytest
 
 from icisim.coverage import BaseStation, coverage_from_lengths
+from icisim.errors import SingularError
 from icisim.impact import (
     _null_patterns,
-    bs_impact,
     build_impact_model,
     export_impact_csv,
     its_deviation,
     street_impact_vector,
 )
+from icisim.scenario import ScenarioConfig, generate, loads
 from icisim.traffic import network_from_matrix
 
-from conftest import cycle_network, synthetic_impact
-from oracles import finite_difference_total, lstsq_pattern
+from conftest import cycle_network, parallel_pair_network, synthetic_impact
+from oracles import dense_impact, finite_difference_total, lstsq_pattern
+from test_scenario import HAND_WRITTEN
 from test_traffic import _parallel_streets
 
 
@@ -75,17 +77,38 @@ def test_station_covering_nothing_scores_zero():
     net = cycle_network()
     bs = BaseStation(0, (50.0, 50.0), 1.0, 100.0, 200.0)
     coverage = coverage_from_lengths(net.streets, np.zeros((2, 1)))
-    z_vec, z = bs_impact(net, coverage, bs)
-    assert np.array_equal(z_vec, np.zeros(2))
-    assert z == 0.0
+    model = build_impact_model(net, coverage, [bs])
+    assert np.array_equal(model.z_vectors, np.zeros((1, 2)))
+    assert model.z_scores[0] == 0.0
 
 
 def test_station_covering_one_full_street():
     net, bs, coverage = _single_station_setup()
-    z_vec, z = bs_impact(net, coverage, bs)
+    model = build_impact_model(net, coverage, [bs])
     expected = street_impact_vector(net, 0) / bs.headroom
-    assert np.allclose(z_vec, expected, rtol=1e-12)
-    assert z == pytest.approx(np.abs(expected).sum(), rel=1e-12)
+    assert np.allclose(model.z_vectors[0], expected, rtol=1e-12)
+    assert model.z_scores[0] == pytest.approx(np.abs(expected).sum(), rel=1e-12)
+
+
+def _zero_flow_network():
+    # Street 1 and 3 carry no flow in this hand convention: v = (1, 0, 1, 0).
+    streets, nodes = _parallel_streets()
+    Q = np.zeros((4, 4))
+    Q[0, 2] = Q[0, 3] = Q[2, 0] = Q[3, 1] = 1.0
+    return network_from_matrix(streets, nodes, Q)
+
+
+def test_zero_flow_street_is_singular_only_when_covered():
+    net = _zero_flow_network()
+    bs = BaseStation(0, (0.5, 0.0), 1.0, 100.0, 200.0)
+    covers_flowing = coverage_from_lengths(net.streets, np.array([[1.0], [0.0], [0.0], [0.0]]))
+    model = build_impact_model(net, covers_flowing, [bs])
+    assert model.z_scores[0] == pytest.approx(2.0 / bs.headroom, rel=1e-12)
+    covers_dry = coverage_from_lengths(net.streets, np.array([[0.0], [1.0], [0.0], [0.0]]))
+    with pytest.raises(SingularError):
+        build_impact_model(net, covers_dry, [bs])
+    with pytest.raises(SingularError):
+        dense_impact(net, covers_dry, [bs])
 
 
 def test_score_matches_finite_difference_oracle(grid3_scenario):
@@ -153,14 +176,31 @@ def test_csv_export(grid3_scenario):
     )
 
 
-def test_model_build_matches_per_station_route(grid3_scenario):
-    model = build_impact_model(
-        grid3_scenario.network,
-        grid3_scenario.coverage,
-        grid3_scenario.base_stations,
-        grid3_scenario.config.delta,
+def _oracle_cases():
+    """(name, network, coverage, stations) for generated and hand-made models."""
+    for grid_n in (3, 5, 9):
+        for seed in range(3):
+            sc = generate(ScenarioConfig(grid_n=grid_n, seed=seed))
+            yield f"grid {grid_n} seed {seed}", sc.network, sc.coverage, sc.base_stations
+    hand = loads(HAND_WRITTEN)
+    yield "hand-written file", hand.network, hand.coverage, hand.base_stations
+    stations = (
+        BaseStation(0, (0.5, 0.0), 1.0, 100.0, 200.0),
+        BaseStation(1, (1.5, 0.0), 1.0, 80.0, 250.0),
     )
-    for bs in grid3_scenario.base_stations:
-        z_vec, z = bs_impact(grid3_scenario.network, grid3_scenario.coverage, bs)
-        assert np.allclose(model.z_vectors[bs.id], z_vec, rtol=1e-12)
-        assert model.z_scores[bs.id] == pytest.approx(z, rel=1e-12)
+    net = parallel_pair_network(0.3)
+    lengths = np.array([[1.5, 0.5], [0.0, 2.0], [0.25, 0.0], [0.0, 0.0]])
+    yield "parallel pair", net, coverage_from_lengths(net.streets, lengths), stations
+    net = _zero_flow_network()
+    lengths = np.array([[1.0, 0.0], [0.0, 0.0], [0.5, 0.5], [0.0, 0.0]])
+    yield "zero-flow streets uncovered", net, coverage_from_lengths(net.streets, lengths), stations
+
+
+def test_model_build_matches_per_station_route():
+    # The rank-one model against the dense per-street sum of tests/oracles.py.
+    for name, net, coverage, stations in _oracle_cases():
+        model = build_impact_model(net, coverage, stations)
+        vectors, scores = dense_impact(net, coverage, stations)
+        assert model.z_vectors.shape == vectors.shape, name
+        assert np.allclose(model.z_vectors, vectors, rtol=1e-12, atol=0.0), name
+        assert np.allclose(model.z_scores, scores, rtol=1e-12, atol=0.0), name

@@ -87,7 +87,11 @@ def test_generated_invariants_hold():
 
 
 def test_round_trip_identity(tmp_path):
-    for config in (ScenarioConfig(grid_n=3, seed=9), ScenarioConfig(grid_n=5, seed=0)):
+    for config in (
+        ScenarioConfig(grid_n=3, seed=9),
+        ScenarioConfig(grid_n=5, seed=0),
+        ScenarioConfig(grid_n=20, cell_radius=0.9, num_generators=10, seed=0),
+    ):
         sc = generate(config)
         path = str(tmp_path / "scenario.txt")
         save(sc, path)
@@ -112,10 +116,82 @@ def test_ratio_support_is_one_strong_component():
 def test_round_trip_without_impact_recomputes(tmp_path):
     sc = generate(ScenarioConfig(grid_n=3, seed=9))
     path = str(tmp_path / "scenario.txt")
-    save(sc, path, include_impact=False)
+    save(sc, path)
+    with open(path, encoding="utf-8") as fh:
+        assert "[impact]" not in fh.read()
     again = load(path)
     assert np.array_equal(again.impact.z_scores, sc.impact.z_scores)
     assert np.array_equal(again.impact.z_vectors, sc.impact.z_vectors)
+
+
+def legacy_text(sc: Scenario) -> str:
+    """The scenario in the older layout that also stored the impact model."""
+    imp = sc.impact
+    lines = [f"scores {imp.num_stations}"]
+    lines += [f"{b} {float(z)!r}" for b, z in enumerate(imp.z_scores)]
+    lines.append(f"vectors {imp.num_stations}")
+    for b, row in enumerate(imp.z_vectors):
+        lines.append(f"{b} " + " ".join(repr(float(x)) for x in row))
+    return dumps(sc) + "[impact]\n" + "\n".join(lines) + "\n"
+
+
+def _edit(text: str, block: str, field: int, value: str, row: int = 0) -> str:
+    """Replace one field of row ``row`` under the line starting with ``block``."""
+    lines = text.splitlines()
+    idx = next(k for k, line in enumerate(lines) if line.startswith(block)) + 1 + row
+    parts = lines[idx].split()
+    parts[field] = value
+    lines[idx] = " ".join(parts)
+    return "\n".join(lines) + "\n"
+
+
+def test_legacy_impact_section_loads_equal():
+    sc = generate(ScenarioConfig(grid_n=3, seed=0))
+    assert scenarios_equal(sc, loads(legacy_text(sc)))
+
+
+@pytest.mark.parametrize(
+    "block, field, value",
+    [
+        ("scores", 1, repr(123456.0)),
+        ("vectors", -1, "7.5"),
+        ("vectors", 2, "nan"),
+        ("scores", 0, "999"),
+        ("vectors", 0, "999"),
+    ],
+    ids=["score", "vector entry", "nan entry", "score station index", "vector station index"],
+)
+def test_legacy_impact_section_is_verified(block, field, value):
+    text = legacy_text(generate(ScenarioConfig(grid_n=3, seed=0)))
+    with pytest.raises(FormatError, match=r"\[impact\]"):
+        loads(_edit(text, block, field, value))
+
+
+@pytest.mark.parametrize(
+    "block, field, value, row",
+    [
+        ("coverage", 2, "nan", 0),
+        ("links", 2, "nan", 0),
+        ("streets", 3, "nan", 0),
+        ("generators", 1, "nan", 0),
+        ("generators", 0, "999", 0),
+        ("stations", 0, "999", 0),
+        ("stations", 0, "0", 1),
+        ("coverage", 2, "-0.5", 0),
+        ("delta", 2, "nan", -1),
+        ("budget", 2, "inf", -1),
+        ("grid_n", 2, "nan", -1),
+    ],
+    ids=[
+        "nan covered length", "nan link share", "nan street length", "nan generator x",
+        "generator id 999", "station id 999", "repeated station id",
+        "negative covered length", "nan delta", "infinite budget", "nan grid_n",
+    ],
+)
+def test_loader_rejects_bad_values_and_ids(block, field, value, row):
+    text = dumps(generate(ScenarioConfig(grid_n=3, seed=0)))
+    with pytest.raises(FormatError):
+        loads(_edit(text, block, field, value, row))
 
 
 def test_truncated_file_names_missing_section():
@@ -178,6 +254,12 @@ generators 1
 links 1
 0 0 1.0
 """
+
+
+def test_negative_count_is_rejected():
+    text = HAND_WRITTEN.replace("coverage 2\n0 0 1.0\n1 0 1.0\n", "coverage -1\n")
+    with pytest.raises(FormatError, match="negative count"):
+        loads(text)
 
 
 def test_hand_written_minimal_scenario_loads():
