@@ -11,7 +11,7 @@ order.
 """
 from __future__ import annotations
 
-import xml.sax.saxutils
+import html
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -297,7 +297,9 @@ def table_to_svg(table: SweepTable, title: str = "") -> str:
     def sy(y: float) -> float:
         return top + (1.0 - (y - y_lo) / (y_hi - y_lo)) * plot_h
 
-    esc = xml.sax.saxutils.escape
+    def esc(text: str) -> str:
+        return html.escape(text, quote=False)
+
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:g}" height="{height:g}" '

@@ -10,7 +10,7 @@ station's streets gives its per-watt impact vector ``-s_b v`` with one
 scale per station, ``s_b = sum_i C[i, b] / (headroom_b v[i])``.  The L1
 norm of that vector, ``|s_b| ||v||_1``, is the station's scalar importance
 score used by the allocation game.  The model is therefore ``v`` plus one
-number per station, built from one QR factorisation of the network; the
+number per station, built from one sparse LU factorisation of the network; the
 tests check it against the dense per-street sum.
 """
 from __future__ import annotations

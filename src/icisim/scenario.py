@@ -23,6 +23,7 @@ from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
+import scipy.sparse
 
 from .coverage import BaseStation, CoverageMap, build_coverage, coverage_from_lengths, hex_tiling
 from .errors import FormatError, IcisimError
@@ -34,6 +35,8 @@ from .traffic import (
     Intersection,
     Street,
     build_flow_matrix,
+    csr_entries,
+    csr_equal,
     intersections_from_streets,
     make_street,
     network_from_matrix,
@@ -88,6 +91,8 @@ class ScenarioConfig:
                 raise ValueError("bs_per_generator_range must satisfy 1 <= min <= max")
         if self.anchor_flow < 0.0 or self.budget < 0.0:
             raise ValueError("anchor flow and budget must be nonnegative")
+        if self.anchor_street < 0:
+            raise ValueError("anchor street must be nonnegative")
 
     @property
     def p_full(self) -> float:
@@ -233,6 +238,10 @@ def generate(config: ScenarioConfig) -> Scenario:
     # always suffices, and keeping it at 0 keeps every seed's streams.
     attempt = 0
     streets, intersections = _grid_topology(config)
+    if config.anchor_street >= len(streets):
+        raise ValueError(
+            f"anchor street {config.anchor_street} out of range for {len(streets)} streets"
+        )
     ratios = _sample_ratios(streets, intersections, _rng(config.seed, attempt, _STREAM_RATIOS))
     network = build_flow_matrix(streets, intersections, ratios)
 
@@ -294,10 +303,10 @@ def dumps(scenario: Scenario) -> str:
             f"{s.id} {s.tail} {s.head} {_fmt(s.length)} "
             f"{_fmt(x0)} {_fmt(y0)} {_fmt(x1)} {_fmt(y1)}"
         )
-    rows, cols = np.nonzero(net.Q)
-    out.append(f"ratios {rows.size}")
-    for r, c in zip(rows.tolist(), cols.tolist()):
-        out.append(f"{r} {c} {_fmt(net.Q[r, c])}")
+    rows, cols, shares = csr_entries(net.Q)
+    out.append(f"ratios {shares.size}")
+    for r, c, share in zip(rows.tolist(), cols.tolist(), shares.tolist()):
+        out.append(f"{r} {c} {_fmt(share)}")
 
     out.append("[ci]")
     out.append(f"stations {len(scenario.base_stations)}")
@@ -478,15 +487,25 @@ def loads(text: str) -> Scenario:
                 ((floats[1], floats[2]), (floats[3], floats[4])),
             )
         )
+    if config.anchor_street >= n_streets:
+        raise FormatError(
+            f"[config] anchor_street {config.anchor_street} out of range for {n_streets} streets"
+        )
     n_ratios = reader.counted("ratios")
-    Q = np.zeros((n_streets, n_streets))
+    ratios: dict[tuple[int, int], float] = {}
     for _ in range(n_ratios):
         parts = reader.fields(3, "ratio")
         r = _parse_int(reader, parts[0], "ratio row")
         c = _parse_int(reader, parts[1], "ratio column")
         if not (0 <= r < n_streets and 0 <= c < n_streets):
             raise FormatError(f"[its] ratio indices ({r}, {c}) out of range")
-        Q[r, c] = _parse_float(reader, parts[2], "ratio value")
+        # A repeated (row, column) pair keeps its last share.
+        ratios[(r, c)] = _parse_float(reader, parts[2], "ratio value")
+    pairs = np.array(list(ratios), dtype=np.int64).reshape(-1, 2)
+    Q = scipy.sparse.coo_array(
+        (np.fromiter(ratios.values(), dtype=float, count=len(ratios)), (pairs[:, 0], pairs[:, 1])),
+        shape=(n_streets, n_streets),
+    )
 
     reader.expect_section("ci")
     n_stations = reader.counted("stations")
@@ -582,7 +601,7 @@ def scenarios_equal(a: Scenario, b: Scenario) -> bool:
         a.config == b.config
         and a.network.streets == b.network.streets
         and a.network.intersections == b.network.intersections
-        and np.array_equal(a.network.Q, b.network.Q)
+        and csr_equal(a.network.Q, b.network.Q)
         and a.base_stations == b.base_stations
         and np.array_equal(a.coverage.covered_lengths, b.coverage.covered_lengths)
         and np.array_equal(a.coverage.C, b.coverage.C)

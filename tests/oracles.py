@@ -5,7 +5,8 @@ the LP oracle is a tableau simplex instead of a greedy fill, the clipping
 oracle moves segment endpoints half-plane by half-plane instead of tracking
 a parameter interval, the rank oracle counts singular values and the flow
 oracles solve the anchored cut system (least squares, or an explicit QR)
-instead of rescaling the pivoted-QR null vector, the impact oracle sums
+and the null-vector oracle factors the dense matrix with column-pivoted QR
+instead of rescaling the deflated sparse-LU null vector, the impact oracle sums
 dense per-street patterns station by station instead of scaling one shared
 vector, and the attack oracle scans payoff lattices instead of using closed
 forms.
@@ -124,6 +125,29 @@ def svd_rank(matrix: np.ndarray) -> int:
     return int(np.count_nonzero(sv > RANK_TOLERANCE * sv[0]))
 
 
+def qr_null_vector(A: np.ndarray) -> np.ndarray:
+    """Unit null vector of a rank-(n-1) matrix from a column-pivoted QR.
+
+    The dense route the library used before its sparse LU: ``A P = Q R``
+    with ``|R[k, k]|`` nonincreasing (Businger & Golub 1965); the rank is
+    the count of diagonal entries above RANK_TOLERANCE times the largest,
+    and with the last row of ``R`` negligible ``y = (-R11^-1 r, 1)`` solves
+    ``R y = 0``.  The largest-magnitude entry is made positive.  Raises
+    ValueError unless the rank is n - 1.
+    """
+    n = A.shape[0]
+    R, perm = scipy.linalg.qr(A, pivoting=True, mode="r")
+    diag = np.abs(np.diag(R))
+    rank = int(np.count_nonzero(diag > RANK_TOLERANCE * diag[0])) if n else 0
+    if rank != n - 1:
+        raise ValueError(f"matrix has rank {rank}, expected {n - 1}")
+    y = np.append(scipy.linalg.solve_triangular(R[:-1, :-1], -R[:-1, -1]), 1.0)
+    v = np.empty(n)
+    v[perm] = y
+    v /= np.linalg.norm(v)
+    return v if v[np.argmax(np.abs(v))] > 0.0 else -v
+
+
 def lstsq_pattern(A: np.ndarray, street: int) -> np.ndarray:
     """Unit deviation pattern of ``street`` from the anchored cut system.
 
@@ -179,12 +203,13 @@ def finite_difference_total(scenario, station: int, cut_watts: float) -> float:
     net = scenario.network
     bs = scenario.base_stations[station]
     lost_fraction = cut_watts / bs.headroom
+    A = net.A.toarray()
     total = np.zeros(net.n)
     for i in scenario.coverage.covered_street_ids(station):
         street_cut = lost_fraction * scenario.coverage.C[i, station] * scenario.config.delta
         base = 1000.0 + street_cut
-        before = -base * lstsq_pattern(net.A, i)
-        after = -(base - street_cut) * lstsq_pattern(net.A, i)
+        before = -base * lstsq_pattern(A, i)
+        after = -(base - street_cut) * lstsq_pattern(A, i)
         total += after - before
     return float(np.abs(total).sum())
 

@@ -3,7 +3,11 @@ from __future__ import annotations
 
 import csv
 import io
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+import xml.sax.saxutils
 from dataclasses import replace
 
 import numpy as np
@@ -173,6 +177,29 @@ def test_svg_is_well_formed_xml(tmp_path):
     path = tmp_path / "chart.svg"
     emit(table, "svg", str(path), title="scale")
     ET.fromstring(path.read_text(encoding="utf-8"))
+
+
+def test_svg_escapes_text_like_xml_sax():
+    # The chart escapes &, < and > only, as xml.sax.saxutils.escape does;
+    # quotes stay literal inside element text.
+    raw = """A&B <x> "q" 'a'"""
+    table = SweepTable(raw, ((1.0, raw, 0.0, 2.5, 0.0, 1),), ())
+    text = table_to_svg(table, title=raw)
+    escaped = xml.sax.saxutils.escape(raw)
+    assert escaped == """A&amp;B &lt;x&gt; "q" 'a'"""
+    assert text.count(escaped) == 3  # title, axis label and legend entry
+    assert raw not in text
+    ET.fromstring(text)
+
+
+def test_package_import_skips_xml_and_urllib():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(__import__("icisim").__file__)))
+    paths = [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    probe = "import sys, icisim; print(sorted(m for m in sys.modules if m in ('xml.sax', 'urllib.request')))"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_emit_rejects_empty_and_unknown(tmp_path):

@@ -50,8 +50,9 @@ def test_weak_coupling_bounds_remote_entries():
     net = network_from_matrix(streets, nodes, Q)
     pattern = street_impact_vector(net, 0)
     # Direct solve of the normal equations as an independent check.
-    A_i = np.delete(net.A, 0, axis=1)
-    a_i = net.A[:, 0]
+    A = net.A.toarray()
+    A_i = np.delete(A, 0, axis=1)
+    a_i = A[:, 0]
     direct = np.linalg.solve(A_i.T @ A_i, A_i.T @ a_i)
     assert np.allclose(pattern, np.insert(direct, 0, -1.0), atol=1e-12)
     assert abs(pattern[1]) <= 2.0 * eps
@@ -63,7 +64,7 @@ def test_null_pattern_route_matches_least_squares(grid3_scenario):
     streets = [0, 3, 11]
     fast = _null_patterns(net, streets)
     for row, street in zip(fast, streets):
-        assert np.allclose(row, lstsq_pattern(net.A, street), rtol=1e-9, atol=1e-12)
+        assert np.allclose(row, lstsq_pattern(net.A.toarray(), street), rtol=1e-9, atol=1e-12)
 
 
 def _single_station_setup():

@@ -265,7 +265,7 @@ def test_negative_count_is_rejected():
 def test_hand_written_minimal_scenario_loads():
     sc = loads(HAND_WRITTEN)
     assert sc.network.n == 2
-    assert np.array_equal(sc.network.A, [[1.0, -1.0], [-1.0, 1.0]])
+    assert np.array_equal(sc.network.A.toarray(), [[1.0, -1.0], [-1.0, 1.0]])
     assert np.allclose(sc.coverage.C, [[1.0], [1.0]])
     assert np.array_equal(sc.assignment.T, [[1.0]])
     # Each street's deviation reaches the whole 2-street loop and the
@@ -303,3 +303,26 @@ def test_game_instance_wiring(grid3_scenario):
     inst = grid3_scenario.game_instance()
     assert inst.num_stations == len(grid3_scenario.base_stations)
     assert np.allclose(inst.headroom, grid3_scenario.impact.headroom)
+
+
+def test_loader_checks_intersection_positions():
+    text = dumps(generate(ScenarioConfig(grid_n=3, seed=0)))
+    moved = _edit(_edit(text, "intersections", 1, "7.5"), "intersections", 2, "-3.25")
+    with pytest.raises(FormatError, match=r"\[its\].*geometry"):
+        loads(moved)
+
+
+def test_anchor_street_is_range_checked():
+    with pytest.raises(ValueError, match="anchor street"):
+        ScenarioConfig(anchor_street=-5)
+    assert generate(ScenarioConfig(grid_n=2, anchor_street=7)).network.n == 8
+    with pytest.raises(ValueError, match="anchor street"):
+        generate(ScenarioConfig(grid_n=2, anchor_street=8))
+    text = dumps(generate(ScenarioConfig(grid_n=3, seed=0)))
+    for value in ("999999", "24", "-5"):
+        with pytest.raises(FormatError, match="anchor"):
+            loads(_edit(text, "anchor_street", 2, value, -1))
+    # The bound is the street count of the file, not the one grid_n implies.
+    assert loads(HAND_WRITTEN.replace("anchor_street = 0", "anchor_street = 1")).network.n == 2
+    with pytest.raises(FormatError, match="anchor_street"):
+        loads(HAND_WRITTEN.replace("anchor_street = 0", "anchor_street = 2"))

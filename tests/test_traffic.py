@@ -1,11 +1,20 @@
 """Street-network flow model tests."""
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from icisim.errors import RankError, SingularError, TopologyError
-from icisim.scenario import ScenarioConfig, _grid_topology, _rng, _sample_ratios, _STREAM_RATIOS
+from icisim.scenario import (
+    ScenarioConfig,
+    _grid_topology,
+    _rng,
+    _sample_ratios,
+    _STREAM_RATIOS,
+    loads,
+)
 from icisim.traffic import (
     build_flow_matrix,
     intersections_from_streets,
@@ -16,12 +25,13 @@ from icisim.traffic import (
 )
 
 from conftest import cycle_network, parallel_pair_network
-from oracles import qr_flow_solution, svd_rank
+from oracles import qr_flow_solution, qr_null_vector, svd_rank
 
 
 def test_cycle_matrix_and_rank():
     net = cycle_network()
-    assert np.array_equal(net.A, np.array([[1.0, -1.0], [-1.0, 1.0]]))
+    assert net.Q.format == "csr" and net.A.format == "csr"
+    assert np.array_equal(net.A.toarray(), np.array([[1.0, -1.0], [-1.0, 1.0]]))
 
 
 def test_ratio_on_missing_street_pair():
@@ -75,7 +85,7 @@ def test_grid2_matrix_matches_hand_assembly():
     expected = np.eye(n)
     for (j, k), share in ratios.items():
         expected[j, k] -= share
-    assert np.array_equal(net.A, expected)
+    assert np.array_equal(net.A.toarray(), expected)
     assert net.n == 8
 
 
@@ -100,7 +110,7 @@ def test_solve_rejects_negative_flow():
 def test_solve_grid3_matches_qr_oracle(grid3_scenario):
     net = grid3_scenario.network
     sol = solve_flows(net, 0, 1000.0)
-    expected = qr_flow_solution(net.A, 0, 1000.0)
+    expected = qr_flow_solution(net.A.toarray(), 0, 1000.0)
     assert np.allclose(sol.flows, expected, rtol=1e-8)
     assert sol.residual(net) <= 1e-6 * np.abs(sol.flows).max()
 
@@ -181,6 +191,27 @@ def test_loader_matrix_structure_validated():
         network_from_matrix(streets, nodes, Q)
 
 
+def _leaky_loop_into_cycle(cycle_share):
+    """Streets, nodes and Q of a leaky loop 0 -> 1 -> 2 -> 0 feeding a loop 3 <-> 4.
+
+    Street 0 passes half its flow on round the loop and half to street 3.
+    With ``cycle_share = 1`` the small loop 3 <-> 4 balances on its own and
+    the rank is n - 1, although the larger class does not balance.
+    """
+    positions = {0: (0.0, 0.0), 1: (1.0, 0.0), 2: (0.5, 1.0), 3: (3.0, 0.0)}
+    streets = [
+        make_street(0, 0, 1, (positions[0], positions[1])),
+        make_street(1, 1, 2, (positions[1], positions[2])),
+        make_street(2, 2, 0, (positions[2], positions[0])),
+        make_street(3, 1, 3, (positions[1], positions[3])),
+        make_street(4, 3, 1, (positions[3], positions[1])),
+    ]
+    Q = np.zeros((5, 5))
+    Q[0, 1] = Q[1, 2] = Q[2, 0] = Q[0, 3] = 0.5
+    Q[3, 4] = Q[4, 3] = cycle_share
+    return streets, intersections_from_streets(streets, positions), Q
+
+
 def _rank_fixtures():
     """(name, streets, nodes, Q) for hand-made matrices on both sides of rank n-1."""
     cycle = cycle_network()
@@ -207,6 +238,8 @@ def _rank_fixtures():
     Q[0, 2] = 0.5
     Q[2, 0] = 1.0
     yield "full rank", streets, nodes, Q
+    yield "leaky loop into cycle", *_leaky_loop_into_cycle(1.0)
+    yield "leaky loop into leaky loop", *_leaky_loop_into_cycle(0.5)
     for grid_n in range(2, 7):
         streets, nodes = _grid_topology(ScenarioConfig(grid_n=grid_n))
         ratios = _sample_ratios(streets, nodes, _rng(0, 0, _STREAM_RATIOS))
@@ -230,3 +263,90 @@ def test_qr_rank_decision_matches_svd_oracle():
     assert not decisions["disconnected"] and not decisions["full rank"]
     assert decisions["weak coupling"] and decisions["zero-flow anchor"]
     assert all(decisions[f"grid {g}"] for g in range(2, 7))
+
+
+def _null_vector_fixtures():
+    """(name, network) pairs: hand-made conventions and generated grids."""
+    from test_scenario import HAND_WRITTEN
+
+    yield "cycle", cycle_network()
+    yield "parallel pair", parallel_pair_network(0.3)
+    streets, nodes = _parallel_streets()
+    Q = np.zeros((4, 4))
+    Q[0, 2] = Q[2, 0] = 1.0
+    Q[1, 2] = Q[3, 0] = 1e-6
+    yield "weak coupling", network_from_matrix(streets, nodes, Q)
+    Q = np.zeros((4, 4))
+    Q[0, 2] = Q[0, 3] = Q[2, 0] = Q[3, 1] = 1.0
+    yield "zero-flow anchor", network_from_matrix(streets, nodes, Q)
+    yield "leaky loop into cycle", network_from_matrix(*_leaky_loop_into_cycle(1.0))
+    yield "hand-written", loads(HAND_WRITTEN).network
+    for grid_n in range(2, 21):
+        streets, nodes = _grid_topology(ScenarioConfig(grid_n=grid_n))
+        for seed in range(3):
+            ratios = _sample_ratios(streets, nodes, _rng(seed, 0, _STREAM_RATIOS))
+            yield f"grid {grid_n} seed {seed}", build_flow_matrix(streets, nodes, ratios)
+
+
+def test_null_vector_matches_qr_oracle():
+    for name, net in _null_vector_fixtures():
+        expected = qr_null_vector(net.A.toarray())
+        error = np.max(np.abs(net.null_vector - expected))
+        assert error <= 1e-12 * np.max(np.abs(expected)), name
+
+
+def test_flow_matrix_stays_sparse_in_memory():
+    # The dense A and Q of a grid-40 network (6,240 streets) take 623 MB.
+    streets, nodes = _grid_topology(ScenarioConfig(grid_n=40))
+    ratios = _sample_ratios(streets, nodes, _rng(0, 0, _STREAM_RATIOS))
+    tracemalloc.start()
+    try:
+        net = build_flow_matrix(streets, nodes, ratios)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert net.n == 6240
+    assert peak < 50 * 2**20
+
+
+def test_geometry_must_meet_intersection_positions():
+    positions = {0: (0.0, 0.0), 1: (1.0, 0.0)}
+    streets = [
+        make_street(0, 0, 1, (positions[0], positions[1])),
+        make_street(1, 1, 0, (positions[1], positions[0])),
+    ]
+    ratios = {(0, 1): 1.0, (1, 0): 1.0}
+    Q = np.array([[0.0, 1.0], [1.0, 0.0]])
+    moved = intersections_from_streets(streets, {0: (7.5, -3.25), 1: (1.0, 0.0)})
+    with pytest.raises(ValueError, match="geometry"):
+        build_flow_matrix(streets, moved, ratios)
+    with pytest.raises(ValueError, match="geometry"):
+        network_from_matrix(streets, moved, Q)
+    # Within the 1e-9 tolerance of the length check the positions still match.
+    nudged = intersections_from_streets(streets, {0: (0.0, 5e-10), 1: (1.0, 0.0)})
+    assert build_flow_matrix(streets, nudged, ratios).n == 2
+
+
+def test_two_generated_grids_fail_rank_check():
+    # Side by side, two grids give a block whose LU pivot is tiny but not
+    # exactly zero, so the pivot threshold has to reject it.
+    for grid_n in (2, 3, 4):
+        streets, nodes = _grid_topology(ScenarioConfig(grid_n=grid_n))
+        m, offset = len(streets), grid_n * grid_n
+        positions = {x.id: x.position for x in nodes}
+        positions.update({i + offset: (x + 100.0, y) for i, (x, y) in list(positions.items())})
+        both = list(streets) + [
+            make_street(s.id + m, s.tail + offset, s.head + offset,
+                        (positions[s.tail + offset], positions[s.head + offset]))
+            for s in streets
+        ]
+        for seed in range(3):
+            ratios = _sample_ratios(streets, nodes, _rng(seed, 0, _STREAM_RATIOS))
+            other = _sample_ratios(streets, nodes, _rng(seed + 10, 0, _STREAM_RATIOS))
+            ratios.update({(j + m, k + m): share for (j, k), share in other.items()})
+            Q = np.zeros((2 * m, 2 * m))
+            for (j, k), share in ratios.items():
+                Q[j, k] = share
+            assert svd_rank(np.eye(2 * m) - Q) == 2 * m - 2
+            with pytest.raises(RankError):
+                build_flow_matrix(both, intersections_from_streets(both, positions), ratios)
