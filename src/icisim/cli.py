@@ -70,9 +70,9 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
           f"streets={sc.network.n} stations={len(sc.base_stations)} "
           f"generators={len(sc.generators)}")
     print("bs_id  z_score        covered_streets")
+    counts = sc.coverage.covered_street_counts
     for b in order:
-        count = int(np.count_nonzero(sc.coverage.covered_lengths[:, b] > 0.0))
-        print(f"{int(b):<6d} {sc.impact.z_scores[b]:<14.6g} {count}")
+        print(f"{int(b):<6d} {sc.impact.z_scores[b]:<14.6g} {int(counts[b])}")
     return EXIT_OK
 
 

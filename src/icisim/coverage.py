@@ -5,6 +5,13 @@ so each one serves a disjoint cell.  The model needs two things from the
 geometry: how much of each street segment falls inside each cell, and the
 fraction of vehicles a station can still serve at a given received power.
 
+A street crosses only one or two cells, so coverage is stored sparse: one
+(street, station, km) entry per covered stretch, held as a CSR array with
+a street per row.  Each street is clipped only against the cells whose
+centre lies within reach of it.  The dense street-by-station fraction
+matrix ``CoverageMap.C`` is a view built on access; the library never reads
+it.
+
 The power response is piecewise linear: nothing below the activation power
 ``p_activation``, full service at ``p_full``, and the straight line
 ``(p - p_activation) / (p_full - p_activation)`` in between.
@@ -19,7 +26,11 @@ from typing import Sequence
 import numpy as np
 
 from .errors import OverlapError
-from .traffic import Street
+from .traffic import Street, csr_entries
+# After .traffic, which loads scipy.sparse through splu: importing
+# scipy.sparse first costs about 2,000 more page faults and 60-100 ms
+# at package import on a 2-vCPU VM (see traffic.py).
+import scipy.sparse
 
 Point = tuple[float, float]
 
@@ -168,50 +179,68 @@ def hex_tiling(area_bounds: tuple[Point, Point], cell_radius: float) -> list[Poi
 
 @dataclass(frozen=True, eq=False)
 class CoverageMap:
-    """Covered lengths and fractions of every street per station.
+    """Covered length and fraction of every (street, station) pair.
 
-    ``covered_lengths[i, b]`` is the km of street ``i`` inside cell ``b``;
-    ``C[i, b]`` the corresponding fraction of the street's length.
+    ``lengths[i, b]`` is the km of street ``i`` inside cell ``b`` and
+    ``fractions[i, b]`` that km over the street's length.  Both are
+    canonical CSR arrays with the same pattern (sorted indices, no stored
+    zeros), so a street holds one entry per cell it crosses; build them
+    with :func:`coverage_from_lengths`.  ``C`` is the dense fraction matrix,
+    built on each access.
     """
 
-    C: np.ndarray
-    covered_lengths: np.ndarray
+    lengths: scipy.sparse.csr_array
+    fractions: scipy.sparse.csr_array
 
     @property
     def num_streets(self) -> int:
-        return self.C.shape[0]
+        return self.lengths.shape[0]
 
     @property
     def num_stations(self) -> int:
-        return self.C.shape[1]
+        return self.lengths.shape[1]
 
-    def covered_street_ids(self, station: int) -> list[int]:
-        return [int(i) for i in np.nonzero(self.covered_lengths[:, station] > 0.0)[0]]
+    @property
+    def C(self) -> np.ndarray:
+        """Dense (streets, stations) fraction matrix, built on each access."""
+        return self.fractions.toarray()
+
+    @property
+    def covered_street_counts(self) -> np.ndarray:
+        """Number of streets each station covers, by station id."""
+        return np.bincount(self.lengths.indices, minlength=self.num_stations)
 
 
-def coverage_from_lengths(streets: Sequence[Street], lengths: np.ndarray) -> CoverageMap:
-    """Build a coverage map from explicit covered lengths (file-loading path)."""
-    lengths = np.asarray(lengths, dtype=float)
+def coverage_from_lengths(streets: Sequence[Street], lengths) -> CoverageMap:
+    """Build a coverage map from covered lengths, one row per street.
+
+    ``lengths`` may be dense or any ``scipy.sparse`` matrix; duplicate
+    entries of a sparse input are summed and zeros dropped.  Raises
+    ValueError for a negative length and OverlapError when the cells claim
+    more of a street than its length.
+    """
+    if not scipy.sparse.issparse(lengths):
+        lengths = np.asarray(lengths, dtype=float)
     if lengths.shape[0] != len(streets):
         raise ValueError("covered-length matrix does not match the street count")
-    if np.any(lengths < 0.0):
+    lengths = scipy.sparse.csr_array(lengths, dtype=float, copy=True)
+    lengths.sum_duplicates()
+    lengths.eliminate_zeros()
+    rows, _, km = csr_entries(lengths)
+    if np.any(km < 0.0):
         raise ValueError("covered lengths must be nonnegative")
-    street_len = np.array([s.length for s in streets])
-    _check_totals(street_len, lengths)
-    C = lengths / street_len[:, None]
-    C[lengths == 0.0] = 0.0
-    return CoverageMap(C, lengths)
-
-
-def _check_totals(street_len: np.ndarray, lengths: np.ndarray) -> None:
-    totals = lengths.sum(axis=1)
-    over = totals > street_len * (1.0 + 1e-6)
-    if np.any(over):
+    street_len = np.array([s.length for s in streets], dtype=float)
+    totals = np.bincount(rows, km, minlength=len(streets))
+    if np.any(totals > street_len * (1.0 + 1e-6)):
         worst = int(np.argmax(totals - street_len))
         raise OverlapError(
             f"cells claim {totals[worst]:.9f} km of street {worst}, "
             f"which is only {street_len[worst]:.9f} km long"
         )
+    fractions = scipy.sparse.csr_array(
+        (km / street_len[rows], lengths.indices, lengths.indptr), shape=lengths.shape
+    )
+    return CoverageMap(lengths, fractions)
 
 
 def _subtract_claimed(
@@ -237,45 +266,60 @@ def _subtract_claimed(
 
 
 def _check_disjoint_cells(base_stations: Sequence[BaseStation]) -> None:
-    """Cells may share edges but not interiors."""
+    """Cells may share edges but not interiors.
+
+    Two interiors overlap when the centres are closer than the sum of the
+    apothems, so a station is only compared with those whose centre lies
+    within twice the largest apothem in x: sorted by x, each station meets
+    the window of stations after it.  The first overlapping pair is the one
+    with the lowest (lower index, higher index).
+    """
     if len(base_stations) < 2:
         return
     centers = np.array([bs.center for bs in base_stations])
     apothems = np.array([bs.hexagon.apothem for bs in base_stations])
-    dx = centers[:, 0][:, None] - centers[:, 0][None, :]
-    dy = centers[:, 1][:, None] - centers[:, 1][None, :]
-    dist = np.hypot(dx, dy)
-    limit = (apothems[:, None] + apothems[None, :]) * (1.0 - 1e-9)
-    bad = np.triu(dist < limit, k=1)
-    if np.any(bad):
-        a, b = np.argwhere(bad)[0]
-        raise OverlapError(f"cells of stations {a} and {b} have overlapping interiors")
+    order = np.argsort(centers[:, 0], kind="stable")
+    xs = centers[order, 0]
+    # A few ulps of padding so that rounding in ``xs + reach`` never
+    # shrinks the window below an overlapping pair's x distance.
+    reach = 2.0 * apothems.max() + 4.0 * np.spacing(np.abs(xs).max())
+    counts = np.searchsorted(xs, xs + reach, side="right") - np.arange(1, len(xs) + 1)
+    first = np.repeat(np.arange(len(xs)), counts)
+    offset = np.arange(first.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    a, b = order[first], order[first + 1 + offset]
+    a, b = np.minimum(a, b), np.maximum(a, b)
+    dist = np.hypot(centers[a, 0] - centers[b, 0], centers[a, 1] - centers[b, 1])
+    bad = np.nonzero(dist < (apothems[a] + apothems[b]) * (1.0 - 1e-9))[0]
+    if bad.size:
+        k = bad[np.lexsort((b[bad], a[bad]))[0]]
+        raise OverlapError(f"cells of stations {a[k]} and {b[k]} have overlapping interiors")
 
 
 def build_coverage(streets: Sequence[Street], base_stations: Sequence[BaseStation]) -> CoverageMap:
-    """Clip every street against every cell hexagon.
+    """Clip every street against the cell hexagons near it.
 
     Pairs of directed streets sharing the same geometry are clipped once.
     A stretch lying exactly on a shared cell edge is assigned to the lower
     station id, so the cells always partition each street.  A street lying
     outside the tiling keeps a row summing to less than one; stations whose
-    cell interiors overlap raise OverlapError.
+    cell interiors overlap raise OverlapError.  Each covered stretch becomes
+    one (street, station, km) entry of the map.
     """
     n = len(streets)
     B = len(base_stations)
-    lengths = np.zeros((n, B))
-    if B == 0 or n == 0:
-        return CoverageMap(lengths.copy(), lengths)
-    _check_disjoint_cells(base_stations)
-
-    centers = np.array([bs.center for bs in base_stations])
-    radii = np.array([bs.cell_radius for bs in base_stations])
-    cache: dict[tuple[Point, Point], np.ndarray] = {}
+    if n:
+        _check_disjoint_cells(base_stations)
+    centers = np.array([bs.center for bs in base_stations], dtype=float).reshape(B, 2)
+    radii = np.array([bs.cell_radius for bs in base_stations], dtype=float)
+    cache: dict[tuple[Point, Point], list[tuple[int, float]]] = {}
+    rows: list[int] = []
+    cols: list[int] = []
+    km: list[float] = []
     for s in streets:
         key = tuple(sorted(s.geometry))
-        row = cache.get(key)
-        if row is None:
-            row = np.zeros(B)
+        cells = cache.get(key)
+        if cells is None:
+            cells = cache[key] = []
             p0 = np.asarray(s.geometry[0])
             p1 = np.asarray(s.geometry[1])
             seg_len = float(np.hypot(*(p1 - p0)))
@@ -283,23 +327,25 @@ def build_coverage(streets: Sequence[Street], base_stations: Sequence[BaseStatio
             reach = seg_len / 2.0 + radii + 1e-9
             near = np.nonzero(np.hypot(*(centers - mid).T) <= reach)[0]
             claimed: list[tuple[float, float]] = []
-            for b in near:  # ascending id: ties on shared edges go low
+            for b in near.tolist():  # ascending id: ties on shared edges go low
                 interval = _clip_interval(s.geometry, base_stations[b].hexagon)
                 if interval is None:
                     continue
                 pieces = _subtract_claimed(interval, claimed)
                 covered = sum(t1 - t0 for t0, t1 in pieces) * seg_len
                 if covered > 0.0:
-                    row[b] = covered
+                    cells.append((b, covered))
                 claimed = sorted(claimed + pieces)
-            cache[key] = row
-        lengths[s.id] = row
-
-    street_len = np.array([s.length for s in streets])
-    _check_totals(street_len, lengths)
-    C = lengths / street_len[:, None]
-    C[lengths == 0.0] = 0.0
-    return CoverageMap(C, lengths)
+        for b, covered in cells:
+            rows.append(s.id)
+            cols.append(b)
+            km.append(covered)
+    triples = scipy.sparse.coo_array(
+        (np.array(km, dtype=float),
+         (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64))),
+        shape=(n, B),
+    )
+    return coverage_from_lengths(streets, triples)
 
 
 def coverage_fraction(bs: BaseStation, received_power: float) -> float:

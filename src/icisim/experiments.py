@@ -12,7 +12,7 @@ order.
 from __future__ import annotations
 
 import html
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -115,12 +115,7 @@ def _config_lines(spec: ExperimentSpec) -> tuple[str, ...]:
         f"bs_cap_rule = {spec.bs_cap_rule}",
         f"sweep = {','.join(repr(float(v)) for v in spec.sweep)}",
     ]
-    for name in (
-        "grid_n", "street_length", "cell_radius", "num_generators", "p_activation",
-        "power_ratio", "budget", "seed", "bs_per_generator_range", "anchor_street",
-        "anchor_flow", "delta",
-    ):
-        lines.append(f"{name} = {getattr(cfg, name)}")
+    lines += [f"{f.name} = {getattr(cfg, f.name)}" for f in fields(ScenarioConfig)]
     return tuple(lines)
 
 
@@ -192,28 +187,26 @@ def _run_config_sweep(spec: ExperimentSpec) -> SweepTable:
     return SweepTable(name, tuple(rows), _config_lines(spec) + extra)
 
 
-def resolve_budget_sweep(spec: ExperimentSpec) -> tuple[float, ...]:
+def resolve_budget_sweep(sweep: Sequence[float], headroom: np.ndarray) -> tuple[float, ...]:
     """Turn allocation-compare sweep fractions into absolute budgets.
 
     Values at most 1 are read as fractions of the smallest per-level total
-    defender cap (half the summed station headroom); larger values are
+    defender cap, half the summed station ``headroom``; larger values are
     taken as watts directly.
     """
-    if all(v > 1.0 for v in spec.sweep):
-        return tuple(float(v) for v in spec.sweep)
-    probe = generate(spec.base)
-    saturation = float(probe.impact.headroom.sum()) / 2.0
-    return tuple(float(v) * saturation if v <= 1.0 else float(v) for v in spec.sweep)
+    saturation = float(headroom.sum()) / 2.0
+    return tuple(float(v) * saturation if v <= 1.0 else float(v) for v in sweep)
 
 
 def _run_allocation_compare(spec: ExperimentSpec) -> SweepTable:
     """Equilibrium allocation versus uniform split, over the budget sweep.
 
     The level column carries the strategy suffix, e.g. ``line:se`` and
-    ``line:equal``.
+    ``line:equal``.  Fractional budgets are resolved against replica 0,
+    which has the base config's own seed.
     """
-    budgets = resolve_budget_sweep(spec)
     scenarios = _replicas(spec.base, spec.reps)
+    budgets = resolve_budget_sweep(spec.sweep, scenarios[0].impact.headroom)
     rows = []
     for budget in budgets:
         for level in spec.levels:

@@ -23,7 +23,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from .coverage import BaseStation, CoverageMap
-from .traffic import FlowNetwork, _anchor_entries, _null_patterns
+from .traffic import FlowNetwork, _anchor_entries, _null_patterns, csr_entries
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,10 +78,8 @@ def build_impact_model(
     uncovered streets are never divided by.
     """
     headroom = np.array([bs.headroom for bs in base_stations], dtype=float)
-    streets, stations = np.nonzero(coverage.C > 0.0)
-    weights = coverage.C[streets, stations] / (
-        headroom[stations] * _anchor_entries(net, streets)
-    )
+    streets, stations, fractions = csr_entries(coverage.fractions)
+    weights = fractions / (headroom[stations] * _anchor_entries(net, streets))
     scale = np.bincount(stations, weights, minlength=len(base_stations))
     return ImpactModel(net.null_vector, scale, headroom, float(delta))
 
@@ -100,6 +98,6 @@ def export_impact_csv(impact: ImpactModel, coverage: CoverageMap, stream: IO[str
     """Write per-station scores as CSV (bs_id, z_score, covered_streets)."""
     writer = csv.writer(stream)
     writer.writerow(["bs_id", "z_score", "covered_streets"])
+    counts = coverage.covered_street_counts
     for b in range(impact.num_stations):
-        count = int(np.count_nonzero(coverage.covered_lengths[:, b] > 0.0))
-        writer.writerow([b, repr(float(impact.z_scores[b])), count])
+        writer.writerow([b, repr(float(impact.z_scores[b])), int(counts[b])])

@@ -11,7 +11,12 @@ deterministic.
 
 Scenario files are plain text with a versioned header and ``[config]``,
 ``[its]``, ``[ci]`` and ``[pg]`` sections; floats are written with ``repr``
-so they round-trip exactly.  The impact model is derived data, so it is not
+so they round-trip exactly.  Turning ratios, coverage and supply links are
+blocks of ``row column value`` lines holding the nonzero entries in
+row-major order; coverage lines are (street, station, km) triples.  The
+loader reads the three blocks with one parser, a repeated (row, column)
+pair keeps its last value, and it builds no dense street-by-station
+array.  The impact model is derived data, so it is not
 written: loading always recomputes it.  Older files may end with an
 ``[impact]`` section of stored scores and vectors; it is still read, and
 must agree with the recomputed model to 1e-9 of its largest entry.
@@ -315,10 +320,10 @@ def dumps(scenario: Scenario) -> str:
             f"{bs.id} {_fmt(bs.center[0])} {_fmt(bs.center[1])} "
             f"{_fmt(bs.cell_radius)} {_fmt(bs.p_activation)} {_fmt(bs.p_full)}"
         )
-    rows, cols = np.nonzero(scenario.coverage.covered_lengths)
-    out.append(f"coverage {rows.size}")
-    for i, b in zip(rows.tolist(), cols.tolist()):
-        out.append(f"{i} {b} {_fmt(scenario.coverage.covered_lengths[i, b])}")
+    rows, cols, lengths = csr_entries(scenario.coverage.lengths)
+    out.append(f"coverage {lengths.size}")
+    for i, b, km in zip(rows.tolist(), cols.tolist(), lengths.tolist()):
+        out.append(f"{i} {b} {_fmt(km)}")
 
     out.append("[pg]")
     out.append(f"generators {len(scenario.generators)}")
@@ -418,6 +423,38 @@ def _check_ids(reader: _Reader, ids: Sequence[int], count: int, what: str) -> No
         raise FormatError(f"[{reader.section}] {what} ids must be 0..{count - 1} with no gaps")
 
 
+# Counted keyword of each (row, column, value) block -> the names of its
+# line, row, column and value in error messages; the first word of the
+# line name also names its indices.
+_ENTRY_BLOCKS = {
+    "ratios": ("ratio", "ratio row", "ratio column", "ratio value"),
+    "coverage": ("coverage entry", "coverage street", "coverage station", "covered length"),
+    "links": ("link", "link station", "link generator", "link share"),
+}
+
+
+def _entries(reader: _Reader, keyword: str, shape: tuple[int, int]) -> scipy.sparse.coo_array:
+    """One counted block of ``row column value`` lines as a COO array.
+
+    Indices must lie within ``shape``; a repeated (row, column) pair keeps
+    its last value.
+    """
+    line, row_name, col_name, value_name = _ENTRY_BLOCKS[keyword]
+    entries: dict[tuple[int, int], float] = {}
+    for _ in range(reader.counted(keyword)):
+        parts = reader.fields(3, line)
+        r = _parse_int(reader, parts[0], row_name)
+        c = _parse_int(reader, parts[1], col_name)
+        if not (0 <= r < shape[0] and 0 <= c < shape[1]):
+            raise FormatError(
+                f"[{reader.section}] {line.split()[0]} indices ({r}, {c}) out of range"
+            )
+        entries[(r, c)] = _parse_float(reader, parts[2], value_name)
+    pairs = np.array(list(entries), dtype=np.int64).reshape(-1, 2)
+    values = np.fromiter(entries.values(), dtype=float, count=len(entries))
+    return scipy.sparse.coo_array((values, (pairs[:, 0], pairs[:, 1])), shape=shape)
+
+
 def _impact_rows(reader: _Reader, keyword: str, n_stations: int, width: int) -> np.ndarray:
     """One ``[impact]`` block of a legacy file: ``width`` values per station."""
     count = reader.counted(keyword)
@@ -491,21 +528,7 @@ def loads(text: str) -> Scenario:
         raise FormatError(
             f"[config] anchor_street {config.anchor_street} out of range for {n_streets} streets"
         )
-    n_ratios = reader.counted("ratios")
-    ratios: dict[tuple[int, int], float] = {}
-    for _ in range(n_ratios):
-        parts = reader.fields(3, "ratio")
-        r = _parse_int(reader, parts[0], "ratio row")
-        c = _parse_int(reader, parts[1], "ratio column")
-        if not (0 <= r < n_streets and 0 <= c < n_streets):
-            raise FormatError(f"[its] ratio indices ({r}, {c}) out of range")
-        # A repeated (row, column) pair keeps its last share.
-        ratios[(r, c)] = _parse_float(reader, parts[2], "ratio value")
-    pairs = np.array(list(ratios), dtype=np.int64).reshape(-1, 2)
-    Q = scipy.sparse.coo_array(
-        (np.fromiter(ratios.values(), dtype=float, count=len(ratios)), (pairs[:, 0], pairs[:, 1])),
-        shape=(n_streets, n_streets),
-    )
+    Q = _entries(reader, "ratios", (n_streets, n_streets))
 
     reader.expect_section("ci")
     n_stations = reader.counted("stations")
@@ -520,15 +543,7 @@ def loads(text: str) -> Scenario:
             raise FormatError(f"[ci] station {sid}: {err}") from None
     _check_ids(reader, [bs.id for bs in stations], n_stations, "station")
     stations.sort(key=lambda bs: bs.id)
-    n_cov = reader.counted("coverage")
-    covered = np.zeros((n_streets, n_stations))
-    for _ in range(n_cov):
-        parts = reader.fields(3, "coverage entry")
-        i = _parse_int(reader, parts[0], "coverage street")
-        b = _parse_int(reader, parts[1], "coverage station")
-        if not (0 <= i < n_streets and 0 <= b < n_stations):
-            raise FormatError(f"[ci] coverage indices ({i}, {b}) out of range")
-        covered[i, b] = _parse_float(reader, parts[2], "covered length")
+    covered = _entries(reader, "coverage", (n_streets, n_stations))
 
     reader.expect_section("pg")
     n_gens = reader.counted("generators")
@@ -541,15 +556,7 @@ def loads(text: str) -> Scenario:
             _parse_float(reader, parts[2], "generator y"),
         )
     _check_ids(reader, list(gen_positions), n_gens, "generator")
-    n_links = reader.counted("links")
-    shares = np.zeros((n_stations, n_gens))
-    for _ in range(n_links):
-        parts = reader.fields(3, "link")
-        b = _parse_int(reader, parts[0], "link station")
-        g = _parse_int(reader, parts[1], "link generator")
-        if not (0 <= b < n_stations and 0 <= g < n_gens):
-            raise FormatError(f"[pg] link indices ({b}, {g}) out of range")
-        shares[b, g] = _parse_float(reader, parts[2], "link share")
+    shares = _entries(reader, "links", (n_stations, n_gens)).toarray()
 
     legacy_impact: tuple[np.ndarray, np.ndarray] | None = None
     if reader.peek_is("[impact]"):
@@ -603,8 +610,8 @@ def scenarios_equal(a: Scenario, b: Scenario) -> bool:
         and a.network.intersections == b.network.intersections
         and csr_equal(a.network.Q, b.network.Q)
         and a.base_stations == b.base_stations
-        and np.array_equal(a.coverage.covered_lengths, b.coverage.covered_lengths)
-        and np.array_equal(a.coverage.C, b.coverage.C)
+        and csr_equal(a.coverage.lengths, b.coverage.lengths)
+        and csr_equal(a.coverage.fractions, b.coverage.fractions)
         and a.generators == b.generators
         and np.array_equal(a.assignment.T, b.assignment.T)
         and np.array_equal(a.impact.null_vector, b.impact.null_vector)

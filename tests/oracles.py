@@ -3,7 +3,8 @@
 Each oracle deliberately takes a different route from the production code:
 the LP oracle is a tableau simplex instead of a greedy fill, the clipping
 oracle moves segment endpoints half-plane by half-plane instead of tracking
-a parameter interval, the rank oracle counts singular values and the flow
+a parameter interval, the cell-overlap oracle compares every pair of
+stations instead of an x-sorted window, the rank oracle counts singular values and the flow
 oracles solve the anchored cut system (least squares, or an explicit QR)
 and the null-vector oracle factors the dense matrix with column-pivoted QR
 instead of rescaling the deflated sparse-LU null vector, the impact oracle sums
@@ -113,6 +114,24 @@ def clip_length_sequential(segment, hexagon: Hexagon) -> float:
     return float(np.hypot(*(b - a)))
 
 
+def dense_overlap_pair(base_stations) -> tuple[int, int] | None:
+    """First (lower, higher) index pair of stations whose cell interiors
+    overlap, from the full station-by-station distance matrix."""
+    if len(base_stations) < 2:
+        return None
+    centers = np.array([bs.center for bs in base_stations])
+    apothems = np.array([bs.hexagon.apothem for bs in base_stations])
+    dx = centers[:, 0][:, None] - centers[:, 0][None, :]
+    dy = centers[:, 1][:, None] - centers[:, 1][None, :]
+    dist = np.hypot(dx, dy)
+    limit = (apothems[:, None] + apothems[None, :]) * (1.0 - 1e-9)
+    bad = np.triu(dist < limit, k=1)
+    if not np.any(bad):
+        return None
+    a, b = np.argwhere(bad)[0]
+    return int(a), int(b)
+
+
 # ---------------------------------------------------------------------------
 # Flow solving
 
@@ -204,9 +223,10 @@ def finite_difference_total(scenario, station: int, cut_watts: float) -> float:
     bs = scenario.base_stations[station]
     lost_fraction = cut_watts / bs.headroom
     A = net.A.toarray()
+    C = scenario.coverage.C
     total = np.zeros(net.n)
-    for i in scenario.coverage.covered_street_ids(station):
-        street_cut = lost_fraction * scenario.coverage.C[i, station] * scenario.config.delta
+    for i in np.nonzero(C[:, station] > 0.0)[0].tolist():
+        street_cut = lost_fraction * C[i, station] * scenario.config.delta
         base = 1000.0 + street_cut
         before = -base * lstsq_pattern(A, i)
         after = -(base - street_cut) * lstsq_pattern(A, i)

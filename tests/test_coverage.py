@@ -2,9 +2,11 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from icisim.coverage import (
     BaseStation,
@@ -16,9 +18,10 @@ from icisim.coverage import (
     hex_tiling,
 )
 from icisim.errors import OverlapError
-from icisim.traffic import make_street
+from icisim.scenario import ScenarioConfig, _grid_topology
+from icisim.traffic import csr_equal, make_street
 
-from oracles import clip_length_sequential
+from oracles import clip_length_sequential, dense_overlap_pair
 
 SQ3 = math.sqrt(3.0)
 
@@ -125,7 +128,7 @@ def test_no_stations_gives_zero_map():
     street = make_street(0, 0, 1, ((0.0, 0.0), (1.0, 0.0)))
     cov = build_coverage([street], [])
     assert cov.C.shape == (1, 0)
-    assert cov.covered_lengths.sum() == 0.0
+    assert cov.lengths.toarray().sum() == 0.0
 
 
 def test_overlapping_cells_raise():
@@ -138,14 +141,14 @@ def test_overlapping_cells_raise():
 def test_partition_of_streets_inside_tiling(grid3_scenario):
     cov = grid3_scenario.coverage
     lengths = np.array([s.length for s in grid3_scenario.network.streets])
-    assert np.allclose(cov.covered_lengths.sum(axis=1), lengths, rtol=1e-6)
+    assert np.allclose(cov.lengths.toarray().sum(axis=1), lengths, rtol=1e-6)
     assert np.all(cov.C.sum(axis=1) <= 1.0 + 1e-9)
 
 
 def test_directed_pair_shares_geometry_coverage(grid3_scenario):
-    cov = grid3_scenario.coverage
+    lengths = grid3_scenario.coverage.lengths.toarray()
     for e in range(grid3_scenario.network.n // 2):
-        assert np.array_equal(cov.covered_lengths[2 * e], cov.covered_lengths[2 * e + 1])
+        assert np.array_equal(lengths[2 * e], lengths[2 * e + 1])
 
 
 def test_coverage_from_lengths_validates_totals():
@@ -154,6 +157,104 @@ def test_coverage_from_lengths_validates_totals():
         coverage_from_lengths([street], np.array([[0.8, 0.8]]))
     cov = coverage_from_lengths([street], np.array([[0.25, 0.5]]))
     assert np.allclose(cov.C[0], [0.25, 0.5])
+
+
+def _outcome(build):
+    try:
+        return build()
+    except (ValueError, OverlapError) as err:
+        return type(err), str(err)
+
+
+def test_coverage_from_lengths_dense_and_coo_agree(grid3_scenario):
+    streets = grid3_scenario.network.streets
+    dense = grid3_scenario.coverage.lengths.toarray()
+    n, B = dense.shape
+    i, b = np.nonzero(dense)
+    coo = scipy.sparse.coo_array((dense[i, b], (i, b)), shape=(n, B))
+    for left, right in ((dense, coo), (dense, grid3_scenario.coverage.lengths)):
+        a, c = coverage_from_lengths(streets, left), coverage_from_lengths(streets, right)
+        assert csr_equal(a.lengths, c.lengths) and csr_equal(a.fractions, c.fractions)
+        assert csr_equal(a.lengths, grid3_scenario.coverage.lengths)
+        assert csr_equal(a.fractions, grid3_scenario.coverage.fractions)
+    # A sparse input's duplicate entries are summed and explicit zeros dropped.
+    split = scipy.sparse.coo_array(
+        (np.concatenate([dense[i, b] / 2, dense[i, b] / 2, [0.0]]),
+         (np.concatenate([i, i, [0]]), np.concatenate([b, b, [B - 1]]))),
+        shape=(n, B),
+    )
+    summed = coverage_from_lengths(streets, split)
+    assert np.array_equal(summed.lengths.toarray(), dense)
+    assert np.all(summed.lengths.data > 0.0)
+
+    street = make_street(0, 0, 1, ((0.0, 0.0), (1.0, 0.0)))
+    for bad in (
+        np.array([[0.8, 0.8]]),             # more than the street's length
+        np.array([[0.5, -0.25]]),           # negative length
+        np.array([[0.1, 0.2], [0.3, 0.4]]),  # one row too many
+    ):
+        rows, cols = np.nonzero(bad)
+        as_coo = scipy.sparse.coo_array((bad[rows, cols], (rows, cols)), shape=bad.shape)
+        expected = _outcome(lambda: coverage_from_lengths([street], bad))
+        assert isinstance(expected, tuple)
+        assert _outcome(lambda: coverage_from_lengths([street], as_coo)) == expected
+
+
+def test_coverage_stays_sparse_in_memory():
+    # Dense lengths and fractions of a grid-40 scenario (6,240 streets, 635
+    # stations) take 63 MB, and a station-by-station overlap check 13 MB.
+    config = ScenarioConfig(grid_n=40)
+    streets, _ = _grid_topology(config)
+    side = config.extent
+    stations = [
+        _station(k, c) for k, c in enumerate(hex_tiling(((0.0, 0.0), (side, side)), 1.0))
+    ]
+    tracemalloc.start()
+    try:
+        cov = build_coverage(streets, stations)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cov.lengths.shape == (6240, len(stations))
+    assert peak < 10 * 2**20
+
+
+def _overlap_outcome(stations):
+    try:
+        build_coverage([make_street(0, 0, 1, ((0.0, 0.0), (1.0, 0.0)))], stations)
+    except OverlapError as err:
+        return str(err)
+    return None
+
+
+def test_overlap_check_matches_dense_oracle():
+    rng = np.random.default_rng(20261018)
+    outcomes = []
+    for trial in range(300):
+        radius = rng.uniform(0.3, 2.0)
+        if trial % 3:
+            # A tiling (neighbours share edges exactly), shrunk cells mixed
+            # in, a few stations moved, and the ids shuffled.
+            centers = np.array(hex_tiling(((0.0, 0.0), tuple(rng.uniform(0.0, 8.0, 2))), radius))
+            moved = rng.choice(len(centers), size=rng.integers(0, 3), replace=False)
+            centers[moved] += rng.uniform(-radius, radius, (moved.size, 2))
+            radii = radius * rng.choice([1.0, 1.0, 0.6, 0.3], size=len(centers))
+            order = rng.permutation(len(centers))
+            centers, radii = centers[order], radii[order]
+        else:
+            count = int(rng.integers(2, 40))
+            centers = rng.uniform(-10.0, 10.0, (count, 2))
+            radii = rng.uniform(0.05, 1.5, count)
+        stations = [_station(k, tuple(c), r) for k, (c, r) in enumerate(zip(centers, radii))]
+        pair = dense_overlap_pair(stations)
+        expected = (
+            None if pair is None
+            else f"cells of stations {pair[0]} and {pair[1]} have overlapping interiors"
+        )
+        assert _overlap_outcome(stations) == expected, trial
+        outcomes.append(pair is None)
+    # Both outcomes are exercised often.
+    assert 50 <= sum(outcomes) <= 250
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from icisim import experiments
 from icisim.experiments import (
     ExperimentSpec,
     SweepTable,
@@ -25,7 +26,7 @@ from icisim.experiments import (
     table_to_svg,
 )
 from icisim.game import StealthLevel
-from icisim.scenario import ScenarioConfig
+from icisim.scenario import ScenarioConfig, generate
 
 BASE = ScenarioConfig(grid_n=3, seed=100)
 LEVELS = (StealthLevel.POWER_SOURCE, StealthLevel.POWER_LINE, StealthLevel.BASE_STATION)
@@ -107,12 +108,27 @@ def test_allocation_compare_dominance():
 
 
 def test_budget_sweep_resolution():
-    spec = _spec("allocation-compare", sweep=(0.0, 0.5, 1.0), reps=1)
-    budgets = resolve_budget_sweep(spec)
+    headroom = generate(BASE).impact.headroom
+    budgets = resolve_budget_sweep((0.0, 0.5, 1.0), headroom)
     assert budgets[0] == 0.0
     assert budgets[1] == pytest.approx(budgets[2] / 2.0)
-    absolute = _spec("allocation-compare", sweep=(40.0, 90.0), reps=1)
-    assert resolve_budget_sweep(absolute) == (40.0, 90.0)
+    assert budgets[2] == float(headroom.sum()) / 2.0
+    assert resolve_budget_sweep((40.0, 90.0), headroom) == (40.0, 90.0)
+
+
+def test_allocation_compare_resolves_budgets_from_replica_zero(monkeypatch):
+    spec = _spec("allocation-compare", sweep=(0.25, 1.0, 40.0), reps=2, levels=LEVELS[:1])
+    resolved = resolve_budget_sweep(spec.sweep, generate(BASE).impact.headroom)
+    seeds = []
+
+    def counting_generate(config):
+        seeds.append(config.seed)
+        return generate(config)
+
+    monkeypatch.setattr(experiments, "generate", counting_generate)
+    table = run_experiment(spec)
+    assert seeds == [BASE.seed, BASE.seed + 1]
+    assert sorted({row[0] for row in table.rows}) == sorted(resolved)
 
 
 def test_generator_experiments_run_both_modes():

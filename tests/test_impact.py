@@ -156,7 +156,7 @@ def test_deviation_monotone_per_station():
 
 
 def test_score_zero_iff_uncovered(grid3_scenario):
-    cov_counts = (grid3_scenario.coverage.covered_lengths > 0.0).sum(axis=0)
+    cov_counts = (grid3_scenario.coverage.lengths.toarray() > 0.0).sum(axis=0)
     for b in range(grid3_scenario.impact.num_stations):
         if cov_counts[b] == 0:
             assert grid3_scenario.impact.z_scores[b] == 0.0
@@ -173,7 +173,7 @@ def test_csv_export(grid3_scenario):
     first = lines[1].rstrip("\r").split(",")
     assert float(first[1]) == grid3_scenario.impact.z_scores[0]
     assert int(first[2]) == int(
-        (grid3_scenario.coverage.covered_lengths[:, 0] > 0.0).sum()
+        (grid3_scenario.coverage.lengths.toarray()[:, 0] > 0.0).sum()
     )
 
 

@@ -39,7 +39,7 @@ def _validate_scenario(sc: Scenario) -> None:
     assert sol.residual(net) <= 1e-6 * np.abs(sol.flows).max()
     # Coverage partitions each street inside the tiling.
     lengths = np.array([s.length for s in net.streets])
-    assert np.allclose(sc.coverage.covered_lengths.sum(axis=1), lengths, rtol=1e-6)
+    assert np.allclose(sc.coverage.lengths.toarray().sum(axis=1), lengths, rtol=1e-6)
     assert np.all(sc.coverage.C.sum(axis=1) <= 1.0 + 1e-9)
     # Supply shares are row-stochastic with matching support.
     assert np.allclose(sc.assignment.T.sum(axis=1), 1.0, atol=1e-9)
@@ -49,7 +49,7 @@ def _validate_scenario(sc: Scenario) -> None:
             assert sc.assignment.T[b, gen.id] > 0.0
     # Impact scores are nonnegative and vanish exactly off coverage.
     assert np.all(sc.impact.z_scores >= 0.0)
-    covered = (sc.coverage.covered_lengths > 0.0).any(axis=0)
+    covered = (sc.coverage.lengths.toarray() > 0.0).any(axis=0)
     assert np.array_equal(sc.impact.z_scores > 0.0, covered)
 
 
@@ -192,6 +192,50 @@ def test_loader_rejects_bad_values_and_ids(block, field, value, row):
     text = dumps(generate(ScenarioConfig(grid_n=3, seed=0)))
     with pytest.raises(FormatError):
         loads(_edit(text, block, field, value, row))
+
+
+def _repeat_entry(text: str, block: str, value: str, stray_last: bool) -> str:
+    """Repeat one entry of ``block`` with ``value``, before or after the original.
+
+    The entry is the first of a row with several entries, so that a changed
+    value also survives the row normalisation of supply shares.
+    """
+    lines = text.splitlines()
+    head = next(k for k, line in enumerate(lines) if line.startswith(block + " "))
+    keyword, count = lines[head].split()
+    rows = [line.split()[0] for line in lines[head + 1:head + 1 + int(count)]]
+    idx = head + 1 + next(k for k, r in enumerate(rows) if rows.count(r) > 1)
+    row, col, _ = lines[idx].split()
+    lines[head] = f"{keyword} {int(count) + 1}"
+    lines.insert(idx + stray_last, f"{row} {col} {value}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("block", ["ratios", "coverage", "links"])
+def test_repeated_entry_keeps_its_last_value(block):
+    sc = generate(ScenarioConfig(grid_n=3, seed=0))
+    text = dumps(sc)
+    assert scenarios_equal(sc, loads(_repeat_entry(text, block, "0.125", stray_last=False)))
+    try:
+        changed = loads(_repeat_entry(text, block, "0.125", stray_last=True))
+    except FormatError:  # a changed turning ratio may break the rank check
+        return
+    assert not scenarios_equal(sc, changed)
+
+
+@pytest.mark.parametrize(
+    "block, row, col, message",
+    [
+        ("ratios", "0", "999", r"\[its\] ratio indices \(0, 999\) out of range"),
+        ("coverage", "-1", "0", r"\[ci\] coverage indices \(-1, 0\) out of range"),
+        ("links", "0", "7", r"\[pg\] link indices \(0, 7\) out of range"),
+    ],
+)
+def test_entry_indices_are_range_checked(block, row, col, message):
+    text = dumps(generate(ScenarioConfig(grid_n=3, seed=0)))
+    text = _edit(_edit(text, block, 0, row), block, 1, col)
+    with pytest.raises(FormatError, match=message):
+        loads(text)
 
 
 def test_truncated_file_names_missing_section():
