@@ -7,10 +7,18 @@ fraction of vehicles a station can still serve at a given received power.
 
 A street crosses only one or two cells, so coverage is stored sparse: one
 (street, station, km) entry per covered stretch, held as a CSR array with
-a street per row.  Each street is clipped only against the cells whose
-centre lies within reach of it.  The dense street-by-station fraction
-matrix ``CoverageMap.C`` is a view built on access; the library never reads
-it.
+a street per row.  The dense street-by-station fraction matrix
+``CoverageMap.C`` is a view built on access; the library never reads it.
+
+The map is built array-at-a-time.  Each street is clipped only against the
+cells whose centre lies within reach of it, found by bucketing the centres
+on a square grid as wide as the largest reach, so the search is linear in
+the street count and fits any station set, lattice or not.  All candidate
+(street, cell) pairs are then clipped at once by one six-half-plane
+kernel, which :func:`clip_segment_to_hex` also runs on a single pair.  The
+kernel projects on the edge normals elementwise (``a0*x + a1*y``), never
+through a BLAS mat-vec, whose fused multiply-adds would make the covered
+lengths depend on the BLAS build.
 
 The power response is piecewise linear: nothing below the activation power
 ``p_activation``, full service at ``p_full``, and the straight line
@@ -93,49 +101,49 @@ class Hexagon:
         ]
 
     def contains(self, point: Point, tol: float = 1e-12) -> bool:
-        d = np.asarray(point, dtype=float) - np.asarray(self.center)
-        return bool(np.all(np.abs(_HEX_AXES @ d) <= self.apothem + tol))
+        x, y = float(point[0]) - self.center[0], float(point[1]) - self.center[1]
+        return all(abs(a0 * x + a1 * y) <= self.apothem + tol for a0, a1 in _HEX_AXES)
 
 
-def _clip_interval(segment: tuple[Point, Point], hexagon: Hexagon) -> tuple[float, float] | None:
-    """Parameter interval of ``segment`` inside the closed hexagon, or None.
+def _clip_intervals(x0, y0, dx, dy, apothem):
+    """Parameter intervals of segments inside hexagons, one pair per entry.
 
-    The segment is p0 + t*(p1-p0) for t in [0, 1]; each of the six
-    half-planes shrinks the admissible t-interval.
+    Each entry is the segment p0 + t*d, t in [0, 1], given by p0 relative to
+    its hexagon's centre (``x0``, ``y0``) and its direction d (``dx``,
+    ``dy``), against a hexagon of the given apothem; arguments are arrays or
+    scalars that broadcast together.  Each of the six half-planes
+    off + t*slope <= apothem shrinks the admissible interval.  The
+    projections are computed elementwise as ``a0*x + a1*y``, so one pair and
+    a batch of pairs give the same bits (a BLAS mat-vec may fuse the
+    multiply-add).  Returns ``(t_lo, t_hi, live)``, where ``live`` marks the
+    pairs whose interval is nonempty.
     """
-    p0 = np.asarray(segment[0], dtype=float)
-    p1 = np.asarray(segment[1], dtype=float)
-    c = np.asarray(hexagon.center, dtype=float)
-    apothem = hexagon.apothem
-
-    base = _HEX_AXES @ (p0 - c)
-    step = _HEX_AXES @ (p1 - p0)
-    t_lo, t_hi = 0.0, 1.0
-    for sign in (1.0, -1.0):
-        for off, slope in zip(sign * base, sign * step):
-            # Constraint off + t*slope <= apothem.
-            if slope == 0.0:
-                if off > apothem:
-                    return None
-                continue
-            t_cut = (apothem - off) / slope
-            if slope > 0.0:
-                t_hi = min(t_hi, t_cut)
-            else:
-                t_lo = max(t_lo, t_cut)
-            if t_lo >= t_hi:
-                return None
-    return t_lo, t_hi
+    t_lo = np.zeros(np.broadcast(x0, y0, dx, dy, apothem).shape)
+    t_hi = np.ones_like(t_lo)
+    live = np.ones(t_lo.shape, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for a0, a1 in _HEX_AXES:
+            base = a0 * x0 + a1 * y0
+            step = a0 * dx + a1 * dy
+            for off, slope in ((base, step), (-base, -step)):
+                # A cut with slope 0 is inf or nan; np.where discards it.
+                t_cut = (apothem - off) / slope
+                t_hi = np.where(slope > 0.0, np.minimum(t_hi, t_cut), t_hi)
+                t_lo = np.where(slope < 0.0, np.maximum(t_lo, t_cut), t_lo)
+                live &= ~((slope == 0.0) & (off > apothem))
+    return t_lo, t_hi, live & (t_lo < t_hi)
 
 
 def clip_segment_to_hex(segment: tuple[Point, Point], hexagon: Hexagon) -> float:
     """Length of the part of ``segment`` inside the closed hexagon."""
-    p0 = np.asarray(segment[0], dtype=float)
-    p1 = np.asarray(segment[1], dtype=float)
-    interval = _clip_interval(segment, hexagon)
-    if interval is None:
+    (x0, y0), (x1, y1) = segment
+    cx, cy = hexagon.center
+    t_lo, t_hi, live = _clip_intervals(
+        float(x0) - cx, float(y0) - cy, float(x1) - x0, float(y1) - y0, hexagon.apothem
+    )
+    if not live:
         return 0.0
-    return float((interval[1] - interval[0]) * np.hypot(*(p1 - p0)))
+    return float((t_hi - t_lo) * np.hypot(float(x1) - x0, float(y1) - y0))
 
 
 def hex_tiling(area_bounds: tuple[Point, Point], cell_radius: float) -> list[Point]:
@@ -211,14 +219,23 @@ class CoverageMap:
         return np.bincount(self.lengths.indices, minlength=self.num_stations)
 
 
+def _check_street_ids(streets: Sequence[Street]) -> None:
+    """Row i of a coverage map belongs to street i, so streets come in id order."""
+    for i, s in enumerate(streets):
+        if s.id != i:
+            raise ValueError(f"street at position {i} has id {s.id}; pass streets in id order")
+
+
 def coverage_from_lengths(streets: Sequence[Street], lengths) -> CoverageMap:
     """Build a coverage map from covered lengths, one row per street.
 
     ``lengths`` may be dense or any ``scipy.sparse`` matrix; duplicate
-    entries of a sparse input are summed and zeros dropped.  Raises
-    ValueError for a negative length and OverlapError when the cells claim
-    more of a street than its length.
+    entries of a sparse input are summed and zeros dropped.  Row i belongs
+    to ``streets[i]``, which must have id i.  Raises ValueError for streets
+    out of id order and for a negative or non-finite length, and
+    OverlapError when the cells claim more of a street than its length.
     """
+    _check_street_ids(streets)
     if not scipy.sparse.issparse(lengths):
         lengths = np.asarray(lengths, dtype=float)
     if lengths.shape[0] != len(streets):
@@ -227,6 +244,8 @@ def coverage_from_lengths(streets: Sequence[Street], lengths) -> CoverageMap:
     lengths.sum_duplicates()
     lengths.eliminate_zeros()
     rows, _, km = csr_entries(lengths)
+    if not np.all(np.isfinite(km)):
+        raise ValueError("covered lengths must be finite")
     if np.any(km < 0.0):
         raise ValueError("covered lengths must be nonnegative")
     street_len = np.array([s.length for s in streets], dtype=float)
@@ -265,6 +284,11 @@ def _subtract_claimed(
     return pieces
 
 
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenation of ``range(starts[k], starts[k] + counts[k])`` over k."""
+    return np.repeat(starts - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
+
+
 def _check_disjoint_cells(base_stations: Sequence[BaseStation]) -> None:
     """Cells may share edges but not interiors.
 
@@ -284,9 +308,8 @@ def _check_disjoint_cells(base_stations: Sequence[BaseStation]) -> None:
     # shrinks the window below an overlapping pair's x distance.
     reach = 2.0 * apothems.max() + 4.0 * np.spacing(np.abs(xs).max())
     counts = np.searchsorted(xs, xs + reach, side="right") - np.arange(1, len(xs) + 1)
-    first = np.repeat(np.arange(len(xs)), counts)
-    offset = np.arange(first.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    a, b = order[first], order[first + 1 + offset]
+    a = order[np.repeat(np.arange(len(xs)), counts)]
+    b = order[_ranges(np.arange(1, len(xs) + 1), counts)]
     a, b = np.minimum(a, b), np.maximum(a, b)
     dist = np.hypot(centers[a, 0] - centers[b, 0], centers[a, 1] - centers[b, 1])
     bad = np.nonzero(dist < (apothems[a] + apothems[b]) * (1.0 - 1e-9))[0]
@@ -295,12 +318,73 @@ def _check_disjoint_cells(base_stations: Sequence[BaseStation]) -> None:
         raise OverlapError(f"cells of stations {a[k]} and {b[k]} have overlapping interiors")
 
 
+def _grid_rank(values: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index of each query in the sorted unique ``values``, and whether it is there."""
+    at = np.minimum(np.searchsorted(values, queries), len(values) - 1)
+    return at, values[at] == queries
+
+
+def _near_pairs(
+    mids: np.ndarray, half_lens: np.ndarray, centers: np.ndarray, radii: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(segment, station) pairs whose station centre lies within reach of
+    the segment's midpoint, ordered by segment and then station id.
+
+    The reach is half the segment's length plus the cell radius plus 1e-9;
+    no farther cell can meet the segment.  Centres are bucketed on a square
+    grid whose side is the largest reach, so each segment measures only the
+    stations of the 3x3 buckets around its midpoint and the search is
+    linear in the number of segments.  The buckets are keyed by the rank of
+    their occupied rows and columns, so any station set works, lattice or
+    not.
+    """
+    if not len(mids) or not len(centers):
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    origin = centers.min(axis=0)
+    reach = half_lens.max() + radii.max() + 1e-9
+    # A few ulps of padding so that rounding in the bucket index never puts
+    # a pair at exactly the reach two buckets apart.
+    extent = max(np.abs(centers - origin).max(), np.abs(mids - origin).max())
+    side = reach * (1.0 + 1e-12) + 16.0 * np.spacing(extent)
+    cell = np.floor((centers - origin) / side)
+    cols, col_of = np.unique(cell[:, 0], return_inverse=True)
+    rows, row_of = np.unique(cell[:, 1], return_inverse=True)
+    bucket = col_of * len(rows) + row_of
+    order = np.argsort(bucket, kind="stable")
+    bucket = bucket[order]
+    home = np.floor((mids - origin) / side)
+    starts, counts = [], []
+    for dx in (-1.0, 0.0, 1.0):
+        col, col_ok = _grid_rank(cols, home[:, 0] + dx)
+        for dy in (-1.0, 0.0, 1.0):
+            row, row_ok = _grid_rank(rows, home[:, 1] + dy)
+            key = col * len(rows) + row
+            lo = np.searchsorted(bucket, key, side="left")
+            hi = np.searchsorted(bucket, key, side="right")
+            starts.append(lo)
+            counts.append(np.where(col_ok & row_ok, hi - lo, 0))
+    counts_2d = np.stack(counts, axis=1)
+    seg = np.repeat(np.arange(len(mids)), counts_2d.sum(axis=1))
+    station = order[_ranges(np.stack(starts, axis=1).ravel(), counts_2d.ravel())]
+    dist = np.hypot(centers[station, 0] - mids[seg, 0], centers[station, 1] - mids[seg, 1])
+    near = dist <= half_lens[seg] + radii[station] + 1e-9
+    seg, station = seg[near], station[near]
+    by_id = np.lexsort((station, seg))
+    return seg[by_id], station[by_id]
+
+
 def build_coverage(streets: Sequence[Street], base_stations: Sequence[BaseStation]) -> CoverageMap:
     """Clip every street against the cell hexagons near it.
 
-    Pairs of directed streets sharing the same geometry are clipped once.
-    A stretch lying exactly on a shared cell edge is assigned to the lower
-    station id, so the cells always partition each street.  A street lying
+    ``streets[i]`` must have id i (ValueError otherwise).  The build works
+    on whole arrays: one ``np.unique`` over the sorted endpoints finds the
+    distinct geometries, so directed streets sharing one are clipped once,
+    in the direction of the first of them; a bucket search
+    (:func:`_near_pairs`) finds each geometry's candidate stations; and one
+    six-half-plane kernel clips every candidate pair at once.  A stretch
+    lying exactly on a shared cell edge is assigned to the lower station
+    id, so the cells always partition each street; that rule needs a short
+    loop over the segments that two or more cells reach.  A street lying
     outside the tiling keeps a row summing to less than one; stations whose
     cell interiors overlap raise OverlapError.  Each covered stretch becomes
     one (street, station, km) entry of the map.
@@ -311,41 +395,43 @@ def build_coverage(streets: Sequence[Street], base_stations: Sequence[BaseStatio
         _check_disjoint_cells(base_stations)
     centers = np.array([bs.center for bs in base_stations], dtype=float).reshape(B, 2)
     radii = np.array([bs.cell_radius for bs in base_stations], dtype=float)
-    cache: dict[tuple[Point, Point], list[tuple[int, float]]] = {}
-    rows: list[int] = []
-    cols: list[int] = []
-    km: list[float] = []
-    for s in streets:
-        key = tuple(sorted(s.geometry))
-        cells = cache.get(key)
-        if cells is None:
-            cells = cache[key] = []
-            p0 = np.asarray(s.geometry[0])
-            p1 = np.asarray(s.geometry[1])
-            seg_len = float(np.hypot(*(p1 - p0)))
-            mid = (p0 + p1) / 2.0
-            reach = seg_len / 2.0 + radii + 1e-9
-            near = np.nonzero(np.hypot(*(centers - mid).T) <= reach)[0]
-            claimed: list[tuple[float, float]] = []
-            for b in near.tolist():  # ascending id: ties on shared edges go low
-                interval = _clip_interval(s.geometry, base_stations[b].hexagon)
-                if interval is None:
-                    continue
-                pieces = _subtract_claimed(interval, claimed)
-                covered = sum(t1 - t0 for t0, t1 in pieces) * seg_len
-                if covered > 0.0:
-                    cells.append((b, covered))
-                claimed = sorted(claimed + pieces)
-        for b, covered in cells:
-            rows.append(s.id)
-            cols.append(b)
-            km.append(covered)
-    triples = scipy.sparse.coo_array(
-        (np.array(km, dtype=float),
-         (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64))),
-        shape=(n, B),
+    ends = np.array([s.geometry for s in streets], dtype=float).reshape(n, 4)
+    backward = (ends[:, 2] < ends[:, 0]) | ((ends[:, 2] == ends[:, 0]) & (ends[:, 3] < ends[:, 1]))
+    keys = np.where(backward[:, None], ends[:, [2, 3, 0, 1]], ends)
+    _, first, geometry_of = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    geometry_of = geometry_of.reshape(-1)  # numpy 2.0.0 returns it as a column
+    p0, p1 = ends[first, :2], ends[first, 2:]
+    d = p1 - p0
+    seg_len = np.hypot(d[:, 0], d[:, 1])
+    seg, station = _near_pairs((p0 + p1) / 2.0, seg_len / 2.0, centers, radii)
+    t_lo, t_hi, live = _clip_intervals(
+        p0[seg, 0] - centers[station, 0],
+        p0[seg, 1] - centers[station, 1],
+        d[seg, 0],
+        d[seg, 1],
+        radii[station] * math.sqrt(3.0) / 2.0,
     )
-    return coverage_from_lengths(streets, triples)
+    seg, station, t_lo, t_hi = seg[live], station[live], t_lo[live], t_hi[live]
+    km = (t_hi - t_lo) * seg_len[seg]
+    cells_per_seg = np.bincount(seg, minlength=len(first))
+    seg_start = np.cumsum(cells_per_seg) - cells_per_seg
+    # Where two or more cells reach a segment, each keeps only what the
+    # lower ids left; the lowest id keeps its whole interval.
+    intervals = list(zip(t_lo.tolist(), t_hi.tolist()))
+    for u in np.nonzero(cells_per_seg > 1)[0].tolist():
+        lo, hi = seg_start[u], seg_start[u] + cells_per_seg[u]
+        claimed = [intervals[lo]]
+        for k in range(lo + 1, hi):
+            pieces = _subtract_claimed(intervals[k], claimed)
+            km[k] = sum(t1 - t0 for t0, t1 in pieces) * seg_len[u]
+            claimed = sorted(claimed + pieces)
+    # Entries left with 0 km are dropped by coverage_from_lengths.
+    counts = cells_per_seg[geometry_of]
+    entry = _ranges(seg_start[geometry_of], counts)
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    return coverage_from_lengths(
+        streets, scipy.sparse.csr_array((km[entry], station[entry], indptr), shape=(n, B))
+    )
 
 
 def coverage_fraction(bs: BaseStation, received_power: float) -> float:

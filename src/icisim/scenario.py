@@ -169,18 +169,28 @@ def _sample_ratios(
     At two-street (corner) intersections the only forward option is the
     reverse street, so there the reverse is kept in the support; this routes
     the flow back along the perimeter and keeps the whole network mixing.
+
+    Each inflow's shares are a flat Dirichlet draw, made for all inflows at
+    once: one ``standard_exponential`` draw over every (inflow, outflow)
+    pair in order, each pair's draw times the reciprocal of its inflow's
+    sum.  ``np.bincount`` adds each group in order, which is the arithmetic
+    of ``Generator.dirichlet`` with unit weights, so the shares are the
+    same bits as one ``dirichlet`` call per inflow.
     """
-    ratios: dict[tuple[int, int], float] = {}
+    pairs: list[tuple[int, int]] = []
+    sizes: list[int] = []
     for node in sorted(intersections, key=lambda x: x.id):
         outbound = sorted(node.outbound)
         for j in sorted(node.inbound):
             support = [k for k in outbound if k != j ^ 1]
             if len(support) < 2:
                 support = outbound
-            shares = rng.dirichlet(np.ones(len(support)))
-            for k, share in zip(support, shares):
-                ratios[(j, k)] = float(share)
-    return ratios
+            pairs.extend((j, k) for k in support)
+            sizes.append(len(support))
+    inflow = np.repeat(np.arange(len(sizes)), sizes)
+    draws = rng.standard_exponential(len(pairs))
+    shares = draws * (1.0 / np.bincount(inflow, draws, minlength=len(sizes)))[inflow]
+    return dict(zip(pairs, shares.tolist()))
 
 
 def _place_generators(config: ScenarioConfig, rng: np.random.Generator) -> np.ndarray:

@@ -3,7 +3,11 @@
 Each oracle deliberately takes a different route from the production code:
 the LP oracle is a tableau simplex instead of a greedy fill, the clipping
 oracle moves segment endpoints half-plane by half-plane instead of tracking
-a parameter interval, the cell-overlap oracle compares every pair of
+a parameter interval, the coverage oracle measures each street against
+every station centre and clips one (street, station) pair at a time
+instead of bucketing centres and clipping all pairs in one batch, the
+turning-ratio oracle calls ``dirichlet`` once per inflow instead of making
+one exponential draw, the cell-overlap oracle compares every pair of
 stations instead of an x-sorted window, the rank oracle counts singular values and the flow
 oracles solve the anchored cut system (least squares, or an explicit QR)
 and the null-vector oracle factors the dense matrix with column-pivoted QR
@@ -16,8 +20,16 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
-from icisim.coverage import Hexagon, _HEX_AXES
+from icisim.coverage import (
+    CoverageMap,
+    Hexagon,
+    _HEX_AXES,
+    _check_disjoint_cells,
+    _subtract_claimed,
+    coverage_from_lengths,
+)
 from icisim.errors import SingularError
 from icisim.game import GameInstance, StealthLevel, attacker_payoff
 from icisim.traffic import RANK_TOLERANCE
@@ -112,6 +124,95 @@ def clip_length_sequential(segment, hexagon: Hexagon) -> float:
         elif db > 0.0:
             b = a + (b - a) * (da / (da - db))
     return float(np.hypot(*(b - a)))
+
+
+def _loop_clip_interval(segment, hexagon: Hexagon) -> tuple[float, float] | None:
+    """Parameter interval of ``segment`` inside the closed hexagon, or None,
+    one half-plane at a time with an early exit."""
+    (x0, y0), (x1, y1) = segment
+    cx, cy = hexagon.center
+    apothem = hexagon.apothem
+    # Elementwise projections, the same arithmetic as the library's kernel.
+    base = [a0 * (x0 - cx) + a1 * (y0 - cy) for a0, a1 in _HEX_AXES.tolist()]
+    step = [a0 * (x1 - x0) + a1 * (y1 - y0) for a0, a1 in _HEX_AXES.tolist()]
+    t_lo, t_hi = 0.0, 1.0
+    for sign in (1.0, -1.0):
+        for off, slope in zip(base, step):
+            off, slope = sign * off, sign * slope
+            if slope == 0.0:
+                if off > apothem:
+                    return None
+                continue
+            t_cut = (apothem - off) / slope
+            if slope > 0.0:
+                t_hi = min(t_hi, t_cut)
+            else:
+                t_lo = max(t_lo, t_cut)
+            if t_lo >= t_hi:
+                return None
+    return t_lo, t_hi
+
+
+def loop_coverage(streets, base_stations) -> CoverageMap:
+    """Coverage built one street and one station at a time.
+
+    Each distinct geometry (the first street with it, in its own direction)
+    is measured against every station centre, and each station within reach
+    is clipped in ascending id order, the stretches already claimed by a
+    lower id taken away.
+    """
+    if streets:
+        _check_disjoint_cells(base_stations)
+    B = len(base_stations)
+    centers = np.array([bs.center for bs in base_stations], dtype=float).reshape(B, 2)
+    radii = np.array([bs.cell_radius for bs in base_stations], dtype=float)
+    cache: dict = {}
+    rows, cols, km = [], [], []
+    for s in streets:
+        key = tuple(sorted(s.geometry))
+        cells = cache.get(key)
+        if cells is None:
+            cells = cache[key] = []
+            p0 = np.asarray(s.geometry[0], dtype=float)
+            p1 = np.asarray(s.geometry[1], dtype=float)
+            seg_len = float(np.hypot(*(p1 - p0)))
+            mid = (p0 + p1) / 2.0
+            reach = seg_len / 2.0 + radii + 1e-9
+            near = np.nonzero(np.hypot(*(centers - mid).T) <= reach)[0]
+            claimed: list[tuple[float, float]] = []
+            for b in near.tolist():
+                interval = _loop_clip_interval(s.geometry, base_stations[b].hexagon)
+                if interval is None:
+                    continue
+                pieces = _subtract_claimed(interval, claimed)
+                covered = sum(t1 - t0 for t0, t1 in pieces) * seg_len
+                if covered > 0.0:
+                    cells.append((b, covered))
+                claimed = sorted(claimed + pieces)
+        for b, covered in cells:
+            rows.append(s.id)
+            cols.append(b)
+            km.append(covered)
+    triples = scipy.sparse.coo_array(
+        (np.array(km, dtype=float), (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64))),
+        shape=(len(streets), B),
+    )
+    return coverage_from_lengths(streets, triples)
+
+
+def dirichlet_ratios(streets, intersections, rng) -> dict[tuple[int, int], float]:
+    """Turning shares drawn with one ``rng.dirichlet`` call per inflow."""
+    ratios: dict[tuple[int, int], float] = {}
+    for node in sorted(intersections, key=lambda x: x.id):
+        outbound = sorted(node.outbound)
+        for j in sorted(node.inbound):
+            support = [k for k in outbound if k != j ^ 1]
+            if len(support) < 2:
+                support = outbound
+            shares = rng.dirichlet(np.ones(len(support)))
+            for k, share in zip(support, shares):
+                ratios[(j, k)] = float(share)
+    return ratios
 
 
 def dense_overlap_pair(base_stations) -> tuple[int, int] | None:

@@ -10,6 +10,7 @@ import scipy.sparse
 
 from icisim.coverage import (
     BaseStation,
+    CoverageMap,
     Hexagon,
     build_coverage,
     clip_segment_to_hex,
@@ -21,7 +22,7 @@ from icisim.errors import OverlapError
 from icisim.scenario import ScenarioConfig, _grid_topology
 from icisim.traffic import csr_equal, make_street
 
-from oracles import clip_length_sequential, dense_overlap_pair
+from oracles import clip_length_sequential, dense_overlap_pair, loop_coverage
 
 SQ3 = math.sqrt(3.0)
 
@@ -198,6 +199,95 @@ def test_coverage_from_lengths_dense_and_coo_agree(grid3_scenario):
         expected = _outcome(lambda: coverage_from_lengths([street], bad))
         assert isinstance(expected, tuple)
         assert _outcome(lambda: coverage_from_lengths([street], as_coo)) == expected
+
+
+def test_coverage_from_lengths_rejects_non_finite_lengths():
+    street = make_street(0, 0, 1, ((0.0, 0.0), (1.0, 0.0)))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            coverage_from_lengths([street], [[bad, 0.5]])
+
+
+def test_streets_out_of_id_order_raise():
+    # Row i of the map is street i, so [s1, s0] would pair each row with
+    # the other street's length.
+    s0 = make_street(0, 0, 1, ((-0.5, 0.0), (0.5, 0.0)))
+    s1 = make_street(1, 2, 3, ((0.0, 0.0), (0.25, 0.0)))
+    stations = [_station(0, (0.0, 0.0))]
+    with pytest.raises(ValueError, match="id order"):
+        build_coverage([s1, s0], stations)
+    with pytest.raises(ValueError, match="id order"):
+        coverage_from_lengths([s1, s0], [[0.25], [1.0]])
+    assert np.allclose(build_coverage([s0, s1], stations).C, [[1.0], [1.0]])
+
+
+def _assert_matches_loop_oracle(streets, stations) -> CoverageMap:
+    ours = build_coverage(streets, stations)
+    oracle = loop_coverage(streets, stations)
+    assert csr_equal(ours.lengths, oracle.lengths)
+    assert csr_equal(ours.fractions, oracle.fractions)
+    return ours
+
+
+def test_batched_coverage_matches_loop_oracle_on_generated_grids():
+    for grid_n in range(2, 13):
+        streets, _ = _grid_topology(ScenarioConfig(grid_n=grid_n))
+        side = grid_n - 1.0
+        for radius in (0.5, 0.9, 1.0, 2.0):
+            centers = hex_tiling(((0.0, 0.0), (side, side)), radius)
+            stations = [_station(k, c, radius) for k, c in enumerate(centers)]
+            _assert_matches_loop_oracle(streets, stations)
+
+
+def test_batched_coverage_matches_loop_oracle_on_edges_and_vertices():
+    # Streets along the hexagons' own edges and diagonals run exactly on
+    # shared edges and through the points where three cells meet.
+    centers = hex_tiling(((0.0, 0.0), (5.0, 5.0)), 1.0)
+    stations = [_station(k, c) for k, c in enumerate(centers)]
+    inside = [c for c in centers if 1.0 <= c[0] <= 4.0 and 1.0 <= c[1] <= 4.0]
+    assert len(inside) >= 3
+    segments = []
+    for center in inside:
+        corners = Hexagon(center, 1.0).vertices()
+        segments += [(p, q) for i, p in enumerate(corners) for q in corners[i + 1:]]
+    streets = [make_street(i, 2 * i, 2 * i + 1, seg) for i, seg in enumerate(segments)]
+    cov = _assert_matches_loop_oracle(streets, stations)
+    assert np.all(np.diff(cov.lengths.indptr) >= 1)
+    # A street lying on the edge shared by stations 0 and 1 goes to station 0.
+    pair = [_station(0, (0.0, 0.0)), _station(1, (0.0, SQ3))]
+    on_edge = make_street(0, 0, 1, ((-0.4, SQ3 / 2), (0.4, SQ3 / 2)))
+    assert np.array_equal(_assert_matches_loop_oracle([on_edge], pair).C, [[1.0, 0.0]])
+    swapped = [_station(0, (0.0, SQ3)), _station(1, (0.0, 0.0))]
+    assert np.array_equal(_assert_matches_loop_oracle([on_edge], swapped).C, [[1.0, 0.0]])
+
+
+def test_batched_coverage_matches_loop_oracle_outside_the_tiling():
+    stations = [_station(k, c) for k, c in enumerate(hex_tiling(((0.0, 0.0), (2.0, 2.0)), 1.0))]
+    far = make_street(0, 0, 1, ((40.0, 40.0), (41.0, 40.0)))
+    leaving = make_street(1, 1, 2, ((1.0, 1.0), (9.0, 1.0)))
+    cov = _assert_matches_loop_oracle([far, leaving], stations)
+    assert cov.lengths.indptr[1] == 0
+    assert 0.0 < cov.C[1].sum() < 1.0
+
+
+def test_batched_coverage_matches_loop_oracle_on_scattered_mixed_cells():
+    # Disjoint cells of mixed radii placed at random (no lattice), and
+    # random streets, some in both directions, some partly outside.
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        centers: list[tuple[float, float]] = []
+        radii: list[float] = []
+        while len(centers) < 25:
+            c, r = rng.uniform(-6.0, 6.0, 2), float(rng.choice([0.3, 0.7, 1.2, 2.0]))
+            if all(math.dist(c, o) >= r + q for o, q in zip(centers, radii)):
+                centers.append((float(c[0]), float(c[1])))
+                radii.append(r)
+        stations = [_station(k, c, r) for k, (c, r) in enumerate(zip(centers, radii))]
+        streets = []
+        for i in range(0, 60, 2):
+            p, q = (tuple(rng.uniform(-7.0, 7.0, 2)) for _ in range(2))
+            streets += [make_street(i, i, i + 1, (p, q)), make_street(i + 1, i + 1, i, (q, p))]
+        _assert_matches_loop_oracle(streets, stations)
 
 
 def test_coverage_stays_sparse_in_memory():

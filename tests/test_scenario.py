@@ -23,6 +23,8 @@ from icisim.scenario import (
 )
 from icisim.traffic import solve_flows
 
+from oracles import dirichlet_ratios
+
 
 def _validate_scenario(sc: Scenario) -> None:
     """Cross-module invariant suite run against a generated scenario."""
@@ -96,6 +98,18 @@ def test_round_trip_identity(tmp_path):
         path = str(tmp_path / "scenario.txt")
         save(sc, path)
         assert scenarios_equal(sc, load(path)), config
+
+
+def test_one_draw_ratios_equal_per_inflow_dirichlet():
+    # The batched draw is bit-identical to one dirichlet call per inflow:
+    # same keys, in the same order, with the same values.
+    for grid_n in range(2, 13):
+        streets, nodes = _grid_topology(ScenarioConfig(grid_n=grid_n))
+        for seed in range(4):
+            ours = _sample_ratios(streets, nodes, _rng(seed, 0, _STREAM_RATIOS))
+            oracle = dirichlet_ratios(streets, nodes, _rng(seed, 0, _STREAM_RATIOS))
+            assert list(ours) == list(oracle), (grid_n, seed)
+            assert list(ours.values()) == list(oracle.values()), (grid_n, seed)
 
 
 def test_ratio_support_is_one_strong_component():
