@@ -47,9 +47,8 @@ from .impact import (
     build_impact_model,
     export_impact_csv,
     its_deviation,
-    street_impact_vector,
 )
-from .power import Generator, PowerAssignment, build_assignment, line_capacity
+from .power import Generator, PowerAssignment, build_assignment
 from .scenario import Scenario, ScenarioConfig, generate, load, loads, save, scenarios_equal
 from .traffic import (
     FlowNetwork,
@@ -59,7 +58,6 @@ from .traffic import (
     build_flow_matrix,
     make_street,
     network_from_matrix,
-    propagate_deviation,
     solve_flows,
 )
 

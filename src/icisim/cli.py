@@ -80,9 +80,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     sc = scenario_io.load(args.scenario)
     level = StealthLevel.from_name(args.level)
     budget = args.budget if args.budget is not None else sc.config.budget
-    defense, attack, outcome = stackelberg_equilibrium(
-        level, sc.game_instance(), budget, args.theorem3_cap
-    )
+    defense, attack, outcome = stackelberg_equilibrium(level, sc.game_instance(), budget)
     text = solution_to_json(level, defense, attack, outcome)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -102,7 +100,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         base=config,
         sweep=sweep,
         reps=args.reps,
-        bs_cap_rule=args.theorem3_cap,
     )
     if levels:
         kwargs["levels"] = levels
@@ -142,9 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
     sol.add_argument("--level", default="line",
                      choices=[lv.value for lv in StealthLevel])
     sol.add_argument("--budget", type=float, help="defender budget in watts")
-    sol.add_argument("--theorem3-cap", default="dropped-sum",
-                     choices=["literal", "dropped-sum"],
-                     help="station-level defender cap convention")
     sol.add_argument("--out", help="write the solution JSON here instead of stdout")
     sol.set_defaults(func=_cmd_solve)
 
@@ -160,9 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="stealth level to include (repeatable)")
     exp.add_argument("--out-dir", default=".", help="output directory")
     exp.add_argument("--format", default="csv", choices=["csv", "svg"])
-    exp.add_argument("--theorem3-cap", default="dropped-sum",
-                     choices=["literal", "dropped-sum"],
-                     help="station-level defender cap convention")
     exp.set_defaults(func=_cmd_experiment)
     return parser
 

@@ -383,8 +383,12 @@ def build_coverage(streets: Sequence[Street], base_stations: Sequence[BaseStatio
     (:func:`_near_pairs`) finds each geometry's candidate stations; and one
     six-half-plane kernel clips every candidate pair at once.  A stretch
     lying exactly on a shared cell edge is assigned to the lower station
-    id, so the cells always partition each street; that rule needs a short
-    loop over the segments that two or more cells reach.  A street lying
+    id, so no stretch is counted twice; that rule needs a short loop over
+    the segments that two or more cells reach.  The cells partition each
+    street inside the tiling except in one case: a street lying along a
+    shared edge whose endpoints round off it can fall outside both
+    half-planes and be left partly uncovered (there is no clip tolerance,
+    which would move covered lengths by ulps).  A street lying
     outside the tiling keeps a row summing to less than one; stations whose
     cell interiors overlap raise OverlapError.  Each covered stretch becomes
     one (street, station, km) entry of the map.

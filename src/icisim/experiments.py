@@ -63,7 +63,6 @@ class ExperimentSpec:
     reps: int = 5
     levels: tuple[StealthLevel, ...] = _DEFAULT_LEVELS
     budgets: tuple[float, ...] = (0.0, 100.0)
-    bs_cap_rule: str = "dropped-sum"
 
     def __post_init__(self) -> None:
         if self.experiment not in EXPERIMENT_IDS:
@@ -112,7 +111,6 @@ def _config_lines(spec: ExperimentSpec) -> tuple[str, ...]:
         f"reps = {spec.reps}",
         f"levels = {','.join(lv.value for lv in spec.levels)}",
         f"budgets = {','.join(repr(b) for b in spec.budgets)}",
-        f"bs_cap_rule = {spec.bs_cap_rule}",
         f"sweep = {','.join(repr(float(v)) for v in spec.sweep)}",
     ]
     lines += [f"{f.name} = {getattr(cfg, f.name)}" for f in fields(ScenarioConfig)]
@@ -154,10 +152,7 @@ def pick_attack_source(scenario: Scenario, level: StealthLevel) -> int:
     best_g, best_val = 0, -np.inf
     for g in range(instance.num_generators):
         attack = attacker_best_response(level, instance, zeros, sources=[g])
-        if level is StealthLevel.OVERT:
-            value = float(instance.impact.z_scores @ attack.per_station)
-        else:
-            value = attacker_payoff(level, instance, zeros, attack.deviations)
+        value = attacker_payoff(level, instance, zeros, attack.deviations)
         if value > best_val + 1e-12:
             best_g, best_val = g, value
     return best_g
@@ -179,7 +174,7 @@ def _run_config_sweep(spec: ExperimentSpec) -> SweepTable:
                 for sc in scenarios:
                     sources = [pick_attack_source(sc, level)] if single else None
                     _, _, outcome = stackelberg_equilibrium(
-                        level, sc.game_instance(), budget, spec.bs_cap_rule, sources
+                        level, sc.game_instance(), budget, sources
                     )
                     samples.append(outcome.residual_deviation)
                 rows.append(_stat_row(value, level.value, budget, samples))
@@ -214,9 +209,7 @@ def _run_allocation_compare(spec: ExperimentSpec) -> SweepTable:
             eq_samples = []
             for sc in scenarios:
                 instance = sc.game_instance()
-                _, _, outcome = stackelberg_equilibrium(
-                    level, instance, budget, spec.bs_cap_rule
-                )
+                _, _, outcome = stackelberg_equilibrium(level, instance, budget)
                 se_samples.append(outcome.residual_deviation)
                 defense = equal_allocation(instance.num_stations, budget)
                 attack = attacker_best_response(level, instance, defense.allocation)

@@ -55,18 +55,18 @@ class StealthLevel(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class GameInstance:
-    """Everything the game needs: impacts, supply shares, power thresholds."""
+    """Everything the game needs: impacts and supply shares.
+
+    Station power headroom comes from the impact model; line capacities and
+    safe generator outputs from the supply shares and station ratings.
+    """
 
     impact: ImpactModel
     assignment: PowerAssignment
-    p_activation: np.ndarray
 
     def __post_init__(self) -> None:
-        B = self.assignment.num_stations
-        if self.impact.num_stations != B or self.p_activation.shape != (B,):
-            raise ValueError("impact model, assignment and thresholds disagree on station count")
-        if not np.allclose(self.headroom, self.impact.headroom, rtol=1e-9, atol=0.0):
-            raise ValueError("impact model headroom does not match the power thresholds")
+        if self.impact.num_stations != self.assignment.num_stations:
+            raise ValueError("impact model and assignment disagree on station count")
 
     @property
     def num_stations(self) -> int:
@@ -80,9 +80,10 @@ class GameInstance:
     def p_full(self) -> np.ndarray:
         return self.assignment.p_full
 
-    @cached_property
+    @property
     def headroom(self) -> np.ndarray:
-        return self.assignment.p_full - self.p_activation
+        """Per-station watts between full service and cut-off."""
+        return self.impact.headroom
 
     @cached_property
     def line_caps(self) -> np.ndarray:
@@ -139,6 +140,33 @@ def _zero_defense(instance: GameInstance) -> np.ndarray:
     return np.zeros(instance.num_stations)
 
 
+# Per level, the unit an over-capacity attack is reported at; the indices
+# are those of the monitored arrays of :func:`_monitored`.
+_UNIT_NAMES = {
+    StealthLevel.POWER_SOURCE: "safe output of generator {0}",
+    StealthLevel.POWER_LINE: "capacity of line generator {1} -> station {0}",
+    StealthLevel.BASE_STATION: "power headroom of station {0}",
+    StealthLevel.OVERT: "capacity of line generator {1} -> station {0}",
+}
+
+
+def _monitored(
+    level: StealthLevel, instance: GameInstance, p_a: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Power drained from, and capacity of, each unit ``level`` monitors.
+
+    Units are generators (drain over safe output) at the source level and
+    stations (drain over headroom) at the station level.  At the line level
+    they are lines, indexed ``[b, g]``; the overt level is not monitored,
+    but line capacity still bounds it, so it shares the line units.
+    """
+    if level is StealthLevel.POWER_SOURCE:
+        return p_a.sum(axis=0), instance.safe_outputs
+    if level is StealthLevel.BASE_STATION:
+        return p_a.sum(axis=1), instance.headroom
+    return p_a, instance.line_caps
+
+
 def validate_attack(level: StealthLevel, instance: GameInstance, p_a: np.ndarray) -> None:
     """Raise InfeasibleError unless ``p_a`` is admissible at ``level``."""
     B, G = instance.num_stations, instance.num_generators
@@ -147,33 +175,15 @@ def validate_attack(level: StealthLevel, instance: GameInstance, p_a: np.ndarray
         raise InfeasibleError(f"attack matrix has shape {p_a.shape}, expected {(B, G)}")
     if np.any(p_a < 0.0):
         raise InfeasibleError("attack deviations must be nonnegative")
-    caps = instance.line_caps
-    off_line = (caps <= 0.0) & (p_a > 0.0)
+    off_line = (instance.line_caps <= 0.0) & (p_a > 0.0)
     if np.any(off_line):
         b, g = np.argwhere(off_line)[0]
         raise InfeasibleError(f"attack on nonexistent line generator {g} -> station {b}")
-
-    def _over(amount: np.ndarray, limit: np.ndarray) -> np.ndarray:
-        return amount > limit * (1.0 + _FEAS_RTOL) + _FEAS_ATOL
-
-    if level is StealthLevel.POWER_SOURCE:
-        bad = _over(p_a.sum(axis=0), instance.safe_outputs)
-        if np.any(bad):
-            g = int(np.nonzero(bad)[0][0])
-            raise InfeasibleError(f"attack exceeds safe output of generator {g}")
-    elif level is StealthLevel.POWER_LINE or level is StealthLevel.OVERT:
-        # Overt attacks are still physically limited by line capacity.
-        bad = _over(p_a, caps)
-        if np.any(bad):
-            b, g = np.argwhere(bad)[0]
-            raise InfeasibleError(f"attack exceeds capacity of line generator {g} -> station {b}")
-    elif level is StealthLevel.BASE_STATION:
-        bad = _over(p_a.sum(axis=1), instance.headroom)
-        if np.any(bad):
-            b = int(np.nonzero(bad)[0][0])
-            raise InfeasibleError(f"attack exceeds power headroom of station {b}")
-    else:  # pragma: no cover - enum is exhaustive
-        raise ValueError(f"unhandled level {level}")
+    drained, capacity = _monitored(level, instance, p_a)
+    over = drained > capacity * (1.0 + _FEAS_RTOL) + _FEAS_ATOL
+    if np.any(over):
+        unit = np.argwhere(over)[0]
+        raise InfeasibleError(f"attack exceeds {_UNIT_NAMES[level].format(*unit)}")
 
 
 def detection_prob(
@@ -187,24 +197,17 @@ def detection_prob(
     ``unit`` is a generator id at the source level, a ``(g, b)`` pair at the
     line level, and a station id at the station level.
     """
-    p_a = np.asarray(p_a, dtype=float)
-    if level is StealthLevel.POWER_SOURCE:
-        g = int(unit)  # type: ignore[arg-type]
-        drained = float(p_a[:, g].sum())
-        capacity = float(instance.safe_outputs[g])
-    elif level is StealthLevel.POWER_LINE:
+    if level is StealthLevel.OVERT:
+        raise ValueError("the overt level has no detection model")
+    if level is StealthLevel.POWER_LINE:
         g, b = unit  # type: ignore[misc]
         if not instance.assignment.has_line(g, b):
             raise NoLineError(f"no line from generator {g} to station {b}")
-        drained = float(p_a[b, g])
-        capacity = float(instance.line_caps[b, g])
-    elif level is StealthLevel.BASE_STATION:
-        b = int(unit)  # type: ignore[arg-type]
-        drained = float(p_a[b, :].sum())
-        capacity = float(instance.headroom[b])
+        index: int | tuple[int, int] = (b, g)
     else:
-        raise ValueError("the overt level has no detection model")
-    return float(_ratio_array(np.array([drained]), np.array([capacity]), level)[0])
+        index = int(unit)  # type: ignore[arg-type]
+    drained, capacity = _monitored(level, instance, np.asarray(p_a, dtype=float))
+    return float(_ratio_array(np.array([drained[index]]), np.array([capacity[index]]), level)[0])
 
 
 def _ratio_array(drained: np.ndarray, capacity: np.ndarray, level: StealthLevel) -> np.ndarray:
@@ -226,13 +229,9 @@ def _ratio_array(drained: np.ndarray, capacity: np.ndarray, level: StealthLevel)
 
 
 def _detection_array(level: StealthLevel, instance: GameInstance, p_a: np.ndarray) -> np.ndarray:
-    if level is StealthLevel.POWER_SOURCE:
-        return _ratio_array(p_a.sum(axis=0), instance.safe_outputs, level)
-    if level is StealthLevel.POWER_LINE:
-        return _ratio_array(p_a, instance.line_caps, level)
-    if level is StealthLevel.BASE_STATION:
-        return _ratio_array(p_a.sum(axis=1), instance.headroom, level)
-    return np.zeros(0)
+    if level is StealthLevel.OVERT:
+        return np.zeros(0)
+    return _ratio_array(*_monitored(level, instance, p_a), level)
 
 
 def defender_payoff(impact: ImpactModel, p_d: np.ndarray, p_a: np.ndarray) -> float:
@@ -247,43 +246,26 @@ def attacker_payoff(
     instance: GameInstance,
     p_d: np.ndarray,
     p_a: np.ndarray,
-    unweighted_defense_term: bool = False,
 ) -> float:
     """Stealth-discounted attacker gain minus the defender's compensation.
 
-    ``unweighted_defense_term`` switches the source-level payoff to the
-    variant whose defender term is not impact-weighted; the two differ by a
-    constant in the attack, so maximisers coincide.
+    Each monitored unit discounts the gain it carries by one minus its
+    detection ratio; the overt level is the zero-sum game, undiscounted.
     """
     validate_attack(level, instance, p_a)
     p_a = np.asarray(p_a, dtype=float)
     p_d = np.asarray(p_d, dtype=float)
-    z = instance.impact.z_scores
-
     if level is StealthLevel.OVERT:
         return -defender_payoff(instance.impact, p_d, p_a)
 
+    z = instance.impact.z_scores
+    drained, capacity = _monitored(level, instance, p_a)
+    ratios = np.divide(drained, capacity, out=np.zeros_like(drained), where=capacity > 0.0)
     if level is StealthLevel.POWER_SOURCE:
-        safe = instance.safe_outputs
-        per_source_gain = z @ p_a
-        ratios = np.divide(
-            p_a.sum(axis=0), safe, out=np.zeros_like(safe), where=safe > 0.0
-        )
-        defense = p_d.sum() if unweighted_defense_term else z @ p_d
-        return float(per_source_gain @ (1.0 - ratios) - defense)
-
+        return float((z @ p_a) @ (1.0 - ratios) - z @ p_d)
     if level is StealthLevel.POWER_LINE:
-        caps = instance.line_caps
-        ratios = np.divide(p_a, caps, out=np.zeros_like(p_a), where=caps > 0.0)
-        line_gain = (p_a * (1.0 - ratios)).sum(axis=1)
-        return float(z @ (line_gain - p_d))
-
-    per_station = p_a.sum(axis=1)
-    ratios = np.divide(
-        per_station, instance.headroom, out=np.zeros_like(per_station),
-        where=instance.headroom > 0.0,
-    )
-    return float(z @ ((per_station - p_d) * (1.0 - ratios)))
+        return float(z @ ((p_a * (1.0 - ratios)).sum(axis=1) - p_d))
+    return float(z @ ((drained - p_d) * (1.0 - ratios)))
 
 
 def _source_mask(instance: GameInstance, sources: Sequence[int] | None) -> np.ndarray:
@@ -337,26 +319,19 @@ def attacker_best_response(
     return AttackStrategy(p_a)
 
 
-def defender_caps(
-    level: StealthLevel, instance: GameInstance, bs_cap_rule: str = "dropped-sum"
-) -> np.ndarray:
+def defender_caps(level: StealthLevel, instance: GameInstance) -> np.ndarray:
     """Per-station upper bounds for the defender's allocation at ``level``.
 
     Backup power beyond the attacker's anticipated shortfall is wasted, so
-    the cap equals the per-station equilibrium attack.  For the station
-    level two printed conventions exist: ``dropped-sum`` uses half the power
-    headroom, ``literal`` multiplies that by the generator count.
+    the cap is the per-station best response to no defence.  At the station
+    level that is half the power headroom.  The station-level reply grows
+    with the backup, though, so its net drain keeps falling until the backup
+    reaches the full headroom: above half the total headroom, this cap can
+    leave budget unspent and lose to an equal split.
     """
     if level is StealthLevel.BASE_STATION:
-        if bs_cap_rule == "dropped-sum":
-            return instance.headroom / 2.0
-        if bs_cap_rule == "literal":
-            return instance.num_generators * instance.headroom / 2.0
-        raise ValueError(f"unknown station-level cap rule {bs_cap_rule!r}")
-    if level is StealthLevel.POWER_LINE:
-        return instance.line_caps.sum(axis=1) / 2.0
-    response = attacker_best_response(level, instance)
-    return response.per_station
+        return instance.headroom / 2.0
+    return attacker_best_response(level, instance).per_station
 
 
 def _fill_order(scores: np.ndarray) -> np.ndarray:
@@ -408,10 +383,7 @@ def evaluate_profile(
     raw (unclamped) difference.
     """
     u_d = defender_payoff(instance.impact, defense.allocation, attack.deviations)
-    if level is StealthLevel.OVERT:
-        u_a = -u_d
-    else:
-        u_a = attacker_payoff(level, instance, defense.allocation, attack.deviations)
+    u_a = attacker_payoff(level, instance, defense.allocation, attack.deviations)
     detection = _detection_array(level, instance, attack.deviations)
     net = np.maximum(attack.per_station - defense.allocation, 0.0)
     return GameOutcome(u_d, u_a, detection, its_deviation(instance.impact, net))
@@ -421,11 +393,10 @@ def stackelberg_equilibrium(
     level: StealthLevel,
     instance: GameInstance,
     budget: float,
-    bs_cap_rule: str = "dropped-sum",
     sources: Sequence[int] | None = None,
 ) -> tuple[DefenseStrategy, AttackStrategy, GameOutcome]:
     """Defender-first equilibrium: allocation LP, then the attacker's reply."""
-    caps = defender_caps(level, instance, bs_cap_rule)
+    caps = defender_caps(level, instance)
     defense = solve_defender_lp(instance.impact, caps, budget)
     attack = attacker_best_response(level, instance, defense.allocation, sources)
     return defense, attack, evaluate_profile(level, instance, defense, attack)

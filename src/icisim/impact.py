@@ -23,7 +23,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from .coverage import BaseStation, CoverageMap
-from .traffic import FlowNetwork, _anchor_entries, _null_patterns, csr_entries
+from .traffic import FlowNetwork, _anchor_entries, csr_entries
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,15 +55,6 @@ class ImpactModel:
     def z_vectors(self) -> np.ndarray:
         """Dense (stations, streets) impact matrix, built on each access."""
         return -np.outer(self.scale, self.null_vector)
-
-
-def street_impact_vector(net: FlowNetwork, street: int) -> np.ndarray:
-    """Unit deviation pattern of street ``street`` over the whole network.
-
-    Row ``street`` is exactly -1; raises SingularError where the pattern is
-    undefined.
-    """
-    return _null_patterns(net, [street])[0]
 
 
 def build_impact_model(

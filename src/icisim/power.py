@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .coverage import BaseStation
-from .errors import DisconnectedError, NoLineError
+from .errors import DisconnectedError
 
 Point = tuple[float, float]
 
@@ -53,14 +53,6 @@ class PowerAssignment:
 
     def has_line(self, g: int, b: int) -> bool:
         return self.T[b, g] > 0.0
-
-    def stations_of(self, g: int) -> np.ndarray:
-        """Ids of stations wired to generator ``g``."""
-        return np.nonzero(self.T[:, g] > 0.0)[0]
-
-    def safe_output(self, g: int) -> float:
-        """Power flowing out of generator ``g`` when nothing is disturbed."""
-        return float(self.T[:, g] @ self.p_full)
 
 
 def build_assignment(
@@ -103,11 +95,3 @@ def build_assignment(
     p_full = np.array([bs.p_full for bs in base_stations])
     return PowerAssignment(T, p_full)
 
-
-def line_capacity(assignment: PowerAssignment, g: int, b: int) -> float:
-    """Undisturbed power on the line from generator ``g`` to station ``b``."""
-    if not 0 <= g < assignment.num_generators or not 0 <= b < assignment.num_stations:
-        raise NoLineError(f"no line from generator {g} to station {b}")
-    if not assignment.has_line(g, b):
-        raise NoLineError(f"no line from generator {g} to station {b}")
-    return float(assignment.T[b, g] * assignment.p_full[b])

@@ -122,8 +122,7 @@ class Scenario:
     impact: ImpactModel
 
     def game_instance(self) -> GameInstance:
-        p_activation = np.array([bs.p_activation for bs in self.base_stations])
-        return GameInstance(self.impact, self.assignment, p_activation)
+        return GameInstance(self.impact, self.assignment)
 
 
 def _rng(seed: int, attempt: int, stream: int) -> np.random.Generator:

@@ -396,23 +396,10 @@ def _anchor_entries(net: FlowNetwork, streets: Sequence[int]) -> np.ndarray:
     return v[idx]
 
 
-def _null_patterns(net: FlowNetwork, streets: Sequence[int]) -> np.ndarray:
-    """Rows ``-v / v[i]``: balanced flow change per unit cut on each street."""
-    return -net.null_vector[None, :] / _anchor_entries(net, streets)[:, None]
-
-
 def solve_flows(net: FlowNetwork, anchor: int, anchor_flow: float) -> FlowSolution:
     """Solve all street flows given the flow on one anchor street."""
     if anchor_flow < 0.0:
         raise ValueError("anchor flow must be nonnegative")
-    flows = -anchor_flow * _null_patterns(net, [anchor])[0]
+    v = net.null_vector
+    flows = anchor_flow * (v / _anchor_entries(net, [anchor])[0])
     return FlowSolution(anchor, float(anchor_flow), flows)
-
-
-def propagate_deviation(net: FlowNetwork, street: int, delta: float) -> np.ndarray:
-    """Network-wide flow change caused by a deviation ``delta`` at one street.
-
-    Returns the full change vector (new flows minus old): entry ``street``
-    is ``-delta`` and a negative entry means a flow reduction.
-    """
-    return delta * _null_patterns(net, [street])[0]

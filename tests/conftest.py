@@ -70,7 +70,7 @@ def make_instance(
     p_full = np.asarray(p_full, dtype=float)
     impact = synthetic_impact(np.asarray(z_scores, dtype=float), p_full - p_activation)
     assignment = PowerAssignment(T, p_full)
-    return GameInstance(impact, assignment, p_activation)
+    return GameInstance(impact, assignment)
 
 
 def random_instance(rng: np.random.Generator, B: int, G: int) -> GameInstance:

@@ -378,7 +378,7 @@ def lattice_best_attack(
             count = int(wired[:, g].sum())
             if count == 0:
                 continue
-            top = instance.assignment.safe_output(g) / count
+            top = float(instance.assignment.T[:, g] @ instance.p_full) / count
             grid = np.linspace(0.0, top, points)
             scores = [payoff(_assemble_source(instance, _one_hot(G, g, u))) for u in grid]
             best[g] = grid[int(np.argmax(scores))]

@@ -267,8 +267,7 @@ def _retile(sc, radius: float) -> tuple[GameInstance, int]:
     )
     assignment = build_assignment(generators, stations, shares)
     impact = build_impact_model(sc.network, coverage, stations, sc.config.delta)
-    p_act = np.array([bs.p_activation for bs in stations])
-    return GameInstance(impact, assignment, p_act), len(stations)
+    return GameInstance(impact, assignment), len(stations)
 
 
 def _time_equilibria(cases: list[tuple[GameInstance, float]]) -> list[float]:

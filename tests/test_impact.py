@@ -8,15 +8,9 @@ import pytest
 
 from icisim.coverage import BaseStation, coverage_from_lengths
 from icisim.errors import SingularError
-from icisim.impact import (
-    _null_patterns,
-    build_impact_model,
-    export_impact_csv,
-    its_deviation,
-    street_impact_vector,
-)
+from icisim.impact import build_impact_model, export_impact_csv, its_deviation
 from icisim.scenario import ScenarioConfig, generate, loads
-from icisim.traffic import network_from_matrix
+from icisim.traffic import network_from_matrix, solve_flows
 
 from conftest import cycle_network, parallel_pair_network, synthetic_impact
 from oracles import dense_impact, finite_difference_total, lstsq_pattern
@@ -24,17 +18,22 @@ from test_scenario import HAND_WRITTEN
 from test_traffic import _parallel_streets
 
 
+def _pattern(net, street: int) -> np.ndarray:
+    """Balanced flow change per unit cut on ``street``: ``-v / v[street]``."""
+    return -solve_flows(net, street, 1.0).flows
+
+
 def test_pattern_has_minus_one_at_its_street(grid3_scenario):
     net = grid3_scenario.network
     for street in (0, 7, net.n - 1):
-        assert street_impact_vector(net, street)[street] == -1.0
+        assert _pattern(net, street)[street] == -1.0
 
 
 def test_cycle_pattern_is_hand_computable():
     # Cut matrix is [[-1], [1]]; normal solve gives -1, so the deviation
     # reaches the other street in full.
     net = cycle_network()
-    assert np.allclose(street_impact_vector(net, 0), [-1.0, -1.0])
+    assert np.allclose(_pattern(net, 0), [-1.0, -1.0])
 
 
 def test_weak_coupling_bounds_remote_entries():
@@ -48,7 +47,7 @@ def test_weak_coupling_bounds_remote_entries():
     Q[1, 2] = eps  # hand convention: q1 = eps * q2
     Q[3, 0] = eps
     net = network_from_matrix(streets, nodes, Q)
-    pattern = street_impact_vector(net, 0)
+    pattern = _pattern(net, 0)
     # Direct solve of the normal equations as an independent check.
     A = net.A.toarray()
     A_i = np.delete(A, 0, axis=1)
@@ -61,10 +60,9 @@ def test_weak_coupling_bounds_remote_entries():
 
 def test_null_pattern_route_matches_least_squares(grid3_scenario):
     net = grid3_scenario.network
-    streets = [0, 3, 11]
-    fast = _null_patterns(net, streets)
-    for row, street in zip(fast, streets):
-        assert np.allclose(row, lstsq_pattern(net.A.toarray(), street), rtol=1e-9, atol=1e-12)
+    A = net.A.toarray()
+    for street in (0, 3, 11):
+        assert np.allclose(_pattern(net, street), lstsq_pattern(A, street), rtol=1e-9, atol=1e-12)
 
 
 def _single_station_setup():
@@ -86,7 +84,7 @@ def test_station_covering_nothing_scores_zero():
 def test_station_covering_one_full_street():
     net, bs, coverage = _single_station_setup()
     model = build_impact_model(net, coverage, [bs])
-    expected = street_impact_vector(net, 0) / bs.headroom
+    expected = _pattern(net, 0) / bs.headroom
     assert np.allclose(model.z_vectors[0], expected, rtol=1e-12)
     assert model.z_scores[0] == pytest.approx(np.abs(expected).sum(), rel=1e-12)
 

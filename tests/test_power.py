@@ -5,12 +5,20 @@ import numpy as np
 import pytest
 
 from icisim.coverage import BaseStation, coverage_fraction
-from icisim.errors import DisconnectedError, NoLineError
-from icisim.power import Generator, build_assignment, line_capacity
+from icisim.errors import DisconnectedError
+from icisim.game import GameInstance
+from icisim.power import Generator, build_assignment
+
+from conftest import synthetic_impact
 
 
 def _stations(count: int, p_full: float = 200.0) -> list[BaseStation]:
     return [BaseStation(b, (float(b), 0.0), 1.0, p_full / 2.0, p_full) for b in range(count)]
+
+
+def _instance(assignment, stations) -> GameInstance:
+    headroom = np.array([bs.headroom for bs in stations])
+    return GameInstance(synthetic_impact(np.zeros(len(stations)), headroom), assignment)
 
 
 def test_single_generator_supplies_everything():
@@ -67,12 +75,10 @@ def test_line_capacity_values():
     gens = [Generator(0, (0.0, 0.0), (0, 1)), Generator(1, (1.0, 0.0), (1,))]
     shares = np.array([[1.0, 0.0], [1.0, 1.0]])
     assignment = build_assignment(gens, stations, shares)
-    assert line_capacity(assignment, 0, 0) == pytest.approx(200.0)
-    assert line_capacity(assignment, 0, 1) == pytest.approx(100.0)
-    with pytest.raises(NoLineError):
-        line_capacity(assignment, 1, 0)
-    with pytest.raises(NoLineError):
-        line_capacity(assignment, 5, 0)
+    caps = _instance(assignment, stations).line_caps
+    # caps[b, g]: generator 1 has no line to station 0, so that entry is 0.
+    assert np.array_equal(caps, [[200.0, 0.0], [100.0, 100.0]])
+    assert not assignment.has_line(1, 0)
 
 
 def test_line_capacities_sum_to_safe_output():
@@ -81,9 +87,14 @@ def test_line_capacities_sum_to_safe_output():
     stations = _stations(B)
     gens = [Generator(g, (0.0, 0.0), tuple(range(B))) for g in range(G)]
     assignment = build_assignment(gens, stations, rng.uniform(0.1, 1.0, (B, G)))
+    instance = _instance(assignment, stations)
     for g in range(G):
-        total = sum(line_capacity(assignment, g, b) for b in assignment.stations_of(g))
-        assert total == pytest.approx(assignment.safe_output(g), rel=1e-12)
+        lines = instance.line_caps[assignment.T[:, g] > 0.0, g]
+        safe = float(assignment.T[:, g] @ assignment.p_full)
+        assert lines.sum() == pytest.approx(safe, rel=1e-12)
+        assert instance.safe_outputs[g] == pytest.approx(safe, rel=1e-12)
+    # Undisturbed, the generators together supply every station in full.
+    assert instance.safe_outputs.sum() == pytest.approx(assignment.p_full.sum(), rel=1e-12)
 
 
 def test_full_supply_gives_full_coverage(grid3_scenario):

@@ -20,7 +20,6 @@ from icisim.traffic import (
     intersections_from_streets,
     make_street,
     network_from_matrix,
-    propagate_deviation,
     solve_flows,
 )
 
@@ -115,18 +114,25 @@ def test_solve_grid3_matches_qr_oracle(grid3_scenario):
     assert sol.residual(net) <= 1e-6 * np.abs(sol.flows).max()
 
 
+def _deviation(net, street: int, delta: float) -> np.ndarray:
+    """Balanced flow change when street ``street`` loses ``delta``."""
+    return -solve_flows(net, street, delta).flows
+
+
 def test_propagate_zero_delta(grid3_scenario):
-    dev = propagate_deviation(grid3_scenario.network, 3, 0.0)
+    dev = _deviation(grid3_scenario.network, 3, 0.0)
     assert np.array_equal(dev, np.zeros(grid3_scenario.network.n))
 
 
 def test_propagate_is_linear(grid3_scenario):
+    # solve_flows takes nonnegative anchor flows, so the scalings are too.
     net = grid3_scenario.network
-    base = propagate_deviation(net, 5, 12.5)
-    assert np.allclose(propagate_deviation(net, 5, 25.0), 2.0 * base, rtol=1e-12)
+    base = _deviation(net, 5, 12.5)
+    assert base[5] == -12.5
+    assert np.allclose(_deviation(net, 5, 25.0), 2.0 * base, rtol=1e-12)
     rng = np.random.default_rng(11)
-    for alpha in rng.uniform(-3.0, 3.0, 10):
-        scaled = propagate_deviation(net, 5, 12.5 * alpha)
+    for alpha in rng.uniform(0.0, 3.0, 10):
+        scaled = _deviation(net, 5, 12.5 * alpha)
         assert np.allclose(scaled, alpha * base, rtol=1e-9, atol=1e-12)
 
 
@@ -135,7 +141,7 @@ def test_propagate_matches_two_solve_difference(grid3_scenario):
     base_flow, delta = 1000.0, 50.0
     before = solve_flows(net, 0, base_flow).flows
     after = solve_flows(net, 0, base_flow - delta).flows
-    dev = propagate_deviation(net, 0, delta)
+    dev = _deviation(net, 0, delta)
     assert np.allclose(dev, after - before, rtol=1e-8, atol=1e-9)
     assert dev[0] == -delta
 
