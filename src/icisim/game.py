@@ -195,18 +195,22 @@ def detection_prob(
     """Detection probability of the attack at one monitored unit.
 
     ``unit`` is a generator id at the source level, a ``(g, b)`` pair at the
-    line level, and a station id at the station level.
+    line level, and a station id at the station level.  Raises ValueError
+    for a generator or station id outside ``0..k-1``, and NoLineError for a
+    pair of ids in range with no line between them.
     """
     if level is StealthLevel.OVERT:
         raise ValueError("the overt level has no detection model")
+    drained, capacity = _monitored(level, instance, np.asarray(p_a, dtype=float))
     if level is StealthLevel.POWER_LINE:
         g, b = unit  # type: ignore[misc]
-        if not instance.assignment.has_line(g, b):
-            raise NoLineError(f"no line from generator {g} to station {b}")
-        index: int | tuple[int, int] = (b, g)
+        index: tuple[int, ...] = (int(b), int(g))
     else:
-        index = int(unit)  # type: ignore[arg-type]
-    drained, capacity = _monitored(level, instance, np.asarray(p_a, dtype=float))
+        index = (int(unit),)  # type: ignore[arg-type]
+    if not all(0 <= i < size for i, size in zip(index, capacity.shape)):
+        raise ValueError(f"{level.value} unit {unit} out of range")
+    if level is StealthLevel.POWER_LINE and not instance.assignment.has_line(g, b):
+        raise NoLineError(f"no line from generator {g} to station {b}")
     return float(_ratio_array(np.array([drained[index]]), np.array([capacity[index]]), level)[0])
 
 

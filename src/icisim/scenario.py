@@ -14,9 +14,9 @@ Scenario files are plain text with a versioned header and ``[config]``,
 so they round-trip exactly.  Turning ratios, coverage and supply links are
 blocks of ``row column value`` lines holding the nonzero entries in
 row-major order; coverage lines are (street, station, km) triples.  The
-loader reads the three blocks with one parser, a repeated (row, column)
-pair keeps its last value, and it builds no dense street-by-station
-array.  The impact model is derived data, so it is not
+loader reads each counted numeric block in one ``np.loadtxt`` pass, a
+repeated (row, column) pair keeps its last value, and it builds no dense
+street-by-station array.  The impact model is derived data, so it is not
 written: loading always recomputes it.  Older files may end with an
 ``[impact]`` section of stored scores and vectors; it is still read, and
 must agree with the recomputed model to 1e-9 of its largest entry.
@@ -24,6 +24,7 @@ must agree with the recomputed model to 1e-9 of its largest entry.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, fields
 from typing import Sequence
 
@@ -351,20 +352,24 @@ def save(scenario: Scenario, path: str) -> None:
 
 
 class _Reader:
-    """Line cursor that reports the current section on errors."""
+    """Cursor over the non-blank lines of a file; reports the current section."""
 
     def __init__(self, text: str) -> None:
-        self.lines = [ln.rstrip("\n") for ln in text.splitlines()]
+        self.lines = list(filter(None, map(str.strip, text.splitlines())))
         self.pos = 0
         self.section = "header"
 
     def next_line(self) -> str:
-        while self.pos < len(self.lines):
-            line = self.lines[self.pos].strip()
-            self.pos += 1
-            if line:
-                return line
-        raise FormatError(f"file truncated inside section [{self.section}]")
+        if self.pos == len(self.lines):
+            raise FormatError(f"file truncated inside section [{self.section}]")
+        self.pos += 1
+        return self.lines[self.pos - 1]
+
+    def take(self, count: int) -> list[str]:
+        """The next ``count`` lines, or all that are left if fewer."""
+        block = self.lines[self.pos:self.pos + count]
+        self.pos += len(block)
+        return block
 
     def expect_section(self, name: str) -> None:
         try:
@@ -398,16 +403,10 @@ class _Reader:
         return parts
 
     def peek_is(self, line: str) -> bool:
-        pos = self.pos
-        while pos < len(self.lines):
-            candidate = self.lines[pos].strip()
-            if candidate:
-                return candidate == line
-            pos += 1
-        return False
+        return self.pos < len(self.lines) and self.lines[self.pos] == line
 
     def at_end(self) -> bool:
-        return all(not ln.strip() for ln in self.lines[self.pos:])
+        return self.pos == len(self.lines)
 
 
 def _parse_float(reader: _Reader, token: str, what: str) -> float:
@@ -427,8 +426,95 @@ def _parse_int(reader: _Reader, token: str, what: str) -> int:
         raise FormatError(f"[{reader.section}] {what}: bad integer {token!r}") from None
 
 
-def _check_ids(reader: _Reader, ids: Sequence[int], count: int, what: str) -> None:
-    if sorted(ids) != list(range(count)):
+def _block(
+    reader: _Reader,
+    count: int,
+    line: str,
+    ints: Sequence[str],
+    floats: Sequence[str],
+    bounds: Sequence[int] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The next ``count`` lines as an int64 and a float table, one row each.
+
+    Each line holds ``len(ints)`` integer fields and then ``len(floats)``
+    finite float fields; errors name the line ``line`` and each field by
+    its entry in ``ints`` or ``floats``.  With ``bounds``, integer field k
+    must lie in ``0..bounds[k] - 1``.  The block is read in one
+    ``np.loadtxt`` pass; if that fails, :func:`_bad_line` names the first
+    line at fault.
+    """
+    lines = reader.take(count)
+    dtype = np.dtype([("i", np.int64, (len(ints),)), ("f", float, (len(floats),))])
+    table = np.zeros(0, dtype)
+    if count and len(lines) == count:
+        try:
+            with warnings.catch_warnings():
+                # numpy 1.x reads "1.5" into an integer field as 1 and only warns.
+                warnings.simplefilter("error", DeprecationWarning)
+                table = np.loadtxt(lines, dtype=dtype, comments=None, ndmin=1)
+        except (ValueError, DeprecationWarning):
+            pass
+    index, values = table["i"], table["f"]
+    if (
+        len(table) == count
+        and np.isfinite(values).all()
+        and (bounds is None or ((index >= 0) & (index < bounds)).all())
+    ):
+        return index, values
+    raise _bad_line(reader.section, lines, count, line, ints, floats, bounds)
+
+
+def _token(kind: type, token: str) -> int | float | None:
+    """``kind(token)`` for the tokens ``np.loadtxt`` reads (ASCII, no ``_``), else None."""
+    if not token.isascii() or "_" in token:
+        return None
+    try:
+        return kind(token)
+    except ValueError:
+        return None
+
+
+def _bad_line(
+    section: str,
+    lines: Sequence[str],
+    count: int,
+    line: str,
+    ints: Sequence[str],
+    floats: Sequence[str],
+    bounds: Sequence[int] | None,
+) -> FormatError:
+    """The error for the first line of a block that :func:`_block` rejects.
+
+    Lines are checked in file order, and each line's fields from left to
+    right, with the index range check between the integer and the float
+    fields.
+    """
+    width = len(ints) + len(floats)
+    for text in lines:
+        parts = text.split()
+        if len(parts) != width:
+            return FormatError(f"[{section}] {line}: expected {width} fields, found {len(parts)}")
+        index = [_token(int, token) for token in parts[:len(ints)]]
+        for token, name, value in zip(parts, ints, index):
+            if value is None or not -2**63 <= value < 2**63:
+                return FormatError(f"[{section}] {name}: bad integer {token!r}")
+        if bounds is not None and not all(0 <= i < b for i, b in zip(index, bounds)):
+            return FormatError(
+                f"[{section}] {line.split()[0]} indices ({', '.join(map(str, index))}) out of range"
+            )
+        for token, name in zip(parts[len(ints):], floats):
+            value = _token(float, token)
+            if value is None:
+                return FormatError(f"[{section}] {name}: bad float {token!r}")
+            if not math.isfinite(value):
+                return FormatError(f"[{section}] {name}: non-finite value {token!r}")
+    if len(lines) < count:
+        return FormatError(f"file truncated inside section [{section}]")
+    return FormatError(f"[{section}] unreadable {line} block")
+
+
+def _check_ids(reader: _Reader, ids: np.ndarray, count: int, what: str) -> None:
+    if not np.array_equal(np.sort(ids), np.arange(count)):
         raise FormatError(f"[{reader.section}] {what} ids must be 0..{count - 1} with no gaps")
 
 
@@ -449,19 +535,17 @@ def _entries(reader: _Reader, keyword: str, shape: tuple[int, int]) -> scipy.spa
     its last value.
     """
     line, row_name, col_name, value_name = _ENTRY_BLOCKS[keyword]
-    entries: dict[tuple[int, int], float] = {}
-    for _ in range(reader.counted(keyword)):
-        parts = reader.fields(3, line)
-        r = _parse_int(reader, parts[0], row_name)
-        c = _parse_int(reader, parts[1], col_name)
-        if not (0 <= r < shape[0] and 0 <= c < shape[1]):
-            raise FormatError(
-                f"[{reader.section}] {line.split()[0]} indices ({r}, {c}) out of range"
-            )
-        entries[(r, c)] = _parse_float(reader, parts[2], value_name)
-    pairs = np.array(list(entries), dtype=np.int64).reshape(-1, 2)
-    values = np.fromiter(entries.values(), dtype=float, count=len(entries))
-    return scipy.sparse.coo_array((values, (pairs[:, 0], pairs[:, 1])), shape=shape)
+    index, values = _block(
+        reader, reader.counted(keyword), line, (row_name, col_name), (value_name,), shape
+    )
+    # Stable, so the lines of a repeated pair stay in file order.
+    order = np.lexsort((index[:, 1], index[:, 0]))
+    rows, cols = index[order].T
+    last = np.ones(order.size, dtype=bool)
+    last[:-1] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    return scipy.sparse.coo_array(
+        (values[order[last], 0], (rows[last], cols[last])), shape=shape
+    )
 
 
 def _impact_rows(reader: _Reader, keyword: str, n_stations: int, width: int) -> np.ndarray:
@@ -469,14 +553,12 @@ def _impact_rows(reader: _Reader, keyword: str, n_stations: int, width: int) -> 
     count = reader.counted(keyword)
     if count != n_stations:
         raise FormatError(f"[impact] {keyword} count {count} != station count {n_stations}")
-    ids, rows = [], []
-    for _ in range(count):
-        parts = reader.fields(1 + width, keyword)
-        ids.append(_parse_int(reader, parts[0], f"{keyword} station"))
-        rows.append([_parse_float(reader, t, f"{keyword} value") for t in parts[1:]])
-    _check_ids(reader, ids, n_stations, f"{keyword} station")
+    ids, rows = _block(
+        reader, count, keyword, (f"{keyword} station",), (f"{keyword} value",) * width
+    )
+    _check_ids(reader, ids[:, 0], n_stations, f"{keyword} station")
     out = np.zeros((n_stations, width))
-    out[ids] = rows
+    out[ids[:, 0]] = rows
     return out
 
 
@@ -512,27 +594,20 @@ def loads(text: str) -> Scenario:
         raise FormatError(f"[config] {err}") from None
 
     reader.expect_section("its")
-    n_nodes = reader.counted("intersections")
-    positions: dict[int, tuple[float, float]] = {}
-    for _ in range(n_nodes):
-        parts = reader.fields(3, "intersection")
-        node = _parse_int(reader, parts[0], "intersection id")
-        positions[node] = (
-            _parse_float(reader, parts[1], "intersection x"),
-            _parse_float(reader, parts[2], "intersection y"),
-        )
+    node_ids, node_xy = _block(
+        reader, reader.counted("intersections"), "intersection",
+        ("intersection id",), ("intersection x", "intersection y"),
+    )
+    positions = dict(zip(node_ids[:, 0].tolist(), map(tuple, node_xy.tolist())))
     n_streets = reader.counted("streets")
-    streets: list[Street] = []
-    for _ in range(n_streets):
-        parts = reader.fields(8, "street")
-        ints = [_parse_int(reader, t, "street id") for t in parts[:3]]
-        floats = [_parse_float(reader, t, "street field") for t in parts[3:]]
-        streets.append(
-            Street(
-                ints[0], ints[1], ints[2], floats[0],
-                ((floats[1], floats[2]), (floats[3], floats[4])),
-            )
-        )
+    street_ints, street_floats = _block(
+        reader, n_streets, "street", ("street id",) * 3, ("street field",) * 5
+    )
+    streets = [
+        Street(sid, tail, head, length, ((x0, y0), (x1, y1)))
+        for (sid, tail, head), (length, x0, y0, x1, y1)
+        in zip(street_ints.tolist(), street_floats.tolist())
+    ]
     if config.anchor_street >= n_streets:
         raise FormatError(
             f"[config] anchor_street {config.anchor_street} out of range for {n_streets} streets"
@@ -541,30 +616,29 @@ def loads(text: str) -> Scenario:
 
     reader.expect_section("ci")
     n_stations = reader.counted("stations")
+    station_ids, station_fields = _block(
+        reader, n_stations, "station", ("station id",), ("station field",) * 5
+    )
     stations: list[BaseStation] = []
-    for _ in range(n_stations):
-        parts = reader.fields(6, "station")
-        sid = _parse_int(reader, parts[0], "station id")
-        vals = [_parse_float(reader, t, "station field") for t in parts[1:]]
+    for sid, (x, y, radius, p_activation, p_full) in zip(
+        station_ids[:, 0].tolist(), station_fields.tolist()
+    ):
         try:
-            stations.append(BaseStation(sid, (vals[0], vals[1]), vals[2], vals[3], vals[4]))
+            stations.append(BaseStation(sid, (x, y), radius, p_activation, p_full))
         except ValueError as err:
             raise FormatError(f"[ci] station {sid}: {err}") from None
-    _check_ids(reader, [bs.id for bs in stations], n_stations, "station")
+    _check_ids(reader, station_ids[:, 0], n_stations, "station")
     stations.sort(key=lambda bs: bs.id)
     covered = _entries(reader, "coverage", (n_streets, n_stations))
 
     reader.expect_section("pg")
     n_gens = reader.counted("generators")
-    gen_positions: dict[int, tuple[float, float]] = {}
-    for _ in range(n_gens):
-        parts = reader.fields(3, "generator")
-        gid = _parse_int(reader, parts[0], "generator id")
-        gen_positions[gid] = (
-            _parse_float(reader, parts[1], "generator x"),
-            _parse_float(reader, parts[2], "generator y"),
-        )
-    _check_ids(reader, list(gen_positions), n_gens, "generator")
+    gen_ids, gen_xy = _block(
+        reader, n_gens, "generator", ("generator id",), ("generator x", "generator y")
+    )
+    _check_ids(reader, gen_ids[:, 0], n_gens, "generator")
+    gen_positions = np.empty_like(gen_xy)
+    gen_positions[gen_ids[:, 0]] = gen_xy
     shares = _entries(reader, "links", (n_stations, n_gens)).toarray()
 
     legacy_impact: tuple[np.ndarray, np.ndarray] | None = None
@@ -589,10 +663,8 @@ def loads(text: str) -> Scenario:
         raise FormatError(f"[ci] {err}") from None
     try:
         generators = tuple(
-            Generator(
-                g, gen_positions[g], tuple(int(b) for b in np.nonzero(shares[:, g] > 0.0)[0])
-            )
-            for g in sorted(gen_positions)
+            Generator(g, (x, y), tuple(np.flatnonzero(shares[:, g] > 0.0).tolist()))
+            for g, (x, y) in enumerate(gen_positions.tolist())
         )
         assignment = build_assignment(generators, stations_t, shares)
     except (ValueError, IcisimError) as err:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -78,14 +79,6 @@ def make_street(street_id: int, tail: int, head: int, geometry: tuple[Point, Poi
     if tail == head:
         raise ValueError(f"street {street_id} starts and ends at intersection {tail}")
     return Street(street_id, tail, head, _segment_length(geometry), geometry)
-
-
-def validate_street(street: Street) -> None:
-    """Check the stored length against the geometry (1e-9 absolute)."""
-    if street.tail == street.head:
-        raise ValueError(f"street {street.id} starts and ends at intersection {street.tail}")
-    if abs(street.length - _segment_length(street.geometry)) > 1e-9:
-        raise ValueError(f"street {street.id} length does not match its geometry")
 
 
 def intersections_from_streets(
@@ -161,31 +154,91 @@ def csr_equal(a: scipy.sparse.csr_array, b: scipy.sparse.csr_array) -> bool:
 def _check_structure(
     streets: Sequence[Street], intersections: Sequence[Intersection]
 ) -> None:
-    street_ids = {s.id for s in streets}
-    if sorted(street_ids) != list(range(len(streets))):
+    """Raise ValueError at the first inconsistency of a street graph.
+
+    Both sequences are sorted by id.  Each check runs over every street or
+    intersection before the next one starts, and reports the first
+    offender in id order:
+
+    1. the street ids are ``0..n-1``;
+    2. no street starts where it ends, and each stored length matches its
+       geometry to 1e-9;
+    3. no intersection lists a street both inbound and outbound, or an
+       unknown street;
+    4. each street's ends are known intersections (the last one listed
+       for a repeated id) that list it, and its geometry runs between their
+       positions to 1e-9.
+    """
+    n, m = len(streets), len(intersections)
+    ids = np.array([s.id for s in streets], dtype=np.int64)
+    if not np.array_equal(np.sort(ids), np.arange(n)):
         raise ValueError("street ids must be 0..n-1 with no gaps")
-    for s in streets:
-        validate_street(s)
-    node_ids = {x.id for x in intersections}
-    for x in intersections:
+    tails, heads = _ends(streets)
+    # Per street: its length, then the x0 y0 x1 y1 of its geometry.
+    table = np.fromiter(
+        chain.from_iterable((s.length, *s.geometry[0], *s.geometry[1]) for s in streets),
+        float, 5 * n,
+    ).reshape(n, 5)
+    lengths, geometry = table[:, 0], table[:, 1:]
+    drawn = np.hypot(geometry[:, 2] - geometry[:, 0], geometry[:, 3] - geometry[:, 1])
+    bad = (tails == heads) | (np.abs(lengths - drawn) > 1e-9)
+    if bad.any():
+        s = streets[int(np.argmax(bad))]
+        if s.tail == s.head:
+            raise ValueError(f"street {s.id} starts and ends at intersection {s.tail}")
+        raise ValueError(f"street {s.id} length does not match its geometry")
+
+    # Incidence lists flattened into (intersection index, street id) pairs.
+    inbound, outbound = [x.inbound for x in intersections], [x.outbound for x in intersections]
+    in_node = np.repeat(np.arange(m), np.fromiter(map(len, inbound), np.int64, m))
+    out_node = np.repeat(np.arange(m), np.fromiter(map(len, outbound), np.int64, m))
+    in_sid = np.fromiter(chain.from_iterable(inbound), np.int64, in_node.size)
+    out_sid = np.fromiter(chain.from_iterable(outbound), np.int64, out_node.size)
+    in_known, out_known = (in_sid >= 0) & (in_sid < n), (out_sid >= 0) & (out_sid < n)
+    unknown = np.zeros(m, dtype=bool)
+    unknown[in_node[~in_known]] = True
+    unknown[out_node[~out_known]] = True
+    # Keys give all unknown ids one code; an intersection listing any of
+    # them is at fault either way, and its message is settled below.
+    width = n + 1
+    in_key = in_node * width + np.where(in_known, in_sid, n)
+    out_key = out_node * width + np.where(out_known, out_sid, n)
+    both = np.zeros(m, dtype=bool)
+    both[in_node[np.isin(in_key, out_key)]] = True
+    if (both | unknown).any():
+        x = intersections[int(np.argmax(both | unknown))]
         if set(x.inbound) & set(x.outbound):
             raise ValueError(f"intersection {x.id} lists a street as both inbound and outbound")
-        for sid in (*x.inbound, *x.outbound):
-            if sid not in street_ids:
-                raise ValueError(f"intersection {x.id} references unknown street {sid}")
-    by_node = {x.id: x for x in intersections}
-    for s in streets:
-        if s.tail not in node_ids or s.head not in node_ids:
+        sid = next(i for i in (*x.inbound, *x.outbound) if not 0 <= i < n)
+        raise ValueError(f"intersection {x.id} references unknown street {sid}")
+
+    # From here every listed id is a street id, which is also its index.
+    node_ids = np.array([x.id for x in intersections], dtype=np.int64)
+    positions = np.array([x.position for x in intersections], dtype=float).reshape(m, 2)
+    found, listed, off = np.ones(n, dtype=bool), np.ones(n, dtype=bool), np.zeros(n, dtype=bool)
+    for end, node, sid, xy in (
+        (tails, out_node, out_sid, geometry[:, :2]), (heads, in_node, in_sid, geometry[:, 2:])
+    ):
+        at = np.searchsorted(node_ids, end, side="right") - 1
+        known = at >= 0
+        known[known] = node_ids[at[known]] == end[known]
+        found &= known
+        lists = np.zeros(n, dtype=bool)
+        lists[sid[at[sid] == node]] = True
+        listed &= lists
+        off[known] |= (np.abs(xy[known] - positions[at[known]]) > 1e-9).any(axis=1)
+    bad = ~found | ~listed | off
+    if bad.any():
+        k = int(np.argmax(bad))
+        s = streets[k]
+        if not found[k]:
             raise ValueError(f"street {s.id} references unknown intersection")
-        if s.id not in by_node[s.tail].outbound or s.id not in by_node[s.head].inbound:
+        if not listed[k]:
             raise ValueError(f"street {s.id} missing from its intersections' incidence lists")
-        (x0, y0), (x1, y1) = s.geometry
-        (tx, ty), (hx, hy) = by_node[s.tail].position, by_node[s.head].position
-        if max(abs(x0 - tx), abs(y0 - ty), abs(x1 - hx), abs(y1 - hy)) > 1e-9:
-            raise ValueError(
-                f"street {s.id} geometry does not run from intersection {s.tail} "
-                f"to intersection {s.head} at their positions"
-            )
+        raise ValueError(
+            f"street {s.id} geometry does not run from intersection {s.tail} "
+            f"to intersection {s.head} at their positions"
+        )
 
 
 def _ends(streets: Sequence[Street]) -> tuple[np.ndarray, np.ndarray]:

@@ -13,8 +13,11 @@ oracles solve the anchored cut system (least squares, or an explicit QR)
 and the null-vector oracle factors the dense matrix with column-pivoted QR
 instead of rescaling the deflated sparse-LU null vector, the impact oracle sums
 dense per-street patterns station by station instead of scaling one shared
-vector, and the attack oracle scans payoff lattices instead of using closed
-forms.
+vector, the attack oracle scans payoff lattices instead of using closed
+forms, the structure oracle checks streets and intersections one at a time
+with sets and dicts instead of in whole-array passes, and the file oracle
+reads every numeric block one line and one token at a time with Python's
+``int`` and ``float`` instead of one ``np.loadtxt`` pass per block.
 """
 from __future__ import annotations
 
@@ -231,6 +234,78 @@ def dense_overlap_pair(base_stations) -> tuple[int, int] | None:
         return None
     a, b = np.argwhere(bad)[0]
     return int(a), int(b)
+
+
+# ---------------------------------------------------------------------------
+# Street structure and scenario files
+
+
+def loop_check_structure(streets, intersections) -> None:
+    """Street-graph consistency checked street by street and intersection
+    by intersection, in id order; raises the same ValueError texts as
+    ``traffic._check_structure``."""
+    street_ids = {s.id for s in streets}
+    if sorted(street_ids) != list(range(len(streets))):
+        raise ValueError("street ids must be 0..n-1 with no gaps")
+    for s in streets:
+        if s.tail == s.head:
+            raise ValueError(f"street {s.id} starts and ends at intersection {s.tail}")
+        (x0, y0), (x1, y1) = s.geometry
+        if abs(s.length - float(np.hypot(x1 - x0, y1 - y0))) > 1e-9:
+            raise ValueError(f"street {s.id} length does not match its geometry")
+    node_ids = {x.id for x in intersections}
+    for x in intersections:
+        if set(x.inbound) & set(x.outbound):
+            raise ValueError(f"intersection {x.id} lists a street as both inbound and outbound")
+        for sid in (*x.inbound, *x.outbound):
+            if sid not in street_ids:
+                raise ValueError(f"intersection {x.id} references unknown street {sid}")
+    by_node = {x.id: x for x in intersections}
+    for s in streets:
+        if s.tail not in node_ids or s.head not in node_ids:
+            raise ValueError(f"street {s.id} references unknown intersection")
+        if s.id not in by_node[s.tail].outbound or s.id not in by_node[s.head].inbound:
+            raise ValueError(f"street {s.id} missing from its intersections' incidence lists")
+        (x0, y0), (x1, y1) = s.geometry
+        (tx, ty), (hx, hy) = by_node[s.tail].position, by_node[s.head].position
+        if max(abs(x0 - tx), abs(y0 - ty), abs(x1 - hx), abs(y1 - hy)) > 1e-9:
+            raise ValueError(
+                f"street {s.id} geometry does not run from intersection {s.tail} "
+                f"to intersection {s.head} at their positions"
+            )
+
+
+# Integer fields at the start of each line of a counted block.
+_INT_FIELDS = {
+    "intersections": 1, "streets": 3, "ratios": 2, "stations": 1, "coverage": 2,
+    "generators": 1, "links": 2, "scores": 1, "vectors": 1,
+}
+
+
+def line_entries(text: str) -> dict:
+    """The blocks of a well-formed scenario file, read line by line.
+
+    ``"config"`` maps each ``[config]`` key to its raw value.  Every counted
+    block maps its keyword to its lines as lists of ints then floats; the
+    ``ratios``, ``coverage`` and ``links`` blocks instead map each (row,
+    column) pair to its value, a repeated pair keeping its last one.
+    """
+    lines = iter([line.split() for line in text.splitlines() if line.strip()][1:])
+    blocks: dict = {"config": {}}
+    for parts in lines:
+        if len(parts) == 3 and parts[1] == "=":
+            blocks["config"][parts[0]] = parts[2]
+        elif len(parts) == 2 and parts[0] in _INT_FIELDS:
+            k = _INT_FIELDS[parts[0]]
+            rows = []
+            for _ in range(int(parts[1])):
+                tokens = next(lines)
+                rows.append([int(t) for t in tokens[:k]] + [float(t) for t in tokens[k:]])
+            if k == 2:
+                blocks[parts[0]] = {(r, c): value for r, c, value in rows}
+            else:
+                blocks[parts[0]] = rows
+    return blocks
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import mmap
 import tracemalloc
 
 import numpy as np
@@ -130,6 +131,21 @@ def test_no_stations_gives_zero_map():
     cov = build_coverage([street], [])
     assert cov.C.shape == (1, 0)
     assert cov.lengths.toarray().sum() == 0.0
+
+
+def test_dense_view_lives_in_its_own_mapping():
+    # Off the heap, so that dropping the view returns its pages.
+    stations = [_station(0, (0.0, 0.0)), _station(1, (0.0, SQ3))]
+    street = make_street(0, 0, 1, ((0.0, SQ3 / 2 - 0.3), (0.0, SQ3 / 2 + 0.3)))
+    cov = build_coverage([street], stations)
+    C = cov.C
+    assert np.array_equal(C, cov.fractions.toarray())
+    assert C.flags.c_contiguous and C.flags.writeable
+    owner = C.base
+    while isinstance(owner, np.ndarray):
+        owner = owner.base
+    # numpy 2 exports the buffer through a memoryview, numpy 1 directly.
+    assert isinstance(getattr(owner, "obj", owner), mmap.mmap)
 
 
 def test_overlapping_cells_raise():

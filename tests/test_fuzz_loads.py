@@ -16,7 +16,10 @@ from test_scenario import HAND_WRITTEN, legacy_text
 
 _SCENARIO = generate(ScenarioConfig(grid_n=2, seed=3))
 BASES = (dumps(_SCENARIO), legacy_text(_SCENARIO), HAND_WRITTEN)
-HOSTILE = ("nan", "inf", "-inf", "-1", "0", "1e308", str(10**20), str(2**63), "x")
+HOSTILE = (
+    "nan", "inf", "-inf", "-1", "0", "1e308", str(10**20), str(2**63), "x",
+    "1.5", "1_0", "+3", "#", "1e3",
+)
 
 
 @st.composite

@@ -117,6 +117,30 @@ def test_detection_rejects_overdrain_and_missing_lines():
         detection_prob(StealthLevel.OVERT, inst, np.zeros((2, 2)), 0)
 
 
+@pytest.mark.parametrize(
+    "level, unit",
+    [
+        (StealthLevel.POWER_LINE, (-1, 0)),
+        (StealthLevel.POWER_LINE, (0, -1)),
+        (StealthLevel.POWER_LINE, (5, 0)),
+        (StealthLevel.POWER_LINE, (0, 2)),
+        (StealthLevel.BASE_STATION, -2),
+        (StealthLevel.BASE_STATION, 2),
+        (StealthLevel.POWER_SOURCE, -1),
+        (StealthLevel.POWER_SOURCE, 2),
+    ],
+)
+def test_detection_rejects_unit_ids_out_of_range(level, unit):
+    # A negative id must not wrap around to another unit's probability.
+    inst = _split_instance()
+    p_a = np.array([[30.0, 20.0], [0.0, 50.0]])
+    with pytest.raises(ValueError, match="out of range"):
+        detection_prob(level, inst, p_a, unit)
+    # In range but unwired stays a missing line, not a range error.
+    with pytest.raises(NoLineError):
+        detection_prob(StealthLevel.POWER_LINE, inst, p_a, (0, 1))
+
+
 # ---------------------------------------------------------------------------
 # Payoffs
 

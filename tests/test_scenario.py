@@ -1,12 +1,17 @@
 """Scenario generation and file-format tests."""
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 import scipy.sparse
 from scipy.sparse.csgraph import connected_components
 
+from icisim.coverage import BaseStation, coverage_from_lengths
 from icisim.errors import FormatError
+from icisim.impact import build_impact_model
+from icisim.power import Generator, build_assignment
 from icisim.scenario import (
     _STREAM_RATIOS,
     Scenario,
@@ -21,9 +26,9 @@ from icisim.scenario import (
     save,
     scenarios_equal,
 )
-from icisim.traffic import solve_flows
+from icisim.traffic import Street, intersections_from_streets, network_from_matrix, solve_flows
 
-from oracles import dirichlet_ratios
+from oracles import dirichlet_ratios, line_entries
 
 
 def _validate_scenario(sc: Scenario) -> None:
@@ -384,3 +389,96 @@ def test_anchor_street_is_range_checked():
     assert loads(HAND_WRITTEN.replace("anchor_street = 0", "anchor_street = 1")).network.n == 2
     with pytest.raises(FormatError, match="anchor_street"):
         loads(HAND_WRITTEN.replace("anchor_street = 0", "anchor_street = 2"))
+
+
+def _sparse(entries: dict, shape: tuple[int, int]) -> scipy.sparse.coo_array:
+    pairs = np.array(list(entries), dtype=np.int64).reshape(-1, 2)
+    values = np.array(list(entries.values()), dtype=float)
+    return scipy.sparse.coo_array((values, (pairs[:, 0], pairs[:, 1])), shape=shape)
+
+
+def _scenario_from_lines(text: str) -> Scenario:
+    """The scenario of a file read by the line-by-line oracle."""
+    blocks = line_entries(text)
+    raw = blocks["config"]
+    values = {
+        f.name: (int if f.type == "int" else float)(raw[f.name])
+        for f in fields(ScenarioConfig) if f.name != "bs_per_generator_range"
+    }
+    if raw["bs_per_generator_min"] != "auto":
+        values["bs_per_generator_range"] = (
+            int(raw["bs_per_generator_min"]), int(raw["bs_per_generator_max"])
+        )
+    config = ScenarioConfig(**values)
+    positions = {node: (x, y) for node, x, y in blocks["intersections"]}
+    streets = [
+        Street(sid, tail, head, length, ((x0, y0), (x1, y1)))
+        for sid, tail, head, length, x0, y0, x1, y1 in blocks["streets"]
+    ]
+    n = len(streets)
+    network = network_from_matrix(
+        streets, intersections_from_streets(streets, positions), _sparse(blocks["ratios"], (n, n))
+    )
+    stations = tuple(sorted(
+        (BaseStation(b, (x, y), r, p_act, p_full) for b, x, y, r, p_act, p_full in blocks["stations"]),
+        key=lambda bs: bs.id,
+    ))
+    B, G = len(stations), len(blocks["generators"])
+    coverage = coverage_from_lengths(network.streets, _sparse(blocks["coverage"], (n, B)))
+    shares = _sparse(blocks["links"], (B, G)).toarray()
+    generators = tuple(
+        Generator(g, (x, y), tuple(np.flatnonzero(shares[:, g] > 0.0).tolist()))
+        for g, x, y in sorted(blocks["generators"])
+    )
+    return Scenario(
+        config, network, stations, coverage, generators,
+        build_assignment(generators, stations, shares),
+        build_impact_model(network, coverage, stations, config.delta),
+    )
+
+
+def test_loads_equals_line_by_line_oracle():
+    texts = [HAND_WRITTEN, legacy_text(generate(ScenarioConfig(grid_n=3, seed=0)))]
+    texts += [
+        dumps(generate(ScenarioConfig(grid_n=grid_n, seed=seed)))
+        for grid_n in range(2, 21) for seed in range(4)
+    ]
+    for text in texts:
+        assert scenarios_equal(loads(text), _scenario_from_lines(text)), text[:300]
+
+
+@pytest.mark.parametrize(
+    "block, field, value, message",
+    [
+        ("coverage", 2, "1_0", r"\[ci\] covered length: bad float '1_0'"),
+        ("coverage", 0, "1_0", r"\[ci\] coverage street: bad integer '1_0'"),
+        ("streets", 1, "1.5", r"\[its\] street id: bad integer '1.5'"),
+        ("links", 1, "1e3", r"\[pg\] link generator: bad integer '1e3'"),
+        ("generators", 0, str(2**63), r"\[pg\] generator id: bad integer"),
+        ("intersections", 2, "\u0661\u0662", r"\[its\] intersection y: bad float"),
+        ("stations", 3, "inf", r"\[ci\] station field: non-finite value 'inf'"),
+    ],
+)
+def test_numeric_blocks_take_ascii_decimal_tokens(block, field, value, message):
+    text = dumps(generate(ScenarioConfig(grid_n=3, seed=0)))
+    with pytest.raises(FormatError, match=message):
+        loads(_edit(text, block, field, value, row=2))
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda ln: ln + " 7", r"\[ci\] coverage entry: expected 3 fields, found 4"),
+        (lambda ln: ln.rsplit(" ", 1)[0], r"\[ci\] coverage entry: expected 3 fields, found 2"),
+        (lambda ln: ln, r"\[ci\] coverage indices \(0, 999\) out of range"),
+    ],
+    ids=["extra field", "missing field", "later line"],
+)
+def test_bad_block_line_is_named_by_section(edit, message):
+    # The first bad line decides the message, wherever it sits in the block.
+    lines = dumps(generate(ScenarioConfig(grid_n=3, seed=0))).splitlines()
+    head = next(k for k, line in enumerate(lines) if line.startswith("coverage "))
+    lines[head + 3] = edit(lines[head + 3])
+    lines[head + 5] = "0 999 0.5"
+    with pytest.raises(FormatError, match=message):
+        loads("\n".join(lines) + "\n")

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from icisim.scenario import (
     loads,
 )
 from icisim.traffic import (
+    _check_structure,
     build_flow_matrix,
     intersections_from_streets,
     make_street,
@@ -24,7 +26,7 @@ from icisim.traffic import (
 )
 
 from conftest import cycle_network, parallel_pair_network
-from oracles import qr_flow_solution, qr_null_vector, svd_rank
+from oracles import loop_check_structure, qr_flow_solution, qr_null_vector, svd_rank
 
 
 def test_cycle_matrix_and_rank():
@@ -356,3 +358,71 @@ def test_two_generated_grids_fail_rank_check():
             assert svd_rank(np.eye(2 * m) - Q) == 2 * m - 2
             with pytest.raises(RankError):
                 build_flow_matrix(both, intersections_from_streets(both, positions), ratios)
+
+
+def _edit_street(k, **changes):
+    def edit(streets, nodes):
+        streets[k] = replace(streets[k], **{key: f(streets[k]) for key, f in changes.items()})
+    return edit
+
+
+def _edit_node(k, **changes):
+    def edit(streets, nodes):
+        nodes[k] = replace(nodes[k], **{key: f(nodes[k]) for key, f in changes.items()})
+    return edit
+
+
+def _both(*edits):
+    def edit(streets, nodes):
+        for e in edits:
+            e(streets, nodes)
+    return edit
+
+
+_STRUCTURE_EDITS = {
+    "id gap": _edit_street(-1, id=lambda s: s.id + 1),
+    "repeated id": _edit_street(5, id=lambda s: 4),
+    "self-loop": _edit_street(6, head=lambda s: s.tail),
+    "wrong length": _edit_street(3, length=lambda s: s.length + 2e-9),
+    "listed in and out": _edit_node(4, inbound=lambda x: x.inbound + x.outbound[:1]),
+    "unknown street": _edit_node(2, outbound=lambda x: x.outbound + (24,)),
+    "negative street": _edit_node(7, inbound=lambda x: (-1,) + x.inbound),
+    "unknown listed in and out": _edit_node(
+        1, inbound=lambda x: x.inbound + (99,), outbound=lambda x: x.outbound + (99,)
+    ),
+    "unknown intersection": _edit_street(9, tail=lambda s: 42),
+    "missing incidence": _edit_node(4, outbound=lambda x: x.outbound[1:]),
+    "lists swapped": _edit_node(0, inbound=lambda x: x.outbound, outbound=lambda x: x.inbound),
+    "geometry off": _edit_node(5, position=lambda x: (x.position[0], x.position[1] + 2e-9)),
+    "repeated intersection id": _edit_node(3, id=lambda x: 2),
+    "repeated intersection id, last one moved": lambda streets, nodes: nodes.append(
+        replace(nodes[2], position=(9.0, 9.0))
+    ),
+    "two faults, later street first in the list": _both(
+        _edit_node(8, position=lambda x: (x.position[0] - 1.0, x.position[1])),
+        _edit_node(1, outbound=lambda x: x.outbound[1:]),
+    ),
+    "two faults, two checks": _both(
+        _edit_node(0, outbound=lambda x: x.outbound + (77,)),
+        _edit_street(20, length=lambda s: 3.0),
+    ),
+    "listed at a second intersection": _edit_node(8, outbound=lambda x: x.outbound + (0,)),
+    "unchanged": _both(),
+}
+
+
+@pytest.mark.parametrize("edit", list(_STRUCTURE_EDITS.values()), ids=list(_STRUCTURE_EDITS))
+def test_structure_check_matches_loop_oracle(edit):
+    streets, nodes = (list(part) for part in _grid_topology(ScenarioConfig(grid_n=3)))
+    edit(streets, nodes)
+    streets = tuple(sorted(streets, key=lambda s: s.id))
+    nodes = tuple(sorted(nodes, key=lambda x: x.id))
+
+    def outcome(check):
+        try:
+            check(streets, nodes)
+        except ValueError as err:
+            return str(err)
+        return None
+
+    assert outcome(_check_structure) == outcome(loop_check_structure)
