@@ -53,10 +53,8 @@ from .scenario import Scenario, ScenarioConfig, generate, load, loads, save, sce
 from .traffic import (
     FlowNetwork,
     FlowSolution,
-    Intersection,
-    Street,
+    StreetGraph,
     build_flow_matrix,
-    make_street,
     network_from_matrix,
     solve_flows,
 )

@@ -35,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import OverlapError
-from .traffic import Street, csr_entries
+from .traffic import StreetGraph, csr_entries
 # After .traffic, which loads scipy.sparse through splu: importing
 # scipy.sparse first costs about 2,000 more page faults and 60-100 ms
 # at package import on a 2-vCPU VM (see traffic.py).
@@ -231,26 +231,18 @@ class CoverageMap:
         return np.bincount(self.lengths.indices, minlength=self.num_stations)
 
 
-def _check_street_ids(streets: Sequence[Street]) -> None:
-    """Row i of a coverage map belongs to street i, so streets come in id order."""
-    for i, s in enumerate(streets):
-        if s.id != i:
-            raise ValueError(f"street at position {i} has id {s.id}; pass streets in id order")
-
-
-def coverage_from_lengths(streets: Sequence[Street], lengths) -> CoverageMap:
+def coverage_from_lengths(graph: StreetGraph, lengths) -> CoverageMap:
     """Build a coverage map from covered lengths, one row per street.
 
     ``lengths`` may be dense or any ``scipy.sparse`` matrix; duplicate
     entries of a sparse input are summed and zeros dropped.  Row i belongs
-    to ``streets[i]``, which must have id i.  Raises ValueError for streets
-    out of id order and for a negative or non-finite length, and
-    OverlapError when the cells claim more of a street than its length.
+    to street i of ``graph``.  Raises ValueError for a negative or
+    non-finite length, and OverlapError when the cells claim more of a
+    street than its length.
     """
-    _check_street_ids(streets)
     if not scipy.sparse.issparse(lengths):
         lengths = np.asarray(lengths, dtype=float)
-    if lengths.shape[0] != len(streets):
+    if lengths.shape[0] != graph.n:
         raise ValueError("covered-length matrix does not match the street count")
     lengths = scipy.sparse.csr_array(lengths, dtype=float, copy=True)
     lengths.sum_duplicates()
@@ -260,8 +252,8 @@ def coverage_from_lengths(streets: Sequence[Street], lengths) -> CoverageMap:
         raise ValueError("covered lengths must be finite")
     if np.any(km < 0.0):
         raise ValueError("covered lengths must be nonnegative")
-    street_len = np.array([s.length for s in streets], dtype=float)
-    totals = np.bincount(rows, km, minlength=len(streets))
+    street_len = graph.length
+    totals = np.bincount(rows, km, minlength=graph.n)
     if np.any(totals > street_len * (1.0 + 1e-6)):
         worst = int(np.argmax(totals - street_len))
         raise OverlapError(
@@ -385,11 +377,10 @@ def _near_pairs(
     return seg[by_id], station[by_id]
 
 
-def build_coverage(streets: Sequence[Street], base_stations: Sequence[BaseStation]) -> CoverageMap:
-    """Clip every street against the cell hexagons near it.
+def build_coverage(graph: StreetGraph, base_stations: Sequence[BaseStation]) -> CoverageMap:
+    """Clip every street of ``graph`` against the cell hexagons near it.
 
-    ``streets[i]`` must have id i (ValueError otherwise).  The build works
-    on whole arrays: one ``np.unique`` over the sorted endpoints finds the
+    The build works on whole arrays: one ``np.unique`` over the sorted endpoints finds the
     distinct geometries, so directed streets sharing one are clipped once,
     in the direction of the first of them; a bucket search
     (:func:`_near_pairs`) finds each geometry's candidate stations; and one
@@ -405,13 +396,12 @@ def build_coverage(streets: Sequence[Street], base_stations: Sequence[BaseStatio
     cell interiors overlap raise OverlapError.  Each covered stretch becomes
     one (street, station, km) entry of the map.
     """
-    n = len(streets)
+    n, ends = graph.n, graph.geometry
     B = len(base_stations)
     if n:
         _check_disjoint_cells(base_stations)
     centers = np.array([bs.center for bs in base_stations], dtype=float).reshape(B, 2)
     radii = np.array([bs.cell_radius for bs in base_stations], dtype=float)
-    ends = np.array([s.geometry for s in streets], dtype=float).reshape(n, 4)
     backward = (ends[:, 2] < ends[:, 0]) | ((ends[:, 2] == ends[:, 0]) & (ends[:, 3] < ends[:, 1]))
     keys = np.where(backward[:, None], ends[:, [2, 3, 0, 1]], ends)
     _, first, geometry_of = np.unique(keys, axis=0, return_index=True, return_inverse=True)
@@ -446,7 +436,7 @@ def build_coverage(streets: Sequence[Street], base_stations: Sequence[BaseStatio
     entry = _ranges(seg_start[geometry_of], counts)
     indptr = np.concatenate(([0], np.cumsum(counts)))
     return coverage_from_lengths(
-        streets, scipy.sparse.csr_array((km[entry], station[entry], indptr), shape=(n, B))
+        graph, scipy.sparse.csr_array((km[entry], station[entry], indptr), shape=(n, B))
     )
 
 

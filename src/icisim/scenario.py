@@ -31,20 +31,19 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse
 
-from .coverage import BaseStation, CoverageMap, build_coverage, coverage_from_lengths, hex_tiling
+from .coverage import (
+    BaseStation, CoverageMap, _ranges, build_coverage, coverage_from_lengths, hex_tiling,
+)
 from .errors import FormatError, IcisimError
 from .game import GameInstance
 from .impact import ImpactModel, build_impact_model
 from .power import Generator, build_assignment
 from .traffic import (
     FlowNetwork,
-    Intersection,
-    Street,
+    StreetGraph,
     build_flow_matrix,
     csr_entries,
     csr_equal,
-    intersections_from_streets,
-    make_street,
     network_from_matrix,
 )
 
@@ -132,65 +131,61 @@ def _rng(seed: int, attempt: int, stream: int) -> np.random.Generator:
     )
 
 
-def _grid_topology(config: ScenarioConfig) -> tuple[tuple[Street, ...], tuple[Intersection, ...]]:
+def _grid_topology(config: ScenarioConfig) -> StreetGraph:
     """Square grid with every undirected edge doubled into two streets.
 
-    Street ids come in pairs: ``2e`` runs low-to-high node id, ``2e + 1``
-    is its reverse, so the reverse of street ``s`` is always ``s ^ 1``.
+    Node ``iy * g + ix`` sits at ``(ix, iy)`` times the street length.  Each
+    node opens its edge to the right and then the one upwards, and edge
+    ``e`` gives street ``2e`` running low-to-high node id and ``2e + 1``,
+    its reverse, so the reverse of street ``s`` is always ``s ^ 1``.
     """
     g = config.grid_n
-    length = config.street_length
-    positions = {
-        iy * g + ix: (ix * length, iy * length) for iy in range(g) for ix in range(g)
-    }
-    edges: list[tuple[int, int]] = []
-    for iy in range(g):
-        for ix in range(g):
-            node = iy * g + ix
-            if ix + 1 < g:
-                edges.append((node, node + 1))
-            if iy + 1 < g:
-                edges.append((node, node + g))
-    streets: list[Street] = []
-    for e, (a, b) in enumerate(edges):
-        geom = (positions[a], positions[b])
-        streets.append(make_street(2 * e, a, b, geom))
-        streets.append(make_street(2 * e + 1, b, a, (geom[1], geom[0])))
-    return tuple(streets), intersections_from_streets(streets, positions)
+    node = np.arange(g * g)
+    ix, iy = node % g, node // g
+    positions = np.stack((ix * config.street_length, iy * config.street_length), axis=1)
+    opens = np.stack((ix + 1 < g, iy + 1 < g), axis=1)
+    low = np.broadcast_to(node[:, None], opens.shape)[opens]
+    high = (node[:, None] + np.array([1, g]))[opens]
+    tail = np.stack((low, high), axis=1).reshape(-1)
+    head = np.stack((high, low), axis=1).reshape(-1)
+    geometry = np.concatenate((positions[tail], positions[head]), axis=1)
+    length = np.hypot(geometry[:, 2] - geometry[:, 0], geometry[:, 3] - geometry[:, 1])
+    return StreetGraph(tail, head, length, geometry, node, positions)
 
 
 def _sample_ratios(
-    streets: Sequence[Street],
-    intersections: Sequence[Intersection],
-    rng: np.random.Generator,
-) -> dict[tuple[int, int], float]:
+    graph: StreetGraph, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-inflow turning shares over the non-reversing outflows.
 
     At two-street (corner) intersections the only forward option is the
     reverse street, so there the reverse is kept in the support; this routes
     the flow back along the perimeter and keeps the whole network mixing.
 
-    Each inflow's shares are a flat Dirichlet draw, made for all inflows at
-    once: one ``standard_exponential`` draw over every (inflow, outflow)
-    pair in order, each pair's draw times the reciprocal of its inflow's
-    sum.  ``np.bincount`` adds each group in order, which is the arithmetic
-    of ``Generator.dirichlet`` with unit weights, so the shares are the
-    same bits as one ``dirichlet`` call per inflow.
+    Returns the (inflow, outflow, share) triples ordered by intersection id,
+    then inflow id, then outflow id: a stable sort of the streets by head
+    lists the inflows in that order, and one by tail lists each
+    intersection's outflows.  Each inflow's shares are a flat Dirichlet
+    draw, made for all inflows at once: one ``standard_exponential`` draw
+    over every pair in order, each pair's draw times the reciprocal of its
+    inflow's sum.  ``np.bincount`` adds each group in order, which is the
+    arithmetic of ``Generator.dirichlet`` with unit weights, so the shares
+    are the same bits as one ``dirichlet`` call per inflow.
     """
-    pairs: list[tuple[int, int]] = []
-    sizes: list[int] = []
-    for node in sorted(intersections, key=lambda x: x.id):
-        outbound = sorted(node.outbound)
-        for j in sorted(node.inbound):
-            support = [k for k in outbound if k != j ^ 1]
-            if len(support) < 2:
-                support = outbound
-            pairs.extend((j, k) for k in support)
-            sizes.append(len(support))
-    inflow = np.repeat(np.arange(len(sizes)), sizes)
-    draws = rng.standard_exponential(len(pairs))
-    shares = draws * (1.0 / np.bincount(inflow, draws, minlength=len(sizes)))[inflow]
-    return dict(zip(pairs, shares.tolist()))
+    inflows = np.argsort(graph.head, kind="stable")
+    by_tail = np.argsort(graph.tail, kind="stable")
+    tails = graph.tail[by_tail]
+    first = np.searchsorted(tails, graph.head[inflows], side="left")
+    counts = np.searchsorted(tails, graph.head[inflows], side="right") - first
+    # Every candidate (inflow, outflow) pair, inflow by inflow.
+    group = np.repeat(np.arange(len(inflows)), counts)
+    rows, cols = inflows[group], by_tail[_ranges(first, counts)]
+    forward = cols != rows ^ 1
+    keep = forward | (np.bincount(group, forward, minlength=len(inflows)) < 2)[group]
+    rows, cols, group = rows[keep], cols[keep], group[keep]
+    draws = rng.standard_exponential(len(rows))
+    shares = draws * (1.0 / np.bincount(group, draws, minlength=len(inflows)))[group]
+    return rows, cols, shares
 
 
 def _place_generators(config: ScenarioConfig, rng: np.random.Generator) -> np.ndarray:
@@ -252,13 +247,13 @@ def generate(config: ScenarioConfig) -> Scenario:
     # The spawn key's first slot numbers generation attempts; one attempt
     # always suffices, and keeping it at 0 keeps every seed's streams.
     attempt = 0
-    streets, intersections = _grid_topology(config)
-    if config.anchor_street >= len(streets):
+    graph = _grid_topology(config)
+    if config.anchor_street >= graph.n:
         raise ValueError(
-            f"anchor street {config.anchor_street} out of range for {len(streets)} streets"
+            f"anchor street {config.anchor_street} out of range for {graph.n} streets"
         )
-    ratios = _sample_ratios(streets, intersections, _rng(config.seed, attempt, _STREAM_RATIOS))
-    network = build_flow_matrix(streets, intersections, ratios)
+    ratios = _sample_ratios(graph, _rng(config.seed, attempt, _STREAM_RATIOS))
+    network = build_flow_matrix(graph, *ratios)
 
     side = config.extent
     centers = hex_tiling(((0.0, 0.0), (side, side)), config.cell_radius)
@@ -266,7 +261,7 @@ def generate(config: ScenarioConfig) -> Scenario:
         BaseStation(i, c, config.cell_radius, config.p_activation, config.p_full)
         for i, c in enumerate(centers)
     )
-    coverage = build_coverage(streets, stations)
+    coverage = build_coverage(graph, stations)
     gen_positions = _place_generators(config, _rng(config.seed, attempt, _STREAM_GENERATORS))
     generators, shares = _wire_generators(
         config, gen_positions, stations, _rng(config.seed, attempt, _STREAM_CONNECTIONS)
@@ -306,17 +301,17 @@ def dumps(scenario: Scenario) -> str:
     out.append(f"anchor_flow = {_fmt(cfg.anchor_flow)}")
     out.append(f"delta = {_fmt(cfg.delta)}")
 
-    net = scenario.network
+    net, graph = scenario.network, scenario.network.graph
     out.append("[its]")
-    out.append(f"intersections {len(net.intersections)}")
-    for x in net.intersections:
-        out.append(f"{x.id} {_fmt(x.position[0])} {_fmt(x.position[1])}")
+    out.append(f"intersections {len(graph.node_ids)}")
+    for node, (x, y) in zip(graph.node_ids.tolist(), graph.positions.tolist()):
+        out.append(f"{node} {_fmt(x)} {_fmt(y)}")
     out.append(f"streets {net.n}")
-    for s in net.streets:
-        (x0, y0), (x1, y1) = s.geometry
+    for sid, (tail, head, length, (x0, y0, x1, y1)) in enumerate(zip(
+        graph.tail.tolist(), graph.head.tolist(), graph.length.tolist(), graph.geometry.tolist()
+    )):
         out.append(
-            f"{s.id} {s.tail} {s.head} {_fmt(s.length)} "
-            f"{_fmt(x0)} {_fmt(y0)} {_fmt(x1)} {_fmt(y1)}"
+            f"{sid} {tail} {head} {_fmt(length)} {_fmt(x0)} {_fmt(y0)} {_fmt(x1)} {_fmt(y1)}"
         )
     rows, cols, shares = csr_entries(net.Q)
     out.append(f"ratios {shares.size}")
@@ -562,6 +557,20 @@ def _impact_rows(reader: _Reader, keyword: str, n_stations: int, width: int) -> 
     return out
 
 
+def _street_graph(
+    ints: np.ndarray, floats: np.ndarray, node_ids: np.ndarray, positions: np.ndarray
+) -> StreetGraph:
+    """The graph of parsed ``streets`` rows (``id tail head`` in ``ints``,
+    ``length x0 y0 x1 y1`` in ``floats``) and ``intersections`` rows, with
+    the street of id i on row i; ValueError unless the ids are 0..n-1."""
+    order = np.argsort(ints[:, 0])
+    if not np.array_equal(ints[order, 0], np.arange(len(ints))):
+        raise ValueError("street ids must be 0..n-1 with no gaps")
+    return StreetGraph(
+        ints[order, 1], ints[order, 2], floats[order, 0], floats[order, 1:], node_ids, positions
+    )
+
+
 def loads(text: str) -> Scenario:
     """Parse the text format back into a fully validated scenario."""
     reader = _Reader(text)
@@ -598,16 +607,10 @@ def loads(text: str) -> Scenario:
         reader, reader.counted("intersections"), "intersection",
         ("intersection id",), ("intersection x", "intersection y"),
     )
-    positions = dict(zip(node_ids[:, 0].tolist(), map(tuple, node_xy.tolist())))
     n_streets = reader.counted("streets")
     street_ints, street_floats = _block(
         reader, n_streets, "street", ("street id",) * 3, ("street field",) * 5
     )
-    streets = [
-        Street(sid, tail, head, length, ((x0, y0), (x1, y1)))
-        for (sid, tail, head), (length, x0, y0, x1, y1)
-        in zip(street_ints.tolist(), street_floats.tolist())
-    ]
     if config.anchor_street >= n_streets:
         raise FormatError(
             f"[config] anchor_street {config.anchor_street} out of range for {n_streets} streets"
@@ -651,13 +654,13 @@ def loads(text: str) -> Scenario:
 
     # Library errors about the parsed content all become FormatError here.
     try:
-        intersections = intersections_from_streets(streets, positions)
-        network = network_from_matrix(streets, intersections, Q)
+        graph = _street_graph(street_ints, street_floats, node_ids[:, 0], node_xy)
+        network = network_from_matrix(graph, Q)
     except (ValueError, IcisimError) as err:
         raise FormatError(f"[its] {err}") from None
     stations_t = tuple(stations)
     try:
-        coverage = coverage_from_lengths(network.streets, covered)
+        coverage = coverage_from_lengths(network.graph, covered)
         impact = build_impact_model(network, coverage, stations_t, config.delta)
     except (ValueError, IcisimError) as err:
         raise FormatError(f"[ci] {err}") from None
@@ -687,8 +690,10 @@ def scenarios_equal(a: Scenario, b: Scenario) -> bool:
     """Structural equality, exact on every matrix entry."""
     return (
         a.config == b.config
-        and a.network.streets == b.network.streets
-        and a.network.intersections == b.network.intersections
+        and all(
+            np.array_equal(getattr(a.network.graph, f.name), getattr(b.network.graph, f.name))
+            for f in fields(StreetGraph)
+        )
         and csr_equal(a.network.Q, b.network.Q)
         and a.base_stations == b.base_stations
         and csr_equal(a.coverage.lengths, b.coverage.lengths)

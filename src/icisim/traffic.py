@@ -28,8 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 # In this order (scipy.sparse arriving as splu's parent package) a fresh
@@ -45,57 +44,48 @@ from .errors import RankError, SingularError, TopologyError
 # does a left-out balance equation's residual below this fraction of its terms.
 RANK_TOLERANCE = 1e-10
 
-Point = tuple[float, float]
 
+@dataclass(frozen=True, eq=False)
+class StreetGraph:
+    """Directed street graph held as arrays; street ``i`` is row ``i``.
 
-@dataclass(frozen=True)
-class Intersection:
-    """Graph node; ``inbound``/``outbound`` hold ids of incident streets."""
+    Street ``i`` runs from intersection ``tail[i]`` to ``head[i]``, is
+    ``length[i]`` km long and is drawn from ``geometry[i] = (x0, y0, x1,
+    y1)``.  Intersection ``node_ids[k]`` sits at ``positions[k]``; the ids
+    are stored sorted and unique, and a repeated id keeps its last
+    position.  Every array is a read-only copy of what was passed in.
+    """
 
-    id: int
-    position: Point
-    inbound: tuple[int, ...]
-    outbound: tuple[int, ...]
+    tail: np.ndarray
+    head: np.ndarray
+    length: np.ndarray
+    geometry: np.ndarray
+    node_ids: np.ndarray
+    positions: np.ndarray
 
+    def __post_init__(self) -> None:
+        n = len(self.tail)
+        node_ids = np.array(self.node_ids, dtype=np.int64).reshape(-1)
+        positions = np.array(self.positions, dtype=float).reshape(len(node_ids), 2)
+        if np.any(node_ids[1:] <= node_ids[:-1]):
+            order = np.argsort(node_ids, kind="stable")
+            node_ids, positions = node_ids[order], positions[order]
+            last = np.append(node_ids[1:] != node_ids[:-1], True)
+            node_ids, positions = node_ids[last], positions[last]
+        for name, value in (
+            ("tail", np.array(self.tail, dtype=np.int64).reshape(n)),
+            ("head", np.array(self.head, dtype=np.int64).reshape(n)),
+            ("length", np.array(self.length, dtype=float).reshape(n)),
+            ("geometry", np.array(self.geometry, dtype=float).reshape(n, 4)),
+            ("node_ids", node_ids),
+            ("positions", positions),
+        ):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
-@dataclass(frozen=True)
-class Street:
-    """Directed street running from intersection ``tail`` to ``head``."""
-
-    id: int
-    tail: int
-    head: int
-    length: float
-    geometry: tuple[Point, Point]
-
-
-def _segment_length(geometry: tuple[Point, Point]) -> float:
-    (x0, y0), (x1, y1) = geometry
-    return float(np.hypot(x1 - x0, y1 - y0))
-
-
-def make_street(street_id: int, tail: int, head: int, geometry: tuple[Point, Point]) -> Street:
-    """Build a street whose length is the Euclidean length of its geometry."""
-    if tail == head:
-        raise ValueError(f"street {street_id} starts and ends at intersection {tail}")
-    return Street(street_id, tail, head, _segment_length(geometry), geometry)
-
-
-def intersections_from_streets(
-    streets: Sequence[Street], positions: Mapping[int, Point]
-) -> tuple[Intersection, ...]:
-    """Derive intersection records (with inbound/outbound lists) from streets."""
-    inbound: dict[int, list[int]] = {i: [] for i in positions}
-    outbound: dict[int, list[int]] = {i: [] for i in positions}
-    for s in streets:
-        if s.tail not in positions or s.head not in positions:
-            raise ValueError(f"street {s.id} references an intersection with no position")
-        outbound[s.tail].append(s.id)
-        inbound[s.head].append(s.id)
-    return tuple(
-        Intersection(i, tuple(positions[i]), tuple(inbound[i]), tuple(outbound[i]))
-        for i in sorted(positions)
-    )
+    @property
+    def n(self) -> int:
+        return len(self.tail)
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,13 +97,12 @@ class FlowNetwork:
     with sorted column indices and no stored zeros.
     """
 
-    streets: tuple[Street, ...]
-    intersections: tuple[Intersection, ...]
+    graph: StreetGraph
     Q: scipy.sparse.csr_array
 
     @property
     def n(self) -> int:
-        return len(self.streets)
+        return self.graph.n
 
     @cached_property
     def A(self) -> scipy.sparse.csr_array:
@@ -151,100 +140,44 @@ def csr_equal(a: scipy.sparse.csr_array, b: scipy.sparse.csr_array) -> bool:
     )
 
 
-def _check_structure(
-    streets: Sequence[Street], intersections: Sequence[Intersection]
-) -> None:
+def _check_structure(graph: StreetGraph) -> None:
     """Raise ValueError at the first inconsistency of a street graph.
 
-    Both sequences are sorted by id.  Each check runs over every street or
-    intersection before the next one starts, and reports the first
-    offender in id order:
+    Each check runs over every street before the next one starts, and
+    reports the first offender in street order:
 
-    1. the street ids are ``0..n-1``;
-    2. no street starts where it ends, and each stored length matches its
+    1. no street starts where it ends, and each stored length matches its
        geometry to 1e-9;
-    3. no intersection lists a street both inbound and outbound, or an
-       unknown street;
-    4. each street's ends are known intersections (the last one listed
-       for a repeated id) that list it, and its geometry runs between their
-       positions to 1e-9.
+    2. each street's ends are known intersections, and its geometry runs
+       between their positions to 1e-9.
     """
-    n, m = len(streets), len(intersections)
-    ids = np.array([s.id for s in streets], dtype=np.int64)
-    if not np.array_equal(np.sort(ids), np.arange(n)):
-        raise ValueError("street ids must be 0..n-1 with no gaps")
-    tails, heads = _ends(streets)
-    # Per street: its length, then the x0 y0 x1 y1 of its geometry.
-    table = np.fromiter(
-        chain.from_iterable((s.length, *s.geometry[0], *s.geometry[1]) for s in streets),
-        float, 5 * n,
-    ).reshape(n, 5)
-    lengths, geometry = table[:, 0], table[:, 1:]
+    tails, heads, geometry = graph.tail, graph.head, graph.geometry
     drawn = np.hypot(geometry[:, 2] - geometry[:, 0], geometry[:, 3] - geometry[:, 1])
-    bad = (tails == heads) | (np.abs(lengths - drawn) > 1e-9)
-    if bad.any():
-        s = streets[int(np.argmax(bad))]
-        if s.tail == s.head:
-            raise ValueError(f"street {s.id} starts and ends at intersection {s.tail}")
-        raise ValueError(f"street {s.id} length does not match its geometry")
-
-    # Incidence lists flattened into (intersection index, street id) pairs.
-    inbound, outbound = [x.inbound for x in intersections], [x.outbound for x in intersections]
-    in_node = np.repeat(np.arange(m), np.fromiter(map(len, inbound), np.int64, m))
-    out_node = np.repeat(np.arange(m), np.fromiter(map(len, outbound), np.int64, m))
-    in_sid = np.fromiter(chain.from_iterable(inbound), np.int64, in_node.size)
-    out_sid = np.fromiter(chain.from_iterable(outbound), np.int64, out_node.size)
-    in_known, out_known = (in_sid >= 0) & (in_sid < n), (out_sid >= 0) & (out_sid < n)
-    unknown = np.zeros(m, dtype=bool)
-    unknown[in_node[~in_known]] = True
-    unknown[out_node[~out_known]] = True
-    # Keys give all unknown ids one code; an intersection listing any of
-    # them is at fault either way, and its message is settled below.
-    width = n + 1
-    in_key = in_node * width + np.where(in_known, in_sid, n)
-    out_key = out_node * width + np.where(out_known, out_sid, n)
-    both = np.zeros(m, dtype=bool)
-    both[in_node[np.isin(in_key, out_key)]] = True
-    if (both | unknown).any():
-        x = intersections[int(np.argmax(both | unknown))]
-        if set(x.inbound) & set(x.outbound):
-            raise ValueError(f"intersection {x.id} lists a street as both inbound and outbound")
-        sid = next(i for i in (*x.inbound, *x.outbound) if not 0 <= i < n)
-        raise ValueError(f"intersection {x.id} references unknown street {sid}")
-
-    # From here every listed id is a street id, which is also its index.
-    node_ids = np.array([x.id for x in intersections], dtype=np.int64)
-    positions = np.array([x.position for x in intersections], dtype=float).reshape(m, 2)
-    found, listed, off = np.ones(n, dtype=bool), np.ones(n, dtype=bool), np.zeros(n, dtype=bool)
-    for end, node, sid, xy in (
-        (tails, out_node, out_sid, geometry[:, :2]), (heads, in_node, in_sid, geometry[:, 2:])
-    ):
-        at = np.searchsorted(node_ids, end, side="right") - 1
-        known = at >= 0
-        known[known] = node_ids[at[known]] == end[known]
-        found &= known
-        lists = np.zeros(n, dtype=bool)
-        lists[sid[at[sid] == node]] = True
-        listed &= lists
-        off[known] |= (np.abs(xy[known] - positions[at[known]]) > 1e-9).any(axis=1)
-    bad = ~found | ~listed | off
+    bad = (tails == heads) | (np.abs(graph.length - drawn) > 1e-9)
     if bad.any():
         k = int(np.argmax(bad))
-        s = streets[k]
-        if not found[k]:
-            raise ValueError(f"street {s.id} references unknown intersection")
-        if not listed[k]:
-            raise ValueError(f"street {s.id} missing from its intersections' incidence lists")
+        if tails[k] == heads[k]:
+            raise ValueError(f"street {k} starts and ends at intersection {tails[k]}")
+        raise ValueError(f"street {k} length does not match its geometry")
+
+    # Each street's two ends, looked up among the sorted intersection ids.
+    ends = np.stack((tails, heads), axis=1)
+    at = np.searchsorted(graph.node_ids, ends)
+    found = at < len(graph.node_ids)
+    found[found] = graph.node_ids[at[found]] == ends[found]
+    known = found.all(axis=1)
+    off = np.zeros(len(known), dtype=bool)
+    xy = geometry[known].reshape(-1, 2, 2)
+    off[known] = (np.abs(xy - graph.positions[at[known]]) > 1e-9).any(axis=(1, 2))
+    bad = ~known | off
+    if bad.any():
+        k = int(np.argmax(bad))
+        if not known[k]:
+            raise ValueError(f"street {k} references an intersection with no position")
         raise ValueError(
-            f"street {s.id} geometry does not run from intersection {s.tail} "
-            f"to intersection {s.head} at their positions"
+            f"street {k} geometry does not run from intersection {tails[k]} "
+            f"to intersection {heads[k]} at their positions"
         )
-
-
-def _ends(streets: Sequence[Street]) -> tuple[np.ndarray, np.ndarray]:
-    """Tail and head intersection ids of the streets, in street order."""
-    return (np.array([s.tail for s in streets], dtype=np.int64),
-            np.array([s.head for s in streets], dtype=np.int64))
 
 
 def _balancing_street(Q: scipy.sparse.csr_array) -> int:
@@ -327,30 +260,22 @@ def _null_vector(Q: scipy.sparse.csr_array) -> np.ndarray:
     return v if v[np.argmax(np.abs(v))] > 0.0 else -v
 
 
-def build_flow_matrix(
-    streets: Sequence[Street],
-    intersections: Sequence[Intersection],
-    turning_ratios: Mapping[tuple[int, int], float],
-) -> FlowNetwork:
+def build_flow_matrix(graph: StreetGraph, rows, cols, shares) -> FlowNetwork:
     """Assemble the balance system from per-inflow turning ratios.
 
-    ``turning_ratios[(j, k)]`` is the share of inflow street ``j`` routed to
-    outflow street ``k``; the two streets must meet head-to-tail at one
-    intersection.  Shares of each inflow street must be nonnegative and sum
-    to 1.
+    ``shares[e]`` is the share of inflow street ``rows[e]`` routed to
+    outflow street ``cols[e]``; the two streets must meet head-to-tail at
+    one intersection, and the shares of a repeated pair add up.  Shares of
+    each inflow street must be nonnegative and sum to 1.
 
     Raises TopologyError for a ratio on a street pair that does not meet,
     and RankError when the resulting balance matrix does not have rank n-1.
     """
-    streets = tuple(sorted(streets, key=lambda s: s.id))
-    intersections = tuple(sorted(intersections, key=lambda x: x.id))
-    _check_structure(streets, intersections)
-    n = len(streets)
-    tails, heads = _ends(streets)
-
-    pairs = np.array(list(turning_ratios), dtype=np.int64).reshape(-1, 2)
-    shares = np.fromiter(turning_ratios.values(), dtype=float, count=len(turning_ratios))
-    rows, cols = pairs[:, 0], pairs[:, 1]
+    _check_structure(graph)
+    n, tails, heads = graph.n, graph.tail, graph.head
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1)
+    cols = np.asarray(cols, dtype=np.int64).reshape(rows.shape)
+    shares = np.asarray(shares, dtype=float).reshape(rows.shape)
     known = (rows >= 0) & (rows < n) & (cols >= 0) & (cols < n)
     meets = known & (heads[np.where(known, rows, 0)] == tails[np.where(known, cols, 0)])
     bad = ~meets | (shares < 0.0)
@@ -374,16 +299,12 @@ def build_flow_matrix(
 
     Q = scipy.sparse.csr_array((shares, (rows, cols)), shape=(n, n))
     Q.eliminate_zeros()
-    net = FlowNetwork(streets, intersections, Q)
+    net = FlowNetwork(graph, Q)
     net.null_vector  # factorise now so a rank failure surfaces at construction
     return net
 
 
-def network_from_matrix(
-    streets: Sequence[Street],
-    intersections: Sequence[Intersection],
-    Q,
-) -> FlowNetwork:
+def network_from_matrix(graph: StreetGraph, Q) -> FlowNetwork:
     """Build a network from an explicit ratio matrix (file-loading path).
 
     ``Q`` may be dense or any ``scipy.sparse`` matrix; it is stored as a
@@ -392,10 +313,8 @@ def network_from_matrix(
     row normalisation is not required here, so externally authored
     conventions remain loadable.
     """
-    streets = tuple(sorted(streets, key=lambda s: s.id))
-    intersections = tuple(sorted(intersections, key=lambda x: x.id))
-    _check_structure(streets, intersections)
-    n = len(streets)
+    _check_structure(graph)
+    n = graph.n
     if not scipy.sparse.issparse(Q):
         Q = np.asarray(Q, dtype=float)
     if Q.shape != (n, n):
@@ -406,14 +325,13 @@ def network_from_matrix(
     Q.sum_duplicates()
     Q.eliminate_zeros()
     rows, cols, _ = csr_entries(Q)
-    tails, heads = _ends(streets)
-    apart = np.nonzero(heads[rows] != tails[cols])[0]
+    apart = np.nonzero(graph.head[rows] != graph.tail[cols])[0]
     if apart.size:
         j, k = int(rows[apart[0]]), int(cols[apart[0]])
         raise TopologyError(
             f"ratio matrix entry ({j}, {k}) links streets that do not meet head-to-tail"
         )
-    net = FlowNetwork(streets, intersections, Q)
+    net = FlowNetwork(graph, Q)
     net.null_vector  # factorise now so a rank failure surfaces at construction
     return net
 

@@ -8,23 +8,40 @@ from icisim.game import GameInstance
 from icisim.impact import ImpactModel
 from icisim.power import PowerAssignment
 from icisim.scenario import ScenarioConfig, generate
-from icisim.traffic import (
-    FlowNetwork,
-    build_flow_matrix,
-    intersections_from_streets,
-    make_street,
-)
+from icisim.traffic import FlowNetwork, StreetGraph, build_flow_matrix
+
+
+def street_graph(ends, positions) -> StreetGraph:
+    """Graph of the (tail, head) streets ``ends``, street i on row i, each
+    drawn straight between its intersections' ``positions`` (id -> point)."""
+    tail, head = np.array(ends, dtype=np.int64).reshape(-1, 2).T
+    ids = np.array(sorted(positions), dtype=np.int64)
+    xy = np.array([positions[i] for i in ids.tolist()], dtype=float).reshape(-1, 2)
+    geometry = np.concatenate(
+        (xy[np.searchsorted(ids, tail)], xy[np.searchsorted(ids, head)]), axis=1
+    )
+    length = np.hypot(geometry[:, 2] - geometry[:, 0], geometry[:, 3] - geometry[:, 1])
+    return StreetGraph(tail, head, length, geometry, ids, xy)
+
+
+def segment_graph(*segments) -> StreetGraph:
+    """Graph with one street per ((x0, y0), (x1, y1)) segment, street i
+    running from intersection 2i to 2i + 1 at the segment's ends."""
+    positions = {}
+    for i, (p, q) in enumerate(segments):
+        positions[2 * i], positions[2 * i + 1] = p, q
+    return street_graph([(2 * i, 2 * i + 1) for i in range(len(segments))], positions)
+
+
+def ratios(shares: dict) -> tuple[list, list, list]:
+    """The (rows, cols, shares) of a ``{(inflow, outflow): share}`` dict."""
+    return [j for j, _ in shares], [k for _, k in shares], list(shares.values())
 
 
 def cycle_network() -> FlowNetwork:
     """Two streets forming the smallest conserving cycle."""
-    positions = {0: (0.0, 0.0), 1: (1.0, 0.0)}
-    streets = [
-        make_street(0, 0, 1, (positions[0], positions[1])),
-        make_street(1, 1, 0, (positions[1], positions[0])),
-    ]
-    nodes = intersections_from_streets(streets, positions)
-    return build_flow_matrix(streets, nodes, {(0, 1): 1.0, (1, 0): 1.0})
+    graph = street_graph([(0, 1), (1, 0)], {0: (0.0, 0.0), 1: (1.0, 0.0)})
+    return build_flow_matrix(graph, *ratios({(0, 1): 1.0, (1, 0): 1.0}))
 
 
 def parallel_pair_network(ratio: float = 0.5) -> FlowNetwork:
@@ -34,21 +51,14 @@ def parallel_pair_network(ratio: float = 0.5) -> FlowNetwork:
     the far side, which keeps the network irreducible for any ratio in
     (0, 1).
     """
-    positions = {0: (0.0, 0.0), 1: (2.0, 0.0)}
-    streets = [
-        make_street(0, 0, 1, (positions[0], positions[1])),
-        make_street(1, 1, 0, (positions[1], positions[0])),
-        make_street(2, 0, 1, (positions[0], positions[1])),
-        make_street(3, 1, 0, (positions[1], positions[0])),
-    ]
-    nodes = intersections_from_streets(streets, positions)
-    ratios = {
+    graph = street_graph([(0, 1), (1, 0), (0, 1), (1, 0)], {0: (0.0, 0.0), 1: (2.0, 0.0)})
+    shares = {
         (0, 1): ratio, (0, 3): 1.0 - ratio,
         (2, 1): 1.0 - ratio, (2, 3): ratio,
         (1, 0): ratio, (1, 2): 1.0 - ratio,
         (3, 0): 1.0 - ratio, (3, 2): ratio,
     }
-    return build_flow_matrix(streets, nodes, ratios)
+    return build_flow_matrix(graph, *ratios(shares))
 
 
 def synthetic_impact(z_scores: np.ndarray, headroom: np.ndarray, delta: float = 1.0) -> ImpactModel:

@@ -14,12 +14,26 @@ and the null-vector oracle factors the dense matrix with column-pivoted QR
 instead of rescaling the deflated sparse-LU null vector, the impact oracle sums
 dense per-street patterns station by station instead of scaling one shared
 vector, the attack oracle scans payoff lattices instead of using closed
-forms, the structure oracle checks streets and intersections one at a time
-with sets and dicts instead of in whole-array passes, and the file oracle
-reads every numeric block one line and one token at a time with Python's
-``int`` and ``float`` instead of one ``np.loadtxt`` pass per block.
+forms, the structure oracle checks streets one at a time with sets and
+dicts instead of in whole-array passes, and the file oracle reads every
+numeric block one line and one token at a time with Python's ``int`` and
+``float`` instead of one ``np.loadtxt`` pass per block.
+
+The object builders are the street network as the package once held it,
+one frozen record per street and per intersection:
+
+- ``object_topology`` builds the grid street by street with
+  ``make_street`` and derives each intersection's inbound and outbound
+  lists with ``intersections_from_streets``, instead of index arithmetic
+  on whole arrays;
+- ``dict_ratios`` walks those lists intersection by intersection into a
+  ``{(inflow, outflow): share}`` dict from one exponential draw, instead
+  of ordering the pairs by two stable argsorts;
+- ``object_graph`` turns the records into the package's ``StreetGraph``.
 """
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -35,7 +49,9 @@ from icisim.coverage import (
 )
 from icisim.errors import SingularError
 from icisim.game import GameInstance, StealthLevel, attacker_payoff
-from icisim.traffic import RANK_TOLERANCE
+from icisim.traffic import RANK_TOLERANCE, StreetGraph
+
+Point = tuple[float, float]
 
 
 # ---------------------------------------------------------------------------
@@ -156,35 +172,36 @@ def _loop_clip_interval(segment, hexagon: Hexagon) -> tuple[float, float] | None
     return t_lo, t_hi
 
 
-def loop_coverage(streets, base_stations) -> CoverageMap:
-    """Coverage built one street and one station at a time.
+def loop_coverage(graph: StreetGraph, base_stations) -> CoverageMap:
+    """Coverage of a street graph built one street and one station at a time.
 
     Each distinct geometry (the first street with it, in its own direction)
     is measured against every station centre, and each station within reach
     is clipped in ascending id order, the stretches already claimed by a
     lower id taken away.
     """
-    if streets:
+    if graph.n:
         _check_disjoint_cells(base_stations)
     B = len(base_stations)
     centers = np.array([bs.center for bs in base_stations], dtype=float).reshape(B, 2)
     radii = np.array([bs.cell_radius for bs in base_stations], dtype=float)
     cache: dict = {}
     rows, cols, km = [], [], []
-    for s in streets:
-        key = tuple(sorted(s.geometry))
+    for sid, (x0, y0, x1, y1) in enumerate(graph.geometry.tolist()):
+        geometry = ((x0, y0), (x1, y1))
+        key = tuple(sorted(geometry))
         cells = cache.get(key)
         if cells is None:
             cells = cache[key] = []
-            p0 = np.asarray(s.geometry[0], dtype=float)
-            p1 = np.asarray(s.geometry[1], dtype=float)
+            p0 = np.asarray(geometry[0], dtype=float)
+            p1 = np.asarray(geometry[1], dtype=float)
             seg_len = float(np.hypot(*(p1 - p0)))
             mid = (p0 + p1) / 2.0
             reach = seg_len / 2.0 + radii + 1e-9
             near = np.nonzero(np.hypot(*(centers - mid).T) <= reach)[0]
             claimed: list[tuple[float, float]] = []
             for b in near.tolist():
-                interval = _loop_clip_interval(s.geometry, base_stations[b].hexagon)
+                interval = _loop_clip_interval(geometry, base_stations[b].hexagon)
                 if interval is None:
                     continue
                 pieces = _subtract_claimed(interval, claimed)
@@ -193,18 +210,19 @@ def loop_coverage(streets, base_stations) -> CoverageMap:
                     cells.append((b, covered))
                 claimed = sorted(claimed + pieces)
         for b, covered in cells:
-            rows.append(s.id)
+            rows.append(sid)
             cols.append(b)
             km.append(covered)
     triples = scipy.sparse.coo_array(
         (np.array(km, dtype=float), (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64))),
-        shape=(len(streets), B),
+        shape=(graph.n, B),
     )
-    return coverage_from_lengths(streets, triples)
+    return coverage_from_lengths(graph, triples)
 
 
 def dirichlet_ratios(streets, intersections, rng) -> dict[tuple[int, int], float]:
-    """Turning shares drawn with one ``rng.dirichlet`` call per inflow."""
+    """Turning shares of ``object_topology`` records drawn with one
+    ``rng.dirichlet`` call per inflow."""
     ratios: dict[tuple[int, int], float] = {}
     for node in sorted(intersections, key=lambda x: x.id):
         outbound = sorted(node.outbound)
@@ -216,6 +234,103 @@ def dirichlet_ratios(streets, intersections, rng) -> dict[tuple[int, int], float
             for k, share in zip(support, shares):
                 ratios[(j, k)] = float(share)
     return ratios
+
+
+@dataclass(frozen=True)
+class Intersection:
+    """Graph node; ``inbound``/``outbound`` hold ids of incident streets."""
+
+    id: int
+    position: Point
+    inbound: tuple[int, ...]
+    outbound: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class Street:
+    """Directed street running from intersection ``tail`` to ``head``."""
+
+    id: int
+    tail: int
+    head: int
+    length: float
+    geometry: tuple[Point, Point]
+
+
+def make_street(street_id: int, tail: int, head: int, geometry: tuple[Point, Point]) -> Street:
+    """A street whose length is the Euclidean length of its geometry."""
+    if tail == head:
+        raise ValueError(f"street {street_id} starts and ends at intersection {tail}")
+    (x0, y0), (x1, y1) = geometry
+    return Street(street_id, tail, head, float(np.hypot(x1 - x0, y1 - y0)), geometry)
+
+
+def intersections_from_streets(streets, positions) -> tuple[Intersection, ...]:
+    """Intersection records, with inbound/outbound lists, in id order."""
+    inbound: dict[int, list[int]] = {i: [] for i in positions}
+    outbound: dict[int, list[int]] = {i: [] for i in positions}
+    for s in streets:
+        if s.tail not in positions or s.head not in positions:
+            raise ValueError(f"street {s.id} references an intersection with no position")
+        outbound[s.tail].append(s.id)
+        inbound[s.head].append(s.id)
+    return tuple(
+        Intersection(i, tuple(positions[i]), tuple(inbound[i]), tuple(outbound[i]))
+        for i in sorted(positions)
+    )
+
+
+def object_topology(config) -> tuple[tuple[Street, ...], tuple[Intersection, ...]]:
+    """The square street grid of ``config``, one record per street and node."""
+    g = config.grid_n
+    length = config.street_length
+    positions = {
+        iy * g + ix: (ix * length, iy * length) for iy in range(g) for ix in range(g)
+    }
+    edges: list[tuple[int, int]] = []
+    for iy in range(g):
+        for ix in range(g):
+            node = iy * g + ix
+            if ix + 1 < g:
+                edges.append((node, node + 1))
+            if iy + 1 < g:
+                edges.append((node, node + g))
+    streets: list[Street] = []
+    for e, (a, b) in enumerate(edges):
+        geom = (positions[a], positions[b])
+        streets.append(make_street(2 * e, a, b, geom))
+        streets.append(make_street(2 * e + 1, b, a, (geom[1], geom[0])))
+    return tuple(streets), intersections_from_streets(streets, positions)
+
+
+def object_graph(streets, intersections) -> StreetGraph:
+    """The ``StreetGraph`` of records, street ``i`` from the record of id ``i``."""
+    streets = sorted(streets, key=lambda s: s.id)
+    return StreetGraph(
+        [s.tail for s in streets], [s.head for s in streets], [s.length for s in streets],
+        [(*s.geometry[0], *s.geometry[1]) for s in streets],
+        [x.id for x in intersections], [x.position for x in intersections],
+    )
+
+
+def dict_ratios(streets, intersections, rng) -> dict[tuple[int, int], float]:
+    """Turning shares of ``object_topology`` records: the support walked
+    intersection by intersection, then one exponential draw over all pairs
+    scaled by each inflow's sum."""
+    pairs: list[tuple[int, int]] = []
+    sizes: list[int] = []
+    for node in sorted(intersections, key=lambda x: x.id):
+        outbound = sorted(node.outbound)
+        for j in sorted(node.inbound):
+            support = [k for k in outbound if k != j ^ 1]
+            if len(support) < 2:
+                support = outbound
+            pairs.extend((j, k) for k in support)
+            sizes.append(len(support))
+    inflow = np.repeat(np.arange(len(sizes)), sizes)
+    draws = rng.standard_exponential(len(pairs))
+    shares = draws * (1.0 / np.bincount(inflow, draws, minlength=len(sizes)))[inflow]
+    return dict(zip(pairs, shares.tolist()))
 
 
 def dense_overlap_pair(base_stations) -> tuple[int, int] | None:
@@ -241,11 +356,12 @@ def dense_overlap_pair(base_stations) -> tuple[int, int] | None:
 
 
 def loop_check_structure(streets, intersections) -> None:
-    """Street-graph consistency checked street by street and intersection
-    by intersection, in id order; raises the same ValueError texts as
-    ``traffic._check_structure``."""
-    street_ids = {s.id for s in streets}
-    if sorted(street_ids) != list(range(len(streets))):
+    """Consistency of ``Street`` and ``Intersection`` records checked street
+    by street in id order; a repeated intersection id keeps the position of
+    its last record.  Raises the same ValueError texts as
+    ``scenario._street_graph`` and then ``traffic._check_structure``."""
+    streets = sorted(streets, key=lambda s: s.id)
+    if [s.id for s in streets] != list(range(len(streets))):
         raise ValueError("street ids must be 0..n-1 with no gaps")
     for s in streets:
         if s.tail == s.head:
@@ -253,21 +369,12 @@ def loop_check_structure(streets, intersections) -> None:
         (x0, y0), (x1, y1) = s.geometry
         if abs(s.length - float(np.hypot(x1 - x0, y1 - y0))) > 1e-9:
             raise ValueError(f"street {s.id} length does not match its geometry")
-    node_ids = {x.id for x in intersections}
-    for x in intersections:
-        if set(x.inbound) & set(x.outbound):
-            raise ValueError(f"intersection {x.id} lists a street as both inbound and outbound")
-        for sid in (*x.inbound, *x.outbound):
-            if sid not in street_ids:
-                raise ValueError(f"intersection {x.id} references unknown street {sid}")
-    by_node = {x.id: x for x in intersections}
+    position = {x.id: x.position for x in intersections}
     for s in streets:
-        if s.tail not in node_ids or s.head not in node_ids:
-            raise ValueError(f"street {s.id} references unknown intersection")
-        if s.id not in by_node[s.tail].outbound or s.id not in by_node[s.head].inbound:
-            raise ValueError(f"street {s.id} missing from its intersections' incidence lists")
+        if s.tail not in position or s.head not in position:
+            raise ValueError(f"street {s.id} references an intersection with no position")
         (x0, y0), (x1, y1) = s.geometry
-        (tx, ty), (hx, hy) = by_node[s.tail].position, by_node[s.head].position
+        (tx, ty), (hx, hy) = position[s.tail], position[s.head]
         if max(abs(x0 - tx), abs(y0 - ty), abs(x1 - hx), abs(y1 - hy)) > 1e-9:
             raise ValueError(
                 f"street {s.id} geometry does not run from intersection {s.tail} "

@@ -260,7 +260,7 @@ def _retile(sc, radius: float) -> tuple[GameInstance, int]:
         BaseStation(i, c, radius, sc.config.p_activation, sc.config.p_full)
         for i, c in enumerate(centers)
     )
-    coverage = build_coverage(sc.network.streets, stations)
+    coverage = build_coverage(sc.network.graph, stations)
     positions = np.array([g.position for g in sc.generators])
     generators, shares = _wire_generators(
         sc.config, positions, stations, _rng(sc.config.seed, 0, 3)

@@ -21,8 +21,9 @@ from icisim.coverage import (
 )
 from icisim.errors import OverlapError
 from icisim.scenario import ScenarioConfig, _grid_topology
-from icisim.traffic import csr_equal, make_street
+from icisim.traffic import csr_equal
 
+from conftest import segment_graph
 from oracles import clip_length_sequential, dense_overlap_pair, loop_coverage
 
 SQ3 = math.sqrt(3.0)
@@ -112,8 +113,8 @@ def test_clip_random_segments_match_oracle_and_never_exceed_length():
 
 def test_street_inside_single_cell_is_a_unit_row():
     stations = [_station(0, (0.0, 0.0)), _station(1, (0.0, SQ3))]
-    street = make_street(0, 0, 1, ((-0.4, 0.0), (0.4, 0.0)))
-    cov = build_coverage([street], stations)
+    street = segment_graph(((-0.4, 0.0), (0.4, 0.0)))
+    cov = build_coverage(street, stations)
     assert np.allclose(cov.C[0], [1.0, 0.0])
 
 
@@ -121,14 +122,14 @@ def test_street_split_evenly_on_shared_edge():
     # Vertical neighbours share the horizontal edge y = sqrt(3)/2; a street
     # crossing it symmetrically is covered half and half.
     stations = [_station(0, (0.0, 0.0)), _station(1, (0.0, SQ3))]
-    street = make_street(0, 0, 1, ((0.0, SQ3 / 2 - 0.3), (0.0, SQ3 / 2 + 0.3)))
-    cov = build_coverage([street], stations)
+    street = segment_graph(((0.0, SQ3 / 2 - 0.3), (0.0, SQ3 / 2 + 0.3)))
+    cov = build_coverage(street, stations)
     assert np.allclose(cov.C[0], [0.5, 0.5])
 
 
 def test_no_stations_gives_zero_map():
-    street = make_street(0, 0, 1, ((0.0, 0.0), (1.0, 0.0)))
-    cov = build_coverage([street], [])
+    street = segment_graph(((0.0, 0.0), (1.0, 0.0)))
+    cov = build_coverage(street, [])
     assert cov.C.shape == (1, 0)
     assert cov.lengths.toarray().sum() == 0.0
 
@@ -136,8 +137,8 @@ def test_no_stations_gives_zero_map():
 def test_dense_view_lives_in_its_own_mapping():
     # Off the heap, so that dropping the view returns its pages.
     stations = [_station(0, (0.0, 0.0)), _station(1, (0.0, SQ3))]
-    street = make_street(0, 0, 1, ((0.0, SQ3 / 2 - 0.3), (0.0, SQ3 / 2 + 0.3)))
-    cov = build_coverage([street], stations)
+    street = segment_graph(((0.0, SQ3 / 2 - 0.3), (0.0, SQ3 / 2 + 0.3)))
+    cov = build_coverage(street, stations)
     C = cov.C
     assert np.array_equal(C, cov.fractions.toarray())
     assert C.flags.c_contiguous and C.flags.writeable
@@ -150,14 +151,14 @@ def test_dense_view_lives_in_its_own_mapping():
 
 def test_overlapping_cells_raise():
     stations = [_station(0, (0.0, 0.0)), _station(1, (0.05, 0.0))]
-    street = make_street(0, 0, 1, ((-0.4, 0.0), (0.4, 0.0)))
+    street = segment_graph(((-0.4, 0.0), (0.4, 0.0)))
     with pytest.raises(OverlapError):
-        build_coverage([street], stations)
+        build_coverage(street, stations)
 
 
 def test_partition_of_streets_inside_tiling(grid3_scenario):
     cov = grid3_scenario.coverage
-    lengths = np.array([s.length for s in grid3_scenario.network.streets])
+    lengths = grid3_scenario.network.graph.length
     assert np.allclose(cov.lengths.toarray().sum(axis=1), lengths, rtol=1e-6)
     assert np.all(cov.C.sum(axis=1) <= 1.0 + 1e-9)
 
@@ -169,10 +170,10 @@ def test_directed_pair_shares_geometry_coverage(grid3_scenario):
 
 
 def test_coverage_from_lengths_validates_totals():
-    street = make_street(0, 0, 1, ((0.0, 0.0), (1.0, 0.0)))
+    street = segment_graph(((0.0, 0.0), (1.0, 0.0)))
     with pytest.raises(OverlapError):
-        coverage_from_lengths([street], np.array([[0.8, 0.8]]))
-    cov = coverage_from_lengths([street], np.array([[0.25, 0.5]]))
+        coverage_from_lengths(street, np.array([[0.8, 0.8]]))
+    cov = coverage_from_lengths(street, np.array([[0.25, 0.5]]))
     assert np.allclose(cov.C[0], [0.25, 0.5])
 
 
@@ -184,13 +185,13 @@ def _outcome(build):
 
 
 def test_coverage_from_lengths_dense_and_coo_agree(grid3_scenario):
-    streets = grid3_scenario.network.streets
+    graph = grid3_scenario.network.graph
     dense = grid3_scenario.coverage.lengths.toarray()
     n, B = dense.shape
     i, b = np.nonzero(dense)
     coo = scipy.sparse.coo_array((dense[i, b], (i, b)), shape=(n, B))
     for left, right in ((dense, coo), (dense, grid3_scenario.coverage.lengths)):
-        a, c = coverage_from_lengths(streets, left), coverage_from_lengths(streets, right)
+        a, c = coverage_from_lengths(graph, left), coverage_from_lengths(graph, right)
         assert csr_equal(a.lengths, c.lengths) and csr_equal(a.fractions, c.fractions)
         assert csr_equal(a.lengths, grid3_scenario.coverage.lengths)
         assert csr_equal(a.fractions, grid3_scenario.coverage.fractions)
@@ -200,11 +201,11 @@ def test_coverage_from_lengths_dense_and_coo_agree(grid3_scenario):
          (np.concatenate([i, i, [0]]), np.concatenate([b, b, [B - 1]]))),
         shape=(n, B),
     )
-    summed = coverage_from_lengths(streets, split)
+    summed = coverage_from_lengths(graph, split)
     assert np.array_equal(summed.lengths.toarray(), dense)
     assert np.all(summed.lengths.data > 0.0)
 
-    street = make_street(0, 0, 1, ((0.0, 0.0), (1.0, 0.0)))
+    street = segment_graph(((0.0, 0.0), (1.0, 0.0)))
     for bad in (
         np.array([[0.8, 0.8]]),             # more than the street's length
         np.array([[0.5, -0.25]]),           # negative length
@@ -212,34 +213,21 @@ def test_coverage_from_lengths_dense_and_coo_agree(grid3_scenario):
     ):
         rows, cols = np.nonzero(bad)
         as_coo = scipy.sparse.coo_array((bad[rows, cols], (rows, cols)), shape=bad.shape)
-        expected = _outcome(lambda: coverage_from_lengths([street], bad))
+        expected = _outcome(lambda: coverage_from_lengths(street, bad))
         assert isinstance(expected, tuple)
-        assert _outcome(lambda: coverage_from_lengths([street], as_coo)) == expected
+        assert _outcome(lambda: coverage_from_lengths(street, as_coo)) == expected
 
 
 def test_coverage_from_lengths_rejects_non_finite_lengths():
-    street = make_street(0, 0, 1, ((0.0, 0.0), (1.0, 0.0)))
+    street = segment_graph(((0.0, 0.0), (1.0, 0.0)))
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="finite"):
-            coverage_from_lengths([street], [[bad, 0.5]])
+            coverage_from_lengths(street, [[bad, 0.5]])
 
 
-def test_streets_out_of_id_order_raise():
-    # Row i of the map is street i, so [s1, s0] would pair each row with
-    # the other street's length.
-    s0 = make_street(0, 0, 1, ((-0.5, 0.0), (0.5, 0.0)))
-    s1 = make_street(1, 2, 3, ((0.0, 0.0), (0.25, 0.0)))
-    stations = [_station(0, (0.0, 0.0))]
-    with pytest.raises(ValueError, match="id order"):
-        build_coverage([s1, s0], stations)
-    with pytest.raises(ValueError, match="id order"):
-        coverage_from_lengths([s1, s0], [[0.25], [1.0]])
-    assert np.allclose(build_coverage([s0, s1], stations).C, [[1.0], [1.0]])
-
-
-def _assert_matches_loop_oracle(streets, stations) -> CoverageMap:
-    ours = build_coverage(streets, stations)
-    oracle = loop_coverage(streets, stations)
+def _assert_matches_loop_oracle(graph, stations) -> CoverageMap:
+    ours = build_coverage(graph, stations)
+    oracle = loop_coverage(graph, stations)
     assert csr_equal(ours.lengths, oracle.lengths)
     assert csr_equal(ours.fractions, oracle.fractions)
     return ours
@@ -247,12 +235,12 @@ def _assert_matches_loop_oracle(streets, stations) -> CoverageMap:
 
 def test_batched_coverage_matches_loop_oracle_on_generated_grids():
     for grid_n in range(2, 13):
-        streets, _ = _grid_topology(ScenarioConfig(grid_n=grid_n))
+        graph = _grid_topology(ScenarioConfig(grid_n=grid_n))
         side = grid_n - 1.0
         for radius in (0.5, 0.9, 1.0, 2.0):
             centers = hex_tiling(((0.0, 0.0), (side, side)), radius)
             stations = [_station(k, c, radius) for k, c in enumerate(centers)]
-            _assert_matches_loop_oracle(streets, stations)
+            _assert_matches_loop_oracle(graph, stations)
 
 
 def test_batched_coverage_matches_loop_oracle_on_edges_and_vertices():
@@ -266,22 +254,20 @@ def test_batched_coverage_matches_loop_oracle_on_edges_and_vertices():
     for center in inside:
         corners = Hexagon(center, 1.0).vertices()
         segments += [(p, q) for i, p in enumerate(corners) for q in corners[i + 1:]]
-    streets = [make_street(i, 2 * i, 2 * i + 1, seg) for i, seg in enumerate(segments)]
-    cov = _assert_matches_loop_oracle(streets, stations)
+    cov = _assert_matches_loop_oracle(segment_graph(*segments), stations)
     assert np.all(np.diff(cov.lengths.indptr) >= 1)
     # A street lying on the edge shared by stations 0 and 1 goes to station 0.
     pair = [_station(0, (0.0, 0.0)), _station(1, (0.0, SQ3))]
-    on_edge = make_street(0, 0, 1, ((-0.4, SQ3 / 2), (0.4, SQ3 / 2)))
-    assert np.array_equal(_assert_matches_loop_oracle([on_edge], pair).C, [[1.0, 0.0]])
+    on_edge = segment_graph(((-0.4, SQ3 / 2), (0.4, SQ3 / 2)))
+    assert np.array_equal(_assert_matches_loop_oracle(on_edge, pair).C, [[1.0, 0.0]])
     swapped = [_station(0, (0.0, SQ3)), _station(1, (0.0, 0.0))]
-    assert np.array_equal(_assert_matches_loop_oracle([on_edge], swapped).C, [[1.0, 0.0]])
+    assert np.array_equal(_assert_matches_loop_oracle(on_edge, swapped).C, [[1.0, 0.0]])
 
 
 def test_batched_coverage_matches_loop_oracle_outside_the_tiling():
     stations = [_station(k, c) for k, c in enumerate(hex_tiling(((0.0, 0.0), (2.0, 2.0)), 1.0))]
-    far = make_street(0, 0, 1, ((40.0, 40.0), (41.0, 40.0)))
-    leaving = make_street(1, 1, 2, ((1.0, 1.0), (9.0, 1.0)))
-    cov = _assert_matches_loop_oracle([far, leaving], stations)
+    far_and_leaving = segment_graph(((40.0, 40.0), (41.0, 40.0)), ((1.0, 1.0), (9.0, 1.0)))
+    cov = _assert_matches_loop_oracle(far_and_leaving, stations)
     assert cov.lengths.indptr[1] == 0
     assert 0.0 < cov.C[1].sum() < 1.0
 
@@ -299,25 +285,25 @@ def test_batched_coverage_matches_loop_oracle_on_scattered_mixed_cells():
                 centers.append((float(c[0]), float(c[1])))
                 radii.append(r)
         stations = [_station(k, c, r) for k, (c, r) in enumerate(zip(centers, radii))]
-        streets = []
-        for i in range(0, 60, 2):
+        segments = []
+        for _ in range(0, 60, 2):
             p, q = (tuple(rng.uniform(-7.0, 7.0, 2)) for _ in range(2))
-            streets += [make_street(i, i, i + 1, (p, q)), make_street(i + 1, i + 1, i, (q, p))]
-        _assert_matches_loop_oracle(streets, stations)
+            segments += [(p, q), (q, p)]
+        _assert_matches_loop_oracle(segment_graph(*segments), stations)
 
 
 def test_coverage_stays_sparse_in_memory():
     # Dense lengths and fractions of a grid-40 scenario (6,240 streets, 635
     # stations) take 63 MB, and a station-by-station overlap check 13 MB.
     config = ScenarioConfig(grid_n=40)
-    streets, _ = _grid_topology(config)
+    graph = _grid_topology(config)
     side = config.extent
     stations = [
         _station(k, c) for k, c in enumerate(hex_tiling(((0.0, 0.0), (side, side)), 1.0))
     ]
     tracemalloc.start()
     try:
-        cov = build_coverage(streets, stations)
+        cov = build_coverage(graph, stations)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -327,7 +313,7 @@ def test_coverage_stays_sparse_in_memory():
 
 def _overlap_outcome(stations):
     try:
-        build_coverage([make_street(0, 0, 1, ((0.0, 0.0), (1.0, 0.0)))], stations)
+        build_coverage(segment_graph(((0.0, 0.0), (1.0, 0.0))), stations)
     except OverlapError as err:
         return str(err)
     return None

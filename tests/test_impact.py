@@ -40,13 +40,12 @@ def test_weak_coupling_bounds_remote_entries():
     # Two tight loops tied together by epsilon-weight links: streets 2 and 3
     # only see an epsilon-scaled share of a deviation on street 0.
     eps = 1e-6
-    streets, nodes = _parallel_streets()
     Q = np.zeros((4, 4))
     Q[0, 2] = 1.0
     Q[2, 0] = 1.0
     Q[1, 2] = eps  # hand convention: q1 = eps * q2
     Q[3, 0] = eps
-    net = network_from_matrix(streets, nodes, Q)
+    net = network_from_matrix(_parallel_streets(), Q)
     pattern = _pattern(net, 0)
     # Direct solve of the normal equations as an independent check.
     A = net.A.toarray()
@@ -68,14 +67,14 @@ def test_null_pattern_route_matches_least_squares(grid3_scenario):
 def _single_station_setup():
     net = cycle_network()
     bs = BaseStation(0, (0.5, 0.0), 1.0, 100.0, 200.0)
-    coverage = coverage_from_lengths(net.streets, np.array([[1.0], [0.0]]))
+    coverage = coverage_from_lengths(net.graph, np.array([[1.0], [0.0]]))
     return net, bs, coverage
 
 
 def test_station_covering_nothing_scores_zero():
     net = cycle_network()
     bs = BaseStation(0, (50.0, 50.0), 1.0, 100.0, 200.0)
-    coverage = coverage_from_lengths(net.streets, np.zeros((2, 1)))
+    coverage = coverage_from_lengths(net.graph, np.zeros((2, 1)))
     model = build_impact_model(net, coverage, [bs])
     assert np.array_equal(model.z_vectors, np.zeros((1, 2)))
     assert model.z_scores[0] == 0.0
@@ -91,19 +90,18 @@ def test_station_covering_one_full_street():
 
 def _zero_flow_network():
     # Street 1 and 3 carry no flow in this hand convention: v = (1, 0, 1, 0).
-    streets, nodes = _parallel_streets()
     Q = np.zeros((4, 4))
     Q[0, 2] = Q[0, 3] = Q[2, 0] = Q[3, 1] = 1.0
-    return network_from_matrix(streets, nodes, Q)
+    return network_from_matrix(_parallel_streets(), Q)
 
 
 def test_zero_flow_street_is_singular_only_when_covered():
     net = _zero_flow_network()
     bs = BaseStation(0, (0.5, 0.0), 1.0, 100.0, 200.0)
-    covers_flowing = coverage_from_lengths(net.streets, np.array([[1.0], [0.0], [0.0], [0.0]]))
+    covers_flowing = coverage_from_lengths(net.graph, np.array([[1.0], [0.0], [0.0], [0.0]]))
     model = build_impact_model(net, covers_flowing, [bs])
     assert model.z_scores[0] == pytest.approx(2.0 / bs.headroom, rel=1e-12)
-    covers_dry = coverage_from_lengths(net.streets, np.array([[0.0], [1.0], [0.0], [0.0]]))
+    covers_dry = coverage_from_lengths(net.graph, np.array([[0.0], [1.0], [0.0], [0.0]]))
     with pytest.raises(SingularError):
         build_impact_model(net, covers_dry, [bs])
     with pytest.raises(SingularError):
@@ -189,10 +187,10 @@ def _oracle_cases():
     )
     net = parallel_pair_network(0.3)
     lengths = np.array([[1.5, 0.5], [0.0, 2.0], [0.25, 0.0], [0.0, 0.0]])
-    yield "parallel pair", net, coverage_from_lengths(net.streets, lengths), stations
+    yield "parallel pair", net, coverage_from_lengths(net.graph, lengths), stations
     net = _zero_flow_network()
     lengths = np.array([[1.0, 0.0], [0.0, 0.0], [0.5, 0.5], [0.0, 0.0]])
-    yield "zero-flow streets uncovered", net, coverage_from_lengths(net.streets, lengths), stations
+    yield "zero-flow streets uncovered", net, coverage_from_lengths(net.graph, lengths), stations
 
 
 def test_model_build_matches_per_station_route():

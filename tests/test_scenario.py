@@ -26,27 +26,34 @@ from icisim.scenario import (
     save,
     scenarios_equal,
 )
-from icisim.traffic import Street, intersections_from_streets, network_from_matrix, solve_flows
+from icisim.traffic import csr_equal, network_from_matrix, solve_flows
 
-from oracles import dirichlet_ratios, line_entries
+from oracles import (
+    Street,
+    dict_ratios,
+    dirichlet_ratios,
+    intersections_from_streets,
+    line_entries,
+    object_graph,
+    object_topology,
+)
 
 
 def _validate_scenario(sc: Scenario) -> None:
     """Cross-module invariant suite run against a generated scenario."""
     net = sc.network
     # Street geometry consistent with stored lengths.
-    for s in net.streets:
-        (x0, y0), (x1, y1) = s.geometry
-        assert abs(s.length - np.hypot(x1 - x0, y1 - y0)) <= 1e-9
-        assert s.tail != s.head
+    g = net.graph
+    drawn = np.hypot(g.geometry[:, 2] - g.geometry[:, 0], g.geometry[:, 3] - g.geometry[:, 1])
+    assert np.all(np.abs(g.length - drawn) <= 1e-9)
+    assert np.all(g.tail != g.head)
     # Generated ratio rows are shares summing to one.
     assert np.allclose(net.Q.sum(axis=1), 1.0, atol=1e-9)
     # Flows solve and conserve.
     sol = solve_flows(net, sc.config.anchor_street, sc.config.anchor_flow)
     assert sol.residual(net) <= 1e-6 * np.abs(sol.flows).max()
     # Coverage partitions each street inside the tiling.
-    lengths = np.array([s.length for s in net.streets])
-    assert np.allclose(sc.coverage.lengths.toarray().sum(axis=1), lengths, rtol=1e-6)
+    assert np.allclose(sc.coverage.lengths.toarray().sum(axis=1), g.length, rtol=1e-6)
     assert np.all(sc.coverage.C.sum(axis=1) <= 1.0 + 1e-9)
     # Supply shares are row-stochastic with matching support.
     assert np.allclose(sc.assignment.T.sum(axis=1), 1.0, atol=1e-9)
@@ -63,14 +70,13 @@ def _validate_scenario(sc: Scenario) -> None:
 def test_grid2_street_enumeration():
     sc = generate(ScenarioConfig(grid_n=2, seed=0))
     assert sc.network.n == 8
-    pairs = {(s.tail, s.head) for s in sc.network.streets}
-    assert pairs == {
+    g = sc.network.graph
+    assert set(zip(g.tail.tolist(), g.head.tolist())) == {
         (0, 1), (1, 0), (0, 2), (2, 0), (1, 3), (3, 1), (2, 3), (3, 2)
     }
     # Directed pairs share geometry.
     for e in range(4):
-        fwd, rev = sc.network.streets[2 * e], sc.network.streets[2 * e + 1]
-        assert fwd.geometry == (rev.geometry[1], rev.geometry[0])
+        assert np.array_equal(g.geometry[2 * e], g.geometry[2 * e + 1][[2, 3, 0, 1]])
 
 
 def test_same_seed_is_bit_identical():
@@ -105,16 +111,64 @@ def test_round_trip_identity(tmp_path):
         assert scenarios_equal(sc, load(path)), config
 
 
+def _triples(ratios: dict) -> tuple[list, list, list]:
+    return [j for j, _ in ratios], [k for _, k in ratios], list(ratios.values())
+
+
 def test_one_draw_ratios_equal_per_inflow_dirichlet():
     # The batched draw is bit-identical to one dirichlet call per inflow:
-    # same keys, in the same order, with the same values.
+    # same pairs, in the same order, with the same values.
     for grid_n in range(2, 13):
-        streets, nodes = _grid_topology(ScenarioConfig(grid_n=grid_n))
+        graph = _grid_topology(ScenarioConfig(grid_n=grid_n))
+        streets, nodes = object_topology(ScenarioConfig(grid_n=grid_n))
         for seed in range(4):
-            ours = _sample_ratios(streets, nodes, _rng(seed, 0, _STREAM_RATIOS))
+            rows, cols, shares = _sample_ratios(graph, _rng(seed, 0, _STREAM_RATIOS))
             oracle = dirichlet_ratios(streets, nodes, _rng(seed, 0, _STREAM_RATIOS))
-            assert list(ours) == list(oracle), (grid_n, seed)
-            assert list(ours.values()) == list(oracle.values()), (grid_n, seed)
+            assert (rows.tolist(), cols.tolist(), shares.tolist()) == _triples(oracle)
+
+
+_ORACLE_GRIDS = [*range(2, 13), 30]
+
+
+def test_array_topology_equals_object_oracle():
+    # Index arithmetic gives the streets, in order, that make_street gave
+    # one by one: the same ends, and the same bits of geometry and length.
+    for grid_n in _ORACLE_GRIDS:
+        streets, nodes = object_topology(ScenarioConfig(grid_n=grid_n))
+        oracle = object_graph(streets, nodes)
+        for seed in range(4):
+            graph = generate(ScenarioConfig(grid_n=grid_n, seed=seed)).network.graph
+            for name in ("tail", "head", "geometry", "length", "node_ids", "positions"):
+                ours, theirs = getattr(graph, name), getattr(oracle, name)
+                assert ours.dtype == theirs.dtype, (grid_n, name)
+                assert np.array_equal(ours, theirs), (grid_n, seed, name)
+
+
+def test_argsort_ratios_equal_dict_oracle():
+    # Two stable argsorts order the pairs as the walk over the incidence
+    # lists did, so the draw lands on the same pairs with the same bits.
+    for grid_n in _ORACLE_GRIDS:
+        graph = _grid_topology(ScenarioConfig(grid_n=grid_n))
+        streets, nodes = object_topology(ScenarioConfig(grid_n=grid_n))
+        for seed in range(4):
+            rows, cols, shares = _sample_ratios(graph, _rng(seed, 0, _STREAM_RATIOS))
+            oracle = dict_ratios(streets, nodes, _rng(seed, 0, _STREAM_RATIOS))
+            assert (rows.tolist(), cols.tolist()) == _triples(oracle)[:2], (grid_n, seed)
+            assert np.array_equal(shares, np.array(list(oracle.values()))), (grid_n, seed)
+
+
+def test_generated_Q_equals_Q_of_dict_oracle():
+    for grid_n in _ORACLE_GRIDS:
+        streets, nodes = object_topology(ScenarioConfig(grid_n=grid_n))
+        n = len(streets)
+        for seed in range(4):
+            rows, cols, shares = _triples(
+                dict_ratios(streets, nodes, _rng(seed, 0, _STREAM_RATIOS))
+            )
+            Q = scipy.sparse.csr_array((shares, (rows, cols)), shape=(n, n))
+            Q.eliminate_zeros()
+            ours = generate(ScenarioConfig(grid_n=grid_n, seed=seed)).network.Q
+            assert csr_equal(ours, Q), (grid_n, seed)
 
 
 def test_ratio_support_is_one_strong_component():
@@ -122,12 +176,10 @@ def test_ratio_support_is_one_strong_component():
     # support is strongly connected gives a balance matrix of rank n - 1.
     # The support does not depend on the seed.
     for grid_n in range(2, 13):
-        streets, nodes = _grid_topology(ScenarioConfig(grid_n=grid_n))
-        pairs = np.array(list(_sample_ratios(streets, nodes, _rng(0, 0, _STREAM_RATIOS))))
-        n = len(streets)
-        support = scipy.sparse.coo_matrix(
-            (np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n)
-        )
+        graph = _grid_topology(ScenarioConfig(grid_n=grid_n))
+        rows, cols, _ = _sample_ratios(graph, _rng(0, 0, _STREAM_RATIOS))
+        n = graph.n
+        support = scipy.sparse.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
         count, _ = connected_components(support, directed=True, connection="strong")
         assert count == 1, grid_n
 
@@ -416,15 +468,14 @@ def _scenario_from_lines(text: str) -> Scenario:
         for sid, tail, head, length, x0, y0, x1, y1 in blocks["streets"]
     ]
     n = len(streets)
-    network = network_from_matrix(
-        streets, intersections_from_streets(streets, positions), _sparse(blocks["ratios"], (n, n))
-    )
+    graph = object_graph(streets, intersections_from_streets(streets, positions))
+    network = network_from_matrix(graph, _sparse(blocks["ratios"], (n, n)))
     stations = tuple(sorted(
         (BaseStation(b, (x, y), r, p_act, p_full) for b, x, y, r, p_act, p_full in blocks["stations"]),
         key=lambda bs: bs.id,
     ))
     B, G = len(stations), len(blocks["generators"])
-    coverage = coverage_from_lengths(network.streets, _sparse(blocks["coverage"], (n, B)))
+    coverage = coverage_from_lengths(network.graph, _sparse(blocks["coverage"], (n, B)))
     shares = _sparse(blocks["links"], (B, G)).toarray()
     generators = tuple(
         Generator(g, (x, y), tuple(np.flatnonzero(shares[:, g] > 0.0).tolist()))
@@ -482,3 +533,45 @@ def test_bad_block_line_is_named_by_section(edit, message):
     lines[head + 5] = "0 999 0.5"
     with pytest.raises(FormatError, match=message):
         loads("\n".join(lines) + "\n")
+
+
+def _its_rows(text: str, block: str) -> tuple[list[str], int]:
+    """The lines of ``text`` and the index of the first row of ``block``."""
+    lines = text.splitlines()
+    return lines, next(k for k, line in enumerate(lines) if line.startswith(block + " ")) + 1
+
+
+@pytest.mark.parametrize(
+    "block, row, field, value, message",
+    [
+        ("streets", 23, 0, "24", "[its] street ids must be 0..n-1 with no gaps"),
+        ("streets", 6, 2, "1", "[its] street 6 starts and ends at intersection 1"),
+        ("streets", 3, 3, "1.5", "[its] street 3 length does not match its geometry"),
+        ("streets", 4, 1, "42", "[its] street 4 references an intersection with no position"),
+        ("intersections", 4, 2, "1.5", "[its] street 6 geometry does not run from "
+                                       "intersection 1 to intersection 4 at their positions"),
+    ],
+    ids=["street id gap", "self-loop", "wrong length", "tail with no intersection",
+         "geometry off positions"],
+)
+def test_loader_structure_errors_keep_their_texts(block, row, field, value, message):
+    # Street 6 runs from intersection 1 to 4, the centre of the grid-3 scenario.
+    lines, first = _its_rows(dumps(generate(ScenarioConfig(grid_n=3, seed=0))), block)
+    parts = lines[first + row].split()
+    parts[field] = value
+    lines[first + row] = " ".join(parts)
+    with pytest.raises(FormatError) as err:
+        loads("\n".join(lines) + "\n")
+    assert str(err.value) == message
+
+
+def test_repeated_intersection_id_keeps_its_last_position():
+    sc = generate(ScenarioConfig(grid_n=3, seed=0))
+    text = dumps(sc)
+    lines, first = _its_rows(text, "intersections")
+    lines[first - 1] = "intersections 10"
+    lines.insert(first + 2, "2 9.0 9.0")  # before the true line for id 2
+    again = loads("\n".join(lines) + "\n")
+    assert again.network.graph.node_ids.tolist() == list(range(9))
+    assert np.array_equal(again.network.graph.positions, sc.network.graph.positions)
+    assert dumps(again) == text
