@@ -305,7 +305,7 @@ def _check_disjoint_cells(base_stations: Sequence[BaseStation]) -> None:
     if len(base_stations) < 2:
         return
     centers = np.array([bs.center for bs in base_stations])
-    apothems = np.array([bs.hexagon.apothem for bs in base_stations])
+    apothems = np.array([bs.cell_radius for bs in base_stations]) * math.sqrt(3.0) / 2.0
     order = np.argsort(centers[:, 0], kind="stable")
     xs = centers[order, 0]
     # A few ulps of padding so that rounding in ``xs + reach`` never

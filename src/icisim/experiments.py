@@ -6,14 +6,20 @@ fixed column layout (sweep variable, level, P_d, mean, std, n).  Four of
 them sweep one ``ScenarioConfig`` field and share one runner driven by
 ``_CONFIG_SWEEPS``; :func:`run_experiment` is the entry point for all.
 Scenario replicas differ only in seed, so a run is reproducible byte for
-byte from its spec.  Replicas are generated one after another, in seed
-order.
+byte from its spec.  A run builds each scenario from its three layers
+(:func:`~icisim.scenario.build_its`, ``build_ci`` and ``build_pg``) through
+a per-run memo keyed on the config fields each layer reads: the seed
+touches only the ITS and PG layers, so all replicas of a sweep point share
+one CI layer; radius-sweep reuses each seed's ITS layer across radii, and
+the generator sweeps reuse the ITS and CI layers across generator counts.
+Scenarios are built in seed order, and the memo is dropped when the run
+ends.
 """
 from __future__ import annotations
 
 import html
 from dataclasses import dataclass, field, fields, replace
-from typing import Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -26,7 +32,18 @@ from .game import (
     stackelberg_equilibrium,
 )
 from .impact import its_deviation
-from .scenario import Scenario, ScenarioConfig, generate
+from .scenario import (
+    CI_FIELDS,
+    ITS_FIELDS,
+    PG_FIELDS,
+    Scenario,
+    ScenarioConfig,
+    assemble,
+    build_ci,
+    build_its,
+    build_pg,
+    generate,
+)
 
 EXPERIMENT_IDS = (
     "power-sweep",
@@ -117,9 +134,44 @@ def _config_lines(spec: ExperimentSpec) -> tuple[str, ...]:
     return tuple(lines)
 
 
-def _replicas(base: ScenarioConfig, reps: int) -> list[Scenario]:
-    """Generate ``reps`` scenarios differing only in seed, in order."""
-    return [generate(replace(base, seed=base.seed + rep)) for rep in range(reps)]
+# Each scenario layer and the config fields that fix it; the PG layer also
+# reads the stations, so its key holds the CI fields too.
+_LAYER_KEYS = (("its", ITS_FIELDS), ("ci", CI_FIELDS), ("pg", CI_FIELDS + PG_FIELDS))
+
+
+class _Layers:
+    """Per-run memo of scenario layers, keyed on the config fields each reads.
+
+    A config that shares no layer with an earlier one is built by
+    :func:`~icisim.scenario.generate`; otherwise only its missing layers
+    are built, and the scenario is assembled from those and the shared
+    ones.  Either way it equals ``generate(config)``.
+    """
+
+    def __init__(self) -> None:
+        self._built: dict[tuple, Any] = {}
+
+    def scenario(self, config: ScenarioConfig) -> Scenario:
+        built = self._built
+        its, ci, pg = ((name, *(getattr(config, f) for f in keys)) for name, keys in _LAYER_KEYS)
+        if its not in built and ci not in built and pg not in built:
+            sc = generate(config)
+            built[its] = sc.network
+            built[ci] = (sc.base_stations, sc.coverage)
+            built[pg] = (sc.generators, sc.assignment)
+            return sc
+        if its not in built:
+            built[its] = build_its(config)
+        if ci not in built:
+            built[ci] = build_ci(config, built[its].graph)
+        if pg not in built:
+            built[pg] = build_pg(config, built[ci][0])
+        return assemble(config, built[its], built[ci], built[pg])
+
+
+def _replicas(base: ScenarioConfig, reps: int, layers: _Layers) -> list[Scenario]:
+    """``reps`` scenarios differing only in seed, in order."""
+    return [layers.scenario(replace(base, seed=base.seed + rep)) for rep in range(reps)]
 
 
 def _stat_row(
@@ -134,7 +186,7 @@ def _stat_row(
 
 def _run_power_sweep(spec: ExperimentSpec) -> SweepTable:
     """Uniform percentage cut of all generation versus total flow deviation."""
-    scenarios = _replicas(spec.base, spec.reps)
+    scenarios = _replicas(spec.base, spec.reps, _Layers())
     rows = []
     for pct in spec.sweep:
         samples = []
@@ -165,16 +217,18 @@ def _run_config_sweep(spec: ExperimentSpec) -> SweepTable:
     :func:`pick_attack_source` for each scenario and level.
     """
     name, kind, single = _CONFIG_SWEEPS[spec.experiment]
+    layers = _Layers()
     rows = []
     for value in spec.sweep:
-        scenarios = _replicas(replace(spec.base, **{name: kind(value)}), spec.reps)
+        scenarios = _replicas(replace(spec.base, **{name: kind(value)}), spec.reps, layers)
         for level in spec.levels:
+            # The attack source does not depend on the budget.
+            sources = [[pick_attack_source(sc, level)] if single else None for sc in scenarios]
             for budget in spec.budgets:
                 samples = []
-                for sc in scenarios:
-                    sources = [pick_attack_source(sc, level)] if single else None
+                for sc, picked in zip(scenarios, sources):
                     _, _, outcome = stackelberg_equilibrium(
-                        level, sc.game_instance(), budget, sources
+                        level, sc.game_instance(), budget, picked
                     )
                     samples.append(outcome.residual_deviation)
                 rows.append(_stat_row(value, level.value, budget, samples))
@@ -200,7 +254,7 @@ def _run_allocation_compare(spec: ExperimentSpec) -> SweepTable:
     ``line:equal``.  Fractional budgets are resolved against replica 0,
     which has the base config's own seed.
     """
-    scenarios = _replicas(spec.base, spec.reps)
+    scenarios = _replicas(spec.base, spec.reps, _Layers())
     budgets = resolve_budget_sweep(spec.sweep, scenarios[0].impact.headroom)
     rows = []
     for budget in budgets:

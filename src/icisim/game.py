@@ -95,6 +95,29 @@ class GameInstance:
         """Undisturbed output of each generator."""
         return self.line_caps.sum(axis=0)
 
+    @cached_property
+    def fill_order(self) -> tuple[int, ...]:
+        """Station ids in the defender's fill order (:func:`_fill_order`)."""
+        return tuple(_fill_order(self.impact.z_scores).tolist())
+
+    def zero_defense_reply(self, level: StealthLevel) -> AttackStrategy:
+        """The attacker's best response to no backup, attacking every generator.
+
+        Built once per level and shared by every caller, so its deviations
+        are read-only.  At every level but the station level this is also
+        the reply to any backup allocation.
+        """
+        reply = self._zero_defense_replies.get(level)
+        if reply is None:
+            reply = _best_response(level, self, _zero_defense(self), None)
+            reply.deviations.setflags(write=False)
+            self._zero_defense_replies[level] = reply
+        return reply
+
+    @cached_property
+    def _zero_defense_replies(self) -> dict[StealthLevel, AttackStrategy]:
+        return {}
+
 
 @dataclass(frozen=True, eq=False)
 class AttackStrategy:
@@ -119,7 +142,7 @@ class DefenseStrategy:
     budget: float
 
     def __post_init__(self) -> None:
-        if np.any(self.allocation < 0.0):
+        if (self.allocation < 0.0).any():
             raise ValueError("backup allocations must be nonnegative")
         total = float(self.allocation.sum())
         if total > self.budget * (1.0 + _FEAS_RTOL) + _FEAS_ATOL:
@@ -173,15 +196,15 @@ def validate_attack(level: StealthLevel, instance: GameInstance, p_a: np.ndarray
     p_a = np.asarray(p_a, dtype=float)
     if p_a.shape != (B, G):
         raise InfeasibleError(f"attack matrix has shape {p_a.shape}, expected {(B, G)}")
-    if np.any(p_a < 0.0):
+    if (p_a < 0.0).any():
         raise InfeasibleError("attack deviations must be nonnegative")
     off_line = (instance.line_caps <= 0.0) & (p_a > 0.0)
-    if np.any(off_line):
+    if off_line.any():
         b, g = np.argwhere(off_line)[0]
         raise InfeasibleError(f"attack on nonexistent line generator {g} -> station {b}")
     drained, capacity = _monitored(level, instance, p_a)
     over = drained > capacity * (1.0 + _FEAS_RTOL) + _FEAS_ATOL
-    if np.any(over):
+    if over.any():
         unit = np.argwhere(over)[0]
         raise InfeasibleError(f"attack exceeds {_UNIT_NAMES[level].format(*unit)}")
 
@@ -224,7 +247,7 @@ def _ratio_array(drained: np.ndarray, capacity: np.ndarray, level: StealthLevel)
         drained, capacity, out=np.zeros_like(drained, dtype=float), where=capacity > 0.0
     )
     ratios[(capacity <= 0.0) & (drained > 0.0)] = 1.0
-    if np.any(ratios > 1.0 + _FEAS_RTOL):
+    if (ratios > 1.0 + _FEAS_RTOL).any():
         unit = np.argwhere(ratios > 1.0 + _FEAS_RTOL)[0]
         raise InfeasibleError(
             f"detection ratio exceeds 1 at {level.value} unit {unit.tolist()}"
@@ -291,11 +314,25 @@ def attacker_best_response(
 
     ``sources`` restricts the attacker to a subset of generators (used for
     single-source experiments); by default all generators are attacked.
-    Only the station-level response depends on the defender's allocation.
+    Only the station-level response depends on the defender's allocation,
+    so against all generators the other levels return the instance's
+    shared :meth:`GameInstance.zero_defense_reply`, whose deviations are
+    read-only.
     """
+    if sources is None and level is not StealthLevel.BASE_STATION:
+        return instance.zero_defense_reply(level)
     if p_d is None:
         p_d = _zero_defense(instance)
-    p_d = np.asarray(p_d, dtype=float)
+    return _best_response(level, instance, np.asarray(p_d, dtype=float), sources)
+
+
+def _best_response(
+    level: StealthLevel,
+    instance: GameInstance,
+    p_d: np.ndarray,
+    sources: Sequence[int] | None,
+) -> AttackStrategy:
+    """The closed-form reply of :func:`attacker_best_response`, built afresh."""
     caps = instance.line_caps
     wired = caps > 0.0
     mask = _source_mask(instance, sources)
@@ -335,7 +372,7 @@ def defender_caps(level: StealthLevel, instance: GameInstance) -> np.ndarray:
     """
     if level is StealthLevel.BASE_STATION:
         return instance.headroom / 2.0
-    return attacker_best_response(level, instance).per_station
+    return instance.zero_defense_reply(level).per_station
 
 
 def _fill_order(scores: np.ndarray) -> np.ndarray:
@@ -358,17 +395,23 @@ def solve_defender_lp(impact: ImpactModel, caps: np.ndarray, budget: float) -> D
     first score of their run count as ties and are filled by lower station
     id.
     """
+    return _greedy_fill(_fill_order(impact.z_scores).tolist(), caps, budget)
+
+
+def _greedy_fill(order: Sequence[int], caps: np.ndarray, budget: float) -> DefenseStrategy:
+    """Fill stations up to their caps in ``order`` until the budget is spent."""
     caps = np.asarray(caps, dtype=float)
-    if np.any(caps < 0.0):
+    if (caps < 0.0).any():
         raise ValueError("caps must be nonnegative")
     if budget < 0.0:
         raise ValueError("budget must be nonnegative")
     allocation = np.zeros_like(caps)
+    cap_list = caps.tolist()
     remaining = float(budget)
-    for b in _fill_order(impact.z_scores):
+    for b in order:
         if remaining <= 0.0:
             break
-        take = min(float(caps[b]), remaining)
+        take = min(cap_list[b], remaining)
         allocation[b] = take
         remaining -= take
     return DefenseStrategy(allocation, float(budget))
@@ -399,9 +442,13 @@ def stackelberg_equilibrium(
     budget: float,
     sources: Sequence[int] | None = None,
 ) -> tuple[DefenseStrategy, AttackStrategy, GameOutcome]:
-    """Defender-first equilibrium: allocation LP, then the attacker's reply."""
+    """Defender-first equilibrium: allocation LP, then the attacker's reply.
+
+    The LP fills in the instance's cached :attr:`GameInstance.fill_order`;
+    it is :func:`solve_defender_lp` without re-sorting the scores.
+    """
     caps = defender_caps(level, instance)
-    defense = solve_defender_lp(instance.impact, caps, budget)
+    defense = _greedy_fill(instance.fill_order, caps, budget)
     attack = attacker_best_response(level, instance, defense.allocation, sources)
     return defense, attack, evaluate_profile(level, instance, defense, attack)
 

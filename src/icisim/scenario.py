@@ -7,7 +7,12 @@ impact model.  Generation is deterministic per seed: each random component
 (turning ratios, generator placement, connection counts) draws from its own
 numbered PCG64 stream, so changing how many draws one component makes never
 perturbs the others.  Stream 0 is reserved for topology, which is currently
-deterministic.
+deterministic.  :func:`generate` builds the three layers in turn --
+:func:`build_its` (streets, ratios, flows), :func:`build_ci` (tiling,
+stations, coverage) and :func:`build_pg` (generators, supply shares) -- and
+:func:`assemble` adds the impact model.  Each builder reads only the config
+fields named in its ``*_FIELDS`` tuple, so a caller building many configs
+can reuse a layer across configs that agree on those fields.
 
 Scenario files are plain text with a versioned header and ``[config]``,
 ``[its]``, ``[ci]`` and ``[pg]`` sections; floats are written with ``repr``
@@ -26,6 +31,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -37,7 +43,7 @@ from .coverage import (
 from .errors import FormatError, IcisimError
 from .game import GameInstance
 from .impact import ImpactModel, build_impact_model
-from .power import Generator, build_assignment
+from .power import Generator, PowerAssignment, build_assignment
 from .traffic import (
     FlowNetwork,
     StreetGraph,
@@ -122,6 +128,11 @@ class Scenario:
     impact: ImpactModel
 
     def game_instance(self) -> GameInstance:
+        """The scenario's one game instance, built on first use."""
+        return self._game_instance
+
+    @cached_property
+    def _game_instance(self) -> GameInstance:
         return GameInstance(self.impact, self.assignment)
 
 
@@ -238,37 +249,77 @@ def _wire_generators(
     return generators, shares
 
 
-def generate(config: ScenarioConfig) -> Scenario:
-    """Deterministically build a scenario from its config and seed.
+# The ScenarioConfig fields each layer builder reads.  The street graph
+# depends only on ``grid_n`` and ``street_length``, which build_ci reads too,
+# so one CI layer serves every config that agrees on CI_FIELDS, whichever
+# seed's graph it was built on; the PG layer reads the stations as well, so
+# it is determined by PG_FIELDS and CI_FIELDS together.
+ITS_FIELDS = ("grid_n", "street_length", "seed", "anchor_street")
+CI_FIELDS = ("grid_n", "street_length", "cell_radius", "p_activation", "power_ratio")
+PG_FIELDS = ("grid_n", "street_length", "num_generators", "seed", "bs_per_generator_range")
+
+# The spawn key's first slot numbers generation attempts; one attempt always
+# suffices, and keeping it at 0 keeps every seed's streams.
+_ATTEMPT = 0
+
+
+def build_its(config: ScenarioConfig) -> FlowNetwork:
+    """The ITS layer: street grid, seeded turning ratios and flow network.
 
     The turning-ratio support of a grid forms one strongly connected
     component for every seed, so the balance matrix always has rank n-1.
     """
-    # The spawn key's first slot numbers generation attempts; one attempt
-    # always suffices, and keeping it at 0 keeps every seed's streams.
-    attempt = 0
     graph = _grid_topology(config)
     if config.anchor_street >= graph.n:
         raise ValueError(
             f"anchor street {config.anchor_street} out of range for {graph.n} streets"
         )
-    ratios = _sample_ratios(graph, _rng(config.seed, attempt, _STREAM_RATIOS))
-    network = build_flow_matrix(graph, *ratios)
+    ratios = _sample_ratios(graph, _rng(config.seed, _ATTEMPT, _STREAM_RATIOS))
+    return build_flow_matrix(graph, *ratios)
 
+
+def build_ci(
+    config: ScenarioConfig, graph: StreetGraph
+) -> tuple[tuple[BaseStation, ...], CoverageMap]:
+    """The CI layer: hex tiling of the grid's square, stations and coverage."""
     side = config.extent
     centers = hex_tiling(((0.0, 0.0), (side, side)), config.cell_radius)
     stations = tuple(
         BaseStation(i, c, config.cell_radius, config.p_activation, config.p_full)
         for i, c in enumerate(centers)
     )
-    coverage = build_coverage(graph, stations)
-    gen_positions = _place_generators(config, _rng(config.seed, attempt, _STREAM_GENERATORS))
+    return stations, build_coverage(graph, stations)
+
+
+def build_pg(
+    config: ScenarioConfig, stations: Sequence[BaseStation]
+) -> tuple[tuple[Generator, ...], PowerAssignment]:
+    """The PG layer: seeded generators wired to ``stations``, and the supply shares."""
+    positions = _place_generators(config, _rng(config.seed, _ATTEMPT, _STREAM_GENERATORS))
     generators, shares = _wire_generators(
-        config, gen_positions, stations, _rng(config.seed, attempt, _STREAM_CONNECTIONS)
+        config, positions, stations, _rng(config.seed, _ATTEMPT, _STREAM_CONNECTIONS)
     )
-    assignment = build_assignment(generators, stations, shares)
+    return generators, build_assignment(generators, stations, shares)
+
+
+def assemble(
+    config: ScenarioConfig,
+    network: FlowNetwork,
+    ci: tuple[tuple[BaseStation, ...], CoverageMap],
+    pg: tuple[tuple[Generator, ...], PowerAssignment],
+) -> Scenario:
+    """The scenario of three built layers, with its impact model."""
+    stations, coverage = ci
+    generators, assignment = pg
     impact = build_impact_model(network, coverage, stations, config.delta)
     return Scenario(config, network, stations, coverage, generators, assignment, impact)
+
+
+def generate(config: ScenarioConfig) -> Scenario:
+    """Deterministically build a scenario from its config and seed."""
+    network = build_its(config)
+    ci = build_ci(config, network.graph)
+    return assemble(config, network, ci, build_pg(config, ci[0]))
 
 
 # ---------------------------------------------------------------------------

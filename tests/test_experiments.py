@@ -26,7 +26,14 @@ from icisim.experiments import (
     table_to_svg,
 )
 from icisim.game import StealthLevel
-from icisim.scenario import ScenarioConfig, generate
+from icisim.scenario import (
+    ScenarioConfig,
+    build_ci,
+    build_its,
+    build_pg,
+    generate,
+    scenarios_equal,
+)
 
 BASE = ScenarioConfig(grid_n=3, seed=100)
 LEVELS = (StealthLevel.POWER_SOURCE, StealthLevel.POWER_LINE, StealthLevel.BASE_STATION)
@@ -121,14 +128,67 @@ def test_allocation_compare_resolves_budgets_from_replica_zero(monkeypatch):
     resolved = resolve_budget_sweep(spec.sweep, generate(BASE).impact.headroom)
     seeds = []
 
-    def counting_generate(config):
-        seeds.append(config.seed)
-        return generate(config)
+    def counting(build):
+        def counted(config, *layers):
+            seeds.append(config.seed)
+            return build(config, *layers)
+        return counted
 
-    monkeypatch.setattr(experiments, "generate", counting_generate)
+    # The ITS layer reads the seed, so each replica builds its own: replica
+    # 0 from scratch by generate, the next one by build_its.
+    monkeypatch.setattr(experiments, "generate", counting(generate))
+    monkeypatch.setattr(experiments, "build_its", counting(build_its))
     table = run_experiment(spec)
     assert seeds == [BASE.seed, BASE.seed + 1]
     assert sorted({row[0] for row in table.rows}) == sorted(resolved)
+
+
+# Per experiment id: the (generate, build_its, build_ci, build_pg) calls of
+# a run with V sweep values and R replicas.  Only a config that shares no
+# layer with an earlier one is generated from scratch.
+_LAYER_BUILDS = {
+    "power-sweep": lambda v, r: (1, r - 1, 0, r - 1),
+    "allocation-compare": lambda v, r: (1, r - 1, 0, r - 1),
+    "scale-sweep": lambda v, r: (v, v * (r - 1), 0, v * (r - 1)),
+    "radius-sweep": lambda v, r: (1, r - 1, v - 1, v * r - 1),
+    "generators-all": lambda v, r: (1, r - 1, 0, v * r - 1),
+    "generators-single": lambda v, r: (1, r - 1, 0, v * r - 1),
+}
+_SWEEPS = {
+    "power-sweep": (0.0, 50.0),
+    "allocation-compare": (0.25, 1.0),
+    "scale-sweep": (2.0, 3.0),
+    "radius-sweep": (0.9, 1.2),
+    "generators-all": (1.0, 3.0),
+    "generators-single": (1.0, 3.0),
+}
+
+
+@pytest.mark.parametrize("experiment", experiments.EXPERIMENT_IDS)
+def test_shared_layers_give_the_generated_scenarios(monkeypatch, experiment):
+    calls = dict.fromkeys(("generate", "build_its", "build_ci", "build_pg"), 0)
+    scenarios = []
+
+    def counted(name, build):
+        def count(*args):
+            calls[name] += 1
+            return build(*args)
+        return count
+
+    def recorded(layers, config, scenario=experiments._Layers.scenario):
+        scenarios.append(scenario(layers, config))
+        return scenarios[-1]
+
+    for name in calls:
+        monkeypatch.setattr(experiments, name, counted(name, getattr(experiments, name)))
+    monkeypatch.setattr(experiments._Layers, "scenario", recorded)
+    spec = _spec(experiment, sweep=_SWEEPS[experiment], reps=3, budgets=(0.0, 50.0))
+    run_experiment(spec)
+    values = 1 if experiment in ("power-sweep", "allocation-compare") else len(spec.sweep)
+    assert tuple(calls.values()) == _LAYER_BUILDS[experiment](values, spec.reps)
+    assert len(scenarios) == values * spec.reps
+    for sc in scenarios:
+        assert scenarios_equal(sc, generate(sc.config)), sc.config
 
 
 def test_generator_experiments_run_both_modes():

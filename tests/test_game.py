@@ -9,6 +9,8 @@ from icisim.game import (
     AttackStrategy,
     DefenseStrategy,
     StealthLevel,
+    _best_response,
+    _fill_order,
     attacker_best_response,
     attacker_payoff,
     defender_caps,
@@ -435,6 +437,44 @@ def test_equilibrium_caps_per_level():
         response = attacker_best_response(level, inst)
         assert np.array_equal(defender_caps(level, inst), response.per_station)
     assert np.allclose(defender_caps(StealthLevel.OVERT, inst), inst.assignment.p_full)
+
+
+def test_cached_replies_are_read_only_and_fresh():
+    sc = generate(ScenarioConfig(grid_n=5, seed=3, num_generators=3, cell_radius=0.8))
+    inst = sc.game_instance()
+    assert sc.game_instance() is inst
+    zeros = np.zeros(inst.num_stations)
+    backup = random_feasible_defense(np.random.default_rng(5), inst)
+    for level in (StealthLevel.POWER_SOURCE, StealthLevel.POWER_LINE, StealthLevel.OVERT):
+        reply = inst.zero_defense_reply(level)
+        assert inst.zero_defense_reply(level) is reply
+        assert not reply.deviations.flags.writeable
+        with pytest.raises(ValueError):
+            reply.deviations[0, 0] = 1.0
+        fresh = _best_response(level, inst, zeros, None)
+        assert np.array_equal(reply.deviations, fresh.deviations)
+        # The reply reads no backup, so every caller shares it.
+        assert attacker_best_response(level, inst, backup) is reply
+        assert np.array_equal(defender_caps(level, inst), fresh.per_station)
+        # A source subset is never served from the cache.
+        single = attacker_best_response(level, inst, backup, sources=[1])
+        assert single.deviations.flags.writeable
+        assert np.array_equal(single.deviations, _best_response(level, inst, zeros, [1]).deviations)
+    station = attacker_best_response(StealthLevel.BASE_STATION, inst, backup)
+    assert station.deviations.flags.writeable
+    assert np.array_equal(
+        station.deviations,
+        _best_response(StealthLevel.BASE_STATION, inst, backup, None).deviations,
+    )
+    assert inst.fill_order == tuple(_fill_order(inst.impact.z_scores).tolist())
+    # The equilibrium's cached fill order gives solve_defender_lp's allocation.
+    for level in StealthLevel:
+        for budget in (0.0, 40.0, 400.0, 1e6):
+            defense, attack, _ = stackelberg_equilibrium(level, inst, budget)
+            lp = solve_defender_lp(inst.impact, defender_caps(level, inst), budget)
+            assert np.array_equal(defense.allocation, lp.allocation)
+            fresh = _best_response(level, inst, lp.allocation, None)
+            assert np.array_equal(attack.deviations, fresh.deviations)
 
 
 def test_no_profitable_defender_perturbation():

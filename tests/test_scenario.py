@@ -1,11 +1,12 @@
 """Scenario generation and file-format tests."""
 from __future__ import annotations
 
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 import scipy.sparse
+from hypothesis import given, settings, strategies as st
 from scipy.sparse.csgraph import connected_components
 
 from icisim.coverage import BaseStation, coverage_from_lengths
@@ -14,11 +15,17 @@ from icisim.impact import build_impact_model
 from icisim.power import Generator, build_assignment
 from icisim.scenario import (
     _STREAM_RATIOS,
+    CI_FIELDS,
+    ITS_FIELDS,
+    PG_FIELDS,
     Scenario,
     ScenarioConfig,
     _grid_topology,
     _rng,
     _sample_ratios,
+    build_ci,
+    build_its,
+    build_pg,
     dumps,
     generate,
     load,
@@ -65,6 +72,71 @@ def _validate_scenario(sc: Scenario) -> None:
     assert np.all(sc.impact.z_scores >= 0.0)
     covered = (sc.coverage.lengths.toarray() > 0.0).any(axis=0)
     assert np.array_equal(sc.impact.z_scores > 0.0, covered)
+
+
+_CONFIGS = st.builds(
+    ScenarioConfig,
+    grid_n=st.integers(2, 4),
+    street_length=st.sampled_from((0.7, 1.0)),
+    cell_radius=st.sampled_from((0.6, 0.9, 1.3)),
+    num_generators=st.integers(1, 4),
+    p_activation=st.sampled_from((50.0, 100.0)),
+    power_ratio=st.sampled_from((1.5, 2.0)),
+    budget=st.sampled_from((0.0, 100.0)),
+    seed=st.integers(0, 3),
+    bs_per_generator_range=st.sampled_from((None, (1, 1), (1, 3))),
+    anchor_street=st.integers(0, 7),
+    anchor_flow=st.sampled_from((0.0, 1000.0)),
+    delta=st.sampled_from((0.5, 1.0)),
+)
+
+
+def _its_equal(a, b) -> bool:
+    return all(
+        np.array_equal(getattr(a.graph, f.name), getattr(b.graph, f.name))
+        for f in fields(a.graph)
+    ) and csr_equal(a.Q, b.Q)
+
+
+def _ci_equal(a, b) -> bool:
+    return (
+        a[0] == b[0]
+        and csr_equal(a[1].lengths, b[1].lengths)
+        and csr_equal(a[1].fractions, b[1].fractions)
+    )
+
+
+def _pg_equal(a, b) -> bool:
+    return (
+        a[0] == b[0]
+        and np.array_equal(a[1].T, b[1].T)
+        and np.array_equal(a[1].p_full, b[1].p_full)
+    )
+
+
+def _vary(data, base: ScenarioConfig, other: ScenarioConfig, keep: tuple[str, ...]):
+    """``base`` with a drawn subset of the fields outside ``keep`` taken from ``other``."""
+    outside = [f.name for f in fields(ScenarioConfig) if f.name not in keep]
+    changed = data.draw(st.sets(st.sampled_from(outside)), label=f"changed outside {keep}")
+    return replace(base, **{name: getattr(other, name) for name in changed})
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(base=_CONFIGS, other=_CONFIGS, data=st.data())
+def test_layer_builders_read_only_their_fields(base, other, data):
+    # Each builder, on the same inputs, ignores every field outside its tuple.
+    its = build_its(base)
+    ci = build_ci(base, its.graph)
+    assert _its_equal(build_its(_vary(data, base, other, ITS_FIELDS)), its)
+    assert _ci_equal(build_ci(_vary(data, base, other, CI_FIELDS), its.graph), ci)
+    assert _pg_equal(build_pg(_vary(data, base, other, PG_FIELDS), ci[0]), build_pg(base, ci[0]))
+    # Along generate's chain, a CI layer is fixed by CI_FIELDS whichever
+    # seed built the graph, and a PG layer by CI_FIELDS and PG_FIELDS.
+    changed = _vary(data, base, other, CI_FIELDS)
+    assert _ci_equal(build_ci(changed, build_its(changed).graph), ci)
+    changed = _vary(data, base, other, CI_FIELDS + PG_FIELDS)
+    stations = build_ci(changed, build_its(changed).graph)[0]
+    assert _pg_equal(build_pg(changed, stations), build_pg(base, ci[0]))
 
 
 def test_grid2_street_enumeration():
