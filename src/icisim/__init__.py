@@ -48,7 +48,7 @@ from .impact import (
     export_impact_csv,
     its_deviation,
 )
-from .power import Generator, PowerAssignment, build_assignment
+from .power import PowerAssignment, build_assignment
 from .scenario import Scenario, ScenarioConfig, generate, load, loads, save, scenarios_equal
 from .traffic import (
     FlowNetwork,

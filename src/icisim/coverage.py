@@ -202,10 +202,6 @@ class CoverageMap:
     fractions: scipy.sparse.csr_array
 
     @property
-    def num_streets(self) -> int:
-        return self.lengths.shape[0]
-
-    @property
     def num_stations(self) -> int:
         return self.lengths.shape[1]
 

@@ -24,9 +24,11 @@ from typing import Any, Sequence
 import numpy as np
 
 from .game import (
+    GameInstance,
     StealthLevel,
     attacker_best_response,
     attacker_payoff,
+    defender_caps,
     equal_allocation,
     evaluate_profile,
     stackelberg_equilibrium,
@@ -236,14 +238,14 @@ def _run_config_sweep(spec: ExperimentSpec) -> SweepTable:
     return SweepTable(name, tuple(rows), _config_lines(spec) + extra)
 
 
-def resolve_budget_sweep(sweep: Sequence[float], headroom: np.ndarray) -> tuple[float, ...]:
+def resolve_budget_sweep(sweep: Sequence[float], instance: GameInstance) -> tuple[float, ...]:
     """Turn allocation-compare sweep fractions into absolute budgets.
 
     Values at most 1 are read as fractions of the smallest per-level total
-    defender cap, half the summed station ``headroom``; larger values are
-    taken as watts directly.
+    defender cap of ``instance`` (:func:`~icisim.game.defender_caps`);
+    larger values are taken as watts directly.
     """
-    saturation = float(headroom.sum()) / 2.0
+    saturation = min(float(defender_caps(level, instance).sum()) for level in StealthLevel)
     return tuple(float(v) * saturation if v <= 1.0 else float(v) for v in sweep)
 
 
@@ -255,7 +257,7 @@ def _run_allocation_compare(spec: ExperimentSpec) -> SweepTable:
     which has the base config's own seed.
     """
     scenarios = _replicas(spec.base, spec.reps, _Layers())
-    budgets = resolve_budget_sweep(spec.sweep, scenarios[0].impact.headroom)
+    budgets = resolve_budget_sweep(spec.sweep, scenarios[0].game_instance())
     rows = []
     for budget in budgets:
         for level in spec.levels:

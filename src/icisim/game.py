@@ -129,10 +129,6 @@ class AttackStrategy:
     def per_station(self) -> np.ndarray:
         return self.deviations.sum(axis=1)
 
-    @property
-    def per_source(self) -> np.ndarray:
-        return self.deviations.sum(axis=0)
-
 
 @dataclass(frozen=True, eq=False)
 class DefenseStrategy:
@@ -453,9 +449,8 @@ def stackelberg_equilibrium(
     return defense, attack, evaluate_profile(level, instance, defense, attack)
 
 
-def equal_allocation(base_stations: int | Sequence, budget: float) -> DefenseStrategy:
-    """Spread the whole budget uniformly over all stations."""
-    count = base_stations if isinstance(base_stations, int) else len(base_stations)
+def equal_allocation(count: int, budget: float) -> DefenseStrategy:
+    """Spread the whole budget uniformly over ``count`` stations."""
     if count < 1:
         raise ValueError("need at least one station")
     return DefenseStrategy(np.full(count, budget / count), float(budget))

@@ -2,8 +2,9 @@
 
 Each base station draws its power from the generators it is wired to; the
 share matrix ``T`` records, per station, the portion supplied by each
-generator.  Rows of ``T`` sum to one, so with no disturbance every station
-receives exactly its full-coverage power.
+generator, and a supply line exists exactly where a share is positive.
+Rows of ``T`` sum to one, so with no disturbance every station receives
+exactly its full-coverage power.
 """
 from __future__ import annotations
 
@@ -14,21 +15,6 @@ import numpy as np
 
 from .coverage import BaseStation
 from .errors import DisconnectedError
-
-Point = tuple[float, float]
-
-
-@dataclass(frozen=True)
-class Generator:
-    """Power source at ``position`` wired to the stations in ``connected_bs``."""
-
-    id: int
-    position: Point
-    connected_bs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.connected_bs:
-            raise ValueError(f"generator {self.id} is connected to no station")
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,35 +41,25 @@ class PowerAssignment:
         return self.T[b, g] > 0.0
 
 
-def build_assignment(
-    generators: Sequence[Generator],
-    base_stations: Sequence[BaseStation],
-    shares: np.ndarray,
-) -> PowerAssignment:
+def build_assignment(base_stations: Sequence[BaseStation], shares: np.ndarray) -> PowerAssignment:
     """Normalise raw supply weights into a PowerAssignment.
 
     ``shares[b, g]`` is a nonnegative raw weight, positive exactly where
-    generator ``g`` lists station ``b``.  Each station's weights are scaled
-    to sum to one, except that rows already summing to one within 1e-12
-    are kept bit for bit, so a stored ``T`` loads unchanged.  A station with
-    no positive weight raises DisconnectedError.
+    generator ``g`` has a line to station ``b``.  Each station's weights are
+    scaled to sum to one, except that rows already summing to one within
+    1e-12 are kept bit for bit, so a stored ``T`` loads unchanged.  A
+    generator with no positive weight raises ValueError, and a station with
+    none raises DisconnectedError.
     """
     B = len(base_stations)
-    G = len(generators)
     shares = np.asarray(shares, dtype=float)
-    if shares.shape != (B, G):
-        raise ValueError(f"share matrix has shape {shares.shape}, expected {(B, G)}")
+    if shares.ndim != 2 or shares.shape[0] != B:
+        raise ValueError(f"share matrix has shape {shares.shape}, expected ({B}, generators)")
+    idle = np.flatnonzero(~(shares > 0.0).any(axis=0))
+    if idle.size:
+        raise ValueError(f"generator {idle[0]} is connected to no station")
     if np.any(shares < 0.0):
         raise ValueError("supply shares must be nonnegative")
-
-    wired = np.zeros((B, G), dtype=bool)
-    for g, gen in enumerate(generators):
-        for b in gen.connected_bs:
-            if not 0 <= b < B:
-                raise ValueError(f"generator {gen.id} references unknown station {b}")
-            wired[b, g] = True
-    if np.any((shares > 0.0) & ~wired):
-        raise ValueError("positive share on a pair with no line")
 
     totals = shares.sum(axis=1)
     dead = np.nonzero(totals <= 0.0)[0]
@@ -94,4 +70,3 @@ def build_assignment(
     T = shares / totals[:, None]
     p_full = np.array([bs.p_full for bs in base_stations])
     return PowerAssignment(T, p_full)
-

@@ -2,17 +2,22 @@
 
 A scenario bundles one of each ingredient: a square street grid with
 sampled turning ratios, a hexagonal cell tiling with its coverage map,
-uniformly placed generators wired to nearby stations, and the resulting
-impact model.  Generation is deterministic per seed: each random component
-(turning ratios, generator placement, connection counts) draws from its own
-numbered PCG64 stream, so changing how many draws one component makes never
-perturbs the others.  Stream 0 is reserved for topology, which is currently
-deterministic.  :func:`generate` builds the three layers in turn --
-:func:`build_its` (streets, ratios, flows), :func:`build_ci` (tiling,
-stations, coverage) and :func:`build_pg` (generators, supply shares) -- and
-:func:`assemble` adds the impact model.  Each builder reads only the config
-fields named in its ``*_FIELDS`` tuple, so a caller building many configs
-can reuse a layer across configs that agree on those fields.
+uniformly placed generator sites wired to nearby stations by their supply
+shares, and the resulting impact model.  Generation is deterministic per
+seed: each random component (turning ratios, generator placement,
+connection counts) draws from its own numbered PCG64 stream, so changing
+how many draws one component makes never perturbs the others.  Stream 0 is
+reserved for topology, which is currently deterministic.  :func:`generate`
+builds the three layers in turn -- :func:`build_its` (streets, ratios,
+flows), :func:`build_ci` (tiling, stations, coverage) and :func:`build_pg`
+(generator sites, supply shares) -- and :func:`assemble` adds the impact
+model.  Each builder reads only the config fields named in its
+``*_FIELDS`` tuple, so a caller building many configs can reuse a layer
+across configs that agree on those fields.  Generation and loading enter
+each layer through the same validating constructor:
+:func:`~icisim.traffic.network_from_matrix`,
+:func:`~icisim.coverage.coverage_from_lengths` and
+:func:`~icisim.power.build_assignment`.
 
 Scenario files are plain text with a versioned header and ``[config]``,
 ``[its]``, ``[ci]`` and ``[pg]`` sections; floats are written with ``repr``
@@ -43,7 +48,7 @@ from .coverage import (
 from .errors import FormatError, IcisimError
 from .game import GameInstance
 from .impact import ImpactModel, build_impact_model
-from .power import Generator, PowerAssignment, build_assignment
+from .power import PowerAssignment, build_assignment
 from .traffic import (
     FlowNetwork,
     StreetGraph,
@@ -117,13 +122,18 @@ class ScenarioConfig:
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
-    """One fully wired instance of the three coupled infrastructures."""
+    """One fully wired instance of the three coupled infrastructures.
+
+    ``generators`` holds the (G, 2) generator sites, read-only because
+    layers are shared across scenarios; their supply lines are the positive
+    entries of ``assignment.T``.
+    """
 
     config: ScenarioConfig
     network: FlowNetwork
     base_stations: tuple[BaseStation, ...]
     coverage: CoverageMap
-    generators: tuple[Generator, ...]
+    generators: np.ndarray
     assignment: PowerAssignment
     impact: ImpactModel
 
@@ -209,12 +219,14 @@ def _wire_generators(
     positions: np.ndarray,
     stations: Sequence[BaseStation],
     rng: np.random.Generator,
-) -> tuple[tuple[Generator, ...], np.ndarray]:
-    """Connect each generator to its k nearest stations, k drawn uniformly.
+) -> np.ndarray:
+    """Raw (B, G) supply weights: each generator wired to its k nearest
+    stations, k drawn uniformly, ties to the lower station id.
 
-    Stations left out by every draw are attached to their nearest generator
-    so that no station is dark by construction.  Raw supply weights fall off
-    with distance and are row-normalised later.
+    Stations left out by every draw are attached to their nearest generator,
+    ties to the lower generator id, so that no station is dark by
+    construction.  Weights fall off with distance, zero where no line
+    exists, and are row-normalised later.
     """
     B = len(stations)
     G = config.num_generators
@@ -227,26 +239,13 @@ def _wire_generators(
         lo, hi = 1, max(1, -(-2 * B // G))
     else:
         lo, hi = config.bs_per_generator_range
-    connected: list[set[int]] = [set() for _ in range(G)]
-    for g in range(G):
-        k = int(rng.integers(lo, hi + 1))
-        k = min(k, B)
-        order = np.lexsort((np.arange(B), dists[:, g]))
-        connected[g].update(int(b) for b in order[:k])
-    claimed = set().union(*connected) if connected else set()
-    for b in range(B):
-        if b not in claimed:
-            g = int(np.lexsort((np.arange(G), dists[b]))[0])
-            connected[g].add(b)
-    generators = tuple(
-        Generator(g, (float(positions[g, 0]), float(positions[g, 1])), tuple(sorted(connected[g])))
-        for g in range(G)
-    )
-    shares = np.zeros((B, G))
-    for g in range(G):
-        for b in connected[g]:
-            shares[b, g] = 1.0 / max(dists[b, g], 1e-9)
-    return generators, shares
+    k = rng.integers(lo, hi + 1, size=G)
+    # Each station's rank by distance from each generator.
+    rank = np.argsort(np.argsort(dists, axis=0, kind="stable"), axis=0, kind="stable")
+    wired = rank < k
+    dark = np.flatnonzero(~wired.any(axis=1))
+    wired[dark, np.argmin(dists[dark], axis=1)] = True
+    return np.where(wired, 1.0 / np.maximum(dists, 1e-9), 0.0)
 
 
 # The ScenarioConfig fields each layer builder reads.  The street graph
@@ -293,20 +292,22 @@ def build_ci(
 
 def build_pg(
     config: ScenarioConfig, stations: Sequence[BaseStation]
-) -> tuple[tuple[Generator, ...], PowerAssignment]:
-    """The PG layer: seeded generators wired to ``stations``, and the supply shares."""
+) -> tuple[np.ndarray, PowerAssignment]:
+    """The PG layer: seeded generator sites, read-only, and their supply
+    shares to ``stations``."""
     positions = _place_generators(config, _rng(config.seed, _ATTEMPT, _STREAM_GENERATORS))
-    generators, shares = _wire_generators(
+    positions.flags.writeable = False
+    shares = _wire_generators(
         config, positions, stations, _rng(config.seed, _ATTEMPT, _STREAM_CONNECTIONS)
     )
-    return generators, build_assignment(generators, stations, shares)
+    return positions, build_assignment(stations, shares)
 
 
 def assemble(
     config: ScenarioConfig,
     network: FlowNetwork,
     ci: tuple[tuple[BaseStation, ...], CoverageMap],
-    pg: tuple[tuple[Generator, ...], PowerAssignment],
+    pg: tuple[np.ndarray, PowerAssignment],
 ) -> Scenario:
     """The scenario of three built layers, with its impact model."""
     stations, coverage = ci
@@ -334,23 +335,13 @@ def dumps(scenario: Scenario) -> str:
     """Render a scenario in the versioned text format."""
     cfg = scenario.config
     out: list[str] = [FILE_HEADER, "[config]"]
-    out.append(f"grid_n = {cfg.grid_n}")
-    out.append(f"street_length = {_fmt(cfg.street_length)}")
-    out.append(f"cell_radius = {_fmt(cfg.cell_radius)}")
-    out.append(f"num_generators = {cfg.num_generators}")
-    out.append(f"p_activation = {_fmt(cfg.p_activation)}")
-    out.append(f"power_ratio = {_fmt(cfg.power_ratio)}")
-    out.append(f"budget = {_fmt(cfg.budget)}")
-    out.append(f"seed = {cfg.seed}")
-    if cfg.bs_per_generator_range is None:
-        out.append("bs_per_generator_min = auto")
-        out.append("bs_per_generator_max = auto")
-    else:
-        out.append(f"bs_per_generator_min = {cfg.bs_per_generator_range[0]}")
-        out.append(f"bs_per_generator_max = {cfg.bs_per_generator_range[1]}")
-    out.append(f"anchor_street = {cfg.anchor_street}")
-    out.append(f"anchor_flow = {_fmt(cfg.anchor_flow)}")
-    out.append(f"delta = {_fmt(cfg.delta)}")
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if f.name == "bs_per_generator_range":
+            for end, bound in zip(("min", "max"), value or ("auto", "auto")):
+                out.append(f"bs_per_generator_{end} = {bound}")
+        else:
+            out.append(f"{f.name} = {value if f.type == 'int' else _fmt(value)}")
 
     net, graph = scenario.network, scenario.network.graph
     out.append("[its]")
@@ -383,8 +374,8 @@ def dumps(scenario: Scenario) -> str:
 
     out.append("[pg]")
     out.append(f"generators {len(scenario.generators)}")
-    for gen in scenario.generators:
-        out.append(f"{gen.id} {_fmt(gen.position[0])} {_fmt(gen.position[1])}")
+    for g, (x, y) in enumerate(scenario.generators.tolist()):
+        out.append(f"{g} {_fmt(x)} {_fmt(y)}")
     rows, cols = np.nonzero(scenario.assignment.T)
     out.append(f"links {rows.size}")
     for b, g in zip(rows.tolist(), cols.tolist()):
@@ -631,7 +622,8 @@ def loads(text: str) -> Scenario:
 
     reader.expect_section("config")
     raw: dict[str, str] = {}
-    for _ in range(13):
+    # bs_per_generator_range takes two lines, its min and its max.
+    for _ in range(len(fields(ScenarioConfig)) + 1):
         parts = reader.fields(3, "config entry")
         if parts[1] != "=":
             raise FormatError(f"[config] malformed entry {' '.join(parts)!r}")
@@ -691,8 +683,9 @@ def loads(text: str) -> Scenario:
         reader, n_gens, "generator", ("generator id",), ("generator x", "generator y")
     )
     _check_ids(reader, gen_ids[:, 0], n_gens, "generator")
-    gen_positions = np.empty_like(gen_xy)
-    gen_positions[gen_ids[:, 0]] = gen_xy
+    generators = np.empty_like(gen_xy)
+    generators[gen_ids[:, 0]] = gen_xy
+    generators.flags.writeable = False
     shares = _entries(reader, "links", (n_stations, n_gens)).toarray()
 
     legacy_impact: tuple[np.ndarray, np.ndarray] | None = None
@@ -716,11 +709,7 @@ def loads(text: str) -> Scenario:
     except (ValueError, IcisimError) as err:
         raise FormatError(f"[ci] {err}") from None
     try:
-        generators = tuple(
-            Generator(g, (x, y), tuple(np.flatnonzero(shares[:, g] > 0.0).tolist()))
-            for g, (x, y) in enumerate(gen_positions.tolist())
-        )
-        assignment = build_assignment(generators, stations_t, shares)
+        assignment = build_assignment(stations_t, shares)
     except (ValueError, IcisimError) as err:
         raise FormatError(f"[pg] {err}") from None
     if legacy_impact is not None:
@@ -749,7 +738,7 @@ def scenarios_equal(a: Scenario, b: Scenario) -> bool:
         and a.base_stations == b.base_stations
         and csr_equal(a.coverage.lengths, b.coverage.lengths)
         and csr_equal(a.coverage.fractions, b.coverage.fractions)
-        and a.generators == b.generators
+        and np.array_equal(a.generators, b.generators)
         and np.array_equal(a.assignment.T, b.assignment.T)
         and np.array_equal(a.impact.null_vector, b.impact.null_vector)
         and np.array_equal(a.impact.scale, b.impact.scale)

@@ -264,54 +264,48 @@ def build_flow_matrix(graph: StreetGraph, rows, cols, shares) -> FlowNetwork:
     """Assemble the balance system from per-inflow turning ratios.
 
     ``shares[e]`` is the share of inflow street ``rows[e]`` routed to
-    outflow street ``cols[e]``; the two streets must meet head-to-tail at
-    one intersection, and the shares of a repeated pair add up.  Shares of
-    each inflow street must be nonnegative and sum to 1.
+    outflow street ``cols[e]``, and the shares of a repeated pair add up.
+    Shares must be nonnegative, and those of each inflow street whose head
+    has outflows must sum to 1.  The matrix then goes through
+    :func:`network_from_matrix`, which checks the graph, the placement of
+    every pair and the rank.
 
-    Raises TopologyError for a ratio on a street pair that does not meet,
-    and RankError when the resulting balance matrix does not have rank n-1.
+    Raises TopologyError for a ratio on an unknown street or on a street
+    pair that does not meet, and RankError when the resulting balance
+    matrix does not have rank n-1.
     """
-    _check_structure(graph)
-    n, tails, heads = graph.n, graph.tail, graph.head
+    n = graph.n
     rows = np.asarray(rows, dtype=np.int64).reshape(-1)
     cols = np.asarray(cols, dtype=np.int64).reshape(rows.shape)
     shares = np.asarray(shares, dtype=float).reshape(rows.shape)
     known = (rows >= 0) & (rows < n) & (cols >= 0) & (cols < n)
-    meets = known & (heads[np.where(known, rows, 0)] == tails[np.where(known, cols, 0)])
-    bad = ~meets | (shares < 0.0)
+    bad = ~known | (shares < 0.0)
     if bad.any():
         i = int(np.argmax(bad))
         j, k = int(rows[i]), int(cols[i])
         if not known[i]:
             raise TopologyError(f"turning ratio references unknown street pair ({j}, {k})")
-        if not meets[i]:
-            raise TopologyError(
-                f"streets {j} and {k} do not meet head-to-tail at an intersection"
-            )
         raise ValueError(f"turning ratio for ({j}, {k}) is negative")
 
     # A street whose head intersection has outflows must split all of it.
-    has_outflow = np.isin(heads, tails)
+    has_outflow = np.isin(graph.head, graph.tail)
     row_sums = np.bincount(rows, shares, minlength=n)
     bad_rows = np.nonzero(has_outflow & (np.abs(row_sums - 1.0) > 1e-9))[0]
     if bad_rows.size:
         raise ValueError(f"outflow shares of inflow streets {bad_rows.tolist()} do not sum to 1")
-
-    Q = scipy.sparse.csr_array((shares, (rows, cols)), shape=(n, n))
-    Q.eliminate_zeros()
-    net = FlowNetwork(graph, Q)
-    net.null_vector  # factorise now so a rank failure surfaces at construction
-    return net
+    return network_from_matrix(graph, scipy.sparse.coo_array((shares, (rows, cols)), shape=(n, n)))
 
 
 def network_from_matrix(graph: StreetGraph, Q) -> FlowNetwork:
-    """Build a network from an explicit ratio matrix (file-loading path).
+    """Build a network from an explicit ratio matrix.
 
     ``Q`` may be dense or any ``scipy.sparse`` matrix; it is stored as a
-    canonical CSR array.  Only structural placement (entries restricted to
-    street pairs meeting head-to-tail) and the rank invariant are enforced;
-    row normalisation is not required here, so externally authored
-    conventions remain loadable.
+    canonical CSR array, with duplicate entries of a sparse input summed.
+    This is the one way into the ITS layer: it checks the street graph,
+    that every stored entry, zero or not, links streets meeting
+    head-to-tail (TopologyError otherwise), and the rank invariant.  Row
+    normalisation is not required here, so externally authored conventions
+    remain loadable.
     """
     _check_structure(graph)
     n = graph.n
@@ -319,11 +313,8 @@ def network_from_matrix(graph: StreetGraph, Q) -> FlowNetwork:
         Q = np.asarray(Q, dtype=float)
     if Q.shape != (n, n):
         raise ValueError(f"ratio matrix has shape {Q.shape}, expected {(n, n)}")
-    # Canonical form: sorted indices, no stored zeros; duplicate entries of
-    # a sparse input are summed.
     Q = scipy.sparse.csr_array(Q, dtype=float, copy=True)
     Q.sum_duplicates()
-    Q.eliminate_zeros()
     rows, cols, _ = csr_entries(Q)
     apart = np.nonzero(graph.head[rows] != graph.tail[cols])[0]
     if apart.size:
@@ -331,6 +322,7 @@ def network_from_matrix(graph: StreetGraph, Q) -> FlowNetwork:
         raise TopologyError(
             f"ratio matrix entry ({j}, {k}) links streets that do not meet head-to-tail"
         )
+    Q.eliminate_zeros()
     net = FlowNetwork(graph, Q)
     net.null_vector  # factorise now so a rank failure surfaces at construction
     return net

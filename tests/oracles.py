@@ -15,9 +15,11 @@ instead of rescaling the deflated sparse-LU null vector, the impact oracle sums
 dense per-street patterns station by station instead of scaling one shared
 vector, the attack oracle scans payoff lattices instead of using closed
 forms, the structure oracle checks streets one at a time with sets and
-dicts instead of in whole-array passes, and the file oracle reads every
+dicts instead of in whole-array passes, the file oracle reads every
 numeric block one line and one token at a time with Python's ``int`` and
-``float`` instead of one ``np.loadtxt`` pass per block.
+``float`` instead of one ``np.loadtxt`` pass per block, and the wiring
+oracle grows one set of station ids per generator instead of ranking all
+(station, generator) distances in one pass.
 
 The object builders are the street network as the package once held it,
 one frozen record per street and per intersection:
@@ -331,6 +333,44 @@ def dict_ratios(streets, intersections, rng) -> dict[tuple[int, int], float]:
     draws = rng.standard_exponential(len(pairs))
     shares = draws * (1.0 / np.bincount(inflow, draws, minlength=len(sizes)))[inflow]
     return dict(zip(pairs, shares.tolist()))
+
+
+# ---------------------------------------------------------------------------
+# Supply wiring
+
+
+def set_wiring(config, positions, stations, rng) -> np.ndarray:
+    """Raw (B, G) supply weights from per-generator sets of station ids.
+
+    The wiring loop as the package once ran it: each generator claims its
+    k nearest stations (one ``lexsort`` per generator), then each unclaimed
+    station joins its nearest generator (one ``lexsort`` per station), and
+    the weights are filled in pair by pair.
+    """
+    B, G = len(stations), config.num_generators
+    centers = np.array([bs.center for bs in stations])
+    dists = np.hypot(
+        centers[:, 0][:, None] - positions[:, 0][None, :],
+        centers[:, 1][:, None] - positions[:, 1][None, :],
+    )
+    if config.bs_per_generator_range is None:
+        lo, hi = 1, max(1, -(-2 * B // G))
+    else:
+        lo, hi = config.bs_per_generator_range
+    connected: list[set[int]] = [set() for _ in range(G)]
+    for g in range(G):
+        k = min(int(rng.integers(lo, hi + 1)), B)
+        order = np.lexsort((np.arange(B), dists[:, g]))
+        connected[g].update(int(b) for b in order[:k])
+    claimed = set().union(*connected)
+    for b in range(B):
+        if b not in claimed:
+            connected[int(np.lexsort((np.arange(G), dists[b]))[0])].add(b)
+    shares = np.zeros((B, G))
+    for g in range(G):
+        for b in connected[g]:
+            shares[b, g] = 1.0 / max(dists[b, g], 1e-9)
+    return shares
 
 
 def dense_overlap_pair(base_stations) -> tuple[int, int] | None:

@@ -261,11 +261,8 @@ def _retile(sc, radius: float) -> tuple[GameInstance, int]:
         for i, c in enumerate(centers)
     )
     coverage = build_coverage(sc.network.graph, stations)
-    positions = np.array([g.position for g in sc.generators])
-    generators, shares = _wire_generators(
-        sc.config, positions, stations, _rng(sc.config.seed, 0, 3)
-    )
-    assignment = build_assignment(generators, stations, shares)
+    shares = _wire_generators(sc.config, sc.generators, stations, _rng(sc.config.seed, 0, 3))
+    assignment = build_assignment(stations, shares)
     impact = build_impact_model(sc.network, coverage, stations, sc.config.delta)
     return GameInstance(impact, assignment), len(stations)
 

@@ -115,17 +115,18 @@ def test_allocation_compare_dominance():
 
 
 def test_budget_sweep_resolution():
-    headroom = generate(BASE).impact.headroom
-    budgets = resolve_budget_sweep((0.0, 0.5, 1.0), headroom)
+    instance = generate(BASE).game_instance()
+    budgets = resolve_budget_sweep((0.0, 0.5, 1.0), instance)
     assert budgets[0] == 0.0
     assert budgets[1] == pytest.approx(budgets[2] / 2.0)
-    assert budgets[2] == float(headroom.sum()) / 2.0
-    assert resolve_budget_sweep((40.0, 90.0), headroom) == (40.0, 90.0)
+    # The smallest per-level total cap is the station level's, half the headroom.
+    assert budgets[2] == float(instance.headroom.sum()) / 2.0
+    assert resolve_budget_sweep((40.0, 90.0), instance) == (40.0, 90.0)
 
 
 def test_allocation_compare_resolves_budgets_from_replica_zero(monkeypatch):
     spec = _spec("allocation-compare", sweep=(0.25, 1.0, 40.0), reps=2, levels=LEVELS[:1])
-    resolved = resolve_budget_sweep(spec.sweep, generate(BASE).impact.headroom)
+    resolved = resolve_budget_sweep(spec.sweep, generate(BASE).game_instance())
     seeds = []
 
     def counting(build):

@@ -7,7 +7,7 @@ import pytest
 from icisim.coverage import BaseStation, coverage_fraction
 from icisim.errors import DisconnectedError
 from icisim.game import GameInstance
-from icisim.power import Generator, build_assignment
+from icisim.power import build_assignment
 
 from conftest import synthetic_impact
 
@@ -23,16 +23,13 @@ def _instance(assignment, stations) -> GameInstance:
 
 def test_single_generator_supplies_everything():
     stations = _stations(4)
-    gens = [Generator(0, (0.0, 0.0), (0, 1, 2, 3))]
-    shares = np.ones((4, 1))
-    assignment = build_assignment(gens, stations, shares)
+    assignment = build_assignment(stations, np.ones((4, 1)))
     assert np.array_equal(assignment.T, np.ones((4, 1)))
 
 
 def test_two_equal_shares_split_in_half():
     stations = _stations(1)
-    gens = [Generator(0, (0.0, 0.0), (0,)), Generator(1, (1.0, 1.0), (0,))]
-    assignment = build_assignment(gens, stations, np.array([[3.0, 3.0]]))
+    assignment = build_assignment(stations, np.array([[3.0, 3.0]]))
     assert np.allclose(assignment.T[0], [0.5, 0.5])
 
 
@@ -45,12 +42,11 @@ def test_random_wiring_rows_sum_to_one():
     connected = [tuple(int(b) for b in np.nonzero(wired[:, g])[0]) for g in range(G)]
     # Guarantee every generator lists someone.
     connected = [c if c else (int(rng.integers(B)),) for c in connected]
-    gens = [Generator(g, (0.0, 0.0), connected[g]) for g in range(G)]
     shares = np.zeros((B, G))
     for g in range(G):
         for b in connected[g]:
             shares[b, g] = rng.uniform(0.5, 2.0)
-    assignment = build_assignment(gens, stations, shares)
+    assignment = build_assignment(stations, shares)
     # Independent recomputation of the row sums from the raw weights.
     expected = shares / shares.sum(axis=1, keepdims=True)
     assert np.allclose(assignment.T.sum(axis=1), 1.0, atol=1e-9)
@@ -60,21 +56,23 @@ def test_random_wiring_rows_sum_to_one():
 
 def test_station_without_supply_is_rejected():
     stations = _stations(2)
-    gens = [Generator(0, (0.0, 0.0), (0,))]
     with pytest.raises(DisconnectedError):
-        build_assignment(gens, stations, np.array([[1.0], [0.0]]))
+        build_assignment(stations, np.array([[1.0], [0.0]]))
 
 
 def test_generator_must_list_stations():
-    with pytest.raises(ValueError):
-        Generator(0, (0.0, 0.0), ())
+    stations = _stations(2)
+    with pytest.raises(ValueError, match="generator 1 is connected to no station"):
+        build_assignment(stations, np.array([[1.0, 0.0], [1.0, 0.0]]))
+    # A negative weight is no line either; the idle generator is named first.
+    with pytest.raises(ValueError, match="generator 0 is connected to no station"):
+        build_assignment(stations, np.array([[-1.0], [0.0]]))
 
 
 def test_line_capacity_values():
     stations = _stations(2)
-    gens = [Generator(0, (0.0, 0.0), (0, 1)), Generator(1, (1.0, 0.0), (1,))]
     shares = np.array([[1.0, 0.0], [1.0, 1.0]])
-    assignment = build_assignment(gens, stations, shares)
+    assignment = build_assignment(stations, shares)
     caps = _instance(assignment, stations).line_caps
     # caps[b, g]: generator 1 has no line to station 0, so that entry is 0.
     assert np.array_equal(caps, [[200.0, 0.0], [100.0, 100.0]])
@@ -85,8 +83,7 @@ def test_line_capacities_sum_to_safe_output():
     rng = np.random.default_rng(4)
     B, G = 6, 2
     stations = _stations(B)
-    gens = [Generator(g, (0.0, 0.0), tuple(range(B))) for g in range(G)]
-    assignment = build_assignment(gens, stations, rng.uniform(0.1, 1.0, (B, G)))
+    assignment = build_assignment(stations, rng.uniform(0.1, 1.0, (B, G)))
     instance = _instance(assignment, stations)
     for g in range(G):
         lines = instance.line_caps[assignment.T[:, g] > 0.0, g]
@@ -108,12 +105,9 @@ def test_full_supply_gives_full_coverage(grid3_scenario):
 
 def test_share_matrix_validation():
     stations = _stations(2)
-    gens = [Generator(0, (0.0, 0.0), (0, 1))]
-    with pytest.raises(ValueError):
-        build_assignment(gens, stations, np.array([[1.0], [-0.5]]))
-    with pytest.raises(ValueError):
-        build_assignment(gens, stations, np.ones((3, 1)))
-    # Positive weight where no line exists.
-    gens = [Generator(0, (0.0, 0.0), (0,))]
-    with pytest.raises(ValueError):
-        build_assignment(gens, stations, np.array([[1.0], [1.0]]))
+    with pytest.raises(ValueError, match="nonnegative"):
+        build_assignment(stations, np.array([[1.0], [-0.5]]))
+    with pytest.raises(ValueError, match="shape"):
+        build_assignment(stations, np.ones((3, 1)))
+    with pytest.raises(ValueError, match="shape"):
+        build_assignment(stations, np.ones(2))

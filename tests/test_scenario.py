@@ -1,6 +1,7 @@
 """Scenario generation and file-format tests."""
 from __future__ import annotations
 
+import itertools
 from dataclasses import fields, replace
 
 import numpy as np
@@ -12,8 +13,10 @@ from scipy.sparse.csgraph import connected_components
 from icisim.coverage import BaseStation, coverage_from_lengths
 from icisim.errors import FormatError
 from icisim.impact import build_impact_model
-from icisim.power import Generator, build_assignment
+from icisim.power import build_assignment
 from icisim.scenario import (
+    _STREAM_CONNECTIONS,
+    _STREAM_GENERATORS,
     _STREAM_RATIOS,
     CI_FIELDS,
     ITS_FIELDS,
@@ -21,8 +24,10 @@ from icisim.scenario import (
     Scenario,
     ScenarioConfig,
     _grid_topology,
+    _place_generators,
     _rng,
     _sample_ratios,
+    _wire_generators,
     build_ci,
     build_its,
     build_pg,
@@ -43,6 +48,7 @@ from oracles import (
     line_entries,
     object_graph,
     object_topology,
+    set_wiring,
 )
 
 
@@ -64,10 +70,10 @@ def _validate_scenario(sc: Scenario) -> None:
     assert np.all(sc.coverage.C.sum(axis=1) <= 1.0 + 1e-9)
     # Supply shares are row-stochastic with matching support.
     assert np.allclose(sc.assignment.T.sum(axis=1), 1.0, atol=1e-9)
-    for gen in sc.generators:
-        assert gen.connected_bs
-        for b in gen.connected_bs:
-            assert sc.assignment.T[b, gen.id] > 0.0
+    # Generator sites are a read-only (G, 2) array, and each supplies a station.
+    assert sc.generators.shape == (sc.assignment.num_generators, 2)
+    assert not sc.generators.flags.writeable
+    assert np.all((sc.assignment.T > 0.0).any(axis=0))
     # Impact scores are nonnegative and vanish exactly off coverage.
     assert np.all(sc.impact.z_scores >= 0.0)
     covered = (sc.coverage.lengths.toarray() > 0.0).any(axis=0)
@@ -108,7 +114,7 @@ def _ci_equal(a, b) -> bool:
 
 def _pg_equal(a, b) -> bool:
     return (
-        a[0] == b[0]
+        np.array_equal(a[0], b[0])
         and np.array_equal(a[1].T, b[1].T)
         and np.array_equal(a[1].p_full, b[1].p_full)
     )
@@ -241,6 +247,23 @@ def test_generated_Q_equals_Q_of_dict_oracle():
             Q.eliminate_zeros()
             ours = generate(ScenarioConfig(grid_n=grid_n, seed=seed)).network.Q
             assert csr_equal(ours, Q), (grid_n, seed)
+
+
+def test_wiring_equals_set_oracle():
+    for grid_n in range(2, 13):
+        for seed in range(4):
+            for num_generators, bounds in itertools.product((1, 3, 10), ((2, 5), None)):
+                config = ScenarioConfig(
+                    grid_n=grid_n, seed=seed, num_generators=num_generators,
+                    bs_per_generator_range=bounds,
+                )
+                stations = build_ci(config, _grid_topology(config))[0]
+                positions = _place_generators(config, _rng(seed, 0, _STREAM_GENERATORS))
+                wiring = [
+                    wire(config, positions, stations, _rng(seed, 0, _STREAM_CONNECTIONS))
+                    for wire in (_wire_generators, set_wiring)
+                ]
+                assert np.array_equal(*wiring), config
 
 
 def test_ratio_support_is_one_strong_component():
@@ -443,6 +466,21 @@ links 1
 """
 
 
+@pytest.mark.parametrize(
+    "block, edited, message",
+    [
+        ("ratios 2\n", "ratios 3\n0 0 0.0\n",
+         r"\[its\] ratio matrix entry \(0, 0\) links streets that do not meet"),
+        ("generators 1\n0 0.5 0.5\n", "generators 2\n0 0.5 0.5\n1 1.5 0.5\n",
+         r"\[pg\] generator 1 is connected to no station"),
+    ],
+    ids=["zero ratio on streets that do not meet", "generator without a link"],
+)
+def test_loader_rejects_entries_without_a_line(block, edited, message):
+    with pytest.raises(FormatError, match=message):
+        loads(HAND_WRITTEN.replace(block, edited))
+
+
 def test_negative_count_is_rejected():
     text = HAND_WRITTEN.replace("coverage 2\n0 0 1.0\n1 0 1.0\n", "coverage -1\n")
     with pytest.raises(FormatError, match="negative count"):
@@ -549,13 +587,10 @@ def _scenario_from_lines(text: str) -> Scenario:
     B, G = len(stations), len(blocks["generators"])
     coverage = coverage_from_lengths(network.graph, _sparse(blocks["coverage"], (n, B)))
     shares = _sparse(blocks["links"], (B, G)).toarray()
-    generators = tuple(
-        Generator(g, (x, y), tuple(np.flatnonzero(shares[:, g] > 0.0).tolist()))
-        for g, x, y in sorted(blocks["generators"])
-    )
+    generators = np.array([(x, y) for _, x, y in sorted(blocks["generators"])]).reshape(G, 2)
     return Scenario(
         config, network, stations, coverage, generators,
-        build_assignment(generators, stations, shares),
+        build_assignment(stations, shares),
         build_impact_model(network, coverage, stations, config.delta),
     )
 

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from icisim.errors import RankError, SingularError, TopologyError
 from icisim.scenario import (
@@ -52,6 +53,9 @@ def test_ratio_on_missing_street_pair():
     with pytest.raises(TopologyError):
         # Street 0 cannot feed itself: the pair does not meet head-to-tail.
         build_flow_matrix(graph, *ratios({(0, 0): 1.0, (1, 0): 1.0}))
+    with pytest.raises(TopologyError):
+        # A zero share is still a ratio on that pair.
+        build_flow_matrix(graph, *ratios({(0, 1): 1.0, (0, 0): 0.0, (1, 0): 1.0}))
 
 
 def test_disconnected_network_fails_rank_check():
@@ -191,6 +195,10 @@ def test_loader_matrix_structure_validated():
     Q[0, 1] = 1.0  # street 1 does not start where street 0 ends
     with pytest.raises(TopologyError):
         network_from_matrix(_parallel_streets(), Q)
+    # So does a stored zero there; in a dense matrix a zero is no entry.
+    stored_zero = scipy.sparse.coo_array(([0.0], ([0], [1])), shape=(4, 4))
+    with pytest.raises(TopologyError, match=r"entry \(0, 1\)"):
+        network_from_matrix(_parallel_streets(), stored_zero)
 
 
 def _leaky_loop_into_cycle(cycle_share):
