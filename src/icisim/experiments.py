@@ -13,7 +13,11 @@ touches only the ITS and PG layers, so all replicas of a sweep point share
 one CI layer; radius-sweep reuses each seed's ITS layer across radii, and
 the generator sweeps reuse the ITS and CI layers across generator counts.
 Scenarios are built in seed order, and the memo is dropped when the run
-ends.
+ends.  The game is solved once per (replica, level): one
+:func:`~icisim.game.equilibrium_allocations` fill over all the run's
+budgets and one :func:`~icisim.game.reply_residuals` call give that
+replica's residual at every budget, and the rows are then emitted budget
+by budget.
 """
 from __future__ import annotations
 
@@ -29,9 +33,8 @@ from .game import (
     attacker_best_response,
     attacker_payoff,
     defender_caps,
-    equal_allocation,
-    evaluate_profile,
-    stackelberg_equilibrium,
+    equilibrium_allocations,
+    reply_residuals,
 )
 from .impact import its_deviation
 from .scenario import (
@@ -224,16 +227,17 @@ def _run_config_sweep(spec: ExperimentSpec) -> SweepTable:
     for value in spec.sweep:
         scenarios = _replicas(replace(spec.base, **{name: kind(value)}), spec.reps, layers)
         for level in spec.levels:
-            # The attack source does not depend on the budget.
-            sources = [[pick_attack_source(sc, level)] if single else None for sc in scenarios]
-            for budget in spec.budgets:
-                samples = []
-                for sc, picked in zip(scenarios, sources):
-                    _, _, outcome = stackelberg_equilibrium(
-                        level, sc.game_instance(), budget, picked
-                    )
-                    samples.append(outcome.residual_deviation)
-                rows.append(_stat_row(value, level.value, budget, samples))
+            # Per replica, the residual at every budget.
+            residuals = []
+            for sc in scenarios:
+                instance = sc.game_instance()
+                picked = [pick_attack_source(sc, level)] if single else None
+                allocations = equilibrium_allocations(level, instance, spec.budgets)
+                residuals.append(
+                    reply_residuals(level, instance, allocations, spec.budgets, picked)
+                )
+            for k, budget in enumerate(spec.budgets):
+                rows.append(_stat_row(value, level.value, budget, [r[k] for r in residuals]))
     extra = ("single_source_rule = highest unconstrained best-response payoff",) if single else ()
     return SweepTable(name, tuple(rows), _config_lines(spec) + extra)
 
@@ -258,22 +262,24 @@ def _run_allocation_compare(spec: ExperimentSpec) -> SweepTable:
     """
     scenarios = _replicas(spec.base, spec.reps, _Layers())
     budgets = resolve_budget_sweep(spec.sweep, scenarios[0].game_instance())
+    K = len(budgets)
+    # Per level and replica, the residuals of the equilibrium at every
+    # budget followed by those of the equal split.
+    residuals: dict[StealthLevel, list[np.ndarray]] = {level: [] for level in spec.levels}
+    for level in spec.levels:
+        for sc in scenarios:
+            instance = sc.game_instance()
+            count = instance.num_stations
+            equal = np.repeat(np.array(budgets)[:, None] / count, count, axis=1)
+            allocations = np.vstack((equilibrium_allocations(level, instance, budgets), equal))
+            residuals[level].append(reply_residuals(level, instance, allocations, budgets * 2))
     rows = []
-    for budget in budgets:
+    for k, budget in enumerate(budgets):
         for level in spec.levels:
-            se_samples = []
-            eq_samples = []
-            for sc in scenarios:
-                instance = sc.game_instance()
-                _, _, outcome = stackelberg_equilibrium(level, instance, budget)
-                se_samples.append(outcome.residual_deviation)
-                defense = equal_allocation(instance.num_stations, budget)
-                attack = attacker_best_response(level, instance, defense.allocation)
-                eq_samples.append(
-                    evaluate_profile(level, instance, defense, attack).residual_deviation
-                )
-            rows.append(_stat_row(budget, f"{level.value}:se", budget, se_samples))
-            rows.append(_stat_row(budget, f"{level.value}:equal", budget, eq_samples))
+            samples = residuals[level]
+            se, equal = [r[k] for r in samples], [r[K + k] for r in samples]
+            rows.append(_stat_row(budget, f"{level.value}:se", budget, se))
+            rows.append(_stat_row(budget, f"{level.value}:equal", budget, equal))
     return SweepTable("P_d", tuple(rows), _config_lines(spec))
 
 

@@ -15,6 +15,14 @@ form per level; the defender's problem is a budgeted linear program with
 per-station caps, solved exactly by a greedy fill in score order.  Solving
 the game is therefore linear-time in the number of stations (up to the
 sort) and suits large instances.
+
+Each game step has one implementation that takes many budgets at once:
+one array fill gives the equilibrium backup at K budgets
+(:func:`equilibrium_allocations`), the station-level reply accepts K
+allocations, and :func:`reply_residuals` gives the physical residual of
+the reply to each of K allocations.  The one-profile API
+(:func:`stackelberg_equilibrium`, :func:`solve_defender_lp`) calls them
+with K = 1; the experiments call them once per scenario and level.
 """
 from __future__ import annotations
 
@@ -27,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InfeasibleError, NoLineError
-from .impact import ImpactModel, its_deviation
+from .impact import ImpactModel, its_deviation, its_deviations
 from .power import PowerAssignment
 
 _FEAS_RTOL = 1e-9
@@ -96,20 +104,23 @@ class GameInstance:
         return self.line_caps.sum(axis=0)
 
     @cached_property
-    def fill_order(self) -> tuple[int, ...]:
-        """Station ids in the defender's fill order (:func:`_fill_order`)."""
-        return tuple(_fill_order(self.impact.z_scores).tolist())
+    def fill_order(self) -> np.ndarray:
+        """Station ids in the defender's fill order (:func:`_fill_order`), read-only."""
+        order = _fill_order(self.impact.z_scores)
+        order.setflags(write=False)
+        return order
 
     def zero_defense_reply(self, level: StealthLevel) -> AttackStrategy:
         """The attacker's best response to no backup, attacking every generator.
 
-        Built once per level and shared by every caller, so its deviations
-        are read-only.  At every level but the station level this is also
-        the reply to any backup allocation.
+        Built and validated once per level and shared by every caller, so
+        its deviations are read-only.  At every level but the station level
+        this is also the reply to any backup allocation.
         """
         reply = self._zero_defense_replies.get(level)
         if reply is None:
             reply = _best_response(level, self, _zero_defense(self), None)
+            _check_reply(level, self, reply.deviations)
             reply.deviations.setflags(write=False)
             self._zero_defense_replies[level] = reply
         return reply
@@ -121,13 +132,17 @@ class GameInstance:
 
 @dataclass(frozen=True, eq=False)
 class AttackStrategy:
-    """Per-line power drains in watts, shape (stations, generators)."""
+    """Per-line power drains in watts, shape (stations, generators).
+
+    The station-level reply to K allocations stacks K of them, shape
+    (K, stations, generators).
+    """
 
     deviations: np.ndarray
 
     @property
     def per_station(self) -> np.ndarray:
-        return self.deviations.sum(axis=1)
+        return self.deviations.sum(axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,11 +153,22 @@ class DefenseStrategy:
     budget: float
 
     def __post_init__(self) -> None:
-        if (self.allocation < 0.0).any():
-            raise ValueError("backup allocations must be nonnegative")
-        total = float(self.allocation.sum())
-        if total > self.budget * (1.0 + _FEAS_RTOL) + _FEAS_ATOL:
-            raise ValueError(f"allocation spends {total} W of a {self.budget} W budget")
+        _check_spend(self.allocation, self.budget)
+
+
+def _check_spend(allocations: np.ndarray, budgets: np.ndarray | float) -> None:
+    """Raise ValueError unless each allocation (row) is nonnegative and
+    spends at most its budget, up to the feasibility tolerances."""
+    if (allocations < 0.0).any():
+        raise ValueError("backup allocations must be nonnegative")
+    totals = np.atleast_1d(allocations.sum(axis=-1))
+    budgets = np.broadcast_to(budgets, totals.shape)
+    over = np.flatnonzero(totals > budgets * (1.0 + _FEAS_RTOL) + _FEAS_ATOL)
+    if over.size:
+        k = over[0]
+        raise ValueError(
+            f"allocation spends {float(totals[k])} W of a {float(budgets[k])} W budget"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,31 +203,40 @@ def _monitored(
     Units are generators (drain over safe output) at the source level and
     stations (drain over headroom) at the station level.  At the line level
     they are lines, indexed ``[b, g]``; the overt level is not monitored,
-    but line capacity still bounds it, so it shares the line units.
+    but line capacity still bounds it, so it shares the line units.  A
+    stack of K attacks gives K rows of drains.
     """
     if level is StealthLevel.POWER_SOURCE:
-        return p_a.sum(axis=0), instance.safe_outputs
+        return p_a.sum(axis=-2), instance.safe_outputs
     if level is StealthLevel.BASE_STATION:
-        return p_a.sum(axis=1), instance.headroom
+        return p_a.sum(axis=-1), instance.headroom
     return p_a, instance.line_caps
 
 
+def _unit(flags: np.ndarray, capacity: np.ndarray) -> np.ndarray:
+    """Index of the first flagged unit, without the index of its attack."""
+    return np.argwhere(flags)[0][flags.ndim - capacity.ndim:]
+
+
 def validate_attack(level: StealthLevel, instance: GameInstance, p_a: np.ndarray) -> None:
-    """Raise InfeasibleError unless ``p_a`` is admissible at ``level``."""
+    """Raise InfeasibleError unless ``p_a`` is admissible at ``level``.
+
+    ``p_a`` is one attack, shape (B, G), or a stack of K, shape (K, B, G).
+    """
     B, G = instance.num_stations, instance.num_generators
     p_a = np.asarray(p_a, dtype=float)
-    if p_a.shape != (B, G):
+    if p_a.ndim not in (2, 3) or p_a.shape[-2:] != (B, G):
         raise InfeasibleError(f"attack matrix has shape {p_a.shape}, expected {(B, G)}")
     if (p_a < 0.0).any():
         raise InfeasibleError("attack deviations must be nonnegative")
     off_line = (instance.line_caps <= 0.0) & (p_a > 0.0)
     if off_line.any():
-        b, g = np.argwhere(off_line)[0]
+        b, g = _unit(off_line, instance.line_caps)
         raise InfeasibleError(f"attack on nonexistent line generator {g} -> station {b}")
     drained, capacity = _monitored(level, instance, p_a)
     over = drained > capacity * (1.0 + _FEAS_RTOL) + _FEAS_ATOL
     if over.any():
-        unit = np.argwhere(over)[0]
+        unit = _unit(over, capacity)
         raise InfeasibleError(f"attack exceeds {_UNIT_NAMES[level].format(*unit)}")
 
 
@@ -244,7 +279,7 @@ def _ratio_array(drained: np.ndarray, capacity: np.ndarray, level: StealthLevel)
     )
     ratios[(capacity <= 0.0) & (drained > 0.0)] = 1.0
     if (ratios > 1.0 + _FEAS_RTOL).any():
-        unit = np.argwhere(ratios > 1.0 + _FEAS_RTOL)[0]
+        unit = _unit(ratios > 1.0 + _FEAS_RTOL, capacity)
         raise InfeasibleError(
             f"detection ratio exceeds 1 at {level.value} unit {unit.tolist()}"
         )
@@ -255,6 +290,13 @@ def _detection_array(level: StealthLevel, instance: GameInstance, p_a: np.ndarra
     if level is StealthLevel.OVERT:
         return np.zeros(0)
     return _ratio_array(*_monitored(level, instance, p_a), level)
+
+
+def _check_reply(level: StealthLevel, instance: GameInstance, p_a: np.ndarray) -> None:
+    """The checks :func:`evaluate_profile` makes of an attack: admissible,
+    and no detection ratio above one."""
+    validate_attack(level, instance, p_a)
+    _detection_array(level, instance, p_a)
 
 
 def defender_payoff(impact: ImpactModel, p_d: np.ndarray, p_a: np.ndarray) -> float:
@@ -328,12 +370,31 @@ def _best_response(
     p_d: np.ndarray,
     sources: Sequence[int] | None,
 ) -> AttackStrategy:
-    """The closed-form reply of :func:`attacker_best_response`, built afresh."""
+    """The closed-form reply of :func:`attacker_best_response`, built afresh.
+
+    At the station level ``p_d`` may stack K allocations, shape (K, B); the
+    reply then stacks the K replies, shape (K, B, G).
+    """
     caps = instance.line_caps
     wired = caps > 0.0
     mask = _source_mask(instance, sources)
-    p_a = np.zeros_like(caps)
 
+    if level is StealthLevel.BASE_STATION:
+        # Drive each station's total shortfall to the vertex of its concave
+        # gain, capped at the physical headroom, and split it over the
+        # usable lines in proportion to their supply shares.  The masked
+        # weights are F-ordered; their row sums are kept as they are, as
+        # those of C-ordered weights can differ in the last bit.
+        h = instance.headroom
+        target = np.minimum((p_d + h) / 2.0, h)
+        weights = np.where(wired[:, mask], instance.assignment.T[:, mask], 0.0)
+        totals = weights.sum(axis=1)
+        scale = np.divide(target, totals, out=np.zeros_like(target), where=totals > 0.0)
+        p_a = np.zeros(target.shape + mask.shape)
+        p_a[..., mask] = weights * scale[..., None]
+        return AttackStrategy(p_a)
+
+    p_a = np.zeros_like(caps)
     if level is StealthLevel.POWER_SOURCE:
         for g in np.nonzero(mask)[0]:
             stations = np.nonzero(wired[:, g])[0]
@@ -341,18 +402,8 @@ def _best_response(
                 p_a[stations, g] = instance.safe_outputs[g] / (2.0 * stations.size)
     elif level is StealthLevel.POWER_LINE:
         p_a[:, mask] = caps[:, mask] / 2.0
-    elif level is StealthLevel.OVERT:
-        p_a[:, mask] = caps[:, mask]
     else:
-        # Station level: drive each station's total shortfall to the vertex
-        # of its concave gain, capped at the physical headroom, and split it
-        # over the usable lines in proportion to their supply shares.
-        h = instance.headroom
-        target = np.minimum((p_d + h) / 2.0, h)
-        weights = np.where(wired[:, mask], instance.assignment.T[:, mask], 0.0)
-        totals = weights.sum(axis=1)
-        scale = np.divide(target, totals, out=np.zeros_like(target), where=totals > 0.0)
-        p_a[:, mask] = weights * scale[:, None]
+        p_a[:, mask] = caps[:, mask]
     return AttackStrategy(p_a)
 
 
@@ -391,26 +442,74 @@ def solve_defender_lp(impact: ImpactModel, caps: np.ndarray, budget: float) -> D
     first score of their run count as ties and are filled by lower station
     id.
     """
-    return _greedy_fill(_fill_order(impact.z_scores).tolist(), caps, budget)
+    allocation = _greedy_fill(_fill_order(impact.z_scores), caps, [budget])[0]
+    return DefenseStrategy(allocation, float(budget))
 
 
-def _greedy_fill(order: Sequence[int], caps: np.ndarray, budget: float) -> DefenseStrategy:
-    """Fill stations up to their caps in ``order`` until the budget is spent."""
+def equilibrium_allocations(
+    level: StealthLevel, instance: GameInstance, budgets: Sequence[float]
+) -> np.ndarray:
+    """The defender's equilibrium backup at each budget, one row per budget.
+
+    It is :func:`solve_defender_lp` with the level's caps, filled in the
+    instance's cached :attr:`GameInstance.fill_order`.
+    """
+    return _greedy_fill(instance.fill_order, defender_caps(level, instance), budgets)
+
+
+def _greedy_fill(order: np.ndarray, caps: np.ndarray, budgets: Sequence[float]) -> np.ndarray:
+    """Fill stations up to their caps in ``order`` until each budget is spent.
+
+    Row k of the (K, stations) result spends ``budgets[k]``.  The budget
+    left before each station is a left-to-right running difference, as a
+    loop over the stations would compute it, so every row is bit for bit
+    the allocation of that loop.  Raises ValueError for negative caps and
+    for a negative or non-finite budget.
+    """
     caps = np.asarray(caps, dtype=float)
+    budgets = np.asarray(budgets, dtype=float)
     if (caps < 0.0).any():
         raise ValueError("caps must be nonnegative")
-    if budget < 0.0:
+    if not np.isfinite(budgets).all():
+        raise ValueError("budget must be finite")
+    if (budgets < 0.0).any():
         raise ValueError("budget must be nonnegative")
-    allocation = np.zeros_like(caps)
-    cap_list = caps.tolist()
-    remaining = float(budget)
-    for b in order:
-        if remaining <= 0.0:
-            break
-        take = min(cap_list[b], remaining)
-        allocation[b] = take
-        remaining -= take
-    return DefenseStrategy(allocation, float(budget))
+    ordered = caps[order]
+    steps = np.empty((budgets.size, ordered.size + 1))
+    steps[:, 0] = budgets
+    steps[:, 1:] = ordered
+    remaining = np.subtract.accumulate(steps, axis=1)[:, :-1]
+    allocations = np.zeros((budgets.size, caps.size))
+    allocations[:, order] = np.where(remaining > 0.0, np.minimum(ordered, remaining), 0.0)
+    return allocations
+
+
+def reply_residuals(
+    level: StealthLevel,
+    instance: GameInstance,
+    allocations: np.ndarray,
+    budgets: Sequence[float],
+    sources: Sequence[int] | None = None,
+) -> np.ndarray:
+    """Physical residual deviation of the attacker's best reply to each allocation.
+
+    Row k of ``allocations`` (K, stations) is a backup within ``budgets[k]``;
+    entry k of the result is the ``residual_deviation`` that
+    :func:`evaluate_profile` reports for it against
+    :func:`attacker_best_response`, bit for bit, after the same checks of
+    the allocation and of the reply.  Only the station-level reply depends
+    on the allocation; at the other levels one reply, the instance's
+    validated shared one when ``sources`` is None, answers all K.
+    """
+    allocations = np.asarray(allocations, dtype=float)
+    _check_spend(allocations, np.asarray(budgets, dtype=float))
+    if sources is None and level is not StealthLevel.BASE_STATION:
+        attack = instance.zero_defense_reply(level)
+    else:
+        attack = _best_response(level, instance, allocations, sources)
+        _check_reply(level, instance, attack.deviations)
+    net = np.maximum(attack.per_station - allocations, 0.0)
+    return its_deviations(instance.impact, net)
 
 
 def evaluate_profile(
@@ -440,11 +539,10 @@ def stackelberg_equilibrium(
 ) -> tuple[DefenseStrategy, AttackStrategy, GameOutcome]:
     """Defender-first equilibrium: allocation LP, then the attacker's reply.
 
-    The LP fills in the instance's cached :attr:`GameInstance.fill_order`;
-    it is :func:`solve_defender_lp` without re-sorting the scores.
+    The LP is :func:`equilibrium_allocations` at one budget.
     """
-    caps = defender_caps(level, instance)
-    defense = _greedy_fill(instance.fill_order, caps, budget)
+    allocation = equilibrium_allocations(level, instance, [budget])[0]
+    defense = DefenseStrategy(allocation, float(budget))
     attack = attacker_best_response(level, instance, defense.allocation, sources)
     return defense, attack, evaluate_profile(level, instance, defense, attack)
 

@@ -81,8 +81,18 @@ def its_deviation(impact: ImpactModel, power_deviations: np.ndarray) -> float:
     Each shortfall saturates at the station's headroom: once a station is
     fully dark, taking more power changes nothing downstream.
     """
+    return float(its_deviations(impact, np.asarray(power_deviations)[None])[0])
+
+
+def its_deviations(impact: ImpactModel, power_deviations: np.ndarray) -> np.ndarray:
+    """:func:`its_deviation` of each row of a (K, stations) shortfall array.
+
+    Each row takes its own dot product with the scores, as a matrix-vector
+    product may round differently.
+    """
     devs = np.clip(np.asarray(power_deviations, dtype=float), 0.0, impact.headroom)
-    return float(impact.z_scores @ devs * impact.delta)
+    z, delta = impact.z_scores, impact.delta
+    return np.array([z @ row * delta for row in devs])
 
 
 def export_impact_csv(impact: ImpactModel, coverage: CoverageMap, stream: IO[str]) -> None:

@@ -17,9 +17,12 @@ vector, the attack oracle scans payoff lattices instead of using closed
 forms, the structure oracle checks streets one at a time with sets and
 dicts instead of in whole-array passes, the file oracle reads every
 numeric block one line and one token at a time with Python's ``int`` and
-``float`` instead of one ``np.loadtxt`` pass per block, and the wiring
+``float`` instead of one ``np.loadtxt`` pass per block, the wiring
 oracle grows one set of station ids per generator instead of ranking all
-(station, generator) distances in one pass.
+(station, generator) distances in one pass, the fill oracle spends one
+budget station by station instead of filling many budgets in one running
+difference, and the station-reply oracle answers one allocation with
+share totals added generator by generator instead of a masked array sum.
 
 The object builders are the street network as the package once held it,
 one frozen record per street and per intersection:
@@ -555,6 +558,51 @@ def finite_difference_total(scenario, station: int, cut_watts: float) -> float:
         after = -(base - street_cut) * lstsq_pattern(A, i)
         total += after - before
     return float(np.abs(total).sum())
+
+
+# ---------------------------------------------------------------------------
+# Defender fill and station-level reply
+
+
+def loop_fill(order, caps: np.ndarray, budget: float) -> np.ndarray:
+    """Fill stations up to their caps in ``order`` until the budget is spent."""
+    caps = np.asarray(caps, dtype=float)
+    allocation = np.zeros_like(caps)
+    cap_list = caps.tolist()
+    remaining = float(budget)
+    for b in np.asarray(order).tolist():
+        if remaining <= 0.0:
+            break
+        take = min(cap_list[b], remaining)
+        allocation[b] = take
+        remaining -= take
+    return allocation
+
+
+def loop_station_reply(instance: GameInstance, p_d: np.ndarray, sources=None) -> np.ndarray:
+    """Station-level best reply to one allocation, built station by station.
+
+    Each station's target shortfall, ``min((p_d + h) / 2, h)``, is split
+    over its lines from the attacked generators in proportion to their
+    supply shares; the share total is summed generator by generator in id
+    order.
+    """
+    T = instance.assignment.T
+    wired = instance.line_caps > 0.0
+    B, G = T.shape
+    gens = range(G) if sources is None else sorted(set(sources))
+    h = instance.headroom
+    target = np.minimum((p_d + h) / 2.0, h)
+    totals = np.zeros(B)
+    for g in gens:
+        totals += np.where(wired[:, g], T[:, g], 0.0)
+    p_a = np.zeros((B, G))
+    for b in range(B):
+        if totals[b] > 0.0:
+            scale = target[b] / totals[b]
+            for g in gens:
+                p_a[b, g] = (T[b, g] if wired[b, g] else 0.0) * scale
+    return p_a
 
 
 # ---------------------------------------------------------------------------

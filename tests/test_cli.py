@@ -54,6 +54,15 @@ def test_solve_writes_file(scenario_file, tmp_path, capsys):
     assert doc["level"] == "bs"
 
 
+@pytest.mark.parametrize("budget", ["nan", "inf", "-inf"])
+def test_solve_rejects_non_finite_budget(scenario_file, tmp_path, capsys, budget):
+    out = tmp_path / "solution.json"
+    assert main(["solve", scenario_file, "--level", "line", f"--budget={budget}",
+                 "--out", str(out)]) == 2
+    assert "budget must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_solve_rejects_theorem3_cap_flag(scenario_file, capsys):
     # The station-level cap has one definition; there is no switch for it.
     assert main(["solve", scenario_file, "--level", "bs",

@@ -128,6 +128,7 @@ def test_allocation_compare_resolves_budgets_from_replica_zero(monkeypatch):
     spec = _spec("allocation-compare", sweep=(0.25, 1.0, 40.0), reps=2, levels=LEVELS[:1])
     resolved = resolve_budget_sweep(spec.sweep, generate(BASE).game_instance())
     seeds = []
+    received = []
 
     def counting(build):
         def counted(config, *layers):
@@ -135,13 +136,25 @@ def test_allocation_compare_resolves_budgets_from_replica_zero(monkeypatch):
             return build(config, *layers)
         return counted
 
+    def recording(sweep, instance):
+        received.append(instance)
+        return resolve_budget_sweep(sweep, instance)
+
     # The ITS layer reads the seed, so each replica builds its own: replica
     # 0 from scratch by generate, the next one by build_its.
     monkeypatch.setattr(experiments, "generate", counting(generate))
     monkeypatch.setattr(experiments, "build_its", counting(build_its))
+    monkeypatch.setattr(experiments, "resolve_budget_sweep", recording)
     table = run_experiment(spec)
     assert seeds == [BASE.seed, BASE.seed + 1]
     assert sorted({row[0] for row in table.rows}) == sorted(resolved)
+    # Every replica has the same headroom, so the budgets alone cannot tell
+    # the replicas apart; their supply shares can.
+    (instance,) = received
+    first = generate(BASE).assignment.T
+    second = generate(replace(BASE, seed=BASE.seed + 1)).assignment.T
+    assert np.array_equal(instance.assignment.T, first)
+    assert not np.array_equal(instance.assignment.T, second)
 
 
 # Per experiment id: the (generate, build_its, build_ci, build_pg) calls of

@@ -11,13 +11,16 @@ from icisim.game import (
     StealthLevel,
     _best_response,
     _fill_order,
+    _greedy_fill,
     attacker_best_response,
     attacker_payoff,
     defender_caps,
     defender_payoff,
     detection_prob,
     equal_allocation,
+    equilibrium_allocations,
     evaluate_profile,
+    reply_residuals,
     solution_from_json,
     solution_to_json,
     solve_defender_lp,
@@ -25,10 +28,12 @@ from icisim.game import (
     validate_attack,
 )
 
+from icisim import game
+from icisim.impact import its_deviation
 from icisim.scenario import ScenarioConfig, generate
 
 from conftest import make_instance, random_feasible_defense, random_instance, synthetic_impact
-from oracles import budgeted_allocation_lp, lattice_best_attack
+from oracles import budgeted_allocation_lp, lattice_best_attack, loop_fill, loop_station_reply
 
 STEALTHY = (StealthLevel.POWER_SOURCE, StealthLevel.POWER_LINE, StealthLevel.BASE_STATION)
 
@@ -412,6 +417,158 @@ def test_lp_objective_monotone_in_budget():
         previous = value
 
 
+def _fill_cases():
+    """(order, caps, budgets) triples: ties, zero caps, zero budgets, exact
+    prefix sums of the caps, the cap total and a budget far beyond it."""
+    rng = np.random.default_rng(67)
+    cases = []
+    for B in (1, 2, 5, 13, 40):
+        caps = rng.uniform(0.0, 50.0, B)
+        caps[rng.random(B) < 0.25] = 0.0
+        if B > 2:
+            caps[1] = caps[2]  # a tied pair of caps
+        order = rng.permutation(B)
+        ordered = caps[order]
+        prefix = []
+        remaining_sum = 0.0
+        for c in ordered.tolist():
+            remaining_sum += c
+            prefix.append(remaining_sum)
+        budgets = [0.0, *prefix, float(caps.sum()), 1e6,
+                   *rng.uniform(0.0, caps.sum() * 1.2, 5).tolist()]
+        cases.append((order, caps, budgets))
+    # Scores with exact ties fill by station id.
+    scores = np.array([2.0, 5.0, 5.0, 1.0, 5.0, 0.0])
+    caps = np.array([10.0, 0.0, 7.5, 2.5, 7.5, 3.0])
+    cases.append((_fill_order(scores), caps, [0.0, 7.5, 15.0, 15.000000000000002, 30.5, 1e6]))
+    return cases
+
+
+def test_greedy_fill_equals_loop_oracle_bit_for_bit():
+    for order, caps, budgets in _fill_cases():
+        filled = _greedy_fill(order, caps, budgets)
+        assert filled.shape == (len(budgets), caps.size)
+        for row, budget in zip(filled, budgets):
+            expected = loop_fill(order, caps, budget)
+            assert row.tobytes() == expected.tobytes(), (caps, budget)
+        # The one-budget entry points fill the same way.
+        impact = synthetic_impact(np.linspace(1.0, 2.0, caps.size), np.full(caps.size, 100.0))
+        lp_order = _fill_order(impact.z_scores)
+        for budget in budgets:
+            lp = solve_defender_lp(impact, caps, budget)
+            assert lp.allocation.tobytes() == loop_fill(lp_order, caps, budget).tobytes()
+
+
+@pytest.mark.parametrize("budget", [float("nan"), float("inf"), -float("inf"), -1.0])
+def test_fill_rejects_non_finite_and_negative_budgets(budget):
+    inst = _split_instance()
+    caps = np.array([10.0, 20.0])
+    with pytest.raises(ValueError, match="budget must be"):
+        _greedy_fill(np.array([0, 1]), caps, [10.0, budget])
+    with pytest.raises(ValueError, match="budget must be"):
+        solve_defender_lp(inst.impact, caps, budget)
+    for level in StealthLevel:
+        with pytest.raises(ValueError, match="budget must be"):
+            stackelberg_equilibrium(level, inst, budget)
+    with pytest.raises(ValueError, match="caps must be nonnegative"):
+        _greedy_fill(np.array([0, 1]), np.array([1.0, -1.0]), [10.0])
+
+
+@pytest.fixture(scope="module")
+def sweep_instances():
+    # Grid 6, seed 1: with 8 or 10 generators, some station's share total
+    # rounds differently when summed as C-ordered rows.
+    return {
+        gens: generate(ScenarioConfig(grid_n=6, seed=1, num_generators=gens)).game_instance()
+        for gens in (3, 8, 10)
+    }
+
+
+@pytest.mark.parametrize("gens", (3, 8, 10))
+@pytest.mark.parametrize("level", tuple(StealthLevel))
+def test_reply_residuals_equal_the_one_profile_api(sweep_instances, level, gens):
+    inst = sweep_instances[gens]
+    B = inst.num_stations
+    caps = defender_caps(level, inst)
+    budgets = [0.0, 37.5, *(float(caps.sum()) * f for f in (0.125, 0.5, 1.0)), 1e6]
+    for sources in (None, [gens - 1]):
+        se = equilibrium_allocations(level, inst, budgets)
+        equal = np.repeat(np.array(budgets)[:, None] / B, B, axis=1)
+        residuals = reply_residuals(level, inst, np.vstack((se, equal)), budgets + budgets, sources)
+        assert residuals.shape == (2 * len(budgets),)
+        for k, budget in enumerate(budgets):
+            defense, attack, outcome = stackelberg_equilibrium(level, inst, budget, sources)
+            assert residuals[k] == outcome.residual_deviation, (sources, budget)
+            split = equal_allocation(B, budget)
+            reply = attacker_best_response(level, inst, split.allocation, sources)
+            other = evaluate_profile(level, inst, split, reply)
+            assert residuals[len(budgets) + k] == other.residual_deviation, (sources, budget)
+            if level is StealthLevel.BASE_STATION:
+                # Against the station-by-station reply, not only the shared code.
+                for p_d, value in ((defense.allocation, residuals[k]),
+                                   (split.allocation, residuals[len(budgets) + k])):
+                    p_a = loop_station_reply(inst, p_d, sources)
+                    shared = attacker_best_response(level, inst, p_d, sources)
+                    assert np.array_equal(shared.deviations, p_a)
+                    net = np.maximum(p_a.sum(axis=1) - p_d, 0.0)
+                    assert value == its_deviation(inst.impact, net)
+
+
+def test_station_replies_stack_bit_for_bit(sweep_instances):
+    inst = sweep_instances[10]
+    rng = np.random.default_rng(71)
+    p_d = rng.uniform(0.0, 1.0, (6, inst.num_stations)) * inst.headroom
+    for sources in (None, [0, 4, 9]):
+        stacked = _best_response(StealthLevel.BASE_STATION, inst, p_d, sources)
+        assert stacked.deviations.shape == (6, inst.num_stations, inst.num_generators)
+        for k, row in enumerate(p_d):
+            single = attacker_best_response(StealthLevel.BASE_STATION, inst, row, sources)
+            assert np.array_equal(stacked.deviations[k], single.deviations)
+            assert np.array_equal(stacked.per_station[k], single.per_station)
+            assert np.array_equal(single.deviations, loop_station_reply(inst, row, sources))
+
+
+def test_reply_residuals_check_allocations_and_every_reply(sweep_instances, monkeypatch):
+    inst = sweep_instances[3]
+    B = inst.num_stations
+    allocations = np.zeros((3, B))
+    allocations[2, 0] = 10.0
+    with pytest.raises(ValueError, match="spends 10.0 W of a 5.0 W budget"):
+        reply_residuals(StealthLevel.POWER_LINE, inst, allocations, [5.0, 5.0, 5.0])
+    allocations[1, 1] = -1.0
+    with pytest.raises(ValueError, match="nonnegative"):
+        reply_residuals(StealthLevel.POWER_LINE, inst, allocations, [20.0, 20.0, 20.0])
+
+    # Every stacked station-level reply is validated, not only the first.
+    real = game._best_response
+
+    def overdrawn(level, instance, p_d, sources):
+        attack = real(level, instance, p_d, sources)
+        if attack.deviations.ndim == 3:
+            attack.deviations[-1] *= 3.0
+        return attack
+
+    monkeypatch.setattr(game, "_best_response", overdrawn)
+    with pytest.raises(InfeasibleError, match="power headroom of station"):
+        reply_residuals(StealthLevel.BASE_STATION, inst, np.zeros((3, B)), [0.0, 0.0, 0.0])
+    # One reply answers every allocation at the other levels; it is checked too.
+    p_a = real(StealthLevel.POWER_SOURCE, inst, np.zeros(B), [0]).deviations
+    monkeypatch.setattr(game, "_best_response", lambda *args: AttackStrategy(3.0 * p_a))
+    with pytest.raises(InfeasibleError, match="safe output of generator"):
+        reply_residuals(StealthLevel.POWER_SOURCE, inst, np.zeros((2, B)), [0.0, 0.0], [0])
+
+
+def test_shared_reply_is_validated_when_built(monkeypatch):
+    inst = _split_instance()
+    monkeypatch.setattr(
+        game, "_best_response", lambda *args: AttackStrategy(inst.line_caps * 1.5)
+    )
+    with pytest.raises(InfeasibleError, match="capacity of line"):
+        inst.zero_defense_reply(StealthLevel.POWER_LINE)
+    with pytest.raises(InfeasibleError, match="capacity of line"):
+        reply_residuals(StealthLevel.POWER_LINE, inst, np.zeros((1, 2)), [0.0])
+
+
 # ---------------------------------------------------------------------------
 # Equilibria
 
@@ -466,7 +623,9 @@ def test_cached_replies_are_read_only_and_fresh():
         station.deviations,
         _best_response(StealthLevel.BASE_STATION, inst, backup, None).deviations,
     )
-    assert inst.fill_order == tuple(_fill_order(inst.impact.z_scores).tolist())
+    assert np.array_equal(inst.fill_order, _fill_order(inst.impact.z_scores))
+    assert inst.fill_order.dtype.kind == "i"
+    assert not inst.fill_order.flags.writeable
     # The equilibrium's cached fill order gives solve_defender_lp's allocation.
     for level in StealthLevel:
         for budget in (0.0, 40.0, 400.0, 1e6):
