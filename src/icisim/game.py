@@ -157,8 +157,11 @@ class DefenseStrategy:
 
 
 def _check_spend(allocations: np.ndarray, budgets: np.ndarray | float) -> None:
-    """Raise ValueError unless each allocation (row) is nonnegative and
-    spends at most its budget, up to the feasibility tolerances."""
+    """Raise ValueError unless each allocation (row) is finite and
+    nonnegative and spends at most its finite budget, up to the feasibility
+    tolerances."""
+    if not (np.isfinite(allocations).all() and np.isfinite(budgets).all()):
+        raise ValueError("backup allocations and budgets must be finite")
     if (allocations < 0.0).any():
         raise ValueError("backup allocations must be nonnegative")
     totals = np.atleast_1d(allocations.sum(axis=-1))

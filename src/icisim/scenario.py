@@ -86,11 +86,13 @@ class ScenarioConfig:
     budget: float = 100.0
     seed: int = 0
     bs_per_generator_range: tuple[int, int] | None = None
-    anchor_street: int = 0
-    anchor_flow: float = 1000.0
     delta: float = 1.0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         if self.grid_n < 2:
             raise ValueError("grid_n must be at least 2")
         if self.street_length <= 0.0 or self.cell_radius <= 0.0:
@@ -105,10 +107,8 @@ class ScenarioConfig:
             lo, hi = self.bs_per_generator_range
             if not 1 <= lo <= hi:
                 raise ValueError("bs_per_generator_range must satisfy 1 <= min <= max")
-        if self.anchor_flow < 0.0 or self.budget < 0.0:
-            raise ValueError("anchor flow and budget must be nonnegative")
-        if self.anchor_street < 0:
-            raise ValueError("anchor street must be nonnegative")
+        if self.budget < 0.0:
+            raise ValueError("budget must be nonnegative")
 
     @property
     def p_full(self) -> float:
@@ -253,7 +253,7 @@ def _wire_generators(
 # so one CI layer serves every config that agrees on CI_FIELDS, whichever
 # seed's graph it was built on; the PG layer reads the stations as well, so
 # it is determined by PG_FIELDS and CI_FIELDS together.
-ITS_FIELDS = ("grid_n", "street_length", "seed", "anchor_street")
+ITS_FIELDS = ("grid_n", "street_length", "seed")
 CI_FIELDS = ("grid_n", "street_length", "cell_radius", "p_activation", "power_ratio")
 PG_FIELDS = ("grid_n", "street_length", "num_generators", "seed", "bs_per_generator_range")
 
@@ -269,10 +269,6 @@ def build_its(config: ScenarioConfig) -> FlowNetwork:
     component for every seed, so the balance matrix always has rank n-1.
     """
     graph = _grid_topology(config)
-    if config.anchor_street >= graph.n:
-        raise ValueError(
-            f"anchor street {config.anchor_street} out of range for {graph.n} streets"
-        )
     ratios = _sample_ratios(graph, _rng(config.seed, _ATTEMPT, _STREAM_RATIOS))
     return build_flow_matrix(graph, *ratios)
 
@@ -613,6 +609,16 @@ def _street_graph(
     )
 
 
+# Keys of older v1 files that no longer set anything: each must still
+# parse, as an int and a finite float, and is otherwise ignored.
+_LEGACY_CONFIG_KEYS = {"anchor_street": _parse_int, "anchor_flow": _parse_float}
+# bs_per_generator_range takes two lines, its min and its max.
+_CONFIG_KEYS = frozenset(
+    {f.name for f in fields(ScenarioConfig)} - {"bs_per_generator_range"}
+    | {"bs_per_generator_min", "bs_per_generator_max", *_LEGACY_CONFIG_KEYS}
+)
+
+
 def loads(text: str) -> Scenario:
     """Parse the text format back into a fully validated scenario."""
     reader = _Reader(text)
@@ -622,12 +628,18 @@ def loads(text: str) -> Scenario:
 
     reader.expect_section("config")
     raw: dict[str, str] = {}
-    # bs_per_generator_range takes two lines, its min and its max.
-    for _ in range(len(fields(ScenarioConfig)) + 1):
+    while not reader.peek_is("[its]"):
         parts = reader.fields(3, "config entry")
         if parts[1] != "=":
             raise FormatError(f"[config] malformed entry {' '.join(parts)!r}")
+        if parts[0] not in _CONFIG_KEYS:
+            raise FormatError(f"[config] unknown key {parts[0]!r}")
+        if parts[0] in raw:
+            raise FormatError(f"[config] repeated key {parts[0]!r}")
         raw[parts[0]] = parts[2]
+    for key, parse in _LEGACY_CONFIG_KEYS.items():
+        if key in raw:
+            parse(reader, raw[key], key)
     try:
         # Every other config field is annotated "int" or "float".
         values = {
@@ -654,10 +666,6 @@ def loads(text: str) -> Scenario:
     street_ints, street_floats = _block(
         reader, n_streets, "street", ("street id",) * 3, ("street field",) * 5
     )
-    if config.anchor_street >= n_streets:
-        raise FormatError(
-            f"[config] anchor_street {config.anchor_street} out of range for {n_streets} streets"
-        )
     Q = _entries(reader, "ratios", (n_streets, n_streets))
 
     reader.expect_section("ci")

@@ -189,10 +189,11 @@ def _balancing_street(Q: scipy.sparse.csr_array) -> int:
     A one-street class has the block ``[1]``.  If at most one class has more
     streets, as in every generated network, its first street is returned
     unfactored; otherwise the first street of the first class that passes
-    the deflated rank test on its own.  With nonnegative shares summing to
-    at most 1 per street, no entry of a singular class's null vectors
-    vanishes (Perron-Frobenius), so any of its streets serves.  If no class passes, street 0 is returned and the
-    solve on the whole network raises the RankError.
+    the deflated rank test on its own.  With nonnegative shares (which
+    :func:`network_from_matrix` ensures) summing to at most 1 per street, no
+    entry of a singular class's null vectors vanishes (Perron-Frobenius), so
+    any of its streets serves.  If no class passes, street 0 is returned and
+    the solve on the whole network raises the RankError.
     """
     _, labels = connected_components(Q, directed=True, connection="strong")
     sizes = np.bincount(labels)
@@ -303,9 +304,10 @@ def network_from_matrix(graph: StreetGraph, Q) -> FlowNetwork:
     canonical CSR array, with duplicate entries of a sparse input summed.
     This is the one way into the ITS layer: it checks the street graph,
     that every stored entry, zero or not, links streets meeting
-    head-to-tail (TopologyError otherwise), and the rank invariant.  Row
-    normalisation is not required here, so externally authored conventions
-    remain loadable.
+    head-to-tail (TopologyError otherwise), that every entry, once
+    duplicates are summed, is a finite nonnegative share (ValueError
+    otherwise), and the rank invariant.  Row normalisation is not required
+    here, so externally authored conventions remain loadable.
     """
     _check_structure(graph)
     n = graph.n
@@ -315,30 +317,23 @@ def network_from_matrix(graph: StreetGraph, Q) -> FlowNetwork:
         raise ValueError(f"ratio matrix has shape {Q.shape}, expected {(n, n)}")
     Q = scipy.sparse.csr_array(Q, dtype=float, copy=True)
     Q.sum_duplicates()
-    rows, cols, _ = csr_entries(Q)
+    rows, cols, shares = csr_entries(Q)
     apart = np.nonzero(graph.head[rows] != graph.tail[cols])[0]
     if apart.size:
         j, k = int(rows[apart[0]]), int(cols[apart[0]])
         raise TopologyError(
             f"ratio matrix entry ({j}, {k}) links streets that do not meet head-to-tail"
         )
+    bad = np.flatnonzero(~(np.isfinite(shares) & (shares >= 0.0)))
+    if bad.size:
+        j, k, share = int(rows[bad[0]]), int(cols[bad[0]]), float(shares[bad[0]])
+        raise ValueError(
+            f"ratio matrix entry ({j}, {k}) is {share!r}, not a finite nonnegative share"
+        )
     Q.eliminate_zeros()
     net = FlowNetwork(graph, Q)
     net.null_vector  # factorise now so a rank failure surfaces at construction
     return net
-
-
-@dataclass(frozen=True, eq=False)
-class FlowSolution:
-    """Network-wide flows consistent with one known street flow."""
-
-    anchor_street: int
-    anchor_flow: float
-    flows: np.ndarray
-
-    def residual(self, net: FlowNetwork) -> float:
-        """Max-norm balance residual of the solution."""
-        return float(np.linalg.norm(net.A @ self.flows, ord=np.inf))
 
 
 def _anchor_entries(net: FlowNetwork, streets: Sequence[int]) -> np.ndarray:
@@ -359,10 +354,9 @@ def _anchor_entries(net: FlowNetwork, streets: Sequence[int]) -> np.ndarray:
     return v[idx]
 
 
-def solve_flows(net: FlowNetwork, anchor: int, anchor_flow: float) -> FlowSolution:
-    """Solve all street flows given the flow on one anchor street."""
+def solve_flows(net: FlowNetwork, anchor: int, anchor_flow: float) -> np.ndarray:
+    """All street flows given the flow on one anchor street."""
     if anchor_flow < 0.0:
         raise ValueError("anchor flow must be nonnegative")
     v = net.null_vector
-    flows = anchor_flow * (v / _anchor_entries(net, [anchor])[0])
-    return FlowSolution(anchor, float(anchor_flow), flows)
+    return anchor_flow * (v / _anchor_entries(net, [anchor])[0])

@@ -112,6 +112,25 @@ def test_validation_errors_exit_2(capsys):
     assert main(["solve"]) == 2  # missing positional
 
 
+@pytest.mark.parametrize(
+    "command, settings",
+    [
+        ("generate", {"grid_n": 4, "street_length": float("inf")}),
+        ("generate", {"delta": float("nan")}),
+        ("experiment", {"grid_n": 3, "budget": float("-inf")}),
+    ],
+    ids=["infinite street length", "nan delta", "experiment with infinite budget"],
+)
+def test_non_finite_config_exits_2(tmp_path, capsys, command, settings):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(settings), encoding="utf-8")
+    args = ["power-sweep", "--reps", "1"] if command == "experiment" else []
+    code = main([command, *args, "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_io_errors_exit_3(tmp_path, capsys):
     assert main(["inspect", str(tmp_path / "missing.txt")]) == 3
     blocker = tmp_path / "blocker"

@@ -739,6 +739,24 @@ def test_defense_strategy_validation():
         DefenseStrategy(np.array([6.0, 6.0]), 10.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_budgets_and_allocations_are_rejected(sweep_instances, bad):
+    with pytest.raises(ValueError, match="must be finite"):
+        DefenseStrategy(np.array([bad, 1.0]), 10.0)
+    with pytest.raises(ValueError, match="must be finite"):
+        DefenseStrategy(np.array([1.0, 1.0]), bad)
+    with pytest.raises(ValueError, match="must be finite"):
+        equal_allocation(3, bad)
+    inst = sweep_instances[3]
+    allocations = np.zeros((2, inst.num_stations))
+    with pytest.raises(ValueError, match="must be finite"):
+        reply_residuals(StealthLevel.BASE_STATION, inst, allocations, [5.0, bad])
+    allocations[1, 0] = bad
+    for level in (StealthLevel.BASE_STATION, StealthLevel.POWER_LINE):
+        with pytest.raises(ValueError, match="must be finite"):
+            reply_residuals(level, inst, allocations, [5.0, 5.0])
+
+
 def test_outcome_zero_sum_at_overt():
     rng = np.random.default_rng(53)
     inst = random_instance(rng, 3, 2)

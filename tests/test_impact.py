@@ -20,7 +20,7 @@ from test_traffic import _parallel_streets
 
 def _pattern(net, street: int) -> np.ndarray:
     """Balanced flow change per unit cut on ``street``: ``-v / v[street]``."""
-    return -solve_flows(net, street, 1.0).flows
+    return -solve_flows(net, street, 1.0)
 
 
 def test_pattern_has_minus_one_at_its_street(grid3_scenario):

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -63,8 +64,8 @@ def _validate_scenario(sc: Scenario) -> None:
     # Generated ratio rows are shares summing to one.
     assert np.allclose(net.Q.sum(axis=1), 1.0, atol=1e-9)
     # Flows solve and conserve.
-    sol = solve_flows(net, sc.config.anchor_street, sc.config.anchor_flow)
-    assert sol.residual(net) <= 1e-6 * np.abs(sol.flows).max()
+    flows = solve_flows(net, 0, 1000.0)
+    assert np.linalg.norm(net.A @ flows, np.inf) <= 1e-6 * np.abs(flows).max()
     # Coverage partitions each street inside the tiling.
     assert np.allclose(sc.coverage.lengths.toarray().sum(axis=1), g.length, rtol=1e-6)
     assert np.all(sc.coverage.C.sum(axis=1) <= 1.0 + 1e-9)
@@ -91,8 +92,6 @@ _CONFIGS = st.builds(
     budget=st.sampled_from((0.0, 100.0)),
     seed=st.integers(0, 3),
     bs_per_generator_range=st.sampled_from((None, (1, 1), (1, 3))),
-    anchor_street=st.integers(0, 7),
-    anchor_flow=st.sampled_from((0.0, 1000.0)),
     delta=st.sampled_from((0.5, 1.0)),
 )
 
@@ -496,8 +495,8 @@ def test_hand_written_minimal_scenario_loads():
     # Each street's deviation reaches the whole 2-street loop and the
     # station covers both, so its score is 4 / headroom.
     assert sc.impact.z_scores[0] == pytest.approx(4.0 / 100.0)
-    sol = solve_flows(sc.network, 0, 500.0)
-    assert np.allclose(sol.flows, 500.0)
+    flows = solve_flows(sc.network, 0, 500.0)
+    assert np.allclose(flows, 500.0)
 
 
 def test_bigger_grids_cover_at_least_as_many_stations():
@@ -519,6 +518,15 @@ def test_config_validation():
         ScenarioConfig(num_generators=0)
 
 
+@pytest.mark.parametrize(
+    "name", [f.name for f in fields(ScenarioConfig) if f.type == "float"]
+)
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_config_rejects_non_finite_floats(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        ScenarioConfig(**{name: value})
+
+
 def test_every_station_is_supplied():
     sc = generate(ScenarioConfig(grid_n=5, seed=11, num_generators=2))
     assert np.all(sc.assignment.T.sum(axis=1) > 0.999999999)
@@ -530,6 +538,18 @@ def test_game_instance_wiring(grid3_scenario):
     assert np.allclose(inst.headroom, grid3_scenario.impact.headroom)
 
 
+def test_loader_rejects_a_negative_turning_ratio():
+    # One share set to -0.5 and a sibling raised to keep the row sum 1.
+    lines, first = _its_rows(GOLDEN_V1.read_text(encoding="utf-8"), "ratios")
+    row, col, share = lines[first].split()
+    sibling = lines[first + 1].split()
+    assert sibling[0] == row
+    lines[first] = f"{row} {col} -0.5"
+    lines[first + 1] = f"{row} {sibling[1]} {float(sibling[2]) + float(share) + 0.5!r}"
+    with pytest.raises(FormatError, match=rf"\[its\] ratio matrix entry \({row}, {col}\) is -0.5"):
+        loads("\n".join(lines) + "\n")
+
+
 def test_loader_checks_intersection_positions():
     text = dumps(generate(ScenarioConfig(grid_n=3, seed=0)))
     moved = _edit(_edit(text, "intersections", 1, "7.5"), "intersections", 2, "-3.25")
@@ -537,20 +557,53 @@ def test_loader_checks_intersection_positions():
         loads(moved)
 
 
-def test_anchor_street_is_range_checked():
-    with pytest.raises(ValueError, match="anchor street"):
-        ScenarioConfig(anchor_street=-5)
-    assert generate(ScenarioConfig(grid_n=2, anchor_street=7)).network.n == 8
-    with pytest.raises(ValueError, match="anchor street"):
-        generate(ScenarioConfig(grid_n=2, anchor_street=8))
-    text = dumps(generate(ScenarioConfig(grid_n=3, seed=0)))
-    for value in ("999999", "24", "-5"):
-        with pytest.raises(FormatError, match="anchor"):
-            loads(_edit(text, "anchor_street", 2, value, -1))
-    # The bound is the street count of the file, not the one grid_n implies.
-    assert loads(HAND_WRITTEN.replace("anchor_street = 0", "anchor_street = 1")).network.n == 2
-    with pytest.raises(FormatError, match="anchor_street"):
-        loads(HAND_WRITTEN.replace("anchor_street = 0", "anchor_street = 2"))
+GOLDEN_V1 = Path(__file__).parent / "data" / "scenario-grid4-seed0-v1.txt"
+
+
+def _without_anchor_lines(text: str) -> str:
+    return "".join(ln for ln in text.splitlines(keepends=True) if not ln.startswith("anchor_"))
+
+
+def test_golden_v1_file_loads_and_dumps_without_anchor_lines():
+    # Written before the anchor settings were dropped; it still carries them.
+    text = GOLDEN_V1.read_text(encoding="utf-8")
+    assert "anchor_street = 0\nanchor_flow = 1000.0\n" in text
+    sc = generate(ScenarioConfig(grid_n=4, seed=0))
+    assert scenarios_equal(loads(text), sc)
+    assert dumps(sc) == _without_anchor_lines(text)
+
+
+def test_legacy_anchor_keys_parse_and_are_ignored():
+    plain = _without_anchor_lines(HAND_WRITTEN)
+    assert "anchor" not in plain
+    assert scenarios_equal(loads(HAND_WRITTEN), loads(plain))
+    # No range check is left: the keys set nothing.
+    edited = HAND_WRITTEN.replace("anchor_street = 0", "anchor_street = 99")
+    assert scenarios_equal(loads(edited.replace("anchor_flow = 500.0", "anchor_flow = -3.0")),
+                           loads(plain))
+    for old, new, message in (
+        ("anchor_street = 0", "anchor_street = 1.5", r"\[config\] anchor_street: bad integer"),
+        ("anchor_flow = 500.0", "anchor_flow = nan", r"\[config\] anchor_flow: non-finite"),
+        ("anchor_flow = 500.0", "anchor_flow = x", r"\[config\] anchor_flow: bad float"),
+    ):
+        with pytest.raises(FormatError, match=message):
+            loads(HAND_WRITTEN.replace(old, new))
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("delta = 1.0\n", "", r"\[config\] missing key 'delta'"),
+        ("seed = 7\n", "seed = 7\ncolour = 3\n", r"\[config\] unknown key 'colour'"),
+        ("seed = 7\n", "seed = 7\nseed = 8\n", r"\[config\] repeated key 'seed'"),
+        ("delta = 1.0\n[its]\n", "delta = 1.0\n", r"\[config\] config entry: expected 3"),
+    ],
+    ids=["missing", "unknown", "repeated", "no [its] after it"],
+)
+def test_config_block_keys_are_checked(old, new, message):
+    assert old in HAND_WRITTEN
+    with pytest.raises(FormatError, match=message):
+        loads(HAND_WRITTEN.replace(old, new))
 
 
 def _sparse(entries: dict, shape: tuple[int, int]) -> scipy.sparse.coo_array:

@@ -22,6 +22,7 @@ from icisim.traffic import (
     StreetGraph,
     _check_structure,
     build_flow_matrix,
+    csr_equal,
     network_from_matrix,
     solve_flows,
 )
@@ -99,15 +100,15 @@ def test_street_graph_arrays_are_read_only_copies():
 
 def test_solve_cycle():
     net = cycle_network()
-    sol = solve_flows(net, 0, 100.0)
-    assert np.allclose(sol.flows, [100.0, 100.0])
-    assert sol.flows[0] == 100.0
+    flows = solve_flows(net, 0, 100.0)
+    assert np.allclose(flows, [100.0, 100.0])
+    assert flows[0] == 100.0
 
 
 def test_solve_zero_anchor_flow():
     net = parallel_pair_network(0.3)
-    sol = solve_flows(net, 1, 0.0)
-    assert np.allclose(sol.flows, 0.0)
+    flows = solve_flows(net, 1, 0.0)
+    assert np.allclose(flows, 0.0)
 
 
 def test_solve_rejects_negative_flow():
@@ -117,15 +118,15 @@ def test_solve_rejects_negative_flow():
 
 def test_solve_grid3_matches_qr_oracle(grid3_scenario):
     net = grid3_scenario.network
-    sol = solve_flows(net, 0, 1000.0)
+    flows = solve_flows(net, 0, 1000.0)
     expected = qr_flow_solution(net.A.toarray(), 0, 1000.0)
-    assert np.allclose(sol.flows, expected, rtol=1e-8)
-    assert sol.residual(net) <= 1e-6 * np.abs(sol.flows).max()
+    assert np.allclose(flows, expected, rtol=1e-8)
+    assert np.linalg.norm(net.A @ flows, np.inf) <= 1e-6 * np.abs(flows).max()
 
 
 def _deviation(net, street: int, delta: float) -> np.ndarray:
     """Balanced flow change when street ``street`` loses ``delta``."""
-    return -solve_flows(net, street, delta).flows
+    return -solve_flows(net, street, delta)
 
 
 def test_propagate_zero_delta(grid3_scenario):
@@ -148,8 +149,8 @@ def test_propagate_is_linear(grid3_scenario):
 def test_propagate_matches_two_solve_difference(grid3_scenario):
     net = grid3_scenario.network
     base_flow, delta = 1000.0, 50.0
-    before = solve_flows(net, 0, base_flow).flows
-    after = solve_flows(net, 0, base_flow - delta).flows
+    before = solve_flows(net, 0, base_flow)
+    after = solve_flows(net, 0, base_flow - delta)
     dev = _deviation(net, 0, delta)
     assert np.allclose(dev, after - before, rtol=1e-8, atol=1e-9)
     assert dev[0] == -delta
@@ -158,16 +159,16 @@ def test_propagate_matches_two_solve_difference(grid3_scenario):
 def test_anchor_consistency_across_streets(grid2_scenario):
     # Solving from any anchor must land in the same one-dimensional family.
     net = grid2_scenario.network
-    ref = solve_flows(net, 0, 700.0).flows
+    ref = solve_flows(net, 0, 700.0)
     for anchor in range(1, net.n):
-        other = solve_flows(net, anchor, ref[anchor]).flows
+        other = solve_flows(net, anchor, ref[anchor])
         assert np.allclose(other, ref, rtol=1e-8)
 
 
 def test_conservation_residual_invariant(grid2_scenario, grid3_scenario):
     for sc in (grid2_scenario, grid3_scenario):
-        sol = solve_flows(sc.network, sc.config.anchor_street, sc.config.anchor_flow)
-        assert sol.residual(sc.network) <= 1e-6 * np.abs(sol.flows).max()
+        flows = solve_flows(sc.network, 0, 1000.0)
+        assert np.linalg.norm(sc.network.A @ flows, np.inf) <= 1e-6 * np.abs(flows).max()
 
 
 def _parallel_streets() -> StreetGraph:
@@ -186,8 +187,8 @@ def test_singular_anchor_raises():
     with pytest.raises(SingularError):
         solve_flows(net, 1, 10.0)
     # Other anchors stay solvable.
-    sol = solve_flows(net, 0, 10.0)
-    assert np.allclose(sol.flows, [10.0, 0.0, 10.0, 0.0], atol=1e-9)
+    flows = solve_flows(net, 0, 10.0)
+    assert np.allclose(flows, [10.0, 0.0, 10.0, 0.0], atol=1e-9)
 
 
 def test_loader_matrix_structure_validated():
@@ -199,6 +200,31 @@ def test_loader_matrix_structure_validated():
     stored_zero = scipy.sparse.coo_array(([0.0], ([0], [1])), shape=(4, 4))
     with pytest.raises(TopologyError, match=r"entry \(0, 1\)"):
         network_from_matrix(_parallel_streets(), stored_zero)
+
+
+def test_ratio_matrix_shares_must_be_finite_and_nonnegative():
+    graph = _parallel_streets()
+    Q = np.zeros((4, 4))
+    Q[:2, 2:] = 0.5
+    Q[2, 0] = Q[3, 1] = 1.0
+    network_from_matrix(graph, Q)
+    for value in (-0.5, np.nan, np.inf):
+        bad = Q.copy()
+        bad[0, 3] = value
+        with pytest.raises(ValueError, match=rf"entry \(0, 3\) is {value!r}, not a finite"):
+            network_from_matrix(graph, bad)
+    # Duplicates are summed first: only the sum must be a share.
+    def split(first, second):
+        return scipy.sparse.coo_array(
+            ([first, second, 0.5, 0.5, 0.5, 1.0, 1.0],
+             ([0, 0, 0, 1, 1, 2, 3], [3, 3, 2, 2, 3, 0, 1])),
+            shape=(4, 4),
+        )
+
+    summed = network_from_matrix(graph, split(-0.5, 1.0))
+    assert csr_equal(summed.Q, network_from_matrix(graph, Q).Q)
+    with pytest.raises(ValueError, match=r"entry \(0, 3\) is -0.5"):
+        network_from_matrix(graph, split(0.5, -1.0))
 
 
 def _leaky_loop_into_cycle(cycle_share):
