@@ -7,9 +7,9 @@ stealth-constrained attackers.
 """
 
 from .coverage import (
-    BaseStation,
     CoverageMap,
     Hexagon,
+    Stations,
     build_coverage,
     clip_segment_to_hex,
     coverage_fraction,

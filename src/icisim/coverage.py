@@ -1,7 +1,9 @@
 """Cellular coverage model on a hexagonal cell grid.
 
 Base stations sit at the centers of flat-top hexagons that tile the plane,
-so each one serves a disjoint cell.  The model needs two things from the
+so each one serves a disjoint cell.  They are held as one :class:`Stations`
+table of arrays, station ``b`` on row ``b``, as streets are rows of a
+:class:`~icisim.traffic.StreetGraph`.  The model needs two things from the
 geometry: how much of each street segment falls inside each cell, and the
 fraction of vehicles a station can still serve at a given received power.
 
@@ -29,8 +31,6 @@ from __future__ import annotations
 import math
 import mmap
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -54,32 +54,43 @@ _HEX_AXES = np.array(
 )
 
 
-@dataclass(frozen=True)
-class BaseStation:
-    """Cell site with hexagon circumradius and its two power thresholds (W)."""
+@dataclass(frozen=True, eq=False)
+class Stations:
+    """Base stations held as arrays; station ``b`` is row ``b``.
 
-    id: int
-    center: Point
-    cell_radius: float
-    p_activation: float
-    p_full: float
+    Station ``b`` at ``center[b]`` serves the flat-top hexagon of
+    circumradius ``cell_radius[b]`` and has the activation and full-coverage
+    powers ``p_activation[b] < p_full[b]`` (W); a scalar radius or power
+    applies to every station.  Every array is a read-only copy.
+    """
+
+    center: np.ndarray
+    cell_radius: np.ndarray
+    p_activation: np.ndarray
+    p_full: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.cell_radius <= 0.0:
-            raise ValueError(f"station {self.id}: cell radius must be positive")
-        if not 0.0 < self.p_activation < self.p_full:
-            raise ValueError(
-                f"station {self.id}: need 0 < activation power < full-coverage power"
-            )
+        center = np.array(self.center, dtype=float).reshape(-1, 2)
+        center.flags.writeable = False
+        object.__setattr__(self, "center", center)
+        for name in ("cell_radius", "p_activation", "p_full"):
+            value = np.array(np.broadcast_to(getattr(self, name), len(center)), dtype=float)
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+        bad = np.flatnonzero(~(self.cell_radius > 0.0))
+        if bad.size:
+            raise ValueError(f"station {bad[0]}: cell radius must be positive")
+        bad = np.flatnonzero(~((0.0 < self.p_activation) & (self.p_activation < self.p_full)))
+        if bad.size:
+            raise ValueError(f"station {bad[0]}: need 0 < activation power < full-coverage power")
+
+    def __len__(self) -> int:
+        return len(self.center)
 
     @property
-    def headroom(self) -> float:
+    def headroom(self) -> np.ndarray:
         """Power band over which coverage degrades, ``p_full - p_activation``."""
         return self.p_full - self.p_activation
-
-    @cached_property
-    def hexagon(self) -> "Hexagon":
-        return Hexagon(self.center, self.cell_radius)
 
 
 @dataclass(frozen=True)
@@ -289,7 +300,7 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.repeat(starts - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
 
 
-def _check_disjoint_cells(base_stations: Sequence[BaseStation]) -> None:
+def _check_disjoint_cells(stations: Stations) -> None:
     """Cells may share edges but not interiors.
 
     Two interiors overlap when the centres are closer than the sum of the
@@ -298,10 +309,10 @@ def _check_disjoint_cells(base_stations: Sequence[BaseStation]) -> None:
     the window of stations after it.  The first overlapping pair is the one
     with the lowest (lower index, higher index).
     """
-    if len(base_stations) < 2:
+    if len(stations) < 2:
         return
-    centers = np.array([bs.center for bs in base_stations])
-    apothems = np.array([bs.cell_radius for bs in base_stations]) * math.sqrt(3.0) / 2.0
+    centers = stations.center
+    apothems = stations.cell_radius * math.sqrt(3.0) / 2.0
     order = np.argsort(centers[:, 0], kind="stable")
     xs = centers[order, 0]
     # A few ulps of padding so that rounding in ``xs + reach`` never
@@ -373,7 +384,7 @@ def _near_pairs(
     return seg[by_id], station[by_id]
 
 
-def build_coverage(graph: StreetGraph, base_stations: Sequence[BaseStation]) -> CoverageMap:
+def build_coverage(graph: StreetGraph, stations: Stations) -> CoverageMap:
     """Clip every street of ``graph`` against the cell hexagons near it.
 
     The build works on whole arrays: one ``np.unique`` over the sorted endpoints finds the
@@ -393,11 +404,9 @@ def build_coverage(graph: StreetGraph, base_stations: Sequence[BaseStation]) -> 
     one (street, station, km) entry of the map.
     """
     n, ends = graph.n, graph.geometry
-    B = len(base_stations)
+    centers, radii = stations.center, stations.cell_radius
     if n:
-        _check_disjoint_cells(base_stations)
-    centers = np.array([bs.center for bs in base_stations], dtype=float).reshape(B, 2)
-    radii = np.array([bs.cell_radius for bs in base_stations], dtype=float)
+        _check_disjoint_cells(stations)
     backward = (ends[:, 2] < ends[:, 0]) | ((ends[:, 2] == ends[:, 0]) & (ends[:, 3] < ends[:, 1]))
     keys = np.where(backward[:, None], ends[:, [2, 3, 0, 1]], ends)
     _, first, geometry_of = np.unique(keys, axis=0, return_index=True, return_inverse=True)
@@ -432,13 +441,14 @@ def build_coverage(graph: StreetGraph, base_stations: Sequence[BaseStation]) -> 
     entry = _ranges(seg_start[geometry_of], counts)
     indptr = np.concatenate(([0], np.cumsum(counts)))
     return coverage_from_lengths(
-        graph, scipy.sparse.csr_array((km[entry], station[entry], indptr), shape=(n, B))
+        graph, scipy.sparse.csr_array((km[entry], station[entry], indptr), shape=(n, len(radii)))
     )
 
 
-def coverage_fraction(bs: BaseStation, received_power: float) -> float:
-    """Fraction of vehicles served at ``received_power`` watts, in [0, 1]."""
-    if received_power < 0.0:
+def coverage_fraction(stations: Stations, received_power: np.ndarray | float) -> np.ndarray:
+    """Fraction of vehicles each station serves at its ``received_power``
+    watts (one value per station, or one for all), each in [0, 1]."""
+    received_power = np.asarray(received_power, dtype=float)
+    if np.any(received_power < 0.0):
         raise ValueError("received power must be nonnegative")
-    x = (received_power - bs.p_activation) / bs.headroom
-    return float(min(max(x, 0.0), 1.0))
+    return np.clip((received_power - stations.p_activation) / stations.headroom, 0.0, 1.0)

@@ -18,11 +18,11 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from functools import cached_property
-from typing import IO, Sequence
+from typing import IO
 
 import numpy as np
 
-from .coverage import BaseStation, CoverageMap
+from .coverage import CoverageMap, Stations
 from .traffic import FlowNetwork, _anchor_entries, csr_entries
 
 
@@ -60,7 +60,7 @@ class ImpactModel:
 def build_impact_model(
     net: FlowNetwork,
     coverage: CoverageMap,
-    base_stations: Sequence[BaseStation],
+    stations: Stations,
     delta: float = 1.0,
 ) -> ImpactModel:
     """Assemble the impact model for all stations of a scenario.
@@ -68,10 +68,10 @@ def build_impact_model(
     Raises SingularError when a covered street's null-vector entry vanishes;
     uncovered streets are never divided by.
     """
-    headroom = np.array([bs.headroom for bs in base_stations], dtype=float)
-    streets, stations, fractions = csr_entries(coverage.fractions)
-    weights = fractions / (headroom[stations] * _anchor_entries(net, streets))
-    scale = np.bincount(stations, weights, minlength=len(base_stations))
+    headroom = stations.headroom
+    streets, cells, fractions = csr_entries(coverage.fractions)
+    weights = fractions / (headroom[cells] * _anchor_entries(net, streets))
+    scale = np.bincount(cells, weights, minlength=len(stations))
     return ImpactModel(net.null_vector, scale, headroom, float(delta))
 
 

@@ -9,11 +9,10 @@ exactly its full-coverage power.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .coverage import BaseStation
+from .coverage import Stations
 from .errors import DisconnectedError
 
 
@@ -41,7 +40,7 @@ class PowerAssignment:
         return self.T[b, g] > 0.0
 
 
-def build_assignment(base_stations: Sequence[BaseStation], shares: np.ndarray) -> PowerAssignment:
+def build_assignment(stations: Stations, shares: np.ndarray) -> PowerAssignment:
     """Normalise raw supply weights into a PowerAssignment.
 
     ``shares[b, g]`` is a nonnegative raw weight, positive exactly where
@@ -51,7 +50,7 @@ def build_assignment(base_stations: Sequence[BaseStation], shares: np.ndarray) -
     generator with no positive weight raises ValueError, and a station with
     none raises DisconnectedError.
     """
-    B = len(base_stations)
+    B = len(stations)
     shares = np.asarray(shares, dtype=float)
     if shares.ndim != 2 or shares.shape[0] != B:
         raise ValueError(f"share matrix has shape {shares.shape}, expected ({B}, generators)")
@@ -68,5 +67,4 @@ def build_assignment(base_stations: Sequence[BaseStation], shares: np.ndarray) -
     # Re-dividing a normalised row by its rounded sum would move it by an ulp.
     totals[np.abs(totals - 1.0) <= 1e-12] = 1.0
     T = shares / totals[:, None]
-    p_full = np.array([bs.p_full for bs in base_stations])
-    return PowerAssignment(T, p_full)
+    return PowerAssignment(T, stations.p_full)

@@ -9,7 +9,8 @@ connection counts) draws from its own numbered PCG64 stream, so changing
 how many draws one component makes never perturbs the others.  Stream 0 is
 reserved for topology, which is currently deterministic.  :func:`generate`
 builds the three layers in turn -- :func:`build_its` (streets, ratios,
-flows), :func:`build_ci` (tiling, stations, coverage) and :func:`build_pg`
+flows), :func:`build_ci` (tiling, the :class:`~icisim.coverage.Stations`
+table, coverage) and :func:`build_pg`
 (generator sites, supply shares) -- and :func:`assemble` adds the impact
 model.  Each builder reads only the config fields named in its
 ``*_FIELDS`` tuple, so a caller building many configs can reuse a layer
@@ -21,15 +22,19 @@ each layer through the same validating constructor:
 
 Scenario files are plain text with a versioned header and ``[config]``,
 ``[its]``, ``[ci]`` and ``[pg]`` sections; floats are written with ``repr``
-so they round-trip exactly.  Turning ratios, coverage and supply links are
-blocks of ``row column value`` lines holding the nonzero entries in
-row-major order; coverage lines are (street, station, km) triples.  The
-loader reads each counted numeric block in one ``np.loadtxt`` pass, a
-repeated (row, column) pair keeps its last value, and it builds no dense
-street-by-station array.  The impact model is derived data, so it is not
-written: loading always recomputes it.  Older files may end with an
-``[impact]`` section of stored scores and vectors; it is still read, and
-must agree with the recomputed model to 1e-9 of its largest entry.
+so they round-trip exactly.  Every section after ``[config]`` is made of
+counted blocks, each written from whole arrays, one line per row.  Turning
+ratios, coverage and supply links are blocks of ``row column value`` lines
+holding the nonzero entries in row-major order; coverage lines are
+(street, station, km) triples.  The loader reads each counted numeric
+block in one ``np.loadtxt`` pass, a repeated (row, column) pair keeps its
+last value, and it builds no dense street-by-station array.  Every number,
+``[config]`` values included, must be a token ``np.loadtxt`` reads: ASCII,
+no ``_`` digit separators, and finite if a float.  The impact model is
+derived data, so it is not written: loading always recomputes it.  Older
+files may end with an ``[impact]`` section of stored scores and vectors;
+its counts, station ids and values are checked, and it is otherwise
+ignored.
 """
 from __future__ import annotations
 
@@ -37,13 +42,13 @@ import math
 import warnings
 from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 import numpy as np
 import scipy.sparse
 
 from .coverage import (
-    BaseStation, CoverageMap, _ranges, build_coverage, coverage_from_lengths, hex_tiling,
+    CoverageMap, Stations, _ranges, build_coverage, coverage_from_lengths, hex_tiling,
 )
 from .errors import FormatError, IcisimError
 from .game import GameInstance
@@ -91,6 +96,8 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
+            if f.type == "int" and type(value) is not int:  # so a bool fails too
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
             if f.type == "float" and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value!r}")
         if self.grid_n < 2:
@@ -105,10 +112,14 @@ class ScenarioConfig:
             raise ValueError("activation power must be positive")
         if self.bs_per_generator_range is not None:
             lo, hi = self.bs_per_generator_range
+            if not all(type(end) is int for end in (lo, hi)):
+                raise ValueError("bs_per_generator_range must be a pair of integers")
             if not 1 <= lo <= hi:
                 raise ValueError("bs_per_generator_range must satisfy 1 <= min <= max")
         if self.budget < 0.0:
             raise ValueError("budget must be nonnegative")
+        if self.delta <= 0.0:
+            raise ValueError("delta must be positive")
 
     @property
     def p_full(self) -> float:
@@ -131,7 +142,7 @@ class Scenario:
 
     config: ScenarioConfig
     network: FlowNetwork
-    base_stations: tuple[BaseStation, ...]
+    base_stations: Stations
     coverage: CoverageMap
     generators: np.ndarray
     assignment: PowerAssignment
@@ -217,7 +228,7 @@ def _place_generators(config: ScenarioConfig, rng: np.random.Generator) -> np.nd
 def _wire_generators(
     config: ScenarioConfig,
     positions: np.ndarray,
-    stations: Sequence[BaseStation],
+    stations: Stations,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Raw (B, G) supply weights: each generator wired to its k nearest
@@ -230,7 +241,7 @@ def _wire_generators(
     """
     B = len(stations)
     G = config.num_generators
-    centers = np.array([bs.center for bs in stations])
+    centers = stations.center
     dists = np.hypot(
         centers[:, 0][:, None] - positions[:, 0][None, :],
         centers[:, 1][:, None] - positions[:, 1][None, :],
@@ -273,21 +284,16 @@ def build_its(config: ScenarioConfig) -> FlowNetwork:
     return build_flow_matrix(graph, *ratios)
 
 
-def build_ci(
-    config: ScenarioConfig, graph: StreetGraph
-) -> tuple[tuple[BaseStation, ...], CoverageMap]:
+def build_ci(config: ScenarioConfig, graph: StreetGraph) -> tuple[Stations, CoverageMap]:
     """The CI layer: hex tiling of the grid's square, stations and coverage."""
     side = config.extent
     centers = hex_tiling(((0.0, 0.0), (side, side)), config.cell_radius)
-    stations = tuple(
-        BaseStation(i, c, config.cell_radius, config.p_activation, config.p_full)
-        for i, c in enumerate(centers)
-    )
+    stations = Stations(centers, config.cell_radius, config.p_activation, config.p_full)
     return stations, build_coverage(graph, stations)
 
 
 def build_pg(
-    config: ScenarioConfig, stations: Sequence[BaseStation]
+    config: ScenarioConfig, stations: Stations
 ) -> tuple[np.ndarray, PowerAssignment]:
     """The PG layer: seeded generator sites, read-only, and their supply
     shares to ``stations``."""
@@ -302,7 +308,7 @@ def build_pg(
 def assemble(
     config: ScenarioConfig,
     network: FlowNetwork,
-    ci: tuple[tuple[BaseStation, ...], CoverageMap],
+    ci: tuple[Stations, CoverageMap],
     pg: tuple[np.ndarray, PowerAssignment],
 ) -> Scenario:
     """The scenario of three built layers, with its impact model."""
@@ -323,8 +329,22 @@ def generate(config: ScenarioConfig) -> Scenario:
 # Serialisation
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _write_block(
+    out: list[str],
+    keyword: str,
+    int_columns: Sequence[np.ndarray],
+    float_columns: Sequence[np.ndarray],
+) -> None:
+    """Append one counted block, as :func:`_block` reads it back.
+
+    The block is the line ``keyword count`` and then one line per row: its
+    entries of ``int_columns`` and then those of ``float_columns``, floats
+    written with ``repr`` so they read back exactly.
+    """
+    columns = [map(str, np.asarray(column).tolist()) for column in int_columns]
+    columns += [map(repr, np.asarray(column, dtype=float).tolist()) for column in float_columns]
+    out.append(f"{keyword} {len(int_columns[0])}")
+    out.extend(map(" ".join, zip(*columns)))
 
 
 def dumps(scenario: Scenario) -> str:
@@ -337,45 +357,32 @@ def dumps(scenario: Scenario) -> str:
             for end, bound in zip(("min", "max"), value or ("auto", "auto")):
                 out.append(f"bs_per_generator_{end} = {bound}")
         else:
-            out.append(f"{f.name} = {value if f.type == 'int' else _fmt(value)}")
+            out.append(f"{f.name} = {value if f.type == 'int' else repr(float(value))}")
 
     net, graph = scenario.network, scenario.network.graph
     out.append("[its]")
-    out.append(f"intersections {len(graph.node_ids)}")
-    for node, (x, y) in zip(graph.node_ids.tolist(), graph.positions.tolist()):
-        out.append(f"{node} {_fmt(x)} {_fmt(y)}")
-    out.append(f"streets {net.n}")
-    for sid, (tail, head, length, (x0, y0, x1, y1)) in enumerate(zip(
-        graph.tail.tolist(), graph.head.tolist(), graph.length.tolist(), graph.geometry.tolist()
-    )):
-        out.append(
-            f"{sid} {tail} {head} {_fmt(length)} {_fmt(x0)} {_fmt(y0)} {_fmt(x1)} {_fmt(y1)}"
-        )
+    _write_block(out, "intersections", (graph.node_ids,), graph.positions.T)
+    _write_block(
+        out, "streets", (np.arange(net.n), graph.tail, graph.head),
+        (graph.length, *graph.geometry.T),
+    )
     rows, cols, shares = csr_entries(net.Q)
-    out.append(f"ratios {shares.size}")
-    for r, c, share in zip(rows.tolist(), cols.tolist(), shares.tolist()):
-        out.append(f"{r} {c} {_fmt(share)}")
+    _write_block(out, "ratios", (rows, cols), (shares,))
 
+    stations = scenario.base_stations
     out.append("[ci]")
-    out.append(f"stations {len(scenario.base_stations)}")
-    for bs in scenario.base_stations:
-        out.append(
-            f"{bs.id} {_fmt(bs.center[0])} {_fmt(bs.center[1])} "
-            f"{_fmt(bs.cell_radius)} {_fmt(bs.p_activation)} {_fmt(bs.p_full)}"
-        )
+    _write_block(
+        out, "stations", (np.arange(len(stations)),),
+        (*stations.center.T, stations.cell_radius, stations.p_activation, stations.p_full),
+    )
     rows, cols, lengths = csr_entries(scenario.coverage.lengths)
-    out.append(f"coverage {lengths.size}")
-    for i, b, km in zip(rows.tolist(), cols.tolist(), lengths.tolist()):
-        out.append(f"{i} {b} {_fmt(km)}")
+    _write_block(out, "coverage", (rows, cols), (lengths,))
 
+    T = scenario.assignment.T
+    rows, cols = np.nonzero(T)
     out.append("[pg]")
-    out.append(f"generators {len(scenario.generators)}")
-    for g, (x, y) in enumerate(scenario.generators.tolist()):
-        out.append(f"{g} {_fmt(x)} {_fmt(y)}")
-    rows, cols = np.nonzero(scenario.assignment.T)
-    out.append(f"links {rows.size}")
-    for b, g in zip(rows.tolist(), cols.tolist()):
-        out.append(f"{b} {g} {_fmt(scenario.assignment.T[b, g])}")
+    _write_block(out, "generators", (np.arange(len(scenario.generators)),), scenario.generators.T)
+    _write_block(out, "links", (rows, cols), (T[rows, cols],))
     return "\n".join(out) + "\n"
 
 
@@ -442,23 +449,6 @@ class _Reader:
         return self.pos == len(self.lines)
 
 
-def _parse_float(reader: _Reader, token: str, what: str) -> float:
-    try:
-        value = float(token)
-    except ValueError:
-        raise FormatError(f"[{reader.section}] {what}: bad float {token!r}") from None
-    if not math.isfinite(value):
-        raise FormatError(f"[{reader.section}] {what}: non-finite value {token!r}")
-    return value
-
-
-def _parse_int(reader: _Reader, token: str, what: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise FormatError(f"[{reader.section}] {what}: bad integer {token!r}") from None
-
-
 def _block(
     reader: _Reader,
     count: int,
@@ -494,17 +484,23 @@ def _block(
         and (bounds is None or ((index >= 0) & (index < bounds)).all())
     ):
         return index, values
-    raise _bad_line(reader.section, lines, count, line, ints, floats, bounds)
+    _bad_line(reader.section, lines, count, line, ints, floats, bounds)
 
 
-def _token(kind: type, token: str) -> int | float | None:
-    """``kind(token)`` for the tokens ``np.loadtxt`` reads (ASCII, no ``_``), else None."""
-    if not token.isascii() or "_" in token:
-        return None
+def _token(section: str, name: str, kind: type, token: str) -> int | float:
+    """``kind(token)``, for ``kind`` int or float, if ``np.loadtxt`` reads
+    the token (ASCII, no ``_``) and a float is finite; otherwise a
+    FormatError naming the field ``name`` of ``section``."""
     try:
-        return kind(token)
+        if not token.isascii() or "_" in token:
+            raise ValueError
+        value = kind(token)
     except ValueError:
-        return None
+        what = "integer" if kind is int else "float"
+        raise FormatError(f"[{section}] {name}: bad {what} {token!r}") from None
+    if kind is float and not math.isfinite(value):
+        raise FormatError(f"[{section}] {name}: non-finite value {token!r}")
+    return value
 
 
 def _bad_line(
@@ -515,8 +511,8 @@ def _bad_line(
     ints: Sequence[str],
     floats: Sequence[str],
     bounds: Sequence[int] | None,
-) -> FormatError:
-    """The error for the first line of a block that :func:`_block` rejects.
+) -> NoReturn:
+    """Raise the error for the first line of a block that :func:`_block` rejects.
 
     Lines are checked in file order, and each line's fields from left to
     right, with the index range check between the integer and the float
@@ -526,29 +522,34 @@ def _bad_line(
     for text in lines:
         parts = text.split()
         if len(parts) != width:
-            return FormatError(f"[{section}] {line}: expected {width} fields, found {len(parts)}")
-        index = [_token(int, token) for token in parts[:len(ints)]]
-        for token, name, value in zip(parts, ints, index):
-            if value is None or not -2**63 <= value < 2**63:
-                return FormatError(f"[{section}] {name}: bad integer {token!r}")
+            raise FormatError(f"[{section}] {line}: expected {width} fields, found {len(parts)}")
+        index = []
+        for token, name in zip(parts, ints):
+            value = _token(section, name, int, token)
+            if not -2**63 <= value < 2**63:
+                raise FormatError(f"[{section}] {name}: bad integer {token!r}")
+            index.append(value)
         if bounds is not None and not all(0 <= i < b for i, b in zip(index, bounds)):
-            return FormatError(
+            raise FormatError(
                 f"[{section}] {line.split()[0]} indices ({', '.join(map(str, index))}) out of range"
             )
         for token, name in zip(parts[len(ints):], floats):
-            value = _token(float, token)
-            if value is None:
-                return FormatError(f"[{section}] {name}: bad float {token!r}")
-            if not math.isfinite(value):
-                return FormatError(f"[{section}] {name}: non-finite value {token!r}")
+            _token(section, name, float, token)
     if len(lines) < count:
-        return FormatError(f"file truncated inside section [{section}]")
-    return FormatError(f"[{section}] unreadable {line} block")
+        raise FormatError(f"file truncated inside section [{section}]")
+    raise FormatError(f"[{section}] unreadable {line} block")
 
 
-def _check_ids(reader: _Reader, ids: np.ndarray, count: int, what: str) -> None:
-    if not np.array_equal(np.sort(ids), np.arange(count)):
-        raise FormatError(f"[{reader.section}] {what} ids must be 0..{count - 1} with no gaps")
+def _by_id(reader: _Reader, ids: np.ndarray, rows: np.ndarray, what: str) -> np.ndarray:
+    """``rows`` reordered so that the row of id k is row k; FormatError
+    unless the ids are 0..n-1, one per row."""
+    if not np.array_equal(np.sort(ids), np.arange(len(rows))):
+        raise FormatError(
+            f"[{reader.section}] {what} ids must be 0..{len(rows) - 1} with no gaps"
+        )
+    out = np.empty_like(rows)
+    out[ids] = rows
+    return out
 
 
 # Counted keyword of each (row, column, value) block -> the names of its
@@ -581,18 +582,16 @@ def _entries(reader: _Reader, keyword: str, shape: tuple[int, int]) -> scipy.spa
     )
 
 
-def _impact_rows(reader: _Reader, keyword: str, n_stations: int, width: int) -> np.ndarray:
-    """One ``[impact]`` block of a legacy file: ``width`` values per station."""
+def _skip_impact_block(reader: _Reader, keyword: str, n_stations: int, width: int) -> None:
+    """Check and pass over one ``[impact]`` block of a legacy file:
+    ``width`` finite values for each station id."""
     count = reader.counted(keyword)
     if count != n_stations:
         raise FormatError(f"[impact] {keyword} count {count} != station count {n_stations}")
     ids, rows = _block(
         reader, count, keyword, (f"{keyword} station",), (f"{keyword} value",) * width
     )
-    _check_ids(reader, ids[:, 0], n_stations, f"{keyword} station")
-    out = np.zeros((n_stations, width))
-    out[ids[:, 0]] = rows
-    return out
+    _by_id(reader, ids[:, 0], rows, f"{keyword} station")
 
 
 def _street_graph(
@@ -611,7 +610,7 @@ def _street_graph(
 
 # Keys of older v1 files that no longer set anything: each must still
 # parse, as an int and a finite float, and is otherwise ignored.
-_LEGACY_CONFIG_KEYS = {"anchor_street": _parse_int, "anchor_flow": _parse_float}
+_LEGACY_CONFIG_KEYS = {"anchor_street": int, "anchor_flow": float}
 # bs_per_generator_range takes two lines, its min and its max.
 _CONFIG_KEYS = frozenset(
     {f.name for f in fields(ScenarioConfig)} - {"bs_per_generator_range"}
@@ -637,18 +636,18 @@ def loads(text: str) -> Scenario:
         if parts[0] in raw:
             raise FormatError(f"[config] repeated key {parts[0]!r}")
         raw[parts[0]] = parts[2]
-    for key, parse in _LEGACY_CONFIG_KEYS.items():
+    for key, kind in _LEGACY_CONFIG_KEYS.items():
         if key in raw:
-            parse(reader, raw[key], key)
+            _token("config", key, kind, raw[key])
     try:
         # Every other config field is annotated "int" or "float".
         values = {
-            f.name: (_parse_int if f.type == "int" else _parse_float)(reader, raw[f.name], f.name)
+            f.name: _token("config", f.name, int if f.type == "int" else float, raw[f.name])
             for f in fields(ScenarioConfig) if f.name != "bs_per_generator_range"
         }
         if raw["bs_per_generator_min"] != "auto":
             values["bs_per_generator_range"] = tuple(
-                _parse_int(reader, raw[key], key)
+                _token("config", key, int, raw[key])
                 for key in ("bs_per_generator_min", "bs_per_generator_max")
             )
         config = ScenarioConfig(**values)
@@ -673,16 +672,11 @@ def loads(text: str) -> Scenario:
     station_ids, station_fields = _block(
         reader, n_stations, "station", ("station id",), ("station field",) * 5
     )
-    stations: list[BaseStation] = []
-    for sid, (x, y, radius, p_activation, p_full) in zip(
-        station_ids[:, 0].tolist(), station_fields.tolist()
-    ):
-        try:
-            stations.append(BaseStation(sid, (x, y), radius, p_activation, p_full))
-        except ValueError as err:
-            raise FormatError(f"[ci] station {sid}: {err}") from None
-    _check_ids(reader, station_ids[:, 0], n_stations, "station")
-    stations.sort(key=lambda bs: bs.id)
+    rows = _by_id(reader, station_ids[:, 0], station_fields, "station")
+    try:
+        stations = Stations(rows[:, :2], *rows[:, 2:].T)
+    except ValueError as err:
+        raise FormatError(f"[ci] {err}") from None
     covered = _entries(reader, "coverage", (n_streets, n_stations))
 
     reader.expect_section("pg")
@@ -690,17 +684,14 @@ def loads(text: str) -> Scenario:
     gen_ids, gen_xy = _block(
         reader, n_gens, "generator", ("generator id",), ("generator x", "generator y")
     )
-    _check_ids(reader, gen_ids[:, 0], n_gens, "generator")
-    generators = np.empty_like(gen_xy)
-    generators[gen_ids[:, 0]] = gen_xy
+    generators = _by_id(reader, gen_ids[:, 0], gen_xy, "generator")
     generators.flags.writeable = False
     shares = _entries(reader, "links", (n_stations, n_gens)).toarray()
 
-    legacy_impact: tuple[np.ndarray, np.ndarray] | None = None
     if reader.peek_is("[impact]"):
         reader.expect_section("impact")
-        scores = _impact_rows(reader, "scores", n_stations, 1)[:, 0]
-        legacy_impact = (scores, _impact_rows(reader, "vectors", n_stations, n_streets))
+        _skip_impact_block(reader, "scores", n_stations, 1)
+        _skip_impact_block(reader, "vectors", n_stations, n_streets)
     if not reader.at_end():
         raise FormatError(f"unexpected trailing content: {reader.next_line()!r}")
 
@@ -710,23 +701,16 @@ def loads(text: str) -> Scenario:
         network = network_from_matrix(graph, Q)
     except (ValueError, IcisimError) as err:
         raise FormatError(f"[its] {err}") from None
-    stations_t = tuple(stations)
     try:
         coverage = coverage_from_lengths(network.graph, covered)
-        impact = build_impact_model(network, coverage, stations_t, config.delta)
+        impact = build_impact_model(network, coverage, stations, config.delta)
     except (ValueError, IcisimError) as err:
         raise FormatError(f"[ci] {err}") from None
     try:
-        assignment = build_assignment(stations_t, shares)
+        assignment = build_assignment(stations, shares)
     except (ValueError, IcisimError) as err:
         raise FormatError(f"[pg] {err}") from None
-    if legacy_impact is not None:
-        for what, stored, fresh in zip(
-            ("scores", "vectors"), legacy_impact, (impact.z_scores, impact.z_vectors)
-        ):
-            if np.any(np.abs(stored - fresh) > 1e-9 * np.max(np.abs(fresh), initial=0.0)):
-                raise FormatError(f"[impact] stored {what} disagree with the recomputed model")
-    return Scenario(config, network, stations_t, coverage, generators, assignment, impact)
+    return Scenario(config, network, stations, coverage, generators, assignment, impact)
 
 
 def load(path: str) -> Scenario:
@@ -734,16 +718,18 @@ def load(path: str) -> Scenario:
         return loads(fh.read())
 
 
+def _tables_equal(a: StreetGraph | Stations, b: StreetGraph | Stations) -> bool:
+    """Whether two array tables of one type hold equal arrays, field by field."""
+    return all(np.array_equal(getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+
+
 def scenarios_equal(a: Scenario, b: Scenario) -> bool:
     """Structural equality, exact on every matrix entry."""
     return (
         a.config == b.config
-        and all(
-            np.array_equal(getattr(a.network.graph, f.name), getattr(b.network.graph, f.name))
-            for f in fields(StreetGraph)
-        )
+        and _tables_equal(a.network.graph, b.network.graph)
         and csr_equal(a.network.Q, b.network.Q)
-        and a.base_stations == b.base_stations
+        and _tables_equal(a.base_stations, b.base_stations)
         and csr_equal(a.coverage.lengths, b.coverage.lengths)
         and csr_equal(a.coverage.fractions, b.coverage.fractions)
         and np.array_equal(a.generators, b.generators)

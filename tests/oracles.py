@@ -177,7 +177,13 @@ def _loop_clip_interval(segment, hexagon: Hexagon) -> tuple[float, float] | None
     return t_lo, t_hi
 
 
-def loop_coverage(graph: StreetGraph, base_stations) -> CoverageMap:
+def _hexagon(stations, b: int) -> Hexagon:
+    """The cell of station ``b`` of a ``Stations`` table."""
+    x, y = stations.center[b].tolist()
+    return Hexagon((x, y), float(stations.cell_radius[b]))
+
+
+def loop_coverage(graph: StreetGraph, stations) -> CoverageMap:
     """Coverage of a street graph built one street and one station at a time.
 
     Each distinct geometry (the first street with it, in its own direction)
@@ -186,10 +192,9 @@ def loop_coverage(graph: StreetGraph, base_stations) -> CoverageMap:
     lower id taken away.
     """
     if graph.n:
-        _check_disjoint_cells(base_stations)
-    B = len(base_stations)
-    centers = np.array([bs.center for bs in base_stations], dtype=float).reshape(B, 2)
-    radii = np.array([bs.cell_radius for bs in base_stations], dtype=float)
+        _check_disjoint_cells(stations)
+    B = len(stations)
+    centers, radii = stations.center, stations.cell_radius
     cache: dict = {}
     rows, cols, km = [], [], []
     for sid, (x0, y0, x1, y1) in enumerate(graph.geometry.tolist()):
@@ -206,7 +211,7 @@ def loop_coverage(graph: StreetGraph, base_stations) -> CoverageMap:
             near = np.nonzero(np.hypot(*(centers - mid).T) <= reach)[0]
             claimed: list[tuple[float, float]] = []
             for b in near.tolist():
-                interval = _loop_clip_interval(geometry, base_stations[b].hexagon)
+                interval = _loop_clip_interval(geometry, _hexagon(stations, b))
                 if interval is None:
                     continue
                 pieces = _subtract_claimed(interval, claimed)
@@ -351,7 +356,7 @@ def set_wiring(config, positions, stations, rng) -> np.ndarray:
     the weights are filled in pair by pair.
     """
     B, G = len(stations), config.num_generators
-    centers = np.array([bs.center for bs in stations])
+    centers = stations.center
     dists = np.hypot(
         centers[:, 0][:, None] - positions[:, 0][None, :],
         centers[:, 1][:, None] - positions[:, 1][None, :],
@@ -376,13 +381,13 @@ def set_wiring(config, positions, stations, rng) -> np.ndarray:
     return shares
 
 
-def dense_overlap_pair(base_stations) -> tuple[int, int] | None:
+def dense_overlap_pair(stations) -> tuple[int, int] | None:
     """First (lower, higher) index pair of stations whose cell interiors
     overlap, from the full station-by-station distance matrix."""
-    if len(base_stations) < 2:
+    if len(stations) < 2:
         return None
-    centers = np.array([bs.center for bs in base_stations])
-    apothems = np.array([bs.hexagon.apothem for bs in base_stations])
+    centers = stations.center
+    apothems = np.array([_hexagon(stations, b).apothem for b in range(len(stations))])
     dx = centers[:, 0][:, None] - centers[:, 0][None, :]
     dy = centers[:, 1][:, None] - centers[:, 1][None, :]
     dist = np.hypot(dx, dy)
@@ -517,7 +522,7 @@ def qr_flow_solution(A: np.ndarray, anchor: int, anchor_flow: float) -> np.ndarr
     return np.insert(rest, anchor, anchor_flow)
 
 
-def dense_impact(net, coverage, base_stations) -> tuple[np.ndarray, np.ndarray]:
+def dense_impact(net, coverage, stations) -> tuple[np.ndarray, np.ndarray]:
     """Impact vectors and scores summed pattern by pattern for each station.
 
     Stacks the unit patterns ``-v / v[i]`` of a station's covered streets
@@ -527,14 +532,14 @@ def dense_impact(net, coverage, base_stations) -> tuple[np.ndarray, np.ndarray]:
     """
     v = net.null_vector
     vmax = float(np.max(np.abs(v)))
-    vectors = np.zeros((len(base_stations), net.n))
-    for bs in base_stations:
-        fractions = coverage.C[:, bs.id]
+    vectors = np.zeros((len(stations), net.n))
+    for b in range(len(stations)):
+        fractions = coverage.C[:, b]
         covered = np.nonzero(fractions > 0.0)[0]
         if np.any(np.abs(v[covered]) < 1e-9 * vmax):
-            raise SingularError(f"station {bs.id} covers a street that carries no flow")
+            raise SingularError(f"station {b} covers a street that carries no flow")
         patterns = -v[None, :] / v[covered, None]
-        vectors[bs.id] = (fractions[covered] / bs.headroom) @ patterns
+        vectors[b] = (fractions[covered] / stations.headroom[b]) @ patterns
     return vectors, np.abs(vectors).sum(axis=1)
 
 
@@ -546,8 +551,7 @@ def finite_difference_total(scenario, station: int, cut_watts: float) -> float:
     per-street deviation vectors are summed and measured in the L1 norm.
     """
     net = scenario.network
-    bs = scenario.base_stations[station]
-    lost_fraction = cut_watts / bs.headroom
+    lost_fraction = cut_watts / scenario.base_stations.headroom[station]
     A = net.A.toarray()
     C = scenario.coverage.C
     total = np.zeros(net.n)

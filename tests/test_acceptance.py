@@ -13,7 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from icisim.coverage import BaseStation, build_coverage, hex_tiling
+from icisim.coverage import Stations, build_coverage, hex_tiling
 from icisim.experiments import ExperimentSpec, run_experiment, table_to_csv
 from icisim.game import (
     GameInstance,
@@ -256,10 +256,7 @@ def _retile(sc, radius: float) -> tuple[GameInstance, int]:
     """Re-tile a scenario's street grid at a new cell radius."""
     side = sc.config.extent
     centers = hex_tiling(((0.0, 0.0), (side, side)), radius)
-    stations = tuple(
-        BaseStation(i, c, radius, sc.config.p_activation, sc.config.p_full)
-        for i, c in enumerate(centers)
-    )
+    stations = Stations(centers, radius, sc.config.p_activation, sc.config.p_full)
     coverage = build_coverage(sc.network.graph, stations)
     shares = _wire_generators(sc.config, sc.generators, stations, _rng(sc.config.seed, 0, 3))
     assignment = build_assignment(stations, shares)

@@ -131,6 +131,27 @@ def test_non_finite_config_exits_2(tmp_path, capsys, command, settings):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "settings, message",
+    [
+        ({"grid_n": 4.5}, "grid_n must be an integer"),
+        ({"grid_n": 3, "num_generators": 2.5}, "num_generators must be an integer"),
+        ({"grid_n": 3, "seed": True}, "seed must be an integer"),
+        ({"grid_n": 3, "bs_per_generator_range": [1.5, 3]}, "must be a pair of integers"),
+        ({"grid_n": 4, "delta": -1}, "delta must be positive"),
+        ({"grid_n": 4, "delta": 0}, "delta must be positive"),
+    ],
+    ids=["float grid_n", "float num_generators", "bool seed", "float range", "negative delta",
+         "zero delta"],
+)
+def test_invalid_config_exits_2(tmp_path, capsys, settings, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(settings), encoding="utf-8")
+    assert main(["generate", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_io_errors_exit_3(tmp_path, capsys):
     assert main(["inspect", str(tmp_path / "missing.txt")]) == 3
     blocker = tmp_path / "blocker"

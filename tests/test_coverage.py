@@ -10,9 +10,9 @@ import pytest
 import scipy.sparse
 
 from icisim.coverage import (
-    BaseStation,
     CoverageMap,
     Hexagon,
+    Stations,
     build_coverage,
     clip_segment_to_hex,
     coverage_fraction,
@@ -29,8 +29,13 @@ from oracles import clip_length_sequential, dense_overlap_pair, loop_coverage
 SQ3 = math.sqrt(3.0)
 
 
-def _station(sid: int, center, radius=1.0) -> BaseStation:
-    return BaseStation(sid, center, radius, 100.0, 200.0)
+def _stations(centers, radius=1.0) -> Stations:
+    """Stations at ``centers`` with powers 100 W and 200 W; station k at centers[k]."""
+    return Stations(centers, radius, 100.0, 200.0)
+
+
+PAIR = _stations([(0.0, 0.0), (0.0, SQ3)])
+ONE = _stations([(0.0, 0.0)])
 
 
 # ---------------------------------------------------------------------------
@@ -112,33 +117,30 @@ def test_clip_random_segments_match_oracle_and_never_exceed_length():
 
 
 def test_street_inside_single_cell_is_a_unit_row():
-    stations = [_station(0, (0.0, 0.0)), _station(1, (0.0, SQ3))]
     street = segment_graph(((-0.4, 0.0), (0.4, 0.0)))
-    cov = build_coverage(street, stations)
+    cov = build_coverage(street, PAIR)
     assert np.allclose(cov.C[0], [1.0, 0.0])
 
 
 def test_street_split_evenly_on_shared_edge():
     # Vertical neighbours share the horizontal edge y = sqrt(3)/2; a street
     # crossing it symmetrically is covered half and half.
-    stations = [_station(0, (0.0, 0.0)), _station(1, (0.0, SQ3))]
     street = segment_graph(((0.0, SQ3 / 2 - 0.3), (0.0, SQ3 / 2 + 0.3)))
-    cov = build_coverage(street, stations)
+    cov = build_coverage(street, PAIR)
     assert np.allclose(cov.C[0], [0.5, 0.5])
 
 
 def test_no_stations_gives_zero_map():
     street = segment_graph(((0.0, 0.0), (1.0, 0.0)))
-    cov = build_coverage(street, [])
+    cov = build_coverage(street, _stations([]))
     assert cov.C.shape == (1, 0)
     assert cov.lengths.toarray().sum() == 0.0
 
 
 def test_dense_view_lives_in_its_own_mapping():
     # Off the heap, so that dropping the view returns its pages.
-    stations = [_station(0, (0.0, 0.0)), _station(1, (0.0, SQ3))]
     street = segment_graph(((0.0, SQ3 / 2 - 0.3), (0.0, SQ3 / 2 + 0.3)))
-    cov = build_coverage(street, stations)
+    cov = build_coverage(street, PAIR)
     C = cov.C
     assert np.array_equal(C, cov.fractions.toarray())
     assert C.flags.c_contiguous and C.flags.writeable
@@ -150,7 +152,7 @@ def test_dense_view_lives_in_its_own_mapping():
 
 
 def test_overlapping_cells_raise():
-    stations = [_station(0, (0.0, 0.0)), _station(1, (0.05, 0.0))]
+    stations = _stations([(0.0, 0.0), (0.05, 0.0)])
     street = segment_graph(((-0.4, 0.0), (0.4, 0.0)))
     with pytest.raises(OverlapError):
         build_coverage(street, stations)
@@ -239,15 +241,14 @@ def test_batched_coverage_matches_loop_oracle_on_generated_grids():
         side = grid_n - 1.0
         for radius in (0.5, 0.9, 1.0, 2.0):
             centers = hex_tiling(((0.0, 0.0), (side, side)), radius)
-            stations = [_station(k, c, radius) for k, c in enumerate(centers)]
-            _assert_matches_loop_oracle(graph, stations)
+            _assert_matches_loop_oracle(graph, _stations(centers, radius))
 
 
 def test_batched_coverage_matches_loop_oracle_on_edges_and_vertices():
     # Streets along the hexagons' own edges and diagonals run exactly on
     # shared edges and through the points where three cells meet.
     centers = hex_tiling(((0.0, 0.0), (5.0, 5.0)), 1.0)
-    stations = [_station(k, c) for k, c in enumerate(centers)]
+    stations = _stations(centers)
     inside = [c for c in centers if 1.0 <= c[0] <= 4.0 and 1.0 <= c[1] <= 4.0]
     assert len(inside) >= 3
     segments = []
@@ -257,15 +258,14 @@ def test_batched_coverage_matches_loop_oracle_on_edges_and_vertices():
     cov = _assert_matches_loop_oracle(segment_graph(*segments), stations)
     assert np.all(np.diff(cov.lengths.indptr) >= 1)
     # A street lying on the edge shared by stations 0 and 1 goes to station 0.
-    pair = [_station(0, (0.0, 0.0)), _station(1, (0.0, SQ3))]
     on_edge = segment_graph(((-0.4, SQ3 / 2), (0.4, SQ3 / 2)))
-    assert np.array_equal(_assert_matches_loop_oracle(on_edge, pair).C, [[1.0, 0.0]])
-    swapped = [_station(0, (0.0, SQ3)), _station(1, (0.0, 0.0))]
+    assert np.array_equal(_assert_matches_loop_oracle(on_edge, PAIR).C, [[1.0, 0.0]])
+    swapped = _stations([(0.0, SQ3), (0.0, 0.0)])
     assert np.array_equal(_assert_matches_loop_oracle(on_edge, swapped).C, [[1.0, 0.0]])
 
 
 def test_batched_coverage_matches_loop_oracle_outside_the_tiling():
-    stations = [_station(k, c) for k, c in enumerate(hex_tiling(((0.0, 0.0), (2.0, 2.0)), 1.0))]
+    stations = _stations(hex_tiling(((0.0, 0.0), (2.0, 2.0)), 1.0))
     far_and_leaving = segment_graph(((40.0, 40.0), (41.0, 40.0)), ((1.0, 1.0), (9.0, 1.0)))
     cov = _assert_matches_loop_oracle(far_and_leaving, stations)
     assert cov.lengths.indptr[1] == 0
@@ -284,7 +284,7 @@ def test_batched_coverage_matches_loop_oracle_on_scattered_mixed_cells():
             if all(math.dist(c, o) >= r + q for o, q in zip(centers, radii)):
                 centers.append((float(c[0]), float(c[1])))
                 radii.append(r)
-        stations = [_station(k, c, r) for k, (c, r) in enumerate(zip(centers, radii))]
+        stations = _stations(centers, radii)
         segments = []
         for _ in range(0, 60, 2):
             p, q = (tuple(rng.uniform(-7.0, 7.0, 2)) for _ in range(2))
@@ -298,9 +298,7 @@ def test_coverage_stays_sparse_in_memory():
     config = ScenarioConfig(grid_n=40)
     graph = _grid_topology(config)
     side = config.extent
-    stations = [
-        _station(k, c) for k, c in enumerate(hex_tiling(((0.0, 0.0), (side, side)), 1.0))
-    ]
+    stations = _stations(hex_tiling(((0.0, 0.0), (side, side)), 1.0))
     tracemalloc.start()
     try:
         cov = build_coverage(graph, stations)
@@ -337,7 +335,7 @@ def test_overlap_check_matches_dense_oracle():
             count = int(rng.integers(2, 40))
             centers = rng.uniform(-10.0, 10.0, (count, 2))
             radii = rng.uniform(0.05, 1.5, count)
-        stations = [_station(k, tuple(c), r) for k, (c, r) in enumerate(zip(centers, radii))]
+        stations = _stations(centers, radii)
         pair = dense_overlap_pair(stations)
         expected = (
             None if pair is None
@@ -354,21 +352,23 @@ def test_overlap_check_matches_dense_oracle():
 
 
 def test_fraction_at_full_power():
-    assert coverage_fraction(_station(0, (0.0, 0.0)), 200.0) == 1.0
+    assert np.array_equal(coverage_fraction(ONE, 200.0), [1.0])
 
 
 def test_fraction_at_activation_threshold():
-    assert coverage_fraction(_station(0, (0.0, 0.0)), 100.0) == 0.0
+    assert np.array_equal(coverage_fraction(ONE, 100.0), [0.0])
 
 
 def test_fraction_linear_midpoint():
-    assert coverage_fraction(_station(0, (0.0, 0.0)), 150.0) == 0.5
+    assert np.array_equal(coverage_fraction(ONE, 150.0), [0.5])
 
 
 def test_fraction_is_clamped_monotone_piecewise():
-    bs = _station(0, (0.0, 0.0))
     powers = np.linspace(0.0, 300.0, 61)
-    values = [coverage_fraction(bs, p) for p in powers]
+    values = [float(coverage_fraction(ONE, p)[0]) for p in powers]
+    # One power per station gives each station's value at its own power.
+    many = _stations(np.zeros((61, 2)))
+    assert np.array_equal(coverage_fraction(many, powers), values)
     assert all(b >= a for a, b in zip(values, values[1:]))
     assert all(v == 0.0 for p, v in zip(powers, values) if p <= 100.0)
     assert all(v == 1.0 for p, v in zip(powers, values) if p >= 200.0)
@@ -377,9 +377,28 @@ def test_fraction_is_clamped_monotone_piecewise():
 
 
 def test_station_parameter_validation():
+    three = [(0.0, 0.0), (3.0, 0.0), (6.0, 0.0)]
+    # Each check names the lowest offending station id.
+    with pytest.raises(ValueError, match="^station 1: cell radius must be positive$"):
+        Stations(three, [1.0, -1.0, 0.0], 100.0, 200.0)
+    with pytest.raises(ValueError, match="^station 0: cell radius must be positive$"):
+        Stations(three, [math.nan, 1.0, 1.0], 100.0, 200.0)
+    with pytest.raises(ValueError, match="^station 1: need 0 < activation power < full"):
+        Stations(three, 1.0, [100.0, 200.0, 0.0], 200.0)
     with pytest.raises(ValueError):
-        BaseStation(0, (0.0, 0.0), 1.0, 200.0, 100.0)
+        Stations(three, [1.0, 1.0], 100.0, 200.0)
     with pytest.raises(ValueError):
-        BaseStation(0, (0.0, 0.0), -1.0, 100.0, 200.0)
-    with pytest.raises(ValueError):
-        coverage_fraction(_station(0, (0.0, 0.0)), -5.0)
+        coverage_fraction(ONE, -5.0)
+
+
+def test_station_table_is_read_only_rows():
+    centers = [[0.0, 0.0], [3.0, 0.0]]
+    stations = Stations(centers, 1.0, [100.0, 80.0], [200.0, 250.0])
+    centers[0][0] = 9.0
+    assert len(stations) == 2
+    assert np.array_equal(stations.center, [[0.0, 0.0], [3.0, 0.0]])
+    assert np.array_equal(stations.cell_radius, [1.0, 1.0])
+    assert np.array_equal(stations.headroom, [100.0, 170.0])
+    for name in ("center", "cell_radius", "p_activation", "p_full"):
+        with pytest.raises(ValueError):
+            getattr(stations, name)[0] = 1.0

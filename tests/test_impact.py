@@ -6,7 +6,7 @@ import io
 import numpy as np
 import pytest
 
-from icisim.coverage import BaseStation, coverage_from_lengths
+from icisim.coverage import Stations, coverage_from_lengths
 from icisim.errors import SingularError
 from icisim.impact import build_impact_model, export_impact_csv, its_deviation
 from icisim.scenario import ScenarioConfig, generate, loads
@@ -66,24 +66,24 @@ def test_null_pattern_route_matches_least_squares(grid3_scenario):
 
 def _single_station_setup():
     net = cycle_network()
-    bs = BaseStation(0, (0.5, 0.0), 1.0, 100.0, 200.0)
+    bs = Stations([(0.5, 0.0)], 1.0, 100.0, 200.0)
     coverage = coverage_from_lengths(net.graph, np.array([[1.0], [0.0]]))
     return net, bs, coverage
 
 
 def test_station_covering_nothing_scores_zero():
     net = cycle_network()
-    bs = BaseStation(0, (50.0, 50.0), 1.0, 100.0, 200.0)
+    bs = Stations([(50.0, 50.0)], 1.0, 100.0, 200.0)
     coverage = coverage_from_lengths(net.graph, np.zeros((2, 1)))
-    model = build_impact_model(net, coverage, [bs])
+    model = build_impact_model(net, coverage, bs)
     assert np.array_equal(model.z_vectors, np.zeros((1, 2)))
     assert model.z_scores[0] == 0.0
 
 
 def test_station_covering_one_full_street():
     net, bs, coverage = _single_station_setup()
-    model = build_impact_model(net, coverage, [bs])
-    expected = _pattern(net, 0) / bs.headroom
+    model = build_impact_model(net, coverage, bs)
+    expected = _pattern(net, 0) / bs.headroom[0]
     assert np.allclose(model.z_vectors[0], expected, rtol=1e-12)
     assert model.z_scores[0] == pytest.approx(np.abs(expected).sum(), rel=1e-12)
 
@@ -97,15 +97,15 @@ def _zero_flow_network():
 
 def test_zero_flow_street_is_singular_only_when_covered():
     net = _zero_flow_network()
-    bs = BaseStation(0, (0.5, 0.0), 1.0, 100.0, 200.0)
+    bs = Stations([(0.5, 0.0)], 1.0, 100.0, 200.0)
     covers_flowing = coverage_from_lengths(net.graph, np.array([[1.0], [0.0], [0.0], [0.0]]))
-    model = build_impact_model(net, covers_flowing, [bs])
-    assert model.z_scores[0] == pytest.approx(2.0 / bs.headroom, rel=1e-12)
+    model = build_impact_model(net, covers_flowing, bs)
+    assert model.z_scores[0] == pytest.approx(2.0 / bs.headroom[0], rel=1e-12)
     covers_dry = coverage_from_lengths(net.graph, np.array([[0.0], [1.0], [0.0], [0.0]]))
     with pytest.raises(SingularError):
-        build_impact_model(net, covers_dry, [bs])
+        build_impact_model(net, covers_dry, bs)
     with pytest.raises(SingularError):
-        dense_impact(net, covers_dry, [bs])
+        dense_impact(net, covers_dry, bs)
 
 
 def test_score_matches_finite_difference_oracle(grid3_scenario):
@@ -181,10 +181,7 @@ def _oracle_cases():
             yield f"grid {grid_n} seed {seed}", sc.network, sc.coverage, sc.base_stations
     hand = loads(HAND_WRITTEN)
     yield "hand-written file", hand.network, hand.coverage, hand.base_stations
-    stations = (
-        BaseStation(0, (0.5, 0.0), 1.0, 100.0, 200.0),
-        BaseStation(1, (1.5, 0.0), 1.0, 80.0, 250.0),
-    )
+    stations = Stations([(0.5, 0.0), (1.5, 0.0)], 1.0, [100.0, 80.0], [200.0, 250.0])
     net = parallel_pair_network(0.3)
     lengths = np.array([[1.5, 0.5], [0.0, 2.0], [0.25, 0.0], [0.0, 0.0]])
     yield "parallel pair", net, coverage_from_lengths(net.graph, lengths), stations

@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from icisim.coverage import BaseStation, coverage_fraction
+from icisim.coverage import Stations, coverage_fraction
 from icisim.errors import DisconnectedError
 from icisim.game import GameInstance
 from icisim.power import build_assignment
@@ -12,13 +12,13 @@ from icisim.power import build_assignment
 from conftest import synthetic_impact
 
 
-def _stations(count: int, p_full: float = 200.0) -> list[BaseStation]:
-    return [BaseStation(b, (float(b), 0.0), 1.0, p_full / 2.0, p_full) for b in range(count)]
+def _stations(count: int, p_full: float = 200.0) -> Stations:
+    centers = np.stack((np.arange(count, dtype=float), np.zeros(count)), axis=1)
+    return Stations(centers, 1.0, p_full / 2.0, p_full)
 
 
 def _instance(assignment, stations) -> GameInstance:
-    headroom = np.array([bs.headroom for bs in stations])
-    return GameInstance(synthetic_impact(np.zeros(len(stations)), headroom), assignment)
+    return GameInstance(synthetic_impact(np.zeros(len(stations)), stations.headroom), assignment)
 
 
 def test_single_generator_supplies_everything():
@@ -96,11 +96,10 @@ def test_line_capacities_sum_to_safe_output():
 
 def test_full_supply_gives_full_coverage(grid3_scenario):
     # With no attack and no backup, each station receives its full power.
-    assignment = grid3_scenario.assignment
-    for bs in grid3_scenario.base_stations:
-        supply = float((assignment.T[bs.id] * assignment.p_full[bs.id]).sum())
-        assert supply == pytest.approx(bs.p_full, rel=1e-9)
-        assert coverage_fraction(bs, supply) == pytest.approx(1.0, abs=1e-12)
+    assignment, stations = grid3_scenario.assignment, grid3_scenario.base_stations
+    supply = (assignment.T * assignment.p_full[:, None]).sum(axis=1)
+    assert supply == pytest.approx(stations.p_full, rel=1e-9)
+    assert coverage_fraction(stations, supply) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_share_matrix_validation():

@@ -11,7 +11,7 @@ import scipy.sparse
 from hypothesis import given, settings, strategies as st
 from scipy.sparse.csgraph import connected_components
 
-from icisim.coverage import BaseStation, coverage_from_lengths
+from icisim.coverage import Stations, coverage_from_lengths
 from icisim.errors import FormatError
 from icisim.impact import build_impact_model
 from icisim.power import build_assignment
@@ -28,6 +28,7 @@ from icisim.scenario import (
     _place_generators,
     _rng,
     _sample_ratios,
+    _tables_equal,
     _wire_generators,
     build_ci,
     build_its,
@@ -97,15 +98,12 @@ _CONFIGS = st.builds(
 
 
 def _its_equal(a, b) -> bool:
-    return all(
-        np.array_equal(getattr(a.graph, f.name), getattr(b.graph, f.name))
-        for f in fields(a.graph)
-    ) and csr_equal(a.Q, b.Q)
+    return _tables_equal(a.graph, b.graph) and csr_equal(a.Q, b.Q)
 
 
 def _ci_equal(a, b) -> bool:
     return (
-        a[0] == b[0]
+        _tables_equal(a[0], b[0])
         and csr_equal(a[1].lengths, b[1].lengths)
         and csr_equal(a[1].fractions, b[1].fractions)
     )
@@ -316,20 +314,26 @@ def test_legacy_impact_section_loads_equal():
 
 
 @pytest.mark.parametrize(
-    "block, field, value",
+    "block, field, value, rejected",
     [
-        ("scores", 1, repr(123456.0)),
-        ("vectors", -1, "7.5"),
-        ("vectors", 2, "nan"),
-        ("scores", 0, "999"),
-        ("vectors", 0, "999"),
+        ("scores", 1, repr(123456.0), False),
+        ("vectors", -1, "7.5", False),
+        ("vectors", 2, "nan", True),
+        ("scores", 0, "999", True),
+        ("vectors", 0, "999", True),
     ],
     ids=["score", "vector entry", "nan entry", "score station index", "vector station index"],
 )
-def test_legacy_impact_section_is_verified(block, field, value):
-    text = legacy_text(generate(ScenarioConfig(grid_n=3, seed=0)))
-    with pytest.raises(FormatError, match=r"\[impact\]"):
-        loads(_edit(text, block, field, value))
+def test_legacy_impact_section_is_verified(block, field, value, rejected):
+    # The section's counts, station ids and finite values are checked; the
+    # stored numbers are otherwise ignored, as loading recomputes the model.
+    sc = generate(ScenarioConfig(grid_n=3, seed=0))
+    text = _edit(legacy_text(sc), block, field, value)
+    if rejected:
+        with pytest.raises(FormatError, match=r"\[impact\]"):
+            loads(text)
+    else:
+        assert scenarios_equal(loads(text), loads(dumps(sc)))
 
 
 @pytest.mark.parametrize(
@@ -346,11 +350,13 @@ def test_legacy_impact_section_is_verified(block, field, value):
         ("delta", 2, "nan", -1),
         ("budget", 2, "inf", -1),
         ("grid_n", 2, "nan", -1),
+        ("delta", 2, "-1.0", -1),
     ],
     ids=[
         "nan covered length", "nan link share", "nan street length", "nan generator x",
         "generator id 999", "station id 999", "repeated station id",
         "negative covered length", "nan delta", "infinite budget", "nan grid_n",
+        "negative delta",
     ],
 )
 def test_loader_rejects_bad_values_and_ids(block, field, value, row):
@@ -516,6 +522,14 @@ def test_config_validation():
         ScenarioConfig(bs_per_generator_range=(0, 3))
     with pytest.raises(ValueError):
         ScenarioConfig(num_generators=0)
+    for name, value in (("grid_n", 4.5), ("num_generators", 2.5), ("seed", True), ("grid_n", "4")):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+            ScenarioConfig(**{name: value})
+    with pytest.raises(ValueError, match="^bs_per_generator_range must be a pair of integers$"):
+        ScenarioConfig(bs_per_generator_range=(1.5, 3))
+    for delta in (0.0, -1.0):
+        with pytest.raises(ValueError, match="^delta must be positive$"):
+            ScenarioConfig(delta=delta)
 
 
 @pytest.mark.parametrize(
@@ -597,8 +611,10 @@ def test_legacy_anchor_keys_parse_and_are_ignored():
         ("seed = 7\n", "seed = 7\ncolour = 3\n", r"\[config\] unknown key 'colour'"),
         ("seed = 7\n", "seed = 7\nseed = 8\n", r"\[config\] repeated key 'seed'"),
         ("delta = 1.0\n[its]\n", "delta = 1.0\n", r"\[config\] config entry: expected 3"),
+        ("grid_n = 2\n", "grid_n = 1_0\n", r"\[config\] grid_n: bad integer '1_0'"),
+        ("budget = 50.0\n", "budget = 5_0.0\n", r"\[config\] budget: bad float '5_0.0'"),
     ],
-    ids=["missing", "unknown", "repeated", "no [its] after it"],
+    ids=["missing", "unknown", "repeated", "no [its] after it", "1_0", "5_0.0"],
 )
 def test_config_block_keys_are_checked(old, new, message):
     assert old in HAND_WRITTEN
@@ -633,10 +649,8 @@ def _scenario_from_lines(text: str) -> Scenario:
     n = len(streets)
     graph = object_graph(streets, intersections_from_streets(streets, positions))
     network = network_from_matrix(graph, _sparse(blocks["ratios"], (n, n)))
-    stations = tuple(sorted(
-        (BaseStation(b, (x, y), r, p_act, p_full) for b, x, y, r, p_act, p_full in blocks["stations"]),
-        key=lambda bs: bs.id,
-    ))
+    rows = np.array(sorted(blocks["stations"]), dtype=float).reshape(-1, 6)
+    stations = Stations(rows[:, 1:3], rows[:, 3], rows[:, 4], rows[:, 5])
     B, G = len(stations), len(blocks["generators"])
     coverage = coverage_from_lengths(network.graph, _sparse(blocks["coverage"], (n, B)))
     shares = _sparse(blocks["links"], (B, G)).toarray()
@@ -674,6 +688,22 @@ def test_numeric_blocks_take_ascii_decimal_tokens(block, field, value, message):
     text = dumps(generate(ScenarioConfig(grid_n=3, seed=0)))
     with pytest.raises(FormatError, match=message):
         loads(_edit(text, block, field, value, row=2))
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        (3, "-1.0", "cell radius must be positive"),
+        (4, "500.0", "need 0 < activation power < full-coverage power"),
+    ],
+    ids=["radius", "powers"],
+)
+def test_bad_station_is_named_once(field, value, message):
+    # Station 2 is bad too; the error names the lowest id, and names it once.
+    text = dumps(generate(ScenarioConfig(grid_n=3, seed=0)))
+    text = _edit(_edit(text, "stations", field, value, row=2), "stations", field, value, row=1)
+    with pytest.raises(FormatError, match=rf"^\[ci\] station 1: {message}$"):
+        loads(text)
 
 
 @pytest.mark.parametrize(
