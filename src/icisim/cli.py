@@ -44,7 +44,7 @@ def _load_config(path: str | None, seed: int | None, overrides: dict) -> Scenari
     values.update({k: v for k, v in overrides.items() if v is not None})
     if seed is not None:
         values["seed"] = seed
-    if "bs_per_generator_range" in values:
+    if isinstance(values.get("bs_per_generator_range"), list):
         values["bs_per_generator_range"] = tuple(values["bs_per_generator_range"])
     return ScenarioConfig(**values)
 

@@ -20,7 +20,9 @@ the street count and fits any station set, lattice or not.  All candidate
 kernel, which :func:`clip_segment_to_hex` also runs on a single pair.  The
 kernel projects on the edge normals elementwise (``a0*x + a1*y``), never
 through a BLAS mat-vec, whose fused multiply-adds would make the covered
-lengths depend on the BLAS build.
+lengths depend on the BLAS build.  Where two or more cells reach a street,
+each stretch between their clip points goes to the lowest station id, in
+one more pass over all pairs, so no step loops over streets or pairs.
 
 The power response is piecewise linear: nothing below the activation power
 ``p_activation``, full service at ``p_full``, and the straight line
@@ -273,28 +275,6 @@ def coverage_from_lengths(graph: StreetGraph, lengths) -> CoverageMap:
     return CoverageMap(lengths, fractions)
 
 
-def _subtract_claimed(
-    interval: tuple[float, float], claimed: list[tuple[float, float]]
-) -> list[tuple[float, float]]:
-    """Parts of ``interval`` not covered by the sorted disjoint ``claimed``."""
-    t0, t1 = interval
-    pieces: list[tuple[float, float]] = []
-    cursor = t0
-    for c0, c1 in claimed:
-        if c1 <= cursor:
-            continue
-        if c0 >= t1:
-            break
-        if c0 > cursor:
-            pieces.append((cursor, min(c0, t1)))
-        cursor = max(cursor, c1)
-        if cursor >= t1:
-            break
-    if cursor < t1:
-        pieces.append((cursor, t1))
-    return pieces
-
-
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Concatenation of ``range(starts[k], starts[k] + counts[k])`` over k."""
     return np.repeat(starts - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
@@ -346,8 +326,9 @@ def _near_pairs(
     grid whose side is the largest reach, so each segment measures only the
     stations of the 3x3 buckets around its midpoint and the search is
     linear in the number of segments.  The buckets are keyed by the rank of
-    their occupied rows and columns, so any station set works, lattice or
-    not.
+    their occupied columns and rows and sorted column by column, so the
+    three buckets of one column are one run of the sorted keys, and any
+    station set works, lattice or not.
     """
     if not len(mids) or not len(centers):
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
@@ -364,16 +345,16 @@ def _near_pairs(
     order = np.argsort(bucket, kind="stable")
     bucket = bucket[order]
     home = np.floor((mids - origin) / side)
+    # Ranks of the occupied rows from one below to one above each midpoint.
+    row_lo = np.searchsorted(rows, home[:, 1] - 1.0, side="left")
+    row_hi = np.searchsorted(rows, home[:, 1] + 1.0, side="right")
     starts, counts = [], []
     for dx in (-1.0, 0.0, 1.0):
         col, col_ok = _grid_rank(cols, home[:, 0] + dx)
-        for dy in (-1.0, 0.0, 1.0):
-            row, row_ok = _grid_rank(rows, home[:, 1] + dy)
-            key = col * len(rows) + row
-            lo = np.searchsorted(bucket, key, side="left")
-            hi = np.searchsorted(bucket, key, side="right")
-            starts.append(lo)
-            counts.append(np.where(col_ok & row_ok, hi - lo, 0))
+        lo = np.searchsorted(bucket, col * len(rows) + row_lo)
+        hi = np.searchsorted(bucket, col * len(rows) + row_hi)
+        starts.append(lo)
+        counts.append(np.where(col_ok, hi - lo, 0))
     counts_2d = np.stack(counts, axis=1)
     seg = np.repeat(np.arange(len(mids)), counts_2d.sum(axis=1))
     station = order[_ranges(np.stack(starts, axis=1).ravel(), counts_2d.ravel())]
@@ -384,21 +365,59 @@ def _near_pairs(
     return seg[by_id], station[by_id]
 
 
+def _claimed_spans(
+    seg: np.ndarray, t_lo: np.ndarray, t_hi: np.ndarray, seg_start: np.ndarray,
+    cells_per_seg: np.ndarray,
+) -> np.ndarray:
+    """Parameter length each (segment, cell) pair keeps of its interval.
+
+    ``seg``, ``t_lo`` and ``t_hi`` give each pair's segment and nonempty
+    interval, ordered by segment and then station id; a segment's pairs
+    start at ``seg_start``.  Each segment's distinct interval endpoints cut
+    it into elementary stretches, and a stretch goes to the lowest-id cell
+    whose closed interval contains it.  A pair's runs of touching owned
+    stretches are exactly the pieces of its interval that no lower id
+    claimed, and summing them from 0 in position order repeats the float
+    operations of taking the claims away one pair at a time, so every
+    length keeps its bits.
+    """
+    ends_seg = np.concatenate((seg, seg))
+    ends_t = np.concatenate((t_lo, t_hi))
+    by_pos = np.lexsort((ends_t, ends_seg))
+    ends_seg, ends_t = ends_seg[by_pos], ends_t[by_pos]
+    cut = np.flatnonzero((ends_seg[1:] == ends_seg[:-1]) & (ends_t[1:] > ends_t[:-1]))
+    lo, hi, of = ends_t[cut], ends_t[cut + 1], ends_seg[cut]
+    # Each stretch against every pair of its segment, in station order.
+    tries = cells_per_seg[of]
+    stretch = np.repeat(np.arange(len(cut)), tries)
+    pair = _ranges(seg_start[of], tries)
+    hit = np.flatnonzero((t_lo[pair] <= lo[stretch]) & (hi[stretch] <= t_hi[pair]))
+    first = hit[np.flatnonzero(np.diff(stretch[hit], prepend=-1))]
+    owner, owned = pair[first], stretch[first]
+    # A cell's interval is contiguous, so every stretch between two that it
+    # owns has an owner too, and a change of owner ends each run.
+    run = np.flatnonzero(np.diff(owner, prepend=-1))
+    last = np.flatnonzero(np.diff(owner, append=-1))
+    spans = hi[owned[last]] - lo[owned[run]]
+    return np.bincount(owner[run], spans, minlength=len(seg))
+
+
 def build_coverage(graph: StreetGraph, stations: Stations) -> CoverageMap:
     """Clip every street of ``graph`` against the cell hexagons near it.
 
-    The build works on whole arrays: one ``np.unique`` over the sorted endpoints finds the
-    distinct geometries, so directed streets sharing one are clipped once,
-    in the direction of the first of them; a bucket search
-    (:func:`_near_pairs`) finds each geometry's candidate stations; and one
-    six-half-plane kernel clips every candidate pair at once.  A stretch
-    lying exactly on a shared cell edge is assigned to the lower station
-    id, so no stretch is counted twice; that rule needs a short loop over
-    the segments that two or more cells reach.  The cells partition each
-    street inside the tiling except in one case: a street lying along a
-    shared edge whose endpoints round off it can fall outside both
-    half-planes and be left partly uncovered (there is no clip tolerance,
-    which would move covered lengths by ulps).  A street lying
+    The build works on whole arrays, with no loop over streets or pairs.
+    One stable ``np.lexsort`` of the endpoints, each street's ordered
+    lowest first, finds the distinct geometries, so directed streets
+    sharing one are clipped once, in the direction of the first of them; a
+    bucket search (:func:`_near_pairs`) finds each geometry's candidate
+    stations; and one six-half-plane kernel clips every candidate pair at
+    once.  A stretch reached by two or more cells, such as one lying
+    exactly on a shared cell edge, is assigned to the lowest station id,
+    so no stretch is counted twice (:func:`_claimed_spans`).  The cells
+    partition each street inside the tiling except in one case: a street
+    lying along a shared edge whose endpoints round off it can fall outside
+    both half-planes and be left partly uncovered (there is no clip
+    tolerance, which would move covered lengths by ulps).  A street lying
     outside the tiling keeps a row summing to less than one; stations whose
     cell interiors overlap raise OverlapError.  Each covered stretch becomes
     one (street, station, km) entry of the map.
@@ -409,8 +428,13 @@ def build_coverage(graph: StreetGraph, stations: Stations) -> CoverageMap:
         _check_disjoint_cells(stations)
     backward = (ends[:, 2] < ends[:, 0]) | ((ends[:, 2] == ends[:, 0]) & (ends[:, 3] < ends[:, 1]))
     keys = np.where(backward[:, None], ends[:, [2, 3, 0, 1]], ends)
-    _, first, geometry_of = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-    geometry_of = geometry_of.reshape(-1)  # numpy 2.0.0 returns it as a column
+    by_key = np.lexsort(keys.T[::-1])
+    keys = keys[by_key]
+    new = np.ones(n, dtype=bool)
+    new[1:] = np.any(keys[1:] != keys[:-1], axis=1)
+    first = by_key[new]
+    geometry_of = np.empty(n, dtype=np.int64)
+    geometry_of[by_key] = np.cumsum(new) - 1
     p0, p1 = ends[first, :2], ends[first, 2:]
     d = p1 - p0
     seg_len = np.hypot(d[:, 0], d[:, 1])
@@ -423,19 +447,9 @@ def build_coverage(graph: StreetGraph, stations: Stations) -> CoverageMap:
         radii[station] * math.sqrt(3.0) / 2.0,
     )
     seg, station, t_lo, t_hi = seg[live], station[live], t_lo[live], t_hi[live]
-    km = (t_hi - t_lo) * seg_len[seg]
     cells_per_seg = np.bincount(seg, minlength=len(first))
     seg_start = np.cumsum(cells_per_seg) - cells_per_seg
-    # Where two or more cells reach a segment, each keeps only what the
-    # lower ids left; the lowest id keeps its whole interval.
-    intervals = list(zip(t_lo.tolist(), t_hi.tolist()))
-    for u in np.nonzero(cells_per_seg > 1)[0].tolist():
-        lo, hi = seg_start[u], seg_start[u] + cells_per_seg[u]
-        claimed = [intervals[lo]]
-        for k in range(lo + 1, hi):
-            pieces = _subtract_claimed(intervals[k], claimed)
-            km[k] = sum(t1 - t0 for t0, t1 in pieces) * seg_len[u]
-            claimed = sorted(claimed + pieces)
+    km = _claimed_spans(seg, t_lo, t_hi, seg_start, cells_per_seg) * seg_len[seg]
     # Entries left with 0 km are dropped by coverage_from_lengths.
     counts = cells_per_seg[geometry_of]
     entry = _ranges(seg_start[geometry_of], counts)

@@ -98,8 +98,11 @@ class ScenarioConfig:
             value = getattr(self, f.name)
             if f.type == "int" and type(value) is not int:  # so a bool fails too
                 raise ValueError(f"{f.name} must be an integer, got {value!r}")
-            if f.type == "float" and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value!r}")
+            if f.type == "float":
+                if not isinstance(value, (int, float)) or isinstance(value, bool):
+                    raise ValueError(f"{f.name} must be a number, got {value!r}")
+                if not math.isfinite(value):
+                    raise ValueError(f"{f.name} must be finite, got {value!r}")
         if self.grid_n < 2:
             raise ValueError("grid_n must be at least 2")
         if self.street_length <= 0.0 or self.cell_radius <= 0.0:
@@ -110,10 +113,14 @@ class ScenarioConfig:
             raise ValueError("power ratio must exceed 1")
         if self.p_activation <= 0.0:
             raise ValueError("activation power must be positive")
-        if self.bs_per_generator_range is not None:
-            lo, hi = self.bs_per_generator_range
-            if not all(type(end) is int for end in (lo, hi)):
+        bounds = self.bs_per_generator_range
+        if bounds is not None:
+            if not (
+                type(bounds) is tuple and len(bounds) == 2
+                and all(type(end) is int for end in bounds)
+            ):
                 raise ValueError("bs_per_generator_range must be a pair of integers")
+            lo, hi = bounds
             if not 1 <= lo <= hi:
                 raise ValueError("bs_per_generator_range must satisfy 1 <= min <= max")
         if self.budget < 0.0:
@@ -710,6 +717,12 @@ def loads(text: str) -> Scenario:
         assignment = build_assignment(stations, shares)
     except (ValueError, IcisimError) as err:
         raise FormatError(f"[pg] {err}") from None
+    # grid_n and cell_radius are not checked against the stored layers: a
+    # hand-written file need not hold the grid or tiling generate makes.
+    if n_gens != config.num_generators:
+        raise FormatError(
+            f"[pg] generator count {n_gens} != [config] num_generators {config.num_generators}"
+        )
     return Scenario(config, network, stations, coverage, generators, assignment, impact)
 
 

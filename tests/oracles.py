@@ -4,8 +4,10 @@ Each oracle deliberately takes a different route from the production code:
 the LP oracle is a tableau simplex instead of a greedy fill, the clipping
 oracle moves segment endpoints half-plane by half-plane instead of tracking
 a parameter interval, the coverage oracle measures each street against
-every station centre and clips one (street, station) pair at a time
-instead of bucketing centres and clipping all pairs in one batch, the
+every station centre, clips one (street, station) pair at a time and
+subtracts what lower ids claimed pair by pair, instead of bucketing
+centres, clipping all pairs in one batch and handing each elementary
+stretch to its lowest-id cell in one array pass, the
 turning-ratio oracle calls ``dirichlet`` once per inflow instead of making
 one exponential draw, the cell-overlap oracle compares every pair of
 stations instead of an x-sorted window, the rank oracle counts singular values and the flow
@@ -49,7 +51,6 @@ from icisim.coverage import (
     Hexagon,
     _HEX_AXES,
     _check_disjoint_cells,
-    _subtract_claimed,
     coverage_from_lengths,
 )
 from icisim.errors import SingularError
@@ -175,6 +176,28 @@ def _loop_clip_interval(segment, hexagon: Hexagon) -> tuple[float, float] | None
             if t_lo >= t_hi:
                 return None
     return t_lo, t_hi
+
+
+def _subtract_claimed(
+    interval: tuple[float, float], claimed: list[tuple[float, float]]
+) -> list[tuple[float, float]]:
+    """Parts of ``interval`` not covered by the sorted disjoint ``claimed``."""
+    t0, t1 = interval
+    pieces: list[tuple[float, float]] = []
+    cursor = t0
+    for c0, c1 in claimed:
+        if c1 <= cursor:
+            continue
+        if c0 >= t1:
+            break
+        if c0 > cursor:
+            pieces.append((cursor, min(c0, t1)))
+        cursor = max(cursor, c1)
+        if cursor >= t1:
+            break
+    if cursor < t1:
+        pieces.append((cursor, t1))
+    return pieces
 
 
 def _hexagon(stations, b: int) -> Hexagon:

@@ -140,9 +140,13 @@ def test_non_finite_config_exits_2(tmp_path, capsys, command, settings):
         ({"grid_n": 3, "bs_per_generator_range": [1.5, 3]}, "must be a pair of integers"),
         ({"grid_n": 4, "delta": -1}, "delta must be positive"),
         ({"grid_n": 4, "delta": 0}, "delta must be positive"),
+        ({"grid_n": 3, "budget": "x"}, "budget must be a number, got 'x'"),
+        ({"grid_n": 3, "budget": True}, "budget must be a number, got True"),
+        ({"grid_n": 3, "bs_per_generator_range": 3}, "bs_per_generator_range must be a pair"),
+        ({"grid_n": 3, "bs_per_generator_range": [1, 2, 3]}, "bs_per_generator_range must be"),
     ],
     ids=["float grid_n", "float num_generators", "bool seed", "float range", "negative delta",
-         "zero delta"],
+         "zero delta", "string budget", "bool budget", "int range", "three-int range"],
 )
 def test_invalid_config_exits_2(tmp_path, capsys, settings, message):
     cfg = tmp_path / "cfg.json"

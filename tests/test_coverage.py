@@ -236,12 +236,22 @@ def _assert_matches_loop_oracle(graph, stations) -> CoverageMap:
 
 
 def test_batched_coverage_matches_loop_oracle_on_generated_grids():
+    # At radius 0.3 up to five cells share one street, at the other radii at most three.
     for grid_n in range(2, 13):
         graph = _grid_topology(ScenarioConfig(grid_n=grid_n))
         side = grid_n - 1.0
-        for radius in (0.5, 0.9, 1.0, 2.0):
+        for radius in (0.3, 0.5, 0.9, 1.0, 1.3, 2.0):
             centers = hex_tiling(((0.0, 0.0), (side, side)), radius)
             _assert_matches_loop_oracle(graph, _stations(centers, radius))
+
+
+def test_batched_coverage_matches_loop_oracle_on_the_benchmark_grid():
+    config = ScenarioConfig(grid_n=30, cell_radius=0.9)
+    graph = _grid_topology(config)
+    side = config.extent
+    centers = hex_tiling(((0.0, 0.0), (side, side)), config.cell_radius)
+    cov = _assert_matches_loop_oracle(graph, _stations(centers, config.cell_radius))
+    assert cov.lengths.shape == (3480, 449)
 
 
 def test_batched_coverage_matches_loop_oracle_on_edges_and_vertices():

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -486,6 +487,14 @@ def test_loader_rejects_entries_without_a_line(block, edited, message):
         loads(HAND_WRITTEN.replace(block, edited))
 
 
+def test_loader_checks_the_generator_count():
+    text = HAND_WRITTEN.replace("num_generators = 1\n", "num_generators = 2\n")
+    with pytest.raises(
+        FormatError, match=r"^\[pg\] generator count 1 != \[config\] num_generators 2$"
+    ):
+        loads(text)
+
+
 def test_negative_count_is_rejected():
     text = HAND_WRITTEN.replace("coverage 2\n0 0 1.0\n1 0 1.0\n", "coverage -1\n")
     with pytest.raises(FormatError, match="negative count"):
@@ -525,8 +534,15 @@ def test_config_validation():
     for name, value in (("grid_n", 4.5), ("num_generators", 2.5), ("seed", True), ("grid_n", "4")):
         with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
             ScenarioConfig(**{name: value})
-    with pytest.raises(ValueError, match="^bs_per_generator_range must be a pair of integers$"):
-        ScenarioConfig(bs_per_generator_range=(1.5, 3))
+    for bounds in ((1.5, 3), 3, (1, 2, 3), [1, 3]):
+        with pytest.raises(ValueError, match="^bs_per_generator_range must be a pair of integers$"):
+            ScenarioConfig(bs_per_generator_range=bounds)
+    for value in ("x", True, None, [1.0]):
+        message = f"^budget must be a number, got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=message):
+            ScenarioConfig(budget=value)
+    # An int is a number, so JSON's 100 is as good as 100.0.
+    assert ScenarioConfig(budget=100).budget == 100
     for delta in (0.0, -1.0):
         with pytest.raises(ValueError, match="^delta must be positive$"):
             ScenarioConfig(delta=delta)
@@ -585,6 +601,18 @@ def test_golden_v1_file_loads_and_dumps_without_anchor_lines():
     sc = generate(ScenarioConfig(grid_n=4, seed=0))
     assert scenarios_equal(loads(text), sc)
     assert dumps(sc) == _without_anchor_lines(text)
+
+
+GOLDEN_GRID6 = Path(__file__).parent / "data" / "scenario-grid6-r0.3-seed1-v1.txt"
+
+
+def test_golden_file_pins_the_shared_street_claims():
+    # Up to five cells of radius 0.3 share one street, so the lowest-id
+    # claim rule decides many of the stored covered lengths.
+    config = ScenarioConfig(grid_n=6, cell_radius=0.3, seed=1)
+    sc = generate(config)
+    assert np.diff(sc.coverage.lengths.indptr).max() == 5
+    assert dumps(sc) == GOLDEN_GRID6.read_text(encoding="utf-8")
 
 
 def test_legacy_anchor_keys_parse_and_are_ignored():
