@@ -15,7 +15,10 @@ a street per row.  The dense street-by-station fraction matrix
 The map is built array-at-a-time.  Each street is clipped only against the
 cells whose centre lies within reach of it, found by bucketing the centres
 on a square grid as wide as the largest reach, so the search is linear in
-the street count and fits any station set, lattice or not.  All candidate
+the street count and fits any station set, lattice or not.  The check that
+no two cells overlap runs the same bucket search, from each station's
+centre out to the sum of two apothems, so on a tiling it is linear in the
+station count; :func:`~icisim.scenario.loads` runs it too.  All candidate
 (street, cell) pairs are then clipped at once by one six-half-plane
 kernel, which :func:`clip_segment_to_hex` also runs on a single pair.  The
 kernel projects on the edge normals elementwise (``a0*x + a1*y``), never
@@ -280,35 +283,6 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.repeat(starts - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
 
 
-def _check_disjoint_cells(stations: Stations) -> None:
-    """Cells may share edges but not interiors.
-
-    Two interiors overlap when the centres are closer than the sum of the
-    apothems, so a station is only compared with those whose centre lies
-    within twice the largest apothem in x: sorted by x, each station meets
-    the window of stations after it.  The first overlapping pair is the one
-    with the lowest (lower index, higher index).
-    """
-    if len(stations) < 2:
-        return
-    centers = stations.center
-    apothems = stations.cell_radius * math.sqrt(3.0) / 2.0
-    order = np.argsort(centers[:, 0], kind="stable")
-    xs = centers[order, 0]
-    # A few ulps of padding so that rounding in ``xs + reach`` never
-    # shrinks the window below an overlapping pair's x distance.
-    reach = 2.0 * apothems.max() + 4.0 * np.spacing(np.abs(xs).max())
-    counts = np.searchsorted(xs, xs + reach, side="right") - np.arange(1, len(xs) + 1)
-    a = order[np.repeat(np.arange(len(xs)), counts)]
-    b = order[_ranges(np.arange(1, len(xs) + 1), counts)]
-    a, b = np.minimum(a, b), np.maximum(a, b)
-    dist = np.hypot(centers[a, 0] - centers[b, 0], centers[a, 1] - centers[b, 1])
-    bad = np.nonzero(dist < (apothems[a] + apothems[b]) * (1.0 - 1e-9))[0]
-    if bad.size:
-        k = bad[np.lexsort((b[bad], a[bad]))[0]]
-        raise OverlapError(f"cells of stations {a[k]} and {b[k]} have overlapping interiors")
-
-
 def _grid_rank(values: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Index of each query in the sorted unique ``values``, and whether it is there."""
     at = np.minimum(np.searchsorted(values, queries), len(values) - 1)
@@ -316,36 +290,36 @@ def _grid_rank(values: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.
 
 
 def _near_pairs(
-    mids: np.ndarray, half_lens: np.ndarray, centers: np.ndarray, radii: np.ndarray
+    points: np.ndarray, reach: np.ndarray, centers: np.ndarray, radii: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(segment, station) pairs whose station centre lies within reach of
-    the segment's midpoint, ordered by segment and then station id.
+    """(point, station) pairs whose station centre lies within reach of the
+    point, ordered by point and then station id.
 
-    The reach is half the segment's length plus the cell radius plus 1e-9;
-    no farther cell can meet the segment.  Centres are bucketed on a square
-    grid whose side is the largest reach, so each segment measures only the
-    stations of the 3x3 buckets around its midpoint and the search is
-    linear in the number of segments.  The buckets are keyed by the rank of
-    their occupied columns and rows and sorted column by column, so the
-    three buckets of one column are one run of the sorted keys, and any
-    station set works, lattice or not.
+    Point ``p`` reaches station ``s`` when their distance is at most
+    ``reach[p] + radii[s] + 1e-9``.  Centres are bucketed on a square grid
+    whose side is the largest such sum, so each point measures only the
+    stations of the 3x3 buckets around it and the search is linear in the
+    number of points.  The buckets are keyed by the rank of their occupied
+    columns and rows and sorted column by column, so the three buckets of
+    one column are one run of the sorted keys, and any station set works,
+    lattice or not.
     """
-    if not len(mids) or not len(centers):
+    if not len(points) or not len(centers):
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
     origin = centers.min(axis=0)
-    reach = half_lens.max() + radii.max() + 1e-9
+    widest = reach.max() + radii.max() + 1e-9
     # A few ulps of padding so that rounding in the bucket index never puts
     # a pair at exactly the reach two buckets apart.
-    extent = max(np.abs(centers - origin).max(), np.abs(mids - origin).max())
-    side = reach * (1.0 + 1e-12) + 16.0 * np.spacing(extent)
+    extent = max(np.abs(centers - origin).max(), np.abs(points - origin).max())
+    side = widest * (1.0 + 1e-12) + 16.0 * np.spacing(extent)
     cell = np.floor((centers - origin) / side)
     cols, col_of = np.unique(cell[:, 0], return_inverse=True)
     rows, row_of = np.unique(cell[:, 1], return_inverse=True)
     bucket = col_of * len(rows) + row_of
     order = np.argsort(bucket, kind="stable")
     bucket = bucket[order]
-    home = np.floor((mids - origin) / side)
-    # Ranks of the occupied rows from one below to one above each midpoint.
+    home = np.floor((points - origin) / side)
+    # Ranks of the occupied rows from one below to one above each point.
     row_lo = np.searchsorted(rows, home[:, 1] - 1.0, side="left")
     row_hi = np.searchsorted(rows, home[:, 1] + 1.0, side="right")
     starts, counts = [], []
@@ -356,13 +330,32 @@ def _near_pairs(
         starts.append(lo)
         counts.append(np.where(col_ok, hi - lo, 0))
     counts_2d = np.stack(counts, axis=1)
-    seg = np.repeat(np.arange(len(mids)), counts_2d.sum(axis=1))
+    point = np.repeat(np.arange(len(points)), counts_2d.sum(axis=1))
     station = order[_ranges(np.stack(starts, axis=1).ravel(), counts_2d.ravel())]
-    dist = np.hypot(centers[station, 0] - mids[seg, 0], centers[station, 1] - mids[seg, 1])
-    near = dist <= half_lens[seg] + radii[station] + 1e-9
-    seg, station = seg[near], station[near]
-    by_id = np.lexsort((station, seg))
-    return seg[by_id], station[by_id]
+    dist = np.hypot(centers[station, 0] - points[point, 0], centers[station, 1] - points[point, 1])
+    near = dist <= reach[point] + radii[station] + 1e-9
+    point, station = point[near], station[near]
+    by_id = np.lexsort((station, point))
+    return point[by_id], station[by_id]
+
+
+def _check_disjoint_cells(stations: Stations) -> None:
+    """Cells may share edges but not interiors.
+
+    Two interiors overlap when the centres are closer than the sum of the
+    apothems, so each station is measured only against those that
+    :func:`_near_pairs` finds within that sum of it.  The first overlapping
+    pair is the one with the lowest (lower id, higher id).
+    """
+    centers = stations.center
+    apothems = stations.cell_radius * math.sqrt(3.0) / 2.0
+    a, b = _near_pairs(centers, apothems, centers, apothems)
+    a, b = a[a < b], b[a < b]
+    dist = np.hypot(centers[a, 0] - centers[b, 0], centers[a, 1] - centers[b, 1])
+    bad = np.flatnonzero(dist < (apothems[a] + apothems[b]) * (1.0 - 1e-9))
+    if bad.size:
+        k = bad[0]
+        raise OverlapError(f"cells of stations {a[k]} and {b[k]} have overlapping interiors")
 
 
 def _claimed_spans(

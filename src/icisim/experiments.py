@@ -2,9 +2,10 @@
 
 Each experiment sweeps one knob, evaluates a batch of seeded scenarios per
 sweep point, and aggregates the physical flow deviation into a table with a
-fixed column layout (sweep variable, level, P_d, mean, std, n).  Four of
-them sweep one ``ScenarioConfig`` field and share one runner driven by
-``_CONFIG_SWEEPS``; :func:`run_experiment` is the entry point for all.
+fixed column layout (sweep variable, level, P_d, mean, std, n).  One
+table, ``_EXPERIMENTS``, gives each experiment id its runner and default
+sweep; four of them sweep one ``ScenarioConfig`` field and share one
+runner.  :func:`run_experiment` is the entry point for all.
 Scenario replicas differ only in seed, so a run is reproducible byte for
 byte from its spec.  A run builds each scenario from its three layers
 (:func:`~icisim.scenario.build_its`, ``build_ci`` and ``build_pg``) through
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import html
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from typing import Any, Sequence
 
 import numpy as np
@@ -49,24 +51,6 @@ from .scenario import (
     build_pg,
     generate,
 )
-
-EXPERIMENT_IDS = (
-    "power-sweep",
-    "scale-sweep",
-    "radius-sweep",
-    "generators-all",
-    "generators-single",
-    "allocation-compare",
-)
-
-# Experiments that sweep one ScenarioConfig field and report the equilibrium
-# deviation per level and budget: id -> (field, type, single attack source).
-_CONFIG_SWEEPS = {
-    "scale-sweep": ("grid_n", int, False),
-    "radius-sweep": ("cell_radius", float, False),
-    "generators-all": ("num_generators", int, False),
-    "generators-single": ("num_generators", int, True),
-}
 
 _DEFAULT_LEVELS = (
     StealthLevel.POWER_SOURCE,
@@ -107,23 +91,6 @@ class SweepTable:
 
     def column_names(self) -> tuple[str, ...]:
         return (self.sweep_name, "level", "P_d", "mean", "std", "n")
-
-
-def default_sweep(experiment: str) -> tuple[float, ...]:
-    """Sweep ranges used when a spec does not pin its own."""
-    if experiment == "power-sweep":
-        return tuple(float(p) for p in range(0, 101, 5))
-    if experiment == "scale-sweep":
-        return (4.0, 6.0, 8.0)
-    if experiment == "radius-sweep":
-        return tuple(round(0.8 + 0.1 * k, 1) for k in range(8))
-    if experiment in ("generators-all", "generators-single"):
-        return tuple(float(g) for g in range(1, 9))
-    if experiment == "allocation-compare":
-        # Fractions of the smallest level's total defender cap; resolved
-        # against the base scenario when the experiment runs.
-        return tuple(k / 8.0 for k in range(9))
-    raise ValueError(f"unknown experiment {experiment!r}")
 
 
 def _config_lines(spec: ExperimentSpec) -> tuple[str, ...]:
@@ -215,13 +182,13 @@ def pick_attack_source(scenario: Scenario, level: StealthLevel) -> int:
     return best_g
 
 
-def _run_config_sweep(spec: ExperimentSpec) -> SweepTable:
-    """One config field versus equilibrium deviation, per level and budget.
+def _run_config_sweep(name: str, kind: type, single: bool, spec: ExperimentSpec) -> SweepTable:
+    """Config field ``name`` (of type ``kind``) versus equilibrium
+    deviation, per level and budget.
 
-    The single-source variant attacks only the generator chosen by
+    The ``single`` source variant attacks only the generator chosen by
     :func:`pick_attack_source` for each scenario and level.
     """
-    name, kind, single = _CONFIG_SWEEPS[spec.experiment]
     layers = _Layers()
     rows = []
     for value in spec.sweep:
@@ -283,13 +250,40 @@ def _run_allocation_compare(spec: ExperimentSpec) -> SweepTable:
     return SweepTable("P_d", tuple(rows), _config_lines(spec))
 
 
+_GENERATOR_COUNTS = tuple(float(g) for g in range(1, 9))
+
+# Experiment id -> (runner, default sweep), in the order the CLI lists them.
+_EXPERIMENTS = {
+    "power-sweep": (_run_power_sweep, tuple(float(p) for p in range(0, 101, 5))),
+    "scale-sweep": (partial(_run_config_sweep, "grid_n", int, False), (4.0, 6.0, 8.0)),
+    "radius-sweep": (
+        partial(_run_config_sweep, "cell_radius", float, False),
+        tuple(round(0.8 + 0.1 * k, 1) for k in range(8)),
+    ),
+    "generators-all": (
+        partial(_run_config_sweep, "num_generators", int, False), _GENERATOR_COUNTS,
+    ),
+    "generators-single": (
+        partial(_run_config_sweep, "num_generators", int, True), _GENERATOR_COUNTS,
+    ),
+    # Fractions of the smallest level's total defender cap; resolved
+    # against the base scenario when the experiment runs.
+    "allocation-compare": (_run_allocation_compare, tuple(k / 8.0 for k in range(9))),
+}
+
+EXPERIMENT_IDS = tuple(_EXPERIMENTS)
+
+
+def default_sweep(experiment: str) -> tuple[float, ...]:
+    """Sweep ranges used when a spec does not pin its own."""
+    if experiment not in _EXPERIMENTS:
+        raise ValueError(f"unknown experiment {experiment!r}")
+    return _EXPERIMENTS[experiment][1]
+
+
 def run_experiment(spec: ExperimentSpec) -> SweepTable:
     """Run the experiment named by ``spec.experiment``."""
-    if spec.experiment == "power-sweep":
-        return _run_power_sweep(spec)
-    if spec.experiment == "allocation-compare":
-        return _run_allocation_compare(spec)
-    return _run_config_sweep(spec)
+    return _EXPERIMENTS[spec.experiment][0](spec)
 
 
 # ---------------------------------------------------------------------------

@@ -397,17 +397,15 @@ def _best_response(
         p_a[..., mask] = weights * scale[..., None]
         return AttackStrategy(p_a)
 
-    p_a = np.zeros_like(caps)
     if level is StealthLevel.POWER_SOURCE:
-        for g in np.nonzero(mask)[0]:
-            stations = np.nonzero(wired[:, g])[0]
-            if stations.size:
-                p_a[stations, g] = instance.safe_outputs[g] / (2.0 * stations.size)
+        # Half of each generator's output, spread evenly over its lines;
+        # build_assignment gives every generator at least one.
+        p_a = np.where(wired, instance.safe_outputs / (2.0 * wired.sum(axis=0)), 0.0)
     elif level is StealthLevel.POWER_LINE:
-        p_a[:, mask] = caps[:, mask] / 2.0
+        p_a = caps / 2.0
     else:
-        p_a[:, mask] = caps[:, mask]
-    return AttackStrategy(p_a)
+        p_a = caps
+    return AttackStrategy(np.where(mask, p_a, 0.0))
 
 
 def defender_caps(level: StealthLevel, instance: GameInstance) -> np.ndarray:

@@ -7,7 +7,9 @@ spanned by ``v``, the per-unit deviation pattern of street ``i`` is the
 same vector rescaled: ``-v / v[i]``, exactly ``-1`` at row ``i``.  Weighting
 those patterns by covered fraction over power headroom and summing over a
 station's streets gives its per-watt impact vector ``-s_b v`` with one
-scale per station, ``s_b = sum_i C[i, b] / (headroom_b v[i])``.  The L1
+scale per station, ``s_b = sum_i C[i, b] / (headroom_b v[i])``.  Each
+term divides by ``v[i]``, so streets with low flow get large per-watt
+weights: a station covering a nearly idle street scores high.  The L1
 norm of that vector, ``|s_b| ||v||_1``, is the station's scalar importance
 score used by the allocation game.  The model is therefore ``v`` plus one
 number per station, built from one sparse LU factorisation of the network; the

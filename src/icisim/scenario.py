@@ -18,7 +18,8 @@ across configs that agree on those fields.  Generation and loading enter
 each layer through the same validating constructor:
 :func:`~icisim.traffic.network_from_matrix`,
 :func:`~icisim.coverage.coverage_from_lengths` and
-:func:`~icisim.power.build_assignment`.
+:func:`~icisim.power.build_assignment`, and both reject stations whose
+cells overlap.
 
 Scenario files are plain text with a versioned header and ``[config]``,
 ``[its]``, ``[ci]`` and ``[pg]`` sections; floats are written with ``repr``
@@ -48,7 +49,8 @@ import numpy as np
 import scipy.sparse
 
 from .coverage import (
-    CoverageMap, Stations, _ranges, build_coverage, coverage_from_lengths, hex_tiling,
+    CoverageMap, Stations, _check_disjoint_cells, _ranges, build_coverage, coverage_from_lengths,
+    hex_tiling,
 )
 from .errors import FormatError, IcisimError
 from .game import GameInstance
@@ -682,7 +684,8 @@ def loads(text: str) -> Scenario:
     rows = _by_id(reader, station_ids[:, 0], station_fields, "station")
     try:
         stations = Stations(rows[:, :2], *rows[:, 2:].T)
-    except ValueError as err:
+        _check_disjoint_cells(stations)
+    except (ValueError, IcisimError) as err:
         raise FormatError(f"[ci] {err}") from None
     covered = _entries(reader, "coverage", (n_streets, n_stations))
 

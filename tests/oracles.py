@@ -10,7 +10,7 @@ centres, clipping all pairs in one batch and handing each elementary
 stretch to its lowest-id cell in one array pass, the
 turning-ratio oracle calls ``dirichlet`` once per inflow instead of making
 one exponential draw, the cell-overlap oracle compares every pair of
-stations instead of an x-sorted window, the rank oracle counts singular values and the flow
+stations instead of bucketing centres, the rank oracle counts singular values and the flow
 oracles solve the anchored cut system (least squares, or an explicit QR)
 and the null-vector oracle factors the dense matrix with column-pivoted QR
 instead of rescaling the deflated sparse-LU null vector, the impact oracle sums
@@ -23,8 +23,10 @@ numeric block one line and one token at a time with Python's ``int`` and
 oracle grows one set of station ids per generator instead of ranking all
 (station, generator) distances in one pass, the fill oracle spends one
 budget station by station instead of filling many budgets in one running
-difference, and the station-reply oracle answers one allocation with
-share totals added generator by generator instead of a masked array sum.
+difference, the station-reply oracle answers one allocation with
+share totals added generator by generator instead of a masked array sum,
+and the source-reply oracle spreads each attacked generator's drain over
+its lines one generator at a time instead of in one array expression.
 
 The object builders are the street network as the package once held it,
 one frozen record per street and per intersection:
@@ -50,10 +52,9 @@ from icisim.coverage import (
     CoverageMap,
     Hexagon,
     _HEX_AXES,
-    _check_disjoint_cells,
     coverage_from_lengths,
 )
-from icisim.errors import SingularError
+from icisim.errors import OverlapError, SingularError
 from icisim.game import GameInstance, StealthLevel, attacker_payoff
 from icisim.traffic import RANK_TOLERANCE, StreetGraph
 
@@ -212,10 +213,12 @@ def loop_coverage(graph: StreetGraph, stations) -> CoverageMap:
     Each distinct geometry (the first street with it, in its own direction)
     is measured against every station centre, and each station within reach
     is clipped in ascending id order, the stretches already claimed by a
-    lower id taken away.
+    lower id taken away.  Overlapping cells raise the library's
+    OverlapError, found by :func:`dense_overlap_pair`.
     """
-    if graph.n:
-        _check_disjoint_cells(stations)
+    pair = dense_overlap_pair(stations) if graph.n else None
+    if pair is not None:
+        raise OverlapError(f"cells of stations {pair[0]} and {pair[1]} have overlapping interiors")
     B = len(stations)
     centers, radii = stations.center, stations.cell_radius
     cache: dict = {}
@@ -629,6 +632,19 @@ def loop_station_reply(instance: GameInstance, p_d: np.ndarray, sources=None) ->
             scale = target[b] / totals[b]
             for g in gens:
                 p_a[b, g] = (T[b, g] if wired[b, g] else 0.0) * scale
+    return p_a
+
+
+def loop_source_reply(instance: GameInstance, sources=None) -> np.ndarray:
+    """Source-level best reply, built generator by generator: half of each
+    attacked generator's safe output, split evenly over its lines."""
+    wired = instance.line_caps > 0.0
+    p_a = np.zeros(wired.shape)
+    gens = range(instance.num_generators) if sources is None else sorted(set(sources))
+    for g in gens:
+        stations = np.nonzero(wired[:, g])[0]
+        if stations.size:
+            p_a[stations, g] = instance.safe_outputs[g] / (2.0 * stations.size)
     return p_a
 
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -165,6 +166,12 @@ def test_io_errors_exit_3(tmp_path, capsys):
         "--out-dir", str(blocker),
     ])
     assert code == 3
+
+
+def test_inspect_rejects_overlapping_cells(capsys):
+    path = Path(__file__).parent / "data" / "scenario-overlap-v1.txt"
+    assert main(["inspect", str(path)]) == 2
+    assert "[ci] cells of stations 0 and 1 have overlapping interiors" in capsys.readouterr().err
 
 
 def test_help_exits_cleanly():

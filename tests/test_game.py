@@ -33,7 +33,9 @@ from icisim.impact import its_deviation
 from icisim.scenario import ScenarioConfig, generate
 
 from conftest import make_instance, random_feasible_defense, random_instance, synthetic_impact
-from oracles import budgeted_allocation_lp, lattice_best_attack, loop_fill, loop_station_reply
+from oracles import (
+    budgeted_allocation_lp, lattice_best_attack, loop_fill, loop_source_reply, loop_station_reply,
+)
 
 STEALTHY = (StealthLevel.POWER_SOURCE, StealthLevel.POWER_LINE, StealthLevel.BASE_STATION)
 
@@ -260,6 +262,19 @@ def test_source_best_response_spreads_uniformly():
     )
     attack = attacker_best_response(StealthLevel.POWER_SOURCE, inst)
     assert np.allclose(attack.deviations, [[100.0], [100.0]])
+
+
+@pytest.mark.parametrize("grid_n", (4, 9, 20))
+def test_source_reply_matches_loop_oracle(grid_n):
+    rng = np.random.default_rng(grid_n)
+    instances = [generate(ScenarioConfig(grid_n=grid_n, seed=grid_n)).game_instance()]
+    instances += [random_instance(rng, int(rng.integers(2, 9)), int(rng.integers(1, 5)))
+                  for _ in range(4)]
+    for inst in instances:
+        G = inst.num_generators
+        for sources in (None, *([g] for g in range(G)), [0, G - 1]):
+            reply = attacker_best_response(StealthLevel.POWER_SOURCE, inst, sources=sources)
+            assert np.array_equal(reply.deviations, loop_source_reply(inst, sources)), sources
 
 
 def test_station_best_response_tracks_defense():
@@ -707,7 +722,7 @@ def grid9_instances():
 
 @pytest.mark.xfail(
     strict=True,
-    reason="ROADMAP item 3: the station-level cap stops at half the headroom, "
+    reason="ROADMAP item 2: the station-level cap stops at half the headroom, "
     "though the attacker's net drain keeps falling until the full headroom",
 )
 @pytest.mark.parametrize("fraction", (0.6, 0.75, 1.0))

@@ -495,6 +495,23 @@ def test_loader_checks_the_generator_count():
         loads(text)
 
 
+OVERLAP_FILE = Path(__file__).parent / "data" / "scenario-overlap-v1.txt"
+
+
+def test_loader_rejects_overlapping_cells():
+    # HAND_WRITTEN plus a second station on the first one's centre: the
+    # two split each street and both draw from generator 0.
+    text = OVERLAP_FILE.read_text(encoding="utf-8")
+    with pytest.raises(
+        FormatError, match=r"^\[ci\] cells of stations 0 and 1 have overlapping interiors$"
+    ):
+        loads(text)
+    # Two apothems (2 * sqrt(3) km) apart, the same file loads.
+    moved = text.replace("1 0.5 0.0 2.0", "1 0.5 3.5 2.0")
+    assert moved != text
+    assert np.array_equal(loads(moved).coverage.C, [[0.5, 0.5], [0.5, 0.5]])
+
+
 def test_negative_count_is_rejected():
     text = HAND_WRITTEN.replace("coverage 2\n0 0 1.0\n1 0 1.0\n", "coverage -1\n")
     with pytest.raises(FormatError, match="negative count"):
