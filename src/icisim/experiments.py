@@ -187,12 +187,16 @@ def _run_config_sweep(name: str, kind: type, single: bool, spec: ExperimentSpec)
     deviation, per level and budget.
 
     The ``single`` source variant attacks only the generator chosen by
-    :func:`pick_attack_source` for each scenario and level.
+    :func:`pick_attack_source` for each scenario and level.  An int field
+    takes only integral sweep values; any other value reaches
+    :class:`ScenarioConfig` as it is, which rejects it.
     """
     layers = _Layers()
     rows = []
     for value in spec.sweep:
-        scenarios = _replicas(replace(spec.base, **{name: kind(value)}), spec.reps, layers)
+        if kind is float or float(value).is_integer():
+            value = kind(value)
+        scenarios = _replicas(replace(spec.base, **{name: value}), spec.reps, layers)
         for level in spec.levels:
             # Per replica, the residual at every budget.
             residuals = []

@@ -18,9 +18,10 @@ sort) and suits large instances.
 
 Each game step has one implementation that takes many budgets at once:
 one array fill gives the equilibrium backup at K budgets
-(:func:`equilibrium_allocations`), the station-level reply accepts K
-allocations, and :func:`reply_residuals` gives the physical residual of
-the reply to each of K allocations.  The one-profile API
+(:func:`equilibrium_allocations`), the station-level reply of
+:func:`attacker_best_response` accepts K allocations, and
+:func:`reply_residuals` gives the physical residual of the reply to each
+of K allocations.  The one-profile API
 (:func:`stackelberg_equilibrium`, :func:`solve_defender_lp`) calls them
 with K = 1; the experiments call them once per scenario and level.
 """
@@ -66,7 +67,8 @@ class GameInstance:
     """Everything the game needs: impacts and supply shares.
 
     Station power headroom comes from the impact model; line capacities and
-    safe generator outputs from the supply shares and station ratings.
+    safe generator outputs from the supply shares and station ratings.  The
+    instance caches those two and the defender's fill order.
     """
 
     impact: ImpactModel
@@ -109,25 +111,6 @@ class GameInstance:
         order = _fill_order(self.impact.z_scores)
         order.setflags(write=False)
         return order
-
-    def zero_defense_reply(self, level: StealthLevel) -> AttackStrategy:
-        """The attacker's best response to no backup, attacking every generator.
-
-        Built and validated once per level and shared by every caller, so
-        its deviations are read-only.  At every level but the station level
-        this is also the reply to any backup allocation.
-        """
-        reply = self._zero_defense_replies.get(level)
-        if reply is None:
-            reply = _best_response(level, self, _zero_defense(self), None)
-            _check_reply(level, self, reply.deviations)
-            reply.deviations.setflags(write=False)
-            self._zero_defense_replies[level] = reply
-        return reply
-
-    @cached_property
-    def _zero_defense_replies(self) -> dict[StealthLevel, AttackStrategy]:
-        return {}
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,10 +165,6 @@ class GameOutcome:
     attacker_payoff: float
     detection: np.ndarray
     residual_deviation: float
-
-
-def _zero_defense(instance: GameInstance) -> np.ndarray:
-    return np.zeros(instance.num_stations)
 
 
 # Per level, the unit an over-capacity attack is reported at; the indices
@@ -295,13 +274,6 @@ def _detection_array(level: StealthLevel, instance: GameInstance, p_a: np.ndarra
     return _ratio_array(*_monitored(level, instance, p_a), level)
 
 
-def _check_reply(level: StealthLevel, instance: GameInstance, p_a: np.ndarray) -> None:
-    """The checks :func:`evaluate_profile` makes of an attack: admissible,
-    and no detection ratio above one."""
-    validate_attack(level, instance, p_a)
-    _detection_array(level, instance, p_a)
-
-
 def defender_payoff(impact: ImpactModel, p_d: np.ndarray, p_a: np.ndarray) -> float:
     """Negated impact-weighted net shortfall over all stations."""
     p_a = np.asarray(p_a, dtype=float)
@@ -355,27 +327,8 @@ def attacker_best_response(
 
     ``sources`` restricts the attacker to a subset of generators (used for
     single-source experiments); by default all generators are attacked.
-    Only the station-level response depends on the defender's allocation,
-    so against all generators the other levels return the instance's
-    shared :meth:`GameInstance.zero_defense_reply`, whose deviations are
-    read-only.
-    """
-    if sources is None and level is not StealthLevel.BASE_STATION:
-        return instance.zero_defense_reply(level)
-    if p_d is None:
-        p_d = _zero_defense(instance)
-    return _best_response(level, instance, np.asarray(p_d, dtype=float), sources)
-
-
-def _best_response(
-    level: StealthLevel,
-    instance: GameInstance,
-    p_d: np.ndarray,
-    sources: Sequence[int] | None,
-) -> AttackStrategy:
-    """The closed-form reply of :func:`attacker_best_response`, built afresh.
-
-    At the station level ``p_d`` may stack K allocations, shape (K, B); the
+    Only the station-level reply reads the backup ``p_d`` (none by
+    default).  There ``p_d`` may stack K allocations, shape (K, B); the
     reply then stacks the K replies, shape (K, B, G).
     """
     caps = instance.line_caps
@@ -389,6 +342,7 @@ def _best_response(
         # weights are F-ordered; their row sums are kept as they are, as
         # those of C-ordered weights can differ in the last bit.
         h = instance.headroom
+        p_d = np.zeros(instance.num_stations) if p_d is None else np.asarray(p_d, dtype=float)
         target = np.minimum((p_d + h) / 2.0, h)
         weights = np.where(wired[:, mask], instance.assignment.T[:, mask], 0.0)
         totals = weights.sum(axis=1)
@@ -412,15 +366,16 @@ def defender_caps(level: StealthLevel, instance: GameInstance) -> np.ndarray:
     """Per-station upper bounds for the defender's allocation at ``level``.
 
     Backup power beyond the attacker's anticipated shortfall is wasted, so
-    the cap is the per-station best response to no defence.  At the station
-    level that is half the power headroom.  The station-level reply grows
-    with the backup, though, so its net drain keeps falling until the backup
-    reaches the full headroom: above half the total headroom, this cap can
-    leave budget unspent and lose to an equal split.
+    the cap is the per-station :func:`attacker_best_response` to no
+    defence, which away from the station level is the reply to any backup.
+    At the station level that is half the power headroom.  The station-level
+    reply grows with the backup, though, so its net drain keeps falling
+    until the backup reaches the full headroom: above half the total
+    headroom, this cap can leave budget unspent and lose to an equal split.
     """
     if level is StealthLevel.BASE_STATION:
         return instance.headroom / 2.0
-    return instance.zero_defense_reply(level).per_station
+    return attacker_best_response(level, instance).per_station
 
 
 def _fill_order(scores: np.ndarray) -> np.ndarray:
@@ -499,16 +454,13 @@ def reply_residuals(
     :func:`evaluate_profile` reports for it against
     :func:`attacker_best_response`, bit for bit, after the same checks of
     the allocation and of the reply.  Only the station-level reply depends
-    on the allocation; at the other levels one reply, the instance's
-    validated shared one when ``sources`` is None, answers all K.
+    on the allocation; at the other levels one reply answers all K.
     """
     allocations = np.asarray(allocations, dtype=float)
     _check_spend(allocations, np.asarray(budgets, dtype=float))
-    if sources is None and level is not StealthLevel.BASE_STATION:
-        attack = instance.zero_defense_reply(level)
-    else:
-        attack = _best_response(level, instance, allocations, sources)
-        _check_reply(level, instance, attack.deviations)
+    attack = attacker_best_response(level, instance, allocations, sources)
+    validate_attack(level, instance, attack.deviations)
+    _detection_array(level, instance, attack.deviations)
     net = np.maximum(attack.per_station - allocations, 0.0)
     return its_deviations(instance.impact, net)
 

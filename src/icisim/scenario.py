@@ -6,11 +6,11 @@ uniformly placed generator sites wired to nearby stations by their supply
 shares, and the resulting impact model.  Generation is deterministic per
 seed: each random component (turning ratios, generator placement,
 connection counts) draws from its own numbered PCG64 stream, so changing
-how many draws one component makes never perturbs the others.  Stream 0 is
-reserved for topology, which is currently deterministic.  :func:`generate`
-builds the three layers in turn -- :func:`build_its` (streets, ratios,
-flows), :func:`build_ci` (tiling, the :class:`~icisim.coverage.Stations`
-table, coverage) and :func:`build_pg`
+how many draws one component makes never perturbs the others.  Streams
+are numbered from 1; the topology is deterministic and draws none.
+:func:`generate` builds the three layers in turn -- :func:`build_its`
+(streets, ratios, flows), :func:`build_ci` (tiling, the
+:class:`~icisim.coverage.Stations` table, coverage) and :func:`build_pg`
 (generator sites, supply shares) -- and :func:`assemble` adds the impact
 model.  Each builder reads only the config fields named in its
 ``*_FIELDS`` tuple, so a caller building many configs can reuse a layer
@@ -68,7 +68,6 @@ from .traffic import (
 FILE_HEADER = "icisim scenario v1"
 
 # Stream indices for per-component PCG64 seeding.
-_STREAM_TOPOLOGY = 0
 _STREAM_RATIOS = 1
 _STREAM_GENERATORS = 2
 _STREAM_CONNECTIONS = 3
@@ -166,9 +165,11 @@ class Scenario:
         return GameInstance(self.impact, self.assignment)
 
 
-def _rng(seed: int, attempt: int, stream: int) -> np.random.Generator:
+def _rng(seed: int, stream: int) -> np.random.Generator:
+    # The spawn key's leading 0 is fixed: another value would change every
+    # seed's draws, and so every generated file.
     return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(attempt, stream)))
+        np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(0, stream)))
     )
 
 
@@ -277,10 +278,6 @@ ITS_FIELDS = ("grid_n", "street_length", "seed")
 CI_FIELDS = ("grid_n", "street_length", "cell_radius", "p_activation", "power_ratio")
 PG_FIELDS = ("grid_n", "street_length", "num_generators", "seed", "bs_per_generator_range")
 
-# The spawn key's first slot numbers generation attempts; one attempt always
-# suffices, and keeping it at 0 keeps every seed's streams.
-_ATTEMPT = 0
-
 
 def build_its(config: ScenarioConfig) -> FlowNetwork:
     """The ITS layer: street grid, seeded turning ratios and flow network.
@@ -289,7 +286,7 @@ def build_its(config: ScenarioConfig) -> FlowNetwork:
     component for every seed, so the balance matrix always has rank n-1.
     """
     graph = _grid_topology(config)
-    ratios = _sample_ratios(graph, _rng(config.seed, _ATTEMPT, _STREAM_RATIOS))
+    ratios = _sample_ratios(graph, _rng(config.seed, _STREAM_RATIOS))
     return build_flow_matrix(graph, *ratios)
 
 
@@ -306,10 +303,10 @@ def build_pg(
 ) -> tuple[np.ndarray, PowerAssignment]:
     """The PG layer: seeded generator sites, read-only, and their supply
     shares to ``stations``."""
-    positions = _place_generators(config, _rng(config.seed, _ATTEMPT, _STREAM_GENERATORS))
+    positions = _place_generators(config, _rng(config.seed, _STREAM_GENERATORS))
     positions.flags.writeable = False
     shares = _wire_generators(
-        config, positions, stations, _rng(config.seed, _ATTEMPT, _STREAM_CONNECTIONS)
+        config, positions, stations, _rng(config.seed, _STREAM_CONNECTIONS)
     )
     return positions, build_assignment(stations, shares)
 

@@ -258,7 +258,7 @@ def _retile(sc, radius: float) -> tuple[GameInstance, int]:
     centers = hex_tiling(((0.0, 0.0), (side, side)), radius)
     stations = Stations(centers, radius, sc.config.p_activation, sc.config.p_full)
     coverage = build_coverage(sc.network.graph, stations)
-    shares = _wire_generators(sc.config, sc.generators, stations, _rng(sc.config.seed, 0, 3))
+    shares = _wire_generators(sc.config, sc.generators, stations, _rng(sc.config.seed, 3))
     assignment = build_assignment(stations, shares)
     impact = build_impact_model(sc.network, coverage, stations, sc.config.delta)
     return GameInstance(impact, assignment), len(stations)

@@ -4,6 +4,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from icisim.cli import main
@@ -53,6 +54,40 @@ def test_solve_writes_file(scenario_file, tmp_path, capsys):
     assert main(["solve", scenario_file, "--level", "bs", "--out", out]) == 0
     doc = json.loads(open(out, encoding="utf-8").read())
     assert doc["level"] == "bs"
+
+
+@pytest.mark.parametrize("level", ["source", "line", "bs", "overt"])
+def test_solve_matches_reference_results(tmp_path, level):
+    """``icisim solve`` on the committed grid-4 file at its 100 W budget,
+    which fills some stations and not others at every level, against the
+    committed result.  Rewrite the references from the repository root with
+
+        for level in source line bs overt; do
+          icisim solve tests/data/scenario-grid4-seed0-v1.txt --level $level \\
+            --out tests/data/solve-grid4-seed0-$level.json
+        done
+
+    Each float matches within rtol 1e-12 plus 1e-12 of the largest
+    magnitude in its field, so a change in the last bits passes and a
+    change in any result does not.
+    """
+    data = Path(__file__).parent / "data"
+    out = tmp_path / "solution.json"
+    assert main(["solve", str(data / "scenario-grid4-seed0-v1.txt"), "--level", level,
+                 "--out", str(out)]) == 0
+    got = json.loads(out.read_text(encoding="utf-8"))
+    want = json.loads((data / f"solve-grid4-seed0-{level}.json").read_text(encoding="utf-8"))
+    assert got.keys() == want.keys()
+    assert (got["level"], got["budget"]) == (level, want["budget"]) == (level, 100.0)
+    allocation = np.array(want["p_d"], dtype=float)
+    assert 0 < np.count_nonzero(allocation) < allocation.size
+    for field in sorted(want.keys() - {"level", "budget"}):
+        expected = np.array(want[field], dtype=float)
+        actual = np.array(got[field], dtype=float)
+        assert actual.shape == expected.shape, field
+        scale = float(np.abs(expected).max(initial=0.0))
+        np.testing.assert_allclose(actual, expected, rtol=1e-12, atol=1e-12 * scale,
+                                   err_msg=field)
 
 
 @pytest.mark.parametrize("budget", ["nan", "inf", "-inf"])

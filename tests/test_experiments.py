@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from icisim import experiments
+from icisim.cli import main as cli_main
 from icisim.experiments import (
     ExperimentSpec,
     SweepTable,
@@ -216,6 +217,28 @@ def test_generator_experiments_run_both_modes():
     # Attacking one source never exceeds attacking all of them.
     for key, value in rows_single.items():
         assert value <= rows_all[key] + 1e-9
+
+
+@pytest.mark.parametrize(
+    "experiment, field",
+    [("scale-sweep", "grid_n"), ("generators-all", "num_generators"),
+     ("generators-single", "num_generators")],
+)
+def test_int_sweeps_reject_non_integral_values(tmp_path, capsys, experiment, field):
+    # An integral float is the int it names, and the row keeps its label.
+    table = run_experiment(_spec(experiment, sweep=(2.0,), reps=1, budgets=(0.0,)))
+    assert table.sweep_name == field
+    assert {row[0] for row in table.rows} == {2.0}
+    cfg = tmp_path / "grid3.json"
+    cfg.write_text('{"grid_n": 3}', encoding="utf-8")
+    for value in (1.9, 3.5, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
+            run_experiment(_spec(experiment, sweep=(2.0, value), reps=1, budgets=(0.0,)))
+        code = cli_main(["experiment", experiment, "--config", str(cfg), "--reps", "1",
+                         "--sweep", str(value), "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert f"{field} must be an integer, got {value!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 def test_pick_attack_source_is_deterministic(grid3_scenario):

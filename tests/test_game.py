@@ -9,7 +9,6 @@ from icisim.game import (
     AttackStrategy,
     DefenseStrategy,
     StealthLevel,
-    _best_response,
     _fill_order,
     _greedy_fill,
     attacker_best_response,
@@ -534,7 +533,7 @@ def test_station_replies_stack_bit_for_bit(sweep_instances):
     rng = np.random.default_rng(71)
     p_d = rng.uniform(0.0, 1.0, (6, inst.num_stations)) * inst.headroom
     for sources in (None, [0, 4, 9]):
-        stacked = _best_response(StealthLevel.BASE_STATION, inst, p_d, sources)
+        stacked = attacker_best_response(StealthLevel.BASE_STATION, inst, p_d, sources)
         assert stacked.deviations.shape == (6, inst.num_stations, inst.num_generators)
         for k, row in enumerate(p_d):
             single = attacker_best_response(StealthLevel.BASE_STATION, inst, row, sources)
@@ -555,33 +554,35 @@ def test_reply_residuals_check_allocations_and_every_reply(sweep_instances, monk
         reply_residuals(StealthLevel.POWER_LINE, inst, allocations, [20.0, 20.0, 20.0])
 
     # Every stacked station-level reply is validated, not only the first.
-    real = game._best_response
+    real = game.attacker_best_response
 
-    def overdrawn(level, instance, p_d, sources):
+    def overdrawn(level, instance, p_d=None, sources=None):
         attack = real(level, instance, p_d, sources)
         if attack.deviations.ndim == 3:
             attack.deviations[-1] *= 3.0
         return attack
 
-    monkeypatch.setattr(game, "_best_response", overdrawn)
+    monkeypatch.setattr(game, "attacker_best_response", overdrawn)
     with pytest.raises(InfeasibleError, match="power headroom of station"):
         reply_residuals(StealthLevel.BASE_STATION, inst, np.zeros((3, B)), [0.0, 0.0, 0.0])
     # One reply answers every allocation at the other levels; it is checked too.
-    p_a = real(StealthLevel.POWER_SOURCE, inst, np.zeros(B), [0]).deviations
-    monkeypatch.setattr(game, "_best_response", lambda *args: AttackStrategy(3.0 * p_a))
+    p_a = real(StealthLevel.POWER_SOURCE, inst, sources=[0]).deviations
+    monkeypatch.setattr(game, "attacker_best_response", lambda *args: AttackStrategy(3.0 * p_a))
     with pytest.raises(InfeasibleError, match="safe output of generator"):
         reply_residuals(StealthLevel.POWER_SOURCE, inst, np.zeros((2, B)), [0.0, 0.0], [0])
 
 
 def test_shared_reply_is_validated_when_built(monkeypatch):
     inst = _split_instance()
+    # The one line-level reply that answers every allocation is checked
+    # before any residual or payoff is read from it.
     monkeypatch.setattr(
-        game, "_best_response", lambda *args: AttackStrategy(inst.line_caps * 1.5)
+        game, "attacker_best_response", lambda *args: AttackStrategy(inst.line_caps * 1.5)
     )
     with pytest.raises(InfeasibleError, match="capacity of line"):
-        inst.zero_defense_reply(StealthLevel.POWER_LINE)
-    with pytest.raises(InfeasibleError, match="capacity of line"):
         reply_residuals(StealthLevel.POWER_LINE, inst, np.zeros((1, 2)), [0.0])
+    with pytest.raises(InfeasibleError, match="capacity of line"):
+        stackelberg_equilibrium(StealthLevel.POWER_LINE, inst, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -615,29 +616,14 @@ def test_cached_replies_are_read_only_and_fresh():
     sc = generate(ScenarioConfig(grid_n=5, seed=3, num_generators=3, cell_radius=0.8))
     inst = sc.game_instance()
     assert sc.game_instance() is inst
-    zeros = np.zeros(inst.num_stations)
     backup = random_feasible_defense(np.random.default_rng(5), inst)
     for level in (StealthLevel.POWER_SOURCE, StealthLevel.POWER_LINE, StealthLevel.OVERT):
-        reply = inst.zero_defense_reply(level)
-        assert inst.zero_defense_reply(level) is reply
-        assert not reply.deviations.flags.writeable
-        with pytest.raises(ValueError):
-            reply.deviations[0, 0] = 1.0
-        fresh = _best_response(level, inst, zeros, None)
-        assert np.array_equal(reply.deviations, fresh.deviations)
-        # The reply reads no backup, so every caller shares it.
-        assert attacker_best_response(level, inst, backup) is reply
-        assert np.array_equal(defender_caps(level, inst), fresh.per_station)
-        # A source subset is never served from the cache.
-        single = attacker_best_response(level, inst, backup, sources=[1])
-        assert single.deviations.flags.writeable
-        assert np.array_equal(single.deviations, _best_response(level, inst, zeros, [1]).deviations)
-    station = attacker_best_response(StealthLevel.BASE_STATION, inst, backup)
-    assert station.deviations.flags.writeable
-    assert np.array_equal(
-        station.deviations,
-        _best_response(StealthLevel.BASE_STATION, inst, backup, None).deviations,
-    )
+        # Away from the station level the reply reads no backup.
+        for sources in (None, [1]):
+            reply = attacker_best_response(level, inst, backup, sources)
+            assert reply.deviations.flags.writeable
+            free = attacker_best_response(level, inst, sources=sources)
+            assert np.array_equal(reply.deviations, free.deviations)
     assert np.array_equal(inst.fill_order, _fill_order(inst.impact.z_scores))
     assert inst.fill_order.dtype.kind == "i"
     assert not inst.fill_order.flags.writeable
@@ -647,8 +633,8 @@ def test_cached_replies_are_read_only_and_fresh():
             defense, attack, _ = stackelberg_equilibrium(level, inst, budget)
             lp = solve_defender_lp(inst.impact, defender_caps(level, inst), budget)
             assert np.array_equal(defense.allocation, lp.allocation)
-            fresh = _best_response(level, inst, lp.allocation, None)
-            assert np.array_equal(attack.deviations, fresh.deviations)
+            reply = attacker_best_response(level, inst, lp.allocation)
+            assert np.array_equal(attack.deviations, reply.deviations)
 
 
 def test_no_profitable_defender_perturbation():

@@ -198,8 +198,8 @@ def test_one_draw_ratios_equal_per_inflow_dirichlet():
         graph = _grid_topology(ScenarioConfig(grid_n=grid_n))
         streets, nodes = object_topology(ScenarioConfig(grid_n=grid_n))
         for seed in range(4):
-            rows, cols, shares = _sample_ratios(graph, _rng(seed, 0, _STREAM_RATIOS))
-            oracle = dirichlet_ratios(streets, nodes, _rng(seed, 0, _STREAM_RATIOS))
+            rows, cols, shares = _sample_ratios(graph, _rng(seed, _STREAM_RATIOS))
+            oracle = dirichlet_ratios(streets, nodes, _rng(seed, _STREAM_RATIOS))
             assert (rows.tolist(), cols.tolist(), shares.tolist()) == _triples(oracle)
 
 
@@ -227,8 +227,8 @@ def test_argsort_ratios_equal_dict_oracle():
         graph = _grid_topology(ScenarioConfig(grid_n=grid_n))
         streets, nodes = object_topology(ScenarioConfig(grid_n=grid_n))
         for seed in range(4):
-            rows, cols, shares = _sample_ratios(graph, _rng(seed, 0, _STREAM_RATIOS))
-            oracle = dict_ratios(streets, nodes, _rng(seed, 0, _STREAM_RATIOS))
+            rows, cols, shares = _sample_ratios(graph, _rng(seed, _STREAM_RATIOS))
+            oracle = dict_ratios(streets, nodes, _rng(seed, _STREAM_RATIOS))
             assert (rows.tolist(), cols.tolist()) == _triples(oracle)[:2], (grid_n, seed)
             assert np.array_equal(shares, np.array(list(oracle.values()))), (grid_n, seed)
 
@@ -239,7 +239,7 @@ def test_generated_Q_equals_Q_of_dict_oracle():
         n = len(streets)
         for seed in range(4):
             rows, cols, shares = _triples(
-                dict_ratios(streets, nodes, _rng(seed, 0, _STREAM_RATIOS))
+                dict_ratios(streets, nodes, _rng(seed, _STREAM_RATIOS))
             )
             Q = scipy.sparse.csr_array((shares, (rows, cols)), shape=(n, n))
             Q.eliminate_zeros()
@@ -256,9 +256,9 @@ def test_wiring_equals_set_oracle():
                     bs_per_generator_range=bounds,
                 )
                 stations = build_ci(config, _grid_topology(config))[0]
-                positions = _place_generators(config, _rng(seed, 0, _STREAM_GENERATORS))
+                positions = _place_generators(config, _rng(seed, _STREAM_GENERATORS))
                 wiring = [
-                    wire(config, positions, stations, _rng(seed, 0, _STREAM_CONNECTIONS))
+                    wire(config, positions, stations, _rng(seed, _STREAM_CONNECTIONS))
                     for wire in (_wire_generators, set_wiring)
                 ]
                 assert np.array_equal(*wiring), config
@@ -270,7 +270,7 @@ def test_ratio_support_is_one_strong_component():
     # The support does not depend on the seed.
     for grid_n in range(2, 13):
         graph = _grid_topology(ScenarioConfig(grid_n=grid_n))
-        rows, cols, _ = _sample_ratios(graph, _rng(0, 0, _STREAM_RATIOS))
+        rows, cols, _ = _sample_ratios(graph, _rng(0, _STREAM_RATIOS))
         n = graph.n
         support = scipy.sparse.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
         count, _ = connected_components(support, directed=True, connection="strong")

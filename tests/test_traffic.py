@@ -76,7 +76,7 @@ def test_bad_share_sums_rejected():
 def test_grid2_matrix_matches_hand_assembly():
     # Rebuild the balance matrix entrywise from the sampled shares.
     graph = _grid_topology(ScenarioConfig(grid_n=2, seed=0))
-    rows, cols, shares = _sample_ratios(graph, _rng(0, 0, _STREAM_RATIOS))
+    rows, cols, shares = _sample_ratios(graph, _rng(0, _STREAM_RATIOS))
     net = build_flow_matrix(graph, rows, cols, shares)
     expected = np.eye(graph.n)
     for j, k, share in zip(rows, cols, shares):
@@ -244,7 +244,7 @@ def _leaky_loop_into_cycle(cycle_share):
 
 def _grid_Q(graph: StreetGraph, seed: int) -> np.ndarray:
     """Dense turning-ratio matrix sampled for a generated grid."""
-    rows, cols, shares = _sample_ratios(graph, _rng(seed, 0, _STREAM_RATIOS))
+    rows, cols, shares = _sample_ratios(graph, _rng(seed, _STREAM_RATIOS))
     Q = np.zeros((graph.n, graph.n))
     Q[rows, cols] = shares
     return Q
@@ -311,7 +311,7 @@ def _null_vector_fixtures():
     for grid_n in range(2, 21):
         graph = _grid_topology(ScenarioConfig(grid_n=grid_n))
         for seed in range(3):
-            ratios = _sample_ratios(graph, _rng(seed, 0, _STREAM_RATIOS))
+            ratios = _sample_ratios(graph, _rng(seed, _STREAM_RATIOS))
             yield f"grid {grid_n} seed {seed}", build_flow_matrix(graph, *ratios)
 
 
@@ -325,7 +325,7 @@ def test_null_vector_matches_qr_oracle():
 def test_flow_matrix_stays_sparse_in_memory():
     # The dense A and Q of a grid-40 network (6,240 streets) take 623 MB.
     graph = _grid_topology(ScenarioConfig(grid_n=40))
-    ratios = _sample_ratios(graph, _rng(0, 0, _STREAM_RATIOS))
+    ratios = _sample_ratios(graph, _rng(0, _STREAM_RATIOS))
     tracemalloc.start()
     try:
         net = build_flow_matrix(graph, *ratios)
@@ -363,8 +363,8 @@ def test_two_generated_grids_fail_rank_check():
         for seed in range(3):
             rows, cols, shares = (
                 np.concatenate((ours, theirs + shift)) for ours, theirs, shift in zip(
-                    _sample_ratios(graph, _rng(seed, 0, _STREAM_RATIOS)),
-                    _sample_ratios(graph, _rng(seed + 10, 0, _STREAM_RATIOS)),
+                    _sample_ratios(graph, _rng(seed, _STREAM_RATIOS)),
+                    _sample_ratios(graph, _rng(seed + 10, _STREAM_RATIOS)),
                     (m, m, 0.0),
                 )
             )
