@@ -79,6 +79,10 @@ class ExperimentSpec:
             raise ValueError("sweep range must be nonempty")
         if not self.levels:
             raise ValueError("need at least one stealth level")
+        if not all(np.isfinite(b) and b >= 0.0 for b in self.budgets):
+            raise ValueError("budgets must be finite and nonnegative")
+        if self.experiment == "power-sweep" and not all(0.0 <= p <= 100.0 for p in self.sweep):
+            raise ValueError("power-sweep reductions must lie in [0, 100] percent")
 
 
 @dataclass(frozen=True)

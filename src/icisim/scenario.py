@@ -14,28 +14,26 @@ are numbered from 1; the topology is deterministic and draws none.
 (generator sites, supply shares) -- and :func:`assemble` adds the impact
 model.  Each builder reads only the config fields named in its
 ``*_FIELDS`` tuple, so a caller building many configs can reuse a layer
-across configs that agree on those fields.  Generation and loading enter
-each layer through the same validating constructor:
-:func:`~icisim.traffic.network_from_matrix`,
-:func:`~icisim.coverage.coverage_from_lengths` and
-:func:`~icisim.power.build_assignment`, and both reject stations whose
-cells overlap.
+across configs that agree on those fields.  Generation and loading build
+each layer the same way: :func:`~icisim.traffic.network_from_matrix`,
+:func:`~icisim.coverage.build_coverage` and
+:func:`~icisim.power.build_assignment`.
 
 Scenario files are plain text with a versioned header and ``[config]``,
-``[its]``, ``[ci]`` and ``[pg]`` sections; floats are written with ``repr``
-so they round-trip exactly.  Every section after ``[config]`` is made of
-counted blocks, each written from whole arrays, one line per row.  Turning
-ratios, coverage and supply links are blocks of ``row column value`` lines
-holding the nonzero entries in row-major order; coverage lines are
-(street, station, km) triples.  The loader reads each counted numeric
-block in one ``np.loadtxt`` pass, a repeated (row, column) pair keeps its
-last value, and it builds no dense street-by-station array.  Every number,
+``[its]``, ``[ci]`` and ``[pg]`` sections, and format v2 holds inputs only;
+floats are written with ``repr`` so they round-trip exactly.  Every section
+after ``[config]`` is made of counted blocks, each written from whole
+arrays, one line per row.  Turning ratios and supply links are blocks of
+``row column value`` lines holding the nonzero entries in row-major order.
+The loader reads each counted numeric block in one ``np.loadtxt`` pass,
+and a repeated (row, column) pair keeps its last value.  Every number,
 ``[config]`` values included, must be a token ``np.loadtxt`` reads: ASCII,
-no ``_`` digit separators, and finite if a float.  The impact model is
-derived data, so it is not written: loading always recomputes it.  Older
-files may end with an ``[impact]`` section of stored scores and vectors;
-its counts, station ids and values are checked, and it is otherwise
-ignored.
+no ``_`` digit separators, and finite if a float.  Coverage and the impact
+model are derived, so they are not written: loading rebuilds them.  A v1
+file also holds a ``coverage`` block of (street, station, km) lines, which
+must match the rebuild to 1e-9 km.  Older files may end with an
+``[impact]`` section of stored scores and vectors; its counts, station ids
+and values are checked, and it is otherwise ignored.
 """
 from __future__ import annotations
 
@@ -49,8 +47,7 @@ import numpy as np
 import scipy.sparse
 
 from .coverage import (
-    CoverageMap, Stations, _check_disjoint_cells, _ranges, build_coverage, coverage_from_lengths,
-    hex_tiling,
+    CoverageMap, Stations, _ranges, build_coverage, coverage_from_lengths, hex_tiling,
 )
 from .errors import FormatError, IcisimError
 from .game import GameInstance
@@ -65,7 +62,8 @@ from .traffic import (
     network_from_matrix,
 )
 
-FILE_HEADER = "icisim scenario v1"
+FILE_HEADER = "icisim scenario v2"
+_V1_HEADER = "icisim scenario v1"
 
 # Stream indices for per-component PCG64 seeding.
 _STREAM_RATIOS = 1
@@ -381,8 +379,6 @@ def dumps(scenario: Scenario) -> str:
         out, "stations", (np.arange(len(stations)),),
         (*stations.center.T, stations.cell_radius, stations.p_activation, stations.p_full),
     )
-    rows, cols, lengths = csr_entries(scenario.coverage.lengths)
-    _write_block(out, "coverage", (rows, cols), (lengths,))
 
     T = scenario.assignment.T
     rows, cols = np.nonzero(T)
@@ -625,10 +621,14 @@ _CONFIG_KEYS = frozenset(
 
 
 def loads(text: str) -> Scenario:
-    """Parse the text format back into a fully validated scenario."""
+    """Parse the text format back into a fully validated scenario.
+
+    ``[config]`` ``grid_n``, ``cell_radius``, ``p_activation`` and
+    ``power_ratio`` are provenance only: the stored layers win.
+    """
     reader = _Reader(text)
     header = reader.next_line()
-    if header != FILE_HEADER:
+    if header not in (FILE_HEADER, _V1_HEADER):
         raise FormatError(f"unrecognised header {header!r}, expected {FILE_HEADER!r}")
 
     reader.expect_section("config")
@@ -679,12 +679,8 @@ def loads(text: str) -> Scenario:
         reader, n_stations, "station", ("station id",), ("station field",) * 5
     )
     rows = _by_id(reader, station_ids[:, 0], station_fields, "station")
-    try:
-        stations = Stations(rows[:, :2], *rows[:, 2:].T)
-        _check_disjoint_cells(stations)
-    except (ValueError, IcisimError) as err:
-        raise FormatError(f"[ci] {err}") from None
-    covered = _entries(reader, "coverage", (n_streets, n_stations))
+    if header == _V1_HEADER:
+        covered = _entries(reader, "coverage", (n_streets, n_stations))
 
     reader.expect_section("pg")
     n_gens = reader.counted("generators")
@@ -709,7 +705,18 @@ def loads(text: str) -> Scenario:
     except (ValueError, IcisimError) as err:
         raise FormatError(f"[its] {err}") from None
     try:
-        coverage = coverage_from_lengths(network.graph, covered)
+        stations = Stations(rows[:, :2], *rows[:, 2:].T)
+        coverage = build_coverage(network.graph, stations)
+        if header == _V1_HEADER:  # the stored block must be the rebuild to 1e-9 km
+            stored = coverage_from_lengths(network.graph, covered).lengths
+            street, station, km = csr_entries(stored - coverage.lengths)
+            bad = np.flatnonzero(np.abs(km) > 1e-9)
+            if bad.size:
+                i, b = street[bad[0]], station[bad[0]]
+                raise ValueError(
+                    f"coverage of street {i} by station {b} is {float(stored[i, b])!r} km in "
+                    f"the file, but {float(coverage.lengths[i, b])!r} km from the geometry"
+                )
         impact = build_impact_model(network, coverage, stations, config.delta)
     except (ValueError, IcisimError) as err:
         raise FormatError(f"[ci] {err}") from None
@@ -717,8 +724,6 @@ def loads(text: str) -> Scenario:
         assignment = build_assignment(stations, shares)
     except (ValueError, IcisimError) as err:
         raise FormatError(f"[pg] {err}") from None
-    # grid_n and cell_radius are not checked against the stored layers: a
-    # hand-written file need not hold the grid or tiling generate makes.
     if n_gens != config.num_generators:
         raise FormatError(
             f"[pg] generator count {n_gens} != [config] num_generators {config.num_generators}"

@@ -469,7 +469,8 @@ def line_entries(text: str) -> dict:
     ``"config"`` maps each ``[config]`` key to its raw value.  Every counted
     block maps its keyword to its lines as lists of ints then floats; the
     ``ratios``, ``coverage`` and ``links`` blocks instead map each (row,
-    column) pair to its value, a repeated pair keeping its last one.
+    column) pair to its value, a repeated pair keeping its last one.  Only
+    a format-v1 file has a ``coverage`` block.
     """
     lines = iter([line.split() for line in text.splitlines() if line.strip()][1:])
     blocks: dict = {"config": {}}

@@ -241,6 +241,37 @@ def test_int_sweeps_reject_non_integral_values(tmp_path, capsys, experiment, fie
         assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "experiment, sweep, budgets, message",
+    [
+        ("power-sweep", (-10.0,), (0.0,), "power-sweep reductions must lie in"),
+        ("power-sweep", (100.0, 150.0), (0.0,), "power-sweep reductions must lie in"),
+        ("power-sweep", (float("nan"),), (0.0,), "power-sweep reductions must lie in"),
+        *[(experiment, (), (0.0, -5.0), "budgets must be finite and nonnegative")
+          for experiment in experiments.EXPERIMENT_IDS],
+        ("allocation-compare", (), (float("inf"),), "budgets must be finite and nonnegative"),
+        ("power-sweep", (), (float("nan"),), "budgets must be finite and nonnegative"),
+    ],
+    ids=["cut -10", "cut 150", "cut nan",
+         *[f"{experiment} budget -5" for experiment in experiments.EXPERIMENT_IDS],
+         "allocation-compare budget inf", "power-sweep budget nan"],
+)
+def test_spec_rejects_out_of_range_inputs(tmp_path, capsys, experiment, sweep, budgets, message):
+    # Every experiment checks its budgets, though power-sweep and
+    # allocation-compare do not use them, and power-sweep cuts 0-100 %.
+    sweep = sweep or default_sweep(experiment)
+    with pytest.raises(ValueError, match=message):
+        _spec(experiment, sweep=sweep, budgets=budgets)
+    cfg = tmp_path / "grid3.json"
+    cfg.write_text('{"grid_n": 3}', encoding="utf-8")
+    code = cli_main(["experiment", experiment, "--config", str(cfg), "--reps", "1",
+                     "--sweep", *map(str, sweep), "--budgets", *map(str, budgets),
+                     "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_pick_attack_source_is_deterministic(grid3_scenario):
     g1 = pick_attack_source(grid3_scenario, StealthLevel.POWER_SOURCE)
     g2 = pick_attack_source(grid3_scenario, StealthLevel.POWER_SOURCE)

@@ -12,7 +12,7 @@ import scipy.sparse
 from hypothesis import given, settings, strategies as st
 from scipy.sparse.csgraph import connected_components
 
-from icisim.coverage import Stations, coverage_from_lengths
+from icisim.coverage import Stations, build_coverage, coverage_from_lengths
 from icisim.errors import FormatError
 from icisim.impact import build_impact_model
 from icisim.power import build_assignment
@@ -41,7 +41,7 @@ from icisim.scenario import (
     save,
     scenarios_equal,
 )
-from icisim.traffic import csr_equal, network_from_matrix, solve_flows
+from icisim.traffic import csr_entries, csr_equal, network_from_matrix, solve_flows
 
 from oracles import (
     Street,
@@ -185,6 +185,10 @@ def test_round_trip_identity(tmp_path):
         path = str(tmp_path / "scenario.txt")
         save(sc, path)
         assert scenarios_equal(sc, load(path)), config
+    # A file holds no coverage; loads rebuilds exactly what generate built.
+    for grid_n, seed, cell_radius in itertools.product(range(2, 13), range(4), (0.3, 0.9, 1.0)):
+        sc = generate(ScenarioConfig(grid_n=grid_n, seed=seed, cell_radius=cell_radius))
+        assert scenarios_equal(loads(dumps(sc)), sc), (grid_n, seed, cell_radius)
 
 
 def _triples(ratios: dict) -> tuple[list, list, list]:
@@ -299,6 +303,14 @@ def legacy_text(sc: Scenario) -> str:
     return dumps(sc) + "[impact]\n" + "\n".join(lines) + "\n"
 
 
+def _text_holding(block: str) -> str:
+    """A grid-3 file as ``dumps`` writes it, or for the coverage block, which
+    only format v1 stores, the committed v1 file of grid 4."""
+    if block == "coverage":
+        return GOLDEN_V1.read_text(encoding="utf-8")
+    return dumps(generate(ScenarioConfig(grid_n=3, seed=0)))
+
+
 def _edit(text: str, block: str, field: int, value: str, row: int = 0) -> str:
     """Replace one field of row ``row`` under the line starting with ``block``."""
     lines = text.splitlines()
@@ -361,9 +373,8 @@ def test_legacy_impact_section_is_verified(block, field, value, rejected):
     ],
 )
 def test_loader_rejects_bad_values_and_ids(block, field, value, row):
-    text = dumps(generate(ScenarioConfig(grid_n=3, seed=0)))
     with pytest.raises(FormatError):
-        loads(_edit(text, block, field, value, row))
+        loads(_edit(_text_holding(block), block, field, value, row))
 
 
 def _repeat_entry(text: str, block: str, value: str, stray_last: bool) -> str:
@@ -385,9 +396,15 @@ def _repeat_entry(text: str, block: str, value: str, stray_last: bool) -> str:
 
 @pytest.mark.parametrize("block", ["ratios", "coverage", "links"])
 def test_repeated_entry_keeps_its_last_value(block):
-    sc = generate(ScenarioConfig(grid_n=3, seed=0))
-    text = dumps(sc)
+    text = _text_holding(block)
+    sc = generate(ScenarioConfig(grid_n=4 if block == "coverage" else 3, seed=0))
     assert scenarios_equal(sc, loads(_repeat_entry(text, block, "0.125", stray_last=False)))
+    if block == "coverage":
+        # A v1 coverage block must match the geometry: the error shows the kept value.
+        with pytest.raises(FormatError, match=r"^\[ci\] coverage of street \d+ by station \d+ "
+                                              r"is 0\.125 km in the file, but "):
+            loads(_repeat_entry(text, block, "0.125", stray_last=True))
+        return
     try:
         changed = loads(_repeat_entry(text, block, "0.125", stray_last=True))
     except FormatError:  # a changed turning ratio may break the rank check
@@ -404,8 +421,7 @@ def test_repeated_entry_keeps_its_last_value(block):
     ],
 )
 def test_entry_indices_are_range_checked(block, row, col, message):
-    text = dumps(generate(ScenarioConfig(grid_n=3, seed=0)))
-    text = _edit(_edit(text, block, 0, row), block, 1, col)
+    text = _edit(_edit(_text_holding(block), block, 0, row), block, 1, col)
     with pytest.raises(FormatError, match=message):
         loads(text)
 
@@ -506,10 +522,28 @@ def test_loader_rejects_overlapping_cells():
         FormatError, match=r"^\[ci\] cells of stations 0 and 1 have overlapping interiors$"
     ):
         loads(text)
-    # Two apothems (2 * sqrt(3) km) apart, the same file loads.
+    # Two apothems (2 * sqrt(3) km) apart, station 1's cell reaches neither
+    # street, so station 0 covers all of each: the stored half-and-half
+    # split no longer matches the geometry, first at street 0, station 0.
     moved = text.replace("1 0.5 0.0 2.0", "1 0.5 3.5 2.0")
     assert moved != text
-    assert np.array_equal(loads(moved).coverage.C, [[0.5, 0.5], [0.5, 0.5]])
+    with pytest.raises(FormatError, match=(
+        r"^\[ci\] coverage of street 0 by station 0 is 0\.5 km in the file, "
+        r"but 1\.0 km from the geometry$"
+    )):
+        loads(moved)
+    # With the block the geometry gives, the file loads.
+    fixed = moved.replace("coverage 4\n0 0 0.5\n0 1 0.5\n1 0 0.5\n1 1 0.5\n",
+                          "coverage 2\n0 0 1.0\n1 0 1.0\n")
+    assert fixed != moved
+    assert np.array_equal(loads(fixed).coverage.C, [[1.0, 0.0], [1.0, 0.0]])
+    # A stored entry the rebuild lacks is compared too.
+    stray = fixed.replace("coverage 2\n", "coverage 3\n0 1 5e-07\n")
+    with pytest.raises(FormatError, match=(
+        r"^\[ci\] coverage of street 0 by station 1 is 5e-07 km in the file, "
+        r"but 0\.0 km from the geometry$"
+    )):
+        loads(stray)
 
 
 def test_negative_count_is_rejected():
@@ -604,32 +638,88 @@ def test_loader_checks_intersection_positions():
         loads(moved)
 
 
-GOLDEN_V1 = Path(__file__).parent / "data" / "scenario-grid4-seed0-v1.txt"
+DATA = Path(__file__).parent / "data"
+GOLDEN_V1 = DATA / "scenario-grid4-seed0-v1.txt"
 
 
 def _without_anchor_lines(text: str) -> str:
     return "".join(ln for ln in text.splitlines(keepends=True) if not ln.startswith("anchor_"))
 
 
+def _as_v2(text: str) -> str:
+    """A generated v1 file as v2 writes it: the v2 header, and no anchor
+    lines or coverage block; every other line is the same."""
+    lines = _without_anchor_lines(text).splitlines(keepends=True)
+    head = next(k for k, line in enumerate(lines) if line.startswith("coverage "))
+    del lines[head:head + 1 + int(lines[head].split()[1])]
+    return "".join(["icisim scenario v2\n", *lines[1:]])
+
+
+def _coverage_entries(sc: Scenario) -> dict:
+    """The (street, station) -> km entries of a scenario's coverage map."""
+    rows, cols, km = csr_entries(sc.coverage.lengths)
+    return dict(zip(zip(rows.tolist(), cols.tolist()), km.tolist()))
+
+
 def test_golden_v1_file_loads_and_dumps_without_anchor_lines():
     # Written before the anchor settings were dropped; it still carries them.
     text = GOLDEN_V1.read_text(encoding="utf-8")
+    assert text.startswith("icisim scenario v1\n")
     assert "anchor_street = 0\nanchor_flow = 1000.0\n" in text
     sc = generate(ScenarioConfig(grid_n=4, seed=0))
     assert scenarios_equal(loads(text), sc)
-    assert dumps(sc) == _without_anchor_lines(text)
+    # Its coverage block holds the very bits that generate builds.
+    assert line_entries(text)["coverage"] == _coverage_entries(sc)
+    # dumps writes format v2: no anchor lines and no coverage block.
+    v2 = (DATA / "scenario-grid4-seed0-v2.txt").read_text(encoding="utf-8")
+    assert dumps(sc) == v2 == _as_v2(text)
+    assert scenarios_equal(loads(v2), sc)
 
 
-GOLDEN_GRID6 = Path(__file__).parent / "data" / "scenario-grid6-r0.3-seed1-v1.txt"
+GOLDEN_GRID6 = DATA / "scenario-grid6-r0.3-seed1-v1.txt"
 
 
 def test_golden_file_pins_the_shared_street_claims():
     # Up to five cells of radius 0.3 share one street, so the lowest-id
-    # claim rule decides many of the stored covered lengths.
+    # claim rule decides many of the covered lengths the v1 file stores.
     config = ScenarioConfig(grid_n=6, cell_radius=0.3, seed=1)
     sc = generate(config)
     assert np.diff(sc.coverage.lengths.indptr).max() == 5
-    assert dumps(sc) == GOLDEN_GRID6.read_text(encoding="utf-8")
+    text = GOLDEN_GRID6.read_text(encoding="utf-8")
+    assert line_entries(text)["coverage"] == _coverage_entries(sc)
+    assert scenarios_equal(loads(text), sc)
+    v2 = DATA / "scenario-grid6-r0.3-seed1-v2.txt"
+    assert dumps(sc) == v2.read_text(encoding="utf-8") == _as_v2(text)
+
+
+@pytest.mark.parametrize(
+    "block, message",
+    [
+        ("0 0 0.999999\n1 0 1.0\n", "street 0 by station 0 is 0.999999 km in the file, "
+                                      "but 1.0 km from the geometry"),
+        ("0 0 1.0\n1 0 1.000001\n", "street 1 by station 0 is 1.000001 km in the file, "
+                                      "but 1.0 km from the geometry"),
+        ("1 0 1.0\n", "street 0 by station 0 is 0.0 km in the file, "
+                       "but 1.0 km from the geometry"),
+        ("0 0 0.999999999999\n1 0 1.0\n", None),
+        ("0 0 1.0\n1 0 1.000000000001\n", None),
+        ("0 0 1.0\n1 0 1.0\n0 0 0.999999999999\n", None),
+    ],
+    ids=["1e-6 short", "1e-6 long", "entry missing", "1e-12 short", "1e-12 long",
+         "1e-12 off when repeated"],
+)
+def test_v1_coverage_block_must_match_the_geometry(block, message):
+    # The stored block is compared with the rebuild to 1e-9 km, over the
+    # entries of either; what loads is always the rebuild.
+    old = "coverage 2\n0 0 1.0\n1 0 1.0\n"
+    assert old in HAND_WRITTEN
+    edited = HAND_WRITTEN.replace(old, f"coverage {len(block.splitlines())}\n{block}")
+    if message is None:
+        assert scenarios_equal(loads(edited), loads(HAND_WRITTEN))
+        assert loads(edited).coverage.lengths.data.tolist() == [1.0, 1.0]
+    else:
+        with pytest.raises(FormatError, match=rf"^\[ci\] coverage of {re.escape(message)}$"):
+            loads(edited)
 
 
 def test_legacy_anchor_keys_parse_and_are_ignored():
@@ -697,7 +787,10 @@ def _scenario_from_lines(text: str) -> Scenario:
     rows = np.array(sorted(blocks["stations"]), dtype=float).reshape(-1, 6)
     stations = Stations(rows[:, 1:3], rows[:, 3], rows[:, 4], rows[:, 5])
     B, G = len(stations), len(blocks["generators"])
-    coverage = coverage_from_lengths(network.graph, _sparse(blocks["coverage"], (n, B)))
+    if "coverage" in blocks:  # a v1 file
+        coverage = coverage_from_lengths(network.graph, _sparse(blocks["coverage"], (n, B)))
+    else:
+        coverage = build_coverage(network.graph, stations)
     shares = _sparse(blocks["links"], (B, G)).toarray()
     generators = np.array([(x, y) for _, x, y in sorted(blocks["generators"])]).reshape(G, 2)
     return Scenario(
@@ -709,6 +802,7 @@ def _scenario_from_lines(text: str) -> Scenario:
 
 def test_loads_equals_line_by_line_oracle():
     texts = [HAND_WRITTEN, legacy_text(generate(ScenarioConfig(grid_n=3, seed=0)))]
+    texts += [path.read_text(encoding="utf-8") for path in (GOLDEN_V1, GOLDEN_GRID6)]
     texts += [
         dumps(generate(ScenarioConfig(grid_n=grid_n, seed=seed)))
         for grid_n in range(2, 21) for seed in range(4)
@@ -730,9 +824,8 @@ def test_loads_equals_line_by_line_oracle():
     ],
 )
 def test_numeric_blocks_take_ascii_decimal_tokens(block, field, value, message):
-    text = dumps(generate(ScenarioConfig(grid_n=3, seed=0)))
     with pytest.raises(FormatError, match=message):
-        loads(_edit(text, block, field, value, row=2))
+        loads(_edit(_text_holding(block), block, field, value, row=2))
 
 
 @pytest.mark.parametrize(
@@ -762,7 +855,7 @@ def test_bad_station_is_named_once(field, value, message):
 )
 def test_bad_block_line_is_named_by_section(edit, message):
     # The first bad line decides the message, wherever it sits in the block.
-    lines = dumps(generate(ScenarioConfig(grid_n=3, seed=0))).splitlines()
+    lines = _text_holding("coverage").splitlines()
     head = next(k for k, line in enumerate(lines) if line.startswith("coverage "))
     lines[head + 3] = edit(lines[head + 3])
     lines[head + 5] = "0 999 0.5"
