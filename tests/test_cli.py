@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from icisim.cli import main
+from icisim.experiments import EXPERIMENT_IDS
 from icisim.scenario import ScenarioConfig, generate, save
 
 
@@ -88,6 +89,48 @@ def test_solve_matches_reference_results(tmp_path, level):
         scale = float(np.abs(expected).max(initial=0.0))
         np.testing.assert_allclose(actual, expected, rtol=1e-12, atol=1e-12 * scale,
                                    err_msg=field)
+
+
+def _csv_table(text: str) -> tuple[list[str], list[list[str]]]:
+    """The ``#`` and header lines of an experiment CSV, and its rows split
+    into fields."""
+    lines = text.splitlines()
+    head = [line for line in lines if line.startswith("#")]
+    return head + lines[len(head):len(head) + 1], [
+        line.split(",") for line in lines[len(head) + 1:]
+    ]
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENT_IDS)
+def test_experiment_matches_reference_csv(tmp_path, capsys, experiment):
+    """``icisim experiment`` at grid 6, seed 0, 3 reps against the committed
+    CSV.  Rewrite the references from the repository root with
+
+        for id in power-sweep scale-sweep radius-sweep generators-all \\
+            generators-single allocation-compare; do
+          icisim experiment $id --config tests/data/experiments-grid6/config.json \\
+            --seed 0 --reps 3 --out-dir tests/data/experiments-grid6
+        done
+
+    The ``#`` lines, the header, the sweep, level and ``P_d`` columns and
+    ``n`` match exactly.  ``mean`` matches within rtol 1e-12 and ``std``
+    within 1e-9 of the table's largest ``|mean|``: a reordered sum moves
+    either by a few ulps of the means (about 1e-16 relative), while a changed
+    result moves it by far more.
+    """
+    data = Path(__file__).parent / "data" / "experiments-grid6"
+    assert main(["experiment", experiment, "--config", str(data / "config.json"),
+                 "--seed", "0", "--reps", "3", "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    got_head, got = _csv_table((tmp_path / f"{experiment}.csv").read_text(encoding="utf-8"))
+    want_head, want = _csv_table((data / f"{experiment}.csv").read_text(encoding="utf-8"))
+    assert got_head == want_head
+    assert [row[:3] + row[5:] for row in got] == [row[:3] + row[5:] for row in want]
+    mean, std = (np.array([row[col] for row in want], dtype=float) for col in (3, 4))
+    np.testing.assert_allclose(np.array([row[3] for row in got], dtype=float), mean,
+                               rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(np.array([row[4] for row in got], dtype=float), std,
+                               rtol=0.0, atol=1e-9 * np.abs(mean).max())
 
 
 @pytest.mark.parametrize("budget", ["nan", "inf", "-inf"])
