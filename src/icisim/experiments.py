@@ -150,27 +150,33 @@ def _replicas(base: ScenarioConfig, reps: int, layers: _Layers) -> list[Scenario
     return [layers.scenario(replace(base, seed=base.seed + rep)) for rep in range(reps)]
 
 
-def _stat_row(
-    sweep_value: float, level: str, budget: float, samples: Sequence[float]
-) -> tuple[float, str, float, float, float, int]:
-    arr = np.asarray(samples, dtype=float)
-    return (
-        float(sweep_value), level, float(budget),
-        float(arr.mean()), float(arr.std()), int(arr.size),
+def _stat_rows(
+    keys: Sequence[tuple[float, str, float]], samples: Sequence[Sequence[float]]
+) -> tuple[tuple[float, str, float, float, float, int], ...]:
+    """Table rows ``(sweep value, level, P_d, mean, std, n)`` from each row's
+    key ``(sweep value, level, P_d)`` and its replicas' samples.
+
+    One ``mean`` and one ``std`` over the C-contiguous (rows x reps) array
+    serve the whole table; numpy reduces each contiguous row with the loop
+    it runs on a 1-D array, so every value is the one a per-row call gives.
+    """
+    arr = np.array(samples, dtype=float)
+    stats = zip(keys, arr.mean(axis=1).tolist(), arr.std(axis=1).tolist())
+    return tuple(
+        (float(value), level, float(budget), mean, std, arr.shape[1])
+        for (value, level, budget), mean, std in stats
     )
 
 
 def _run_power_sweep(spec: ExperimentSpec) -> SweepTable:
     """Uniform percentage cut of all generation versus total flow deviation."""
     scenarios = _replicas(spec.base, spec.reps, _Layers())
-    rows = []
-    for pct in spec.sweep:
-        samples = []
-        for sc in scenarios:
-            shortfall = (pct / 100.0) * sc.assignment.p_full
-            samples.append(its_deviation(sc.impact, shortfall))
-        rows.append(_stat_row(pct, "none", 0.0, samples))
-    return SweepTable("reduction_pct", tuple(rows), _config_lines(spec))
+    samples = [
+        [its_deviation(sc.impact, (pct / 100.0) * sc.assignment.p_full) for sc in scenarios]
+        for pct in spec.sweep
+    ]
+    rows = _stat_rows([(pct, "none", 0.0) for pct in spec.sweep], samples)
+    return SweepTable("reduction_pct", rows, _config_lines(spec))
 
 
 def pick_attack_source(scenario: Scenario, level: StealthLevel) -> int:
@@ -196,7 +202,7 @@ def _run_config_sweep(name: str, kind: type, single: bool, spec: ExperimentSpec)
     :class:`ScenarioConfig` as it is, which rejects it.
     """
     layers = _Layers()
-    rows = []
+    keys, samples = [], []
     for value in spec.sweep:
         if kind is float or float(value).is_integer():
             value = kind(value)
@@ -212,9 +218,10 @@ def _run_config_sweep(name: str, kind: type, single: bool, spec: ExperimentSpec)
                     reply_residuals(level, instance, allocations, spec.budgets, picked)
                 )
             for k, budget in enumerate(spec.budgets):
-                rows.append(_stat_row(value, level.value, budget, [r[k] for r in residuals]))
+                keys.append((value, level.value, budget))
+                samples.append([r[k] for r in residuals])
     extra = ("single_source_rule = highest unconstrained best-response payoff",) if single else ()
-    return SweepTable(name, tuple(rows), _config_lines(spec) + extra)
+    return SweepTable(name, _stat_rows(keys, samples), _config_lines(spec) + extra)
 
 
 def resolve_budget_sweep(sweep: Sequence[float], instance: GameInstance) -> tuple[float, ...]:
@@ -248,14 +255,13 @@ def _run_allocation_compare(spec: ExperimentSpec) -> SweepTable:
             equal = np.repeat(np.array(budgets)[:, None] / count, count, axis=1)
             allocations = np.vstack((equilibrium_allocations(level, instance, budgets), equal))
             residuals[level].append(reply_residuals(level, instance, allocations, budgets * 2))
-    rows = []
+    keys, samples = [], []
     for k, budget in enumerate(budgets):
         for level in spec.levels:
-            samples = residuals[level]
-            se, equal = [r[k] for r in samples], [r[K + k] for r in samples]
-            rows.append(_stat_row(budget, f"{level.value}:se", budget, se))
-            rows.append(_stat_row(budget, f"{level.value}:equal", budget, equal))
-    return SweepTable("P_d", tuple(rows), _config_lines(spec))
+            for strategy, column in (("se", k), ("equal", K + k)):
+                keys.append((budget, f"{level.value}:{strategy}", budget))
+                samples.append([r[column] for r in residuals[level]])
+    return SweepTable("P_d", _stat_rows(keys, samples), _config_lines(spec))
 
 
 _GENERATOR_COUNTS = tuple(float(g) for g in range(1, 9))
