@@ -19,8 +19,11 @@ from icisim.scenario import (
     loads,
 )
 from icisim.traffic import (
+    RANK_TOLERANCE,
     StreetGraph,
+    _balancing_street,
     _check_structure,
+    _deflated_lu,
     build_flow_matrix,
     csr_equal,
     network_from_matrix,
@@ -373,6 +376,19 @@ def test_two_generated_grids_fail_rank_check():
             assert svd_rank(np.eye(2 * m) - Q) == 2 * m - 2
             with pytest.raises(RankError):
                 build_flow_matrix(both, rows, cols, shares)
+
+
+def test_grid30_factorisation_keeps_its_fill_reducing_ordering():
+    # L+U holds 136,557 entries under SuperLU's default COLAMD ordering and
+    # 111,611 under MMD_ATA; without the ordering the LU takes about half
+    # as long again.
+    graph = _grid_topology(ScenarioConfig(grid_n=30))
+    net = build_flow_matrix(graph, *_sample_ratios(graph, _rng(0, _STREAM_RATIOS)))
+    lu = _deflated_lu(net.Q, _balancing_street(net.Q))
+    assert lu.shape == (net.n - 1, net.n - 1)
+    assert lu.L.nnz + lu.U.nnz <= 115_000
+    pivots = np.abs(lu.U.diagonal())
+    assert pivots.min() > RANK_TOLERANCE * pivots.max()
 
 
 def _edit_street(k, **changes):
