@@ -95,10 +95,8 @@ def _csv_table(text: str) -> tuple[list[str], list[list[str]]]:
     """The ``#`` and header lines of an experiment CSV, and its rows split
     into fields."""
     lines = text.splitlines()
-    head = [line for line in lines if line.startswith("#")]
-    return head + lines[len(head):len(head) + 1], [
-        line.split(",") for line in lines[len(head) + 1:]
-    ]
+    header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    return lines[:header + 1], [line.split(",") for line in lines[header + 1:]]
 
 
 @pytest.mark.parametrize("experiment", EXPERIMENT_IDS)
