@@ -52,6 +52,7 @@ from .power import PowerAssignment, build_assignment
 from .scenario import Scenario, ScenarioConfig, generate, load, loads, save, scenarios_equal
 from .traffic import (
     FlowNetwork,
+    FlowPattern,
     StreetGraph,
     build_flow_matrix,
     network_from_matrix,

@@ -7,14 +7,18 @@ table, ``_EXPERIMENTS``, gives each experiment id its runner and default
 sweep; four of them sweep one ``ScenarioConfig`` field and share one
 runner.  :func:`run_experiment` is the entry point for all.
 Scenario replicas differ only in seed, so a run is reproducible byte for
-byte from its spec.  A run builds each scenario from its three layers
-(:func:`~icisim.scenario.build_its`, ``build_ci`` and ``build_pg``) through
-a per-run memo keyed on the config fields each layer reads: the seed
-touches only the ITS and PG layers, so all replicas of a sweep point share
-one CI layer; radius-sweep reuses each seed's ITS layer across radii, and
-the generator sweeps reuse the ITS and CI layers across generator counts.
-Scenarios are built in seed order, and the memo is dropped when the run
-ends.  The game is solved once per (replica, level): one
+byte from its spec.  A run builds each scenario from its layers
+(:func:`~icisim.scenario.build_streets`, ``build_its``, ``build_ci`` and
+``build_pg``) through a per-run memo keyed on the config fields each layer
+reads: the seed touches only the ITS and PG layers, so all replicas of a
+sweep point share one street layer and one CI layer.  The street layer
+holds the flow core's analysis of the grid, so after the first replica
+each one only draws its shares and refactors the balance block with the
+stored column order.  radius-sweep reuses each seed's ITS layer across
+radii, and the generator sweeps reuse the ITS and CI layers across
+generator counts.  Scenarios are built in seed order, and the memo is
+dropped when the run ends, so nothing is shared between runs.  The game
+is solved once per (replica, level): one
 :func:`~icisim.game.equilibrium_allocations` fill over all the run's
 budgets and one :func:`~icisim.game.reply_residuals` call give that
 replica's residual at every budget, and the rows are then emitted budget
@@ -43,6 +47,7 @@ from .scenario import (
     CI_FIELDS,
     ITS_FIELDS,
     PG_FIELDS,
+    STREET_FIELDS,
     Scenario,
     ScenarioConfig,
     assemble,
@@ -111,8 +116,15 @@ def _config_lines(spec: ExperimentSpec) -> tuple[str, ...]:
 
 
 # Each scenario layer and the config fields that fix it; the PG layer also
-# reads the stations, so its key holds the CI fields too.
-_LAYER_KEYS = (("its", ITS_FIELDS), ("ci", CI_FIELDS), ("pg", CI_FIELDS + PG_FIELDS))
+# reads the stations, so its key holds the CI fields too.  Every key holds
+# STREET_FIELDS, so a config shares a layer with an earlier one only if it
+# shares the street layer.
+_LAYER_KEYS = (
+    ("streets", STREET_FIELDS),
+    ("its", ITS_FIELDS),
+    ("ci", CI_FIELDS),
+    ("pg", CI_FIELDS + PG_FIELDS),
+)
 
 
 class _Layers:
@@ -129,15 +141,18 @@ class _Layers:
 
     def scenario(self, config: ScenarioConfig) -> Scenario:
         built = self._built
-        its, ci, pg = ((name, *(getattr(config, f) for f in keys)) for name, keys in _LAYER_KEYS)
-        if its not in built and ci not in built and pg not in built:
+        streets, its, ci, pg = (
+            (name, *(getattr(config, f) for f in keys)) for name, keys in _LAYER_KEYS
+        )
+        if streets not in built:
             sc = generate(config)
+            built[streets] = sc.network.pattern
             built[its] = sc.network
             built[ci] = (sc.base_stations, sc.coverage)
             built[pg] = (sc.generators, sc.assignment)
             return sc
         if its not in built:
-            built[its] = build_its(config)
+            built[its] = build_its(config, built[streets])
         if ci not in built:
             built[ci] = build_ci(config, built[its].graph)
         if pg not in built:

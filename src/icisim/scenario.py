@@ -8,14 +8,21 @@ seed: each random component (turning ratios, generator placement,
 connection counts) draws from its own numbered PCG64 stream, so changing
 how many draws one component makes never perturbs the others.  Streams
 are numbered from 1; the topology is deterministic and draws none.
-:func:`generate` builds the three layers in turn -- :func:`build_its`
-(streets, ratios, flows), :func:`build_ci` (tiling, the
+:func:`generate` builds the layers in turn -- :func:`build_streets` (the
+street grid and its turning support, as a
+:class:`~icisim.traffic.FlowPattern`), :func:`build_its` (seeded turning
+shares on those streets, flows), :func:`build_ci` (tiling, the
 :class:`~icisim.coverage.Stations` table, coverage) and :func:`build_pg`
 (generator sites, supply shares) -- and :func:`assemble` adds the impact
 model.  Each builder reads only the config fields named in its
 ``*_FIELDS`` tuple, so a caller building many configs can reuse a layer
-across configs that agree on those fields.  Generation and loading build
-each layer the same way: :func:`~icisim.traffic.network_from_matrix`,
+across configs that agree on those fields.  The street layer is the one
+no seed changes: :func:`generate` builds it afresh, and a caller that
+keeps it, as the experiment runners do for their replicas, has each
+further ITS layer on it only draw shares and refactor the balance block
+with the street layer's stored analysis.  Generation and loading check
+and lay out the ITS layer the same way, through a
+:class:`~icisim.traffic.FlowPattern`, and build the other two with
 :func:`~icisim.coverage.build_coverage` and
 :func:`~icisim.power.build_assignment`.
 
@@ -55,6 +62,7 @@ from .impact import ImpactModel, build_impact_model
 from .power import PowerAssignment, build_assignment
 from .traffic import (
     FlowNetwork,
+    FlowPattern,
     StreetGraph,
     build_flow_matrix,
     csr_entries,
@@ -104,6 +112,8 @@ class ScenarioConfig:
                     raise ValueError(f"{f.name} must be finite, got {value!r}")
         if self.grid_n < 2:
             raise ValueError("grid_n must be at least 2")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if self.street_length <= 0.0 or self.cell_radius <= 0.0:
             raise ValueError("street length and cell radius must be positive")
         if self.num_generators < 1:
@@ -193,24 +203,17 @@ def _grid_topology(config: ScenarioConfig) -> StreetGraph:
     return StreetGraph(tail, head, length, geometry, node, positions)
 
 
-def _sample_ratios(
-    graph: StreetGraph, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-inflow turning shares over the non-reversing outflows.
+def _turning_support(graph: StreetGraph) -> tuple[np.ndarray, np.ndarray]:
+    """The (inflow, outflow) pairs that get a turning share: each inflow's
+    non-reversing outflows.
 
     At two-street (corner) intersections the only forward option is the
     reverse street, so there the reverse is kept in the support; this routes
     the flow back along the perimeter and keeps the whole network mixing.
 
-    Returns the (inflow, outflow, share) triples ordered by intersection id,
-    then inflow id, then outflow id: a stable sort of the streets by head
-    lists the inflows in that order, and one by tail lists each
-    intersection's outflows.  Each inflow's shares are a flat Dirichlet
-    draw, made for all inflows at once: one ``standard_exponential`` draw
-    over every pair in order, each pair's draw times the reciprocal of its
-    inflow's sum.  ``np.bincount`` adds each group in order, which is the
-    arithmetic of ``Generator.dirichlet`` with unit weights, so the shares
-    are the same bits as one ``dirichlet`` call per inflow.
+    The pairs are ordered by intersection id, then inflow id, then outflow
+    id: a stable sort of the streets by head lists the inflows in that
+    order, and one by tail lists each intersection's outflows.
     """
     inflows = np.argsort(graph.head, kind="stable")
     by_tail = np.argsort(graph.tail, kind="stable")
@@ -222,10 +225,23 @@ def _sample_ratios(
     rows, cols = inflows[group], by_tail[_ranges(first, counts)]
     forward = cols != rows ^ 1
     keep = forward | (np.bincount(group, forward, minlength=len(inflows)) < 2)[group]
-    rows, cols, group = rows[keep], cols[keep], group[keep]
+    return rows[keep], cols[keep]
+
+
+def _sample_shares(rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One turning share per pair of inflows ``rows``, as
+    :func:`_turning_support` orders them.
+
+    Each inflow's shares are a flat Dirichlet draw, made for all inflows
+    at once: one ``standard_exponential`` draw over every pair in order,
+    each pair's draw times the reciprocal of its inflow's sum.  An
+    inflow's pairs are adjacent, and ``np.bincount`` adds each inflow's
+    draws in order, which is the arithmetic of ``Generator.dirichlet`` with
+    unit weights, so the shares are the same bits as one ``dirichlet`` call
+    per inflow.
+    """
     draws = rng.standard_exponential(len(rows))
-    shares = draws * (1.0 / np.bincount(group, draws, minlength=len(inflows)))[group]
-    return rows, cols, shares
+    return draws * (1.0 / np.bincount(rows, draws))[rows]
 
 
 def _place_generators(config: ScenarioConfig, rng: np.random.Generator) -> np.ndarray:
@@ -267,25 +283,32 @@ def _wire_generators(
     return np.where(wired, 1.0 / np.maximum(dists, 1e-9), 0.0)
 
 
-# The ScenarioConfig fields each layer builder reads.  The street graph
-# depends only on ``grid_n`` and ``street_length``, which build_ci reads too,
-# so one CI layer serves every config that agrees on CI_FIELDS, whichever
-# seed's graph it was built on; the PG layer reads the stations as well, so
-# it is determined by PG_FIELDS and CI_FIELDS together.
+# The ScenarioConfig fields each layer builder reads.  The street layer
+# depends only on STREET_FIELDS, which build_its and build_ci read too, so
+# one CI layer serves every config that agrees on CI_FIELDS, whichever
+# seed's network it was built with; the PG layer reads the stations as
+# well, so it is determined by PG_FIELDS and CI_FIELDS together.
+STREET_FIELDS = ("grid_n", "street_length")
 ITS_FIELDS = ("grid_n", "street_length", "seed")
 CI_FIELDS = ("grid_n", "street_length", "cell_radius", "p_activation", "power_ratio")
 PG_FIELDS = ("grid_n", "street_length", "num_generators", "seed", "bs_per_generator_range")
 
 
-def build_its(config: ScenarioConfig) -> FlowNetwork:
-    """The ITS layer: street grid, seeded turning ratios and flow network.
+def build_streets(config: ScenarioConfig) -> FlowPattern:
+    """The street layer: the street grid and its turning support, checked
+    once, and analysed on its first network, for the networks of every seed.
 
-    The turning-ratio support of a grid forms one strongly connected
-    component for every seed, so the balance matrix always has rank n-1.
+    The support of a grid forms one strongly connected component, so the
+    balance matrix of every seed's shares has rank n-1.
     """
     graph = _grid_topology(config)
-    ratios = _sample_ratios(graph, _rng(config.seed, _STREAM_RATIOS))
-    return build_flow_matrix(graph, *ratios)
+    return FlowPattern(graph, *_turning_support(graph))
+
+
+def build_its(config: ScenarioConfig, streets: FlowPattern) -> FlowNetwork:
+    """The ITS layer: seeded turning shares on ``streets`` and the flow network."""
+    shares = _sample_shares(streets.rows, _rng(config.seed, _STREAM_RATIOS))
+    return build_flow_matrix(streets, shares)
 
 
 def build_ci(config: ScenarioConfig, graph: StreetGraph) -> tuple[Stations, CoverageMap]:
@@ -324,7 +347,7 @@ def assemble(
 
 def generate(config: ScenarioConfig) -> Scenario:
     """Deterministically build a scenario from its config and seed."""
-    network = build_its(config)
+    network = build_its(config, build_streets(config))
     ci = build_ci(config, network.graph)
     return assemble(config, network, ci, build_pg(config, ci[0]))
 

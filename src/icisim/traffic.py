@@ -32,12 +32,33 @@ saves.  The two settings take the grid-30 LU from about 12 to 7.6 ms.
 Pivoting stays partial, since a hand-written network's block need not be
 an M-matrix.
 
+A network is built in two parts, the way sparse direct solvers analyse a
+pattern once and refactor it for new values (KLU; Davis and Palamadai
+Natarajan, ACM TOMS 37(3), 2010).  A :class:`FlowPattern` holds what the
+street graph and the turning support fix: the graph and head-to-tail
+checks, the CSR layout of ``Q``, the strongly connected classes, the
+balancing street ``k``, the layout of the deflated block and, once that
+has been factored, SuperLU's column order.  The numeric part, which
+:func:`build_flow_matrix` and :func:`network_from_matrix` both end in,
+scatters the shares into that layout, checks them and factors the block.
+A later network on the same pattern object factors the block with its
+columns already in the stored order (``permc_spec="NATURAL"``), which
+skips the ordering and leaves the same factors, pivots and null vector
+bit for bit.  (The one exception is a diagonal entry that ties its
+column's largest: SuperLU prefers the diagonal pivot then, and the
+permuted block's nominal diagonal is another entry.  Generated shares
+leave no such ties.)  A network whose support has several classes of
+more than one street, or that lost a pair to an exact zero share, is
+analysed for itself.
+
 Flows are veh/h/lane, positions and lengths are km.  All objects here are
-immutable after construction and safe for concurrent reads.
+immutable after construction and safe for concurrent reads, except that a
+pattern records its column order on its first factorisation; two threads
+that factor a new pattern at once both find, and store, the same order.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from typing import Sequence
 
@@ -105,11 +126,18 @@ class FlowNetwork:
 
     ``Q[r, c]`` is the share linking inflow street ``r`` to outflow street
     ``c`` at the intersection ``head(r) == tail(c)``.  ``Q`` is a CSR array
-    with sorted column indices and no stored zeros.
+    with sorted column indices and no stored zeros, on the support of the
+    ``pattern`` it was built on, less any pair whose share is exactly 0.
+    Networks come from :func:`build_flow_matrix` and
+    :func:`network_from_matrix`.
     """
 
-    graph: StreetGraph
+    pattern: FlowPattern
     Q: scipy.sparse.csr_array
+
+    @property
+    def graph(self) -> StreetGraph:
+        return self.pattern.graph
 
     @property
     def n(self) -> int:
@@ -129,7 +157,7 @@ class FlowNetwork:
         scalar multiple of this vector.  Its largest-magnitude entry is
         positive.
         """
-        return _null_vector(self.Q)
+        return _null_vector(self.Q, self.pattern)
 
 
 def csr_entries(M: scipy.sparse.csr_array) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -177,9 +205,12 @@ def _check_structure(graph: StreetGraph) -> None:
     found = at < len(graph.node_ids)
     found[found] = graph.node_ids[at[found]] == ends[found]
     known = found.all(axis=1)
-    off = np.zeros(len(known), dtype=bool)
-    xy = geometry[known].reshape(-1, 2, 2)
-    off[known] = (np.abs(xy - graph.positions[at[known]]) > 1e-9).any(axis=(1, 2))
+    off = ~known
+    if len(graph.node_ids):
+        # An unknown end is compared with intersection 0: its street is
+        # reported as unknown whatever the comparison gives.
+        near = graph.positions[np.where(found, at, 0)].reshape(-1, 4)
+        off = (np.abs(geometry - near) > 1e-9).any(axis=1)
     bad = ~known | off
     if bad.any():
         k = int(np.argmax(bad))
@@ -191,134 +222,299 @@ def _check_structure(graph: StreetGraph) -> None:
         )
 
 
-def _balancing_street(Q: scipy.sparse.csr_array) -> int:
-    """A street ``k`` for which fixing ``v[k] = 1`` leaves a nonsingular block.
+@dataclass(frozen=True, eq=False)
+class FlowPattern:
+    """A street graph and the support of its turning ratios, checked and
+    laid out once for every set of shares on them.
 
-    Ordered by the strongly connected classes of ``Q``'s support, ``A`` is
+    Triple ``e`` routes inflow street ``rows[e]`` to outflow street
+    ``cols[e]``; a pair may repeat.  Construction checks the graph
+    (ValueError, as :func:`_check_structure` reports) and raises
+    TopologyError for the first triple, in triple order, that names an
+    unknown street, and then for the first pair, in row-major order, whose
+    streets do not meet head to tail.  ``indptr`` and ``indices`` are the
+    canonical CSR layout of the pairs, and ``slot[e]`` is the entry that
+    triple ``e`` adds its share to, so ``cols[e]`` is
+    ``indices[slot[e]]``.  ``rows`` and the layout are read-only int32
+    arrays, kept small because every network holds its pattern.
+    """
+
+    graph: StreetGraph
+    rows: np.ndarray
+    cols: InitVar[np.ndarray]
+    slot: np.ndarray = field(init=False, repr=False)
+    indptr: np.ndarray = field(init=False, repr=False)
+    indices: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self, cols) -> None:
+        graph = self.graph
+        _check_structure(graph)
+        n = graph.n
+        rows = np.asarray(self.rows, dtype=np.int64).reshape(-1)
+        cols = np.asarray(cols, dtype=np.int64).reshape(rows.shape)
+        if rows.size and (min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= n):
+            e = np.flatnonzero((rows < 0) | (rows >= n) | (cols < 0) | (cols >= n))[0]
+            raise TopologyError(
+                f"turning ratio references unknown street pair ({rows[e]}, {cols[e]})"
+            )
+        # np.unique(keys, return_inverse=True), with a stable sort, which is
+        # linear on an already sorted input such as a loaded file's.
+        keys = rows * n + cols
+        order = np.argsort(keys, kind="stable")
+        ordered = keys[order]
+        first = np.ones(len(keys), dtype=bool)
+        first[1:] = ordered[1:] != ordered[:-1]
+        slot = np.empty(len(keys), dtype=np.int32)
+        slot[order] = np.cumsum(first) - 1
+        pair_rows, pair_cols = rows[order[first]], cols[order[first]]
+        apart = np.flatnonzero(graph.head[pair_rows] != graph.tail[pair_cols])
+        if apart.size:
+            j, k = int(pair_rows[apart[0]]), int(pair_cols[apart[0]])
+            raise TopologyError(
+                f"ratio matrix entry ({j}, {k}) links streets that do not meet head-to-tail"
+            )
+        indptr = np.append(0, np.cumsum(np.bincount(pair_rows, minlength=n)))
+        for name, value in (
+            ("rows", rows.astype(np.int32)),
+            ("slot", slot),
+            ("indptr", indptr.astype(np.int32)),
+            ("indices", pair_cols.astype(np.int32)),
+        ):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+
+    @property
+    def nnz(self) -> int:
+        return len(self.indices)
+
+    @cached_property
+    def has_outflow(self) -> np.ndarray:
+        """Whether each street's head intersection has outflows, so that
+        its shares must sum to 1."""
+        return np.isin(self.graph.head, self.graph.tail)
+
+    @cached_property
+    def _analysis(self) -> tuple[_DeflatedBlock | None, list[np.ndarray]]:
+        return _analyse(self.indptr, self.indices)
+
+
+def _analyse(
+    indptr: np.ndarray, indices: np.ndarray
+) -> tuple[_DeflatedBlock | None, list[np.ndarray]]:
+    """What a CSR support of ``Q`` fixes about its null vector.
+
+    Ordered by the strongly connected classes of the support, ``A`` is
     block triangular, so it has rank ``n - 1`` exactly when one class's
     diagonal block is singular, with nullity 1, and every other one is not.
-    A one-street class has the block ``[1]``.  If at most one class has more
-    streets, as in every generated network, its first street is returned
-    unfactored; otherwise the first street of the first class that passes
-    the deflated rank test on its own.  With nonnegative shares (which
-    :func:`network_from_matrix` ensures) summing to at most 1 per street, no
-    entry of a singular class's null vectors vanishes (Perron-Frobenius), so
-    any of its streets serves.  If no class passes, street 0 is returned and
-    the solve on the whole network raises the RankError.
+    A one-street class has the block ``[1]``.  If at most one class has
+    more streets, as in every generated network, that class is the
+    singular one whenever any is, and its first street serves as ``k``
+    whatever the shares (see :func:`_balancing_street`): the deflated
+    block at that street is returned, and no classes.  Otherwise ``k``
+    depends on the shares, and the result is no block and the streets of
+    each class of several streets.
     """
-    _, labels = connected_components(Q, directed=True, connection="strong")
+    n = len(indptr) - 1
+    support = scipy.sparse.csr_array((np.ones(len(indices)), indices, indptr), shape=(n, n))
+    _, labels = connected_components(support, directed=True, connection="strong")
     sizes = np.bincount(labels)
     classes = np.flatnonzero(sizes > 1)
     if classes.size <= 1:
-        return int(np.argmax(sizes[labels] > 1))
-    for label in classes:
-        members = np.flatnonzero(labels == label)
+        return _DeflatedBlock(indptr, indices, int(np.argmax(sizes[labels] > 1))), []
+    return None, [np.flatnonzero(labels == label) for label in classes]
+
+
+class _DeflatedBlock:
+    """``I - Q`` without row and column ``k``, laid out once for every
+    ``Q`` on one CSR support, and factored with the ordering and supernode
+    settings the module docstring gives.
+
+    The first factorisation orders the columns by ``MMD_ATA`` and keeps
+    SuperLU's column order; a later one factors the block with its columns
+    already in that order, under ``NATURAL``.
+    """
+
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray, k: int) -> None:
+        n = len(indptr) - 1
+        rows = np.repeat(np.arange(n, dtype=np.int32), np.diff(indptr))
+        # Deflate: with v[k] = 1 the other rows of A v = 0 read
+        # (I - Q)[~k, ~k] y = Q[~k, k]; indices past k shift down by one.
+        kept = np.flatnonzero((rows != k) & (indices != k))
+        block_rows, block_cols = rows[kept], indices[kept]
+        block_rows -= block_rows > k
+        block_cols -= block_cols > k
+        diag = np.arange(n - 1, dtype=np.int32)
+        # The block in CSC, holding for each entry its position in
+        # np.append(Q.data, -1.0): the diagonal takes the -1.0.
+        layout = scipy.sparse.coo_array(
+            (np.concatenate((np.full(n - 1, len(indices)), kept)).astype(np.int32),
+             (np.concatenate((diag, block_rows)), np.concatenate((diag, block_cols)))),
+            shape=(n - 1, n - 1),
+        ).tocsc()
+        into_rhs = np.flatnonzero((rows != k) & (indices == k))
+        self.k = k
+        self.indptr, self.indices, self.source = layout.indptr, layout.indices, layout.data
+        self.rhs_rows = rows[into_rhs] - (rows[into_rhs] > k)
+        self.rhs_source = into_rhs
+        self.row_k = np.arange(indptr[k], indptr[k + 1])
+        self.row_k_cols = indices[self.row_k]
+        # SuperLU's column order, from the first factorisation.
+        self.perm_c: np.ndarray | None = None
+        self._ordered: tuple[np.ndarray, ...] | None = None
+
+    def _ordered_layout(self) -> tuple[np.ndarray, ...]:
+        """The block with its columns in the stored order: the order, the
+        block's ``indptr`` and ``indices``, and each entry's place in the
+        natural layout."""
+        if self._ordered is None:
+            order = np.argsort(self.perm_c)
+            counts = np.diff(self.indptr)[order]
+            take = np.repeat(self.indptr[order] - np.cumsum(counts) + counts, counts)
+            take += np.arange(len(take))
+            self._ordered = (order, np.append(0, np.cumsum(counts)), self.indices[take], take)
+        return self._ordered
+
+    def factor(self, data: np.ndarray) -> tuple[scipy.sparse.linalg.SuperLU, np.ndarray | None]:
+        """SuperLU factors of the block of ``Q.data``, and the column order
+        applied to the block before it was factored (None on the first
+        factorisation, which finds and keeps SuperLU's order).
+
+        RankError unless every pivot exceeds ``RANK_TOLERANCE`` times the
+        largest.
+        """
+        m = len(self.indptr) - 1
+        values = -np.append(data, -1.0)[self.source]
+        order = None
         try:
-            _deflated_null_vector(Q[members][:, members], 0)
+            if self.perm_c is None:
+                block = scipy.sparse.csc_array((values, self.indices, self.indptr), shape=(m, m))
+                lu = splu(block, permc_spec="MMD_ATA", relax=1, panel_size=1)
+                # A copy: ``lu.perm_c`` is a view that keeps the factors alive.
+                self.perm_c = lu.perm_c.copy()
+            else:
+                order, indptr, indices, take = self._ordered_layout()
+                block = scipy.sparse.csc_array((values[take], indices, indptr), shape=(m, m))
+                lu = splu(block, permc_spec="NATURAL", relax=1, panel_size=1)
+            pivots = np.abs(lu.U.diagonal())
+            singular = not pivots.min() > RANK_TOLERANCE * pivots.max()
+        except RuntimeError:  # SuperLU found an exactly zero pivot
+            singular = True
+        if singular:
+            raise RankError(
+                f"balance matrix has rank below {m}: without street {self.k} the balance "
+                "equations are singular; the street network is disconnected"
+            )
+        return lu, order
+
+    def null_vector(self, data: np.ndarray) -> np.ndarray:
+        """Null vector of ``I - Q`` scaled to ``v[k] = 1``; RankError unless rank n-1."""
+        k = self.k
+        lu, order = self.factor(data)
+        rhs = np.zeros(len(self.indptr) - 1)
+        rhs[self.rhs_rows] = data[self.rhs_source]
+        y = lu.solve(rhs)
+        if order is not None:
+            y[order] = y.copy()
+        v = np.concatenate((y[:k], [1.0], y[k:]))
+        # Row k of A v = 0, left out of the block, is the Schur complement of the
+        # block: unless it vanishes, A is nonsingular.
+        terms = np.append(1.0, -data[self.row_k] * v[self.row_k_cols])
+        if abs(terms.sum()) > RANK_TOLERANCE * np.abs(terms).sum():
+            raise RankError(
+                f"balance matrix has full rank {len(v)}, expected {len(v) - 1}; "
+                "the street network is over-constrained"
+            )
+        return v
+
+
+def _balancing_street(Q: scipy.sparse.csr_array, classes: Sequence[np.ndarray]) -> int:
+    """A street ``k`` for which fixing ``v[k] = 1`` leaves a nonsingular
+    block, among the ``classes`` of several streets that :func:`_analyse`
+    found: the first street of the first class that passes the deflated
+    rank test on its own.
+
+    With nonnegative shares (which :func:`network_from_matrix` ensures)
+    summing to at most 1 per street, no entry of a singular class's null
+    vectors vanishes (Perron-Frobenius), so any of its streets serves.  If
+    no class passes, street 0 is returned and the solve on the whole
+    network raises the RankError.
+    """
+    for members in classes:
+        sub = Q[members][:, members]
+        try:
+            _DeflatedBlock(sub.indptr, sub.indices, 0).null_vector(sub.data)
         except RankError:
             continue
         return int(members[0])
     return 0
 
 
-def _deflated_lu(Q: scipy.sparse.csr_array, k: int) -> scipy.sparse.linalg.SuperLU:
-    """SuperLU factors of ``I - Q`` without row and column ``k``, with the
-    ordering and supernode settings the module docstring gives.
-
-    RankError unless every pivot exceeds ``RANK_TOLERANCE`` times the
-    largest.
-    """
-    n = Q.shape[0]
-    rows, cols, shares = csr_entries(Q)
-    # Deflate: with v[k] = 1 the other rows of A v = 0 read
-    # (I - Q)[~k, ~k] y = Q[~k, k]; indices past k shift down by one.
-    keep = (rows != k) & (cols != k)
-    diag = np.arange(n - 1)
-    block = scipy.sparse.csc_array(
-        (np.concatenate((np.ones(n - 1), -shares[keep])),
-         (np.concatenate((diag, rows[keep] - (rows[keep] > k))),
-          np.concatenate((diag, cols[keep] - (cols[keep] > k))))),
-        shape=(n - 1, n - 1),
-    )
-    try:
-        lu = splu(block, permc_spec="MMD_ATA", relax=1, panel_size=1)
-        pivots = np.abs(lu.U.diagonal())
-        singular = not pivots.min() > RANK_TOLERANCE * pivots.max()
-    except RuntimeError:  # SuperLU found an exactly zero pivot
-        singular = True
-    if singular:
-        raise RankError(
-            f"balance matrix has rank below {n - 1}: without street {k} the balance "
-            "equations are singular; the street network is disconnected"
-        )
-    return lu
-
-
-def _deflated_null_vector(Q: scipy.sparse.csr_array, k: int) -> np.ndarray:
-    """Null vector of ``I - Q`` scaled to ``v[k] = 1``; RankError unless rank n-1."""
-    n = Q.shape[0]
-    lu = _deflated_lu(Q, k)
-    rows, cols, shares = csr_entries(Q)
-    into_rhs = (rows != k) & (cols == k)
-    rhs = np.zeros(n - 1)
-    rhs[rows[into_rhs] - (rows[into_rhs] > k)] = shares[into_rhs]
-    y = lu.solve(rhs)
-    v = np.concatenate((y[:k], [1.0], y[k:]))
-    # Row k of A v = 0, left out of the block, is the Schur complement of the
-    # block: unless it vanishes, A is nonsingular.
-    terms = np.append(1.0, -shares[rows == k] * v[cols[rows == k]])
-    if abs(terms.sum()) > RANK_TOLERANCE * np.abs(terms).sum():
-        raise RankError(
-            f"balance matrix has full rank {n}, expected {n - 1}; "
-            "the street network is over-constrained"
-        )
-    return v
-
-
-def _null_vector(Q: scipy.sparse.csr_array) -> np.ndarray:
+def _null_vector(Q: scipy.sparse.csr_array, pattern: FlowPattern) -> np.ndarray:
     n = Q.shape[0]
     if n < 2:
         # Q links no street to itself, so A = I - Q is the identity here.
         raise RankError(f"balance matrix has rank {n}, expected {n - 1}; too few streets")
-    v = _deflated_null_vector(Q, _balancing_street(Q))
+    # Q lies on the pattern's support, so with as many entries it has that support.
+    if Q.nnz == pattern.nnz:
+        block, classes = pattern._analysis
+    else:
+        block, classes = _analyse(Q.indptr, Q.indices)
+    if block is None:
+        block = _DeflatedBlock(Q.indptr, Q.indices, _balancing_street(Q, classes))
+    v = block.null_vector(Q.data)
     v /= np.linalg.norm(v)
     return v if v[np.argmax(np.abs(v))] > 0.0 else -v
 
 
-def build_flow_matrix(graph: StreetGraph, rows, cols, shares) -> FlowNetwork:
+def _network(pattern: FlowPattern, shares: np.ndarray) -> FlowNetwork:
+    """The network of one share per triple of ``pattern``, factorised.
+
+    The shares of a repeated pair add up, and every sum must be a finite
+    nonnegative share (ValueError at the first that is not, in row-major
+    order); a pair whose sum is exactly 0 is left out of ``Q``.
+    """
+    n = pattern.graph.n
+    data = np.bincount(pattern.slot, shares, minlength=pattern.nnz)
+    bad = np.flatnonzero(~(np.isfinite(data) & (data >= 0.0)))
+    if bad.size:
+        e = bad[0]
+        j = int(np.searchsorted(pattern.indptr, e, side="right")) - 1
+        raise ValueError(
+            f"ratio matrix entry ({j}, {int(pattern.indices[e])}) is {float(data[e])!r}, "
+            "not a finite nonnegative share"
+        )
+    Q = scipy.sparse.csr_array((data, pattern.indices, pattern.indptr), shape=(n, n), copy=True)
+    if not data.all():
+        Q.eliminate_zeros()
+    net = FlowNetwork(pattern, Q)
+    net.null_vector  # factorise now so a rank failure surfaces at construction
+    return net
+
+
+def build_flow_matrix(pattern: FlowPattern, shares) -> FlowNetwork:
     """Assemble the balance system from per-inflow turning ratios.
 
-    ``shares[e]`` is the share of inflow street ``rows[e]`` routed to
-    outflow street ``cols[e]``, and the shares of a repeated pair add up.
-    Shares must be nonnegative, and those of each inflow street whose head
-    has outflows must sum to 1.  The matrix then goes through
-    :func:`network_from_matrix`, which checks the graph, the placement of
-    every pair and the rank.
-
-    Raises TopologyError for a ratio on an unknown street or on a street
-    pair that does not meet, and RankError when the resulting balance
-    matrix does not have rank n-1.
+    ``shares[e]`` is the share of inflow street ``pattern.rows[e]`` routed
+    to outflow street ``pattern.cols[e]``, and the shares of a repeated
+    pair add up.  Shares must be nonnegative, and those of each inflow
+    street whose head has outflows must sum to 1 (ValueError otherwise).
+    The pattern has checked the graph and the placement of every pair;
+    RankError when the resulting balance matrix does not have rank n-1.
     """
-    n = graph.n
-    rows = np.asarray(rows, dtype=np.int64).reshape(-1)
-    cols = np.asarray(cols, dtype=np.int64).reshape(rows.shape)
-    shares = np.asarray(shares, dtype=float).reshape(rows.shape)
-    known = (rows >= 0) & (rows < n) & (cols >= 0) & (cols < n)
-    bad = ~known | (shares < 0.0)
-    if bad.any():
-        i = int(np.argmax(bad))
-        j, k = int(rows[i]), int(cols[i])
-        if not known[i]:
-            raise TopologyError(f"turning ratio references unknown street pair ({j}, {k})")
+    rows = pattern.rows
+    shares = np.asarray(shares, dtype=float).reshape(-1)
+    if shares.shape != rows.shape:
+        raise ValueError(f"expected {rows.size} turning shares, one per pair, got {shares.size}")
+    negative = np.flatnonzero(shares < 0.0)
+    if negative.size:
+        e = negative[0]
+        j, k = int(rows[e]), int(pattern.indices[pattern.slot[e]])
         raise ValueError(f"turning ratio for ({j}, {k}) is negative")
-
-    # A street whose head intersection has outflows must split all of it.
-    has_outflow = np.isin(graph.head, graph.tail)
-    row_sums = np.bincount(rows, shares, minlength=n)
-    bad_rows = np.nonzero(has_outflow & (np.abs(row_sums - 1.0) > 1e-9))[0]
+    row_sums = np.bincount(rows, shares, minlength=pattern.graph.n)
+    bad_rows = np.flatnonzero(pattern.has_outflow & (np.abs(row_sums - 1.0) > 1e-9))
     if bad_rows.size:
         raise ValueError(f"outflow shares of inflow streets {bad_rows.tolist()} do not sum to 1")
-    return network_from_matrix(graph, scipy.sparse.coo_array((shares, (rows, cols)), shape=(n, n)))
+    return _network(pattern, shares)
 
 
 def network_from_matrix(graph: StreetGraph, Q) -> FlowNetwork:
@@ -326,38 +522,27 @@ def network_from_matrix(graph: StreetGraph, Q) -> FlowNetwork:
 
     ``Q`` may be dense or any ``scipy.sparse`` matrix; it is stored as a
     canonical CSR array, with duplicate entries of a sparse input summed.
-    This is the one way into the ITS layer: it checks the street graph,
-    that every stored entry, zero or not, links streets meeting
-    head-to-tail (TopologyError otherwise), that every entry, once
-    duplicates are summed, is a finite nonnegative share (ValueError
-    otherwise), and the rank invariant.  Row normalisation is not required
-    here, so externally authored conventions remain loadable.
+    This is the way into the ITS layer for a loaded file: its stored
+    entries, zero or not, form a :class:`FlowPattern`, which checks the
+    street graph and that each entry links streets meeting head-to-tail
+    (TopologyError otherwise); every entry, once duplicates are summed,
+    must be a finite nonnegative share (ValueError otherwise), and the
+    rank is checked.  Row normalisation is not required here, so
+    externally authored conventions remain loadable.
     """
-    _check_structure(graph)
     n = graph.n
-    if not scipy.sparse.issparse(Q):
+    if scipy.sparse.issparse(Q):
+        Q = scipy.sparse.coo_array(Q)
+    else:
         Q = np.asarray(Q, dtype=float)
     if Q.shape != (n, n):
         raise ValueError(f"ratio matrix has shape {Q.shape}, expected {(n, n)}")
-    Q = scipy.sparse.csr_array(Q, dtype=float, copy=True)
-    Q.sum_duplicates()
-    rows, cols, shares = csr_entries(Q)
-    apart = np.nonzero(graph.head[rows] != graph.tail[cols])[0]
-    if apart.size:
-        j, k = int(rows[apart[0]]), int(cols[apart[0]])
-        raise TopologyError(
-            f"ratio matrix entry ({j}, {k}) links streets that do not meet head-to-tail"
-        )
-    bad = np.flatnonzero(~(np.isfinite(shares) & (shares >= 0.0)))
-    if bad.size:
-        j, k, share = int(rows[bad[0]]), int(cols[bad[0]]), float(shares[bad[0]])
-        raise ValueError(
-            f"ratio matrix entry ({j}, {k}) is {share!r}, not a finite nonnegative share"
-        )
-    Q.eliminate_zeros()
-    net = FlowNetwork(graph, Q)
-    net.null_vector  # factorise now so a rank failure surfaces at construction
-    return net
+    if isinstance(Q, np.ndarray):
+        rows, cols = np.nonzero(Q)
+        shares = Q[rows, cols]
+    else:
+        rows, cols, shares = Q.row, Q.col, np.asarray(Q.data, dtype=float)
+    return _network(FlowPattern(graph, rows, cols), shares)
 
 
 def _anchor_entries(net: FlowNetwork, streets: Sequence[int]) -> np.ndarray:

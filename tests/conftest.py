@@ -7,8 +7,10 @@ import pytest
 from icisim.game import GameInstance
 from icisim.impact import ImpactModel
 from icisim.power import PowerAssignment
-from icisim.scenario import ScenarioConfig, generate
-from icisim.traffic import FlowNetwork, StreetGraph, build_flow_matrix
+from icisim.scenario import (
+    _STREAM_RATIOS, ScenarioConfig, _rng, _sample_shares, _turning_support, generate,
+)
+from icisim.traffic import FlowNetwork, FlowPattern, StreetGraph, build_flow_matrix
 
 
 def street_graph(ends, positions) -> StreetGraph:
@@ -38,10 +40,21 @@ def ratios(shares: dict) -> tuple[list, list, list]:
     return [j for j, _ in shares], [k for _, k in shares], list(shares.values())
 
 
+def flow_network(graph: StreetGraph, rows, cols, shares) -> FlowNetwork:
+    """The network of (rows, cols, shares) triples on a fresh pattern."""
+    return build_flow_matrix(FlowPattern(graph, rows, cols), shares)
+
+
+def sampled_ratios(graph: StreetGraph, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A grid's (rows, cols, shares) triples as ``build_its`` draws them."""
+    rows, cols = _turning_support(graph)
+    return rows, cols, _sample_shares(rows, _rng(seed, _STREAM_RATIOS))
+
+
 def cycle_network() -> FlowNetwork:
     """Two streets forming the smallest conserving cycle."""
     graph = street_graph([(0, 1), (1, 0)], {0: (0.0, 0.0), 1: (1.0, 0.0)})
-    return build_flow_matrix(graph, *ratios({(0, 1): 1.0, (1, 0): 1.0}))
+    return flow_network(graph, *ratios({(0, 1): 1.0, (1, 0): 1.0}))
 
 
 def parallel_pair_network(ratio: float = 0.5) -> FlowNetwork:
@@ -58,7 +71,7 @@ def parallel_pair_network(ratio: float = 0.5) -> FlowNetwork:
         (1, 0): ratio, (1, 2): 1.0 - ratio,
         (3, 0): 1.0 - ratio, (3, 2): ratio,
     }
-    return build_flow_matrix(graph, *ratios(shares))
+    return flow_network(graph, *ratios(shares))
 
 
 def synthetic_impact(z_scores: np.ndarray, headroom: np.ndarray, delta: float = 1.0) -> ImpactModel:

@@ -221,9 +221,11 @@ def test_non_finite_config_exits_2(tmp_path, capsys, command, settings):
         ({"grid_n": 3, "budget": True}, "budget must be a number, got True"),
         ({"grid_n": 3, "bs_per_generator_range": 3}, "bs_per_generator_range must be a pair"),
         ({"grid_n": 3, "bs_per_generator_range": [1, 2, 3]}, "bs_per_generator_range must be"),
+        ({"grid_n": 3, "seed": -1}, "seed must be nonnegative"),
     ],
     ids=["float grid_n", "float num_generators", "bool seed", "float range", "negative delta",
-         "zero delta", "string budget", "bool budget", "int range", "three-int range"],
+         "zero delta", "string budget", "bool budget", "int range", "three-int range",
+         "negative seed"],
 )
 def test_invalid_config_exits_2(tmp_path, capsys, settings, message):
     cfg = tmp_path / "cfg.json"
@@ -242,6 +244,18 @@ def test_io_errors_exit_3(tmp_path, capsys):
         "--out-dir", str(blocker),
     ])
     assert code == 3
+
+
+def test_inspect_rejects_a_negative_seed(tmp_path, capsys):
+    text = (Path(__file__).parent / "data" / "scenario-grid4-seed0-v2.txt").read_text(
+        encoding="utf-8"
+    )
+    path = tmp_path / "negative-seed.txt"
+    path.write_text(text.replace("\nseed = 0\n", "\nseed = -1\n"), encoding="utf-8")
+    assert main(["inspect", str(path)]) == 2
+    assert "[config] seed must be nonnegative" in capsys.readouterr().err
+    assert main(["generate", "--seed", "-1", "--out", str(tmp_path / "s.txt")]) == 2
+    assert "seed must be nonnegative" in capsys.readouterr().err
 
 
 def test_inspect_rejects_overlapping_cells(capsys):

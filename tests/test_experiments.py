@@ -12,8 +12,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
-from icisim import experiments
+from icisim import experiments, traffic
 from icisim.cli import main as cli_main
 from icisim.experiments import (
     ExperimentSpec,
@@ -204,6 +205,41 @@ def test_shared_layers_give_the_generated_scenarios(monkeypatch, experiment):
     assert len(scenarios) == values * spec.reps
     for sc in scenarios:
         assert scenarios_equal(sc, generate(sc.config)), sc.config
+
+
+@pytest.mark.parametrize(
+    "experiment, sweep, reps, patterns",
+    [
+        ("allocation-compare", (0.25, 1.0), 10, 1),
+        ("scale-sweep", (4.0, 6.0, 8.0), 2, 3),
+        ("radius-sweep", (0.9, 1.2), 3, 1),
+    ],
+)
+def test_each_run_analyses_each_street_pattern_once(
+    monkeypatch, experiment, sweep, reps, patterns
+):
+    # One street layer per grid size and run: the first replica orders the
+    # block's columns, and every later one refactors in that order.  A
+    # second run builds its own layers; nothing is kept between runs.
+    built, specs = [], []
+    post_init = traffic.FlowPattern.__post_init__
+
+    def counted(pattern, cols):
+        built.append(pattern.graph.n)
+        post_init(pattern, cols)
+
+    def recorded(*args, permc_spec, **kwargs):
+        specs.append(permc_spec)
+        return splu(*args, permc_spec=permc_spec, **kwargs)
+
+    monkeypatch.setattr(traffic.FlowPattern, "__post_init__", counted)
+    monkeypatch.setattr(traffic, "splu", recorded)
+    spec = _spec(experiment, sweep=sweep, reps=reps, levels=LEVELS[:1], budgets=(0.0,))
+    first = run_experiment(spec)
+    assert len(built) == patterns
+    assert specs == (["MMD_ATA"] + ["NATURAL"] * (reps - 1)) * patterns
+    assert run_experiment(spec) == first
+    assert len(built) == 2 * patterns and len(specs) == 2 * patterns * reps
 
 
 def test_generator_experiments_run_both_modes():

@@ -23,17 +23,18 @@ from icisim.scenario import (
     CI_FIELDS,
     ITS_FIELDS,
     PG_FIELDS,
+    STREET_FIELDS,
     Scenario,
     ScenarioConfig,
     _grid_topology,
     _place_generators,
     _rng,
-    _sample_ratios,
     _tables_equal,
     _wire_generators,
     build_ci,
     build_its,
     build_pg,
+    build_streets,
     dumps,
     generate,
     load,
@@ -43,6 +44,7 @@ from icisim.scenario import (
 )
 from icisim.traffic import csr_entries, csr_equal, network_from_matrix, solve_flows
 
+from conftest import sampled_ratios
 from oracles import (
     Street,
     dict_ratios,
@@ -129,17 +131,23 @@ def _vary(data, base: ScenarioConfig, other: ScenarioConfig, keep: tuple[str, ..
 @given(base=_CONFIGS, other=_CONFIGS, data=st.data())
 def test_layer_builders_read_only_their_fields(base, other, data):
     # Each builder, on the same inputs, ignores every field outside its tuple.
-    its = build_its(base)
+    streets = build_streets(base)
+    its = build_its(base, streets)
     ci = build_ci(base, its.graph)
-    assert _its_equal(build_its(_vary(data, base, other, ITS_FIELDS)), its)
+    changed = _vary(data, base, other, STREET_FIELDS)
+    assert _its_equal(build_its(base, build_streets(changed)), its)
+    assert _its_equal(build_its(_vary(data, base, other, ITS_FIELDS), streets), its)
     assert _ci_equal(build_ci(_vary(data, base, other, CI_FIELDS), its.graph), ci)
     assert _pg_equal(build_pg(_vary(data, base, other, PG_FIELDS), ci[0]), build_pg(base, ci[0]))
-    # Along generate's chain, a CI layer is fixed by CI_FIELDS whichever
-    # seed built the graph, and a PG layer by CI_FIELDS and PG_FIELDS.
+    # Along generate's chain, an ITS layer is fixed by ITS_FIELDS, a CI
+    # layer by CI_FIELDS whichever seed built the network, and a PG layer
+    # by CI_FIELDS and PG_FIELDS.
+    changed = _vary(data, base, other, ITS_FIELDS)
+    assert _its_equal(build_its(changed, build_streets(changed)), its)
     changed = _vary(data, base, other, CI_FIELDS)
-    assert _ci_equal(build_ci(changed, build_its(changed).graph), ci)
+    assert _ci_equal(build_ci(changed, build_its(changed, build_streets(changed)).graph), ci)
     changed = _vary(data, base, other, CI_FIELDS + PG_FIELDS)
-    stations = build_ci(changed, build_its(changed).graph)[0]
+    stations = build_ci(changed, build_its(changed, build_streets(changed)).graph)[0]
     assert _pg_equal(build_pg(changed, stations), build_pg(base, ci[0]))
 
 
@@ -202,7 +210,7 @@ def test_one_draw_ratios_equal_per_inflow_dirichlet():
         graph = _grid_topology(ScenarioConfig(grid_n=grid_n))
         streets, nodes = object_topology(ScenarioConfig(grid_n=grid_n))
         for seed in range(4):
-            rows, cols, shares = _sample_ratios(graph, _rng(seed, _STREAM_RATIOS))
+            rows, cols, shares = sampled_ratios(graph, seed)
             oracle = dirichlet_ratios(streets, nodes, _rng(seed, _STREAM_RATIOS))
             assert (rows.tolist(), cols.tolist(), shares.tolist()) == _triples(oracle)
 
@@ -231,7 +239,7 @@ def test_argsort_ratios_equal_dict_oracle():
         graph = _grid_topology(ScenarioConfig(grid_n=grid_n))
         streets, nodes = object_topology(ScenarioConfig(grid_n=grid_n))
         for seed in range(4):
-            rows, cols, shares = _sample_ratios(graph, _rng(seed, _STREAM_RATIOS))
+            rows, cols, shares = sampled_ratios(graph, seed)
             oracle = dict_ratios(streets, nodes, _rng(seed, _STREAM_RATIOS))
             assert (rows.tolist(), cols.tolist()) == _triples(oracle)[:2], (grid_n, seed)
             assert np.array_equal(shares, np.array(list(oracle.values()))), (grid_n, seed)
@@ -274,7 +282,7 @@ def test_ratio_support_is_one_strong_component():
     # The support does not depend on the seed.
     for grid_n in range(2, 13):
         graph = _grid_topology(ScenarioConfig(grid_n=grid_n))
-        rows, cols, _ = _sample_ratios(graph, _rng(0, _STREAM_RATIOS))
+        rows, cols, _ = sampled_ratios(graph, 0)
         n = graph.n
         support = scipy.sparse.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
         count, _ = connected_components(support, directed=True, connection="strong")
@@ -597,6 +605,11 @@ def test_config_validation():
     for delta in (0.0, -1.0):
         with pytest.raises(ValueError, match="^delta must be positive$"):
             ScenarioConfig(delta=delta)
+    # A seed is a SeedSequence entropy, which must be nonnegative.
+    for seed in (-1, -2**40):
+        with pytest.raises(ValueError, match="^seed must be nonnegative$"):
+            ScenarioConfig(seed=seed)
+    assert ScenarioConfig(seed=0).seed == 0
 
 
 @pytest.mark.parametrize(
@@ -755,6 +768,13 @@ def test_config_block_keys_are_checked(old, new, message):
     assert old in HAND_WRITTEN
     with pytest.raises(FormatError, match=message):
         loads(HAND_WRITTEN.replace(old, new))
+
+
+def test_loader_rejects_a_negative_seed():
+    text = (DATA / "scenario-grid4-seed0-v2.txt").read_text(encoding="utf-8")
+    assert "\nseed = 0\n" in text
+    with pytest.raises(FormatError, match=r"^\[config\] seed must be nonnegative$"):
+        loads(text.replace("\nseed = 0\n", "\nseed = -1\n"))
 
 
 def _sparse(entries: dict, shape: tuple[int, int]) -> scipy.sparse.coo_array:

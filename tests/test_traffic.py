@@ -12,25 +12,27 @@ from icisim.errors import RankError, SingularError, TopologyError
 from icisim.scenario import (
     ScenarioConfig,
     _grid_topology,
-    _rng,
-    _sample_ratios,
     _street_graph,
-    _STREAM_RATIOS,
+    build_its,
+    build_streets,
+    generate,
     loads,
 )
 from icisim.traffic import (
     RANK_TOLERANCE,
     StreetGraph,
-    _balancing_street,
+    _DeflatedBlock,
     _check_structure,
-    _deflated_lu,
+    _network,
     build_flow_matrix,
     csr_equal,
     network_from_matrix,
     solve_flows,
 )
 
-from conftest import cycle_network, parallel_pair_network, ratios, street_graph
+from conftest import (
+    cycle_network, flow_network, parallel_pair_network, ratios, sampled_ratios, street_graph,
+)
 from oracles import (
     loop_check_structure,
     object_topology,
@@ -53,34 +55,34 @@ _TWO_PAIRS = {0: (0.0, 0.0), 1: (1.0, 0.0), 2: (5.0, 0.0), 3: (6.0, 0.0)}
 def test_ratio_on_missing_street_pair():
     graph = street_graph([(0, 1), (1, 0)], _PAIR)
     with pytest.raises(TopologyError):
-        build_flow_matrix(graph, *ratios({(0, 1): 1.0, (1, 0): 1.0, (0, 7): 0.1}))
+        flow_network(graph, *ratios({(0, 1): 1.0, (1, 0): 1.0, (0, 7): 0.1}))
     with pytest.raises(TopologyError):
         # Street 0 cannot feed itself: the pair does not meet head-to-tail.
-        build_flow_matrix(graph, *ratios({(0, 0): 1.0, (1, 0): 1.0}))
+        flow_network(graph, *ratios({(0, 0): 1.0, (1, 0): 1.0}))
     with pytest.raises(TopologyError):
         # A zero share is still a ratio on that pair.
-        build_flow_matrix(graph, *ratios({(0, 1): 1.0, (0, 0): 0.0, (1, 0): 1.0}))
+        flow_network(graph, *ratios({(0, 1): 1.0, (0, 0): 0.0, (1, 0): 1.0}))
 
 
 def test_disconnected_network_fails_rank_check():
     graph = street_graph([(0, 1), (1, 0), (2, 3), (3, 2)], _TWO_PAIRS)
     with pytest.raises(RankError):
-        build_flow_matrix(graph, *ratios({(0, 1): 1.0, (1, 0): 1.0, (2, 3): 1.0, (3, 2): 1.0}))
+        flow_network(graph, *ratios({(0, 1): 1.0, (1, 0): 1.0, (2, 3): 1.0, (3, 2): 1.0}))
 
 
 def test_bad_share_sums_rejected():
     graph = street_graph([(0, 1), (1, 0)], _PAIR)
     with pytest.raises(ValueError, match="sum to 1"):
-        build_flow_matrix(graph, *ratios({(0, 1): 0.7, (1, 0): 1.0}))
+        flow_network(graph, *ratios({(0, 1): 0.7, (1, 0): 1.0}))
     with pytest.raises(ValueError, match="negative"):
-        build_flow_matrix(graph, *ratios({(0, 1): -1.0, (1, 0): 1.0}))
+        flow_network(graph, *ratios({(0, 1): -1.0, (1, 0): 1.0}))
 
 
 def test_grid2_matrix_matches_hand_assembly():
     # Rebuild the balance matrix entrywise from the sampled shares.
     graph = _grid_topology(ScenarioConfig(grid_n=2, seed=0))
-    rows, cols, shares = _sample_ratios(graph, _rng(0, _STREAM_RATIOS))
-    net = build_flow_matrix(graph, rows, cols, shares)
+    rows, cols, shares = sampled_ratios(graph, 0)
+    net = flow_network(graph, rows, cols, shares)
     expected = np.eye(graph.n)
     for j, k, share in zip(rows, cols, shares):
         expected[j, k] -= share
@@ -247,7 +249,7 @@ def _leaky_loop_into_cycle(cycle_share):
 
 def _grid_Q(graph: StreetGraph, seed: int) -> np.ndarray:
     """Dense turning-ratio matrix sampled for a generated grid."""
-    rows, cols, shares = _sample_ratios(graph, _rng(seed, _STREAM_RATIOS))
+    rows, cols, shares = sampled_ratios(graph, seed)
     Q = np.zeros((graph.n, graph.n))
     Q[rows, cols] = shares
     return Q
@@ -314,8 +316,8 @@ def _null_vector_fixtures():
     for grid_n in range(2, 21):
         graph = _grid_topology(ScenarioConfig(grid_n=grid_n))
         for seed in range(3):
-            ratios = _sample_ratios(graph, _rng(seed, _STREAM_RATIOS))
-            yield f"grid {grid_n} seed {seed}", build_flow_matrix(graph, *ratios)
+            ratios = sampled_ratios(graph, seed)
+            yield f"grid {grid_n} seed {seed}", flow_network(graph, *ratios)
 
 
 def test_null_vector_matches_qr_oracle():
@@ -328,10 +330,10 @@ def test_null_vector_matches_qr_oracle():
 def test_flow_matrix_stays_sparse_in_memory():
     # The dense A and Q of a grid-40 network (6,240 streets) take 623 MB.
     graph = _grid_topology(ScenarioConfig(grid_n=40))
-    ratios = _sample_ratios(graph, _rng(0, _STREAM_RATIOS))
+    ratios = sampled_ratios(graph, 0)
     tracemalloc.start()
     try:
-        net = build_flow_matrix(graph, *ratios)
+        net = flow_network(graph, *ratios)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -345,12 +347,12 @@ def test_geometry_must_meet_intersection_positions():
     Q = np.array([[0.0, 1.0], [1.0, 0.0]])
     moved = replace(graph, positions=[(7.5, -3.25), (1.0, 0.0)])
     with pytest.raises(ValueError, match="geometry"):
-        build_flow_matrix(moved, *shares)
+        flow_network(moved, *shares)
     with pytest.raises(ValueError, match="geometry"):
         network_from_matrix(moved, Q)
     # Within the 1e-9 tolerance of the length check the positions still match.
     nudged = replace(graph, positions=[(0.0, 5e-10), (1.0, 0.0)])
-    assert build_flow_matrix(nudged, *shares).n == 2
+    assert flow_network(nudged, *shares).n == 2
 
 
 def test_two_generated_grids_fail_rank_check():
@@ -366,8 +368,8 @@ def test_two_generated_grids_fail_rank_check():
         for seed in range(3):
             rows, cols, shares = (
                 np.concatenate((ours, theirs + shift)) for ours, theirs, shift in zip(
-                    _sample_ratios(graph, _rng(seed, _STREAM_RATIOS)),
-                    _sample_ratios(graph, _rng(seed + 10, _STREAM_RATIOS)),
+                    sampled_ratios(graph, seed),
+                    sampled_ratios(graph, seed + 10),
                     (m, m, 0.0),
                 )
             )
@@ -375,20 +377,99 @@ def test_two_generated_grids_fail_rank_check():
             Q[rows, cols] = shares
             assert svd_rank(np.eye(2 * m) - Q) == 2 * m - 2
             with pytest.raises(RankError):
-                build_flow_matrix(both, rows, cols, shares)
+                flow_network(both, rows, cols, shares)
 
 
 def test_grid30_factorisation_keeps_its_fill_reducing_ordering():
     # L+U holds 136,557 entries under SuperLU's default COLAMD ordering and
     # 111,611 under MMD_ATA; without the ordering the LU takes about half
-    # as long again.
-    graph = _grid_topology(ScenarioConfig(grid_n=30))
-    net = build_flow_matrix(graph, *_sample_ratios(graph, _rng(0, _STREAM_RATIOS)))
-    lu = _deflated_lu(net.Q, _balancing_street(net.Q))
-    assert lu.shape == (net.n - 1, net.n - 1)
-    assert lu.L.nnz + lu.U.nnz <= 115_000
-    pivots = np.abs(lu.U.diagonal())
-    assert pivots.min() > RANK_TOLERANCE * pivots.max()
+    # as long again.  A second seed on the same street layer is factored
+    # in the column order the first one found, with the same fill and the
+    # same pivots as a fresh MMD_ATA factorisation of its own.
+    streets = build_streets(ScenarioConfig(grid_n=30))
+    build_its(ScenarioConfig(grid_n=30, seed=0), streets)
+    block, _ = streets._analysis
+    # The pattern keeps the order, not a view into the first factors.
+    assert block.perm_c.flags.owndata
+    Q = build_its(ScenarioConfig(grid_n=30, seed=1), streets).Q
+    lu, order = block.factor(Q.data)
+    fresh, fresh_order = _DeflatedBlock(Q.indptr, Q.indices, block.k).factor(Q.data)
+    assert np.array_equal(order, np.argsort(block.perm_c)) and fresh_order is None
+    for factors in (lu, fresh):
+        assert factors.shape == (Q.shape[0] - 1, Q.shape[0] - 1)
+        assert factors.L.nnz + factors.U.nnz <= 115_000
+        pivots = np.abs(factors.U.diagonal())
+        assert pivots.min() > RANK_TOLERANCE * pivots.max()
+    assert lu.L.nnz + lu.U.nnz == fresh.L.nnz + fresh.U.nnz
+    assert np.array_equal(lu.perm_r, fresh.perm_r)
+    assert np.array_equal(lu.U.diagonal(), fresh.U.diagonal())
+
+
+def _factors(block, Q):
+    """Fill, row pivots and U diagonal of ``block`` factored for ``Q``."""
+    lu, _ = block.factor(Q.data)
+    return lu.L.nnz + lu.U.nnz, lu.perm_r, lu.U.diagonal()
+
+
+def test_networks_on_a_shared_pattern_match_fresh_builds():
+    # Seeds 1-3 of each grid reuse the column order that seed 0 found; the
+    # fresh side orders every block anew by MMD_ATA.
+    for grid_n in range(2, 31):
+        streets = build_streets(ScenarioConfig(grid_n=grid_n))
+        for seed in range(4):
+            config = ScenarioConfig(grid_n=grid_n, seed=seed)
+            shared = build_its(config, streets)
+            fresh = build_its(config, build_streets(config))
+            assert shared.pattern is streets and fresh.pattern is not streets
+            assert csr_equal(shared.Q, fresh.Q), (grid_n, seed)
+            assert np.array_equal(shared.null_vector, fresh.null_vector), (grid_n, seed)
+            block, _ = streets._analysis
+            assert block.perm_c is not None
+            ours = _factors(block, shared.Q)
+            theirs = _factors(_DeflatedBlock(fresh.Q.indptr, fresh.Q.indices, block.k), fresh.Q)
+            assert ours[0] == theirs[0], (grid_n, seed)
+            assert np.array_equal(ours[1], theirs[1]), (grid_n, seed)
+            assert np.array_equal(ours[2], theirs[2]), (grid_n, seed)
+
+
+def test_exact_zero_share_leaves_no_stored_zero():
+    # One inflow of a grid sends all its flow to one outflow and none to
+    # the other, so that pair drops out of Q.  Its network is the one
+    # built on the smaller support, and the pattern still serves the next
+    # network with the full support.
+    config = ScenarioConfig(grid_n=3, seed=0)
+    streets = build_streets(config)
+    rows, cols, shares = sampled_ratios(streets.graph, 0)
+    zero, other = np.flatnonzero(rows == rows[0])[:2]
+    shares[zero], shares[other] = 0.0, shares[other] + shares[zero]
+    net = build_flow_matrix(streets, shares)
+    assert net.pattern is streets
+    assert net.Q.nnz == streets.nnz - 1 and np.all(net.Q.data != 0.0)
+    keep = shares != 0.0
+    reduced = flow_network(streets.graph, rows[keep], cols[keep], shares[keep])
+    assert csr_equal(net.Q, reduced.Q)
+    assert np.array_equal(net.null_vector, reduced.null_vector)
+    dense = network_from_matrix(streets.graph, net.Q.toarray())
+    assert np.array_equal(net.null_vector, dense.null_vector)
+    again = build_its(config, streets)
+    assert np.array_equal(again.null_vector, generate(config).network.null_vector)
+
+
+def test_several_classes_pick_the_balancing_street_per_network():
+    # The loop 3 <-> 4 balances on its own when it keeps all its flow, and
+    # nothing balances when it leaks; so the street k must be found from
+    # each network's shares, not once per pattern.
+    graph, Q = _leaky_loop_into_cycle(1.0)
+    net = network_from_matrix(graph, Q)
+    block, classes = net.pattern._analysis
+    assert block is None and sorted(c.tolist() for c in classes) == [[0, 1, 2], [3, 4]]
+    shares = net.Q.data.copy()
+    assert np.array_equal(_network(net.pattern, shares).null_vector, net.null_vector)
+    leaky = shares.copy()
+    leaky[net.Q.indptr[3]] = leaky[net.Q.indptr[4]] = 0.5
+    with pytest.raises(RankError):
+        _network(net.pattern, leaky)
+    assert np.array_equal(_network(net.pattern, shares).null_vector, net.null_vector)
 
 
 def _edit_street(k, **changes):
