@@ -37,6 +37,8 @@ def _load_config(path: str | None, seed: int | None, overrides: dict) -> Scenari
                 raw = json.load(fh)
             except json.JSONDecodeError as err:
                 raise FormatError(f"config file {path}: {err}") from None
+        if not isinstance(raw, dict):
+            raise FormatError(f"config file {path}: expected a JSON object")
         unknown = set(raw) - _CONFIG_FIELDS
         if unknown:
             raise FormatError(f"config file {path}: unknown keys {sorted(unknown)}")
@@ -95,12 +97,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     config = _load_config(args.config, args.seed, {})
     levels = tuple(StealthLevel.from_name(name) for name in args.level) or None
     sweep = tuple(args.sweep) if args.sweep else experiments.default_sweep(args.id)
-    kwargs = dict(
-        experiment=args.id,
-        base=config,
-        sweep=sweep,
-        reps=args.reps,
-    )
+    kwargs = dict(experiment=args.id, base=config, sweep=sweep, reps=args.reps)
     if levels:
         kwargs["levels"] = levels
     if args.budgets:

@@ -27,7 +27,7 @@ and lay out the ITS layer the same way, through a
 :func:`~icisim.power.build_assignment`.
 
 Scenario files are plain text with a versioned header and ``[config]``,
-``[its]``, ``[ci]`` and ``[pg]`` sections, and format v2 holds inputs only;
+``[its]``, ``[ci]`` and ``[pg]`` sections, and format v3 holds inputs only;
 floats are written with ``repr`` so they round-trip exactly.  Every section
 after ``[config]`` is made of counted blocks, each written from whole
 arrays, one line per row.  Turning ratios and supply links are blocks of
@@ -36,7 +36,10 @@ The loader reads each counted numeric block in one ``np.loadtxt`` pass,
 and a repeated (row, column) pair keeps its last value.  Every number,
 ``[config]`` values included, must be a token ``np.loadtxt`` reads: ASCII,
 no ``_`` digit separators, and finite if a float.  Coverage and the impact
-model are derived, so they are not written: loading rebuilds them.  A v1
+model are derived, so they are not written: loading rebuilds them.  So is
+a street's geometry, from its intersections' positions: a ``streets`` row
+is ``id tail head``, and a v2 or v1 row's length and geometry are checked
+against the positions to 1e-9 and dropped.  A v1
 file also holds a ``coverage`` block of (street, station, km) lines, which
 must match the rebuild to 1e-9 km.  Older files may end with an
 ``[impact]`` section of stored scores and vectors; its counts, station ids
@@ -70,7 +73,8 @@ from .traffic import (
     network_from_matrix,
 )
 
-FILE_HEADER = "icisim scenario v2"
+FILE_HEADER = "icisim scenario v3"
+_V2_HEADER = "icisim scenario v2"
 _V1_HEADER = "icisim scenario v1"
 
 # Stream indices for per-component PCG64 seeding.
@@ -198,9 +202,7 @@ def _grid_topology(config: ScenarioConfig) -> StreetGraph:
     high = (node[:, None] + np.array([1, g]))[opens]
     tail = np.stack((low, high), axis=1).reshape(-1)
     head = np.stack((high, low), axis=1).reshape(-1)
-    geometry = np.concatenate((positions[tail], positions[head]), axis=1)
-    length = np.hypot(geometry[:, 2] - geometry[:, 0], geometry[:, 3] - geometry[:, 1])
-    return StreetGraph(tail, head, length, geometry, node, positions)
+    return StreetGraph(tail, head, node, positions)
 
 
 def _turning_support(graph: StreetGraph) -> tuple[np.ndarray, np.ndarray]:
@@ -326,9 +328,7 @@ def build_pg(
     shares to ``stations``."""
     positions = _place_generators(config, _rng(config.seed, _STREAM_GENERATORS))
     positions.flags.writeable = False
-    shares = _wire_generators(
-        config, positions, stations, _rng(config.seed, _STREAM_CONNECTIONS)
-    )
+    shares = _wire_generators(config, positions, stations, _rng(config.seed, _STREAM_CONNECTIONS))
     return positions, build_assignment(stations, shares)
 
 
@@ -389,10 +389,7 @@ def dumps(scenario: Scenario) -> str:
     net, graph = scenario.network, scenario.network.graph
     out.append("[its]")
     _write_block(out, "intersections", (graph.node_ids,), graph.positions.T)
-    _write_block(
-        out, "streets", (np.arange(net.n), graph.tail, graph.head),
-        (graph.length, *graph.geometry.T),
-    )
+    _write_block(out, "streets", (np.arange(net.n), graph.tail, graph.head), ())
     rows, cols, shares = csr_entries(net.Q)
     _write_block(out, "ratios", (rows, cols), (shares,))
 
@@ -602,9 +599,7 @@ def _entries(reader: _Reader, keyword: str, shape: tuple[int, int]) -> scipy.spa
     rows, cols = index[order].T
     last = np.ones(order.size, dtype=bool)
     last[:-1] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-    return scipy.sparse.coo_array(
-        (values[order[last], 0], (rows[last], cols[last])), shape=shape
-    )
+    return scipy.sparse.coo_array((values[order[last], 0], (rows[last], cols[last])), shape=shape)
 
 
 def _skip_impact_block(reader: _Reader, keyword: str, n_stations: int, width: int) -> None:
@@ -623,14 +618,30 @@ def _street_graph(
     ints: np.ndarray, floats: np.ndarray, node_ids: np.ndarray, positions: np.ndarray
 ) -> StreetGraph:
     """The graph of parsed ``streets`` rows (``id tail head`` in ``ints``,
-    ``length x0 y0 x1 y1`` in ``floats``) and ``intersections`` rows, with
-    the street of id i on row i; ValueError unless the ids are 0..n-1."""
+    and a v2 or v1 file's ``length x0 y0 x1 y1`` in ``floats``, checked to
+    1e-9 and dropped) and ``intersections`` rows, with the street of id i
+    on row i; ValueError unless the ids are 0..n-1, and then at the first
+    fault in the order of the structure check that once read the floats."""
     order = np.argsort(ints[:, 0])
     if not np.array_equal(ints[order, 0], np.arange(len(ints))):
         raise ValueError("street ids must be 0..n-1 with no gaps")
-    return StreetGraph(
-        ints[order, 1], ints[order, 2], floats[order, 0], floats[order, 1:], node_ids, positions
-    )
+    graph = StreetGraph(ints[order, 1], ints[order, 2], node_ids, positions)
+    if floats.size:
+        g, (rows, known) = floats[order, 1:], graph.ends
+        loops = graph.tail == graph.head
+        long = np.abs(floats[order, 0] - np.hypot(g[:, 2] - g[:, 0], g[:, 3] - g[:, 1])) > 1e-9
+        k = int(np.argmax(loops | long))
+        if long[k] and not loops[k]:
+            raise ValueError(f"street {k} length does not match its geometry")
+        near = graph.positions[rows].reshape(-1, 4) if known.any() else g
+        astray = known & (np.abs(g - near) > 1e-9).any(axis=1)
+        k = int(np.argmax(astray | ~known))
+        if astray[k] and not loops.any():
+            raise ValueError(
+                f"street {k} geometry does not run from intersection {graph.tail[k]} "
+                f"to intersection {graph.head[k]} at their positions"
+            )
+    return graph
 
 
 # Keys of older v1 files that no longer set anything: each must still
@@ -651,7 +662,7 @@ def loads(text: str) -> Scenario:
     """
     reader = _Reader(text)
     header = reader.next_line()
-    if header not in (FILE_HEADER, _V1_HEADER):
+    if header not in (FILE_HEADER, _V2_HEADER, _V1_HEADER):
         raise FormatError(f"unrecognised header {header!r}, expected {FILE_HEADER!r}")
 
     reader.expect_section("config")
@@ -691,9 +702,8 @@ def loads(text: str) -> Scenario:
         ("intersection id",), ("intersection x", "intersection y"),
     )
     n_streets = reader.counted("streets")
-    street_ints, street_floats = _block(
-        reader, n_streets, "street", ("street id",) * 3, ("street field",) * 5
-    )
+    stored = () if header == FILE_HEADER else ("street field",) * 5
+    street_ints, street_floats = _block(reader, n_streets, "street", ("street id",) * 3, stored)
     Q = _entries(reader, "ratios", (n_streets, n_streets))
 
     reader.expect_section("ci")

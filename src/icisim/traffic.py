@@ -51,10 +51,12 @@ leave no such ties.)  A network whose support has several classes of
 more than one street, or that lost a pair to an exact zero share, is
 analysed for itself.
 
-Flows are veh/h/lane, positions and lengths are km.  All objects here are
-immutable after construction and safe for concurrent reads, except that a
-pattern records its column order on its first factorisation; two threads
-that factor a new pattern at once both find, and store, the same order.
+A street is a pair of intersections; its geometry and length derive from
+their positions.  Flows are veh/h/lane, positions and lengths are km.  All
+objects here are immutable after construction and safe for concurrent
+reads, except that a graph keeps its derived arrays on first use and a
+pattern its column order on its first factorisation; two threads that get
+there at once both find, and store, the same values.
 """
 from __future__ import annotations
 
@@ -81,17 +83,14 @@ RANK_TOLERANCE = 1e-10
 class StreetGraph:
     """Directed street graph held as arrays; street ``i`` is row ``i``.
 
-    Street ``i`` runs from intersection ``tail[i]`` to ``head[i]``, is
-    ``length[i]`` km long and is drawn from ``geometry[i] = (x0, y0, x1,
-    y1)``.  Intersection ``node_ids[k]`` sits at ``positions[k]``; the ids
-    are stored sorted and unique, and a repeated id keeps its last
-    position.  Every array is a read-only copy of what was passed in.
+    Street ``i`` runs straight from intersection ``tail[i]`` to ``head[i]``.
+    Intersection ``node_ids[k]`` sits at ``positions[k]``; the ids are
+    stored sorted and unique, and a repeated id keeps its last position.
+    Every array is a read-only copy of what was passed in.
     """
 
     tail: np.ndarray
     head: np.ndarray
-    length: np.ndarray
-    geometry: np.ndarray
     node_ids: np.ndarray
     positions: np.ndarray
 
@@ -107,8 +106,6 @@ class StreetGraph:
         for name, value in (
             ("tail", np.array(self.tail, dtype=np.int64).reshape(n)),
             ("head", np.array(self.head, dtype=np.int64).reshape(n)),
-            ("length", np.array(self.length, dtype=float).reshape(n)),
-            ("geometry", np.array(self.geometry, dtype=float).reshape(n, 4)),
             ("node_ids", node_ids),
             ("positions", positions),
         ):
@@ -118,6 +115,34 @@ class StreetGraph:
     @property
     def n(self) -> int:
         return len(self.tail)
+
+    @cached_property
+    def ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each street's tail and head as rows of ``positions``, shape (n, 2),
+        and whether both are known intersections; an unknown end is row 0."""
+        ends = np.stack((self.tail, self.head), axis=1)
+        at = np.searchsorted(self.node_ids, ends)
+        found = at < len(self.node_ids)
+        found[found] = self.node_ids[at[found]] == ends[found]
+        return np.where(found, at, 0), found.all(axis=1)
+
+    @cached_property
+    def geometry(self) -> np.ndarray:
+        """Read-only ``(x0, y0, x1, y1)`` of each street, tail to head."""
+        rows, known = self.ends
+        if not known.all():
+            k = int(np.argmin(known))
+            raise ValueError(f"street {k} references an intersection with no position")
+        geometry = self.positions[rows].reshape(-1, 4)
+        geometry.flags.writeable = False
+        return geometry
+
+    @cached_property
+    def length(self) -> np.ndarray:
+        """Read-only length of each street's ``geometry``."""
+        length = np.hypot(*(self.geometry[:, 2:] - self.geometry[:, :2]).T)
+        length.flags.writeable = False
+        return length
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,46 +205,13 @@ def csr_equal(a: scipy.sparse.csr_array, b: scipy.sparse.csr_array) -> bool:
 
 
 def _check_structure(graph: StreetGraph) -> None:
-    """Raise ValueError at the first inconsistency of a street graph.
-
-    Each check runs over every street before the next one starts, and
-    reports the first offender in street order:
-
-    1. no street starts where it ends, and each stored length matches its
-       geometry to 1e-9;
-    2. each street's ends are known intersections, and its geometry runs
-       between their positions to 1e-9.
-    """
-    tails, heads, geometry = graph.tail, graph.head, graph.geometry
-    drawn = np.hypot(geometry[:, 2] - geometry[:, 0], geometry[:, 3] - geometry[:, 1])
-    bad = (tails == heads) | (np.abs(graph.length - drawn) > 1e-9)
-    if bad.any():
-        k = int(np.argmax(bad))
-        if tails[k] == heads[k]:
-            raise ValueError(f"street {k} starts and ends at intersection {tails[k]}")
-        raise ValueError(f"street {k} length does not match its geometry")
-
-    # Each street's two ends, looked up among the sorted intersection ids.
-    ends = np.stack((tails, heads), axis=1)
-    at = np.searchsorted(graph.node_ids, ends)
-    found = at < len(graph.node_ids)
-    found[found] = graph.node_ids[at[found]] == ends[found]
-    known = found.all(axis=1)
-    off = ~known
-    if len(graph.node_ids):
-        # An unknown end is compared with intersection 0: its street is
-        # reported as unknown whatever the comparison gives.
-        near = graph.positions[np.where(found, at, 0)].reshape(-1, 4)
-        off = (np.abs(geometry - near) > 1e-9).any(axis=1)
-    bad = ~known | off
-    if bad.any():
-        k = int(np.argmax(bad))
-        if not known[k]:
-            raise ValueError(f"street {k} references an intersection with no position")
-        raise ValueError(
-            f"street {k} geometry does not run from intersection {tails[k]} "
-            f"to intersection {heads[k]} at their positions"
-        )
+    """Raise ValueError at the first street that starts where it ends, and
+    then at the first with an end that is no known intersection."""
+    loops = np.flatnonzero(graph.tail == graph.head)
+    if loops.size:
+        k = loops[0]
+        raise ValueError(f"street {k} starts and ends at intersection {graph.tail[k]}")
+    graph.geometry  # raises for an unknown end
 
 
 @dataclass(frozen=True, eq=False)

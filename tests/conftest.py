@@ -14,16 +14,10 @@ from icisim.traffic import FlowNetwork, FlowPattern, StreetGraph, build_flow_mat
 
 
 def street_graph(ends, positions) -> StreetGraph:
-    """Graph of the (tail, head) streets ``ends``, street i on row i, each
-    drawn straight between its intersections' ``positions`` (id -> point)."""
+    """Graph of the (tail, head) streets ``ends``, street i on row i, between
+    intersections at ``positions`` (id -> point)."""
     tail, head = np.array(ends, dtype=np.int64).reshape(-1, 2).T
-    ids = np.array(sorted(positions), dtype=np.int64)
-    xy = np.array([positions[i] for i in ids.tolist()], dtype=float).reshape(-1, 2)
-    geometry = np.concatenate(
-        (xy[np.searchsorted(ids, tail)], xy[np.searchsorted(ids, head)]), axis=1
-    )
-    length = np.hypot(geometry[:, 2] - geometry[:, 0], geometry[:, 3] - geometry[:, 1])
-    return StreetGraph(tail, head, length, geometry, ids, xy)
+    return StreetGraph(tail, head, list(positions), list(positions.values()))
 
 
 def segment_graph(*segments) -> StreetGraph:

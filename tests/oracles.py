@@ -340,11 +340,12 @@ def object_topology(config) -> tuple[tuple[Street, ...], tuple[Intersection, ...
 
 
 def object_graph(streets, intersections) -> StreetGraph:
-    """The ``StreetGraph`` of records, street ``i`` from the record of id ``i``."""
+    """The ``StreetGraph`` of records, street ``i`` from the record of id
+    ``i``; a graph derives each street's length and geometry, so the
+    records' own are not read."""
     streets = sorted(streets, key=lambda s: s.id)
     return StreetGraph(
-        [s.tail for s in streets], [s.head for s in streets], [s.length for s in streets],
-        [(*s.geometry[0], *s.geometry[1]) for s in streets],
+        [s.tail for s in streets], [s.head for s in streets],
         [x.id for x in intersections], [x.position for x in intersections],
     )
 

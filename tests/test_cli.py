@@ -222,10 +222,13 @@ def test_non_finite_config_exits_2(tmp_path, capsys, command, settings):
         ({"grid_n": 3, "bs_per_generator_range": 3}, "bs_per_generator_range must be a pair"),
         ({"grid_n": 3, "bs_per_generator_range": [1, 2, 3]}, "bs_per_generator_range must be"),
         ({"grid_n": 3, "seed": -1}, "seed must be nonnegative"),
+        (None, "cfg.json: expected a JSON object"),
+        (5, "cfg.json: expected a JSON object"),
+        ([1, 2], "cfg.json: expected a JSON object"),
     ],
     ids=["float grid_n", "float num_generators", "bool seed", "float range", "negative delta",
          "zero delta", "string budget", "bool budget", "int range", "three-int range",
-         "negative seed"],
+         "negative seed", "null", "number", "list"],
 )
 def test_invalid_config_exits_2(tmp_path, capsys, settings, message):
     cfg = tmp_path / "cfg.json"

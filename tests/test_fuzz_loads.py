@@ -2,10 +2,14 @@
 
 Inputs are small valid files (with and without a legacy ``[impact]``
 section) that are truncated, lose a line, have two lines swapped, or have
-one token replaced by a hostile value.  Examples are derandomised so every
-run checks the same cases.
+one token replaced by a hostile value.  Between them they hold street rows
+of every format: v3 ``id tail head`` rows as ``dumps`` writes them, and
+v2 and v1 rows that also store each street's length and geometry.
+Examples are derandomised so every run checks the same cases.
 """
 from __future__ import annotations
+
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
@@ -15,7 +19,11 @@ from icisim.scenario import ScenarioConfig, dumps, generate, loads, scenarios_eq
 from test_scenario import HAND_WRITTEN, legacy_text
 
 _SCENARIO = generate(ScenarioConfig(grid_n=2, seed=3))
-BASES = (dumps(_SCENARIO), legacy_text(_SCENARIO), HAND_WRITTEN)
+_GOLDEN_V2 = Path(__file__).parent / "data" / "scenario-grid4-seed0-v2.txt"
+BASES = (
+    dumps(_SCENARIO), legacy_text(_SCENARIO), HAND_WRITTEN,
+    _GOLDEN_V2.read_text(encoding="utf-8"),
+)
 HOSTILE = (
     "nan", "inf", "-inf", "-1", "0", "1e308", str(10**20), str(2**63), "x",
     "1.5", "1_0", "+3", "#", "1e3",

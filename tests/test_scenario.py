@@ -42,14 +42,12 @@ from icisim.scenario import (
     save,
     scenarios_equal,
 )
-from icisim.traffic import csr_entries, csr_equal, network_from_matrix, solve_flows
+from icisim.traffic import StreetGraph, csr_entries, csr_equal, network_from_matrix, solve_flows
 
 from conftest import sampled_ratios
 from oracles import (
-    Street,
     dict_ratios,
     dirichlet_ratios,
-    intersections_from_streets,
     line_entries,
     object_graph,
     object_topology,
@@ -60,7 +58,7 @@ from oracles import (
 def _validate_scenario(sc: Scenario) -> None:
     """Cross-module invariant suite run against a generated scenario."""
     net = sc.network
-    # Street geometry consistent with stored lengths.
+    # Derived lengths are those of the derived geometry.
     g = net.graph
     drawn = np.hypot(g.geometry[:, 2] - g.geometry[:, 0], g.geometry[:, 3] - g.geometry[:, 1])
     assert np.all(np.abs(g.length - drawn) <= 1e-9)
@@ -224,10 +222,14 @@ def test_array_topology_equals_object_oracle():
     for grid_n in _ORACLE_GRIDS:
         streets, nodes = object_topology(ScenarioConfig(grid_n=grid_n))
         oracle = object_graph(streets, nodes)
+        made = {
+            "geometry": np.array([(*s.geometry[0], *s.geometry[1]) for s in streets]),
+            "length": np.array([s.length for s in streets]),
+        }
         for seed in range(4):
             graph = generate(ScenarioConfig(grid_n=grid_n, seed=seed)).network.graph
             for name in ("tail", "head", "geometry", "length", "node_ids", "positions"):
-                ours, theirs = getattr(graph, name), getattr(oracle, name)
+                ours, theirs = getattr(graph, name), made.get(name, getattr(oracle, name))
                 assert ours.dtype == theirs.dtype, (grid_n, name)
                 assert np.array_equal(ours, theirs), (grid_n, seed, name)
 
@@ -311,12 +313,27 @@ def legacy_text(sc: Scenario) -> str:
     return dumps(sc) + "[impact]\n" + "\n".join(lines) + "\n"
 
 
+def v2_text(sc: Scenario) -> str:
+    """``dumps(sc)`` as format v2 wrote it: the v2 header, and each street
+    row followed by the street's length and geometry."""
+    graph = sc.network.graph
+    lines = dumps(sc).splitlines()
+    lines[0] = "icisim scenario v2"
+    first = lines.index(f"streets {graph.n}") + 1
+    stored = np.column_stack((graph.length, graph.geometry)).tolist()
+    for i, row in enumerate(stored):
+        lines[first + i] += " " + " ".join(map(repr, row))
+    return "\n".join(lines) + "\n"
+
+
 def _text_holding(block: str) -> str:
-    """A grid-3 file as ``dumps`` writes it, or for the coverage block, which
+    """A grid-3 file as ``dumps`` writes it; for the street rows, as v2
+    wrote them with lengths and geometry; for the coverage block, which
     only format v1 stores, the committed v1 file of grid 4."""
     if block == "coverage":
         return GOLDEN_V1.read_text(encoding="utf-8")
-    return dumps(generate(ScenarioConfig(grid_n=3, seed=0)))
+    sc = generate(ScenarioConfig(grid_n=3, seed=0))
+    return v2_text(sc) if block == "streets" else dumps(sc)
 
 
 def _edit(text: str, block: str, field: int, value: str, row: int = 0) -> str:
@@ -645,10 +662,20 @@ def test_loader_rejects_a_negative_turning_ratio():
 
 
 def test_loader_checks_intersection_positions():
-    text = dumps(generate(ScenarioConfig(grid_n=3, seed=0)))
-    moved = _edit(_edit(text, "intersections", 1, "7.5"), "intersections", 2, "-3.25")
-    with pytest.raises(FormatError, match=r"\[its\].*geometry"):
-        loads(moved)
+    # A v2 file's stored geometry must meet the positions; a v3 file
+    # stores none, so its streets follow a moved intersection.
+    sc = generate(ScenarioConfig(grid_n=3, seed=0))
+    for text in (v2_text(sc), dumps(sc)):
+        moved = _edit(_edit(text, "intersections", 1, "7.5"), "intersections", 2, "-3.25")
+        if text.startswith("icisim scenario v2"):
+            with pytest.raises(FormatError, match=r"\[its\].*geometry"):
+                loads(moved)
+        else:
+            assert loads(moved).network.graph.geometry[0].tolist() == [7.5, -3.25, 1.0, 0.0]
+    # Within 1e-9 of its stored geometry a v2 file loads, and takes the
+    # geometry its positions give.
+    nudged = loads(_edit(v2_text(sc), "intersections", 2, "5e-10"))
+    assert nudged.network.graph.geometry[0].tolist() == [0.0, 5e-10, 1.0, 0.0]
 
 
 DATA = Path(__file__).parent / "data"
@@ -683,10 +710,13 @@ def test_golden_v1_file_loads_and_dumps_without_anchor_lines():
     assert scenarios_equal(loads(text), sc)
     # Its coverage block holds the very bits that generate builds.
     assert line_entries(text)["coverage"] == _coverage_entries(sc)
-    # dumps writes format v2: no anchor lines and no coverage block.
+    # Format v2 drops the anchor lines and the coverage block; dumps
+    # writes v3, which drops each street's length and geometry too.
     v2 = (DATA / "scenario-grid4-seed0-v2.txt").read_text(encoding="utf-8")
-    assert dumps(sc) == v2 == _as_v2(text)
-    assert scenarios_equal(loads(v2), sc)
+    v3 = (DATA / "scenario-grid4-seed0-v3.txt").read_text(encoding="utf-8")
+    assert v2 == _as_v2(text) == v2_text(sc)
+    assert dumps(sc) == v3
+    assert scenarios_equal(loads(v2), sc) and scenarios_equal(loads(v3), sc)
 
 
 GOLDEN_GRID6 = DATA / "scenario-grid6-r0.3-seed1-v1.txt"
@@ -701,8 +731,26 @@ def test_golden_file_pins_the_shared_street_claims():
     text = GOLDEN_GRID6.read_text(encoding="utf-8")
     assert line_entries(text)["coverage"] == _coverage_entries(sc)
     assert scenarios_equal(loads(text), sc)
-    v2 = DATA / "scenario-grid6-r0.3-seed1-v2.txt"
-    assert dumps(sc) == v2.read_text(encoding="utf-8") == _as_v2(text)
+    v2 = (DATA / "scenario-grid6-r0.3-seed1-v2.txt").read_text(encoding="utf-8")
+    v3 = (DATA / "scenario-grid6-r0.3-seed1-v3.txt").read_text(encoding="utf-8")
+    assert v2 == _as_v2(text) == v2_text(sc)
+    assert dumps(sc) == v3
+    assert scenarios_equal(loads(v2), sc) and scenarios_equal(loads(v3), sc)
+
+
+def test_intersections_at_one_position_give_zero_length_streets():
+    # Intersection 1 of the grid-4 golden moved onto intersection 0: the
+    # two streets between them have length 0.  The file loads alike from
+    # v3 and v2 rows; a zero-length street gets no coverage entry, and
+    # every impact score stays finite.
+    golden = (DATA / "scenario-grid4-seed0-v3.txt").read_text(encoding="utf-8")
+    sc = loads(_edit(golden, "intersections", 1, "0.0", row=1))
+    graph = sc.network.graph
+    assert graph.positions[1].tolist() == graph.positions[0].tolist() == [0.0, 0.0]
+    assert np.flatnonzero(graph.length == 0.0).tolist() == [0, 1]
+    assert scenarios_equal(loads(v2_text(sc)), sc)
+    assert np.diff(sc.coverage.lengths.indptr)[:2].tolist() == [0, 0]
+    assert np.isfinite(sc.impact.z_scores).all() and np.isfinite(sc.impact.z_vectors).all()
 
 
 @pytest.mark.parametrize(
@@ -797,12 +845,12 @@ def _scenario_from_lines(text: str) -> Scenario:
         )
     config = ScenarioConfig(**values)
     positions = {node: (x, y) for node, x, y in blocks["intersections"]}
-    streets = [
-        Street(sid, tail, head, length, ((x0, y0), (x1, y1)))
-        for sid, tail, head, length, x0, y0, x1, y1 in blocks["streets"]
-    ]
+    # id tail head, and in a v2 or v1 file the length and geometry it drops
+    streets = sorted(blocks["streets"])
     n = len(streets)
-    graph = object_graph(streets, intersections_from_streets(streets, positions))
+    graph = StreetGraph(
+        [s[1] for s in streets], [s[2] for s in streets], list(positions), list(positions.values())
+    )
     network = network_from_matrix(graph, _sparse(blocks["ratios"], (n, n)))
     rows = np.array(sorted(blocks["stations"]), dtype=float).reshape(-1, 6)
     stations = Stations(rows[:, 1:3], rows[:, 3], rows[:, 4], rows[:, 5])
@@ -822,7 +870,10 @@ def _scenario_from_lines(text: str) -> Scenario:
 
 def test_loads_equals_line_by_line_oracle():
     texts = [HAND_WRITTEN, legacy_text(generate(ScenarioConfig(grid_n=3, seed=0)))]
-    texts += [path.read_text(encoding="utf-8") for path in (GOLDEN_V1, GOLDEN_GRID6)]
+    texts += [
+        path.read_text(encoding="utf-8")
+        for path in (GOLDEN_V1, GOLDEN_GRID6, *DATA.glob("scenario-*-v[23].txt"))
+    ]
     texts += [
         dumps(generate(ScenarioConfig(grid_n=grid_n, seed=seed)))
         for grid_n in range(2, 21) for seed in range(4)
@@ -903,8 +954,9 @@ def _its_rows(text: str, block: str) -> tuple[list[str], int]:
          "geometry off positions"],
 )
 def test_loader_structure_errors_keep_their_texts(block, row, field, value, message):
-    # Street 6 runs from intersection 1 to 4, the centre of the grid-3 scenario.
-    lines, first = _its_rows(dumps(generate(ScenarioConfig(grid_n=3, seed=0))), block)
+    # Street 6 runs from intersection 1 to 4, the centre of the grid-3
+    # scenario.  Its rows as v2 wrote them, with lengths and geometry.
+    lines, first = _its_rows(v2_text(generate(ScenarioConfig(grid_n=3, seed=0))), block)
     parts = lines[first + row].split()
     parts[field] = value
     lines[first + row] = " ".join(parts)

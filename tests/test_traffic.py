@@ -35,6 +35,7 @@ from conftest import (
 )
 from oracles import (
     loop_check_structure,
+    make_street,
     object_topology,
     qr_flow_solution,
     qr_null_vector,
@@ -94,13 +95,29 @@ def test_street_graph_arrays_are_read_only_copies():
     net = cycle_network()
     with pytest.raises(ValueError):
         net.graph.tail[0] = 1
+    # The derived arrays are read-only too.
     with pytest.raises(ValueError):
         net.graph.geometry[0, 0] = 0.5
+    with pytest.raises(ValueError):
+        net.graph.length[0] = 0.5
     # The caller's arrays stay writable and unshared.
-    tail = np.array([0, 1])
-    graph = StreetGraph(tail, [1, 0], [1.0, 1.0], [[0, 0, 1, 0], [1, 0, 0, 0]], [0, 1], list(_PAIR.values()))
-    tail[0] = 5
+    tail, positions = np.array([0, 1]), np.array(list(_PAIR.values()))
+    graph = StreetGraph(tail, [1, 0], [0, 1], positions)
+    tail[0], positions[1, 0] = 5, 3.0
     assert graph.tail.tolist() == [0, 1] and tail.flags.writeable
+    assert graph.geometry.tolist() == [[0.0, 0.0, 1.0, 0.0], [1.0, 0.0, 0.0, 0.0]]
+    assert graph.length.tolist() == [1.0, 1.0]
+
+
+def test_street_graph_derives_geometry_only_from_known_ends():
+    # Street 1 runs from intersection 1 to 9, which has no position: its
+    # geometry is never read from another intersection's position.
+    graph = StreetGraph([0, 1], [1, 9], [0, 1], list(_PAIR.values()))
+    for name in ("geometry", "length"):
+        with pytest.raises(ValueError, match="^street 1 references an intersection with no position$"):
+            getattr(graph, name)
+    with pytest.raises(ValueError, match="^street 1 references"):
+        _check_structure(graph)
 
 
 def test_solve_cycle():
@@ -345,14 +362,13 @@ def test_geometry_must_meet_intersection_positions():
     graph = street_graph([(0, 1), (1, 0)], _PAIR)
     shares = ratios({(0, 1): 1.0, (1, 0): 1.0})
     Q = np.array([[0.0, 1.0], [1.0, 0.0]])
+    # A graph derives its geometry from the positions, so moving an
+    # intersection moves its streets' ends; only a file's stored geometry
+    # can miss them (test_loader_checks_intersection_positions).
     moved = replace(graph, positions=[(7.5, -3.25), (1.0, 0.0)])
-    with pytest.raises(ValueError, match="geometry"):
-        flow_network(moved, *shares)
-    with pytest.raises(ValueError, match="geometry"):
-        network_from_matrix(moved, Q)
-    # Within the 1e-9 tolerance of the length check the positions still match.
-    nudged = replace(graph, positions=[(0.0, 5e-10), (1.0, 0.0)])
-    assert flow_network(nudged, *shares).n == 2
+    for net in (flow_network(moved, *shares), network_from_matrix(moved, Q)):
+        assert net.graph.geometry.tolist() == [[7.5, -3.25, 1.0, 0.0], [1.0, 0.0, 7.5, -3.25]]
+        assert net.graph.length.tolist() == [float(np.hypot(6.5, 3.25))] * 2
 
 
 def test_two_generated_grids_fail_rank_check():
@@ -521,6 +537,15 @@ _STRUCTURE_EDITS = {
 }
 
 
+def _outcome(check) -> str | None:
+    """The text of the ValueError ``check()`` raises, or None."""
+    try:
+        check()
+    except ValueError as err:
+        return str(err)
+    return None
+
+
 @pytest.mark.parametrize("edit", list(_STRUCTURE_EDITS.values()), ids=list(_STRUCTURE_EDITS))
 def test_structure_check_matches_loop_oracle(edit):
     # Streets go to the loader's graph builder in list order, which need
@@ -533,13 +558,26 @@ def test_structure_check_matches_loop_oracle(edit):
     node_ids = np.array([x.id for x in nodes])
     positions = np.array([x.position for x in nodes])
 
-    def outcome(check):
-        try:
-            check()
-        except ValueError as err:
-            return str(err)
-        return None
-
-    ours = outcome(lambda: _check_structure(_street_graph(ints, floats, node_ids, positions)))
-    assert ours == outcome(lambda: loop_check_structure(streets, nodes))
+    ours = _outcome(lambda: _check_structure(_street_graph(ints, floats, node_ids, positions)))
+    assert ours == _outcome(lambda: loop_check_structure(streets, nodes))
     assert (ours is None) == (edit is _STRUCTURE_EDITS["unchanged"])
+
+
+@pytest.mark.parametrize("edit", list(_STRUCTURE_EDITS.values()), ids=list(_STRUCTURE_EDITS))
+def test_v3_structure_check_matches_loop_oracle(edit):
+    # A v3 street row is ``id tail head``: each street runs between the
+    # positions of its intersections, so the oracle gets records whose
+    # length and geometry are rederived from them, and a length or
+    # geometry edit is no fault.
+    streets, nodes = (list(part) for part in object_topology(ScenarioConfig(grid_n=3)))
+    edit(streets, nodes)
+    at = {x.id: x.position for x in nodes}
+    drawn = [
+        make_street(s.id, s.tail, s.head, (at[s.tail], at[s.head]))
+        if s.tail != s.head and s.tail in at and s.head in at else s
+        for s in streets
+    ]
+    ints = np.array([(s.id, s.tail, s.head) for s in streets])
+    rows = (ints, np.zeros((len(ints), 0)), [x.id for x in nodes], [x.position for x in nodes])
+    ours = _outcome(lambda: _check_structure(_street_graph(*rows)))
+    assert ours == _outcome(lambda: loop_check_structure(drawn, nodes))
