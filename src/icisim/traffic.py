@@ -3,23 +3,28 @@
 A network of directed streets is balanced by a turning-ratio matrix: the
 flow entering an intersection along one street equals a weighted sum of
 the flows leaving that intersection.  Stacking one balance row per street
-gives ``q = Q q``, i.e. ``A q = 0`` with ``A = I - Q``.  For a connected
-network ``A`` has rank ``n - 1``, so its null space is spanned by one
-vector ``v`` and every balanced flow is a multiple of it.  ``Q`` and ``A``
+gives ``q = Q q``, i.e. ``A q = 0`` with ``A = I - Q``.  ``Q`` and ``A``
 are sparse (CSR): each street meets only the few streets at its ends.
 
+The shares of every street whose head has outflows sum to 1 (within
+1e-9), and a street into a dead end has none, so every row of ``Q`` that
+is not empty is stochastic.  For such a ``Q`` the eigenvalue 1 has as
+many independent eigenvectors as the support has closed classes:
+strongly connected classes (Tarjan 1972) of more than one street that no
+pair of the support leaves (Kemeny and Snell, *Finite Markov Chains*,
+1960; Meyer, *Matrix Analysis and Applied Linear Algebra*, 2000, §8.4).
+So ``A`` has rank ``n - 1`` exactly when the support has one closed
+class, a fact of the turning graph that needs no tolerance; otherwise
+RankError names the count.  A generated network's support is one class.
+The null space is then spanned by one vector ``v``, and every balanced
+flow is a multiple of it.
+
 ``v`` comes from one deflated sparse LU (Stewart, *Introduction to the
-Numerical Solution of Markov Chains*, 1994).  Fix ``v[k] = 1`` for one
-street ``k`` and solve the remaining (n-1)-block of ``A`` for the other
-entries.  ``A`` is accepted as rank ``n - 1`` when that block is
-nonsingular (every LU pivot above ``RANK_TOLERANCE`` times the largest)
-and the one equation left out, row ``k`` of ``A v = 0``, holds to
-``RANK_TOLERANCE`` of the sum of its terms' magnitudes.  ``k`` is taken
-from the strongly connected class of ``Q``'s support (Tarjan 1972) whose
-own diagonal block of ``A`` is singular; a generated network's support is
-one class, so there ``k`` is its first street and the LU is the only
-factorisation.  Fixing the flow on an anchor street ``i`` then gives
-``q = q_i v / v[i]``.
+Numerical Solution of Markov Chains*, 1994).  Fix ``v[k] = 1`` for the
+first street ``k`` of the closed class and solve the remaining
+(n-1)-block of ``A`` for the other entries.  Every class of that block
+leaks, so it is a nonsingular M-matrix.  Fixing the flow on an anchor
+street ``i`` then gives ``q = q_i v / v[i]``.
 
 SuperLU orders the columns of that block ``B`` by minimum degree on
 ``B^T B`` (``MMD_ATA``; George and Liu, SIAM Rev. 31, 1989), which leaves
@@ -29,16 +34,16 @@ less at grid 200.  Relaxed supernodes and panels are turned off
 supernodes (Demmel et al., SIAM J. Matrix Anal. Appl. 20, 1999) are a few
 columns wide, and padding them to the default sizes costs more than it
 saves.  The two settings take the grid-30 LU from about 12 to 7.6 ms.
-Pivoting stays partial, since a hand-written network's block need not be
-an M-matrix.
+Pivoting stays partial: diagonal pivoting under a symmetric ordering
+leaves 2.1-2.6 times the fill at grids 100-200.
 
 A network is built in two parts, the way sparse direct solvers analyse a
 pattern once and refactor it for new values (KLU; Davis and Palamadai
 Natarajan, ACM TOMS 37(3), 2010).  A :class:`FlowPattern` holds what the
 street graph and the turning support fix: the graph and head-to-tail
-checks, the CSR layout of ``Q``, the strongly connected classes, the
-balancing street ``k``, the layout of the deflated block and, once that
-has been factored, SuperLU's column order.  The numeric part, which
+checks, the CSR layout of ``Q``, the closed class and its street ``k``,
+the layout of the deflated block and, once that has been factored,
+SuperLU's column order.  The numeric part, which
 :func:`build_flow_matrix` and :func:`network_from_matrix` both end in,
 scatters the shares into that layout, checks them and factors the block.
 A later network on the same pattern object factors the block with its
@@ -47,9 +52,8 @@ skips the ordering and leaves the same factors, pivots and null vector
 bit for bit.  (The one exception is a diagonal entry that ties its
 column's largest: SuperLU prefers the diagonal pivot then, and the
 permuted block's nominal diagonal is another entry.  Generated shares
-leave no such ties.)  A network whose support has several classes of
-more than one street, or that lost a pair to an exact zero share, is
-analysed for itself.
+leave no such ties.)  A network that lost a pair to an exact zero share
+is analysed for itself, since that can change the classes.
 
 A street is a pair of intersections; its geometry and length derive from
 their positions.  Flows are veh/h/lane, positions and lengths are km.  All
@@ -73,10 +77,6 @@ from scipy.sparse.csgraph import connected_components
 import scipy.sparse
 
 from .errors import RankError, SingularError, TopologyError
-
-# LU pivots at or below this fraction of the largest count as zero, and so
-# does a left-out balance equation's residual below this fraction of its terms.
-RANK_TOLERANCE = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,12 +177,17 @@ class FlowNetwork:
     def null_vector(self) -> np.ndarray:
         """Unit-norm spanning vector of the one-dimensional null space of ``A``.
 
-        Computed from one deflated sparse LU, which also checks that ``A``
-        has rank ``n - 1`` (RankError otherwise); every flow solution is a
-        scalar multiple of this vector.  Its largest-magnitude entry is
-        positive.
+        Computed from one deflated sparse LU once the support is found to
+        have one closed class, that is ``A`` to have rank ``n - 1``
+        (RankError otherwise); every flow solution is a scalar multiple of
+        this vector.  Its largest-magnitude entry is positive.
         """
-        return _null_vector(self.Q, self.pattern)
+        Q, pattern = self.Q, self.pattern
+        # Q lies on the pattern's support, so with as many entries it has that support.
+        block = pattern._analysis if Q.nnz == pattern.nnz else _analyse(Q.indptr, Q.indices)
+        v = block.null_vector(Q.data)
+        v /= np.linalg.norm(v)
+        return v if v[np.argmax(np.abs(v))] > 0.0 else -v
 
 
 def csr_entries(M: scipy.sparse.csr_array) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -286,34 +291,33 @@ class FlowPattern:
         return np.isin(self.graph.head, self.graph.tail)
 
     @cached_property
-    def _analysis(self) -> tuple[_DeflatedBlock | None, list[np.ndarray]]:
+    def _analysis(self) -> _DeflatedBlock:
         return _analyse(self.indptr, self.indices)
 
 
-def _analyse(
-    indptr: np.ndarray, indices: np.ndarray
-) -> tuple[_DeflatedBlock | None, list[np.ndarray]]:
-    """What a CSR support of ``Q`` fixes about its null vector.
+def _analyse(indptr: np.ndarray, indices: np.ndarray) -> _DeflatedBlock:
+    """The deflated block of a CSR support of ``Q`` at the first street of
+    its closed class; RankError naming the count unless there is one.
 
     Ordered by the strongly connected classes of the support, ``A`` is
-    block triangular, so it has rank ``n - 1`` exactly when one class's
-    diagonal block is singular, with nullity 1, and every other one is not.
-    A one-street class has the block ``[1]``.  If at most one class has
-    more streets, as in every generated network, that class is the
-    singular one whenever any is, and its first street serves as ``k``
-    whatever the shares (see :func:`_balancing_street`): the deflated
-    block at that street is returned, and no classes.  Otherwise ``k``
-    depends on the shares, and the result is no block and the streets of
-    each class of several streets.
+    block triangular.  A one-street class has the block ``[1]``, and a
+    class that a pair leaves has a nonsingular block, since one of its
+    rows inside the class sums to less than 1; each closed class adds one
+    to the nullity (see the module docstring).
     """
     n = len(indptr) - 1
     support = scipy.sparse.csr_array((np.ones(len(indices)), indices, indptr), shape=(n, n))
     _, labels = connected_components(support, directed=True, connection="strong")
-    sizes = np.bincount(labels)
-    classes = np.flatnonzero(sizes > 1)
-    if classes.size <= 1:
-        return _DeflatedBlock(indptr, indices, int(np.argmax(sizes[labels] > 1))), []
-    return None, [np.flatnonzero(labels == label) for label in classes]
+    inflow_class = labels[np.repeat(np.arange(n), np.diff(indptr))]
+    closed = np.bincount(labels) > 1
+    closed[inflow_class[inflow_class != labels[indices]]] = False
+    count = int(closed.sum())
+    if count != 1:
+        raise RankError(
+            f"the turning support has {count} closed classes, so the balance matrix "
+            f"has rank {n - count}, expected {n - 1}"
+        )
+    return _DeflatedBlock(indptr, indices, int(np.argmax(labels == np.argmax(closed))))
 
 
 class _DeflatedBlock:
@@ -348,8 +352,6 @@ class _DeflatedBlock:
         self.indptr, self.indices, self.source = layout.indptr, layout.indices, layout.data
         self.rhs_rows = rows[into_rhs] - (rows[into_rhs] > k)
         self.rhs_source = into_rhs
-        self.row_k = np.arange(indptr[k], indptr[k + 1])
-        self.row_k_cols = indices[self.row_k]
         # SuperLU's column order, from the first factorisation.
         self.perm_c: np.ndarray | None = None
         self._ordered: tuple[np.ndarray, ...] | None = None
@@ -370,9 +372,6 @@ class _DeflatedBlock:
         """SuperLU factors of the block of ``Q.data``, and the column order
         applied to the block before it was factored (None on the first
         factorisation, which finds and keeps SuperLU's order).
-
-        RankError unless every pivot exceeds ``RANK_TOLERANCE`` times the
-        largest.
         """
         m = len(self.indptr) - 1
         values = -np.append(data, -1.0)[self.source]
@@ -387,19 +386,15 @@ class _DeflatedBlock:
                 order, indptr, indices, take = self._ordered_layout()
                 block = scipy.sparse.csc_array((values[take], indices, indptr), shape=(m, m))
                 lu = splu(block, permc_spec="NATURAL", relax=1, panel_size=1)
-            pivots = np.abs(lu.U.diagonal())
-            singular = not pivots.min() > RANK_TOLERANCE * pivots.max()
         except RuntimeError:  # SuperLU found an exactly zero pivot
-            singular = True
-        if singular:
             raise RankError(
                 f"balance matrix has rank below {m}: without street {self.k} the balance "
-                "equations are singular; the street network is disconnected"
-            )
+                "equations are singular"
+            ) from None
         return lu, order
 
     def null_vector(self, data: np.ndarray) -> np.ndarray:
-        """Null vector of ``I - Q`` scaled to ``v[k] = 1``; RankError unless rank n-1."""
+        """Null vector of ``I - Q`` scaled to ``v[k] = 1``."""
         k = self.k
         lu, order = self.factor(data)
         rhs = np.zeros(len(self.indptr) - 1)
@@ -407,55 +402,7 @@ class _DeflatedBlock:
         y = lu.solve(rhs)
         if order is not None:
             y[order] = y.copy()
-        v = np.concatenate((y[:k], [1.0], y[k:]))
-        # Row k of A v = 0, left out of the block, is the Schur complement of the
-        # block: unless it vanishes, A is nonsingular.
-        terms = np.append(1.0, -data[self.row_k] * v[self.row_k_cols])
-        if abs(terms.sum()) > RANK_TOLERANCE * np.abs(terms).sum():
-            raise RankError(
-                f"balance matrix has full rank {len(v)}, expected {len(v) - 1}; "
-                "the street network is over-constrained"
-            )
-        return v
-
-
-def _balancing_street(Q: scipy.sparse.csr_array, classes: Sequence[np.ndarray]) -> int:
-    """A street ``k`` for which fixing ``v[k] = 1`` leaves a nonsingular
-    block, among the ``classes`` of several streets that :func:`_analyse`
-    found: the first street of the first class that passes the deflated
-    rank test on its own.
-
-    With nonnegative shares (which :func:`network_from_matrix` ensures)
-    summing to at most 1 per street, no entry of a singular class's null
-    vectors vanishes (Perron-Frobenius), so any of its streets serves.  If
-    no class passes, street 0 is returned and the solve on the whole
-    network raises the RankError.
-    """
-    for members in classes:
-        sub = Q[members][:, members]
-        try:
-            _DeflatedBlock(sub.indptr, sub.indices, 0).null_vector(sub.data)
-        except RankError:
-            continue
-        return int(members[0])
-    return 0
-
-
-def _null_vector(Q: scipy.sparse.csr_array, pattern: FlowPattern) -> np.ndarray:
-    n = Q.shape[0]
-    if n < 2:
-        # Q links no street to itself, so A = I - Q is the identity here.
-        raise RankError(f"balance matrix has rank {n}, expected {n - 1}; too few streets")
-    # Q lies on the pattern's support, so with as many entries it has that support.
-    if Q.nnz == pattern.nnz:
-        block, classes = pattern._analysis
-    else:
-        block, classes = _analyse(Q.indptr, Q.indices)
-    if block is None:
-        block = _DeflatedBlock(Q.indptr, Q.indices, _balancing_street(Q, classes))
-    v = block.null_vector(Q.data)
-    v /= np.linalg.norm(v)
-    return v if v[np.argmax(np.abs(v))] > 0.0 else -v
+        return np.concatenate((y[:k], [1.0], y[k:]))
 
 
 def _network(pattern: FlowPattern, shares: np.ndarray) -> FlowNetwork:
@@ -463,7 +410,9 @@ def _network(pattern: FlowPattern, shares: np.ndarray) -> FlowNetwork:
 
     The shares of a repeated pair add up, and every sum must be a finite
     nonnegative share (ValueError at the first that is not, in row-major
-    order); a pair whose sum is exactly 0 is left out of ``Q``.
+    order); a pair whose sum is exactly 0 is left out of ``Q``.  The
+    shares of each inflow street whose head has outflows must sum to 1
+    within 1e-9 (ValueError listing the streets whose shares do not).
     """
     n = pattern.graph.n
     data = np.bincount(pattern.slot, shares, minlength=pattern.nnz)
@@ -475,6 +424,10 @@ def _network(pattern: FlowPattern, shares: np.ndarray) -> FlowNetwork:
             f"ratio matrix entry ({j}, {int(pattern.indices[e])}) is {float(data[e])!r}, "
             "not a finite nonnegative share"
         )
+    row_sums = np.bincount(pattern.rows, shares, minlength=n)
+    bad_rows = np.flatnonzero(pattern.has_outflow & (np.abs(row_sums - 1.0) > 1e-9))
+    if bad_rows.size:
+        raise ValueError(f"outflow shares of inflow streets {bad_rows.tolist()} do not sum to 1")
     Q = scipy.sparse.csr_array((data, pattern.indices, pattern.indptr), shape=(n, n), copy=True)
     if not data.all():
         Q.eliminate_zeros()
@@ -502,10 +455,6 @@ def build_flow_matrix(pattern: FlowPattern, shares) -> FlowNetwork:
         e = negative[0]
         j, k = int(rows[e]), int(pattern.indices[pattern.slot[e]])
         raise ValueError(f"turning ratio for ({j}, {k}) is negative")
-    row_sums = np.bincount(rows, shares, minlength=pattern.graph.n)
-    bad_rows = np.flatnonzero(pattern.has_outflow & (np.abs(row_sums - 1.0) > 1e-9))
-    if bad_rows.size:
-        raise ValueError(f"outflow shares of inflow streets {bad_rows.tolist()} do not sum to 1")
     return _network(pattern, shares)
 
 
@@ -518,9 +467,9 @@ def network_from_matrix(graph: StreetGraph, Q) -> FlowNetwork:
     entries, zero or not, form a :class:`FlowPattern`, which checks the
     street graph and that each entry links streets meeting head-to-tail
     (TopologyError otherwise); every entry, once duplicates are summed,
-    must be a finite nonnegative share (ValueError otherwise), and the
-    rank is checked.  Row normalisation is not required here, so
-    externally authored conventions remain loadable.
+    must be a finite nonnegative share, and the shares of each inflow
+    street whose head has outflows must sum to 1 (ValueError otherwise);
+    RankError when the balance matrix does not have rank n-1.
     """
     n = graph.n
     if scipy.sparse.issparse(Q):

@@ -68,6 +68,26 @@ def parallel_pair_network(ratio: float = 0.5) -> FlowNetwork:
     return flow_network(graph, *ratios(shares))
 
 
+def dead_end_network(into_loop: float = 0.5) -> FlowNetwork:
+    """A closed two-street loop, a source street feeding it and a dead end.
+
+    Streets 0 (intersection 0 to 1) and 1 (back) form the loop.  Street 2
+    runs into intersection 0 from intersection 2, which nothing enters, and
+    routes ``into_loop`` of its flow onto street 0 and the rest onto
+    street 3, which ends at intersection 3, where no street starts.  The
+    loop is the one closed class.  Streets 0 and 1 carry equal flow and
+    street 3 none, whether flows balance as ``q = Q q`` or ``q = Q^T q``;
+    street 2 carries ``into_loop`` times the loop's flow under the first
+    and none under the second.
+    """
+    graph = street_graph(
+        [(0, 1), (1, 0), (2, 0), (0, 3)],
+        {0: (0.0, 0.0), 1: (1.0, 0.0), 2: (-1.0, 0.0), 3: (0.0, 1.0)},
+    )
+    shares = {(0, 1): 1.0, (1, 0): 1.0, (2, 0): into_loop, (2, 3): 1.0 - into_loop}
+    return flow_network(graph, *ratios(shares))
+
+
 def synthetic_impact(z_scores: np.ndarray, headroom: np.ndarray, delta: float = 1.0) -> ImpactModel:
     """Impact model with given nonnegative scores over a one-street network."""
     z_scores = np.asarray(z_scores, dtype=float)

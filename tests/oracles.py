@@ -56,9 +56,13 @@ from icisim.coverage import (
 )
 from icisim.errors import OverlapError, SingularError
 from icisim.game import GameInstance, StealthLevel, attacker_payoff
-from icisim.traffic import RANK_TOLERANCE, StreetGraph
+from icisim.traffic import StreetGraph
 
 Point = tuple[float, float]
+
+# Singular values, and column-pivoted QR diagonal entries, at or below this
+# fraction of the largest count as zero.
+RANK_TOLERANCE = 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,11 @@ from icisim.coverage import Stations, coverage_from_lengths
 from icisim.errors import SingularError
 from icisim.impact import build_impact_model, export_impact_csv, its_deviation
 from icisim.scenario import ScenarioConfig, generate, loads
-from icisim.traffic import network_from_matrix, solve_flows
+from icisim.traffic import solve_flows
 
-from conftest import cycle_network, parallel_pair_network, synthetic_impact
+from conftest import cycle_network, dead_end_network, parallel_pair_network, synthetic_impact
 from oracles import dense_impact, finite_difference_total, lstsq_pattern
 from test_scenario import HAND_WRITTEN
-from test_traffic import _parallel_streets
 
 
 def _pattern(net, street: int) -> np.ndarray:
@@ -37,15 +36,11 @@ def test_cycle_pattern_is_hand_computable():
 
 
 def test_weak_coupling_bounds_remote_entries():
-    # Two tight loops tied together by epsilon-weight links: streets 2 and 3
-    # only see an epsilon-scaled share of a deviation on street 0.
+    # A source street that sends epsilon of its flow into a loop and the
+    # rest into a dead end: the source sees at most an epsilon-scaled share
+    # of a deviation on the loop, and the dead end none.
     eps = 1e-6
-    Q = np.zeros((4, 4))
-    Q[0, 2] = 1.0
-    Q[2, 0] = 1.0
-    Q[1, 2] = eps  # hand convention: q1 = eps * q2
-    Q[3, 0] = eps
-    net = network_from_matrix(_parallel_streets(), Q)
+    net = dead_end_network(eps)
     pattern = _pattern(net, 0)
     # Direct solve of the normal equations as an independent check.
     A = net.A.toarray()
@@ -53,8 +48,9 @@ def test_weak_coupling_bounds_remote_entries():
     a_i = A[:, 0]
     direct = np.linalg.solve(A_i.T @ A_i, A_i.T @ a_i)
     assert np.allclose(pattern, np.insert(direct, 0, -1.0), atol=1e-12)
-    assert abs(pattern[1]) <= 2.0 * eps
-    assert abs(pattern[3]) <= 2.0 * eps
+    assert pattern[1] == pytest.approx(-1.0, rel=1e-12)
+    assert abs(pattern[2]) <= 2.0 * eps
+    assert abs(pattern[3]) <= 1e-12
 
 
 def test_null_pattern_route_matches_least_squares(grid3_scenario):
@@ -88,20 +84,16 @@ def test_station_covering_one_full_street():
     assert model.z_scores[0] == pytest.approx(np.abs(expected).sum(), rel=1e-12)
 
 
-def _zero_flow_network():
-    # Street 1 and 3 carry no flow in this hand convention: v = (1, 0, 1, 0).
-    Q = np.zeros((4, 4))
-    Q[0, 2] = Q[0, 3] = Q[2, 0] = Q[3, 1] = 1.0
-    return network_from_matrix(_parallel_streets(), Q)
-
-
 def test_zero_flow_street_is_singular_only_when_covered():
-    net = _zero_flow_network()
+    # Street 3 of the dead-end network carries no flow.
+    net = dead_end_network()
     bs = Stations([(0.5, 0.0)], 1.0, 100.0, 200.0)
     covers_flowing = coverage_from_lengths(net.graph, np.array([[1.0], [0.0], [0.0], [0.0]]))
     model = build_impact_model(net, covers_flowing, bs)
-    assert model.z_scores[0] == pytest.approx(2.0 / bs.headroom[0], rel=1e-12)
-    covers_dry = coverage_from_lengths(net.graph, np.array([[0.0], [1.0], [0.0], [0.0]]))
+    vectors, scores = dense_impact(net, covers_flowing, bs)
+    assert model.z_scores[0] == pytest.approx(scores[0], rel=1e-12)
+    assert np.allclose(model.z_vectors, vectors, rtol=1e-12, atol=0.0)
+    covers_dry = coverage_from_lengths(net.graph, np.array([[0.0], [0.0], [0.0], [1.0]]))
     with pytest.raises(SingularError):
         build_impact_model(net, covers_dry, bs)
     with pytest.raises(SingularError):
@@ -185,8 +177,8 @@ def _oracle_cases():
     net = parallel_pair_network(0.3)
     lengths = np.array([[1.5, 0.5], [0.0, 2.0], [0.25, 0.0], [0.0, 0.0]])
     yield "parallel pair", net, coverage_from_lengths(net.graph, lengths), stations
-    net = _zero_flow_network()
-    lengths = np.array([[1.0, 0.0], [0.0, 0.0], [0.5, 0.5], [0.0, 0.0]])
+    net = dead_end_network()
+    lengths = np.array([[1.0, 0.0], [0.5, 0.5], [0.0, 0.0], [0.0, 0.0]])
     yield "zero-flow streets uncovered", net, coverage_from_lengths(net.graph, lengths), stations
 
 

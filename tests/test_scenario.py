@@ -430,11 +430,13 @@ def test_repeated_entry_keeps_its_last_value(block):
                                               r"is 0\.125 km in the file, but "):
             loads(_repeat_entry(text, block, "0.125", stray_last=True))
         return
-    try:
-        changed = loads(_repeat_entry(text, block, "0.125", stray_last=True))
-    except FormatError:  # a changed turning ratio may break the rank check
+    if block == "ratios":
+        # The kept 0.125 replaces a share, so that street's shares no longer sum to 1.
+        with pytest.raises(FormatError, match=r"^\[its\] outflow shares of inflow streets "
+                                              r"\[\d+\] do not sum to 1$"):
+            loads(_repeat_entry(text, block, "0.125", stray_last=True))
         return
-    assert not scenarios_equal(sc, changed)
+    assert not scenarios_equal(sc, loads(_repeat_entry(text, block, "0.125", stray_last=True)))
 
 
 @pytest.mark.parametrize(
@@ -569,6 +571,17 @@ def test_loader_rejects_overlapping_cells():
         r"but 0\.0 km from the geometry$"
     )):
         loads(stray)
+
+
+LEAKY_FILE = Path(__file__).parent / "data" / "scenario-leaky-row-v3.txt"
+
+
+def test_loader_rejects_ratios_that_do_not_sum_to_1():
+    # The grid-4 file with the first turning share of street 0 halved.
+    with pytest.raises(
+        FormatError, match=r"^\[its\] outflow shares of inflow streets \[0\] do not sum to 1$"
+    ):
+        loads(LEAKY_FILE.read_text(encoding="utf-8"))
 
 
 def test_negative_count_is_rejected():
@@ -872,7 +885,7 @@ def test_loads_equals_line_by_line_oracle():
     texts = [HAND_WRITTEN, legacy_text(generate(ScenarioConfig(grid_n=3, seed=0)))]
     texts += [
         path.read_text(encoding="utf-8")
-        for path in (GOLDEN_V1, GOLDEN_GRID6, *DATA.glob("scenario-*-v[23].txt"))
+        for path in (GOLDEN_V1, GOLDEN_GRID6, *DATA.glob("scenario-grid*-v[23].txt"))
     ]
     texts += [
         dumps(generate(ScenarioConfig(grid_n=grid_n, seed=seed)))

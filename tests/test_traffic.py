@@ -1,12 +1,14 @@
 """Street-network flow model tests."""
 from __future__ import annotations
 
+import re
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.sparse
+from hypothesis import given, settings, strategies as st
 
 from icisim.errors import RankError, SingularError, TopologyError
 from icisim.scenario import (
@@ -19,11 +21,10 @@ from icisim.scenario import (
     loads,
 )
 from icisim.traffic import (
-    RANK_TOLERANCE,
+    FlowPattern,
     StreetGraph,
     _DeflatedBlock,
     _check_structure,
-    _network,
     build_flow_matrix,
     csr_equal,
     network_from_matrix,
@@ -31,9 +32,11 @@ from icisim.traffic import (
 )
 
 from conftest import (
-    cycle_network, flow_network, parallel_pair_network, ratios, sampled_ratios, street_graph,
+    cycle_network, dead_end_network, flow_network, parallel_pair_network, ratios, sampled_ratios,
+    street_graph,
 )
 from oracles import (
+    RANK_TOLERANCE,
     loop_check_structure,
     make_street,
     object_topology,
@@ -198,19 +201,17 @@ def _parallel_streets() -> StreetGraph:
 
 
 def test_singular_anchor_raises():
-    # A loaded convention where street 1 must carry zero flow: removing its
-    # column leaves a rank-deficient reduced system.
-    Q = np.zeros((4, 4))
-    Q[0, 2] = 1.0
-    Q[0, 3] = 1.0
-    Q[2, 0] = 1.0
-    Q[3, 1] = 1.0
-    net = network_from_matrix(_parallel_streets(), Q)
+    # Street 3 runs into a dead end and carries no flow, so no balanced
+    # state moves its flow to 10.
+    net = dead_end_network()
     with pytest.raises(SingularError):
-        solve_flows(net, 1, 10.0)
-    # Other anchors stay solvable.
+        solve_flows(net, 3, 10.0)
+    # Other anchors stay solvable: the loop carries the anchor flow.
     flows = solve_flows(net, 0, 10.0)
-    assert np.allclose(flows, [10.0, 0.0, 10.0, 0.0], atol=1e-9)
+    assert flows[0] == 10.0 and flows[1] == pytest.approx(10.0, rel=1e-12)
+    assert abs(flows[3]) <= 1e-12
+    expected = qr_null_vector(net.A.toarray())
+    assert np.allclose(flows, 10.0 * expected / expected[0], rtol=1e-12, atol=1e-12)
 
 
 def test_loader_matrix_structure_validated():
@@ -249,17 +250,19 @@ def test_ratio_matrix_shares_must_be_finite_and_nonnegative():
         network_from_matrix(graph, split(0.5, -1.0))
 
 
-def _leaky_loop_into_cycle(cycle_share):
-    """Graph and Q of a leaky loop 0 -> 1 -> 2 -> 0 feeding a loop 3 <-> 4.
+def _loop_into_cycle(loop_share, cycle_share):
+    """Graph and Q of a loop 0 -> 1 -> 2 -> 0 feeding a loop 3 <-> 4.
 
-    Street 0 passes half its flow on round the loop and half to street 3.
-    With ``cycle_share = 1`` the small loop 3 <-> 4 balances on its own and
-    the rank is n - 1, although the larger class does not balance.
+    Street 0 passes half its flow on round the first loop and half to
+    street 3.  With both shares 1 every row sums to 1, the first loop is
+    a class that leaks and the loop 3 <-> 4 is the one closed class; any
+    other share leaves rows that do not sum to 1.
     """
     positions = {0: (0.0, 0.0), 1: (1.0, 0.0), 2: (0.5, 1.0), 3: (3.0, 0.0)}
     graph = street_graph([(0, 1), (1, 2), (2, 0), (1, 3), (3, 1)], positions)
     Q = np.zeros((5, 5))
-    Q[0, 1] = Q[1, 2] = Q[2, 0] = Q[0, 3] = 0.5
+    Q[0, 1] = Q[0, 3] = 0.5
+    Q[1, 2] = Q[2, 0] = loop_share
     Q[3, 4] = Q[4, 3] = cycle_share
     return graph, Q
 
@@ -272,63 +275,129 @@ def _grid_Q(graph: StreetGraph, seed: int) -> np.ndarray:
     return Q
 
 
-def _rank_fixtures():
-    """(name, graph, Q) for hand-made matrices on both sides of rank n-1."""
-    cycle = cycle_network()
-    yield "2-street cycle", cycle.graph, cycle.Q
-    Q = np.zeros((4, 4))
-    Q[0, 1] = Q[1, 0] = Q[2, 3] = Q[3, 2] = 1.0
-    yield "disconnected", street_graph([(0, 1), (1, 0), (2, 3), (3, 2)], _TWO_PAIRS), Q
+def _two_grids(grid_n: int, seed: int):
+    """Two generated grids side by side, 100 km apart, as a graph and the
+    (rows, cols, shares) of seeds ``seed`` and ``seed + 10``."""
+    graph = _grid_topology(ScenarioConfig(grid_n=grid_n))
+    m, offset = graph.n, grid_n * grid_n
+    positions = dict(zip(graph.node_ids.tolist(), graph.positions.tolist()))
+    positions.update({i + offset: (x + 100.0, y) for i, (x, y) in list(positions.items())})
+    ends = np.stack((graph.tail, graph.head), axis=1)
+    both = street_graph(np.concatenate((ends, ends + offset)), positions)
+    rows, cols, shares = (
+        np.concatenate((ours, theirs + shift)) for ours, theirs, shift in zip(
+            sampled_ratios(graph, seed), sampled_ratios(graph, seed + 10), (m, m, 0.0)
+        )
+    )
+    return both, rows, cols, shares
+
+
+def _leaky_fixtures():
+    """(name, graph, Q, streets whose shares do not sum to 1) for hand-made
+    matrices with rows that leak or overfill."""
     graph = _parallel_streets()
     Q = np.zeros((4, 4))
     Q[0, 2] = Q[2, 0] = 1.0
     Q[1, 2] = Q[3, 0] = 1e-6
-    yield "weak coupling", graph, Q
+    yield "weak coupling", graph, Q, [1, 3]
     Q = np.zeros((4, 4))
     Q[0, 2] = Q[0, 3] = Q[2, 0] = Q[3, 1] = 1.0
-    yield "zero-flow anchor", graph, Q
+    yield "zero-flow anchor", graph, Q, [0, 1]
     Q = np.zeros((4, 4))
     Q[0, 2] = 0.5
     Q[2, 0] = 1.0
-    yield "full rank", graph, Q
-    yield "leaky loop into cycle", *_leaky_loop_into_cycle(1.0)
-    yield "leaky loop into leaky loop", *_leaky_loop_into_cycle(0.5)
+    yield "full rank", graph, Q, [0, 1, 3]
+    yield "leaky loop into cycle", *_loop_into_cycle(0.5, 1.0), [1, 2]
+    yield "leaky loop into leaky loop", *_loop_into_cycle(0.5, 0.5), [1, 2, 3, 4]
+
+
+def test_leaky_rows_are_rejected():
+    for name, graph, Q, leaky in _leaky_fixtures():
+        message = f"^outflow shares of inflow streets {re.escape(str(leaky))} do not sum to 1$"
+        with pytest.raises(ValueError, match=message):
+            network_from_matrix(graph, Q)
+
+
+def _rank_fixtures():
+    """(name, graph, Q, closed classes) for stochastic matrices on both
+    sides of rank n-1."""
+    cycle = cycle_network()
+    yield "2-street cycle", cycle.graph, cycle.Q.toarray(), 1
+    Q = np.zeros((4, 4))
+    Q[0, 1] = Q[1, 0] = Q[2, 3] = Q[3, 2] = 1.0
+    yield "disconnected", street_graph([(0, 1), (1, 0), (2, 3), (3, 2)], _TWO_PAIRS), Q, 2
+    dead_end = dead_end_network()
+    yield "dead end", dead_end.graph, dead_end.Q.toarray(), 1
+    yield "loop into cycle", *_loop_into_cycle(1.0, 1.0), 1
+    Q = np.zeros((2, 2))
+    Q[0, 1] = 1.0
+    yield "path into a dead end", street_graph([(0, 1), (1, 2)], {**_PAIR, 2: (2.0, 0.0)}), Q, 0
+    yield "one street", street_graph([(0, 1)], _PAIR), np.zeros((1, 1)), 0
+    graph, rows, cols, shares = _two_grids(2, 0)
+    Q = np.zeros((graph.n, graph.n))
+    Q[rows, cols] = shares
+    yield "two grids", graph, Q, 2
     for grid_n in range(2, 7):
         graph = _grid_topology(ScenarioConfig(grid_n=grid_n))
-        yield f"grid {grid_n}", graph, _grid_Q(graph, 0)
+        yield f"grid {grid_n}", graph, _grid_Q(graph, 0), 1
 
 
 def test_qr_rank_decision_matches_svd_oracle():
-    decisions = {}
-    for name, graph, Q in _rank_fixtures():
+    # The rank is n less the closed classes; a network is accepted exactly
+    # when that is n - 1, and the RankError names the count otherwise.
+    for name, graph, Q, closed in _rank_fixtures():
         n = Q.shape[0]
-        try:
+        assert svd_rank(np.eye(n) - Q) == n - closed, name
+        if closed == 1:
             network_from_matrix(graph, Q)
-            accepted = True
-        except RankError:
-            accepted = False
-        assert accepted == (svd_rank(np.eye(n) - Q) == n - 1), name
-        decisions[name] = accepted
-    assert not decisions["disconnected"] and not decisions["full rank"]
-    assert decisions["weak coupling"] and decisions["zero-flow anchor"]
-    assert all(decisions[f"grid {g}"] for g in range(2, 7))
+        else:
+            with pytest.raises(RankError, match=f" has {closed} closed classes, "):
+                network_from_matrix(graph, Q)
+
+
+@st.composite
+def _random_networks(draw):
+    """A graph of up to 5 intersections and 8 streets, a random head-to-tail
+    support and shares ``w / sum(w)`` with each ``w`` in {1, 2, 3}."""
+    m = draw(st.integers(2, 5))
+    tails = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=8))
+    heads = [(t + draw(st.integers(1, m - 1))) % m for t in tails]
+    angles = 2.0 * np.pi * np.arange(m) / m
+    graph = street_graph(list(zip(tails, heads)), dict(enumerate(zip(np.cos(angles), np.sin(angles)))))
+    Q = np.zeros((graph.n, graph.n))
+    for r in range(graph.n):
+        outflows = np.flatnonzero(graph.tail == graph.head[r]).tolist()
+        if outflows:
+            picked = draw(st.lists(st.sampled_from(outflows), min_size=1, unique=True))
+            weights = np.array([draw(st.integers(1, 3)) for _ in picked], dtype=float)
+            Q[r, picked] = weights / weights.sum()
+    return graph, Q
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(_random_networks())
+def test_closed_class_count_decides_rank_like_svd(case):
+    graph, Q = case
+    n = graph.n
+    try:
+        net = network_from_matrix(graph, Q)
+    except RankError:
+        net = None
+    assert (net is not None) == (svd_rank(np.eye(n) - Q) == n - 1)
+    if net is not None:
+        expected = qr_null_vector(net.A.toarray())
+        assert np.max(np.abs(net.null_vector - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 def _null_vector_fixtures():
-    """(name, network) pairs: hand-made conventions and generated grids."""
+    """(name, network) pairs: hand-made networks and generated grids."""
     from test_scenario import HAND_WRITTEN
 
     yield "cycle", cycle_network()
     yield "parallel pair", parallel_pair_network(0.3)
-    graph = _parallel_streets()
-    Q = np.zeros((4, 4))
-    Q[0, 2] = Q[2, 0] = 1.0
-    Q[1, 2] = Q[3, 0] = 1e-6
-    yield "weak coupling", network_from_matrix(graph, Q)
-    Q = np.zeros((4, 4))
-    Q[0, 2] = Q[0, 3] = Q[2, 0] = Q[3, 1] = 1.0
-    yield "zero-flow anchor", network_from_matrix(graph, Q)
-    yield "leaky loop into cycle", network_from_matrix(*_leaky_loop_into_cycle(1.0))
+    yield "dead end", dead_end_network()
+    yield "weak coupling into the loop", dead_end_network(1e-6)
+    yield "loop into cycle", network_from_matrix(*_loop_into_cycle(1.0, 1.0))
     yield "hand-written", loads(HAND_WRITTEN).network
     for grid_n in range(2, 21):
         graph = _grid_topology(ScenarioConfig(grid_n=grid_n))
@@ -372,27 +441,17 @@ def test_geometry_must_meet_intersection_positions():
 
 
 def test_two_generated_grids_fail_rank_check():
-    # Side by side, two grids give a block whose LU pivot is tiny but not
-    # exactly zero, so the pivot threshold has to reject it.
+    # Side by side, two grids are two closed classes, so the balance matrix
+    # has rank n - 2 whatever the shares; the count decides it, where a
+    # numeric test would have to tell a tiny LU pivot from zero.
     for grid_n in (2, 3, 4):
-        graph = _grid_topology(ScenarioConfig(grid_n=grid_n))
-        m, offset = graph.n, grid_n * grid_n
-        positions = dict(zip(graph.node_ids.tolist(), graph.positions.tolist()))
-        positions.update({i + offset: (x + 100.0, y) for i, (x, y) in list(positions.items())})
-        ends = np.stack((graph.tail, graph.head), axis=1)
-        both = street_graph(np.concatenate((ends, ends + offset)), positions)
         for seed in range(3):
-            rows, cols, shares = (
-                np.concatenate((ours, theirs + shift)) for ours, theirs, shift in zip(
-                    sampled_ratios(graph, seed),
-                    sampled_ratios(graph, seed + 10),
-                    (m, m, 0.0),
-                )
-            )
-            Q = np.zeros((2 * m, 2 * m))
+            both, rows, cols, shares = _two_grids(grid_n, seed)
+            n = both.n
+            Q = np.zeros((n, n))
             Q[rows, cols] = shares
-            assert svd_rank(np.eye(2 * m) - Q) == 2 * m - 2
-            with pytest.raises(RankError):
+            assert svd_rank(np.eye(n) - Q) == n - 2
+            with pytest.raises(RankError, match=f"has 2 closed classes, .* rank {n - 2}, "):
                 flow_network(both, rows, cols, shares)
 
 
@@ -404,7 +463,7 @@ def test_grid30_factorisation_keeps_its_fill_reducing_ordering():
     # same pivots as a fresh MMD_ATA factorisation of its own.
     streets = build_streets(ScenarioConfig(grid_n=30))
     build_its(ScenarioConfig(grid_n=30, seed=0), streets)
-    block, _ = streets._analysis
+    block = streets._analysis
     # The pattern keeps the order, not a view into the first factors.
     assert block.perm_c.flags.owndata
     Q = build_its(ScenarioConfig(grid_n=30, seed=1), streets).Q
@@ -439,7 +498,7 @@ def test_networks_on_a_shared_pattern_match_fresh_builds():
             assert shared.pattern is streets and fresh.pattern is not streets
             assert csr_equal(shared.Q, fresh.Q), (grid_n, seed)
             assert np.array_equal(shared.null_vector, fresh.null_vector), (grid_n, seed)
-            block, _ = streets._analysis
+            block = streets._analysis
             assert block.perm_c is not None
             ours = _factors(block, shared.Q)
             theirs = _factors(_DeflatedBlock(fresh.Q.indptr, fresh.Q.indices, block.k), fresh.Q)
@@ -471,21 +530,22 @@ def test_exact_zero_share_leaves_no_stored_zero():
     assert np.array_equal(again.null_vector, generate(config).network.null_vector)
 
 
-def test_several_classes_pick_the_balancing_street_per_network():
-    # The loop 3 <-> 4 balances on its own when it keeps all its flow, and
-    # nothing balances when it leaks; so the street k must be found from
-    # each network's shares, not once per pattern.
-    graph, Q = _leaky_loop_into_cycle(1.0)
-    net = network_from_matrix(graph, Q)
-    block, classes = net.pattern._analysis
-    assert block is None and sorted(c.tolist() for c in classes) == [[0, 1, 2], [3, 4]]
-    shares = net.Q.data.copy()
-    assert np.array_equal(_network(net.pattern, shares).null_vector, net.null_vector)
-    leaky = shares.copy()
-    leaky[net.Q.indptr[3]] = leaky[net.Q.indptr[4]] = 0.5
-    with pytest.raises(RankError):
-        _network(net.pattern, leaky)
-    assert np.array_equal(_network(net.pattern, shares).null_vector, net.null_vector)
+def test_exact_zero_shares_can_split_the_closed_class():
+    # Loops 0 <-> 1 and 2 <-> 3 meet at intersection 1, where streets 0 and
+    # 3 each turn into either loop.  Zeroing both links leaves two closed
+    # classes on the pattern's one; the pattern still serves the next
+    # network, as a fresh pattern would.
+    graph = street_graph([(0, 1), (1, 0), (1, 2), (2, 1)], {**_PAIR, 2: (2.0, 0.0)})
+    rows, cols = [0, 0, 1, 2, 3, 3], [1, 2, 0, 3, 1, 2]
+    pattern = FlowPattern(graph, rows, cols)
+    joined = [0.5, 0.5, 1.0, 1.0, 0.5, 0.5]
+    net = build_flow_matrix(pattern, joined)
+    assert isinstance(pattern._analysis, _DeflatedBlock)
+    with pytest.raises(RankError, match=" has 2 closed classes, so the balance matrix has rank 2, "):
+        build_flow_matrix(pattern, [1.0, 0.0, 1.0, 1.0, 0.0, 1.0])
+    again = build_flow_matrix(pattern, joined)
+    assert np.array_equal(again.null_vector, net.null_vector)
+    assert np.array_equal(again.null_vector, flow_network(graph, rows, cols, joined).null_vector)
 
 
 def _edit_street(k, **changes):
