@@ -8,11 +8,8 @@ stealth-constrained attackers.
 
 from .coverage import (
     CoverageMap,
-    Hexagon,
     Stations,
     build_coverage,
-    clip_segment_to_hex,
-    coverage_fraction,
     hex_tiling,
 )
 from .errors import (
@@ -20,7 +17,6 @@ from .errors import (
     FormatError,
     IcisimError,
     InfeasibleError,
-    NoLineError,
     OverlapError,
     RankError,
     SingularError,
@@ -36,7 +32,6 @@ from .game import (
     attacker_payoff,
     defender_caps,
     defender_payoff,
-    detection_prob,
     equal_allocation,
     evaluate_profile,
     solve_defender_lp,
@@ -56,7 +51,6 @@ from .traffic import (
     StreetGraph,
     build_flow_matrix,
     network_from_matrix,
-    solve_flows,
 )
 
 __version__ = "0.1.0"

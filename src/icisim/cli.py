@@ -80,7 +80,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     sc = scenario_io.load(args.scenario)
-    level = StealthLevel.from_name(args.level)
+    level = StealthLevel(args.level)
     budget = args.budget if args.budget is not None else sc.config.budget
     defense, attack, outcome = stackelberg_equilibrium(level, sc.game_instance(), budget)
     text = solution_to_json(level, defense, attack, outcome)
@@ -95,7 +95,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
     config = _load_config(args.config, args.seed, {})
-    levels = tuple(StealthLevel.from_name(name) for name in args.level) or None
+    levels = tuple(StealthLevel(name) for name in args.level) or None
     sweep = tuple(args.sweep) if args.sweep else experiments.default_sweep(args.id)
     kwargs = dict(experiment=args.id, base=config, sweep=sweep, reps=args.reps)
     if levels:

@@ -5,7 +5,7 @@ so each one serves a disjoint cell.  They are held as one :class:`Stations`
 table of arrays, station ``b`` on row ``b``, as streets are rows of a
 :class:`~icisim.traffic.StreetGraph`.  The model needs two things from the
 geometry: how much of each street segment falls inside each cell, and the
-fraction of vehicles a station can still serve at a given received power.
+power band over which a station's service degrades.
 
 A street crosses only one or two cells, so coverage is stored sparse: one
 (street, station, km) entry per covered stretch, held as a CSR array with
@@ -20,16 +20,19 @@ no two cells overlap runs the same bucket search, from each station's
 centre out to the sum of two apothems, so on a tiling it is linear in the
 station count; :func:`~icisim.scenario.loads` runs it too.  All candidate
 (street, cell) pairs are then clipped at once by one six-half-plane
-kernel, which :func:`clip_segment_to_hex` also runs on a single pair.  The
-kernel projects on the edge normals elementwise (``a0*x + a1*y``), never
-through a BLAS mat-vec, whose fused multiply-adds would make the covered
-lengths depend on the BLAS build.  Where two or more cells reach a street,
-each stretch between their clip points goes to the lowest station id, in
-one more pass over all pairs, so no step loops over streets or pairs.
+kernel, :func:`_clip_intervals`.  It projects on the edge normals
+elementwise (``a0*x + a1*y``), never through a BLAS mat-vec, whose fused
+multiply-adds would make the covered lengths depend on the BLAS build.
+Where two or more cells reach a street, each stretch between their clip
+points goes to the lowest station id, in one more pass over all pairs, so
+no step loops over streets or pairs.
 
 The power response is piecewise linear: nothing below the activation power
 ``p_activation``, full service at ``p_full``, and the straight line
-``(p - p_activation) / (p_full - p_activation)`` in between.
+``(p - p_activation) / (p_full - p_activation)`` in between.  So a
+shortfall of ``s`` watts from full power loses the service fraction
+``min(s, headroom) / headroom``, with ``headroom = p_full - p_activation``;
+:func:`~icisim.impact.its_deviation` applies that clamp.
 """
 from __future__ import annotations
 
@@ -98,30 +101,6 @@ class Stations:
         return self.p_full - self.p_activation
 
 
-@dataclass(frozen=True)
-class Hexagon:
-    """Flat-top regular hexagon given by center and circumradius."""
-
-    center: Point
-    radius: float
-
-    @property
-    def apothem(self) -> float:
-        return self.radius * math.sqrt(3.0) / 2.0
-
-    def vertices(self) -> list[Point]:
-        cx, cy = self.center
-        return [
-            (cx + self.radius * math.cos(k * math.pi / 3.0),
-             cy + self.radius * math.sin(k * math.pi / 3.0))
-            for k in range(6)
-        ]
-
-    def contains(self, point: Point, tol: float = 1e-12) -> bool:
-        x, y = float(point[0]) - self.center[0], float(point[1]) - self.center[1]
-        return all(abs(a0 * x + a1 * y) <= self.apothem + tol for a0, a1 in _HEX_AXES)
-
-
 def _clip_intervals(x0, y0, dx, dy, apothem):
     """Parameter intervals of segments inside hexagons, one pair per entry.
 
@@ -149,18 +128,6 @@ def _clip_intervals(x0, y0, dx, dy, apothem):
                 t_lo = np.where(slope < 0.0, np.maximum(t_lo, t_cut), t_lo)
                 live &= ~((slope == 0.0) & (off > apothem))
     return t_lo, t_hi, live & (t_lo < t_hi)
-
-
-def clip_segment_to_hex(segment: tuple[Point, Point], hexagon: Hexagon) -> float:
-    """Length of the part of ``segment`` inside the closed hexagon."""
-    (x0, y0), (x1, y1) = segment
-    cx, cy = hexagon.center
-    t_lo, t_hi, live = _clip_intervals(
-        float(x0) - cx, float(y0) - cy, float(x1) - x0, float(y1) - y0, hexagon.apothem
-    )
-    if not live:
-        return 0.0
-    return float((t_hi - t_lo) * np.hypot(float(x1) - x0, float(y1) - y0))
 
 
 def hex_tiling(area_bounds: tuple[Point, Point], cell_radius: float) -> list[Point]:
@@ -450,12 +417,3 @@ def build_coverage(graph: StreetGraph, stations: Stations) -> CoverageMap:
     return coverage_from_lengths(
         graph, scipy.sparse.csr_array((km[entry], station[entry], indptr), shape=(n, len(radii)))
     )
-
-
-def coverage_fraction(stations: Stations, received_power: np.ndarray | float) -> np.ndarray:
-    """Fraction of vehicles each station serves at its ``received_power``
-    watts (one value per station, or one for all), each in [0, 1]."""
-    received_power = np.asarray(received_power, dtype=float)
-    if np.any(received_power < 0.0):
-        raise ValueError("received power must be nonnegative")
-    return np.clip((received_power - stations.p_activation) / stations.headroom, 0.0, 1.0)

@@ -25,13 +25,9 @@ class DisconnectedError(IcisimError):
     """A base station has no supplying generator."""
 
 
-class NoLineError(IcisimError):
-    """Queried a generator-to-station supply line that does not exist."""
-
-
 class InfeasibleError(IcisimError):
     """A strategy violates the feasibility constraints of its stealth level."""
 
 
 class FormatError(IcisimError):
-    """A scenario or solution file is malformed."""
+    """A scenario or config file is malformed."""

@@ -35,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InfeasibleError, NoLineError
+from .errors import InfeasibleError
 from .impact import ImpactModel, its_deviation, its_deviations
 from .power import PowerAssignment
 
@@ -53,13 +53,6 @@ class StealthLevel(enum.Enum):
     POWER_LINE = "line"
     BASE_STATION = "bs"
     OVERT = "overt"
-
-    @classmethod
-    def from_name(cls, name: str) -> "StealthLevel":
-        for level in cls:
-            if level.value == name:
-                return level
-        raise ValueError(f"unknown stealth level {name!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,10 +78,6 @@ class GameInstance:
     @property
     def num_generators(self) -> int:
         return self.assignment.num_generators
-
-    @property
-    def p_full(self) -> np.ndarray:
-        return self.assignment.p_full
 
     @property
     def headroom(self) -> np.ndarray:
@@ -222,40 +211,16 @@ def validate_attack(level: StealthLevel, instance: GameInstance, p_a: np.ndarray
         raise InfeasibleError(f"attack exceeds {_UNIT_NAMES[level].format(*unit)}")
 
 
-def detection_prob(
-    level: StealthLevel,
-    instance: GameInstance,
-    p_a: np.ndarray,
-    unit: int | tuple[int, int],
-) -> float:
-    """Detection probability of the attack at one monitored unit.
-
-    ``unit`` is a generator id at the source level, a ``(g, b)`` pair at the
-    line level, and a station id at the station level.  Raises ValueError
-    for a generator or station id outside ``0..k-1``, and NoLineError for a
-    pair of ids in range with no line between them.
-    """
-    if level is StealthLevel.OVERT:
-        raise ValueError("the overt level has no detection model")
-    drained, capacity = _monitored(level, instance, np.asarray(p_a, dtype=float))
-    if level is StealthLevel.POWER_LINE:
-        g, b = unit  # type: ignore[misc]
-        index: tuple[int, ...] = (int(b), int(g))
-    else:
-        index = (int(unit),)  # type: ignore[arg-type]
-    if not all(0 <= i < size for i, size in zip(index, capacity.shape)):
-        raise ValueError(f"{level.value} unit {unit} out of range")
-    if level is StealthLevel.POWER_LINE and not instance.assignment.has_line(g, b):
-        raise NoLineError(f"no line from generator {g} to station {b}")
-    return float(_ratio_array(np.array([drained[index]]), np.array([capacity[index]]), level)[0])
-
-
-def _ratio_array(drained: np.ndarray, capacity: np.ndarray, level: StealthLevel) -> np.ndarray:
-    """Detection ratios ``drained / capacity`` of many units, clipped to 1.
+def _detection_array(level: StealthLevel, instance: GameInstance, p_a: np.ndarray) -> np.ndarray:
+    """Detection ratios ``drained / capacity`` of the units ``level``
+    monitors (:func:`_monitored`), clipped to 1; none at the overt level.
 
     A unit with no capacity is certain to be detected once anything is
     drained from it; a ratio above ``1 + _FEAS_RTOL`` raises InfeasibleError.
     """
+    if level is StealthLevel.OVERT:
+        return np.zeros(0)
+    drained, capacity = _monitored(level, instance, p_a)
     ratios = np.divide(
         drained, capacity, out=np.zeros_like(drained, dtype=float), where=capacity > 0.0
     )
@@ -266,12 +231,6 @@ def _ratio_array(drained: np.ndarray, capacity: np.ndarray, level: StealthLevel)
             f"detection ratio exceeds 1 at {level.value} unit {unit.tolist()}"
         )
     return np.minimum(ratios, 1.0)
-
-
-def _detection_array(level: StealthLevel, instance: GameInstance, p_a: np.ndarray) -> np.ndarray:
-    if level is StealthLevel.OVERT:
-        return np.zeros(0)
-    return _ratio_array(*_monitored(level, instance, p_a), level)
 
 
 def defender_payoff(impact: ImpactModel, p_d: np.ndarray, p_a: np.ndarray) -> float:
@@ -525,20 +484,3 @@ def solution_to_json(
         "residual_deviation": repr(outcome.residual_deviation),
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def solution_from_json(text: str) -> tuple[StealthLevel, DefenseStrategy, AttackStrategy, GameOutcome]:
-    """Inverse of :func:`solution_to_json`."""
-    doc = json.loads(text)
-    level = StealthLevel.from_name(doc["level"])
-    defense = DefenseStrategy(
-        np.array([float(x) for x in doc["p_d"]]), float(doc["budget"])
-    )
-    attack = AttackStrategy(np.array([[float(x) for x in row] for row in doc["p_a"]]))
-    outcome = GameOutcome(
-        float(doc["defender_payoff"]),
-        float(doc["attacker_payoff"]),
-        np.asarray(doc["detection"], dtype=float),
-        float(doc["residual_deviation"]),
-    )
-    return level, defense, attack, outcome

@@ -36,9 +36,6 @@ class PowerAssignment:
     def num_generators(self) -> int:
         return self.T.shape[1]
 
-    def has_line(self, g: int, b: int) -> bool:
-        return self.T[b, g] > 0.0
-
 
 def build_assignment(stations: Stations, shares: np.ndarray) -> PowerAssignment:
     """Normalise raw supply weights into a PowerAssignment.

@@ -685,10 +685,16 @@ def loads(text: str) -> Scenario:
             f.name: _token("config", f.name, int if f.type == "int" else float, raw[f.name])
             for f in fields(ScenarioConfig) if f.name != "bs_per_generator_range"
         }
+        # Both bounds are "auto", or both are integers.
         if raw["bs_per_generator_min"] != "auto":
             values["bs_per_generator_range"] = tuple(
                 _token("config", key, int, raw[key])
                 for key in ("bs_per_generator_min", "bs_per_generator_max")
+            )
+        elif raw["bs_per_generator_max"] != "auto":
+            raise FormatError(
+                f"[config] bs_per_generator_max: expected 'auto' with an 'auto' minimum, "
+                f"got {raw['bs_per_generator_max']!r}"
             )
         config = ScenarioConfig(**values)
     except KeyError as err:

@@ -502,11 +502,3 @@ def _anchor_entries(net: FlowNetwork, streets: Sequence[int]) -> np.ndarray:
         bad = idx[small][0]
         raise SingularError(f"reduced system for street {bad} is numerically singular")
     return v[idx]
-
-
-def solve_flows(net: FlowNetwork, anchor: int, anchor_flow: float) -> np.ndarray:
-    """All street flows given the flow on one anchor street."""
-    if anchor_flow < 0.0:
-        raise ValueError("anchor flow must be nonnegative")
-    v = net.null_vector
-    return anchor_flow * (v / _anchor_entries(net, [anchor])[0])

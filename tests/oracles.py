@@ -25,8 +25,13 @@ oracle grows one set of station ids per generator instead of ranking all
 budget station by station instead of filling many budgets in one running
 difference, the station-reply oracle answers one allocation with
 share totals added generator by generator instead of a masked array sum,
-and the source-reply oracle spreads each attacked generator's drain over
-its lines one generator at a time instead of in one array expression.
+the source-reply oracle spreads each attacked generator's drain over
+its lines one generator at a time instead of in one array expression,
+the detection oracle sums one unit's drain and capacity line by line
+from ``T``, ``p_full`` and the headroom instead of reducing whole arrays,
+and the power-response oracle branches on the two thresholds instead of
+clipping one ratio.  ``Hexagon`` and ``anchored_flows`` restate, from
+their definitions, a cell and the flows fixed by one anchor street.
 
 The object builders are the street network as the package once held it,
 one frozen record per street and per intersection:
@@ -42,18 +47,14 @@ one frozen record per street and per intersection:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from icisim.coverage import (
-    CoverageMap,
-    Hexagon,
-    _HEX_AXES,
-    coverage_from_lengths,
-)
+from icisim.coverage import CoverageMap, _HEX_AXES, coverage_from_lengths
 from icisim.errors import OverlapError, SingularError
 from icisim.game import GameInstance, StealthLevel, attacker_payoff
 from icisim.traffic import StreetGraph
@@ -135,6 +136,34 @@ def budgeted_allocation_lp(values: np.ndarray, caps: np.ndarray, budget: float) 
 
 # ---------------------------------------------------------------------------
 # Geometry
+
+
+@dataclass(frozen=True)
+class Hexagon:
+    """Flat-top regular hexagon given by center and circumradius."""
+
+    center: Point
+    radius: float
+
+    @property
+    def apothem(self) -> float:
+        return self.radius * math.sqrt(3.0) / 2.0
+
+    def vertices(self) -> list[Point]:
+        cx, cy = self.center
+        return [
+            (cx + self.radius * math.cos(k * math.pi / 3.0),
+             cy + self.radius * math.sin(k * math.pi / 3.0))
+            for k in range(6)
+        ]
+
+    def contains(self, point: Point, tol: float = 1e-12) -> bool:
+        """Whether ``point`` is within ``tol`` of the closed hexagon: its
+        distance from the centre along each edge normal is at most the
+        apothem."""
+        x, y = float(point[0]) - self.center[0], float(point[1]) - self.center[1]
+        normals = [(math.cos(a), math.sin(a)) for a in (math.pi / 6, math.pi / 2, 5 * math.pi / 6)]
+        return all(abs(a0 * x + a1 * y) <= self.apothem + tol for a0, a1 in normals)
 
 
 def clip_length_sequential(segment, hexagon: Hexagon) -> float:
@@ -554,6 +583,17 @@ def qr_flow_solution(A: np.ndarray, anchor: int, anchor_flow: float) -> np.ndarr
     return np.insert(rest, anchor, anchor_flow)
 
 
+def anchored_flows(net, anchor: int, anchor_flow: float) -> np.ndarray:
+    """All street flows with ``anchor_flow`` on street ``anchor``.
+
+    Every balanced flow is a multiple of the null vector ``v``, so the
+    flows are ``anchor_flow * v / v[anchor]``; ``v / v[anchor]`` is taken
+    first, so the anchor's own entry is exact.
+    """
+    v = net.null_vector
+    return anchor_flow * (v / v[anchor])
+
+
 def dense_impact(net, coverage, stations) -> tuple[np.ndarray, np.ndarray]:
     """Impact vectors and scores summed pattern by pattern for each station.
 
@@ -594,6 +634,49 @@ def finite_difference_total(scenario, station: int, cut_watts: float) -> float:
         after = -(base - street_cut) * lstsq_pattern(A, i)
         total += after - before
     return float(np.abs(total).sum())
+
+
+# ---------------------------------------------------------------------------
+# Power response and detection
+
+
+def coverage_fraction(stations, received_power) -> np.ndarray:
+    """Fraction of vehicles each station serves at its ``received_power``
+    watts (one value per station, or one for all): 0 at or below
+    ``p_activation``, 1 at or above ``p_full`` and linear in between."""
+    power = np.broadcast_to(np.asarray(received_power, dtype=float), stations.p_full.shape)
+    lo, hi = stations.p_activation, stations.p_full
+    return np.where(power <= lo, 0.0, np.where(power >= hi, 1.0, (power - lo) / (hi - lo)))
+
+
+def unit_detection(level: StealthLevel, instance: GameInstance, p_a: np.ndarray, unit) -> float:
+    """Detection probability of the (stations, generators) attack ``p_a``
+    at one monitored unit, summed line by line from its definition.
+
+    ``unit`` is a generator ``g`` at the source level, whose drain is its
+    lines' total and whose capacity is ``sum_b T[b, g] * p_full[b]``; a
+    ``(g, b)`` pair at the line level, with capacity ``T[b, g] *
+    p_full[b]``; and a station ``b`` at the station level, whose drain is
+    its lines' total and whose capacity is its headroom (the overt level
+    is not monitored).  The probability
+    is drain over capacity, at most 1; a unit with no capacity is detected
+    exactly when something is drained from it.
+    """
+    T, p_full = instance.assignment.T.tolist(), instance.assignment.p_full.tolist()
+    p_a = np.asarray(p_a, dtype=float).tolist()
+    B, G = instance.num_stations, instance.num_generators
+    if level is StealthLevel.POWER_SOURCE:
+        drained = sum(p_a[b][unit] for b in range(B))
+        capacity = sum(T[b][unit] * p_full[b] for b in range(B))
+    elif level is StealthLevel.POWER_LINE:
+        g, b = unit
+        drained, capacity = p_a[b][g], T[b][g] * p_full[b]
+    else:
+        drained = sum(p_a[unit][g] for g in range(G))
+        capacity = float(instance.headroom[unit])
+    if capacity <= 0.0:
+        return 1.0 if drained > 0.0 else 0.0
+    return min(drained / capacity, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -697,7 +780,7 @@ def lattice_best_attack(
             count = int(wired[:, g].sum())
             if count == 0:
                 continue
-            top = float(instance.assignment.T[:, g] @ instance.p_full) / count
+            top = float(instance.assignment.T[:, g] @ instance.assignment.p_full) / count
             grid = np.linspace(0.0, top, points)
             scores = [payoff(_assemble_source(instance, _one_hot(G, g, u))) for u in grid]
             best[g] = grid[int(np.argmax(scores))]

@@ -11,20 +11,21 @@ import scipy.sparse
 
 from icisim.coverage import (
     CoverageMap,
-    Hexagon,
     Stations,
+    _clip_intervals,
     build_coverage,
-    clip_segment_to_hex,
-    coverage_fraction,
     coverage_from_lengths,
     hex_tiling,
 )
 from icisim.errors import OverlapError
+from icisim.impact import ImpactModel, its_deviation
 from icisim.scenario import ScenarioConfig, _grid_topology
 from icisim.traffic import csr_equal
 
 from conftest import segment_graph
-from oracles import clip_length_sequential, dense_overlap_pair, loop_coverage
+from oracles import (
+    Hexagon, clip_length_sequential, coverage_fraction, dense_overlap_pair, loop_coverage,
+)
 
 SQ3 = math.sqrt(3.0)
 
@@ -81,22 +82,31 @@ def test_tiling_validates_inputs():
 # Clipping
 
 
+def _clip_length(segment, hexagon: Hexagon) -> float:
+    """Length of ``segment`` inside ``hexagon``, from the library's clip
+    kernel run on one pair."""
+    (x0, y0), (x1, y1) = segment
+    cx, cy = hexagon.center
+    t_lo, t_hi, live = _clip_intervals(x0 - cx, y0 - cy, x1 - x0, y1 - y0, hexagon.apothem)
+    return float((t_hi - t_lo) * math.hypot(x1 - x0, y1 - y0)) if live else 0.0
+
+
 def test_clip_segment_fully_inside():
     hexagon = Hexagon((0.0, 0.0), 1.0)
     seg = ((-0.3, 0.0), (0.4, 0.1))
-    assert clip_segment_to_hex(seg, hexagon) == pytest.approx(math.hypot(0.7, 0.1), abs=1e-15)
+    assert _clip_length(seg, hexagon) == pytest.approx(math.hypot(0.7, 0.1), abs=1e-15)
 
 
 def test_clip_segment_fully_outside():
     hexagon = Hexagon((0.0, 0.0), 1.0)
-    assert clip_segment_to_hex(((5.0, 5.0), (6.0, 5.0)), hexagon) == 0.0
+    assert _clip_length(((5.0, 5.0), (6.0, 5.0)), hexagon) == 0.0
 
 
 def test_clip_crossing_edge_matches_sequential_oracle():
     hexagon = Hexagon((0.0, 0.0), 1.0)
     # Unit segment leaving through the upper-right edge at a known angle.
     seg = ((0.2, 0.3), (0.2 + math.cos(0.7), 0.3 + math.sin(0.7)))
-    ours = clip_segment_to_hex(seg, hexagon)
+    ours = _clip_length(seg, hexagon)
     assert ours == pytest.approx(clip_length_sequential(seg, hexagon), abs=1e-12)
     assert 0.0 < ours < 1.0
 
@@ -107,7 +117,7 @@ def test_clip_random_segments_match_oracle_and_never_exceed_length():
     for _ in range(200):
         p0 = tuple(rng.uniform(-2.0, 2.0, 2))
         p1 = tuple(rng.uniform(-2.0, 2.0, 2))
-        ours = clip_segment_to_hex((p0, p1), hexagon)
+        ours = _clip_length((p0, p1), hexagon)
         assert ours == pytest.approx(clip_length_sequential((p0, p1), hexagon), abs=1e-12)
         assert ours <= math.hypot(p1[0] - p0[0], p1[1] - p0[1]) + 1e-12
 
@@ -358,32 +368,53 @@ def test_overlap_check_matches_dense_oracle():
 
 
 # ---------------------------------------------------------------------------
-# Power response
+# Power response: its_deviation clamps each shortfall at the headroom, the
+# shortfall at which the station's service fraction reaches 0.
+
+
+def _unit_impact(stations: Stations) -> ImpactModel:
+    """Impact model in which every station's shortfall costs 1 per watt."""
+    return ImpactModel(np.ones(1), np.ones(len(stations)), stations.headroom, 1.0)
+
+
+def _lost_watts(stations: Stations, shortfall) -> np.ndarray:
+    """Service fraction lost at ``p_full - shortfall`` watts, times the
+    headroom, from the power-response oracle."""
+    lost = 1.0 - coverage_fraction(stations, stations.p_full - shortfall)
+    return lost * (stations.p_full - stations.p_activation)
 
 
 def test_fraction_at_full_power():
-    assert np.array_equal(coverage_fraction(ONE, 200.0), [1.0])
+    assert its_deviation(_unit_impact(ONE), [0.0]) == _lost_watts(ONE, 0.0)[0] == 0.0
 
 
 def test_fraction_at_activation_threshold():
-    assert np.array_equal(coverage_fraction(ONE, 100.0), [0.0])
+    # At the threshold the station is dark; a larger shortfall adds nothing.
+    for shortfall in (100.0, 150.0):
+        lost = its_deviation(_unit_impact(ONE), [shortfall])
+        assert lost == _lost_watts(ONE, shortfall)[0] == 100.0
 
 
 def test_fraction_linear_midpoint():
-    assert np.array_equal(coverage_fraction(ONE, 150.0), [0.5])
+    assert its_deviation(_unit_impact(ONE), [50.0]) == _lost_watts(ONE, 50.0)[0] == 50.0
 
 
 def test_fraction_is_clamped_monotone_piecewise():
     powers = np.linspace(0.0, 300.0, 61)
-    values = [float(coverage_fraction(ONE, p)[0]) for p in powers]
-    # One power per station gives each station's value at its own power.
+    shortfalls = 200.0 - powers
+    values = [its_deviation(_unit_impact(ONE), [s]) for s in shortfalls]
+    expected = [float(_lost_watts(ONE, s)[0]) for s in shortfalls]
+    assert np.allclose(values, expected, rtol=1e-12, atol=1e-12)
+    # One shortfall per station sums each station's own lost watts.
     many = _stations(np.zeros((61, 2)))
-    assert np.array_equal(coverage_fraction(many, powers), values)
-    assert all(b >= a for a, b in zip(values, values[1:]))
-    assert all(v == 0.0 for p, v in zip(powers, values) if p <= 100.0)
-    assert all(v == 1.0 for p, v in zip(powers, values) if p >= 200.0)
+    assert its_deviation(_unit_impact(many), shortfalls) == pytest.approx(
+        sum(values), rel=1e-12
+    )
+    assert all(b <= a for a, b in zip(values, values[1:]))
+    assert all(v == 100.0 for p, v in zip(powers, values) if p <= 100.0)
+    assert all(v == 0.0 for p, v in zip(powers, values) if p >= 200.0)
     mid = (powers >= 100.0) & (powers <= 200.0)
-    assert np.allclose(np.array(values)[mid], (powers[mid] - 100.0) / 100.0)
+    assert np.allclose(np.array(values)[mid], shortfalls[mid])
 
 
 def test_station_parameter_validation():
@@ -397,8 +428,6 @@ def test_station_parameter_validation():
         Stations(three, 1.0, [100.0, 200.0, 0.0], 200.0)
     with pytest.raises(ValueError):
         Stations(three, [1.0, 1.0], 100.0, 200.0)
-    with pytest.raises(ValueError):
-        coverage_fraction(ONE, -5.0)
 
 
 def test_station_table_is_read_only_rows():

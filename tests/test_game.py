@@ -1,26 +1,27 @@
 """Allocation game tests: payoffs, best responses, LP, equilibria."""
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
-from icisim.errors import InfeasibleError, NoLineError
+from icisim.errors import InfeasibleError
 from icisim.game import (
     AttackStrategy,
     DefenseStrategy,
     StealthLevel,
+    _detection_array,
     _fill_order,
     _greedy_fill,
     attacker_best_response,
     attacker_payoff,
     defender_caps,
     defender_payoff,
-    detection_prob,
     equal_allocation,
     equilibrium_allocations,
     evaluate_profile,
     reply_residuals,
-    solution_from_json,
     solution_to_json,
     solve_defender_lp,
     stackelberg_equilibrium,
@@ -34,6 +35,7 @@ from icisim.scenario import ScenarioConfig, generate
 from conftest import make_instance, random_feasible_defense, random_instance, synthetic_impact
 from oracles import (
     budgeted_allocation_lp, lattice_best_attack, loop_fill, loop_source_reply, loop_station_reply,
+    unit_detection,
 )
 
 STEALTHY = (StealthLevel.POWER_SOURCE, StealthLevel.POWER_LINE, StealthLevel.BASE_STATION)
@@ -66,28 +68,25 @@ def _split_instance():
 def test_zero_attack_is_undetectable():
     inst = _split_instance()
     p_a = np.zeros((2, 2))
-    assert detection_prob(StealthLevel.POWER_SOURCE, inst, p_a, 0) == 0.0
-    assert detection_prob(StealthLevel.POWER_LINE, inst, p_a, (1, 1)) == 0.0
-    assert detection_prob(StealthLevel.BASE_STATION, inst, p_a, 0) == 0.0
+    for level in STEALTHY:
+        assert not _detection_array(level, inst, p_a).any()
 
 
 def test_line_detection_boundary():
     inst = _split_instance()
     p_a = np.zeros((2, 2))
     p_a[0, 0] = inst.line_caps[0, 0]
-    assert detection_prob(StealthLevel.POWER_LINE, inst, p_a, (0, 0)) == 1.0
+    assert _detection_array(StealthLevel.POWER_LINE, inst, p_a)[0, 0] == 1.0
 
 
 def test_station_detection_linear_ratio():
     inst = _split_instance()
     p_a = np.zeros((2, 2))
     p_a[0] = [30.0, 20.0]
-    assert detection_prob(StealthLevel.BASE_STATION, inst, p_a, 0) == pytest.approx(0.5)
+    assert _detection_array(StealthLevel.BASE_STATION, inst, p_a)[0] == pytest.approx(0.5)
 
 
 def test_detection_array_matches_per_unit_probabilities():
-    from icisim.game import _detection_array
-
     rng = np.random.default_rng(61)
     inst = random_instance(rng, 4, 3)
     caps = inst.line_caps
@@ -95,13 +94,13 @@ def test_detection_array_matches_per_unit_probabilities():
     line = _detection_array(StealthLevel.POWER_LINE, inst, p_a)
     for b, g in np.argwhere(caps > 0.0):
         assert line[b, g] == pytest.approx(
-            detection_prob(StealthLevel.POWER_LINE, inst, p_a, (int(g), int(b)))
+            unit_detection(StealthLevel.POWER_LINE, inst, p_a, (int(g), int(b)))
         )
     assert np.all(line[caps <= 0.0] == 0.0)
     source = _detection_array(StealthLevel.POWER_SOURCE, inst, p_a)
     for g in range(inst.num_generators):
         assert source[g] == pytest.approx(
-            detection_prob(StealthLevel.POWER_SOURCE, inst, p_a, g)
+            unit_detection(StealthLevel.POWER_SOURCE, inst, p_a, g)
         )
     # Station-level drains can exceed the headroom for this random draw, so
     # rescale before comparing.
@@ -109,44 +108,24 @@ def test_detection_array_matches_per_unit_probabilities():
     station = _detection_array(StealthLevel.BASE_STATION, inst, p_b)
     for b in range(inst.num_stations):
         assert station[b] == pytest.approx(
-            detection_prob(StealthLevel.BASE_STATION, inst, p_b, b)
+            unit_detection(StealthLevel.BASE_STATION, inst, p_b, b)
         )
+    assert _detection_array(StealthLevel.OVERT, inst, p_a).size == 0
 
 
 def test_detection_rejects_overdrain_and_missing_lines():
     inst = _split_instance()
     p_a = np.zeros((2, 2))
     p_a[0, 0] = 2.0 * inst.line_caps[0, 0]
-    with pytest.raises(InfeasibleError):
-        detection_prob(StealthLevel.POWER_LINE, inst, p_a, (0, 0))
-    with pytest.raises(NoLineError):
-        detection_prob(StealthLevel.POWER_LINE, inst, np.zeros((2, 2)), (0, 1))
-    with pytest.raises(ValueError):
-        detection_prob(StealthLevel.OVERT, inst, np.zeros((2, 2)), 0)
-
-
-@pytest.mark.parametrize(
-    "level, unit",
-    [
-        (StealthLevel.POWER_LINE, (-1, 0)),
-        (StealthLevel.POWER_LINE, (0, -1)),
-        (StealthLevel.POWER_LINE, (5, 0)),
-        (StealthLevel.POWER_LINE, (0, 2)),
-        (StealthLevel.BASE_STATION, -2),
-        (StealthLevel.BASE_STATION, 2),
-        (StealthLevel.POWER_SOURCE, -1),
-        (StealthLevel.POWER_SOURCE, 2),
-    ],
-)
-def test_detection_rejects_unit_ids_out_of_range(level, unit):
-    # A negative id must not wrap around to another unit's probability.
-    inst = _split_instance()
-    p_a = np.array([[30.0, 20.0], [0.0, 50.0]])
-    with pytest.raises(ValueError, match="out of range"):
-        detection_prob(level, inst, p_a, unit)
-    # In range but unwired stays a missing line, not a range error.
-    with pytest.raises(NoLineError):
-        detection_prob(StealthLevel.POWER_LINE, inst, p_a, (0, 1))
+    with pytest.raises(InfeasibleError, match=r"detection ratio exceeds 1 at line unit \[0, 0\]"):
+        _detection_array(StealthLevel.POWER_LINE, inst, p_a)
+    # Station 1 is fed by generator 1 only: a drain on generator 0 ->
+    # station 1 is on no line, certain to be detected and infeasible.
+    off_line = np.zeros((2, 2))
+    off_line[1, 0] = 1.0
+    assert _detection_array(StealthLevel.POWER_LINE, inst, off_line)[1, 0] == 1.0
+    with pytest.raises(InfeasibleError, match="nonexistent line generator 0 -> station 1"):
+        validate_attack(StealthLevel.POWER_LINE, inst, off_line)
 
 
 # ---------------------------------------------------------------------------
@@ -779,11 +758,12 @@ def test_solution_serialisation_round_trip():
     rng = np.random.default_rng(59)
     inst = random_instance(rng, 3, 2)
     defense, attack, outcome = stackelberg_equilibrium(StealthLevel.POWER_LINE, inst, 80.0)
-    text = solution_to_json(StealthLevel.POWER_LINE, defense, attack, outcome)
-    level, defense2, attack2, outcome2 = solution_from_json(text)
-    assert level is StealthLevel.POWER_LINE
-    assert np.array_equal(defense2.allocation, defense.allocation)
-    assert np.array_equal(attack2.deviations, attack.deviations)
-    assert outcome2.defender_payoff == outcome.defender_payoff
-    assert outcome2.attacker_payoff == outcome.attacker_payoff
-    assert np.array_equal(outcome2.detection, outcome.detection)
+    doc = json.loads(solution_to_json(StealthLevel.POWER_LINE, defense, attack, outcome))
+    assert doc["level"] == "line" and doc["budget"] == 80.0
+    # Every float is written as its repr, so it reads back bit for bit.
+    assert np.array_equal(np.array(doc["p_d"], dtype=float), defense.allocation)
+    assert np.array_equal(np.array(doc["p_a"], dtype=float), attack.deviations)
+    assert float(doc["defender_payoff"]) == outcome.defender_payoff
+    assert float(doc["attacker_payoff"]) == outcome.attacker_payoff
+    assert np.array_equal(doc["detection"], outcome.detection)
+    assert float(doc["residual_deviation"]) == outcome.residual_deviation

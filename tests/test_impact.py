@@ -10,16 +10,15 @@ from icisim.coverage import Stations, coverage_from_lengths
 from icisim.errors import SingularError
 from icisim.impact import build_impact_model, export_impact_csv, its_deviation
 from icisim.scenario import ScenarioConfig, generate, loads
-from icisim.traffic import solve_flows
 
 from conftest import cycle_network, dead_end_network, parallel_pair_network, synthetic_impact
-from oracles import dense_impact, finite_difference_total, lstsq_pattern
+from oracles import anchored_flows, dense_impact, finite_difference_total, lstsq_pattern
 from test_scenario import HAND_WRITTEN
 
 
 def _pattern(net, street: int) -> np.ndarray:
     """Balanced flow change per unit cut on ``street``: ``-v / v[street]``."""
-    return -solve_flows(net, street, 1.0)
+    return -anchored_flows(net, street, 1.0)
 
 
 def test_pattern_has_minus_one_at_its_street(grid3_scenario):

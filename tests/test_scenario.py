@@ -42,10 +42,11 @@ from icisim.scenario import (
     save,
     scenarios_equal,
 )
-from icisim.traffic import StreetGraph, csr_entries, csr_equal, network_from_matrix, solve_flows
+from icisim.traffic import StreetGraph, csr_entries, csr_equal, network_from_matrix
 
 from conftest import sampled_ratios
 from oracles import (
+    anchored_flows,
     dict_ratios,
     dirichlet_ratios,
     line_entries,
@@ -66,7 +67,7 @@ def _validate_scenario(sc: Scenario) -> None:
     # Generated ratio rows are shares summing to one.
     assert np.allclose(net.Q.sum(axis=1), 1.0, atol=1e-9)
     # Flows solve and conserve.
-    flows = solve_flows(net, 0, 1000.0)
+    flows = anchored_flows(net, 0, 1000.0)
     assert np.linalg.norm(net.A @ flows, np.inf) <= 1e-6 * np.abs(flows).max()
     # Coverage partitions each street inside the tiling.
     assert np.allclose(sc.coverage.lengths.toarray().sum(axis=1), g.length, rtol=1e-6)
@@ -599,7 +600,7 @@ def test_hand_written_minimal_scenario_loads():
     # Each street's deviation reaches the whole 2-street loop and the
     # station covers both, so its score is 4 / headroom.
     assert sc.impact.z_scores[0] == pytest.approx(4.0 / 100.0)
-    flows = solve_flows(sc.network, 0, 500.0)
+    flows = anchored_flows(sc.network, 0, 500.0)
     assert np.allclose(flows, 500.0)
 
 
@@ -831,6 +832,29 @@ def test_config_block_keys_are_checked(old, new, message):
         loads(HAND_WRITTEN.replace(old, new))
 
 
+@pytest.mark.parametrize(
+    "low, high, message",
+    [
+        ("auto", "7", r"^\[config\] bs_per_generator_max: expected 'auto' with an 'auto' "
+                      r"minimum, got '7'$"),
+        ("auto", "banana", r"^\[config\] bs_per_generator_max: expected 'auto' with an "
+                           r"'auto' minimum, got 'banana'$"),
+        ("2", "auto", r"^\[config\] bs_per_generator_max: bad integer 'auto'$"),
+    ],
+)
+def test_loader_takes_both_connection_bounds_or_neither(low, high, message):
+    # A range is two integers or two "auto"s; one "auto" does not make the
+    # other bound unread.
+    text = (DATA / "scenario-grid4-seed0-v3.txt").read_text(encoding="utf-8")
+    both = "\nbs_per_generator_min = auto\nbs_per_generator_max = auto\n"
+    assert both in text
+    edited = text.replace(
+        both, f"\nbs_per_generator_min = {low}\nbs_per_generator_max = {high}\n"
+    )
+    with pytest.raises(FormatError, match=message):
+        loads(edited)
+
+
 def test_loader_rejects_a_negative_seed():
     text = (DATA / "scenario-grid4-seed0-v2.txt").read_text(encoding="utf-8")
     assert "\nseed = 0\n" in text
@@ -988,3 +1012,21 @@ def test_repeated_intersection_id_keeps_its_last_position():
     assert again.network.graph.node_ids.tolist() == list(range(9))
     assert np.array_equal(again.network.graph.positions, sc.network.graph.positions)
     assert dumps(again) == text
+
+
+def test_readme_python_blocks_run(capsys):
+    # Each python block of README runs as written, in a namespace of its
+    # own, so the library sketch cannot drift from the package's API.
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme.read_text(encoding="utf-8"), re.M | re.S)
+    assert len(blocks) == 3
+    namespaces = []
+    for block in blocks:
+        namespaces.append({"__name__": "readme"})
+        exec(compile(block, str(readme), "exec"), namespaces[-1])
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 2 and float(out[0]) > 0.0
+    assert out[1] == "[500. 500.]"
+    # The layer sketch's replica is the scenario generate builds.
+    layers = namespaces[1]
+    assert scenarios_equal(layers["replica"], generate(layers["other"]))
