@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import enum
 import json
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -146,6 +147,16 @@ def _check_spend(allocations: np.ndarray, budgets: np.ndarray | float) -> None:
         )
 
 
+def _per_station(p_d: np.ndarray, num_stations: int) -> np.ndarray:
+    """The backup ``p_d`` as a float array; ValueError unless its last axis
+    has one entry per station."""
+    p_d = np.asarray(p_d, dtype=float)
+    if p_d.shape[-1:] != (num_stations,):
+        got = p_d.shape[-1] if p_d.ndim else 0
+        raise ValueError(f"allocation has {got} entries, expected {num_stations}, one per station")
+    return p_d
+
+
 @dataclass(frozen=True, eq=False)
 class GameOutcome:
     """Payoffs, per-unit detection probabilities and the physical deviation."""
@@ -234,9 +245,10 @@ def _detection_array(level: StealthLevel, instance: GameInstance, p_a: np.ndarra
 
 
 def defender_payoff(impact: ImpactModel, p_d: np.ndarray, p_a: np.ndarray) -> float:
-    """Negated impact-weighted net shortfall over all stations."""
+    """Negated impact-weighted net shortfall over all stations; ValueError
+    unless the backup ``p_d`` has one entry per station."""
     p_a = np.asarray(p_a, dtype=float)
-    p_d = np.asarray(p_d, dtype=float)
+    p_d = _per_station(p_d, impact.num_stations)
     return float(-(impact.z_scores @ (p_a.sum(axis=1) - p_d)))
 
 
@@ -250,10 +262,11 @@ def attacker_payoff(
 
     Each monitored unit discounts the gain it carries by one minus its
     detection ratio; the overt level is the zero-sum game, undiscounted.
+    ValueError unless the backup ``p_d`` has one entry per station.
     """
     validate_attack(level, instance, p_a)
     p_a = np.asarray(p_a, dtype=float)
-    p_d = np.asarray(p_d, dtype=float)
+    p_d = _per_station(p_d, instance.num_stations)
     if level is StealthLevel.OVERT:
         return -defender_payoff(instance.impact, p_d, p_a)
 
@@ -268,11 +281,15 @@ def attacker_payoff(
 
 
 def _source_mask(instance: GameInstance, sources: Sequence[int] | None) -> np.ndarray:
-    mask = np.zeros(instance.num_generators, dtype=bool)
+    G = instance.num_generators
     if sources is None:
-        mask[:] = True
-    else:
-        mask[list(sources)] = True
+        return np.ones(G, dtype=bool)
+    ids = [operator.index(g) for g in sources]
+    outside = [g for g in ids if not 0 <= g < G]
+    if outside:
+        raise ValueError(f"generator id {outside[0]} is outside 0..{G - 1}")
+    mask = np.zeros(G, dtype=bool)
+    mask[ids] = True
     return mask
 
 
@@ -288,11 +305,14 @@ def attacker_best_response(
     single-source experiments); by default all generators are attacked.
     Only the station-level reply reads the backup ``p_d`` (none by
     default).  There ``p_d`` may stack K allocations, shape (K, B); the
-    reply then stacks the K replies, shape (K, B, G).
+    reply then stacks the K replies, shape (K, B, G).  ValueError for a
+    generator id outside ``0..G-1`` and, at every level, for a ``p_d``
+    whose last axis does not have one entry per station.
     """
     caps = instance.line_caps
     wired = caps > 0.0
     mask = _source_mask(instance, sources)
+    p_d = None if p_d is None else _per_station(p_d, instance.num_stations)
 
     if level is StealthLevel.BASE_STATION:
         # Drive each station's total shortfall to the vertex of its concave
@@ -301,7 +321,7 @@ def attacker_best_response(
         # weights are F-ordered; their row sums are kept as they are, as
         # those of C-ordered weights can differ in the last bit.
         h = instance.headroom
-        p_d = np.zeros(instance.num_stations) if p_d is None else np.asarray(p_d, dtype=float)
+        p_d = np.zeros(instance.num_stations) if p_d is None else p_d
         target = np.minimum((p_d + h) / 2.0, h)
         weights = np.where(wired[:, mask], instance.assignment.T[:, mask], 0.0)
         totals = weights.sum(axis=1)
@@ -434,7 +454,8 @@ def evaluate_profile(
 
     The physical deviation nets the backup power against the attack, floors
     at zero per station, and saturates at the headroom; the payoffs use the
-    raw (unclamped) difference.
+    raw (unclamped) difference.  ValueError unless the allocation has one
+    entry per station.
     """
     u_d = defender_payoff(instance.impact, defense.allocation, attack.deviations)
     u_a = attacker_payoff(level, instance, defense.allocation, attack.deviations)

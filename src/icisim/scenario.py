@@ -240,9 +240,10 @@ def _sample_shares(rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     inflow's pairs are adjacent, and ``np.bincount`` adds each inflow's
     draws in order, which is the arithmetic of ``Generator.dirichlet`` with
     unit weights, so the shares are the same bits as one ``dirichlet`` call
-    per inflow.
+    per inflow, but for an exact zero draw: raised to the smallest normal
+    float, it keeps every share positive and so the street layer's pattern.
     """
-    draws = rng.standard_exponential(len(rows))
+    draws = np.maximum(rng.standard_exponential(len(rows)), np.finfo(float).tiny)
     return draws * (1.0 / np.bincount(rows, draws))[rows]
 
 

@@ -42,25 +42,27 @@ pattern once and refactor it for new values (KLU; Davis and Palamadai
 Natarajan, ACM TOMS 37(3), 2010).  A :class:`FlowPattern` holds what the
 street graph and the turning support fix: the graph and head-to-tail
 checks, the CSR layout of ``Q``, the closed class and its street ``k``,
-the layout of the deflated block and, once that has been factored,
-SuperLU's column order.  The numeric part, which
-:func:`build_flow_matrix` and :func:`network_from_matrix` both end in,
-scatters the shares into that layout, checks them and factors the block.
-A later network on the same pattern object factors the block with its
-columns already in the stored order (``permc_spec="NATURAL"``), which
-skips the ordering and leaves the same factors, pivots and null vector
-bit for bit.  (The one exception is a diagonal entry that ties its
-column's largest: SuperLU prefers the diagonal pivot then, and the
-permuted block's nominal diagonal is another entry.  Generated shares
-leave no such ties.)  A network that lost a pair to an exact zero share
-is analysed for itself, since that can change the classes.
+and the layout of the deflated block, in SuperLU's column order once
+that has been found.  The numeric part, which :func:`build_flow_matrix`
+and :func:`network_from_matrix` both end in, scatters the shares into
+that layout, checks them and factors the block.  A later network on the
+same pattern object factors the block with its columns already in the
+stored order (``permc_spec="NATURAL"``), which skips the ordering and
+leaves the same factors, pivots and null vector bit for bit.  (The one
+exception is a diagonal entry that ties its column's largest: SuperLU
+prefers the diagonal pivot then, and the permuted block's nominal
+diagonal is another entry.  Generated shares leave no such ties.)  A
+network's pattern is exactly the support of its ``Q``: one that loses a
+pair to an exact zero share gets a smaller pattern of its own, since
+that can change the classes.
 
 A street is a pair of intersections; its geometry and length derive from
 their positions.  Flows are veh/h/lane, positions and lengths are km.  All
 objects here are immutable after construction and safe for concurrent
-reads, except that a graph keeps its derived arrays on first use and a
-pattern its column order on its first factorisation; two threads that get
-there at once both find, and store, the same values.
+reads, except that a graph keeps its derived arrays on first use, and a
+pattern its analysis on first use and, by one assignment on its first
+factorisation, the block layout in SuperLU's column order; two threads
+that get there at once both find, and store, the same values.
 """
 from __future__ import annotations
 
@@ -151,8 +153,8 @@ class FlowNetwork:
 
     ``Q[r, c]`` is the share linking inflow street ``r`` to outflow street
     ``c`` at the intersection ``head(r) == tail(c)``.  ``Q`` is a CSR array
-    with sorted column indices and no stored zeros, on the support of the
-    ``pattern`` it was built on, less any pair whose share is exactly 0.
+    with sorted column indices and no stored zeros, laid out as its
+    ``pattern``, whose pairs are exactly the entries of ``Q``.
     Networks come from :func:`build_flow_matrix` and
     :func:`network_from_matrix`.
     """
@@ -182,10 +184,7 @@ class FlowNetwork:
         (RankError otherwise); every flow solution is a scalar multiple of
         this vector.  Its largest-magnitude entry is positive.
         """
-        Q, pattern = self.Q, self.pattern
-        # Q lies on the pattern's support, so with as many entries it has that support.
-        block = pattern._analysis if Q.nnz == pattern.nnz else _analyse(Q.indptr, Q.indices)
-        v = block.null_vector(Q.data)
+        v = self.pattern._analysis.null_vector(self.Q.data)
         v /= np.linalg.norm(v)
         return v if v[np.argmax(np.abs(v))] > 0.0 else -v
 
@@ -292,32 +291,29 @@ class FlowPattern:
 
     @cached_property
     def _analysis(self) -> _DeflatedBlock:
-        return _analyse(self.indptr, self.indices)
+        """The deflated block at the first street of the support's closed
+        class; RankError naming the count unless there is one.
 
-
-def _analyse(indptr: np.ndarray, indices: np.ndarray) -> _DeflatedBlock:
-    """The deflated block of a CSR support of ``Q`` at the first street of
-    its closed class; RankError naming the count unless there is one.
-
-    Ordered by the strongly connected classes of the support, ``A`` is
-    block triangular.  A one-street class has the block ``[1]``, and a
-    class that a pair leaves has a nonsingular block, since one of its
-    rows inside the class sums to less than 1; each closed class adds one
-    to the nullity (see the module docstring).
-    """
-    n = len(indptr) - 1
-    support = scipy.sparse.csr_array((np.ones(len(indices)), indices, indptr), shape=(n, n))
-    _, labels = connected_components(support, directed=True, connection="strong")
-    inflow_class = labels[np.repeat(np.arange(n), np.diff(indptr))]
-    closed = np.bincount(labels) > 1
-    closed[inflow_class[inflow_class != labels[indices]]] = False
-    count = int(closed.sum())
-    if count != 1:
-        raise RankError(
-            f"the turning support has {count} closed classes, so the balance matrix "
-            f"has rank {n - count}, expected {n - 1}"
-        )
-    return _DeflatedBlock(indptr, indices, int(np.argmax(labels == np.argmax(closed))))
+        Ordered by the strongly connected classes of the support, ``A`` is
+        block triangular.  A one-street class has the block ``[1]``, and a
+        class that a pair leaves has a nonsingular block, since one of its
+        rows inside the class sums to less than 1; each closed class adds
+        one to the nullity (see the module docstring).
+        """
+        indptr, indices = self.indptr, self.indices
+        n = self.graph.n
+        support = scipy.sparse.csr_array((np.ones(len(indices)), indices, indptr), shape=(n, n))
+        _, labels = connected_components(support, directed=True, connection="strong")
+        inflow_class = labels[np.repeat(np.arange(n), np.diff(indptr))]
+        closed = np.bincount(labels) > 1
+        closed[inflow_class[inflow_class != labels[indices]]] = False
+        count = int(closed.sum())
+        if count != 1:
+            raise RankError(
+                f"the turning support has {count} closed classes, so the balance matrix "
+                f"has rank {n - count}, expected {n - 1}"
+            )
+        return _DeflatedBlock(indptr, indices, int(np.argmax(labels == np.argmax(closed))))
 
 
 class _DeflatedBlock:
@@ -325,9 +321,11 @@ class _DeflatedBlock:
     ``Q`` on one CSR support, and factored with the ordering and supernode
     settings the module docstring gives.
 
-    The first factorisation orders the columns by ``MMD_ATA`` and keeps
-    SuperLU's column order; a later one factors the block with its columns
-    already in that order, under ``NATURAL``.
+    ``layout`` is the block in CSC, ``(indptr, indices, source, order)``:
+    entry ``e`` is ``-np.append(Q.data, -1.0)[source[e]]`` and column ``j``
+    is the block's column ``order[j]``, or ``j`` while ``order`` is None.
+    The first factorisation (``MMD_ATA``) swaps in the layout in SuperLU's
+    column order, which every later one factors under ``NATURAL``.
     """
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray, k: int) -> None:
@@ -340,67 +338,43 @@ class _DeflatedBlock:
         block_rows -= block_rows > k
         block_cols -= block_cols > k
         diag = np.arange(n - 1, dtype=np.int32)
-        # The block in CSC, holding for each entry its position in
-        # np.append(Q.data, -1.0): the diagonal takes the -1.0.
-        layout = scipy.sparse.coo_array(
+        # The diagonal takes the -1.0 past the end of Q.data.
+        block = scipy.sparse.coo_array(
             (np.concatenate((np.full(n - 1, len(indices)), kept)).astype(np.int32),
              (np.concatenate((diag, block_rows)), np.concatenate((diag, block_cols)))),
             shape=(n - 1, n - 1),
         ).tocsc()
         into_rhs = np.flatnonzero((rows != k) & (indices == k))
         self.k = k
-        self.indptr, self.indices, self.source = layout.indptr, layout.indices, layout.data
+        self.layout = (block.indptr, block.indices, block.data, None)
         self.rhs_rows = rows[into_rhs] - (rows[into_rhs] > k)
         self.rhs_source = into_rhs
-        # SuperLU's column order, from the first factorisation.
-        self.perm_c: np.ndarray | None = None
-        self._ordered: tuple[np.ndarray, ...] | None = None
-
-    def _ordered_layout(self) -> tuple[np.ndarray, ...]:
-        """The block with its columns in the stored order: the order, the
-        block's ``indptr`` and ``indices``, and each entry's place in the
-        natural layout."""
-        if self._ordered is None:
-            order = np.argsort(self.perm_c)
-            counts = np.diff(self.indptr)[order]
-            take = np.repeat(self.indptr[order] - np.cumsum(counts) + counts, counts)
-            take += np.arange(len(take))
-            self._ordered = (order, np.append(0, np.cumsum(counts)), self.indices[take], take)
-        return self._ordered
-
-    def factor(self, data: np.ndarray) -> tuple[scipy.sparse.linalg.SuperLU, np.ndarray | None]:
-        """SuperLU factors of the block of ``Q.data``, and the column order
-        applied to the block before it was factored (None on the first
-        factorisation, which finds and keeps SuperLU's order).
-        """
-        m = len(self.indptr) - 1
-        values = -np.append(data, -1.0)[self.source]
-        order = None
-        try:
-            if self.perm_c is None:
-                block = scipy.sparse.csc_array((values, self.indices, self.indptr), shape=(m, m))
-                lu = splu(block, permc_spec="MMD_ATA", relax=1, panel_size=1)
-                # A copy: ``lu.perm_c`` is a view that keeps the factors alive.
-                self.perm_c = lu.perm_c.copy()
-            else:
-                order, indptr, indices, take = self._ordered_layout()
-                block = scipy.sparse.csc_array((values[take], indices, indptr), shape=(m, m))
-                lu = splu(block, permc_spec="NATURAL", relax=1, panel_size=1)
-        except RuntimeError:  # SuperLU found an exactly zero pivot
-            raise RankError(
-                f"balance matrix has rank below {m}: without street {self.k} the balance "
-                "equations are singular"
-            ) from None
-        return lu, order
 
     def null_vector(self, data: np.ndarray) -> np.ndarray:
         """Null vector of ``I - Q`` scaled to ``v[k] = 1``."""
         k = self.k
-        lu, order = self.factor(data)
-        rhs = np.zeros(len(self.indptr) - 1)
+        indptr, indices, source, order = self.layout
+        m = len(indptr) - 1
+        block = scipy.sparse.csc_array((-np.append(data, -1.0)[source], indices, indptr), (m, m))
+        try:
+            lu = splu(block, permc_spec="MMD_ATA" if order is None else "NATURAL",
+                      relax=1, panel_size=1)
+        except RuntimeError:  # SuperLU found an exactly zero pivot
+            raise RankError(
+                f"balance matrix has rank below {m}: without street {k} the balance "
+                "equations are singular"
+            ) from None
+        rhs = np.zeros(m)
         rhs[self.rhs_rows] = data[self.rhs_source]
         y = lu.solve(rhs)
-        if order is not None:
+        if order is None:
+            # Lay the columns out in SuperLU's order for every later factorisation.
+            order = np.argsort(lu.perm_c)
+            counts = np.diff(indptr)[order]
+            take = np.repeat(indptr[order] - np.cumsum(counts) + counts, counts)
+            take += np.arange(len(take))
+            self.layout = (np.append(0, np.cumsum(counts)), indices[take], source[take], order)
+        else:
             y[order] = y.copy()
         return np.concatenate((y[:k], [1.0], y[k:]))
 
@@ -410,9 +384,10 @@ def _network(pattern: FlowPattern, shares: np.ndarray) -> FlowNetwork:
 
     The shares of a repeated pair add up, and every sum must be a finite
     nonnegative share (ValueError at the first that is not, in row-major
-    order); a pair whose sum is exactly 0 is left out of ``Q``.  The
-    shares of each inflow street whose head has outflows must sum to 1
-    within 1e-9 (ValueError listing the streets whose shares do not).
+    order); a pair whose sum is exactly 0 is left out of ``Q``, and the
+    network is built on a new pattern of the other pairs.  The shares of
+    each inflow street whose head has outflows must sum to 1 within 1e-9
+    (ValueError listing the streets whose shares do not).
     """
     n = pattern.graph.n
     data = np.bincount(pattern.slot, shares, minlength=pattern.nnz)
@@ -428,9 +403,11 @@ def _network(pattern: FlowPattern, shares: np.ndarray) -> FlowNetwork:
     bad_rows = np.flatnonzero(pattern.has_outflow & (np.abs(row_sums - 1.0) > 1e-9))
     if bad_rows.size:
         raise ValueError(f"outflow shares of inflow streets {bad_rows.tolist()} do not sum to 1")
-    Q = scipy.sparse.csr_array((data, pattern.indices, pattern.indptr), shape=(n, n), copy=True)
     if not data.all():
-        Q.eliminate_zeros()
+        kept = data != 0.0
+        rows = np.repeat(np.arange(n), np.diff(pattern.indptr))[kept]
+        pattern, data = FlowPattern(pattern.graph, rows, pattern.indices[kept]), data[kept]
+    Q = scipy.sparse.csr_array((data, pattern.indices, pattern.indptr), shape=(n, n), copy=True)
     net = FlowNetwork(pattern, Q)
     net.null_vector  # factorise now so a rank failure surfaces at construction
     return net

@@ -661,6 +661,44 @@ def test_restricted_sources_zero_other_columns():
         assert attack.deviations[:, 1].sum() > 0.0
 
 
+@pytest.fixture(scope="module")
+def grid4_instance():
+    inst = generate(ScenarioConfig(grid_n=4, seed=0)).game_instance()
+    assert (inst.num_stations, inst.num_generators) == (7, 3)
+    return inst
+
+
+@pytest.mark.parametrize("level", tuple(StealthLevel))
+def test_attack_sources_outside_the_generators_raise(grid4_instance, level):
+    # Generator -1 used to wrap around to generator 2, and 3 raised a bare
+    # IndexError; the first id outside 0..2 is named.
+    for sources, bad in (([-1], -1), ([3], 3), ([0, 3, -1], 3)):
+        with pytest.raises(ValueError, match=rf"^generator id {bad} is outside 0\.\.2$"):
+            attacker_best_response(level, grid4_instance, sources=sources)
+    last = attacker_best_response(level, grid4_instance, sources=[2]).deviations
+    assert np.array_equal(last[:, :2], np.zeros((7, 2)))
+
+
+@pytest.mark.parametrize("entries", (1, 8))
+@pytest.mark.parametrize("level", tuple(StealthLevel))
+def test_allocations_need_one_entry_per_station(grid4_instance, level, entries):
+    # A one-entry allocation used to be credited at all 7 stations.
+    inst = grid4_instance
+    p_d = np.full(entries, 5.0 / entries)
+    attack = attacker_best_response(level, inst).deviations
+    calls = (
+        lambda: attacker_best_response(level, inst, p_d),
+        lambda: attacker_payoff(level, inst, p_d, attack),
+        lambda: defender_payoff(inst.impact, p_d, attack),
+        lambda: evaluate_profile(level, inst, DefenseStrategy(p_d, 5.0), AttackStrategy(attack)),
+        lambda: reply_residuals(level, inst, p_d[None, :], [5.0]),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match=rf"^allocation has {entries} entries, expected 7, "
+                                             "one per station$"):
+            call()
+
+
 def test_equilibrium_beats_equal_allocation_payoff(grid3_scenario):
     # Compared within each level's cap total: beyond it the equilibrium
     # allocation is saturated by construction while a uniform split may

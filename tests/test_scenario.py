@@ -29,6 +29,7 @@ from icisim.scenario import (
     _grid_topology,
     _place_generators,
     _rng,
+    _sample_shares,
     _tables_equal,
     _wire_generators,
     build_ci,
@@ -42,7 +43,9 @@ from icisim.scenario import (
     save,
     scenarios_equal,
 )
-from icisim.traffic import StreetGraph, csr_entries, csr_equal, network_from_matrix
+from icisim.traffic import (
+    StreetGraph, build_flow_matrix, csr_entries, csr_equal, network_from_matrix,
+)
 
 from conftest import sampled_ratios
 from oracles import (
@@ -212,6 +215,27 @@ def test_one_draw_ratios_equal_per_inflow_dirichlet():
             rows, cols, shares = sampled_ratios(graph, seed)
             oracle = dirichlet_ratios(streets, nodes, _rng(seed, _STREAM_RATIOS))
             assert (rows.tolist(), cols.tolist(), shares.tolist()) == _triples(oracle)
+
+
+def test_a_zero_draw_keeps_its_pair():
+    # An exact zero exponential draw would give a share of 0 and a network
+    # on a smaller pattern than its street layer, which an experiment's
+    # later replicas are built on.  It is raised to the smallest normal
+    # float; the other shares keep their bits.
+    class ZeroFirst:
+        def standard_exponential(self, size):
+            draws = _rng(0, _STREAM_RATIOS).standard_exponential(size)
+            draws[0] = 0.0
+            return draws
+
+    streets = build_streets(ScenarioConfig(grid_n=4))
+    rows = streets.rows
+    shares = _sample_shares(rows, ZeroFirst())
+    draws = ZeroFirst().standard_exponential(len(rows))
+    plain = draws * (1.0 / np.bincount(rows, draws))[rows]
+    assert plain[0] == 0.0 < shares[0] < 1e-300 and np.all(shares > 0.0)
+    assert np.array_equal(shares[1:], plain[1:])
+    assert build_flow_matrix(streets, shares).pattern is streets
 
 
 _ORACLE_GRIDS = [*range(2, 13), 30]
@@ -853,6 +877,29 @@ def test_loader_takes_both_connection_bounds_or_neither(low, high, message):
     )
     with pytest.raises(FormatError, match=message):
         loads(edited)
+
+
+def test_loader_builds_a_zero_share_network_on_its_own_pattern():
+    # Street 0's share to street 4 in the grid-4 golden set to 0.0, and its
+    # value moved onto the other outflow of street 0: the pair drops out
+    # of Q, and the network's pattern holds only the 111 pairs left.
+    text = (DATA / "scenario-grid4-seed0-v3.txt").read_text(encoding="utf-8")
+    zero, sibling = "0 4 0.16209052334897356\n", "0 6 0.8379094766510264\n"
+    assert "\nratios 112\n" + zero + sibling in text
+    moved = 0.16209052334897356 + 0.8379094766510264
+    edited = text.replace(zero + sibling, f"0 4 0.0\n0 6 {moved!r}\n")
+    sc = loads(edited)
+    net = sc.network
+    assert net.pattern.nnz == net.Q.nnz == 111
+    nonzero = {pair: x for pair, x in line_entries(edited)["ratios"].items() if x != 0.0}
+    reference = network_from_matrix(net.graph, _sparse(nonzero, net.Q.shape))
+    assert csr_equal(net.Q, reference.Q)
+    assert np.array_equal(net.null_vector, reference.null_vector)
+    written = dumps(sc)
+    assert "\nratios 111\n0 6 " in written
+    again = loads(written)
+    assert again.network.pattern.nnz == 111 and scenarios_equal(again, sc)
+    assert np.array_equal(again.network.null_vector, net.null_vector)
 
 
 def test_loader_rejects_a_negative_seed():

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 import scipy.sparse
 from hypothesis import given, settings, strategies as st
+from scipy.sparse.linalg import splu
 
+from icisim import traffic
 from icisim.errors import RankError, SingularError, TopologyError
 from icisim.scenario import (
     ScenarioConfig,
@@ -478,21 +480,38 @@ def test_two_generated_grids_fail_rank_check():
                 flow_network(both, rows, cols, shares)
 
 
-def test_grid30_factorisation_keeps_its_fill_reducing_ordering():
+def _record_factors(monkeypatch):
+    """The flow core's SuperLU factorisations from now on, as
+    ``(permc_spec, factors)`` in call order."""
+    made = []
+
+    def recorded(*args, permc_spec, **kwargs):
+        lu = splu(*args, permc_spec=permc_spec, **kwargs)
+        made.append((permc_spec, lu))
+        return lu
+
+    monkeypatch.setattr(traffic, "splu", recorded)
+    return made
+
+
+def test_grid30_factorisation_keeps_its_fill_reducing_ordering(monkeypatch):
     # L+U holds 136,557 entries under SuperLU's default COLAMD ordering and
     # 111,611 under MMD_ATA; without the ordering the LU takes about half
     # as long again.  A second seed on the same street layer is factored
     # in the column order the first one found, with the same fill and the
     # same pivots as a fresh MMD_ATA factorisation of its own.
+    made = _record_factors(monkeypatch)
     streets = build_streets(ScenarioConfig(grid_n=30))
     build_its(ScenarioConfig(grid_n=30, seed=0), streets)
     block = streets._analysis
-    # The pattern keeps the order, not a view into the first factors.
-    assert block.perm_c.flags.owndata
-    Q = build_its(ScenarioConfig(grid_n=30, seed=1), streets).Q
-    lu, order = block.factor(Q.data)
-    fresh, fresh_order = _DeflatedBlock(Q.indptr, Q.indices, block.k).factor(Q.data)
-    assert np.array_equal(order, np.argsort(block.perm_c)) and fresh_order is None
+    # The pattern keeps its layout, not views into the first factors.
+    assert all(a.flags.owndata for a in block.layout)
+    assert np.array_equal(block.layout[3], np.argsort(made[0][1].perm_c))
+    config = ScenarioConfig(grid_n=30, seed=1)
+    Q = build_its(config, streets).Q
+    build_its(config, build_streets(config))
+    assert [spec for spec, _ in made] == ["MMD_ATA", "NATURAL", "MMD_ATA"]
+    lu, fresh = made[1][1], made[2][1]
     for factors in (lu, fresh):
         assert factors.shape == (Q.shape[0] - 1, Q.shape[0] - 1)
         assert factors.L.nnz + factors.U.nnz <= 115_000
@@ -503,28 +522,33 @@ def test_grid30_factorisation_keeps_its_fill_reducing_ordering():
     assert np.array_equal(lu.U.diagonal(), fresh.U.diagonal())
 
 
-def _factors(block, Q):
-    """Fill, row pivots and U diagonal of ``block`` factored for ``Q``."""
-    lu, _ = block.factor(Q.data)
+def _factors(made):
+    """Fill, row pivots and U diagonal of the one factorisation in ``made``,
+    which it empties."""
+    [(_, lu)] = made
+    made.clear()
     return lu.L.nnz + lu.U.nnz, lu.perm_r, lu.U.diagonal()
 
 
-def test_networks_on_a_shared_pattern_match_fresh_builds():
-    # Seeds 1-3 of each grid reuse the column order that seed 0 found; the
-    # fresh side orders every block anew by MMD_ATA.
+def test_networks_on_a_shared_pattern_match_fresh_builds(monkeypatch):
+    # Seeds 0-3 of each grid reuse the column order that a first seed-0
+    # network found; the fresh side orders every block anew by MMD_ATA.
+    made = _record_factors(monkeypatch)
     for grid_n in range(2, 31):
         streets = build_streets(ScenarioConfig(grid_n=grid_n))
+        build_its(ScenarioConfig(grid_n=grid_n, seed=0), streets)
+        made.clear()
         for seed in range(4):
             config = ScenarioConfig(grid_n=grid_n, seed=seed)
             shared = build_its(config, streets)
+            assert made[0][0] == "NATURAL"
+            ours = _factors(made)
             fresh = build_its(config, build_streets(config))
+            assert made[0][0] == "MMD_ATA"
+            theirs = _factors(made)
             assert shared.pattern is streets and fresh.pattern is not streets
             assert csr_equal(shared.Q, fresh.Q), (grid_n, seed)
             assert np.array_equal(shared.null_vector, fresh.null_vector), (grid_n, seed)
-            block = streets._analysis
-            assert block.perm_c is not None
-            ours = _factors(block, shared.Q)
-            theirs = _factors(_DeflatedBlock(fresh.Q.indptr, fresh.Q.indices, block.k), fresh.Q)
             assert ours[0] == theirs[0], (grid_n, seed)
             assert np.array_equal(ours[1], theirs[1]), (grid_n, seed)
             assert np.array_equal(ours[2], theirs[2]), (grid_n, seed)
@@ -533,16 +557,17 @@ def test_networks_on_a_shared_pattern_match_fresh_builds():
 def test_exact_zero_share_leaves_no_stored_zero():
     # One inflow of a grid sends all its flow to one outflow and none to
     # the other, so that pair drops out of Q.  Its network is the one
-    # built on the smaller support, and the pattern still serves the next
-    # network with the full support.
+    # built on the smaller support, with a pattern of its own, and the
+    # street pattern still serves the next network with the full support.
     config = ScenarioConfig(grid_n=3, seed=0)
     streets = build_streets(config)
     rows, cols, shares = sampled_ratios(streets.graph, 0)
     zero, other = np.flatnonzero(rows == rows[0])[:2]
     shares[zero], shares[other] = 0.0, shares[other] + shares[zero]
     net = build_flow_matrix(streets, shares)
-    assert net.pattern is streets
-    assert net.Q.nnz == streets.nnz - 1 and np.all(net.Q.data != 0.0)
+    assert net.pattern.nnz == net.Q.nnz == streets.nnz - 1 and np.all(net.Q.data != 0.0)
+    assert np.array_equal(net.pattern.indptr, net.Q.indptr)
+    assert np.array_equal(net.pattern.indices, net.Q.indices)
     keep = shares != 0.0
     reduced = flow_network(streets.graph, rows[keep], cols[keep], shares[keep])
     assert csr_equal(net.Q, reduced.Q)
@@ -550,6 +575,7 @@ def test_exact_zero_share_leaves_no_stored_zero():
     dense = network_from_matrix(streets.graph, net.Q.toarray())
     assert np.array_equal(net.null_vector, dense.null_vector)
     again = build_its(config, streets)
+    assert again.pattern is streets
     assert np.array_equal(again.null_vector, generate(config).network.null_vector)
 
 
