@@ -69,7 +69,9 @@ class Stations:
     Station ``b`` at ``center[b]`` serves the flat-top hexagon of
     circumradius ``cell_radius[b]`` and has the activation and full-coverage
     powers ``p_activation[b] < p_full[b]`` (W); a scalar radius or power
-    applies to every station.  Every array is a read-only copy.
+    applies to every station.  Every array is a read-only copy.  A centre,
+    radius or power that is not finite, a radius that is not positive or
+    powers out of order raise ValueError naming the first station at fault.
     """
 
     center: np.ndarray
@@ -85,12 +87,16 @@ class Stations:
             value = np.array(np.broadcast_to(getattr(self, name), len(center)), dtype=float)
             value.flags.writeable = False
             object.__setattr__(self, name, value)
-        bad = np.flatnonzero(~(self.cell_radius > 0.0))
-        if bad.size:
-            raise ValueError(f"station {bad[0]}: cell radius must be positive")
-        bad = np.flatnonzero(~((0.0 < self.p_activation) & (self.p_activation < self.p_full)))
-        if bad.size:
-            raise ValueError(f"station {bad[0]}: need 0 < activation power < full-coverage power")
+        for ok, need in (
+            (np.isfinite(center).all(axis=1), "centre must be finite"),
+            (self.cell_radius > 0.0, "cell radius must be positive"),
+            (self.cell_radius < np.inf, "cell radius must be finite"),
+            ((0.0 < self.p_activation) & (self.p_activation < self.p_full),
+             "need 0 < activation power < full-coverage power"),
+            (self.p_full < np.inf, "full-coverage power must be finite"),
+        ):
+            if not ok.all():
+                raise ValueError(f"station {np.argmin(ok)}: {need}")
 
     def __len__(self) -> int:
         return len(self.center)

@@ -129,14 +129,20 @@ class DefenseStrategy:
         _check_spend(self.allocation, self.budget)
 
 
-def _check_spend(allocations: np.ndarray, budgets: np.ndarray | float) -> None:
-    """Raise ValueError unless each allocation (row) is finite and
-    nonnegative and spends at most its finite budget, up to the feasibility
-    tolerances."""
+def _check_backup(allocations: np.ndarray, budgets: np.ndarray | float = 0.0) -> None:
+    """Raise ValueError unless the allocations and budgets are finite and
+    the allocations nonnegative."""
     if not (np.isfinite(allocations).all() and np.isfinite(budgets).all()):
         raise ValueError("backup allocations and budgets must be finite")
     if (allocations < 0.0).any():
         raise ValueError("backup allocations must be nonnegative")
+
+
+def _check_spend(allocations: np.ndarray, budgets: np.ndarray | float) -> None:
+    """Raise ValueError unless each allocation (row) passes
+    :func:`_check_backup` and spends at most its finite budget, up to the
+    feasibility tolerances."""
+    _check_backup(allocations, budgets)
     totals = np.atleast_1d(allocations.sum(axis=-1))
     budgets = np.broadcast_to(budgets, totals.shape)
     over = np.flatnonzero(totals > budgets * (1.0 + _FEAS_RTOL) + _FEAS_ATOL)
@@ -149,11 +155,12 @@ def _check_spend(allocations: np.ndarray, budgets: np.ndarray | float) -> None:
 
 def _per_station(p_d: np.ndarray, num_stations: int) -> np.ndarray:
     """The backup ``p_d`` as a float array; ValueError unless its last axis
-    has one entry per station."""
+    has one entry per station and every entry is finite and nonnegative."""
     p_d = np.asarray(p_d, dtype=float)
     if p_d.shape[-1:] != (num_stations,):
         got = p_d.shape[-1] if p_d.ndim else 0
         raise ValueError(f"allocation has {got} entries, expected {num_stations}, one per station")
+    _check_backup(p_d)
     return p_d
 
 
@@ -209,6 +216,8 @@ def validate_attack(level: StealthLevel, instance: GameInstance, p_a: np.ndarray
     p_a = np.asarray(p_a, dtype=float)
     if p_a.ndim not in (2, 3) or p_a.shape[-2:] != (B, G):
         raise InfeasibleError(f"attack matrix has shape {p_a.shape}, expected {(B, G)}")
+    if not np.isfinite(p_a).all():
+        raise InfeasibleError("attack deviations must be finite")
     if (p_a < 0.0).any():
         raise InfeasibleError("attack deviations must be nonnegative")
     off_line = (instance.line_caps <= 0.0) & (p_a > 0.0)

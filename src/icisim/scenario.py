@@ -27,23 +27,19 @@ and lay out the ITS layer the same way, through a
 :func:`~icisim.power.build_assignment`.
 
 Scenario files are plain text with a versioned header and ``[config]``,
-``[its]``, ``[ci]`` and ``[pg]`` sections, and format v3 holds inputs only;
-floats are written with ``repr`` so they round-trip exactly.  Every section
-after ``[config]`` is made of counted blocks, each written from whole
-arrays, one line per row.  Turning ratios and supply links are blocks of
-``row column value`` lines holding the nonzero entries in row-major order.
-The loader reads each counted numeric block in one ``np.loadtxt`` pass,
-and a repeated (row, column) pair keeps its last value.  Every number,
-``[config]`` values included, must be a token ``np.loadtxt`` reads: ASCII,
-no ``_`` digit separators, and finite if a float.  Coverage and the impact
-model are derived, so they are not written: loading rebuilds them.  So is
-a street's geometry, from its intersections' positions: a ``streets`` row
-is ``id tail head``, and a v2 or v1 row's length and geometry are checked
-against the positions to 1e-9 and dropped.  A v1
-file also holds a ``coverage`` block of (street, station, km) lines, which
-must match the rebuild to 1e-9 km.  Older files may end with an
-``[impact]`` section of stored scores and vectors; its counts, station ids
-and values are checked, and it is otherwise ignored.
+``[its]``, ``[ci]`` and ``[pg]`` sections, and hold inputs only; floats are
+written with ``repr`` so they round-trip exactly.  The loader reads exactly
+the format :func:`dumps` writes, ``icisim scenario v3``: any other header is
+a FormatError.  Every section after ``[config]`` is made of counted blocks,
+each written from whole arrays, one line per row.  Turning ratios and
+supply links are blocks of ``row column value`` lines holding the nonzero
+entries in row-major order.  The loader reads each counted numeric block in
+one ``np.loadtxt`` pass, and a repeated (row, column) pair keeps its last
+value.  Every number, ``[config]`` values included, must be a token
+``np.loadtxt`` reads: ASCII, no ``_`` digit separators, and finite if a
+float.  Coverage and the impact model are derived, so they are not
+written: loading rebuilds them.  So is a street's geometry, from its
+intersections' positions: a ``streets`` row is ``id tail head``.
 """
 from __future__ import annotations
 
@@ -56,9 +52,7 @@ from typing import NoReturn, Sequence
 import numpy as np
 import scipy.sparse
 
-from .coverage import (
-    CoverageMap, Stations, _ranges, build_coverage, coverage_from_lengths, hex_tiling,
-)
+from .coverage import CoverageMap, Stations, _ranges, build_coverage, hex_tiling
 from .errors import FormatError, IcisimError
 from .game import GameInstance
 from .impact import ImpactModel, build_impact_model
@@ -74,8 +68,6 @@ from .traffic import (
 )
 
 FILE_HEADER = "icisim scenario v3"
-_V2_HEADER = "icisim scenario v2"
-_V1_HEADER = "icisim scenario v1"
 
 # Stream indices for per-component PCG64 seeding.
 _STREAM_RATIOS = 1
@@ -580,7 +572,6 @@ def _by_id(reader: _Reader, ids: np.ndarray, rows: np.ndarray, what: str) -> np.
 # line name also names its indices.
 _ENTRY_BLOCKS = {
     "ratios": ("ratio", "ratio row", "ratio column", "ratio value"),
-    "coverage": ("coverage entry", "coverage street", "coverage station", "covered length"),
     "links": ("link", "link station", "link generator", "link share"),
 }
 
@@ -603,55 +594,10 @@ def _entries(reader: _Reader, keyword: str, shape: tuple[int, int]) -> scipy.spa
     return scipy.sparse.coo_array((values[order[last], 0], (rows[last], cols[last])), shape=shape)
 
 
-def _skip_impact_block(reader: _Reader, keyword: str, n_stations: int, width: int) -> None:
-    """Check and pass over one ``[impact]`` block of a legacy file:
-    ``width`` finite values for each station id."""
-    count = reader.counted(keyword)
-    if count != n_stations:
-        raise FormatError(f"[impact] {keyword} count {count} != station count {n_stations}")
-    ids, rows = _block(
-        reader, count, keyword, (f"{keyword} station",), (f"{keyword} value",) * width
-    )
-    _by_id(reader, ids[:, 0], rows, f"{keyword} station")
-
-
-def _street_graph(
-    ints: np.ndarray, floats: np.ndarray, node_ids: np.ndarray, positions: np.ndarray
-) -> StreetGraph:
-    """The graph of parsed ``streets`` rows (``id tail head`` in ``ints``,
-    and a v2 or v1 file's ``length x0 y0 x1 y1`` in ``floats``, checked to
-    1e-9 and dropped) and ``intersections`` rows, with the street of id i
-    on row i; ValueError unless the ids are 0..n-1, and then at the first
-    fault in the order of the structure check that once read the floats."""
-    order = np.argsort(ints[:, 0])
-    if not np.array_equal(ints[order, 0], np.arange(len(ints))):
-        raise ValueError("street ids must be 0..n-1 with no gaps")
-    graph = StreetGraph(ints[order, 1], ints[order, 2], node_ids, positions)
-    if floats.size:
-        g, (rows, known) = floats[order, 1:], graph.ends
-        loops = graph.tail == graph.head
-        long = np.abs(floats[order, 0] - np.hypot(g[:, 2] - g[:, 0], g[:, 3] - g[:, 1])) > 1e-9
-        k = int(np.argmax(loops | long))
-        if long[k] and not loops[k]:
-            raise ValueError(f"street {k} length does not match its geometry")
-        near = graph.positions[rows].reshape(-1, 4) if known.any() else g
-        astray = known & (np.abs(g - near) > 1e-9).any(axis=1)
-        k = int(np.argmax(astray | ~known))
-        if astray[k] and not loops.any():
-            raise ValueError(
-                f"street {k} geometry does not run from intersection {graph.tail[k]} "
-                f"to intersection {graph.head[k]} at their positions"
-            )
-    return graph
-
-
-# Keys of older v1 files that no longer set anything: each must still
-# parse, as an int and a finite float, and is otherwise ignored.
-_LEGACY_CONFIG_KEYS = {"anchor_street": int, "anchor_flow": float}
 # bs_per_generator_range takes two lines, its min and its max.
 _CONFIG_KEYS = frozenset(
     {f.name for f in fields(ScenarioConfig)} - {"bs_per_generator_range"}
-    | {"bs_per_generator_min", "bs_per_generator_max", *_LEGACY_CONFIG_KEYS}
+    | {"bs_per_generator_min", "bs_per_generator_max"}
 )
 
 
@@ -663,7 +609,7 @@ def loads(text: str) -> Scenario:
     """
     reader = _Reader(text)
     header = reader.next_line()
-    if header not in (FILE_HEADER, _V2_HEADER, _V1_HEADER):
+    if header != FILE_HEADER:
         raise FormatError(f"unrecognised header {header!r}, expected {FILE_HEADER!r}")
 
     reader.expect_section("config")
@@ -677,9 +623,6 @@ def loads(text: str) -> Scenario:
         if parts[0] in raw:
             raise FormatError(f"[config] repeated key {parts[0]!r}")
         raw[parts[0]] = parts[2]
-    for key, kind in _LEGACY_CONFIG_KEYS.items():
-        if key in raw:
-            _token("config", key, kind, raw[key])
     try:
         # Every other config field is annotated "int" or "float".
         values = {
@@ -709,8 +652,8 @@ def loads(text: str) -> Scenario:
         ("intersection id",), ("intersection x", "intersection y"),
     )
     n_streets = reader.counted("streets")
-    stored = () if header == FILE_HEADER else ("street field",) * 5
-    street_ints, street_floats = _block(reader, n_streets, "street", ("street id",) * 3, stored)
+    streets, _ = _block(reader, n_streets, "street", ("street id",) * 3, ())
+    ends = _by_id(reader, streets[:, 0], streets[:, 1:], "street")
     Q = _entries(reader, "ratios", (n_streets, n_streets))
 
     reader.expect_section("ci")
@@ -719,8 +662,6 @@ def loads(text: str) -> Scenario:
         reader, n_stations, "station", ("station id",), ("station field",) * 5
     )
     rows = _by_id(reader, station_ids[:, 0], station_fields, "station")
-    if header == _V1_HEADER:
-        covered = _entries(reader, "coverage", (n_streets, n_stations))
 
     reader.expect_section("pg")
     n_gens = reader.counted("generators")
@@ -731,32 +672,17 @@ def loads(text: str) -> Scenario:
     generators.flags.writeable = False
     shares = _entries(reader, "links", (n_stations, n_gens)).toarray()
 
-    if reader.peek_is("[impact]"):
-        reader.expect_section("impact")
-        _skip_impact_block(reader, "scores", n_stations, 1)
-        _skip_impact_block(reader, "vectors", n_stations, n_streets)
     if not reader.at_end():
         raise FormatError(f"unexpected trailing content: {reader.next_line()!r}")
 
     # Library errors about the parsed content all become FormatError here.
     try:
-        graph = _street_graph(street_ints, street_floats, node_ids[:, 0], node_xy)
-        network = network_from_matrix(graph, Q)
+        network = network_from_matrix(StreetGraph(*ends.T, node_ids[:, 0], node_xy), Q)
     except (ValueError, IcisimError) as err:
         raise FormatError(f"[its] {err}") from None
     try:
         stations = Stations(rows[:, :2], *rows[:, 2:].T)
         coverage = build_coverage(network.graph, stations)
-        if header == _V1_HEADER:  # the stored block must be the rebuild to 1e-9 km
-            stored = coverage_from_lengths(network.graph, covered).lengths
-            street, station, km = csr_entries(stored - coverage.lengths)
-            bad = np.flatnonzero(np.abs(km) > 1e-9)
-            if bad.size:
-                i, b = street[bad[0]], station[bad[0]]
-                raise ValueError(
-                    f"coverage of street {i} by station {b} is {float(stored[i, b])!r} km in "
-                    f"the file, but {float(coverage.lengths[i, b])!r} km from the geometry"
-                )
         impact = build_impact_model(network, coverage, stations, config.delta)
     except (ValueError, IcisimError) as err:
         raise FormatError(f"[ci] {err}") from None

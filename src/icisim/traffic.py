@@ -119,23 +119,18 @@ class StreetGraph:
         return len(self.tail)
 
     @cached_property
-    def ends(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each street's tail and head as rows of ``positions``, shape (n, 2),
-        and whether both are known intersections; an unknown end is row 0."""
+    def geometry(self) -> np.ndarray:
+        """Read-only ``(x0, y0, x1, y1)`` of each street, tail to head;
+        ValueError at the first street with an end that is no known
+        intersection."""
         ends = np.stack((self.tail, self.head), axis=1)
         at = np.searchsorted(self.node_ids, ends)
         found = at < len(self.node_ids)
         found[found] = self.node_ids[at[found]] == ends[found]
-        return np.where(found, at, 0), found.all(axis=1)
-
-    @cached_property
-    def geometry(self) -> np.ndarray:
-        """Read-only ``(x0, y0, x1, y1)`` of each street, tail to head."""
-        rows, known = self.ends
-        if not known.all():
-            k = int(np.argmin(known))
-            raise ValueError(f"street {k} references an intersection with no position")
-        geometry = self.positions[rows].reshape(-1, 4)
+        unknown = np.flatnonzero(~found.all(axis=1))
+        if unknown.size:
+            raise ValueError(f"street {unknown[0]} references an intersection with no position")
+        geometry = self.positions[at].reshape(-1, 4)
         geometry.flags.writeable = False
         return geometry
 

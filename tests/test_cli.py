@@ -64,7 +64,7 @@ def test_solve_matches_reference_results(tmp_path, level):
     committed result.  Rewrite the references from the repository root with
 
         for level in source line bs overt; do
-          icisim solve tests/data/scenario-grid4-seed0-v1.txt --level $level \\
+          icisim solve tests/data/scenario-grid4-seed0-v3.txt --level $level \\
             --out tests/data/solve-grid4-seed0-$level.json
         done
 
@@ -74,7 +74,7 @@ def test_solve_matches_reference_results(tmp_path, level):
     """
     data = Path(__file__).parent / "data"
     out = tmp_path / "solution.json"
-    assert main(["solve", str(data / "scenario-grid4-seed0-v1.txt"), "--level", level,
+    assert main(["solve", str(data / "scenario-grid4-seed0-v3.txt"), "--level", level,
                  "--out", str(out)]) == 0
     got = json.loads(out.read_text(encoding="utf-8"))
     want = json.loads((data / f"solve-grid4-seed0-{level}.json").read_text(encoding="utf-8"))
@@ -250,7 +250,7 @@ def test_io_errors_exit_3(tmp_path, capsys):
 
 
 def test_inspect_rejects_a_negative_seed(tmp_path, capsys):
-    text = (Path(__file__).parent / "data" / "scenario-grid4-seed0-v2.txt").read_text(
+    text = (Path(__file__).parent / "data" / "scenario-grid4-seed0-v3.txt").read_text(
         encoding="utf-8"
     )
     path = tmp_path / "negative-seed.txt"
@@ -262,7 +262,7 @@ def test_inspect_rejects_a_negative_seed(tmp_path, capsys):
 
 
 def test_inspect_rejects_overlapping_cells(capsys):
-    path = Path(__file__).parent / "data" / "scenario-overlap-v1.txt"
+    path = Path(__file__).parent / "data" / "scenario-overlap-v3.txt"
     assert main(["inspect", str(path)]) == 2
     assert "[ci] cells of stations 0 and 1 have overlapping interiors" in capsys.readouterr().err
 

@@ -426,6 +426,14 @@ def test_station_parameter_validation():
         Stations(three, [math.nan, 1.0, 1.0], 100.0, 200.0)
     with pytest.raises(ValueError, match="^station 1: need 0 < activation power < full"):
         Stations(three, 1.0, [100.0, 200.0, 0.0], 200.0)
+    # A NaN centre used to make a cell that covers nothing, and an infinite
+    # full-coverage power an infinite headroom.
+    with pytest.raises(ValueError, match="^station 2: centre must be finite$"):
+        Stations([(0.0, 0.0), (3.0, 0.0), (math.nan, 0.0)], 1.0, 100.0, 200.0)
+    with pytest.raises(ValueError, match="^station 1: cell radius must be finite$"):
+        Stations(three, [1.0, math.inf, math.inf], 100.0, 200.0)
+    with pytest.raises(ValueError, match="^station 0: full-coverage power must be finite$"):
+        Stations(three, 1.0, 100.0, [math.inf, 200.0, 200.0])
     with pytest.raises(ValueError):
         Stations(three, [1.0, 1.0], 100.0, 200.0)
 

@@ -1,11 +1,10 @@
 """Property test: the scenario loader either succeeds or raises FormatError.
 
-Inputs are small valid files (with and without a legacy ``[impact]``
-section) that are truncated, lose a line, have two lines swapped, or have
-one token replaced by a hostile value.  Between them they hold street rows
-of every format: v3 ``id tail head`` rows as ``dumps`` writes them, and
-v2 and v1 rows that also store each street's length and geometry.
-Examples are derandomised so every run checks the same cases.
+Inputs are small valid files in the one format ``dumps`` writes -- a
+generated grid-2 file, the hand-written two-street file and the grid-4
+golden -- that are truncated, lose a line, have two lines swapped, or have
+one token replaced by a hostile value.  Examples are derandomised so every
+run checks the same cases.
 """
 from __future__ import annotations
 
@@ -16,14 +15,11 @@ from hypothesis import given, settings, strategies as st
 from icisim.errors import FormatError
 from icisim.scenario import ScenarioConfig, dumps, generate, loads, scenarios_equal
 
-from test_scenario import HAND_WRITTEN, legacy_text
+from test_scenario import HAND_WRITTEN
 
 _SCENARIO = generate(ScenarioConfig(grid_n=2, seed=3))
-_GOLDEN_V2 = Path(__file__).parent / "data" / "scenario-grid4-seed0-v2.txt"
-BASES = (
-    dumps(_SCENARIO), legacy_text(_SCENARIO), HAND_WRITTEN,
-    _GOLDEN_V2.read_text(encoding="utf-8"),
-)
+_GOLDEN = Path(__file__).parent / "data" / "scenario-grid4-seed0-v3.txt"
+BASES = (dumps(_SCENARIO), HAND_WRITTEN, _GOLDEN.read_text(encoding="utf-8"))
 HOSTILE = (
     "nan", "inf", "-inf", "-1", "0", "1e308", str(10**20), str(2**63), "x",
     "1.5", "1_0", "+3", "#", "1e3",

@@ -699,6 +699,44 @@ def test_allocations_need_one_entry_per_station(grid4_instance, level, entries):
             call()
 
 
+@pytest.mark.parametrize("level", tuple(StealthLevel))
+def test_attacks_need_finite_nonnegative_drains(grid4_instance, level):
+    # One NaN on a wired line used to pass, and the attacker's payoff was NaN.
+    inst = grid4_instance
+    b, g = np.argwhere(inst.line_caps > 0.0)[0]
+    for bad, message in ((np.nan, "finite"), (np.inf, "finite"), (-1.0, "nonnegative")):
+        attack = attacker_best_response(level, inst).deviations.copy()
+        attack[b, g] = bad
+        for call in (
+            lambda: validate_attack(level, inst, attack),
+            lambda: attacker_payoff(level, inst, np.zeros(7), attack),
+        ):
+            with pytest.raises(InfeasibleError, match=f"^attack deviations must be {message}$"):
+                call()
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [(-300.0, "must be nonnegative"), (np.nan, "and budgets must be finite"),
+     (np.inf, "and budgets must be finite")],
+)
+@pytest.mark.parametrize("level", tuple(StealthLevel))
+def test_backups_need_finite_nonnegative_entries(grid4_instance, level, bad, message):
+    # At bs a backup of -300 W per station used to get a -100 W attack in
+    # reply, and a NaN backup a NaN attack and a NaN defender payoff.
+    inst = grid4_instance
+    attack = attacker_best_response(level, inst).deviations
+    for p_d in (np.full(7, bad), np.where(np.arange(7) == 3, bad, 1.0)):
+        for call in (
+            lambda: attacker_best_response(level, inst, p_d),
+            lambda: attacker_best_response(level, inst, np.stack((np.zeros(7), p_d))),
+            lambda: attacker_payoff(level, inst, p_d, attack),
+            lambda: defender_payoff(inst.impact, p_d, attack),
+        ):
+            with pytest.raises(ValueError, match=f"^backup allocations {message}$"):
+                call()
+
+
 def test_equilibrium_beats_equal_allocation_payoff(grid3_scenario):
     # Compared within each level's cap total: beyond it the equilibrium
     # allocation is saturated by construction while a uniform split may

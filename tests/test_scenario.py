@@ -12,7 +12,7 @@ import scipy.sparse
 from hypothesis import given, settings, strategies as st
 from scipy.sparse.csgraph import connected_components
 
-from icisim.coverage import Stations, build_coverage, coverage_from_lengths
+from icisim.coverage import Stations, build_coverage
 from icisim.errors import FormatError
 from icisim.impact import build_impact_model
 from icisim.power import build_assignment
@@ -327,38 +327,9 @@ def test_round_trip_without_impact_recomputes(tmp_path):
     assert np.array_equal(again.impact.z_vectors, sc.impact.z_vectors)
 
 
-def legacy_text(sc: Scenario) -> str:
-    """The scenario in the older layout that also stored the impact model."""
-    imp = sc.impact
-    lines = [f"scores {imp.num_stations}"]
-    lines += [f"{b} {float(z)!r}" for b, z in enumerate(imp.z_scores)]
-    lines.append(f"vectors {imp.num_stations}")
-    for b, row in enumerate(imp.z_vectors):
-        lines.append(f"{b} " + " ".join(repr(float(x)) for x in row))
-    return dumps(sc) + "[impact]\n" + "\n".join(lines) + "\n"
-
-
-def v2_text(sc: Scenario) -> str:
-    """``dumps(sc)`` as format v2 wrote it: the v2 header, and each street
-    row followed by the street's length and geometry."""
-    graph = sc.network.graph
-    lines = dumps(sc).splitlines()
-    lines[0] = "icisim scenario v2"
-    first = lines.index(f"streets {graph.n}") + 1
-    stored = np.column_stack((graph.length, graph.geometry)).tolist()
-    for i, row in enumerate(stored):
-        lines[first + i] += " " + " ".join(map(repr, row))
-    return "\n".join(lines) + "\n"
-
-
-def _text_holding(block: str) -> str:
-    """A grid-3 file as ``dumps`` writes it; for the street rows, as v2
-    wrote them with lengths and geometry; for the coverage block, which
-    only format v1 stores, the committed v1 file of grid 4."""
-    if block == "coverage":
-        return GOLDEN_V1.read_text(encoding="utf-8")
-    sc = generate(ScenarioConfig(grid_n=3, seed=0))
-    return v2_text(sc) if block == "streets" else dumps(sc)
+def _grid3_text() -> str:
+    """The grid-3, seed-0 scenario as ``dumps`` writes it."""
+    return dumps(generate(ScenarioConfig(grid_n=3, seed=0)))
 
 
 def _edit(text: str, block: str, field: int, value: str, row: int = 0) -> str:
@@ -371,60 +342,27 @@ def _edit(text: str, block: str, field: int, value: str, row: int = 0) -> str:
     return "\n".join(lines) + "\n"
 
 
-def test_legacy_impact_section_loads_equal():
-    sc = generate(ScenarioConfig(grid_n=3, seed=0))
-    assert scenarios_equal(sc, loads(legacy_text(sc)))
-
-
-@pytest.mark.parametrize(
-    "block, field, value, rejected",
-    [
-        ("scores", 1, repr(123456.0), False),
-        ("vectors", -1, "7.5", False),
-        ("vectors", 2, "nan", True),
-        ("scores", 0, "999", True),
-        ("vectors", 0, "999", True),
-    ],
-    ids=["score", "vector entry", "nan entry", "score station index", "vector station index"],
-)
-def test_legacy_impact_section_is_verified(block, field, value, rejected):
-    # The section's counts, station ids and finite values are checked; the
-    # stored numbers are otherwise ignored, as loading recomputes the model.
-    sc = generate(ScenarioConfig(grid_n=3, seed=0))
-    text = _edit(legacy_text(sc), block, field, value)
-    if rejected:
-        with pytest.raises(FormatError, match=r"\[impact\]"):
-            loads(text)
-    else:
-        assert scenarios_equal(loads(text), loads(dumps(sc)))
-
-
 @pytest.mark.parametrize(
     "block, field, value, row",
     [
-        ("coverage", 2, "nan", 0),
         ("links", 2, "nan", 0),
-        ("streets", 3, "nan", 0),
         ("generators", 1, "nan", 0),
         ("generators", 0, "999", 0),
         ("stations", 0, "999", 0),
         ("stations", 0, "0", 1),
-        ("coverage", 2, "-0.5", 0),
         ("delta", 2, "nan", -1),
         ("budget", 2, "inf", -1),
         ("grid_n", 2, "nan", -1),
         ("delta", 2, "-1.0", -1),
     ],
     ids=[
-        "nan covered length", "nan link share", "nan street length", "nan generator x",
-        "generator id 999", "station id 999", "repeated station id",
-        "negative covered length", "nan delta", "infinite budget", "nan grid_n",
-        "negative delta",
+        "nan link share", "nan generator x", "generator id 999", "station id 999",
+        "repeated station id", "nan delta", "infinite budget", "nan grid_n", "negative delta",
     ],
 )
 def test_loader_rejects_bad_values_and_ids(block, field, value, row):
     with pytest.raises(FormatError):
-        loads(_edit(_text_holding(block), block, field, value, row))
+        loads(_edit(_grid3_text(), block, field, value, row))
 
 
 def _repeat_entry(text: str, block: str, value: str, stray_last: bool) -> str:
@@ -444,17 +382,11 @@ def _repeat_entry(text: str, block: str, value: str, stray_last: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("block", ["ratios", "coverage", "links"])
+@pytest.mark.parametrize("block", ["ratios", "links"])
 def test_repeated_entry_keeps_its_last_value(block):
-    text = _text_holding(block)
-    sc = generate(ScenarioConfig(grid_n=4 if block == "coverage" else 3, seed=0))
+    sc = generate(ScenarioConfig(grid_n=3, seed=0))
+    text = dumps(sc)
     assert scenarios_equal(sc, loads(_repeat_entry(text, block, "0.125", stray_last=False)))
-    if block == "coverage":
-        # A v1 coverage block must match the geometry: the error shows the kept value.
-        with pytest.raises(FormatError, match=r"^\[ci\] coverage of street \d+ by station \d+ "
-                                              r"is 0\.125 km in the file, but "):
-            loads(_repeat_entry(text, block, "0.125", stray_last=True))
-        return
     if block == "ratios":
         # The kept 0.125 replaces a share, so that street's shares no longer sum to 1.
         with pytest.raises(FormatError, match=r"^\[its\] outflow shares of inflow streets "
@@ -468,12 +400,11 @@ def test_repeated_entry_keeps_its_last_value(block):
     "block, row, col, message",
     [
         ("ratios", "0", "999", r"\[its\] ratio indices \(0, 999\) out of range"),
-        ("coverage", "-1", "0", r"\[ci\] coverage indices \(-1, 0\) out of range"),
         ("links", "0", "7", r"\[pg\] link indices \(0, 7\) out of range"),
     ],
 )
 def test_entry_indices_are_range_checked(block, row, col, message):
-    text = _edit(_edit(_text_holding(block), block, 0, row), block, 1, col)
+    text = _edit(_edit(_grid3_text(), block, 0, row), block, 1, col)
     with pytest.raises(FormatError, match=message):
         loads(text)
 
@@ -501,7 +432,7 @@ def test_malformed_lines_report_context():
 
 
 HAND_WRITTEN = """\
-icisim scenario v1
+icisim scenario v3
 [config]
 grid_n = 2
 street_length = 1.0
@@ -513,25 +444,20 @@ budget = 50.0
 seed = 7
 bs_per_generator_min = 1
 bs_per_generator_max = 1
-anchor_street = 0
-anchor_flow = 500.0
 delta = 1.0
 [its]
 intersections 2
 0 0.0 0.0
 1 1.0 0.0
 streets 2
-0 0 1 1.0 0.0 0.0 1.0 0.0
-1 1 0 1.0 1.0 0.0 0.0 0.0
+0 0 1
+1 1 0
 ratios 2
 0 1 1.0
 1 0 1.0
 [ci]
 stations 1
 0 0.5 0.0 2.0 100.0 200.0
-coverage 2
-0 0 1.0
-1 0 1.0
 [pg]
 generators 1
 0 0.5 0.5
@@ -563,7 +489,7 @@ def test_loader_checks_the_generator_count():
         loads(text)
 
 
-OVERLAP_FILE = Path(__file__).parent / "data" / "scenario-overlap-v1.txt"
+OVERLAP_FILE = Path(__file__).parent / "data" / "scenario-overlap-v3.txt"
 
 
 def test_loader_rejects_overlapping_cells():
@@ -575,27 +501,10 @@ def test_loader_rejects_overlapping_cells():
     ):
         loads(text)
     # Two apothems (2 * sqrt(3) km) apart, station 1's cell reaches neither
-    # street, so station 0 covers all of each: the stored half-and-half
-    # split no longer matches the geometry, first at street 0, station 0.
+    # street, so station 0 covers all of each.
     moved = text.replace("1 0.5 0.0 2.0", "1 0.5 3.5 2.0")
     assert moved != text
-    with pytest.raises(FormatError, match=(
-        r"^\[ci\] coverage of street 0 by station 0 is 0\.5 km in the file, "
-        r"but 1\.0 km from the geometry$"
-    )):
-        loads(moved)
-    # With the block the geometry gives, the file loads.
-    fixed = moved.replace("coverage 4\n0 0 0.5\n0 1 0.5\n1 0 0.5\n1 1 0.5\n",
-                          "coverage 2\n0 0 1.0\n1 0 1.0\n")
-    assert fixed != moved
-    assert np.array_equal(loads(fixed).coverage.C, [[1.0, 0.0], [1.0, 0.0]])
-    # A stored entry the rebuild lacks is compared too.
-    stray = fixed.replace("coverage 2\n", "coverage 3\n0 1 5e-07\n")
-    with pytest.raises(FormatError, match=(
-        r"^\[ci\] coverage of street 0 by station 1 is 5e-07 km in the file, "
-        r"but 0\.0 km from the geometry$"
-    )):
-        loads(stray)
+    assert np.array_equal(loads(moved).coverage.C, [[1.0, 0.0], [1.0, 0.0]])
 
 
 LEAKY_FILE = Path(__file__).parent / "data" / "scenario-leaky-row-v3.txt"
@@ -610,7 +519,7 @@ def test_loader_rejects_ratios_that_do_not_sum_to_1():
 
 
 def test_negative_count_is_rejected():
-    text = HAND_WRITTEN.replace("coverage 2\n0 0 1.0\n1 0 1.0\n", "coverage -1\n")
+    text = HAND_WRITTEN.replace("links 1\n0 0 1.0\n", "links -1\n")
     with pytest.raises(FormatError, match="negative count"):
         loads(text)
 
@@ -689,7 +598,7 @@ def test_game_instance_wiring(grid3_scenario):
 
 def test_loader_rejects_a_negative_turning_ratio():
     # One share set to -0.5 and a sibling raised to keep the row sum 1.
-    lines, first = _its_rows(GOLDEN_V1.read_text(encoding="utf-8"), "ratios")
+    lines, first = _its_rows(GOLDEN_GRID4.read_text(encoding="utf-8"), "ratios")
     row, col, share = lines[first].split()
     sibling = lines[first + 1].split()
     assert sibling[0] == row
@@ -700,37 +609,23 @@ def test_loader_rejects_a_negative_turning_ratio():
 
 
 def test_loader_checks_intersection_positions():
-    # A v2 file's stored geometry must meet the positions; a v3 file
-    # stores none, so its streets follow a moved intersection.
-    sc = generate(ScenarioConfig(grid_n=3, seed=0))
-    for text in (v2_text(sc), dumps(sc)):
-        moved = _edit(_edit(text, "intersections", 1, "7.5"), "intersections", 2, "-3.25")
-        if text.startswith("icisim scenario v2"):
-            with pytest.raises(FormatError, match=r"\[its\].*geometry"):
-                loads(moved)
-        else:
-            assert loads(moved).network.graph.geometry[0].tolist() == [7.5, -3.25, 1.0, 0.0]
-    # Within 1e-9 of its stored geometry a v2 file loads, and takes the
-    # geometry its positions give.
-    nudged = loads(_edit(v2_text(sc), "intersections", 2, "5e-10"))
-    assert nudged.network.graph.geometry[0].tolist() == [0.0, 5e-10, 1.0, 0.0]
+    # A file stores no street geometry, so its streets follow a moved
+    # intersection.
+    moved = _edit(_edit(_grid3_text(), "intersections", 1, "7.5"), "intersections", 2, "-3.25")
+    assert loads(moved).network.graph.geometry[0].tolist() == [7.5, -3.25, 1.0, 0.0]
 
 
 DATA = Path(__file__).parent / "data"
-GOLDEN_V1 = DATA / "scenario-grid4-seed0-v1.txt"
+GOLDEN_GRID4 = DATA / "scenario-grid4-seed0-v3.txt"
+# The config of each golden scenario, committed as a v1, a v2 and a v3 file.
+GOLDENS = {
+    "grid4-seed0": ScenarioConfig(grid_n=4, seed=0),
+    "grid6-r0.3-seed1": ScenarioConfig(grid_n=6, cell_radius=0.3, seed=1),
+}
 
 
-def _without_anchor_lines(text: str) -> str:
-    return "".join(ln for ln in text.splitlines(keepends=True) if not ln.startswith("anchor_"))
-
-
-def _as_v2(text: str) -> str:
-    """A generated v1 file as v2 writes it: the v2 header, and no anchor
-    lines or coverage block; every other line is the same."""
-    lines = _without_anchor_lines(text).splitlines(keepends=True)
-    head = next(k for k, line in enumerate(lines) if line.startswith("coverage "))
-    del lines[head:head + 1 + int(lines[head].split()[1])]
-    return "".join(["icisim scenario v2\n", *lines[1:]])
+def _golden(name: str, version: str) -> str:
+    return (DATA / f"scenario-{name}-{version}.txt").read_text(encoding="utf-8")
 
 
 def _coverage_entries(sc: Scenario) -> dict:
@@ -739,103 +634,75 @@ def _coverage_entries(sc: Scenario) -> dict:
     return dict(zip(zip(rows.tolist(), cols.tolist()), km.tolist()))
 
 
-def test_golden_v1_file_loads_and_dumps_without_anchor_lines():
-    # Written before the anchor settings were dropped; it still carries them.
-    text = GOLDEN_V1.read_text(encoding="utf-8")
-    assert text.startswith("icisim scenario v1\n")
-    assert "anchor_street = 0\nanchor_flow = 1000.0\n" in text
-    sc = generate(ScenarioConfig(grid_n=4, seed=0))
-    assert scenarios_equal(loads(text), sc)
-    # Its coverage block holds the very bits that generate builds.
-    assert line_entries(text)["coverage"] == _coverage_entries(sc)
-    # Format v2 drops the anchor lines and the coverage block; dumps
-    # writes v3, which drops each street's length and geometry too.
-    v2 = (DATA / "scenario-grid4-seed0-v2.txt").read_text(encoding="utf-8")
-    v3 = (DATA / "scenario-grid4-seed0-v3.txt").read_text(encoding="utf-8")
-    assert v2 == _as_v2(text) == v2_text(sc)
-    assert dumps(sc) == v3
-    assert scenarios_equal(loads(v2), sc) and scenarios_equal(loads(v3), sc)
+def _config_from_lines(raw: dict) -> ScenarioConfig:
+    """The config of a file's raw ``[config]`` values, as the line-by-line
+    oracle reads them; keys that set no field are ignored."""
+    values = {
+        f.name: (int if f.type == "int" else float)(raw[f.name])
+        for f in fields(ScenarioConfig) if f.name != "bs_per_generator_range"
+    }
+    if raw["bs_per_generator_min"] != "auto":
+        values["bs_per_generator_range"] = (
+            int(raw["bs_per_generator_min"]), int(raw["bs_per_generator_max"])
+        )
+    return ScenarioConfig(**values)
 
 
-GOLDEN_GRID6 = DATA / "scenario-grid6-r0.3-seed1-v1.txt"
+@pytest.mark.parametrize("name", list(GOLDENS))
+def test_older_goldens_regenerate_from_their_config(name):
+    # The loader reads only v3.  A v1 or v2 golden's [config] values give
+    # the v3 golden, byte for byte, and the scenario the v3 golden loads to.
+    sc = generate(GOLDENS[name])
+    v3 = _golden(name, "v3")
+    assert dumps(sc) == v3 and scenarios_equal(loads(v3), sc)
+    for version in ("v1", "v2"):
+        config = _config_from_lines(line_entries(_golden(name, version))["config"])
+        assert dumps(generate(config)) == v3, version
+    # The v1 golden's coverage block holds the very bits that generate builds.
+    assert line_entries(_golden(name, "v1"))["coverage"] == _coverage_entries(sc)
 
 
 def test_golden_file_pins_the_shared_street_claims():
     # Up to five cells of radius 0.3 share one street, so the lowest-id
     # claim rule decides many of the covered lengths the v1 file stores.
-    config = ScenarioConfig(grid_n=6, cell_radius=0.3, seed=1)
-    sc = generate(config)
+    sc = generate(GOLDENS["grid6-r0.3-seed1"])
     assert np.diff(sc.coverage.lengths.indptr).max() == 5
-    text = GOLDEN_GRID6.read_text(encoding="utf-8")
-    assert line_entries(text)["coverage"] == _coverage_entries(sc)
-    assert scenarios_equal(loads(text), sc)
-    v2 = (DATA / "scenario-grid6-r0.3-seed1-v2.txt").read_text(encoding="utf-8")
-    v3 = (DATA / "scenario-grid6-r0.3-seed1-v3.txt").read_text(encoding="utf-8")
-    assert v2 == _as_v2(text) == v2_text(sc)
-    assert dumps(sc) == v3
-    assert scenarios_equal(loads(v2), sc) and scenarios_equal(loads(v3), sc)
+    assert line_entries(_golden("grid6-r0.3-seed1", "v1"))["coverage"] == _coverage_entries(sc)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        *(
+            (_golden(name, version),
+             f"unrecognised header 'icisim scenario {version}', expected 'icisim scenario v3'")
+            for name in GOLDENS for version in ("v1", "v2")
+        ),
+        (_golden("grid4-seed0", "v3") + "[impact]\nscores 0\n",
+         "unexpected trailing content: '[impact]'"),
+        (_golden("grid4-seed0", "v3").replace("\ndelta = ", "\nanchor_street = 0\ndelta = "),
+         "[config] unknown key 'anchor_street'"),
+    ],
+    ids=[*(f"{name}-{version}" for name in GOLDENS for version in ("v1", "v2")),
+         "trailing impact section", "anchor key"],
+)
+def test_loader_rejects_what_dumps_does_not_write(text, message):
+    with pytest.raises(FormatError) as err:
+        loads(text)
+    assert str(err.value) == message
 
 
 def test_intersections_at_one_position_give_zero_length_streets():
     # Intersection 1 of the grid-4 golden moved onto intersection 0: the
-    # two streets between them have length 0.  The file loads alike from
-    # v3 and v2 rows; a zero-length street gets no coverage entry, and
-    # every impact score stays finite.
-    golden = (DATA / "scenario-grid4-seed0-v3.txt").read_text(encoding="utf-8")
-    sc = loads(_edit(golden, "intersections", 1, "0.0", row=1))
+    # two streets between them have length 0.  A zero-length street gets no
+    # coverage entry, and every impact score stays finite.
+    sc = loads(_edit(GOLDEN_GRID4.read_text(encoding="utf-8"), "intersections", 1, "0.0", row=1))
     graph = sc.network.graph
     assert graph.positions[1].tolist() == graph.positions[0].tolist() == [0.0, 0.0]
     assert np.flatnonzero(graph.length == 0.0).tolist() == [0, 1]
-    assert scenarios_equal(loads(v2_text(sc)), sc)
+    assert scenarios_equal(loads(dumps(sc)), sc)
     assert np.diff(sc.coverage.lengths.indptr)[:2].tolist() == [0, 0]
     assert np.isfinite(sc.impact.z_scores).all() and np.isfinite(sc.impact.z_vectors).all()
-
-
-@pytest.mark.parametrize(
-    "block, message",
-    [
-        ("0 0 0.999999\n1 0 1.0\n", "street 0 by station 0 is 0.999999 km in the file, "
-                                      "but 1.0 km from the geometry"),
-        ("0 0 1.0\n1 0 1.000001\n", "street 1 by station 0 is 1.000001 km in the file, "
-                                      "but 1.0 km from the geometry"),
-        ("1 0 1.0\n", "street 0 by station 0 is 0.0 km in the file, "
-                       "but 1.0 km from the geometry"),
-        ("0 0 0.999999999999\n1 0 1.0\n", None),
-        ("0 0 1.0\n1 0 1.000000000001\n", None),
-        ("0 0 1.0\n1 0 1.0\n0 0 0.999999999999\n", None),
-    ],
-    ids=["1e-6 short", "1e-6 long", "entry missing", "1e-12 short", "1e-12 long",
-         "1e-12 off when repeated"],
-)
-def test_v1_coverage_block_must_match_the_geometry(block, message):
-    # The stored block is compared with the rebuild to 1e-9 km, over the
-    # entries of either; what loads is always the rebuild.
-    old = "coverage 2\n0 0 1.0\n1 0 1.0\n"
-    assert old in HAND_WRITTEN
-    edited = HAND_WRITTEN.replace(old, f"coverage {len(block.splitlines())}\n{block}")
-    if message is None:
-        assert scenarios_equal(loads(edited), loads(HAND_WRITTEN))
-        assert loads(edited).coverage.lengths.data.tolist() == [1.0, 1.0]
-    else:
-        with pytest.raises(FormatError, match=rf"^\[ci\] coverage of {re.escape(message)}$"):
-            loads(edited)
-
-
-def test_legacy_anchor_keys_parse_and_are_ignored():
-    plain = _without_anchor_lines(HAND_WRITTEN)
-    assert "anchor" not in plain
-    assert scenarios_equal(loads(HAND_WRITTEN), loads(plain))
-    # No range check is left: the keys set nothing.
-    edited = HAND_WRITTEN.replace("anchor_street = 0", "anchor_street = 99")
-    assert scenarios_equal(loads(edited.replace("anchor_flow = 500.0", "anchor_flow = -3.0")),
-                           loads(plain))
-    for old, new, message in (
-        ("anchor_street = 0", "anchor_street = 1.5", r"\[config\] anchor_street: bad integer"),
-        ("anchor_flow = 500.0", "anchor_flow = nan", r"\[config\] anchor_flow: non-finite"),
-        ("anchor_flow = 500.0", "anchor_flow = x", r"\[config\] anchor_flow: bad float"),
-    ):
-        with pytest.raises(FormatError, match=message):
-            loads(HAND_WRITTEN.replace(old, new))
 
 
 @pytest.mark.parametrize(
@@ -869,7 +736,7 @@ def test_config_block_keys_are_checked(old, new, message):
 def test_loader_takes_both_connection_bounds_or_neither(low, high, message):
     # A range is two integers or two "auto"s; one "auto" does not make the
     # other bound unread.
-    text = (DATA / "scenario-grid4-seed0-v3.txt").read_text(encoding="utf-8")
+    text = GOLDEN_GRID4.read_text(encoding="utf-8")
     both = "\nbs_per_generator_min = auto\nbs_per_generator_max = auto\n"
     assert both in text
     edited = text.replace(
@@ -883,7 +750,7 @@ def test_loader_builds_a_zero_share_network_on_its_own_pattern():
     # Street 0's share to street 4 in the grid-4 golden set to 0.0, and its
     # value moved onto the other outflow of street 0: the pair drops out
     # of Q, and the network's pattern holds only the 111 pairs left.
-    text = (DATA / "scenario-grid4-seed0-v3.txt").read_text(encoding="utf-8")
+    text = GOLDEN_GRID4.read_text(encoding="utf-8")
     zero, sibling = "0 4 0.16209052334897356\n", "0 6 0.8379094766510264\n"
     assert "\nratios 112\n" + zero + sibling in text
     moved = 0.16209052334897356 + 0.8379094766510264
@@ -903,7 +770,7 @@ def test_loader_builds_a_zero_share_network_on_its_own_pattern():
 
 
 def test_loader_rejects_a_negative_seed():
-    text = (DATA / "scenario-grid4-seed0-v2.txt").read_text(encoding="utf-8")
+    text = GOLDEN_GRID4.read_text(encoding="utf-8")
     assert "\nseed = 0\n" in text
     with pytest.raises(FormatError, match=r"^\[config\] seed must be nonnegative$"):
         loads(text.replace("\nseed = 0\n", "\nseed = -1\n"))
@@ -918,19 +785,9 @@ def _sparse(entries: dict, shape: tuple[int, int]) -> scipy.sparse.coo_array:
 def _scenario_from_lines(text: str) -> Scenario:
     """The scenario of a file read by the line-by-line oracle."""
     blocks = line_entries(text)
-    raw = blocks["config"]
-    values = {
-        f.name: (int if f.type == "int" else float)(raw[f.name])
-        for f in fields(ScenarioConfig) if f.name != "bs_per_generator_range"
-    }
-    if raw["bs_per_generator_min"] != "auto":
-        values["bs_per_generator_range"] = (
-            int(raw["bs_per_generator_min"]), int(raw["bs_per_generator_max"])
-        )
-    config = ScenarioConfig(**values)
+    config = _config_from_lines(blocks["config"])
     positions = {node: (x, y) for node, x, y in blocks["intersections"]}
-    # id tail head, and in a v2 or v1 file the length and geometry it drops
-    streets = sorted(blocks["streets"])
+    streets = sorted(blocks["streets"])  # id tail head
     n = len(streets)
     graph = StreetGraph(
         [s[1] for s in streets], [s[2] for s in streets], list(positions), list(positions.values())
@@ -939,10 +796,7 @@ def _scenario_from_lines(text: str) -> Scenario:
     rows = np.array(sorted(blocks["stations"]), dtype=float).reshape(-1, 6)
     stations = Stations(rows[:, 1:3], rows[:, 3], rows[:, 4], rows[:, 5])
     B, G = len(stations), len(blocks["generators"])
-    if "coverage" in blocks:  # a v1 file
-        coverage = coverage_from_lengths(network.graph, _sparse(blocks["coverage"], (n, B)))
-    else:
-        coverage = build_coverage(network.graph, stations)
+    coverage = build_coverage(network.graph, stations)
     shares = _sparse(blocks["links"], (B, G)).toarray()
     generators = np.array([(x, y) for _, x, y in sorted(blocks["generators"])]).reshape(G, 2)
     return Scenario(
@@ -953,11 +807,7 @@ def _scenario_from_lines(text: str) -> Scenario:
 
 
 def test_loads_equals_line_by_line_oracle():
-    texts = [HAND_WRITTEN, legacy_text(generate(ScenarioConfig(grid_n=3, seed=0)))]
-    texts += [
-        path.read_text(encoding="utf-8")
-        for path in (GOLDEN_V1, GOLDEN_GRID6, *DATA.glob("scenario-grid*-v[23].txt"))
-    ]
+    texts = [HAND_WRITTEN, *(_golden(name, "v3") for name in GOLDENS)]
     texts += [
         dumps(generate(ScenarioConfig(grid_n=grid_n, seed=seed)))
         for grid_n in range(2, 21) for seed in range(4)
@@ -969,8 +819,6 @@ def test_loads_equals_line_by_line_oracle():
 @pytest.mark.parametrize(
     "block, field, value, message",
     [
-        ("coverage", 2, "1_0", r"\[ci\] covered length: bad float '1_0'"),
-        ("coverage", 0, "1_0", r"\[ci\] coverage street: bad integer '1_0'"),
         ("streets", 1, "1.5", r"\[its\] street id: bad integer '1.5'"),
         ("links", 1, "1e3", r"\[pg\] link generator: bad integer '1e3'"),
         ("generators", 0, str(2**63), r"\[pg\] generator id: bad integer"),
@@ -980,7 +828,7 @@ def test_loads_equals_line_by_line_oracle():
 )
 def test_numeric_blocks_take_ascii_decimal_tokens(block, field, value, message):
     with pytest.raises(FormatError, match=message):
-        loads(_edit(_text_holding(block), block, field, value, row=2))
+        loads(_edit(_grid3_text(), block, field, value, row=2))
 
 
 @pytest.mark.parametrize(
@@ -1002,16 +850,16 @@ def test_bad_station_is_named_once(field, value, message):
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda ln: ln + " 7", r"\[ci\] coverage entry: expected 3 fields, found 4"),
-        (lambda ln: ln.rsplit(" ", 1)[0], r"\[ci\] coverage entry: expected 3 fields, found 2"),
-        (lambda ln: ln, r"\[ci\] coverage indices \(0, 999\) out of range"),
+        (lambda ln: ln + " 7", r"\[its\] ratio: expected 3 fields, found 4"),
+        (lambda ln: ln.rsplit(" ", 1)[0], r"\[its\] ratio: expected 3 fields, found 2"),
+        (lambda ln: ln, r"\[its\] ratio indices \(0, 999\) out of range"),
     ],
     ids=["extra field", "missing field", "later line"],
 )
 def test_bad_block_line_is_named_by_section(edit, message):
     # The first bad line decides the message, wherever it sits in the block.
-    lines = _text_holding("coverage").splitlines()
-    head = next(k for k, line in enumerate(lines) if line.startswith("coverage "))
+    lines = GOLDEN_GRID4.read_text(encoding="utf-8").splitlines()
+    head = next(k for k, line in enumerate(lines) if line.startswith("ratios "))
     lines[head + 3] = edit(lines[head + 3])
     lines[head + 5] = "0 999 0.5"
     with pytest.raises(FormatError, match=message):
@@ -1027,20 +875,15 @@ def _its_rows(text: str, block: str) -> tuple[list[str], int]:
 @pytest.mark.parametrize(
     "block, row, field, value, message",
     [
-        ("streets", 23, 0, "24", "[its] street ids must be 0..n-1 with no gaps"),
+        ("streets", 23, 0, "24", "[its] street ids must be 0..23 with no gaps"),
         ("streets", 6, 2, "1", "[its] street 6 starts and ends at intersection 1"),
-        ("streets", 3, 3, "1.5", "[its] street 3 length does not match its geometry"),
         ("streets", 4, 1, "42", "[its] street 4 references an intersection with no position"),
-        ("intersections", 4, 2, "1.5", "[its] street 6 geometry does not run from "
-                                       "intersection 1 to intersection 4 at their positions"),
     ],
-    ids=["street id gap", "self-loop", "wrong length", "tail with no intersection",
-         "geometry off positions"],
+    ids=["street id gap", "self-loop", "tail with no intersection"],
 )
 def test_loader_structure_errors_keep_their_texts(block, row, field, value, message):
-    # Street 6 runs from intersection 1 to 4, the centre of the grid-3
-    # scenario.  Its rows as v2 wrote them, with lengths and geometry.
-    lines, first = _its_rows(v2_text(generate(ScenarioConfig(grid_n=3, seed=0))), block)
+    # Street 6 runs from intersection 1 to 4, the centre of the grid-3 scenario.
+    lines, first = _its_rows(_grid3_text(), block)
     parts = lines[first + row].split()
     parts[field] = value
     lines[first + row] = " ".join(parts)

@@ -12,13 +12,13 @@ from hypothesis import given, settings, strategies as st
 from scipy.sparse.linalg import splu
 
 from icisim import traffic
-from icisim.errors import RankError, SingularError, TopologyError
+from icisim.errors import FormatError, RankError, SingularError, TopologyError
 from icisim.scenario import (
     ScenarioConfig,
     _grid_topology,
-    _street_graph,
     build_its,
     build_streets,
+    dumps,
     generate,
     loads,
 )
@@ -41,7 +41,6 @@ from oracles import (
     RANK_TOLERANCE,
     anchored_flows,
     loop_check_structure,
-    make_street,
     object_topology,
     qr_flow_solution,
     qr_null_vector,
@@ -647,46 +646,36 @@ _STRUCTURE_EDITS = {
 
 
 def _outcome(check) -> str | None:
-    """The text of the ValueError ``check()`` raises, or None."""
+    """The text of the ValueError or FormatError ``check()`` raises, or None."""
     try:
         check()
-    except ValueError as err:
+    except (ValueError, FormatError) as err:
         return str(err)
     return None
 
 
-@pytest.mark.parametrize("edit", list(_STRUCTURE_EDITS.values()), ids=list(_STRUCTURE_EDITS))
-def test_structure_check_matches_loop_oracle(edit):
-    # Streets go to the loader's graph builder in list order, which need
-    # not be id order; intersections in list order, the last of a repeated
-    # id winning.
-    streets, nodes = (list(part) for part in object_topology(ScenarioConfig(grid_n=3)))
-    edit(streets, nodes)
-    ints = np.array([(s.id, s.tail, s.head) for s in streets])
-    floats = np.array([(s.length, *s.geometry[0], *s.geometry[1]) for s in streets])
-    node_ids = np.array([x.id for x in nodes])
-    positions = np.array([x.position for x in nodes])
-
-    ours = _outcome(lambda: _check_structure(_street_graph(ints, floats, node_ids, positions)))
-    assert ours == _outcome(lambda: loop_check_structure(streets, nodes))
-    assert (ours is None) == (edit is _STRUCTURE_EDITS["unchanged"])
+def _with_street_rows(text: str, streets, nodes) -> str:
+    """``text`` with its ``intersections`` and ``streets`` blocks written
+    from records, in list order."""
+    lines = text.splitlines()
+    first = lines.index("[its]") + 1
+    last = next(k for k, line in enumerate(lines) if line.startswith("ratios "))
+    rows = [f"intersections {len(nodes)}"]
+    rows += [f"{x.id} {x.position[0]!r} {x.position[1]!r}" for x in nodes]
+    rows += [f"streets {len(streets)}", *(f"{s.id} {s.tail} {s.head}" for s in streets)]
+    return "\n".join(lines[:first] + rows + lines[last:]) + "\n"
 
 
 @pytest.mark.parametrize("edit", list(_STRUCTURE_EDITS.values()), ids=list(_STRUCTURE_EDITS))
 def test_v3_structure_check_matches_loop_oracle(edit):
-    # A v3 street row is ``id tail head``: each street runs between the
-    # positions of its intersections, so the oracle gets records whose
-    # length and geometry are rederived from them, and a length or
-    # geometry edit is no fault.
-    streets, nodes = (list(part) for part in object_topology(ScenarioConfig(grid_n=3)))
+    # The grid-3 file with its street and intersection rows edited as
+    # records.  A street row is ``id tail head``, and rows need not come in
+    # id order; of a repeated intersection id the last row wins.  Each
+    # street runs between the positions of its intersections, so a length
+    # or geometry edit is no fault.
+    config = ScenarioConfig(grid_n=3)
+    streets, nodes = (list(part) for part in object_topology(config))
     edit(streets, nodes)
-    at = {x.id: x.position for x in nodes}
-    drawn = [
-        make_street(s.id, s.tail, s.head, (at[s.tail], at[s.head]))
-        if s.tail != s.head and s.tail in at and s.head in at else s
-        for s in streets
-    ]
-    ints = np.array([(s.id, s.tail, s.head) for s in streets])
-    rows = (ints, np.zeros((len(ints), 0)), [x.id for x in nodes], [x.position for x in nodes])
-    ours = _outcome(lambda: _check_structure(_street_graph(*rows)))
-    assert ours == _outcome(lambda: loop_check_structure(drawn, nodes))
+    text = _with_street_rows(dumps(generate(config)), streets, nodes)
+    theirs = _outcome(lambda: loop_check_structure(streets, nodes))
+    assert _outcome(lambda: loads(text)) == (None if theirs is None else f"[its] {theirs}")
