@@ -244,7 +244,11 @@ def resolve_budget_sweep(sweep: Sequence[float], instance: GameInstance) -> tupl
 
     Values at most 1 are read as fractions of the smallest per-level total
     defender cap of ``instance`` (:func:`~icisim.game.defender_caps`);
-    larger values are taken as watts directly.
+    larger values are taken as watts directly.  The source and line cap
+    totals are half the total full power and the station caps total the
+    headroom, so at power ratio 2 all three tie, to within rounding, and
+    1.0 is the budget at which every stealthy level's equilibrium leaves
+    no residual.
     """
     saturation = min(float(defender_caps(level, instance).sum()) for level in StealthLevel)
     return tuple(float(v) * saturation if v <= 1.0 else float(v) for v in sweep)
@@ -295,8 +299,9 @@ _EXPERIMENTS = {
     "generators-single": (
         partial(_run_config_sweep, "num_generators", int, True), _GENERATOR_COUNTS,
     ),
-    # Fractions of the smallest level's total defender cap; resolved
-    # against the base scenario when the experiment runs.
+    # Fractions of the smallest level's total defender cap, up to the budget
+    # at which that level's equilibrium leaves no residual; resolved against
+    # the base scenario when the experiment runs.
     "allocation-compare": (_run_allocation_compare, tuple(k / 8.0 for k in range(9))),
 }
 

@@ -32,7 +32,7 @@ import json
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -174,32 +174,49 @@ class GameOutcome:
     residual_deviation: float
 
 
-# Per level, the unit an over-capacity attack is reported at; the indices
-# are those of the monitored arrays of :func:`_monitored`.
-_UNIT_NAMES = {
-    StealthLevel.POWER_SOURCE: "safe output of generator {0}",
-    StealthLevel.POWER_LINE: "capacity of line generator {1} -> station {0}",
-    StealthLevel.BASE_STATION: "power headroom of station {0}",
-    StealthLevel.OVERT: "capacity of line generator {1} -> station {0}",
+class _Level(NamedTuple):
+    """How one stealth level monitors the attack and discounts its gain."""
+
+    unit: str  # a unit in errors, formatted with its indices in the drained array
+    axis: int | None  # attack axis summed into a unit's drain; None for a line
+    capacity: str  # the GameInstance array of unit capacities
+    discounted: bool  # detection discounts the gain
+    backup_discounted: bool  # ... and the backup as well
+    by_share: bool  # a unit's drain splits over its lines by supply share, else evenly
+
+
+# The attacker's payoff is z @ (Σ_g p_a * kept - backup), where ``kept`` is
+# one minus the detection ratio (drain over capacity) of the unit a line
+# belongs to, or 1 undiscounted, and the backup is p_d, times ``kept`` only
+# if the discount reaches it.  So the best reply drives each unit's drain to
+# min((capacity + backup) / 2, capacity), or to its capacity undiscounted.
+_LINE = "capacity of line generator {1} -> station {0}"
+_LEVELS = {
+    StealthLevel.POWER_SOURCE: _Level(
+        "safe output of generator {0}", -2, "safe_outputs", True, False, False
+    ),
+    StealthLevel.POWER_LINE: _Level(_LINE, None, "line_caps", True, False, False),
+    StealthLevel.BASE_STATION: _Level(
+        "power headroom of station {0}", -1, "headroom", True, True, True
+    ),
+    # Not monitored, but line capacity still bounds the attack.
+    StealthLevel.OVERT: _Level(_LINE, None, "line_caps", False, False, False),
 }
 
 
 def _monitored(
     level: StealthLevel, instance: GameInstance, p_a: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Power drained from, and capacity of, each unit ``level`` monitors.
+    """Power drained from, and capacity of, each unit ``level`` monitors
+    (:data:`_LEVELS`); a stack of K attacks gives K rows of drains."""
+    row = _LEVELS[level]
+    drained = p_a if row.axis is None else p_a.sum(axis=row.axis)
+    return drained, getattr(instance, row.capacity)
 
-    Units are generators (drain over safe output) at the source level and
-    stations (drain over headroom) at the station level.  At the line level
-    they are lines, indexed ``[b, g]``; the overt level is not monitored,
-    but line capacity still bounds it, so it shares the line units.  A
-    stack of K attacks gives K rows of drains.
-    """
-    if level is StealthLevel.POWER_SOURCE:
-        return p_a.sum(axis=-2), instance.safe_outputs
-    if level is StealthLevel.BASE_STATION:
-        return p_a.sum(axis=-1), instance.headroom
-    return p_a, instance.line_caps
+
+def _on_lines(per_unit: np.ndarray | float, axis: int | None) -> np.ndarray | float:
+    """Per-unit values broadcastable against the (stations, generators) lines."""
+    return per_unit if axis is None else np.expand_dims(per_unit, axis)
 
 
 def _unit(flags: np.ndarray, capacity: np.ndarray) -> np.ndarray:
@@ -228,7 +245,7 @@ def validate_attack(level: StealthLevel, instance: GameInstance, p_a: np.ndarray
     over = drained > capacity * (1.0 + _FEAS_RTOL) + _FEAS_ATOL
     if over.any():
         unit = _unit(over, capacity)
-        raise InfeasibleError(f"attack exceeds {_UNIT_NAMES[level].format(*unit)}")
+        raise InfeasibleError(f"attack exceeds {_LEVELS[level].unit.format(*unit)}")
 
 
 def _detection_array(level: StealthLevel, instance: GameInstance, p_a: np.ndarray) -> np.ndarray:
@@ -238,7 +255,7 @@ def _detection_array(level: StealthLevel, instance: GameInstance, p_a: np.ndarra
     A unit with no capacity is certain to be detected once anything is
     drained from it; a ratio above ``1 + _FEAS_RTOL`` raises InfeasibleError.
     """
-    if level is StealthLevel.OVERT:
+    if not _LEVELS[level].discounted:
         return np.zeros(0)
     drained, capacity = _monitored(level, instance, p_a)
     ratios = np.divide(
@@ -247,9 +264,7 @@ def _detection_array(level: StealthLevel, instance: GameInstance, p_a: np.ndarra
     ratios[(capacity <= 0.0) & (drained > 0.0)] = 1.0
     if (ratios > 1.0 + _FEAS_RTOL).any():
         unit = _unit(ratios > 1.0 + _FEAS_RTOL, capacity)
-        raise InfeasibleError(
-            f"detection ratio exceeds 1 at {level.value} unit {unit.tolist()}"
-        )
+        raise InfeasibleError(f"detection ratio exceeds 1 at {level.value} unit {unit.tolist()}")
     return np.minimum(ratios, 1.0)
 
 
@@ -269,24 +284,19 @@ def attacker_payoff(
 ) -> float:
     """Stealth-discounted attacker gain minus the defender's compensation.
 
-    Each monitored unit discounts the gain it carries by one minus its
-    detection ratio; the overt level is the zero-sum game, undiscounted.
+    Each monitored unit discounts the gain it carries, and at the station
+    level also the backup, by one minus its detection ratio
+    (:data:`_LEVELS`); the overt level is the zero-sum game, undiscounted.
     ValueError unless the backup ``p_d`` has one entry per station.
     """
     validate_attack(level, instance, p_a)
     p_a = np.asarray(p_a, dtype=float)
     p_d = _per_station(p_d, instance.num_stations)
-    if level is StealthLevel.OVERT:
-        return -defender_payoff(instance.impact, p_d, p_a)
-
-    z = instance.impact.z_scores
-    drained, capacity = _monitored(level, instance, p_a)
-    ratios = np.divide(drained, capacity, out=np.zeros_like(drained), where=capacity > 0.0)
-    if level is StealthLevel.POWER_SOURCE:
-        return float((z @ p_a) @ (1.0 - ratios) - z @ p_d)
-    if level is StealthLevel.POWER_LINE:
-        return float(z @ ((p_a * (1.0 - ratios)).sum(axis=1) - p_d))
-    return float(z @ ((drained - p_d) * (1.0 - ratios)))
+    row = _LEVELS[level]
+    kept = 1.0 - _detection_array(level, instance, p_a) if row.discounted else 1.0
+    backup = p_d * kept if row.backup_discounted else p_d
+    gain = (p_a * _on_lines(kept, row.axis)).sum(axis=1)
+    return float(instance.impact.z_scores @ (gain - backup))
 
 
 def _source_mask(instance: GameInstance, sources: Sequence[int] | None) -> np.ndarray:
@@ -312,58 +322,43 @@ def attacker_best_response(
 
     ``sources`` restricts the attacker to a subset of generators (used for
     single-source experiments); by default all generators are attacked.
-    Only the station-level reply reads the backup ``p_d`` (none by
-    default).  There ``p_d`` may stack K allocations, shape (K, B); the
-    reply then stacks the K replies, shape (K, B, G).  ValueError for a
-    generator id outside ``0..G-1`` and, at every level, for a ``p_d``
-    whose last axis does not have one entry per station.
+    Only the station level, whose discount reaches the backup, reads
+    ``p_d`` (none by default).  There ``p_d`` may stack K allocations,
+    shape (K, B); the reply then stacks the K replies, shape (K, B, G).
+    ValueError for a generator id outside ``0..G-1`` and, at every level,
+    for a ``p_d`` whose last axis does not have one entry per station.
     """
-    caps = instance.line_caps
-    wired = caps > 0.0
+    row = _LEVELS[level]
     mask = _source_mask(instance, sources)
     p_d = None if p_d is None else _per_station(p_d, instance.num_stations)
-
-    if level is StealthLevel.BASE_STATION:
-        # Drive each station's total shortfall to the vertex of its concave
-        # gain, capped at the physical headroom, and split it over the
-        # usable lines in proportion to their supply shares.  The masked
-        # weights are F-ordered; their row sums are kept as they are, as
-        # those of C-ordered weights can differ in the last bit.
-        h = instance.headroom
-        p_d = np.zeros(instance.num_stations) if p_d is None else p_d
-        target = np.minimum((p_d + h) / 2.0, h)
-        weights = np.where(wired[:, mask], instance.assignment.T[:, mask], 0.0)
-        totals = weights.sum(axis=1)
-        scale = np.divide(target, totals, out=np.zeros_like(target), where=totals > 0.0)
-        p_a = np.zeros(target.shape + mask.shape)
-        p_a[..., mask] = weights * scale[..., None]
-        return AttackStrategy(p_a)
-
-    if level is StealthLevel.POWER_SOURCE:
-        # Half of each generator's output, spread evenly over its lines;
-        # build_assignment gives every generator at least one.
-        p_a = np.where(wired, instance.safe_outputs / (2.0 * wired.sum(axis=0)), 0.0)
-    elif level is StealthLevel.POWER_LINE:
-        p_a = caps / 2.0
-    else:
-        p_a = caps
-    return AttackStrategy(np.where(mask, p_a, 0.0))
+    target = capacity = getattr(instance, row.capacity)
+    if row.discounted:
+        backup = p_d if row.backup_discounted and p_d is not None else 0.0
+        target = np.minimum((capacity + backup) / 2.0, capacity)
+    # Split over the usable lines, the wired lines of the attacked
+    # generators.  Totals are summed over an F-ordered copy, so a station
+    # adds its shares in generator order, as a loop over its lines would.
+    usable = (instance.line_caps > 0.0) & mask
+    weights = np.where(usable, instance.assignment.T if row.by_share else 1.0, 0.0)
+    totals = weights
+    if row.axis is not None:
+        totals = np.asfortranarray(weights).sum(axis=row.axis, keepdims=True)
+    # A unit without usable lines has zero weights, so it drains nothing.
+    scale = _on_lines(target, row.axis) / np.where(totals > 0.0, totals, 1.0)
+    return AttackStrategy(weights * scale)
 
 
 def defender_caps(level: StealthLevel, instance: GameInstance) -> np.ndarray:
     """Per-station upper bounds for the defender's allocation at ``level``.
 
-    Backup power beyond the attacker's anticipated shortfall is wasted, so
-    the cap is the per-station :func:`attacker_best_response` to no
-    defence, which away from the station level is the reply to any backup.
-    At the station level that is half the power headroom.  The station-level
-    reply grows with the backup, though, so its net drain keeps falling
-    until the backup reaches the full headroom: above half the total
-    headroom, this cap can leave budget unspent and lose to an equal split.
+    Backup beyond the attacker's reply is wasted, and the net drain of a
+    reply falls as the backup grows until the reply is covered.  So the cap
+    is the per-station :func:`attacker_best_response` to a full-headroom
+    backup.  Away from the station level the reply reads no backup; there
+    it is the headroom, split over the lines and summed again, so a cap
+    can differ from the headroom in the last bits.
     """
-    if level is StealthLevel.BASE_STATION:
-        return instance.headroom / 2.0
-    return attacker_best_response(level, instance).per_station
+    return attacker_best_response(level, instance, instance.headroom).per_station
 
 
 def _fill_order(scores: np.ndarray) -> np.ndarray:

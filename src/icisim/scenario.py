@@ -652,14 +652,18 @@ def loads(text: str) -> Scenario:
         ("intersection id",), ("intersection x", "intersection y"),
     )
     n_streets = reader.counted("streets")
-    streets, _ = _block(reader, n_streets, "street", ("street id",) * 3, ())
+    streets, _ = _block(
+        reader, n_streets, "street", ("street id", "street tail", "street head"), ()
+    )
     ends = _by_id(reader, streets[:, 0], streets[:, 1:], "street")
     Q = _entries(reader, "ratios", (n_streets, n_streets))
 
     reader.expect_section("ci")
     n_stations = reader.counted("stations")
     station_ids, station_fields = _block(
-        reader, n_stations, "station", ("station id",), ("station field",) * 5
+        reader, n_stations, "station", ("station id",),
+        ("station x", "station y", "station cell radius", "station activation power",
+         "station full power"),
     )
     rows = _by_id(reader, station_ids[:, 0], station_fields, "station")
 

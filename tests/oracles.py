@@ -1,7 +1,10 @@
 """Independent reference implementations used only to check the package.
 
 Each oracle deliberately takes a different route from the production code:
-the LP oracle is a tableau simplex instead of a greedy fill, the clipping
+the LP oracle is a tableau simplex instead of a greedy fill, the
+station-residual oracle solves the station-level defender problem against
+the closed-form reply as one HiGHS linear program instead of capping a
+greedy fill at the reply to a full-headroom backup, the clipping
 oracle moves segment endpoints half-plane by half-plane instead of tracking
 a parameter interval, the coverage oracle measures each street against
 every station centre, clips one (street, station) pair at a time and
@@ -24,7 +27,7 @@ oracle grows one set of station ids per generator instead of ranking all
 (station, generator) distances in one pass, the fill oracle spends one
 budget station by station instead of filling many budgets in one running
 difference, the station-reply oracle answers one allocation with
-share totals added generator by generator instead of a masked array sum,
+share totals added generator by generator instead of an array sum,
 the source-reply oracle spreads each attacked generator's drain over
 its lines one generator at a time instead of in one array expression,
 the detection oracle sums one unit's drain and capacity line by line
@@ -52,6 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.optimize
 import scipy.sparse
 
 from icisim.coverage import CoverageMap, _HEX_AXES, coverage_from_lengths
@@ -132,6 +136,30 @@ def budgeted_allocation_lp(values: np.ndarray, caps: np.ndarray, budget: float) 
     b = np.concatenate([caps, [budget]])
     _, objective = simplex_maximize(values, A, b)
     return objective
+
+
+def station_residual_lp(instance: GameInstance, budget: float) -> float:
+    """Least impact-weighted net shortfall the defender can leave at the
+    station level with ``budget`` watts, as one linear program.
+
+    Against backup ``p`` the station-level reply drains ``(p + h) / 2``, so
+    station b keeps a shortfall of ``(h_b - p_b) / 2`` until ``p_b = h_b``.
+    The program minimises ``sum_b z_b t_b`` over ``(p, t)`` subject to
+    ``t_b >= (h_b - p_b) / 2``, ``t >= 0``, ``p >= 0`` and ``sum p <=
+    budget``; the headroom clamp of a residual never binds, since ``(h -
+    p) / 2 < h``.  Multiplied by ``delta`` it is the equilibrium residual.
+    """
+    z, h = instance.impact.z_scores, instance.headroom
+    B = z.size
+    eye = np.eye(B)
+    A_ub = np.block([[-0.5 * eye, -eye], [np.ones((1, B)), np.zeros((1, B))]])
+    b_ub = np.concatenate([-0.5 * h, [budget]])
+    result = scipy.optimize.linprog(
+        np.concatenate([np.zeros(B), z]), A_ub=A_ub, b_ub=b_ub, bounds=(0.0, None),
+        method="highs",
+    )
+    assert result.status == 0, result.message
+    return float(result.fun)
 
 
 # ---------------------------------------------------------------------------

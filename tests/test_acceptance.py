@@ -129,21 +129,23 @@ def test_criterion_04_power_sweep_is_linear_then_flat():
 
 def test_criterion_05_equilibrium_dominates_equal_allocation():
     seeds = range(10)
-    fractions = (0.0, 0.25, 0.5, 0.75, 1.0)
+    # Fractions up to the total headroom, the budget at which every stealthy
+    # level's equilibrium leaves no residual.
+    fractions = tuple(k / 8.0 for k in range(9))
     improvements: dict[StealthLevel, list[float]] = {lv: [] for lv in ALL_LEVELS}
     for seed in seeds:
         sc = generate(ScenarioConfig(grid_n=5, seed=seed, num_generators=3))
         inst = sc.game_instance()
-        saturation = float(inst.headroom.sum()) / 2.0
+        headroom = float(inst.headroom.sum())
         for fraction in fractions:
-            budget = fraction * saturation
+            budget = fraction * headroom
             for level in ALL_LEVELS:
                 _, _, outcome = stackelberg_equilibrium(level, inst, budget)
                 equal = equal_allocation(inst.num_stations, budget)
                 reply = attacker_best_response(level, inst, equal.allocation)
                 other = evaluate_profile(level, inst, equal, reply)
                 assert outcome.residual_deviation <= other.residual_deviation + 1e-9
-                if fraction == fractions[-1] and other.residual_deviation > 0.0:
+                if fraction == 0.5 and other.residual_deviation > 0.0:
                     improvements[level].append(
                         (other.residual_deviation - outcome.residual_deviation)
                         / other.residual_deviation
@@ -151,8 +153,8 @@ def test_criterion_05_equilibrium_dominates_equal_allocation():
     best = {lv.value: float(np.mean(vals)) for lv, vals in improvements.items() if vals}
     assert max(best.values()) >= 0.10
     summary = ", ".join(f"{name} {100 * val:.0f}%" for name, val in sorted(best.items()))
-    print("criterion 05 PASS - equilibrium never worse on 10 seeds x 5 budgets x 4 "
-          f"levels; improvement at saturating budget: {summary}")
+    print("criterion 05 PASS - equilibrium never worse on 10 seeds x 9 budgets up to the "
+          f"total headroom x 4 levels; improvement at half the headroom: {summary}")
 
 
 def test_criterion_06_line_stealth_is_most_damaging_at_scale():

@@ -131,6 +131,25 @@ def test_experiment_matches_reference_csv(tmp_path, capsys, experiment):
                                rtol=0.0, atol=1e-9 * np.abs(mean).max())
 
 
+def test_committed_allocation_compare_shows_the_equilibrium_never_worse():
+    """The committed allocation-compare table supports the paper's claim:
+    at every budget and level the equilibrium's mean residual is at most
+    the equal split's, and the sweep reaches a budget at which every
+    equilibrium residual is zero."""
+    path = Path(__file__).parent / "data" / "experiments-grid6" / "allocation-compare.csv"
+    _, rows = _csv_table(path.read_text(encoding="utf-8"))
+    means = {(float(row[2]), row[1]): float(row[3]) for row in rows}
+    levels = {level.split(":")[0] for _, level in means}
+    budgets = sorted({budget for budget, _ in means})
+    assert levels == {"source", "line", "bs"} and len(budgets) == 9
+    for budget in budgets:
+        for level in levels:
+            se, equal = means[budget, f"{level}:se"], means[budget, f"{level}:equal"]
+            assert se <= equal + 1e-9, (budget, level)
+    largest = max(means.values())
+    assert all(means[budgets[-1], f"{level}:se"] <= 1e-9 * largest for level in levels)
+
+
 @pytest.mark.parametrize("budget", ["nan", "inf", "-inf"])
 def test_solve_rejects_non_finite_budget(scenario_file, tmp_path, capsys, budget):
     out = tmp_path / "solution.json"

@@ -27,7 +27,7 @@ from icisim.experiments import (
     table_to_csv,
     table_to_svg,
 )
-from icisim.game import StealthLevel
+from icisim.game import StealthLevel, defender_caps
 from icisim.scenario import (
     ScenarioConfig,
     build_ci,
@@ -121,8 +121,16 @@ def test_budget_sweep_resolution():
     budgets = resolve_budget_sweep((0.0, 0.5, 1.0), instance)
     assert budgets[0] == 0.0
     assert budgets[1] == pytest.approx(budgets[2] / 2.0)
-    # The smallest per-level total cap is the station level's, half the headroom.
-    assert budgets[2] == float(instance.headroom.sum()) / 2.0
+    # Value 1.0 is the smallest per-level total cap.  The station caps are
+    # the headroom up to rounding; the source and line replies drain half
+    # the full power, which power ratio 2 makes the headroom too; the overt
+    # reply drains the full power.
+    totals = {level: float(defender_caps(level, instance).sum()) for level in StealthLevel}
+    assert budgets[2] == min(totals.values())
+    headroom = float(instance.headroom.sum())
+    for level in LEVELS:
+        assert totals[level] == pytest.approx(headroom, rel=1e-14)
+    assert totals[StealthLevel.OVERT] > headroom
     assert resolve_budget_sweep((40.0, 90.0), instance) == (40.0, 90.0)
 
 

@@ -819,11 +819,12 @@ def test_loads_equals_line_by_line_oracle():
 @pytest.mark.parametrize(
     "block, field, value, message",
     [
-        ("streets", 1, "1.5", r"\[its\] street id: bad integer '1.5'"),
+        ("streets", 1, "1.5", r"\[its\] street tail: bad integer '1.5'"),
+        ("streets", 2, "-", r"\[its\] street head: bad integer '-'"),
         ("links", 1, "1e3", r"\[pg\] link generator: bad integer '1e3'"),
         ("generators", 0, str(2**63), r"\[pg\] generator id: bad integer"),
         ("intersections", 2, "\u0661\u0662", r"\[its\] intersection y: bad float"),
-        ("stations", 3, "inf", r"\[ci\] station field: non-finite value 'inf'"),
+        ("stations", 3, "inf", r"\[ci\] station cell radius: non-finite value 'inf'"),
     ],
 )
 def test_numeric_blocks_take_ascii_decimal_tokens(block, field, value, message):
