@@ -38,7 +38,6 @@ from .game import (
     StealthLevel,
     attacker_best_response,
     attacker_payoff,
-    defender_caps,
     equilibrium_allocations,
     reply_residuals,
 )
@@ -242,15 +241,15 @@ def _run_config_sweep(name: str, kind: type, single: bool, spec: ExperimentSpec)
 def resolve_budget_sweep(sweep: Sequence[float], instance: GameInstance) -> tuple[float, ...]:
     """Turn allocation-compare sweep fractions into absolute budgets.
 
-    Values at most 1 are read as fractions of the smallest per-level total
-    defender cap of ``instance`` (:func:`~icisim.game.defender_caps`);
-    larger values are taken as watts directly.  The source and line cap
-    totals are half the total full power and the station caps total the
-    headroom, so at power ratio 2 all three tie, to within rounding, and
-    1.0 is the budget at which every stealthy level's equilibrium leaves
-    no residual.
+    Values at most 1 are read as fractions of the total station headroom
+    Σh of ``instance``; larger values are taken as watts directly.  Σh is
+    the budget at which every stealthy level's equilibrium leaves no
+    residual: the station caps (:func:`~icisim.game.defender_caps`) total
+    Σh, and the source and line caps total half the full power Σp_full/2,
+    which is Σh at power ratio 2.  Above power ratio 2, Σp_full/2 is less
+    than Σh, so 1.0 lies past the source and line cap totals.
     """
-    saturation = min(float(defender_caps(level, instance).sum()) for level in StealthLevel)
+    saturation = float(instance.headroom.sum())
     return tuple(float(v) * saturation if v <= 1.0 else float(v) for v in sweep)
 
 
@@ -299,9 +298,10 @@ _EXPERIMENTS = {
     "generators-single": (
         partial(_run_config_sweep, "num_generators", int, True), _GENERATOR_COUNTS,
     ),
-    # Fractions of the smallest level's total defender cap, up to the budget
-    # at which that level's equilibrium leaves no residual; resolved against
-    # the base scenario when the experiment runs.
+    # Fractions of the total station headroom Σh, up to the budget at which
+    # every stealthy level's equilibrium leaves no residual (above power
+    # ratio 2 the source and line levels get there earlier, at Σp_full/2);
+    # resolved against the base scenario when the experiment runs.
     "allocation-compare": (_run_allocation_compare, tuple(k / 8.0 for k in range(9))),
 }
 

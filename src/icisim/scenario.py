@@ -31,14 +31,15 @@ Scenario files are plain text with a versioned header and ``[config]``,
 written with ``repr`` so they round-trip exactly.  The loader reads exactly
 the format :func:`dumps` writes, ``icisim scenario v3``: any other header is
 a FormatError.  Every section after ``[config]`` is made of counted blocks,
-each written from whole arrays, one line per row.  Turning ratios and
-supply links are blocks of ``row column value`` lines holding the nonzero
-entries in row-major order.  The loader reads each counted numeric block in
-one ``np.loadtxt`` pass, and a repeated (row, column) pair keeps its last
-value.  Every number, ``[config]`` values included, must be a token
-``np.loadtxt`` reads: ASCII, no ``_`` digit separators, and finite if a
-float.  Coverage and the impact model are derived, so they are not
-written: loading rebuilds them.  So is a street's geometry, from its
+each written from whole arrays, one line per row.  In the intersections,
+streets, stations and generators tables the row of id k comes k-th.
+Turning ratios and supply links are blocks of ``row column value`` lines
+holding the nonzero entries, each (row, column) pair once, in row-major
+order.  The loader takes each block only in this form, and reads each in
+one ``np.loadtxt`` pass.  Every number, ``[config]`` values included, must
+be a token ``np.loadtxt`` reads: ASCII, no ``_`` digit separators, and
+finite if a float.  Coverage and the impact model are derived, so they are
+not written: loading rebuilds them.  So is a street's geometry, from its
 intersections' positions: a ``streets`` row is ``id tail head``.
 """
 from __future__ import annotations
@@ -194,7 +195,7 @@ def _grid_topology(config: ScenarioConfig) -> StreetGraph:
     high = (node[:, None] + np.array([1, g]))[opens]
     tail = np.stack((low, high), axis=1).reshape(-1)
     head = np.stack((high, low), axis=1).reshape(-1)
-    return StreetGraph(tail, head, node, positions)
+    return StreetGraph(tail, head, positions)
 
 
 def _turning_support(graph: StreetGraph) -> tuple[np.ndarray, np.ndarray]:
@@ -233,7 +234,7 @@ def _sample_shares(rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     draws in order, which is the arithmetic of ``Generator.dirichlet`` with
     unit weights, so the shares are the same bits as one ``dirichlet`` call
     per inflow, but for an exact zero draw: raised to the smallest normal
-    float, it keeps every share positive and so the street layer's pattern.
+    float, it keeps every share positive, as the flow core requires.
     """
     draws = np.maximum(rng.standard_exponential(len(rows)), np.finfo(float).tiny)
     return draws * (1.0 / np.bincount(rows, draws))[rows]
@@ -381,7 +382,7 @@ def dumps(scenario: Scenario) -> str:
 
     net, graph = scenario.network, scenario.network.graph
     out.append("[its]")
-    _write_block(out, "intersections", (graph.node_ids,), graph.positions.T)
+    _write_block(out, "intersections", (np.arange(len(graph.positions)),), graph.positions.T)
     _write_block(out, "streets", (np.arange(net.n), graph.tail, graph.head), ())
     rows, cols, shares = csr_entries(net.Q)
     _write_block(out, "ratios", (rows, cols), (shares,))
@@ -555,16 +556,15 @@ def _bad_line(
     raise FormatError(f"[{section}] unreadable {line} block")
 
 
-def _by_id(reader: _Reader, ids: np.ndarray, rows: np.ndarray, what: str) -> np.ndarray:
-    """``rows`` reordered so that the row of id k is row k; FormatError
-    unless the ids are 0..n-1, one per row."""
-    if not np.array_equal(np.sort(ids), np.arange(len(rows))):
+def _check_ids(reader: _Reader, ids: np.ndarray, what: str) -> None:
+    """FormatError at the first row of a table whose id is not its row."""
+    wrong = np.flatnonzero(ids != np.arange(len(ids)))
+    if wrong.size:
+        k = wrong[0]
         raise FormatError(
-            f"[{reader.section}] {what} ids must be 0..{len(rows) - 1} with no gaps"
+            f"[{reader.section}] {what} ids must be 0..{len(ids) - 1} in row order: "
+            f"row {k} has id {ids[k]}"
         )
-    out = np.empty_like(rows)
-    out[ids] = rows
-    return out
 
 
 # Counted keyword of each (row, column, value) block -> the names of its
@@ -579,19 +579,23 @@ _ENTRY_BLOCKS = {
 def _entries(reader: _Reader, keyword: str, shape: tuple[int, int]) -> scipy.sparse.coo_array:
     """One counted block of ``row column value`` lines as a COO array.
 
-    Indices must lie within ``shape``; a repeated (row, column) pair keeps
-    its last value.
+    Indices must lie within ``shape``, and the (row, column) pairs must be
+    unique and in row-major order.
     """
     line, row_name, col_name, value_name = _ENTRY_BLOCKS[keyword]
     index, values = _block(
         reader, reader.counted(keyword), line, (row_name, col_name), (value_name,), shape
     )
-    # Stable, so the lines of a repeated pair stay in file order.
-    order = np.lexsort((index[:, 1], index[:, 0]))
-    rows, cols = index[order].T
-    last = np.ones(order.size, dtype=bool)
-    last[:-1] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-    return scipy.sparse.coo_array((values[order[last], 0], (rows[last], cols[last])), shape=shape)
+    rows, cols = index.T
+    keys = rows * shape[1] + cols
+    wrong = np.flatnonzero(keys[1:] <= keys[:-1])
+    if wrong.size:
+        k = wrong[0] + 1
+        raise FormatError(
+            f"[{reader.section}] {line} entries must be unique and in row-major order: "
+            f"row {k} is ({rows[k]}, {cols[k]}) after ({rows[k - 1]}, {cols[k - 1]})"
+        )
+    return scipy.sparse.coo_array((values[:, 0], (rows, cols)), shape=shape)
 
 
 # bs_per_generator_range takes two lines, its min and its max.
@@ -651,28 +655,29 @@ def loads(text: str) -> Scenario:
         reader, reader.counted("intersections"), "intersection",
         ("intersection id",), ("intersection x", "intersection y"),
     )
+    _check_ids(reader, node_ids[:, 0], "intersection")
     n_streets = reader.counted("streets")
     streets, _ = _block(
         reader, n_streets, "street", ("street id", "street tail", "street head"), ()
     )
-    ends = _by_id(reader, streets[:, 0], streets[:, 1:], "street")
+    _check_ids(reader, streets[:, 0], "street")
     Q = _entries(reader, "ratios", (n_streets, n_streets))
 
     reader.expect_section("ci")
     n_stations = reader.counted("stations")
-    station_ids, station_fields = _block(
+    station_ids, rows = _block(
         reader, n_stations, "station", ("station id",),
         ("station x", "station y", "station cell radius", "station activation power",
          "station full power"),
     )
-    rows = _by_id(reader, station_ids[:, 0], station_fields, "station")
+    _check_ids(reader, station_ids[:, 0], "station")
 
     reader.expect_section("pg")
     n_gens = reader.counted("generators")
-    gen_ids, gen_xy = _block(
+    gen_ids, generators = _block(
         reader, n_gens, "generator", ("generator id",), ("generator x", "generator y")
     )
-    generators = _by_id(reader, gen_ids[:, 0], gen_xy, "generator")
+    _check_ids(reader, gen_ids[:, 0], "generator")
     generators.flags.writeable = False
     shares = _entries(reader, "links", (n_stations, n_gens)).toarray()
 
@@ -681,7 +686,7 @@ def loads(text: str) -> Scenario:
 
     # Library errors about the parsed content all become FormatError here.
     try:
-        network = network_from_matrix(StreetGraph(*ends.T, node_ids[:, 0], node_xy), Q)
+        network = network_from_matrix(StreetGraph(streets[:, 1], streets[:, 2], node_xy), Q)
     except (ValueError, IcisimError) as err:
         raise FormatError(f"[its] {err}") from None
     try:

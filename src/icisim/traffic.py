@@ -52,17 +52,17 @@ leaves the same factors, pivots and null vector bit for bit.  (The one
 exception is a diagonal entry that ties its column's largest: SuperLU
 prefers the diagonal pivot then, and the permuted block's nominal
 diagonal is another entry.  Generated shares leave no such ties.)  A
-network's pattern is exactly the support of its ``Q``: one that loses a
-pair to an exact zero share gets a smaller pattern of its own, since
-that can change the classes.
+network's pattern is exactly the support of its ``Q``: every share must be
+positive, since a zero would drop a pair and could change the classes.
 
-A street is a pair of intersections; its geometry and length derive from
-their positions.  Flows are veh/h/lane, positions and lengths are km.  All
-objects here are immutable after construction and safe for concurrent
-reads, except that a graph keeps its derived arrays on first use, and a
-pattern its analysis on first use and, by one assignment on its first
-factorisation, the block layout in SuperLU's column order; two threads
-that get there at once both find, and store, the same values.
+A street is a pair of intersections, each numbered by its row in the
+positions array; its geometry and length derive from their positions.
+Flows are veh/h/lane, positions and lengths are km.  All objects here are
+immutable after construction and safe for concurrent reads, except that a
+graph keeps its derived arrays on first use, and a pattern its analysis
+on first use and, by one assignment on its first factorisation, the block
+layout in SuperLU's column order; two threads that get there at once both
+find, and store, the same values.
 """
 from __future__ import annotations
 
@@ -85,31 +85,21 @@ from .errors import RankError, SingularError, TopologyError
 class StreetGraph:
     """Directed street graph held as arrays; street ``i`` is row ``i``.
 
-    Street ``i`` runs straight from intersection ``tail[i]`` to ``head[i]``.
-    Intersection ``node_ids[k]`` sits at ``positions[k]``; the ids are
-    stored sorted and unique, and a repeated id keeps its last position.
-    Every array is a read-only copy of what was passed in.
+    Street ``i`` runs straight from intersection ``tail[i]`` to ``head[i]``,
+    and intersection ``k`` sits at ``positions[k]``.  Every array is a
+    read-only copy of what was passed in.
     """
 
     tail: np.ndarray
     head: np.ndarray
-    node_ids: np.ndarray
     positions: np.ndarray
 
     def __post_init__(self) -> None:
         n = len(self.tail)
-        node_ids = np.array(self.node_ids, dtype=np.int64).reshape(-1)
-        positions = np.array(self.positions, dtype=float).reshape(len(node_ids), 2)
-        if np.any(node_ids[1:] <= node_ids[:-1]):
-            order = np.argsort(node_ids, kind="stable")
-            node_ids, positions = node_ids[order], positions[order]
-            last = np.append(node_ids[1:] != node_ids[:-1], True)
-            node_ids, positions = node_ids[last], positions[last]
         for name, value in (
             ("tail", np.array(self.tail, dtype=np.int64).reshape(n)),
             ("head", np.array(self.head, dtype=np.int64).reshape(n)),
-            ("node_ids", node_ids),
-            ("positions", positions),
+            ("positions", np.array(self.positions, dtype=float).reshape(-1, 2)),
         ):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
@@ -124,13 +114,11 @@ class StreetGraph:
         ValueError at the first street with an end that is no known
         intersection."""
         ends = np.stack((self.tail, self.head), axis=1)
-        at = np.searchsorted(self.node_ids, ends)
-        found = at < len(self.node_ids)
-        found[found] = self.node_ids[at[found]] == ends[found]
-        unknown = np.flatnonzero(~found.all(axis=1))
+        known = (ends >= 0) & (ends < len(self.positions))
+        unknown = np.flatnonzero(~known.all(axis=1))
         if unknown.size:
             raise ValueError(f"street {unknown[0]} references an intersection with no position")
-        geometry = self.positions[at].reshape(-1, 4)
+        geometry = self.positions[ends].reshape(-1, 4)
         geometry.flags.writeable = False
         return geometry
 
@@ -219,13 +207,13 @@ class FlowPattern:
     laid out once for every set of shares on them.
 
     Triple ``e`` routes inflow street ``rows[e]`` to outflow street
-    ``cols[e]``; a pair may repeat.  Construction checks the graph
-    (ValueError, as :func:`_check_structure` reports) and raises
-    TopologyError for the first triple, in triple order, that names an
-    unknown street, and then for the first pair, in row-major order, whose
-    streets do not meet head to tail.  ``indptr`` and ``indices`` are the
-    canonical CSR layout of the pairs, and ``slot[e]`` is the entry that
-    triple ``e`` adds its share to, so ``cols[e]`` is
+    ``cols[e]``.  Construction checks the graph (ValueError, as
+    :func:`_check_structure` reports) and raises TopologyError for the
+    first triple, in triple order, that names an unknown street, and then,
+    in row-major order, for the first pair that repeats and for the first
+    whose streets do not meet head to tail.  ``indptr`` and ``indices`` are
+    the canonical CSR layout of the pairs, and ``slot[e]`` is the entry
+    that holds triple ``e``'s share, so ``cols[e]`` is
     ``indices[slot[e]]``.  ``rows`` and the layout are read-only int32
     arrays, kept small because every network holds its pattern.
     """
@@ -248,16 +236,17 @@ class FlowPattern:
             raise TopologyError(
                 f"turning ratio references unknown street pair ({rows[e]}, {cols[e]})"
             )
-        # np.unique(keys, return_inverse=True), with a stable sort, which is
-        # linear on an already sorted input such as a loaded file's.
+        # A stable sort, which is linear on an already sorted input such as
+        # a loaded file's.
         keys = rows * n + cols
         order = np.argsort(keys, kind="stable")
-        ordered = keys[order]
-        first = np.ones(len(keys), dtype=bool)
-        first[1:] = ordered[1:] != ordered[:-1]
+        ordered, pair_rows, pair_cols = keys[order], rows[order], cols[order]
+        repeated = np.flatnonzero(ordered[1:] == ordered[:-1])
+        if repeated.size:
+            j, k = int(pair_rows[repeated[0]]), int(pair_cols[repeated[0]])
+            raise TopologyError(f"turning ratio pair ({j}, {k}) is repeated")
         slot = np.empty(len(keys), dtype=np.int32)
-        slot[order] = np.cumsum(first) - 1
-        pair_rows, pair_cols = rows[order[first]], cols[order[first]]
+        slot[order] = np.arange(len(keys))
         apart = np.flatnonzero(graph.head[pair_rows] != graph.tail[pair_cols])
         if apart.size:
             j, k = int(pair_rows[apart[0]]), int(pair_cols[apart[0]])
@@ -377,31 +366,26 @@ class _DeflatedBlock:
 def _network(pattern: FlowPattern, shares: np.ndarray) -> FlowNetwork:
     """The network of one share per triple of ``pattern``, factorised.
 
-    The shares of a repeated pair add up, and every sum must be a finite
-    nonnegative share (ValueError at the first that is not, in row-major
-    order); a pair whose sum is exactly 0 is left out of ``Q``, and the
-    network is built on a new pattern of the other pairs.  The shares of
-    each inflow street whose head has outflows must sum to 1 within 1e-9
-    (ValueError listing the streets whose shares do not).
+    Every share must be finite and positive (ValueError at the first that
+    is not, in row-major order), and the shares of each inflow street
+    whose head has outflows must sum to 1 within 1e-9 (ValueError listing
+    the streets whose shares do not).
     """
     n = pattern.graph.n
-    data = np.bincount(pattern.slot, shares, minlength=pattern.nnz)
-    bad = np.flatnonzero(~(np.isfinite(data) & (data >= 0.0)))
+    data = np.empty(pattern.nnz)
+    data[pattern.slot] = shares
+    bad = np.flatnonzero(~(np.isfinite(data) & (data > 0.0)))
     if bad.size:
         e = bad[0]
         j = int(np.searchsorted(pattern.indptr, e, side="right")) - 1
         raise ValueError(
             f"ratio matrix entry ({j}, {int(pattern.indices[e])}) is {float(data[e])!r}, "
-            "not a finite nonnegative share"
+            "not a finite positive share"
         )
     row_sums = np.bincount(pattern.rows, shares, minlength=n)
     bad_rows = np.flatnonzero(pattern.has_outflow & (np.abs(row_sums - 1.0) > 1e-9))
     if bad_rows.size:
         raise ValueError(f"outflow shares of inflow streets {bad_rows.tolist()} do not sum to 1")
-    if not data.all():
-        kept = data != 0.0
-        rows = np.repeat(np.arange(n), np.diff(pattern.indptr))[kept]
-        pattern, data = FlowPattern(pattern.graph, rows, pattern.indices[kept]), data[kept]
     Q = scipy.sparse.csr_array((data, pattern.indices, pattern.indptr), shape=(n, n), copy=True)
     net = FlowNetwork(pattern, Q)
     net.null_vector  # factorise now so a rank failure surfaces at construction
@@ -412,9 +396,9 @@ def build_flow_matrix(pattern: FlowPattern, shares) -> FlowNetwork:
     """Assemble the balance system from per-inflow turning ratios.
 
     ``shares[e]`` is the share of inflow street ``pattern.rows[e]`` routed
-    to outflow street ``pattern.cols[e]``, and the shares of a repeated
-    pair add up.  Shares must be nonnegative, and those of each inflow
-    street whose head has outflows must sum to 1 (ValueError otherwise).
+    to outflow street ``pattern.cols[e]``.  Shares must be positive, and
+    those of each inflow street whose head has outflows must sum to 1
+    (ValueError otherwise).
     The pattern has checked the graph and the placement of every pair;
     RankError when the resulting balance matrix does not have rank n-1.
     """
@@ -434,12 +418,11 @@ def network_from_matrix(graph: StreetGraph, Q) -> FlowNetwork:
     """Build a network from an explicit ratio matrix.
 
     ``Q`` may be dense or any ``scipy.sparse`` matrix; it is stored as a
-    canonical CSR array, with duplicate entries of a sparse input summed.
-    This is the way into the ITS layer for a loaded file: its stored
-    entries, zero or not, form a :class:`FlowPattern`, which checks the
-    street graph and that each entry links streets meeting head-to-tail
-    (TopologyError otherwise); every entry, once duplicates are summed,
-    must be a finite nonnegative share, and the shares of each inflow
+    canonical CSR array.  This is the way into the ITS layer for a loaded
+    file: its stored entries, zero or not, form a :class:`FlowPattern`,
+    which checks the street graph, that no entry repeats and that each
+    links streets meeting head-to-tail (TopologyError otherwise); every
+    entry must be a finite positive share, and the shares of each inflow
     street whose head has outflows must sum to 1 (ValueError otherwise);
     RankError when the balance matrix does not have rank n-1.
     """

@@ -15,9 +15,9 @@ from icisim.traffic import FlowNetwork, FlowPattern, StreetGraph, build_flow_mat
 
 def street_graph(ends, positions) -> StreetGraph:
     """Graph of the (tail, head) streets ``ends``, street i on row i, between
-    intersections at ``positions`` (id -> point)."""
+    intersections at ``positions`` (id -> point, ids 0..k-1)."""
     tail, head = np.array(ends, dtype=np.int64).reshape(-1, 2).T
-    return StreetGraph(tail, head, list(positions), list(positions.values()))
+    return StreetGraph(tail, head, [positions[k] for k in range(len(positions))])
 
 
 def segment_graph(*segments) -> StreetGraph:

@@ -405,9 +405,10 @@ def object_graph(streets, intersections) -> StreetGraph:
     ``i``; a graph derives each street's length and geometry, so the
     records' own are not read."""
     streets = sorted(streets, key=lambda s: s.id)
+    intersections = sorted(intersections, key=lambda x: x.id)
     return StreetGraph(
         [s.tail for s in streets], [s.head for s in streets],
-        [x.id for x in intersections], [x.position for x in intersections],
+        [x.position for x in intersections],
     )
 
 
@@ -492,20 +493,22 @@ def dense_overlap_pair(stations) -> tuple[int, int] | None:
 
 
 def loop_check_structure(streets, intersections) -> None:
-    """Consistency of ``Street`` and ``Intersection`` records checked street
-    by street in id order, as the loader checks ``id tail head`` rows; a
-    repeated intersection id keeps the position of its last record.  Raises
-    the texts of the loader's street-id check and then of
-    ``traffic._check_structure``."""
-    streets = sorted(streets, key=lambda s: s.id)
-    if [s.id for s in streets] != list(range(len(streets))):
-        raise ValueError(f"street ids must be 0..{len(streets) - 1} with no gaps")
+    """Consistency of ``Street`` and ``Intersection`` records checked record
+    by record in list order, as the loader checks the rows of a file: the
+    record in row k must have id k, intersections first.  Raises the texts
+    of the loader's id checks and then of ``traffic._check_structure``."""
+    for what, records in (("intersection", intersections), ("street", streets)):
+        for k, record in enumerate(records):
+            if record.id != k:
+                raise ValueError(
+                    f"{what} ids must be 0..{len(records) - 1} in row order: "
+                    f"row {k} has id {record.id}"
+                )
     for s in streets:
         if s.tail == s.head:
             raise ValueError(f"street {s.id} starts and ends at intersection {s.tail}")
-    known = {x.id for x in intersections}
     for s in streets:
-        if s.tail not in known or s.head not in known:
+        if not (0 <= s.tail < len(intersections) and 0 <= s.head < len(intersections)):
             raise ValueError(f"street {s.id} references an intersection with no position")
 
 
@@ -522,8 +525,10 @@ def line_entries(text: str) -> dict:
     ``"config"`` maps each ``[config]`` key to its raw value.  Every counted
     block maps its keyword to its lines as lists of ints then floats; the
     ``ratios``, ``coverage`` and ``links`` blocks instead map each (row,
-    column) pair to its value, a repeated pair keeping its last one.  Only
-    a format-v1 file has a ``coverage`` block.
+    column) pair to its value.  ValueError unless the row of id k of every
+    other block comes k-th and the pairs of each pair block come once
+    each, in row-major order.  Only a format-v1 file has a ``coverage``
+    block.
     """
     lines = iter([line.split() for line in text.splitlines() if line.strip()][1:])
     blocks: dict = {"config": {}}
@@ -537,8 +542,13 @@ def line_entries(text: str) -> dict:
                 tokens = next(lines)
                 rows.append([int(t) for t in tokens[:k]] + [float(t) for t in tokens[k:]])
             if k == 2:
+                pairs = [(r, c) for r, c, _ in rows]
+                if any(b <= a for a, b in zip(pairs, pairs[1:])):
+                    raise ValueError(f"{parts[0]} pairs are not unique and row-major")
                 blocks[parts[0]] = {(r, c): value for r, c, value in rows}
             else:
+                if [row[0] for row in rows] != list(range(len(rows))):
+                    raise ValueError(f"{parts[0]} ids are not their rows")
                 blocks[parts[0]] = rows
     return blocks
 

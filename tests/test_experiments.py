@@ -121,17 +121,25 @@ def test_budget_sweep_resolution():
     budgets = resolve_budget_sweep((0.0, 0.5, 1.0), instance)
     assert budgets[0] == 0.0
     assert budgets[1] == pytest.approx(budgets[2] / 2.0)
-    # Value 1.0 is the smallest per-level total cap.  The station caps are
-    # the headroom up to rounding; the source and line replies drain half
-    # the full power, which power ratio 2 makes the headroom too; the overt
+    # Value 1.0 is the total headroom, exactly.  The station caps are the
+    # headroom up to rounding; the source and line replies drain half the
+    # full power, which power ratio 2 makes the headroom too; the overt
     # reply drains the full power.
     totals = {level: float(defender_caps(level, instance).sum()) for level in StealthLevel}
-    assert budgets[2] == min(totals.values())
     headroom = float(instance.headroom.sum())
+    assert budgets[2] == headroom
     for level in LEVELS:
         assert totals[level] == pytest.approx(headroom, rel=1e-14)
     assert totals[StealthLevel.OVERT] > headroom
     assert resolve_budget_sweep((40.0, 90.0), instance) == (40.0, 90.0)
+    # Above power ratio 2 the source and line caps total half the full
+    # power, less than the headroom; 1.0 is still the headroom.
+    steep = generate(replace(BASE, power_ratio=3.0)).game_instance()
+    headroom = float(steep.headroom.sum())
+    assert resolve_budget_sweep((1.0,), steep) == (headroom,)
+    for level in (StealthLevel.POWER_SOURCE, StealthLevel.POWER_LINE):
+        total = float(defender_caps(level, steep).sum())
+        assert total == pytest.approx(0.75 * headroom, rel=1e-14)
 
 
 def test_allocation_compare_resolves_budgets_from_replica_zero(monkeypatch):

@@ -2,8 +2,9 @@
 
 Inputs are small valid files in the one format ``dumps`` writes -- a
 generated grid-2 file, the hand-written two-street file and the grid-4
-golden -- that are truncated, lose a line, have two lines swapped, or have
-one token replaced by a hostile value.  Examples are derandomised so every
+golden -- that are truncated, lose a line, have two lines swapped, have
+one line written twice with its block's count bumped, or have one token
+replaced by a hostile value.  Examples are derandomised so every
 run checks the same cases.
 """
 from __future__ import annotations
@@ -24,13 +25,14 @@ HOSTILE = (
     "nan", "inf", "-inf", "-1", "0", "1e308", str(10**20), str(2**63), "x",
     "1.5", "1_0", "+3", "#", "1e3",
 )
+BLOCKS = ("intersections", "streets", "ratios", "stations", "generators", "links")
 
 
 @st.composite
 def damaged_files(draw) -> str:
     text = draw(st.sampled_from(BASES))
     lines = text.splitlines()
-    kind = draw(st.sampled_from(("truncate", "drop", "swap", "token")))
+    kind = draw(st.sampled_from(("truncate", "drop", "swap", "repeat", "token")))
     if kind == "truncate":
         return text[: draw(st.integers(0, len(text) - 1))]
     index = st.integers(0, len(lines) - 1)
@@ -39,6 +41,14 @@ def damaged_files(draw) -> str:
     elif kind == "swap":
         i, j = draw(index), draw(index)
         lines[i], lines[j] = lines[j], lines[i]
+    elif kind == "repeat":
+        i = draw(index)
+        lines.insert(i, lines[i])
+        # The count of the block the line sits in, if any, counts it too.
+        heads = [k for k in range(i) if lines[k].split()[:1] and lines[k].split()[0] in BLOCKS]
+        if heads:
+            keyword, count = lines[heads[-1]].split()
+            lines[heads[-1]] = f"{keyword} {int(count) + 1}"
     else:
         i = draw(index)
         tokens = lines[i].split()

@@ -1,10 +1,12 @@
 """Allocation game tests: payoffs, best responses, LP, equilibria."""
 from __future__ import annotations
 
+import functools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from icisim.errors import InfeasibleError
 from icisim.game import (
@@ -801,6 +803,66 @@ def test_station_equilibrium_matches_the_lp_oracle(grid_n):
             assert abs(outcome.residual_deviation / delta - optimum) <= 1e-9 * scale, (
                 seed, budget
             )
+
+
+@functools.lru_cache(maxsize=None)
+def _property_instance(grid_n: int, seed: int):
+    return generate(ScenarioConfig(grid_n=grid_n, seed=seed)).game_instance()
+
+
+def _random_allocations(rng: np.random.Generator, inst, budgets: np.ndarray) -> np.ndarray:
+    """One feasible allocation per budget: exponential weights on a random
+    subset of stations, spending the whole budget, and for half the rows
+    then clipped at each station's headroom."""
+    K, B = len(budgets), inst.num_stations
+    weights = rng.standard_exponential((K, B))
+    weights *= rng.random((K, B)) < rng.uniform(0.1, 1.0, (K, 1))
+    weights[weights.sum(axis=1) == 0.0, 0] = 1.0
+    allocations = budgets[:, None] * weights / weights.sum(axis=1, keepdims=True)
+    clip = rng.random(K) < 0.5
+    allocations[clip] = np.minimum(allocations[clip], inst.headroom)
+    return allocations
+
+
+def _check_random_allocations(level: StealthLevel, grid_n: int, seed: int, draws: int) -> None:
+    """16 budgets up to 1.2 times the total headroom, one random feasible
+    allocation each: none leaves less residual than the equilibrium at the
+    same budget."""
+    inst = _property_instance(grid_n, seed)
+    rng = np.random.default_rng(draws)
+    budgets = rng.uniform(0.0, 1.2 * float(inst.headroom.sum()), 16)
+    se = reply_residuals(level, inst, equilibrium_allocations(level, inst, budgets), budgets)
+    other = reply_residuals(level, inst, _random_allocations(rng, inst, budgets), budgets)
+    undefended = reply_residuals(level, inst, np.zeros((1, inst.num_stations)), [0.0])[0]
+    tolerance = 1e-9 * max(1.0, float(undefended))
+    assert np.all(se <= other + tolerance), (grid_n, seed, budgets[se > other + tolerance])
+
+
+@pytest.mark.parametrize(
+    "level", [StealthLevel.POWER_LINE, StealthLevel.BASE_STATION, StealthLevel.OVERT],
+    ids=lambda level: level.value,
+)
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(grid_n=st.integers(3, 9), seed=st.integers(0, 3), draws=st.integers(0, 2**32 - 1))
+def test_no_random_allocation_leaves_less_residual_than_the_equilibrium(level, grid_n, seed, draws):
+    _check_random_allocations(level, grid_n, seed, draws)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 2: at source the greedy fill caps a station at the attack, "
+    "and the headroom clamp wastes the backup that covers the part of the attack "
+    "above the headroom",
+)
+def test_no_random_allocation_leaves_less_residual_than_the_source_equilibrium():
+    # The same property on a fixed set of draws, one per grid and seed.  It
+    # is not run under @given: for a failing example hypothesis's pytest
+    # plugin writes a patch file, and with libcst installed the import that
+    # does so aborts a run under -W error::DeprecationWarning.
+    for grid_n in range(3, 10):
+        for seed in range(4):
+            _check_random_allocations(StealthLevel.POWER_SOURCE, grid_n, seed, 10 * grid_n + seed)
 
 
 def test_equal_allocation_examples():

@@ -218,10 +218,10 @@ def test_one_draw_ratios_equal_per_inflow_dirichlet():
 
 
 def test_a_zero_draw_keeps_its_pair():
-    # An exact zero exponential draw would give a share of 0 and a network
-    # on a smaller pattern than its street layer, which an experiment's
-    # later replicas are built on.  It is raised to the smallest normal
-    # float; the other shares keep their bits.
+    # An exact zero exponential draw would give a share of 0, which the
+    # flow core rejects, since it would drop a pair of the street layer
+    # that an experiment's later replicas are built on.  It is raised to
+    # the smallest normal float; the other shares keep their bits.
     class ZeroFirst:
         def standard_exponential(self, size):
             draws = _rng(0, _STREAM_RATIOS).standard_exponential(size)
@@ -253,7 +253,7 @@ def test_array_topology_equals_object_oracle():
         }
         for seed in range(4):
             graph = generate(ScenarioConfig(grid_n=grid_n, seed=seed)).network.graph
-            for name in ("tail", "head", "geometry", "length", "node_ids", "positions"):
+            for name in ("tail", "head", "geometry", "length", "positions"):
                 ours, theirs = getattr(graph, name), made.get(name, getattr(oracle, name))
                 assert ours.dtype == theirs.dtype, (grid_n, name)
                 assert np.array_equal(ours, theirs), (grid_n, seed, name)
@@ -365,35 +365,49 @@ def test_loader_rejects_bad_values_and_ids(block, field, value, row):
         loads(_edit(_grid3_text(), block, field, value, row))
 
 
-def _repeat_entry(text: str, block: str, value: str, stray_last: bool) -> str:
-    """Repeat one entry of ``block`` with ``value``, before or after the original.
-
-    The entry is the first of a row with several entries, so that a changed
-    value also survives the row normalisation of supply shares.
-    """
-    lines = text.splitlines()
-    head = next(k for k, line in enumerate(lines) if line.startswith(block + " "))
+def _bump_count(lines: list[str], head: int, by: int) -> None:
+    """Change the count on the block line ``lines[head]`` by ``by``."""
     keyword, count = lines[head].split()
-    rows = [line.split()[0] for line in lines[head + 1:head + 1 + int(count)]]
-    idx = head + 1 + next(k for k, r in enumerate(rows) if rows.count(r) > 1)
-    row, col, _ = lines[idx].split()
-    lines[head] = f"{keyword} {int(count) + 1}"
-    lines.insert(idx + stray_last, f"{row} {col} {value}")
-    return "\n".join(lines) + "\n"
+    lines[head] = f"{keyword} {int(count) + by}"
 
 
-@pytest.mark.parametrize("block", ["ratios", "links"])
-def test_repeated_entry_keeps_its_last_value(block):
-    sc = generate(ScenarioConfig(grid_n=3, seed=0))
-    text = dumps(sc)
-    assert scenarios_equal(sc, loads(_repeat_entry(text, block, "0.125", stray_last=False)))
-    if block == "ratios":
-        # The kept 0.125 replaces a share, so that street's shares no longer sum to 1.
-        with pytest.raises(FormatError, match=r"^\[its\] outflow shares of inflow streets "
-                                              r"\[\d+\] do not sum to 1$"):
-            loads(_repeat_entry(text, block, "0.125", stray_last=True))
-        return
-    assert not scenarios_equal(sc, loads(_repeat_entry(text, block, "0.125", stray_last=True)))
+def _pair(line: str) -> str:
+    """The ``(row, column)`` of an entry line, as loader errors write it."""
+    return "({}, {})".format(*line.split()[:2])
+
+
+# Each entry block, the section it sits in and the name of its lines.
+_ENTRY_CASES = pytest.mark.parametrize(
+    "block, section, line", [("ratios", "its", "ratio"), ("links", "pg", "link")],
+    ids=["ratios", "links"],
+)
+
+
+@_ENTRY_CASES
+def test_loader_rejects_a_repeated_entry(block, section, line):
+    # The first entry written twice, the count bumped: no last value wins.
+    lines, first = _its_rows(_grid3_text(), block)
+    _bump_count(lines, first - 1, 1)
+    lines.insert(first, lines[first])
+    with pytest.raises(FormatError) as err:
+        loads("\n".join(lines) + "\n")
+    assert str(err.value) == (
+        f"[{section}] {line} entries must be unique and in row-major order: "
+        f"row 1 is {_pair(lines[first])} after {_pair(lines[first])}"
+    )
+
+
+@_ENTRY_CASES
+def test_loader_rejects_entries_out_of_row_major_order(block, section, line):
+    # The first two entries swapped: each pair once, but not in row-major order.
+    lines, first = _its_rows(_grid3_text(), block)
+    lines[first], lines[first + 1] = lines[first + 1], lines[first]
+    with pytest.raises(FormatError) as err:
+        loads("\n".join(lines) + "\n")
+    assert str(err.value) == (
+        f"[{section}] {line} entries must be unique and in row-major order: "
+        f"row 1 is {_pair(lines[first + 1])} after {_pair(lines[first])}"
+    )
 
 
 @pytest.mark.parametrize(
@@ -746,27 +760,18 @@ def test_loader_takes_both_connection_bounds_or_neither(low, high, message):
         loads(edited)
 
 
-def test_loader_builds_a_zero_share_network_on_its_own_pattern():
+def test_loader_rejects_a_zero_ratio():
     # Street 0's share to street 4 in the grid-4 golden set to 0.0, and its
-    # value moved onto the other outflow of street 0: the pair drops out
-    # of Q, and the network's pattern holds only the 111 pairs left.
+    # value moved onto the other outflow of street 0, so the shares still
+    # sum to 1.  A zero would drop the pair out of the network's support.
     text = GOLDEN_GRID4.read_text(encoding="utf-8")
     zero, sibling = "0 4 0.16209052334897356\n", "0 6 0.8379094766510264\n"
     assert "\nratios 112\n" + zero + sibling in text
     moved = 0.16209052334897356 + 0.8379094766510264
     edited = text.replace(zero + sibling, f"0 4 0.0\n0 6 {moved!r}\n")
-    sc = loads(edited)
-    net = sc.network
-    assert net.pattern.nnz == net.Q.nnz == 111
-    nonzero = {pair: x for pair, x in line_entries(edited)["ratios"].items() if x != 0.0}
-    reference = network_from_matrix(net.graph, _sparse(nonzero, net.Q.shape))
-    assert csr_equal(net.Q, reference.Q)
-    assert np.array_equal(net.null_vector, reference.null_vector)
-    written = dumps(sc)
-    assert "\nratios 111\n0 6 " in written
-    again = loads(written)
-    assert again.network.pattern.nnz == 111 and scenarios_equal(again, sc)
-    assert np.array_equal(again.network.null_vector, net.null_vector)
+    with pytest.raises(FormatError) as err:
+        loads(edited)
+    assert str(err.value) == "[its] ratio matrix entry (0, 4) is 0.0, not a finite positive share"
 
 
 def test_loader_rejects_a_negative_seed():
@@ -786,19 +791,19 @@ def _scenario_from_lines(text: str) -> Scenario:
     """The scenario of a file read by the line-by-line oracle."""
     blocks = line_entries(text)
     config = _config_from_lines(blocks["config"])
-    positions = {node: (x, y) for node, x, y in blocks["intersections"]}
-    streets = sorted(blocks["streets"])  # id tail head
+    streets = blocks["streets"]  # id tail head
     n = len(streets)
     graph = StreetGraph(
-        [s[1] for s in streets], [s[2] for s in streets], list(positions), list(positions.values())
+        [s[1] for s in streets], [s[2] for s in streets],
+        [(x, y) for _, x, y in blocks["intersections"]],
     )
     network = network_from_matrix(graph, _sparse(blocks["ratios"], (n, n)))
-    rows = np.array(sorted(blocks["stations"]), dtype=float).reshape(-1, 6)
+    rows = np.array(blocks["stations"], dtype=float).reshape(-1, 6)
     stations = Stations(rows[:, 1:3], rows[:, 3], rows[:, 4], rows[:, 5])
     B, G = len(stations), len(blocks["generators"])
     coverage = build_coverage(network.graph, stations)
     shares = _sparse(blocks["links"], (B, G)).toarray()
-    generators = np.array([(x, y) for _, x, y in sorted(blocks["generators"])]).reshape(G, 2)
+    generators = np.array([(x, y) for _, x, y in blocks["generators"]]).reshape(G, 2)
     return Scenario(
         config, network, stations, coverage, generators,
         build_assignment(stations, shares),
@@ -876,7 +881,7 @@ def _its_rows(text: str, block: str) -> tuple[list[str], int]:
 @pytest.mark.parametrize(
     "block, row, field, value, message",
     [
-        ("streets", 23, 0, "24", "[its] street ids must be 0..23 with no gaps"),
+        ("streets", 23, 0, "24", "[its] street ids must be 0..23 in row order: row 23 has id 24"),
         ("streets", 6, 2, "1", "[its] street 6 starts and ends at intersection 1"),
         ("streets", 4, 1, "42", "[its] street 4 references an intersection with no position"),
     ],
@@ -893,16 +898,42 @@ def test_loader_structure_errors_keep_their_texts(block, row, field, value, mess
     assert str(err.value) == message
 
 
-def test_repeated_intersection_id_keeps_its_last_position():
-    sc = generate(ScenarioConfig(grid_n=3, seed=0))
-    text = dumps(sc)
-    lines, first = _its_rows(text, "intersections")
-    lines[first - 1] = "intersections 10"
-    lines.insert(first + 2, "2 9.0 9.0")  # before the true line for id 2
-    again = loads("\n".join(lines) + "\n")
-    assert again.network.graph.node_ids.tolist() == list(range(9))
-    assert np.array_equal(again.network.graph.positions, sc.network.graph.positions)
-    assert dumps(again) == text
+def _drop_row(lines: list[str], first: int) -> None:
+    _bump_count(lines, first - 1, -1)
+    del lines[first + 1]
+
+
+def _repeat_row(lines: list[str], first: int) -> None:
+    _bump_count(lines, first - 1, 1)
+    lines.insert(first + 1, lines[first + 1])
+
+
+def _swap_rows(lines: list[str], first: int) -> None:
+    lines[first + 1], lines[first + 2] = lines[first + 2], lines[first + 1]
+
+
+@pytest.mark.parametrize(
+    "block, what, section",
+    [("intersections", "intersection", "its"), ("streets", "street", "its"),
+     ("stations", "station", "ci"), ("generators", "generator", "pg")],
+    ids=["intersections", "streets", "stations", "generators"],
+)
+@pytest.mark.parametrize(
+    "edit, row, row_id",
+    [(_drop_row, 1, 2), (_repeat_row, 2, 1), (_swap_rows, 1, 2)],
+    ids=["gap", "repeat", "out of order"],
+)
+def test_loader_takes_table_rows_only_in_id_order(block, what, section, edit, row, row_id):
+    # Row 1 dropped, written twice or swapped with row 2: the row of id k
+    # must come k-th, and the first row that does not is named.
+    lines, first = _its_rows(_grid3_text(), block)
+    edit(lines, first)
+    count = int(lines[first - 1].split()[1])
+    with pytest.raises(FormatError) as err:
+        loads("\n".join(lines) + "\n")
+    assert str(err.value) == (
+        f"[{section}] {what} ids must be 0..{count - 1} in row order: row {row} has id {row_id}"
+    )
 
 
 def test_readme_python_blocks_run(capsys):

@@ -107,7 +107,7 @@ def test_street_graph_arrays_are_read_only_copies():
         net.graph.length[0] = 0.5
     # The caller's arrays stay writable and unshared.
     tail, positions = np.array([0, 1]), np.array(list(_PAIR.values()))
-    graph = StreetGraph(tail, [1, 0], [0, 1], positions)
+    graph = StreetGraph(tail, [1, 0], positions)
     tail[0], positions[1, 0] = 5, 3.0
     assert graph.tail.tolist() == [0, 1] and tail.flags.writeable
     assert graph.geometry.tolist() == [[0.0, 0.0, 1.0, 0.0], [1.0, 0.0, 0.0, 0.0]]
@@ -116,13 +116,17 @@ def test_street_graph_arrays_are_read_only_copies():
 
 def test_street_graph_derives_geometry_only_from_known_ends():
     # Street 1 runs from intersection 1 to 9, which has no position: its
-    # geometry is never read from another intersection's position.
-    graph = StreetGraph([0, 1], [1, 9], [0, 1], list(_PAIR.values()))
-    for name in ("geometry", "length"):
-        with pytest.raises(ValueError, match="^street 1 references an intersection with no position$"):
-            getattr(graph, name)
-    with pytest.raises(ValueError, match="^street 1 references"):
-        _check_structure(graph)
+    # geometry is never read from another intersection's position.  Nor is
+    # a negative intersection id read from the end of the positions.
+    for tail, head in (([0, 1], [1, 9]), ([0, -1], [1, 0])):
+        graph = StreetGraph(tail, head, list(_PAIR.values()))
+        for name in ("geometry", "length"):
+            with pytest.raises(
+                ValueError, match="^street 1 references an intersection with no position$"
+            ):
+                getattr(graph, name)
+        with pytest.raises(ValueError, match="^street 1 references"):
+            _check_structure(graph)
 
 
 def test_solve_cycle():
@@ -260,18 +264,34 @@ def test_ratio_matrix_shares_must_be_finite_and_nonnegative():
         bad[0, 3] = value
         with pytest.raises(ValueError, match=rf"entry \(0, 3\) is {value!r}, not a finite"):
             network_from_matrix(graph, bad)
-    # Duplicates are summed first: only the sum must be a share.
-    def split(first, second):
+    def sparse(first, second):
         return scipy.sparse.coo_array(
-            ([first, second, 0.5, 0.5, 0.5, 1.0, 1.0],
-             ([0, 0, 0, 1, 1, 2, 3], [3, 3, 2, 2, 3, 0, 1])),
+            ([first, second, 0.5, 0.5, 1.0, 1.0], ([0, 0, 1, 1, 2, 3], [2, 3, 2, 3, 0, 1])),
             shape=(4, 4),
         )
 
-    summed = network_from_matrix(graph, split(-0.5, 1.0))
-    assert csr_equal(summed.Q, network_from_matrix(graph, Q).Q)
-    with pytest.raises(ValueError, match=r"entry \(0, 3\) is -0.5"):
-        network_from_matrix(graph, split(0.5, -1.0))
+    same = network_from_matrix(graph, sparse(0.5, 0.5))
+    assert csr_equal(same.Q, network_from_matrix(graph, Q).Q)
+    # A stored zero is a pair with no share: it would drop out of the support.
+    with pytest.raises(
+        ValueError, match=r"^ratio matrix entry \(0, 3\) is 0.0, not a finite positive share$"
+    ):
+        network_from_matrix(graph, sparse(1.0, 0.0))
+    # A duplicate entry is a repeated pair, whatever its values sum to.
+    split = scipy.sparse.coo_array(
+        ([-0.5, 1.0, 0.5, 0.5, 0.5, 1.0, 1.0], ([0, 0, 0, 1, 1, 2, 3], [3, 3, 2, 2, 3, 0, 1])),
+        shape=(4, 4),
+    )
+    with pytest.raises(TopologyError, match=r"^turning ratio pair \(0, 3\) is repeated$"):
+        network_from_matrix(graph, split)
+
+
+def test_repeated_pair_is_rejected():
+    # Each pair holds one share: two triples on one pair are an error, not a sum.
+    graph = street_graph([(0, 1), (1, 0)], _PAIR)
+    for rows, cols, pair in (([0, 1, 0], [1, 0, 1], "0, 1"), ([1, 1, 0], [0, 0, 1], "1, 0")):
+        with pytest.raises(TopologyError, match=rf"^turning ratio pair \({pair}\) is repeated$"):
+            FlowPattern(graph, rows, cols)
 
 
 def _loop_into_cycle(loop_share, cycle_share):
@@ -304,7 +324,7 @@ def _two_grids(grid_n: int, seed: int):
     (rows, cols, shares) of seeds ``seed`` and ``seed + 10``."""
     graph = _grid_topology(ScenarioConfig(grid_n=grid_n))
     m, offset = graph.n, grid_n * grid_n
-    positions = dict(zip(graph.node_ids.tolist(), graph.positions.tolist()))
+    positions = dict(enumerate(graph.positions.tolist()))
     positions.update({i + offset: (x + 100.0, y) for i, (x, y) in list(positions.items())})
     ends = np.stack((graph.tail, graph.head), axis=1)
     both = street_graph(np.concatenate((ends, ends + offset)), positions)
@@ -555,24 +575,29 @@ def test_networks_on_a_shared_pattern_match_fresh_builds(monkeypatch):
 
 def test_exact_zero_share_leaves_no_stored_zero():
     # One inflow of a grid sends all its flow to one outflow and none to
-    # the other, so that pair drops out of Q.  Its network is the one
-    # built on the smaller support, with a pattern of its own, and the
-    # street pattern still serves the next network with the full support.
+    # the other.  That zero would drop the pair out of the network's
+    # support, so the street pattern refuses it, and still serves the next
+    # network with the full support.
     config = ScenarioConfig(grid_n=3, seed=0)
     streets = build_streets(config)
     rows, cols, shares = sampled_ratios(streets.graph, 0)
     zero, other = np.flatnonzero(rows == rows[0])[:2]
     shares[zero], shares[other] = 0.0, shares[other] + shares[zero]
-    net = build_flow_matrix(streets, shares)
-    assert net.pattern.nnz == net.Q.nnz == streets.nnz - 1 and np.all(net.Q.data != 0.0)
-    assert np.array_equal(net.pattern.indptr, net.Q.indptr)
-    assert np.array_equal(net.pattern.indices, net.Q.indices)
+    j, k = rows[zero], cols[zero]
+    with pytest.raises(
+        ValueError, match=rf"^ratio matrix entry \({j}, {k}\) is 0.0, not a finite positive share$"
+    ):
+        build_flow_matrix(streets, shares)
+    # In a dense matrix a zero is no entry: its network is the one on the
+    # smaller support.
     keep = shares != 0.0
+    Q = np.zeros((streets.graph.n, streets.graph.n))
+    Q[rows, cols] = shares
+    dense = network_from_matrix(streets.graph, Q)
+    assert dense.pattern.nnz == dense.Q.nnz == streets.nnz - 1 and np.all(dense.Q.data != 0.0)
     reduced = flow_network(streets.graph, rows[keep], cols[keep], shares[keep])
-    assert csr_equal(net.Q, reduced.Q)
-    assert np.array_equal(net.null_vector, reduced.null_vector)
-    dense = network_from_matrix(streets.graph, net.Q.toarray())
-    assert np.array_equal(net.null_vector, dense.null_vector)
+    assert csr_equal(dense.Q, reduced.Q)
+    assert np.array_equal(dense.null_vector, reduced.null_vector)
     again = build_its(config, streets)
     assert again.pattern is streets
     assert np.array_equal(again.null_vector, generate(config).network.null_vector)
@@ -580,17 +605,23 @@ def test_exact_zero_share_leaves_no_stored_zero():
 
 def test_exact_zero_shares_can_split_the_closed_class():
     # Loops 0 <-> 1 and 2 <-> 3 meet at intersection 1, where streets 0 and
-    # 3 each turn into either loop.  Zeroing both links leaves two closed
-    # classes on the pattern's one; the pattern still serves the next
-    # network, as a fresh pattern would.
+    # 3 each turn into either loop.  Zero shares on both links leave two
+    # closed classes: a dense matrix drops them and fails the rank check,
+    # a pattern refuses them before the rank is read, and the pattern still
+    # serves the next network.
     graph = street_graph([(0, 1), (1, 0), (1, 2), (2, 1)], {**_PAIR, 2: (2.0, 0.0)})
     rows, cols = [0, 0, 1, 2, 3, 3], [1, 2, 0, 3, 1, 2]
     pattern = FlowPattern(graph, rows, cols)
     joined = [0.5, 0.5, 1.0, 1.0, 0.5, 0.5]
     net = build_flow_matrix(pattern, joined)
     assert isinstance(pattern._analysis, _DeflatedBlock)
+    split = [1.0, 0.0, 1.0, 1.0, 0.0, 1.0]
+    Q = np.zeros((graph.n, graph.n))
+    Q[rows, cols] = split
     with pytest.raises(RankError, match=" has 2 closed classes, so the balance matrix has rank 2, "):
-        build_flow_matrix(pattern, [1.0, 0.0, 1.0, 1.0, 0.0, 1.0])
+        network_from_matrix(graph, Q)
+    with pytest.raises(ValueError, match=r"^ratio matrix entry \(0, 2\) is 0.0, not a finite "):
+        build_flow_matrix(pattern, split)
     again = build_flow_matrix(pattern, joined)
     assert np.array_equal(again.null_vector, net.null_vector)
     assert np.array_equal(again.null_vector, flow_network(graph, rows, cols, joined).null_vector)
@@ -632,6 +663,7 @@ _STRUCTURE_EDITS = {
     "repeated intersection id, last one moved": lambda streets, nodes: nodes.append(
         replace(nodes[2], position=(9.0, 9.0))
     ),
+    "intersections out of order": lambda streets, nodes: nodes.insert(0, nodes.pop(1)),
     "two faults, later street first in the list": _both(
         _edit_node(8, position=lambda x: (x.position[0] - 1.0, x.position[1])),
         _edit_street(1, head=lambda s: -3),
@@ -669,8 +701,8 @@ def _with_street_rows(text: str, streets, nodes) -> str:
 @pytest.mark.parametrize("edit", list(_STRUCTURE_EDITS.values()), ids=list(_STRUCTURE_EDITS))
 def test_v3_structure_check_matches_loop_oracle(edit):
     # The grid-3 file with its street and intersection rows edited as
-    # records.  A street row is ``id tail head``, and rows need not come in
-    # id order; of a repeated intersection id the last row wins.  Each
+    # records.  A street row is ``id tail head``, and the row of id k must
+    # come k-th, so a gap, a repeat or a row out of order is a fault.  Each
     # street runs between the positions of its intersections, so a length
     # or geometry edit is no fault.
     config = ScenarioConfig(grid_n=3)
