@@ -225,11 +225,9 @@ def coverage_from_lengths(graph: StreetGraph, lengths) -> CoverageMap:
     non-finite length, and OverlapError when the cells claim more of a
     street than its length.
     """
-    if not scipy.sparse.issparse(lengths):
-        lengths = np.asarray(lengths, dtype=float)
+    lengths = scipy.sparse.csr_array(lengths, dtype=float, copy=True)
     if lengths.shape[0] != graph.n:
         raise ValueError("covered-length matrix does not match the street count")
-    lengths = scipy.sparse.csr_array(lengths, dtype=float, copy=True)
     lengths.sum_duplicates()
     lengths.eliminate_zeros()
     rows, _, km = csr_entries(lengths)

@@ -43,9 +43,9 @@ Natarajan, ACM TOMS 37(3), 2010).  A :class:`FlowPattern` holds what the
 street graph and the turning support fix: the graph and head-to-tail
 checks, the CSR layout of ``Q``, the closed class and its street ``k``,
 and the layout of the deflated block, in SuperLU's column order once
-that has been found.  The numeric part, which :func:`build_flow_matrix`
-and :func:`network_from_matrix` both end in, scatters the shares into
-that layout, checks them and factors the block.  A later network on the
+that has been found.  The numeric part, :func:`build_flow_matrix`, which
+:func:`network_from_matrix` ends in, scatters the shares into that
+layout, checks them and factors the block.  A later network on the
 same pattern object factors the block with its columns already in the
 stored order (``permc_spec="NATURAL"``), which skips the ordering and
 leaves the same factors, pivots and null vector bit for bit.  (The one
@@ -363,15 +363,21 @@ class _DeflatedBlock:
         return np.concatenate((y[:k], [1.0], y[k:]))
 
 
-def _network(pattern: FlowPattern, shares: np.ndarray) -> FlowNetwork:
-    """The network of one share per triple of ``pattern``, factorised.
+def build_flow_matrix(pattern: FlowPattern, shares) -> FlowNetwork:
+    """Assemble the balance system from per-inflow turning ratios, factorised.
 
-    Every share must be finite and positive (ValueError at the first that
-    is not, in row-major order), and the shares of each inflow street
-    whose head has outflows must sum to 1 within 1e-9 (ValueError listing
-    the streets whose shares do not).
+    ``shares[e]`` is the share of inflow street ``pattern.rows[e]`` routed
+    to outflow street ``pattern.cols[e]``.  Every share must be finite and
+    positive (ValueError at the first that is not, in row-major order), and
+    the shares of each inflow street whose head has outflows must sum to 1
+    within 1e-9 (ValueError listing the streets whose shares do not).
+    The pattern has checked the graph and the placement of every pair;
+    RankError when the resulting balance matrix does not have rank n-1.
     """
     n = pattern.graph.n
+    shares = np.asarray(shares, dtype=float).reshape(-1)
+    if shares.shape != pattern.rows.shape:
+        raise ValueError(f"expected {pattern.nnz} turning shares, one per pair, got {shares.size}")
     data = np.empty(pattern.nnz)
     data[pattern.slot] = shares
     bad = np.flatnonzero(~(np.isfinite(data) & (data > 0.0)))
@@ -392,53 +398,21 @@ def _network(pattern: FlowPattern, shares: np.ndarray) -> FlowNetwork:
     return net
 
 
-def build_flow_matrix(pattern: FlowPattern, shares) -> FlowNetwork:
-    """Assemble the balance system from per-inflow turning ratios.
-
-    ``shares[e]`` is the share of inflow street ``pattern.rows[e]`` routed
-    to outflow street ``pattern.cols[e]``.  Shares must be positive, and
-    those of each inflow street whose head has outflows must sum to 1
-    (ValueError otherwise).
-    The pattern has checked the graph and the placement of every pair;
-    RankError when the resulting balance matrix does not have rank n-1.
-    """
-    rows = pattern.rows
-    shares = np.asarray(shares, dtype=float).reshape(-1)
-    if shares.shape != rows.shape:
-        raise ValueError(f"expected {rows.size} turning shares, one per pair, got {shares.size}")
-    negative = np.flatnonzero(shares < 0.0)
-    if negative.size:
-        e = negative[0]
-        j, k = int(rows[e]), int(pattern.indices[pattern.slot[e]])
-        raise ValueError(f"turning ratio for ({j}, {k}) is negative")
-    return _network(pattern, shares)
-
-
 def network_from_matrix(graph: StreetGraph, Q) -> FlowNetwork:
     """Build a network from an explicit ratio matrix.
 
     ``Q`` may be dense or any ``scipy.sparse`` matrix; it is stored as a
     canonical CSR array.  This is the way into the ITS layer for a loaded
-    file: its stored entries, zero or not, form a :class:`FlowPattern`,
-    which checks the street graph, that no entry repeats and that each
-    links streets meeting head-to-tail (TopologyError otherwise); every
-    entry must be a finite positive share, and the shares of each inflow
-    street whose head has outflows must sum to 1 (ValueError otherwise);
-    RankError when the balance matrix does not have rank n-1.
+    file: the entries of ``Q`` as a COO array, the nonzeros of a dense
+    matrix and every stored entry of a sparse one, form a
+    :class:`FlowPattern`, which checks the street graph, that no entry
+    repeats and that each links streets meeting head-to-tail (TopologyError
+    otherwise); their values go to :func:`build_flow_matrix`.
     """
-    n = graph.n
-    if scipy.sparse.issparse(Q):
-        Q = scipy.sparse.coo_array(Q)
-    else:
-        Q = np.asarray(Q, dtype=float)
-    if Q.shape != (n, n):
-        raise ValueError(f"ratio matrix has shape {Q.shape}, expected {(n, n)}")
-    if isinstance(Q, np.ndarray):
-        rows, cols = np.nonzero(Q)
-        shares = Q[rows, cols]
-    else:
-        rows, cols, shares = Q.row, Q.col, np.asarray(Q.data, dtype=float)
-    return _network(FlowPattern(graph, rows, cols), shares)
+    Q = scipy.sparse.coo_array(Q)
+    if Q.shape != (graph.n, graph.n):
+        raise ValueError(f"ratio matrix has shape {Q.shape}, expected {(graph.n, graph.n)}")
+    return build_flow_matrix(FlowPattern(graph, Q.row, Q.col), Q.data)
 
 
 def _anchor_entries(net: FlowNetwork, streets: Sequence[int]) -> np.ndarray:
@@ -448,8 +422,6 @@ def _anchor_entries(net: FlowNetwork, streets: Sequence[int]) -> np.ndarray:
     balanced state moves its flow.
     """
     idx = np.asarray(streets, dtype=int)
-    if np.any((idx < 0) | (idx >= net.n)):
-        raise ValueError(f"street ids {idx.tolist()} out of range")
     v = net.null_vector
     vmax = float(np.max(np.abs(v)))
     small = np.abs(v[idx]) < 1e-9 * vmax

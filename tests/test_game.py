@@ -119,8 +119,12 @@ def test_detection_rejects_overdrain_and_missing_lines():
     inst = _split_instance()
     p_a = np.zeros((2, 2))
     p_a[0, 0] = 2.0 * inst.line_caps[0, 0]
-    with pytest.raises(InfeasibleError, match=r"detection ratio exceeds 1 at line unit \[0, 0\]"):
-        _detection_array(StealthLevel.POWER_LINE, inst, p_a)
+    # Capacity is checked in one place, and the payoffs go through it.
+    overdrain = r"^attack exceeds capacity of line generator 0 -> station 0$"
+    with pytest.raises(InfeasibleError, match=overdrain):
+        validate_attack(StealthLevel.POWER_LINE, inst, p_a)
+    with pytest.raises(InfeasibleError, match=overdrain):
+        attacker_payoff(StealthLevel.POWER_LINE, inst, np.zeros(2), p_a)
     # Station 1 is fed by generator 1 only: a drain on generator 0 ->
     # station 1 is on no line, certain to be detected and infeasible.
     off_line = np.zeros((2, 2))
@@ -128,6 +132,28 @@ def test_detection_rejects_overdrain_and_missing_lines():
     assert _detection_array(StealthLevel.POWER_LINE, inst, off_line)[1, 0] == 1.0
     with pytest.raises(InfeasibleError, match="nonexistent line generator 0 -> station 1"):
         validate_attack(StealthLevel.POWER_LINE, inst, off_line)
+
+
+def test_attacks_admitted_within_the_absolute_tolerance_are_scored():
+    # validate_attack admits a unit drained to capacity * (1 + _FEAS_RTOL)
+    # plus up to _FEAS_ATOL.  Such a drain's detection ratio lies above
+    # 1 + _FEAS_RTOL; it clips to 1, and the payoffs score the attack.
+    inst = generate(ScenarioConfig(grid_n=4, seed=0)).game_instance()
+    b, g = np.argwhere(inst.line_caps > 0.0)[0]
+    defense = DefenseStrategy(np.zeros(inst.num_stations), 0.0)
+    for level, unit, capacity in (
+        (StealthLevel.POWER_SOURCE, g, inst.safe_outputs[g]),
+        (StealthLevel.POWER_LINE, (b, g), inst.line_caps[b, g]),
+        (StealthLevel.BASE_STATION, b, inst.headroom[b]),
+    ):
+        p_a = np.zeros_like(inst.line_caps)
+        p_a[b, g] = capacity * (1.0 + game._FEAS_RTOL) + 0.5 * game._FEAS_ATOL
+        assert p_a[b, g] / capacity > 1.0 + game._FEAS_RTOL
+        validate_attack(level, inst, p_a)
+        assert _detection_array(level, inst, p_a)[unit] == 1.0
+        outcome = evaluate_profile(level, inst, defense, AttackStrategy(p_a))
+        assert outcome.attacker_payoff == attacker_payoff(level, inst, defense.allocation, p_a)
+        assert outcome.detection[unit] == 1.0
 
 
 # ---------------------------------------------------------------------------

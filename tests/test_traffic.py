@@ -80,7 +80,9 @@ def test_bad_share_sums_rejected():
     graph = street_graph([(0, 1), (1, 0)], _PAIR)
     with pytest.raises(ValueError, match="sum to 1"):
         flow_network(graph, *ratios({(0, 1): 0.7, (1, 0): 1.0}))
-    with pytest.raises(ValueError, match="negative"):
+    with pytest.raises(
+        ValueError, match=r"^ratio matrix entry \(0, 1\) is -1.0, not a finite positive share$"
+    ):
         flow_network(graph, *ratios({(0, 1): -1.0, (1, 0): 1.0}))
 
 
