@@ -679,7 +679,16 @@ def loads(text: str) -> Scenario:
     )
     _check_ids(reader, gen_ids[:, 0], "generator")
     generators.flags.writeable = False
-    shares = _entries(reader, "links", (n_stations, n_gens)).toarray()
+    links = _entries(reader, "links", (n_stations, n_gens))
+    # A zero would be no line at all, so it cannot round-trip.
+    zero = np.flatnonzero(links.data == 0.0)
+    if zero.size:
+        k = zero[0]
+        raise FormatError(
+            f"[pg] link entry ({links.row[k]}, {links.col[k]}) is {float(links.data[k])!r}, "
+            "not a positive share"
+        )
+    shares = links.toarray()
 
     if not reader.at_end():
         raise FormatError(f"unexpected trailing content: {reader.next_line()!r}")

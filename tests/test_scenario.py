@@ -774,6 +774,19 @@ def test_loader_rejects_a_zero_ratio():
     assert str(err.value) == "[its] ratio matrix entry (0, 4) is 0.0, not a finite positive share"
 
 
+def test_loader_rejects_a_zero_link():
+    # A zero share between station 0 and generator 1, inserted in row-major
+    # order with the count bumped.  It would be no line, so the file would
+    # load and dump with one entry fewer.
+    text = GOLDEN_GRID4.read_text(encoding="utf-8")
+    assert "\nlinks 9\n0 0 1.0\n1 0 1.0\n" in text
+    for value in ("0.0", "-0.0"):
+        edited = text.replace("\nlinks 9\n0 0 1.0\n", f"\nlinks 10\n0 0 1.0\n0 1 {value}\n")
+        with pytest.raises(FormatError) as err:
+            loads(edited)
+        assert str(err.value) == f"[pg] link entry (0, 1) is {value}, not a positive share"
+
+
 def test_loader_rejects_a_negative_seed():
     text = GOLDEN_GRID4.read_text(encoding="utf-8")
     assert "\nseed = 0\n" in text
