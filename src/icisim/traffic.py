@@ -1,23 +1,28 @@
 """Street-network flow model.
 
-A network of directed streets is balanced by a turning-ratio matrix: the
-flow entering an intersection along one street equals a weighted sum of
-the flows leaving that intersection.  Stacking one balance row per street
-gives ``q = Q q``, i.e. ``A q = 0`` with ``A = I - Q``.  ``Q`` and ``A``
-are sparse (CSR): each street meets only the few streets at its ends.
+A network of directed streets is balanced by a turning-ratio matrix:
+``Q[r, c]`` is the share of the flow on street ``r`` that turns onto
+street ``c`` where ``r`` ends, so the flow on a street is the sum of the
+shares routed onto it.  Stacking one balance row per street gives
+``q = Q^T q``, i.e. ``A q = 0`` with ``A = I - Q^T``: a balanced flow is
+a stationary vector of the routing chain ``Q``.  ``Q`` and ``A`` are
+sparse (CSR): each street meets only the few streets at its ends.
 
 The shares of every street whose head has outflows sum to 1 (within
 1e-9), and a street into a dead end has none, so every row of ``Q`` that
-is not empty is stochastic.  For such a ``Q`` the eigenvalue 1 has as
-many independent eigenvectors as the support has closed classes:
-strongly connected classes (Tarjan 1972) of more than one street that no
-pair of the support leaves (Kemeny and Snell, *Finite Markov Chains*,
-1960; Meyer, *Matrix Analysis and Applied Linear Algebra*, 2000, §8.4).
+is not empty is stochastic.  For such a ``Q``, and so for ``Q^T``, the
+eigenvalue 1 has as many independent eigenvectors as the support has
+closed classes: strongly connected classes (Tarjan 1972) of more than one
+street that no pair of the support leaves (Kemeny and Snell, *Finite
+Markov Chains*, 1960; Meyer, *Matrix Analysis and Applied Linear Algebra*,
+2000, §8.4).
 So ``A`` has rank ``n - 1`` exactly when the support has one closed
 class, a fact of the turning graph that needs no tolerance; otherwise
 RankError names the count.  A generated network's support is one class.
 The null space is then spanned by one vector ``v``, and every balanced
-flow is a multiple of it.
+flow is a multiple of it.  ``v`` is positive on the closed class and
+zero off it, since flow off the class drains away at dead ends and none
+returns.
 
 ``v`` comes from one deflated sparse LU (Stewart, *Introduction to the
 Numerical Solution of Markov Chains*, 1994).  Fix ``v[k] = 1`` for the
@@ -155,8 +160,9 @@ class FlowNetwork:
 
     @cached_property
     def A(self) -> scipy.sparse.csr_array:
-        """Balance matrix ``I - Q`` as a CSR array."""
-        return scipy.sparse.csr_array(scipy.sparse.identity(self.n, format="csr")) - self.Q
+        """Balance matrix ``I - Q^T`` as a CSR array."""
+        identity = scipy.sparse.csr_array(scipy.sparse.identity(self.n, format="csr"))
+        return identity - self.Q.T.tocsr()
 
     @cached_property
     def null_vector(self) -> np.ndarray:
@@ -301,7 +307,7 @@ class FlowPattern:
 
 
 class _DeflatedBlock:
-    """``I - Q`` without row and column ``k``, laid out once for every
+    """``I - Q^T`` without row and column ``k``, laid out once for every
     ``Q`` on one CSR support, and factored with the ordering and supernode
     settings the module docstring gives.
 
@@ -316,9 +322,9 @@ class _DeflatedBlock:
         n = len(indptr) - 1
         rows = np.repeat(np.arange(n, dtype=np.int32), np.diff(indptr))
         # Deflate: with v[k] = 1 the other rows of A v = 0 read
-        # (I - Q)[~k, ~k] y = Q[~k, k]; indices past k shift down by one.
+        # (I - Q^T)[~k, ~k] y = Q[k, ~k]; indices past k shift down by one.
         kept = np.flatnonzero((rows != k) & (indices != k))
-        block_rows, block_cols = rows[kept], indices[kept]
+        block_rows, block_cols = indices[kept], rows[kept]
         block_rows -= block_rows > k
         block_cols -= block_cols > k
         diag = np.arange(n - 1, dtype=np.int32)
@@ -328,14 +334,14 @@ class _DeflatedBlock:
              (np.concatenate((diag, block_rows)), np.concatenate((diag, block_cols)))),
             shape=(n - 1, n - 1),
         ).tocsc()
-        into_rhs = np.flatnonzero((rows != k) & (indices == k))
+        into_rhs = np.flatnonzero((rows == k) & (indices != k))
         self.k = k
         self.layout = (block.indptr, block.indices, block.data, None)
-        self.rhs_rows = rows[into_rhs] - (rows[into_rhs] > k)
+        self.rhs_rows = indices[into_rhs] - (indices[into_rhs] > k)
         self.rhs_source = into_rhs
 
     def null_vector(self, data: np.ndarray) -> np.ndarray:
-        """Null vector of ``I - Q`` scaled to ``v[k] = 1``."""
+        """Null vector of ``I - Q^T`` scaled to ``v[k] = 1``."""
         k = self.k
         indptr, indices, source, order = self.layout
         m = len(indptr) - 1

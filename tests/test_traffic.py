@@ -87,13 +87,14 @@ def test_bad_share_sums_rejected():
 
 
 def test_grid2_matrix_matches_hand_assembly():
-    # Rebuild the balance matrix entrywise from the sampled shares.
+    # Rebuild the balance matrix I - Q^T entrywise from the sampled shares:
+    # the share of inflow j routed to outflow k enters street k's row.
     graph = _grid_topology(ScenarioConfig(grid_n=2, seed=0))
     rows, cols, shares = sampled_ratios(graph, 0)
     net = flow_network(graph, rows, cols, shares)
     expected = np.eye(graph.n)
     for j, k, share in zip(rows, cols, shares):
-        expected[j, k] -= share
+        expected[k, j] -= share
     assert np.array_equal(net.A.toarray(), expected)
     assert net.n == 8
 
@@ -202,17 +203,12 @@ def test_conservation_residual_invariant(grid2_scenario, grid3_scenario):
         assert np.linalg.norm(sc.network.A @ flows, np.inf) <= 1e-6 * np.abs(flows).max()
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 1: the balance solves q = Q q, so every street carries "
-    "the same flow and the turning shares move no result",
-)
 def test_flows_are_routed_by_the_turning_shares():
     # Q[r, c] is the share of inflow r routed to outflow c, so street c
     # carries q_c = sum_r Q[r, c] q_r.  Read from Q itself, never from
-    # net.A, so the check does not follow the solver's convention.  Today,
-    # at seed 0, the worst balance error is 0.79, 1.41 and 1.34 of the
-    # largest flow at grids 3, 5 and 9, and max/min is 1 + 2e-15.
+    # net.A, so the check does not follow the solver's convention.  Solving
+    # q = Q q instead gave every street the same flow: a worst balance
+    # error of 0.79, 1.41 and 1.34 of the largest flow at grids 3, 5 and 9.
     errors, spreads = [], []
     for grid_n in (3, 5, 9):
         net = generate(ScenarioConfig(grid_n=grid_n, seed=0)).network
