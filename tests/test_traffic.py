@@ -221,6 +221,25 @@ def test_flows_are_routed_by_the_turning_shares():
     assert min(spreads) > 1.01, spreads
 
 
+# Smallest null-vector min/max over seeds 0-5: 1.1e-3 at grids 15 and 29,
+# 1.3e-3 at grid 30.  The floor is a tenth of that, and five orders of
+# magnitude above the 1e-9 at which _anchor_entries refuses a street.
+_FLOW_SPREAD_FLOOR = 1e-4
+
+
+def test_generated_flows_are_positive_and_bounded_in_spread():
+    # A generated support is one closed class, so every street carries
+    # flow, and each can anchor the impact model without SingularError.
+    for grid_n in range(2, 31):
+        streets = build_streets(ScenarioConfig(grid_n=grid_n))
+        for seed in range(6):
+            net = build_its(ScenarioConfig(grid_n=grid_n, seed=seed), streets)
+            v = net.null_vector
+            assert v.min() > 0.0, (grid_n, seed)
+            assert v.min() / v.max() > _FLOW_SPREAD_FLOOR, (grid_n, seed, v.min() / v.max())
+            assert np.array_equal(_anchor_entries(net, np.arange(net.n)), v)
+
+
 def _parallel_streets() -> StreetGraph:
     return street_graph([(0, 1), (0, 1), (1, 0), (1, 0)], _PAIR)
 
