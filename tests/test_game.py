@@ -150,7 +150,6 @@ def test_attacks_admitted_within_the_absolute_tolerance_are_scored():
         p_a[b, g] = capacity * (1.0 + game._FEAS_RTOL) + 0.5 * game._FEAS_ATOL
         assert p_a[b, g] / capacity > 1.0 + game._FEAS_RTOL
         validate_attack(level, inst, p_a)
-        assert _detection_array(level, inst, p_a)[unit] == 1.0
         outcome = evaluate_profile(level, inst, defense, AttackStrategy(p_a))
         assert outcome.attacker_payoff == attacker_payoff(level, inst, defense.allocation, p_a)
         assert outcome.detection[unit] == 1.0
