@@ -17,12 +17,14 @@ each one only draws its shares and refactors the balance block with the
 stored column order.  radius-sweep reuses each seed's ITS layer across
 radii, and the generator sweeps reuse the ITS and CI layers across
 generator counts.  Scenarios are built in seed order, and the memo is
-dropped when the run ends, so nothing is shared between runs.  The game
-is solved once per (replica, level): one
+dropped when the run ends, so nothing is shared between runs.  The
+replicas of a sweep point share their stations, so they stack into one
+game instance (:meth:`~icisim.game.GameInstance.stack`), and the game is
+solved once per (sweep point, level) over all of them: one
 :func:`~icisim.game.equilibrium_allocations` fill over all the run's
-budgets and one :func:`~icisim.game.reply_residuals` call give that
-replica's residual at every budget, and the rows are then emitted budget
-by budget.
+budgets and one :func:`~icisim.game.reply_residuals` call give every
+replica's residual at every budget, one row per budget, and the rows are
+then emitted budget by budget.
 """
 from __future__ import annotations
 
@@ -221,19 +223,15 @@ def _run_config_sweep(name: str, kind: type, single: bool, spec: ExperimentSpec)
         if kind is float or float(value).is_integer():
             value = kind(value)
         scenarios = _replicas(replace(spec.base, **{name: value}), spec.reps, layers)
+        instance = GameInstance.stack([sc.game_instance() for sc in scenarios])
         for level in spec.levels:
-            # Per replica, the residual at every budget.
-            residuals = []
-            for sc in scenarios:
-                instance = sc.game_instance()
-                picked = [pick_attack_source(sc, level)] if single else None
-                allocations = equilibrium_allocations(level, instance, spec.budgets)
-                residuals.append(
-                    reply_residuals(level, instance, allocations, spec.budgets, picked)
-                )
-            for k, budget in enumerate(spec.budgets):
+            picked = [[pick_attack_source(sc, level)] for sc in scenarios] if single else None
+            allocations = equilibrium_allocations(level, instance, spec.budgets)
+            # One row per budget, one column per replica.
+            residuals = reply_residuals(level, instance, allocations, spec.budgets, picked)
+            for budget, row in zip(spec.budgets, residuals):
                 keys.append((value, level.value, budget))
-                samples.append([r[k] for r in residuals])
+                samples.append(row)
     extra = ("single_source_rule = highest unconstrained best-response payoff",) if single else ()
     return SweepTable(name, _stat_rows(keys, samples), _config_lines(spec) + extra)
 
@@ -263,22 +261,22 @@ def _run_allocation_compare(spec: ExperimentSpec) -> SweepTable:
     scenarios = _replicas(spec.base, spec.reps, _Layers())
     budgets = resolve_budget_sweep(spec.sweep, scenarios[0].game_instance())
     K = len(budgets)
-    # Per level and replica, the residuals of the equilibrium at every
-    # budget followed by those of the equal split.
-    residuals: dict[StealthLevel, list[np.ndarray]] = {level: [] for level in spec.levels}
+    instance = GameInstance.stack([sc.game_instance() for sc in scenarios])
+    count = instance.num_stations
+    equal = np.repeat(np.array(budgets)[:, None, None] / count, count, axis=2)
+    # Per level, the residuals of the equilibrium at every budget followed
+    # by those of the equal split: one row per budget, one column per replica.
+    residuals = {}
     for level in spec.levels:
-        for sc in scenarios:
-            instance = sc.game_instance()
-            count = instance.num_stations
-            equal = np.repeat(np.array(budgets)[:, None] / count, count, axis=1)
-            allocations = np.vstack((equilibrium_allocations(level, instance, budgets), equal))
-            residuals[level].append(reply_residuals(level, instance, allocations, budgets * 2))
+        se = equilibrium_allocations(level, instance, budgets)
+        allocations = np.concatenate((se, np.broadcast_to(equal, se.shape)))
+        residuals[level] = reply_residuals(level, instance, allocations, budgets * 2)
     keys, samples = [], []
     for k, budget in enumerate(budgets):
         for level in spec.levels:
-            for strategy, column in (("se", k), ("equal", K + k)):
+            for strategy, row in (("se", k), ("equal", K + k)):
                 keys.append((budget, f"{level.value}:{strategy}", budget))
-                samples.append([r[column] for r in residuals[level]])
+                samples.append(residuals[level][row])
     return SweepTable("P_d", _stat_rows(keys, samples), _config_lines(spec))
 
 

@@ -16,14 +16,22 @@ per-station caps, solved exactly by a greedy fill in score order.  Solving
 the game is therefore linear-time in the number of stations (up to the
 sort) and suits large instances.
 
-Each game step has one implementation that takes many budgets at once:
-one array fill gives the equilibrium backup at K budgets
-(:func:`equilibrium_allocations`), the station-level reply of
-:func:`attacker_best_response` accepts K allocations, and
+Each game step has one implementation that takes many budgets and many
+replicas at once.  A :class:`GameInstance` built by
+:meth:`GameInstance.stack` carries R seeded replicas of one sweep point
+along a leading axis; a single scenario is the case with no such axis.
+One array fill gives the equilibrium backup at K budgets
+(:func:`equilibrium_allocations`), shape (K, R, B) for a stack of R
+replicas of B stations, the station-level reply of
+:func:`attacker_best_response` accepts such a stack of allocations, and
 :func:`reply_residuals` gives the physical residual of the reply to each
-of K allocations.  The one-profile API
+allocation, shape (K, R).  Axes before the station (and generator) axes
+are batch axes: an argument's K budget axis leads, and its replica axis
+lines up with the instance's.  Each replica's slice equals the same call
+on that replica alone, bit for bit.  The one-profile API
 (:func:`stackelberg_equilibrium`, :func:`solve_defender_lp`) calls them
-with K = 1; the experiments call them once per scenario and level.
+with K = 1 on one scenario; the experiments call them once per sweep point
+and level, over all its replicas.
 """
 from __future__ import annotations
 
@@ -32,13 +40,16 @@ import json
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
 from .errors import InfeasibleError
 from .impact import ImpactModel, its_deviation, its_deviations
 from .power import PowerAssignment
+
+# Attacked generators: all (None), one id list, or one list per replica.
+Sources = Union[Sequence[int], Sequence[Sequence[int]], None]
 
 _FEAS_RTOL = 1e-9
 _FEAS_ATOL = 1e-12
@@ -63,6 +74,11 @@ class GameInstance:
     Station power headroom comes from the impact model; line capacities and
     safe generator outputs from the supply shares and station ratings.  The
     instance caches those two and the defender's fill order.
+
+    A stack of R replicas (:meth:`stack`) shares its stations, so
+    ``headroom`` and ``p_full`` stay (B,); the scores are (R, B),
+    ``assignment.T`` and ``line_caps`` (R, B, G), ``safe_outputs`` (R, G)
+    and ``fill_order`` (R, B).
     """
 
     impact: ImpactModel
@@ -71,6 +87,38 @@ class GameInstance:
     def __post_init__(self) -> None:
         if self.impact.num_stations != self.assignment.num_stations:
             raise ValueError("impact model and assignment disagree on station count")
+
+    @classmethod
+    def stack(cls, instances: Sequence[GameInstance]) -> GameInstance:
+        """The replicas ``instances``, in order, along a leading axis R.
+
+        Replicas of one sweep point differ only in seed, so they share
+        their stations, street count, ``delta`` and generator count;
+        ValueError unless they do.
+        """
+        if not instances:
+            raise ValueError("need at least one replica to stack")
+        first = instances[0]
+        for other in instances[1:]:
+            if not (
+                np.array_equal(other.headroom, first.headroom)
+                and np.array_equal(other.assignment.p_full, first.assignment.p_full)
+                and other.impact.null_vector.shape == first.impact.null_vector.shape
+                and other.impact.delta == first.impact.delta
+                and other.num_generators == first.num_generators
+            ):
+                raise ValueError(
+                    "stacked replicas must share their stations, street count, delta "
+                    "and generator count"
+                )
+        impact = ImpactModel(
+            np.stack([inst.impact.null_vector for inst in instances]),
+            np.stack([inst.impact.scale for inst in instances]),
+            first.headroom,
+            first.impact.delta,
+        )
+        T = np.stack([inst.assignment.T for inst in instances])
+        return cls(impact, PowerAssignment(T, first.assignment.p_full))
 
     @property
     def num_stations(self) -> int:
@@ -93,12 +141,15 @@ class GameInstance:
     @cached_property
     def safe_outputs(self) -> np.ndarray:
         """Undisturbed output of each generator."""
-        return self.line_caps.sum(axis=0)
+        return self.line_caps.sum(axis=-2)
 
     @cached_property
     def fill_order(self) -> np.ndarray:
-        """Station ids in the defender's fill order (:func:`_fill_order`), read-only."""
-        order = _fill_order(self.impact.z_scores)
+        """Station ids in the defender's fill order (:func:`_fill_order`),
+        one row per replica, read-only."""
+        scores = self.impact.z_scores
+        rows = scores.reshape(-1, scores.shape[-1])
+        order = np.array([_fill_order(row) for row in rows]).reshape(scores.shape)
         order.setflags(write=False)
         return order
 
@@ -141,10 +192,14 @@ def _check_backup(allocations: np.ndarray, budgets: np.ndarray | float = 0.0) ->
 def _check_spend(allocations: np.ndarray, budgets: np.ndarray | float) -> None:
     """Raise ValueError unless each allocation (row) passes
     :func:`_check_backup` and spends at most its finite budget, up to the
-    feasibility tolerances."""
+    feasibility tolerances.  The budgets index the leading axes of the
+    allocations: K budgets for a (K, B) or (K, R, B) stack."""
     _check_backup(allocations, budgets)
     totals = np.atleast_1d(allocations.sum(axis=-1))
-    budgets = np.broadcast_to(budgets, totals.shape)
+    budgets = np.asarray(budgets, dtype=float)
+    budgets = budgets.reshape(budgets.shape + (1,) * (totals.ndim - budgets.ndim))
+    budgets = np.broadcast_to(budgets, totals.shape).ravel()
+    totals = totals.ravel()
     over = np.flatnonzero(totals > budgets * (1.0 + _FEAS_RTOL) + _FEAS_ATOL)
     if over.size:
         k = over[0]
@@ -208,7 +263,7 @@ def _monitored(
     level: StealthLevel, instance: GameInstance, p_a: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Power drained from, and capacity of, each unit ``level`` monitors
-    (:data:`_LEVELS`); a stack of K attacks gives K rows of drains."""
+    (:data:`_LEVELS`); a stack of attacks gives a stack of drains."""
     row = _LEVELS[level]
     drained = p_a if row.axis is None else p_a.sum(axis=row.axis)
     return drained, getattr(instance, row.capacity)
@@ -219,32 +274,35 @@ def _on_lines(per_unit: np.ndarray | float, axis: int | None) -> np.ndarray | fl
     return per_unit if axis is None else np.expand_dims(per_unit, axis)
 
 
-def _unit(flags: np.ndarray, capacity: np.ndarray) -> np.ndarray:
-    """Index of the first flagged unit, without the index of its attack."""
-    return np.argwhere(flags)[0][flags.ndim - capacity.ndim:]
+def _unit(flags: np.ndarray, axis: int | None) -> np.ndarray:
+    """Index of the first flagged unit, without its batch indices; a line
+    (``axis`` None) has two indices, a station or generator one."""
+    return np.argwhere(flags)[0][flags.ndim - (2 if axis is None else 1):]
 
 
 def validate_attack(level: StealthLevel, instance: GameInstance, p_a: np.ndarray) -> None:
     """Raise InfeasibleError unless ``p_a`` is admissible at ``level``.
 
-    ``p_a`` is one attack, shape (B, G), or a stack of K, shape (K, B, G).
+    ``p_a`` is one attack, shape (B, G), or a stack of them; a stacked
+    instance of R replicas takes (R, B, G) or (K, R, B, G).  An error names
+    the first inadmissible unit, without its replica.
     """
-    B, G = instance.num_stations, instance.num_generators
+    lines = instance.line_caps.shape
     p_a = np.asarray(p_a, dtype=float)
-    if p_a.ndim not in (2, 3) or p_a.shape[-2:] != (B, G):
-        raise InfeasibleError(f"attack matrix has shape {p_a.shape}, expected {(B, G)}")
+    if p_a.shape[-len(lines):] != lines:
+        raise InfeasibleError(f"attack matrix has shape {p_a.shape}, expected {lines}")
     if not np.isfinite(p_a).all():
         raise InfeasibleError("attack deviations must be finite")
     if (p_a < 0.0).any():
         raise InfeasibleError("attack deviations must be nonnegative")
     off_line = (instance.line_caps <= 0.0) & (p_a > 0.0)
     if off_line.any():
-        b, g = _unit(off_line, instance.line_caps)
+        b, g = _unit(off_line, None)
         raise InfeasibleError(f"attack on nonexistent line generator {g} -> station {b}")
     drained, capacity = _monitored(level, instance, p_a)
     over = drained > capacity * (1.0 + _FEAS_RTOL) + _FEAS_ATOL
     if over.any():
-        unit = _unit(over, capacity)
+        unit = _unit(over, _LEVELS[level].axis)
         raise InfeasibleError(f"attack exceeds {_LEVELS[level].unit.format(*unit)}")
 
 
@@ -297,10 +355,7 @@ def attacker_payoff(
     return float(instance.impact.z_scores @ (gain - backup))
 
 
-def _source_mask(instance: GameInstance, sources: Sequence[int] | None) -> np.ndarray:
-    G = instance.num_generators
-    if sources is None:
-        return np.ones(G, dtype=bool)
+def _ids_mask(G: int, sources: Sequence[int]) -> np.ndarray:
     ids = [operator.index(g) for g in sources]
     outside = [g for g in ids if not 0 <= g < G]
     if outside:
@@ -310,19 +365,36 @@ def _source_mask(instance: GameInstance, sources: Sequence[int] | None) -> np.nd
     return mask
 
 
+def _source_mask(instance: GameInstance, sources: Sources) -> np.ndarray:
+    """Attacked generators, broadcastable against the lines: (G,) when all
+    replicas share ``sources``, (R, 1, G) for one id list per replica."""
+    G = instance.num_generators
+    if sources is None:
+        return np.ones(G, dtype=bool)
+    if len(sources) == 0 or np.ndim(sources[0]) == 0:
+        return _ids_mask(G, sources)
+    replicas = instance.line_caps.shape[:-2]
+    if replicas != (len(sources),):
+        raise ValueError(f"{len(sources)} source lists for replica axes {replicas}")
+    return np.stack([_ids_mask(G, ids) for ids in sources])[:, None, :]
+
+
 def attacker_best_response(
     level: StealthLevel,
     instance: GameInstance,
     p_d: np.ndarray | None = None,
-    sources: Sequence[int] | None = None,
+    sources: Sources = None,
 ) -> AttackStrategy:
     """Closed-form attack maximising the level's payoff against ``p_d``.
 
     ``sources`` restricts the attacker to a subset of generators (used for
     single-source experiments); by default all generators are attacked.
-    Only the station level, whose discount reaches the backup, reads
-    ``p_d`` (none by default).  There ``p_d`` may stack K allocations,
-    shape (K, B); the reply then stacks the K replies, shape (K, B, G).
+    For a stack of R replicas it is one id list shared by all, or R lists,
+    one per replica.  The reply has the instance's shape, (B, G) or
+    (R, B, G).  Only the station level, whose discount reaches the backup,
+    reads ``p_d`` (none by default).  There ``p_d`` may stack K
+    allocations, shape (K, B), or (K, R, B) for a stack; the reply then
+    stacks the K replies, shape (K, B, G) or (K, R, B, G).
     ValueError for a generator id outside ``0..G-1`` and, at every level,
     for a ``p_d`` whose last axis does not have one entry per station.
     """
@@ -335,7 +407,8 @@ def attacker_best_response(
         target = np.minimum((capacity + backup) / 2.0, capacity)
     # Split over the usable lines, the wired lines of the attacked
     # generators.  Totals are summed over an F-ordered copy, so a station
-    # adds its shares in generator order, as a loop over its lines would.
+    # adds its shares in generator order, as a loop over its lines would;
+    # the replica axis is then the fastest, which keeps that order.
     usable = (instance.line_caps > 0.0) & mask
     weights = np.where(usable, instance.assignment.T if row.by_share else 1.0, 0.0)
     totals = weights
@@ -347,7 +420,8 @@ def attacker_best_response(
 
 
 def defender_caps(level: StealthLevel, instance: GameInstance) -> np.ndarray:
-    """Per-station upper bounds for the defender's allocation at ``level``.
+    """Per-station upper bounds for the defender's allocation at ``level``,
+    (B,) or, for a stack of R replicas, (R, B).
 
     Backup beyond the attacker's reply is wasted, and the net drain of a
     reply falls as the backup grows until the reply is covered.  So the cap
@@ -386,7 +460,8 @@ def solve_defender_lp(impact: ImpactModel, caps: np.ndarray, budget: float) -> D
 def equilibrium_allocations(
     level: StealthLevel, instance: GameInstance, budgets: Sequence[float]
 ) -> np.ndarray:
-    """The defender's equilibrium backup at each budget, one row per budget.
+    """The defender's equilibrium backup at each budget, one row per budget:
+    (K, B), or (K, R, B) for a stack of R replicas.
 
     It is :func:`solve_defender_lp` with the level's caps, filled in the
     instance's cached :attr:`GameInstance.fill_order`.
@@ -397,11 +472,13 @@ def equilibrium_allocations(
 def _greedy_fill(order: np.ndarray, caps: np.ndarray, budgets: Sequence[float]) -> np.ndarray:
     """Fill stations up to their caps in ``order`` until each budget is spent.
 
-    Row k of the (K, stations) result spends ``budgets[k]``.  The budget
-    left before each station is a left-to-right running difference, as a
-    loop over the stations would compute it, so every row is bit for bit
-    the allocation of that loop.  Raises ValueError for negative caps and
-    for a negative or non-finite budget.
+    ``order`` and ``caps`` have one row per replica, or are one row; entry
+    k of the (K, ..., stations) result spends ``budgets[k]`` on each row,
+    filled in that row's order.  The budget left before each station is a
+    left-to-right running difference, as a loop over the stations would
+    compute it, so every row is bit for bit the allocation of that loop.
+    Raises ValueError for negative caps and for a negative or non-finite
+    budget.
     """
     caps = np.asarray(caps, dtype=float)
     budgets = np.asarray(budgets, dtype=float)
@@ -411,13 +488,14 @@ def _greedy_fill(order: np.ndarray, caps: np.ndarray, budgets: Sequence[float]) 
         raise ValueError("budget must be finite")
     if (budgets < 0.0).any():
         raise ValueError("budget must be nonnegative")
-    ordered = caps[order]
-    steps = np.empty((budgets.size, ordered.size + 1))
-    steps[:, 0] = budgets
-    steps[:, 1:] = ordered
-    remaining = np.subtract.accumulate(steps, axis=1)[:, :-1]
-    allocations = np.zeros((budgets.size, caps.size))
-    allocations[:, order] = np.where(remaining > 0.0, np.minimum(ordered, remaining), 0.0)
+    ordered = np.take_along_axis(caps, order, axis=-1)
+    steps = np.empty((budgets.size, *ordered.shape[:-1], ordered.shape[-1] + 1))
+    steps[..., 0] = budgets.reshape((-1,) + (1,) * (ordered.ndim - 1))
+    steps[..., 1:] = ordered
+    remaining = np.subtract.accumulate(steps, axis=-1)[..., :-1]
+    filled = np.where(remaining > 0.0, np.minimum(ordered, remaining), 0.0)
+    allocations = np.zeros_like(filled)
+    np.put_along_axis(allocations, np.broadcast_to(order, filled.shape), filled, axis=-1)
     return allocations
 
 
@@ -426,7 +504,7 @@ def reply_residuals(
     instance: GameInstance,
     allocations: np.ndarray,
     budgets: Sequence[float],
-    sources: Sequence[int] | None = None,
+    sources: Sources = None,
 ) -> np.ndarray:
     """Physical residual deviation of the attacker's best reply to each allocation.
 
@@ -434,8 +512,12 @@ def reply_residuals(
     entry k of the result is the ``residual_deviation`` that
     :func:`evaluate_profile` reports for it against
     :func:`attacker_best_response`, bit for bit, after the same checks of
-    the allocation and of the reply.  Only the station-level reply depends
-    on the allocation; at the other levels one reply answers all K.
+    the allocation and of the reply.  For a stack of R replicas the
+    allocations are (K, R, B), ``sources`` is as in
+    :func:`attacker_best_response`, and the result is (K, R), each
+    replica's column the call on that replica alone.  Only the
+    station-level reply depends on the allocation; at the other levels one
+    reply answers all K.
     """
     allocations = np.asarray(allocations, dtype=float)
     _check_spend(allocations, np.asarray(budgets, dtype=float))

@@ -38,6 +38,10 @@ class ImpactModel:
     which a station is dead and further shortfall has no extra effect.
     ``delta`` converts the dimensionless fractions to veh/h/lane per km of
     affected street.
+
+    The game's replica stack (:meth:`~icisim.game.GameInstance.stack`)
+    gives ``null_vector`` and ``scale`` a leading replica axis, and so
+    ``z_scores``; the replicas share ``headroom`` and ``delta``.
     """
 
     null_vector: np.ndarray
@@ -47,16 +51,16 @@ class ImpactModel:
 
     @property
     def num_stations(self) -> int:
-        return self.scale.shape[0]
+        return self.scale.shape[-1]
 
     @cached_property
     def z_scores(self) -> np.ndarray:
-        return np.abs(self.scale) * np.abs(self.null_vector).sum()
+        return np.abs(self.scale) * np.abs(self.null_vector).sum(axis=-1, keepdims=True)
 
     @property
     def z_vectors(self) -> np.ndarray:
         """Dense (stations, streets) impact matrix, built on each access."""
-        return -np.outer(self.scale, self.null_vector)
+        return -(self.scale[..., :, None] * self.null_vector[..., None, :])
 
 
 def build_impact_model(
@@ -89,12 +93,16 @@ def its_deviation(impact: ImpactModel, power_deviations: np.ndarray) -> float:
 def its_deviations(impact: ImpactModel, power_deviations: np.ndarray) -> np.ndarray:
     """:func:`its_deviation` of each row of a (K, stations) shortfall array.
 
-    Each row takes its own dot product with the scores, as a matrix-vector
-    product may round differently.
+    The rows may carry more batch axes, such as (K, R, stations) against a
+    replica stack's (R, stations) scores; the result drops the station
+    axis.  Each row takes its own dot product with its replica's scores,
+    ``z @ row``, as a matrix-vector product may round differently: numpy's
+    matmul of a stack of (1, stations) by (stations, 1) takes the same dot
+    per pair as the 1-D product does.
     """
     devs = np.clip(np.asarray(power_deviations, dtype=float), 0.0, impact.headroom)
-    z, delta = impact.z_scores, impact.delta
-    return np.array([z @ row * delta for row in devs])
+    dots = np.matmul(impact.z_scores[..., None, :], devs[..., None])[..., 0, 0]
+    return dots * impact.delta
 
 
 def export_impact_csv(impact: ImpactModel, coverage: CoverageMap, stream: IO[str]) -> None:

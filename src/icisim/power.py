@@ -22,7 +22,8 @@ class PowerAssignment:
 
     ``T[b, g]`` is the share of station ``b``'s power supplied by generator
     ``g`` (zero where no line exists); ``p_full[b]`` is the station's
-    full-coverage power in watts.
+    full-coverage power in watts.  The game's replica stack gives ``T`` a
+    leading replica axis; its replicas share ``p_full``.
     """
 
     T: np.ndarray
@@ -30,11 +31,11 @@ class PowerAssignment:
 
     @property
     def num_stations(self) -> int:
-        return self.T.shape[0]
+        return self.T.shape[-2]
 
     @property
     def num_generators(self) -> int:
-        return self.T.shape[1]
+        return self.T.shape[-1]
 
 
 def build_assignment(stations: Stations, shares: np.ndarray) -> PowerAssignment:

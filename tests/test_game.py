@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import functools
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from icisim.errors import InfeasibleError
 from icisim.game import (
     AttackStrategy,
     DefenseStrategy,
+    GameInstance,
     StealthLevel,
     _detection_array,
     _fill_order,
@@ -576,6 +578,93 @@ def test_reply_residuals_check_allocations_and_every_reply(sweep_instances, monk
     monkeypatch.setattr(game, "attacker_best_response", lambda *args: AttackStrategy(3.0 * p_a))
     with pytest.raises(InfeasibleError, match="safe output of generator"):
         reply_residuals(StealthLevel.POWER_SOURCE, inst, np.zeros((2, B)), [0.0, 0.0], [0])
+
+    # On a replica stack, an overspend and an overdrawn reply in the last
+    # replica are caught, and the error names the unit without its replica.
+    monkeypatch.setattr(game, "attacker_best_response", real)
+    other = generate(ScenarioConfig(grid_n=6, seed=2, num_generators=3)).game_instance()
+    stack = GameInstance.stack([inst, other])
+    allocations = np.zeros((3, 2, B))
+    allocations[2, 1, 0] = 10.0
+    with pytest.raises(ValueError, match="spends 10.0 W of a 5.0 W budget"):
+        reply_residuals(StealthLevel.POWER_LINE, stack, allocations, [5.0, 5.0, 5.0])
+
+    def overdrawn_last(level, instance, p_d=None, sources=None):
+        attack = real(level, instance, p_d, sources)
+        attack.deviations[..., -1, :, :] *= 3.0
+        return attack
+
+    monkeypatch.setattr(game, "attacker_best_response", overdrawn_last)
+    with pytest.raises(InfeasibleError, match=r"power headroom of station \d+$"):
+        reply_residuals(StealthLevel.BASE_STATION, stack, np.zeros((3, 2, B)), [0.0, 0.0, 0.0])
+    with pytest.raises(InfeasibleError, match=r"safe output of generator 0$"):
+        reply_residuals(StealthLevel.POWER_SOURCE, stack, np.zeros((2, 2, B)), [0.0, 0.0], [0])
+
+
+@pytest.fixture(scope="module")
+def replica_stack():
+    # Grid 6 with 10 generators: seed 1 needs the F-ordered share totals.
+    instances = [
+        generate(ScenarioConfig(grid_n=6, seed=seed, num_generators=10)).game_instance()
+        for seed in range(1, 5)
+    ]
+    return instances, GameInstance.stack(instances)
+
+
+@pytest.mark.parametrize("level", tuple(StealthLevel))
+def test_replica_slices_equal_the_single_instance_calls(replica_stack, level):
+    instances, stack = replica_stack
+    R, B, G = len(instances), stack.num_stations, stack.num_generators
+    for r, inst in enumerate(instances):
+        for name in ("line_caps", "safe_outputs", "fill_order"):
+            assert np.array_equal(getattr(stack, name)[r], getattr(inst, name)), name
+        assert np.array_equal(stack.impact.z_scores[r], inst.impact.z_scores)
+    caps = defender_caps(level, stack)
+    assert caps.shape == (R, B)
+    total = float(caps.sum()) / R
+    budgets = [0.0, 37.5, *(total * f for f in (0.125, 0.5, 1.0)), 1e6]
+    K = len(budgets)
+    se = equilibrium_allocations(level, stack, budgets)
+    assert se.shape == (K, R, B)
+    equal = np.repeat(np.array(budgets)[:, None] / B, B, axis=1)
+    allocations = np.concatenate((se, np.broadcast_to(equal[:, None, :], se.shape)))
+    picks = [[r, G - 1 - r] for r in range(R)]
+    for sources in (None, [0, 4, 9], picks):
+        residuals = reply_residuals(level, stack, allocations, budgets * 2, sources)
+        assert residuals.shape == (2 * K, R)
+        reply = attacker_best_response(level, stack, allocations, sources).deviations
+        for r, inst in enumerate(instances):
+            own = picks[r] if sources is picks else sources
+            single = equilibrium_allocations(level, inst, budgets)
+            assert np.array_equal(caps[r], defender_caps(level, inst))
+            assert np.array_equal(se[:, r], single)
+            both = np.vstack((single, equal))
+            expected = reply_residuals(level, inst, both, budgets * 2, own)
+            assert np.array_equal(residuals[:, r], expected), (sources, r)
+            alone = attacker_best_response(level, inst, both, own).deviations
+            got = reply[:, r] if level is StealthLevel.BASE_STATION else reply[r]
+            assert np.array_equal(got, alone), (sources, r)
+
+
+def test_stack_needs_shared_stations_and_one_source_list_per_replica(sweep_instances):
+    inst = sweep_instances[3]
+    assert GameInstance.stack([inst]).fill_order.shape == (1, inst.num_stations)
+    config = ScenarioConfig(grid_n=6, seed=2, num_generators=3)
+    for other in (
+        generate(replace(config, cell_radius=1.2)).game_instance(),  # other stations
+        generate(replace(config, power_ratio=3.0)).game_instance(),  # other ratings
+        sweep_instances[8],  # other generator count
+    ):
+        with pytest.raises(ValueError, match="^stacked replicas must share their stations"):
+            GameInstance.stack([inst, other])
+    with pytest.raises(ValueError, match="at least one replica"):
+        GameInstance.stack([])
+    stack = GameInstance.stack([inst, generate(config).game_instance()])
+    for target, sources in ((stack, [[0], [1], [2]]), (inst, [[0], [1]])):
+        with pytest.raises(ValueError, match="source lists for replica axes"):
+            attacker_best_response(StealthLevel.POWER_LINE, target, sources=sources)
+    with pytest.raises(ValueError, match=r"^generator id 3 is outside 0\.\.2$"):
+        attacker_best_response(StealthLevel.POWER_LINE, stack, sources=[[0], [3]])
 
 
 def test_shared_reply_is_validated_when_built(monkeypatch):
