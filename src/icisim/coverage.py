@@ -17,8 +17,8 @@ cells whose centre lies within reach of it, found by bucketing the centres
 on a square grid as wide as the largest reach, so the search is linear in
 the street count and fits any station set, lattice or not.  The check that
 no two cells overlap runs the same bucket search, from each station's
-centre out to the sum of two apothems, so on a tiling it is linear in the
-station count; :func:`~icisim.scenario.loads` runs it too.  All candidate
+centre out to the sum of two circumradii, so on a tiling it is linear in
+the station count; :func:`~icisim.scenario.loads` runs it too.  All candidate
 (street, cell) pairs are then clipped at once by one six-half-plane
 kernel, :func:`_clip_intervals`.  It projects on the edge normals
 elementwise (``a0*x + a1*y``), never through a BLAS mat-vec, whose fused
@@ -225,9 +225,10 @@ def coverage_from_lengths(graph: StreetGraph, lengths) -> CoverageMap:
     non-finite length, and OverlapError when the cells claim more of a
     street than its length.
     """
+    shape = np.shape(lengths)
+    if len(shape) != 2 or shape[0] != graph.n:
+        raise ValueError(f"covered-length matrix has shape {shape}, expected ({graph.n}, stations)")
     lengths = scipy.sparse.csr_array(lengths, dtype=float, copy=True)
-    if lengths.shape[0] != graph.n:
-        raise ValueError("covered-length matrix does not match the street count")
     lengths.sum_duplicates()
     lengths.eliminate_zeros()
     rows, _, km = csr_entries(lengths)
@@ -311,22 +312,32 @@ def _near_pairs(
 
 
 def _check_disjoint_cells(stations: Stations) -> None:
-    """Cells may share edges but not interiors.
+    """Cells may share edges and vertices but not interiors.
 
-    Two interiors overlap when the centres are closer than the sum of the
-    apothems, so each station is measured only against those that
-    :func:`_near_pairs` finds within that sum of it.  The first overlapping
-    pair is the one with the lowest (lower id, higher id).
+    Two flat-top hexagons are disjoint exactly when one of the edge normals
+    in ``_HEX_AXES`` separates them: the offset of their centres, projected
+    on it, is at least the sum of the apothems.  So two interiors overlap
+    when on every axis it is below that sum, scaled by ``1 - 1e-9``.  They
+    can overlap only when the centres are closer than the sum of the
+    circumradii, so each station is measured only against those that
+    :func:`_near_pairs` finds within that sum of it.  The projections are
+    elementwise, as in :func:`_clip_intervals`.  The first overlapping pair
+    is the one with the lowest (lower id, higher id).
     """
-    centers = stations.center
-    apothems = stations.cell_radius * math.sqrt(3.0) / 2.0
-    a, b = _near_pairs(centers, apothems, centers, apothems)
-    a, b = a[a < b], b[a < b]
-    dist = np.hypot(centers[a, 0] - centers[b, 0], centers[a, 1] - centers[b, 1])
-    bad = np.flatnonzero(dist < (apothems[a] + apothems[b]) * (1.0 - 1e-9))
+    centers, radii = stations.center, stations.cell_radius
+    apothems = radii * math.sqrt(3.0) / 2.0
+    lo, hi = _near_pairs(centers, radii, centers, radii)
+    lo, hi = lo[lo < hi], hi[lo < hi]
+    dx = centers[lo, 0] - centers[hi, 0]
+    dy = centers[lo, 1] - centers[hi, 1]
+    reach = (apothems[lo] + apothems[hi]) * (1.0 - 1e-9)
+    overlap = np.ones(lo.shape, dtype=bool)
+    for a0, a1 in _HEX_AXES:
+        overlap &= np.abs(a0 * dx + a1 * dy) < reach
+    bad = np.flatnonzero(overlap)
     if bad.size:
         k = bad[0]
-        raise OverlapError(f"cells of stations {a[k]} and {b[k]} have overlapping interiors")
+        raise OverlapError(f"cells of stations {lo[k]} and {hi[k]} have overlapping interiors")
 
 
 def _claimed_spans(

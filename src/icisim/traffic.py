@@ -415,9 +415,9 @@ def network_from_matrix(graph: StreetGraph, Q) -> FlowNetwork:
     repeats and that each links streets meeting head-to-tail (TopologyError
     otherwise); their values go to :func:`build_flow_matrix`.
     """
+    if np.shape(Q) != (graph.n, graph.n):
+        raise ValueError(f"ratio matrix has shape {np.shape(Q)}, expected {(graph.n, graph.n)}")
     Q = scipy.sparse.coo_array(Q)
-    if Q.shape != (graph.n, graph.n):
-        raise ValueError(f"ratio matrix has shape {Q.shape}, expected {(graph.n, graph.n)}")
     return build_flow_matrix(FlowPattern(graph, Q.row, Q.col), Q.data)
 
 

@@ -472,16 +472,27 @@ def set_wiring(config, positions, stations, rng) -> np.ndarray:
 
 def dense_overlap_pair(stations) -> tuple[int, int] | None:
     """First (lower, higher) index pair of stations whose cell interiors
-    overlap, from the full station-by-station distance matrix."""
+    overlap, over every pair of stations.
+
+    Two flat-top cells overlap when the offset of their centres lies
+    inside their Minkowski sum, the flat-top hexagon whose circumradius is
+    the sum of theirs, here shrunk by ``1 - 1e-9``.  The offset is tested
+    against that hexagon's vertices: it is inside when it lies strictly
+    left of each of the six edges, walked counterclockwise.
+    """
     if len(stations) < 2:
         return None
     centers = stations.center
-    apothems = np.array([_hexagon(stations, b).apothem for b in range(len(stations))])
-    dx = centers[:, 0][:, None] - centers[:, 0][None, :]
-    dy = centers[:, 1][:, None] - centers[:, 1][None, :]
-    dist = np.hypot(dx, dy)
-    limit = (apothems[:, None] + apothems[None, :]) * (1.0 - 1e-9)
-    bad = np.triu(dist < limit, k=1)
+    dx = centers[:, 0][None, :] - centers[:, 0][:, None]
+    dy = centers[:, 1][None, :] - centers[:, 1][:, None]
+    reach = (stations.cell_radius[:, None] + stations.cell_radius[None, :]) * (1.0 - 1e-9)
+    inside = np.ones(dx.shape, dtype=bool)
+    corners = Hexagon((0.0, 0.0), 1.0).vertices()
+    for (x0, y0), (x1, y1) in zip(corners, corners[1:] + corners[:1]):
+        # Edge from reach * (x0, y0) to reach * (x1, y1); the cross product
+        # of the edge with the offset from its start, divided by reach.
+        inside &= (x1 - x0) * (dy - reach * y0) - (y1 - y0) * (dx - reach * x0) > 0.0
+    bad = np.triu(inside, k=1)
     if not np.any(bad):
         return None
     a, b = np.argwhere(bad)[0]

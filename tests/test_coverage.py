@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import mmap
+import re
 import tracemalloc
 
 import numpy as np
@@ -166,6 +167,39 @@ def test_overlapping_cells_raise():
     street = segment_graph(((-0.4, 0.0), (0.4, 0.0)))
     with pytest.raises(OverlapError):
         build_coverage(street, stations)
+
+
+def test_cells_overlapping_along_a_vertex_direction_raise():
+    # Radius-1 cells 1.9 apart along a vertex direction share interior
+    # points such as (0.95, 0), though their centres are more than two
+    # apothems (sqrt(3)) apart.
+    street = segment_graph(((-0.4, 0.0), (0.4, 0.0)))
+    with pytest.raises(
+        OverlapError, match=r"^cells of stations 0 and 1 have overlapping interiors$"
+    ):
+        build_coverage(street, _stations([(0.0, 0.0), (1.9, 0.0)]))
+    # 2.0 apart they touch at a vertex, and tiling neighbours share an edge.
+    for other in ((2.0, 0.0), (1.5, SQ3 / 2.0), (0.0, SQ3)):
+        build_coverage(street, _stations([(0.0, 0.0), other]))
+
+
+@pytest.mark.parametrize("side", (4.0, 9.0, 30.0))
+def test_tilings_pass_the_overlap_check(side):
+    street = segment_graph(((0.1, 0.1), (0.9, 0.1)))
+    for radius in (0.3, 0.5, 0.6, 0.9, 1.0, 1.0 / SQ3, 2.0 / SQ3, 1.3):
+        build_coverage(street, _stations(hex_tiling(((0.0, 0.0), (side, side)), radius), radius))
+
+
+@pytest.mark.parametrize("lengths", (np.array(1.0), 1.0, np.ones(2)))
+def test_coverage_from_lengths_needs_a_matrix(lengths):
+    # A 0-d input used to reach scipy, which raised a TypeError.
+    street = segment_graph(((0.0, 0.0), (1.0, 0.0)))
+    shape = np.shape(lengths)
+    with pytest.raises(
+        ValueError, match=rf"^covered-length matrix has shape {re.escape(str(shape))}, "
+                          r"expected \(1, stations\)$"
+    ):
+        coverage_from_lengths(street, lengths)
 
 
 def test_partition_of_streets_inside_tiling(grid3_scenario):

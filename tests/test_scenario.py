@@ -504,6 +504,7 @@ def test_loader_checks_the_generator_count():
 
 
 OVERLAP_FILE = Path(__file__).parent / "data" / "scenario-overlap-v3.txt"
+VERTEX_OVERLAP_FILE = Path(__file__).parent / "data" / "scenario-vertex-overlap-v3.txt"
 
 
 def test_loader_rejects_overlapping_cells():
@@ -519,6 +520,12 @@ def test_loader_rejects_overlapping_cells():
     moved = text.replace("1 0.5 0.0 2.0", "1 0.5 3.5 2.0")
     assert moved != text
     assert np.array_equal(loads(moved).coverage.C, [[1.0, 0.0], [1.0, 0.0]])
+    # 3.8 km apart along a vertex direction, more than two apothems, the
+    # radius-2 cells still share interior points.
+    with pytest.raises(
+        FormatError, match=r"^\[ci\] cells of stations 0 and 1 have overlapping interiors$"
+    ):
+        loads(VERTEX_OVERLAP_FILE.read_text(encoding="utf-8"))
 
 
 LEAKY_FILE = Path(__file__).parent / "data" / "scenario-leaky-row-v3.txt"

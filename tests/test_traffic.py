@@ -270,6 +270,16 @@ def test_loader_matrix_structure_validated():
         network_from_matrix(_parallel_streets(), stored_zero)
 
 
+@pytest.mark.parametrize("Q", (np.array(1.0), 1.0, np.ones(4)))
+def test_ratio_matrix_needs_the_street_shape(Q):
+    # A 0-d input used to reach scipy, which raised a TypeError.
+    with pytest.raises(
+        ValueError,
+        match=rf"^ratio matrix has shape {re.escape(str(np.shape(Q)))}, expected \(4, 4\)$",
+    ):
+        network_from_matrix(_parallel_streets(), Q)
+
+
 def test_ratio_matrix_shares_must_be_finite_and_nonnegative():
     graph = _parallel_streets()
     Q = np.zeros((4, 4))
