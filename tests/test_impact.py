@@ -8,7 +8,9 @@ import pytest
 
 from icisim.coverage import Stations, coverage_from_lengths
 from icisim.errors import SingularError
-from icisim.impact import build_impact_model, export_impact_csv, its_deviation
+from icisim.impact import (
+    ImpactModel, build_impact_model, export_impact_csv, its_deviation, its_deviations,
+)
 from icisim.scenario import ScenarioConfig, generate, loads
 
 from conftest import cycle_network, dead_end_network, parallel_pair_network, synthetic_impact
@@ -140,6 +142,27 @@ def test_deviation_monotone_per_station():
     assert all(b >= a for a, b in zip(values, values[1:]))
     # Linear until 100 W, flat afterwards.
     assert values[-1] == pytest.approx(2.0 * 100.0)
+
+
+@pytest.mark.parametrize("stations", (1, 7, 8, 39, 129, 449))
+def test_stacked_deviations_take_one_dot_per_row(stations):
+    # Each row's residual is ``z @ row * delta`` with its own replica's
+    # scores, bit for bit; a summed product or a mat-vec rounds differently.
+    rng = np.random.default_rng(stations)
+    R, K = 3, 5
+    null = rng.uniform(0.1, 1.0, (R, 60))
+    scale = rng.uniform(-1.0, 1.0, (R, stations)) * 10.0 ** rng.uniform(-4, 4, (R, stations))
+    stack = ImpactModel(null, scale, rng.uniform(50.0, 150.0, stations), 1.7)
+    devs = rng.uniform(0.0, 200.0, (K, R, stations))
+    got = its_deviations(stack, devs)
+    assert got.shape == (K, R)
+    clipped = np.clip(devs, 0.0, stack.headroom)
+    for r in range(R):
+        alone = ImpactModel(null[r], scale[r], stack.headroom, 1.7)
+        assert np.array_equal(alone.z_scores, stack.z_scores[r])
+        rows = [alone.z_scores @ row * 1.7 for row in clipped[:, r]]
+        assert got[:, r].tobytes() == np.array(rows).tobytes()
+        assert got[:, r].tobytes() == its_deviations(alone, devs[:, r]).tobytes()
 
 
 def test_score_zero_iff_uncovered(grid3_scenario):
