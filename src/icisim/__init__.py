@@ -41,7 +41,7 @@ from .impact import (
     ImpactModel,
     build_impact_model,
     export_impact_csv,
-    its_deviation,
+    its_deviations,
 )
 from .power import PowerAssignment, build_assignment
 from .scenario import Scenario, ScenarioConfig, generate, load, loads, save, scenarios_equal

@@ -32,7 +32,7 @@ The power response is piecewise linear: nothing below the activation power
 ``(p - p_activation) / (p_full - p_activation)`` in between.  So a
 shortfall of ``s`` watts from full power loses the service fraction
 ``min(s, headroom) / headroom``, with ``headroom = p_full - p_activation``;
-:func:`~icisim.impact.its_deviation` applies that clamp.
+:func:`~icisim.impact.its_deviations` applies that clamp.
 """
 from __future__ import annotations
 

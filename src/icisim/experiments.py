@@ -17,14 +17,14 @@ each one only draws its shares and refactors the balance block with the
 stored column order.  radius-sweep reuses each seed's ITS layer across
 radii, and the generator sweeps reuse the ITS and CI layers across
 generator counts.  Scenarios are built in seed order, and the memo is
-dropped when the run ends, so nothing is shared between runs.  The
-replicas of a sweep point share their stations, so they stack into one
-game instance (:meth:`~icisim.game.GameInstance.stack`), and the game is
-solved once per (sweep point, level) over all of them: one
-:func:`~icisim.game.equilibrium_allocations` fill over all the run's
-budgets and one :func:`~icisim.game.reply_residuals` call give every
-replica's residual at every budget, one row per budget, and the rows are
-then emitted budget by budget.
+dropped when the run ends, so nothing is shared between runs.
+Every runner works on one game instance per sweep point, its replicas
+stacked on their shared stations (:meth:`~icisim.game.GameInstance.stack`):
+power-sweep makes one :func:`~icisim.impact.its_deviations` call over all
+cuts, and the other runners one :func:`~icisim.game.equilibrium_allocations`
+fill over all budgets and one :func:`~icisim.game.reply_residuals` call per
+level, with generators-single's attack sources picked in one pass.  Each
+gives one row per budget or cut and one column per replica.
 """
 from __future__ import annotations
 
@@ -43,7 +43,7 @@ from .game import (
     equilibrium_allocations,
     reply_residuals,
 )
-from .impact import its_deviation
+from .impact import its_deviations
 from .scenario import (
     CI_FIELDS,
     ITS_FIELDS,
@@ -79,12 +79,12 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if self.experiment not in EXPERIMENT_IDS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
-        if self.reps < 1:
-            raise ValueError("need at least one repetition per sweep point")
+        if type(self.reps) is not int or self.reps < 1:  # so a bool fails too
+            raise ValueError(f"reps must be a positive integer, got {self.reps!r}")
         if not self.sweep:
             raise ValueError("sweep range must be nonempty")
-        if not self.levels:
-            raise ValueError("need at least one stealth level")
+        if not self.levels or not all(isinstance(lv, StealthLevel) for lv in self.levels):
+            raise ValueError(f"levels must be one or more stealth levels, got {self.levels!r}")
         if not all(np.isfinite(b) and b >= 0.0 for b in self.budgets):
             raise ValueError("budgets must be finite and nonnegative")
         if self.experiment == "power-sweep" and not all(0.0 <= p <= 100.0 for p in self.sweep):
@@ -161,9 +161,10 @@ class _Layers:
         return assemble(config, built[its], built[ci], built[pg])
 
 
-def _replicas(base: ScenarioConfig, reps: int, layers: _Layers) -> list[Scenario]:
-    """``reps`` scenarios differing only in seed, in order."""
-    return [layers.scenario(replace(base, seed=base.seed + rep)) for rep in range(reps)]
+def _replica_stack(base: ScenarioConfig, reps: int, layers: _Layers) -> GameInstance:
+    """The game instances of ``reps`` seeds from ``base.seed`` on, stacked in order."""
+    configs = [replace(base, seed=base.seed + rep) for rep in range(reps)]
+    return GameInstance.stack([layers.scenario(c).game_instance() for c in configs])
 
 
 def _stat_rows(
@@ -186,35 +187,40 @@ def _stat_rows(
 
 def _run_power_sweep(spec: ExperimentSpec) -> SweepTable:
     """Uniform percentage cut of all generation versus total flow deviation."""
-    scenarios = _replicas(spec.base, spec.reps, _Layers())
-    samples = [
-        [its_deviation(sc.impact, (pct / 100.0) * sc.assignment.p_full) for sc in scenarios]
-        for pct in spec.sweep
-    ]
+    instance = _replica_stack(spec.base, spec.reps, _Layers())
+    # One (1, B) cut per reduction, shared by the replicas: (K, R) samples.
+    cuts = np.array(spec.sweep, dtype=float)[:, None, None] / 100.0 * instance.assignment.p_full
+    samples = its_deviations(instance.impact, cuts)
     rows = _stat_rows([(pct, "none", 0.0) for pct in spec.sweep], samples)
     return SweepTable("reduction_pct", rows, _config_lines(spec))
 
 
-def pick_attack_source(scenario: Scenario, level: StealthLevel) -> int:
-    """Generator whose unconstrained single-source attack pays the most."""
-    instance = scenario.game_instance()
+def _attack_sources(level: StealthLevel, instance: GameInstance) -> np.ndarray:
+    """:func:`pick_attack_source` of every replica in one pass, (R,) for a
+    stack or 0-d; a later generator wins only by more than ``1e-12``."""
     zeros = np.zeros(instance.num_stations)
-    best_g, best_val = 0, -np.inf
+    best = np.full(instance.line_caps.shape[:-2], -np.inf)
+    picks = np.zeros(best.shape, dtype=int)
     for g in range(instance.num_generators):
         attack = attacker_best_response(level, instance, zeros, sources=[g])
         value = attacker_payoff(level, instance, zeros, attack.deviations)
-        if value > best_val + 1e-12:
-            best_g, best_val = g, value
-    return best_g
+        better = value > best + 1e-12
+        picks, best = np.where(better, g, picks), np.where(better, value, best)
+    return picks
+
+
+def pick_attack_source(scenario: Scenario, level: StealthLevel) -> int:
+    """Generator whose unconstrained single-source attack pays the most."""
+    return int(_attack_sources(level, scenario.game_instance()))
 
 
 def _run_config_sweep(name: str, kind: type, single: bool, spec: ExperimentSpec) -> SweepTable:
     """Config field ``name`` (of type ``kind``) versus equilibrium
     deviation, per level and budget.
 
-    The ``single`` source variant attacks only the generator chosen by
-    :func:`pick_attack_source` for each scenario and level.  An int field
-    takes only integral sweep values; any other value reaches
+    The ``single`` source variant attacks only the generator that
+    :func:`pick_attack_source` chooses for each replica and level.  An int
+    field takes only integral sweep values; any other value reaches
     :class:`ScenarioConfig` as it is, which rejects it.
     """
     layers = _Layers()
@@ -222,16 +228,14 @@ def _run_config_sweep(name: str, kind: type, single: bool, spec: ExperimentSpec)
     for value in spec.sweep:
         if kind is float or float(value).is_integer():
             value = kind(value)
-        scenarios = _replicas(replace(spec.base, **{name: value}), spec.reps, layers)
-        instance = GameInstance.stack([sc.game_instance() for sc in scenarios])
+        instance = _replica_stack(replace(spec.base, **{name: value}), spec.reps, layers)
         for level in spec.levels:
-            picked = [[pick_attack_source(sc, level)] for sc in scenarios] if single else None
+            picked = _attack_sources(level, instance)[:, None].tolist() if single else None
             allocations = equilibrium_allocations(level, instance, spec.budgets)
             # One row per budget, one column per replica.
             residuals = reply_residuals(level, instance, allocations, spec.budgets, picked)
-            for budget, row in zip(spec.budgets, residuals):
-                keys.append((value, level.value, budget))
-                samples.append(row)
+            keys += [(value, level.value, budget) for budget in spec.budgets]
+            samples += list(residuals)
     extra = ("single_source_rule = highest unconstrained best-response payoff",) if single else ()
     return SweepTable(name, _stat_rows(keys, samples), _config_lines(spec) + extra)
 
@@ -255,13 +259,12 @@ def _run_allocation_compare(spec: ExperimentSpec) -> SweepTable:
     """Equilibrium allocation versus uniform split, over the budget sweep.
 
     The level column carries the strategy suffix, e.g. ``line:se`` and
-    ``line:equal``.  Fractional budgets are resolved against replica 0,
-    which has the base config's own seed.
+    ``line:equal``.  Fractional budgets are resolved against the replicas'
+    shared headroom, so they are those of the base config's own seed.
     """
-    scenarios = _replicas(spec.base, spec.reps, _Layers())
-    budgets = resolve_budget_sweep(spec.sweep, scenarios[0].game_instance())
+    instance = _replica_stack(spec.base, spec.reps, _Layers())
+    budgets = resolve_budget_sweep(spec.sweep, instance)
     K = len(budgets)
-    instance = GameInstance.stack([sc.game_instance() for sc in scenarios])
     count = instance.num_stations
     equal = np.repeat(np.array(budgets)[:, None, None] / count, count, axis=2)
     # Per level, the residuals of the equilibrium at every budget followed
@@ -299,7 +302,7 @@ _EXPERIMENTS = {
     # Fractions of the total station headroom Σh, up to the budget at which
     # every stealthy level's equilibrium leaves no residual (above power
     # ratio 2 the source and line levels get there earlier, at Σp_full/2);
-    # resolved against the base scenario when the experiment runs.
+    # resolved against the replicas' shared headroom when the experiment runs.
     "allocation-compare": (_run_allocation_compare, tuple(k / 8.0 for k in range(9))),
 }
 

@@ -45,7 +45,7 @@ from typing import NamedTuple, Sequence, Union
 import numpy as np
 
 from .errors import InfeasibleError
-from .impact import ImpactModel, its_deviation, its_deviations
+from .impact import ImpactModel, _row_dots, its_deviations
 from .power import PowerAssignment
 
 # Attacked generators: all (None), one id list, or one list per replica.
@@ -324,12 +324,13 @@ def _detection_array(level: StealthLevel, instance: GameInstance, p_a: np.ndarra
     return np.minimum(ratios, 1.0)
 
 
-def defender_payoff(impact: ImpactModel, p_d: np.ndarray, p_a: np.ndarray) -> float:
-    """Negated impact-weighted net shortfall over all stations; ValueError
-    unless the backup ``p_d`` has one entry per station."""
+def defender_payoff(impact: ImpactModel, p_d: np.ndarray, p_a: np.ndarray) -> np.ndarray:
+    """Negated impact-weighted net shortfall over all stations, one value per
+    row of a stack of attacks or replicas, each bit for bit that row's call;
+    ValueError unless the backup ``p_d`` has one entry per station."""
     p_a = np.asarray(p_a, dtype=float)
     p_d = _per_station(p_d, impact.num_stations)
-    return float(-(impact.z_scores @ (p_a.sum(axis=1) - p_d)))
+    return -_row_dots(impact.z_scores, p_a.sum(axis=-1) - p_d)
 
 
 def attacker_payoff(
@@ -337,13 +338,14 @@ def attacker_payoff(
     instance: GameInstance,
     p_d: np.ndarray,
     p_a: np.ndarray,
-) -> float:
+) -> np.ndarray:
     """Stealth-discounted attacker gain minus the defender's compensation.
 
     Each monitored unit discounts the gain it carries, and at the station
     level also the backup, by one minus its detection ratio
     (:data:`_LEVELS`); the overt level is the zero-sum game, undiscounted.
-    ValueError unless the backup ``p_d`` has one entry per station.
+    ValueError unless the backup ``p_d`` has one entry per station.  Batch
+    axes give one payoff per row, as in :func:`defender_payoff`.
     """
     validate_attack(level, instance, p_a)
     p_a = np.asarray(p_a, dtype=float)
@@ -351,8 +353,8 @@ def attacker_payoff(
     row = _LEVELS[level]
     kept = 1.0 - _detection_array(level, instance, p_a) if row.discounted else 1.0
     backup = p_d * kept if row.backup_discounted else p_d
-    gain = (p_a * _on_lines(kept, row.axis)).sum(axis=1)
-    return float(instance.impact.z_scores @ (gain - backup))
+    gain = (p_a * _on_lines(kept, row.axis)).sum(axis=-1)
+    return _row_dots(instance.impact.z_scores, gain - backup)
 
 
 def _ids_mask(G: int, sources: Sequence[int]) -> np.ndarray:
@@ -540,11 +542,11 @@ def evaluate_profile(
     raw (unclamped) difference.  ValueError unless the allocation has one
     entry per station.
     """
-    u_d = defender_payoff(instance.impact, defense.allocation, attack.deviations)
-    u_a = attacker_payoff(level, instance, defense.allocation, attack.deviations)
+    u_d = float(defender_payoff(instance.impact, defense.allocation, attack.deviations))
+    u_a = float(attacker_payoff(level, instance, defense.allocation, attack.deviations))
     detection = _detection_array(level, instance, attack.deviations)
     net = np.maximum(attack.per_station - defense.allocation, 0.0)
-    return GameOutcome(u_d, u_a, detection, its_deviation(instance.impact, net))
+    return GameOutcome(u_d, u_a, detection, float(its_deviations(instance.impact, net)))
 
 
 def stackelberg_equilibrium(

@@ -81,28 +81,23 @@ def build_impact_model(
     return ImpactModel(net.null_vector, scale, headroom, float(delta))
 
 
-def its_deviation(impact: ImpactModel, power_deviations: np.ndarray) -> float:
-    """Total street-flow deviation caused by per-station power shortfalls.
-
-    Each shortfall saturates at the station's headroom: once a station is
-    fully dark, taking more power changes nothing downstream.
-    """
-    return float(its_deviations(impact, np.asarray(power_deviations)[None])[0])
+def _row_dots(z: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``z @ x`` per row over the batch axes of both, bit for bit the 1-D
+    product: numpy's matmul of (1, n) by (n, 1) takes the same dot, while a
+    matrix-vector product may round differently."""
+    return np.matmul(z[..., None, :], x[..., None])[..., 0, 0]
 
 
 def its_deviations(impact: ImpactModel, power_deviations: np.ndarray) -> np.ndarray:
-    """:func:`its_deviation` of each row of a (K, stations) shortfall array.
+    """Total street-flow deviation caused by per-station power shortfalls.
 
-    The rows may carry more batch axes, such as (K, R, stations) against a
-    replica stack's (R, stations) scores; the result drops the station
-    axis.  Each row takes its own dot product with its replica's scores,
-    ``z @ row``, as a matrix-vector product may round differently: numpy's
-    matmul of a stack of (1, stations) by (stations, 1) takes the same dot
-    per pair as the 1-D product does.
+    Each shortfall saturates at the station's headroom: once a station is
+    fully dark, taking more power changes nothing downstream.  A (stations,)
+    row gives a scalar; batch axes, such as (K, R, stations) cuts against a
+    replica stack's (R, stations) scores, give one dot per row (:func:`_row_dots`).
     """
     devs = np.clip(np.asarray(power_deviations, dtype=float), 0.0, impact.headroom)
-    dots = np.matmul(impact.z_scores[..., None, :], devs[..., None])[..., 0, 0]
-    return dots * impact.delta
+    return _row_dots(impact.z_scores, devs) * impact.delta
 
 
 def export_impact_csv(impact: ImpactModel, coverage: CoverageMap, stream: IO[str]) -> None:

@@ -150,6 +150,59 @@ def test_committed_allocation_compare_shows_the_equilibrium_never_worse():
     assert all(means[budgets[-1], f"{level}:se"] <= 1e-9 * largest for level in levels)
 
 
+def test_committed_sweeps_show_the_acceptance_criteria():
+    """The committed power-sweep, scale-sweep and generator tables pass the
+    acceptance criteria's own predicates, where a table holds the quantity
+    a criterion tests: power-sweep is linear to half power and flat beyond
+    it (criterion 4); at each grid the line level's no-backup mean is the
+    largest, backup never raises a mean, and each level's no-backup mean
+    grows with the grid (criterion 6); single-source means do not grow with
+    the generator count (criterion 7).  A single-source reply drains a
+    subset of the all-sources reply's lines against the same allocation,
+    so no generators-single mean exceeds its generators-all row.
+
+    Criterion 7's all-sources flatness is not audited: on these 3 replicas
+    the ``source`` means spread 13.5% at P_d 0 and 11.2% at P_d 100,
+    against the 5% it checks over 30 replicas at grid 5.
+    """
+    data = Path(__file__).parent / "data" / "experiments-grid6"
+
+    def means(experiment):
+        _, rows = _csv_table((data / f"{experiment}.csv").read_text(encoding="utf-8"))
+        return {(float(row[0]), row[1], float(row[2])): float(row[3]) for row in rows}
+
+    power = {cut: mean for (cut, _, _), mean in means("power-sweep").items()}
+    cuts = sorted(power)
+    low = [cut for cut in cuts if cut <= 50.0]
+    high = np.array([power[cut] for cut in cuts if cut >= 50.0])
+    fit = np.polyval(np.polyfit(low, [power[cut] for cut in low], 1), low)
+    spread = max(power.values()) - min(power.values())
+    assert np.max(np.abs(fit - [power[cut] for cut in low])) <= 1e-6 * spread
+    assert power[0.0] == 0.0 and np.ptp(high) <= 1e-9 * high.max()
+
+    scale = means("scale-sweep")
+    tol = 1e-9 * max(scale.values())
+    grids = (4.0, 6.0, 8.0)
+    assert sorted({key[0] for key in scale}) == list(grids)
+    for grid in grids:
+        for level in ("source", "bs"):
+            assert scale[grid, "line", 0.0] >= scale[grid, level, 0.0] - tol, (grid, level)
+        for level in ("source", "line", "bs"):
+            assert scale[grid, level, 0.0] >= scale[grid, level, 100.0] - tol, (grid, level)
+    for level in ("source", "line", "bs"):
+        series = [scale[grid, level, 0.0] for grid in grids]
+        assert all(b >= a - tol for a, b in zip(series, series[1:])), level
+
+    single, every = means("generators-single"), means("generators-all")
+    assert single.keys() == every.keys() and len(single) == 48
+    tol = 1e-9 * max(every.values())
+    for key, mean in single.items():
+        assert mean <= every[key] + tol, key
+        count, level, budget = key
+        if count > 1.0:
+            assert mean <= single[count - 1.0, level, budget] + tol, key
+
+
 @pytest.mark.parametrize("budget", ["nan", "inf", "-inf"])
 def test_solve_rejects_non_finite_budget(scenario_file, tmp_path, capsys, budget):
     out = tmp_path / "solution.json"

@@ -19,7 +19,7 @@ from icisim.coverage import (
     hex_tiling,
 )
 from icisim.errors import OverlapError
-from icisim.impact import ImpactModel, its_deviation
+from icisim.impact import ImpactModel, its_deviations
 from icisim.scenario import ScenarioConfig, _grid_topology
 from icisim.traffic import csr_equal
 
@@ -402,7 +402,7 @@ def test_overlap_check_matches_dense_oracle():
 
 
 # ---------------------------------------------------------------------------
-# Power response: its_deviation clamps each shortfall at the headroom, the
+# Power response: its_deviations clamps each shortfall at the headroom, the
 # shortfall at which the station's service fraction reaches 0.
 
 
@@ -419,29 +419,29 @@ def _lost_watts(stations: Stations, shortfall) -> np.ndarray:
 
 
 def test_fraction_at_full_power():
-    assert its_deviation(_unit_impact(ONE), [0.0]) == _lost_watts(ONE, 0.0)[0] == 0.0
+    assert its_deviations(_unit_impact(ONE), [0.0]) == _lost_watts(ONE, 0.0)[0] == 0.0
 
 
 def test_fraction_at_activation_threshold():
     # At the threshold the station is dark; a larger shortfall adds nothing.
     for shortfall in (100.0, 150.0):
-        lost = its_deviation(_unit_impact(ONE), [shortfall])
+        lost = its_deviations(_unit_impact(ONE), [shortfall])
         assert lost == _lost_watts(ONE, shortfall)[0] == 100.0
 
 
 def test_fraction_linear_midpoint():
-    assert its_deviation(_unit_impact(ONE), [50.0]) == _lost_watts(ONE, 50.0)[0] == 50.0
+    assert its_deviations(_unit_impact(ONE), [50.0]) == _lost_watts(ONE, 50.0)[0] == 50.0
 
 
 def test_fraction_is_clamped_monotone_piecewise():
     powers = np.linspace(0.0, 300.0, 61)
     shortfalls = 200.0 - powers
-    values = [its_deviation(_unit_impact(ONE), [s]) for s in shortfalls]
+    values = [its_deviations(_unit_impact(ONE), [s]) for s in shortfalls]
     expected = [float(_lost_watts(ONE, s)[0]) for s in shortfalls]
     assert np.allclose(values, expected, rtol=1e-12, atol=1e-12)
     # One shortfall per station sums each station's own lost watts.
     many = _stations(np.zeros((61, 2)))
-    assert its_deviation(_unit_impact(many), shortfalls) == pytest.approx(
+    assert its_deviations(_unit_impact(many), shortfalls) == pytest.approx(
         sum(values), rel=1e-12
     )
     assert all(b <= a for a, b in zip(values, values[1:]))

@@ -4,6 +4,7 @@ from __future__ import annotations
 import csv
 import io
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -61,6 +62,24 @@ def test_spec_validation():
         _spec("power-sweep", sweep=())
     with pytest.raises(ValueError):
         _spec("nonsense")
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("reps", True, "reps must be a positive integer, got True"),
+        ("reps", 2.0, "reps must be a positive integer, got 2.0"),
+        ("reps", 0, "reps must be a positive integer, got 0"),
+        ("levels", ("line",), "levels must be one or more stealth levels, got ('line',)"),
+        ("levels", (), "levels must be one or more stealth levels, got ()"),
+    ],
+    ids=["bool reps", "float reps", "zero reps", "level name", "no level"],
+)
+def test_spec_rejects_reps_and_levels_of_the_wrong_kind(field, value, message):
+    # True ran one replica and wrote "reps = True" into the CSV, 2.0 failed
+    # inside the run with a TypeError, and a level name with a KeyError.
+    with pytest.raises(ValueError, match=re.escape(message)):
+        _spec("power-sweep", **{field: value})
 
 
 def test_power_sweep_shape():
@@ -142,9 +161,11 @@ def test_budget_sweep_resolution():
         assert total == pytest.approx(0.75 * headroom, rel=1e-14)
 
 
-def test_allocation_compare_resolves_budgets_from_replica_zero(monkeypatch):
+def test_allocation_compare_resolves_budgets_from_the_shared_headroom(monkeypatch):
     spec = _spec("allocation-compare", sweep=(0.25, 1.0, 40.0), reps=2, levels=LEVELS[:1])
-    resolved = resolve_budget_sweep(spec.sweep, generate(BASE).game_instance())
+    first = generate(BASE).game_instance()
+    second = generate(replace(BASE, seed=BASE.seed + 1)).game_instance()
+    resolved = resolve_budget_sweep(spec.sweep, first)
     seeds = []
     received = []
 
@@ -166,13 +187,14 @@ def test_allocation_compare_resolves_budgets_from_replica_zero(monkeypatch):
     table = run_experiment(spec)
     assert seeds == [BASE.seed, BASE.seed + 1]
     assert sorted({row[0] for row in table.rows}) == sorted(resolved)
-    # Every replica has the same headroom, so the budgets alone cannot tell
-    # the replicas apart; their supply shares can.
+    # The budgets are resolved once, against the stack of both replicas,
+    # whose one headroom the replicas share: so they are replica 0's.
     (instance,) = received
-    first = generate(BASE).assignment.T
-    second = generate(replace(BASE, seed=BASE.seed + 1)).assignment.T
-    assert np.array_equal(instance.assignment.T, first)
-    assert not np.array_equal(instance.assignment.T, second)
+    T = np.stack([first.assignment.T, second.assignment.T])
+    assert np.array_equal(instance.assignment.T, T)
+    assert np.array_equal(instance.headroom, first.headroom)
+    assert np.array_equal(instance.headroom, second.headroom)
+    assert resolve_budget_sweep(spec.sweep, second) == resolved
 
 
 # Per experiment id: the (generate, build_its, build_ci, build_pg) calls of

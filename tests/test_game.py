@@ -33,7 +33,8 @@ from icisim.game import (
 )
 
 from icisim import game
-from icisim.impact import its_deviation
+from icisim.experiments import _attack_sources, pick_attack_source
+from icisim.impact import its_deviations
 from icisim.scenario import ScenarioConfig, generate
 
 from conftest import make_instance, random_feasible_defense, random_instance, synthetic_impact
@@ -246,6 +247,22 @@ def test_infeasible_attacks_raise():
     one_line[0, 1] = inst.line_caps[0, 1] * 1.5
     with pytest.raises(InfeasibleError, match="line generator 1 -> station 0$"):
         validate_attack(StealthLevel.POWER_LINE, inst, one_line)
+
+
+@pytest.mark.parametrize("level", tuple(StealthLevel))
+def test_payoffs_of_a_stack_of_attacks_are_the_single_calls(grid4_instance, level):
+    # A stack of K attacks gets one payoff per attack, each the single call.
+    inst = grid4_instance
+    p = attacker_best_response(level, inst).deviations
+    backup = np.linspace(0.0, 30.0, inst.num_stations)
+    for p_d in (np.zeros(7), backup):
+        for stack in (np.stack([p, p]), np.stack([p, 0.5 * p, np.zeros_like(p)])):
+            u_a = attacker_payoff(level, inst, p_d, stack)
+            u_d = defender_payoff(inst.impact, p_d, stack)
+            assert u_a.shape == u_d.shape == (len(stack),)
+            for k, attack in enumerate(stack):
+                assert u_a[k] == attacker_payoff(level, inst, p_d, attack), k
+                assert u_d[k] == defender_payoff(inst.impact, p_d, attack), k
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +550,7 @@ def test_reply_residuals_equal_the_one_profile_api(sweep_instances, level, gens)
                     shared = attacker_best_response(level, inst, p_d, sources)
                     assert np.array_equal(shared.deviations, p_a)
                     net = np.maximum(p_a.sum(axis=1) - p_d, 0.0)
-                    assert value == its_deviation(inst.impact, net)
+                    assert value == its_deviations(inst.impact, net)
 
 
 def test_station_replies_stack_bit_for_bit(sweep_instances):
@@ -601,19 +618,21 @@ def test_reply_residuals_check_allocations_and_every_reply(sweep_instances, monk
         reply_residuals(StealthLevel.POWER_SOURCE, stack, np.zeros((2, 2, B)), [0.0, 0.0], [0])
 
 
+def _replicas(config, seeds):
+    scenarios = [generate(replace(config, seed=seed)) for seed in seeds]
+    return scenarios, GameInstance.stack([sc.game_instance() for sc in scenarios])
+
+
 @pytest.fixture(scope="module")
 def replica_stack():
     # Grid 6 with 10 generators: seed 1 needs the F-ordered share totals.
-    instances = [
-        generate(ScenarioConfig(grid_n=6, seed=seed, num_generators=10)).game_instance()
-        for seed in range(1, 5)
-    ]
-    return instances, GameInstance.stack(instances)
+    return _replicas(ScenarioConfig(grid_n=6, num_generators=10), range(1, 5))
 
 
 @pytest.mark.parametrize("level", tuple(StealthLevel))
 def test_replica_slices_equal_the_single_instance_calls(replica_stack, level):
-    instances, stack = replica_stack
+    scenarios, stack = replica_stack
+    instances = [sc.game_instance() for sc in scenarios]
     R, B, G = len(instances), stack.num_stations, stack.num_generators
     for r, inst in enumerate(instances):
         for name in ("line_caps", "safe_outputs", "fill_order"):
@@ -633,6 +652,9 @@ def test_replica_slices_equal_the_single_instance_calls(replica_stack, level):
         residuals = reply_residuals(level, stack, allocations, budgets * 2, sources)
         assert residuals.shape == (2 * K, R)
         reply = attacker_best_response(level, stack, allocations, sources).deviations
+        u_a = attacker_payoff(level, stack, allocations, reply)
+        u_d = defender_payoff(stack.impact, allocations, reply)
+        assert u_a.shape == u_d.shape == (2 * K, R)
         for r, inst in enumerate(instances):
             own = picks[r] if sources is picks else sources
             single = equilibrium_allocations(level, inst, budgets)
@@ -644,6 +666,15 @@ def test_replica_slices_equal_the_single_instance_calls(replica_stack, level):
             alone = attacker_best_response(level, inst, both, own).deviations
             got = reply[:, r] if level is StealthLevel.BASE_STATION else reply[r]
             assert np.array_equal(got, alone), (sources, r)
+            for k, p_d in enumerate(both):
+                p_a = alone[k] if level is StealthLevel.BASE_STATION else alone
+                assert u_a[k, r] == attacker_payoff(level, inst, p_d, p_a), (sources, r, k)
+                assert u_d[k, r] == defender_payoff(inst.impact, p_d, p_a), (sources, r, k)
+    # Every replica's attack source is picked in one pass over the generators.
+    for config, seeds in ((None, None), (ScenarioConfig(grid_n=4, num_generators=1), range(3))):
+        chosen, picked = (scenarios, stack) if config is None else _replicas(config, seeds)
+        expected = [pick_attack_source(sc, level) for sc in chosen]
+        assert _attack_sources(level, picked).tolist() == expected
 
 
 def test_stack_needs_shared_stations_and_one_source_list_per_replica(sweep_instances):
@@ -1022,10 +1053,8 @@ def test_outcome_zero_sum_at_overt():
 def test_residual_deviation_nets_defense(grid3_scenario):
     inst = grid3_scenario.game_instance()
     defense, attack, outcome = stackelberg_equilibrium(StealthLevel.POWER_LINE, inst, 150.0)
-    from icisim.impact import its_deviation
-
     net = np.maximum(attack.per_station - defense.allocation, 0.0)
-    assert outcome.residual_deviation == pytest.approx(its_deviation(inst.impact, net))
+    assert outcome.residual_deviation == pytest.approx(its_deviations(inst.impact, net))
 
 
 def test_solution_serialisation_round_trip():

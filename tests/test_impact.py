@@ -9,7 +9,7 @@ import pytest
 from icisim.coverage import Stations, coverage_from_lengths
 from icisim.errors import SingularError
 from icisim.impact import (
-    ImpactModel, build_impact_model, export_impact_csv, its_deviation, its_deviations,
+    ImpactModel, build_impact_model, export_impact_csv, its_deviations,
 )
 from icisim.scenario import ScenarioConfig, generate, loads
 
@@ -112,13 +112,13 @@ def test_score_matches_finite_difference_oracle(grid3_scenario):
 
 def test_deviation_zero_for_zero_cuts(grid3_scenario):
     impact = grid3_scenario.impact
-    assert its_deviation(impact, np.zeros(impact.num_stations)) == 0.0
+    assert its_deviations(impact, np.zeros(impact.num_stations)) == 0.0
 
 
 def test_deviation_saturates_at_headroom(grid3_scenario):
     impact = grid3_scenario.impact
-    at_cap = its_deviation(impact, impact.headroom.copy())
-    doubled = its_deviation(impact, 2.0 * impact.headroom)
+    at_cap = its_deviations(impact, impact.headroom.copy())
+    doubled = its_deviations(impact, 2.0 * impact.headroom)
     assert doubled == at_cap
 
 
@@ -126,11 +126,11 @@ def test_deviation_linear_below_saturation(grid3_scenario):
     impact = grid3_scenario.impact
     rng = np.random.default_rng(5)
     devs = rng.uniform(0.0, 0.5, impact.num_stations) * impact.headroom
-    base = its_deviation(impact, devs)
-    assert its_deviation(impact, 2.0 * devs) == pytest.approx(2.0 * base, rel=1e-12)
+    base = its_deviations(impact, devs)
+    assert its_deviations(impact, 2.0 * devs) == pytest.approx(2.0 * base, rel=1e-12)
     single = np.zeros(impact.num_stations)
     single[2] = 30.0
-    assert its_deviation(impact, single) == pytest.approx(
+    assert its_deviations(impact, single) == pytest.approx(
         impact.z_scores[2] * impact.delta * 30.0, rel=1e-12
     )
 
@@ -138,7 +138,7 @@ def test_deviation_linear_below_saturation(grid3_scenario):
 def test_deviation_monotone_per_station():
     impact = synthetic_impact(np.array([2.0, 0.5]), np.array([100.0, 100.0]))
     grid = np.linspace(0.0, 150.0, 31)
-    values = [its_deviation(impact, np.array([x, 0.0])) for x in grid]
+    values = [its_deviations(impact, np.array([x, 0.0])) for x in grid]
     assert all(b >= a for a, b in zip(values, values[1:]))
     # Linear until 100 W, flat afterwards.
     assert values[-1] == pytest.approx(2.0 * 100.0)
@@ -155,7 +155,9 @@ def test_stacked_deviations_take_one_dot_per_row(stations):
     stack = ImpactModel(null, scale, rng.uniform(50.0, 150.0, stations), 1.7)
     devs = rng.uniform(0.0, 200.0, (K, R, stations))
     got = its_deviations(stack, devs)
-    assert got.shape == (K, R)
+    # One (1, stations) row per k shared by every replica, as power-sweep cuts.
+    shared = its_deviations(stack, devs[:, :1])
+    assert got.shape == shared.shape == (K, R)
     clipped = np.clip(devs, 0.0, stack.headroom)
     for r in range(R):
         alone = ImpactModel(null[r], scale[r], stack.headroom, 1.7)
@@ -163,6 +165,8 @@ def test_stacked_deviations_take_one_dot_per_row(stations):
         rows = [alone.z_scores @ row * 1.7 for row in clipped[:, r]]
         assert got[:, r].tobytes() == np.array(rows).tobytes()
         assert got[:, r].tobytes() == its_deviations(alone, devs[:, r]).tobytes()
+        rows = [alone.z_scores @ row * 1.7 for row in clipped[:, 0]]
+        assert shared[:, r].tobytes() == np.array(rows).tobytes()
 
 
 def test_score_zero_iff_uncovered(grid3_scenario):
