@@ -144,7 +144,9 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--config", help="JSON file with base scenario settings")
     exp.add_argument("--seed", type=int, help="override the base seed")
     exp.add_argument("--reps", type=int, default=5, help="scenario replicas per point")
-    exp.add_argument("--sweep", type=float, nargs="+", help="override the sweep values")
+    exp.add_argument("--sweep", type=float, nargs="+", help="override the sweep values "
+                     "(allocation-compare: at most 1 is a fraction of the total headroom, "
+                     "more is in watts)")
     exp.add_argument("--budgets", type=float, nargs="+", help="defender budgets to include")
     exp.add_argument("--level", action="append", default=[],
                      choices=[lv.value for lv in StealthLevel],

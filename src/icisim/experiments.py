@@ -79,6 +79,12 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if self.experiment not in EXPERIMENT_IDS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
+        if not isinstance(self.base, ScenarioConfig):
+            raise ValueError(f"base must be a ScenarioConfig, got {self.base!r}")
+        for name in ("sweep", "budgets"):  # ScenarioConfig's rule for a float field
+            values = getattr(self, name)
+            if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
+                raise ValueError(f"{name} must hold only numbers, got {values!r}")
         if type(self.reps) is not int or self.reps < 1:  # so a bool fails too
             raise ValueError(f"reps must be a positive integer, got {self.reps!r}")
         if not self.sweep:
@@ -134,7 +140,11 @@ class _Layers:
     A config that shares no layer with an earlier one is built by
     :func:`~icisim.scenario.generate`; otherwise only its missing layers
     are built, and the scenario is assembled from those and the shared
-    ones.  Either way it equals ``generate(config)``.
+    ones.  Either way it equals ``generate(config)``.  The first path stays
+    although the builders alone would give the same scenario: perfbench's
+    traced sweep-grid9 workload reports the ``scenario.generate`` span,
+    which only :func:`generate` opens, and a traced run without that span
+    lacks the ``scenario.generate.s`` metric that BENCHMARK.json lists.
     """
 
     def __init__(self) -> None:

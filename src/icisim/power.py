@@ -3,8 +3,9 @@
 Each base station draws its power from the generators it is wired to; the
 share matrix ``T`` records, per station, the portion supplied by each
 generator, and a supply line exists exactly where a share is positive.
-Rows of ``T`` sum to one, so with no disturbance every station receives
-exactly its full-coverage power.
+Rows of ``T`` sum to one (within 1e-9), as the turning ratios of each
+street do, so with no disturbance every station receives its
+full-coverage power.
 """
 from __future__ import annotations
 
@@ -39,14 +40,13 @@ class PowerAssignment:
 
 
 def build_assignment(stations: Stations, shares: np.ndarray) -> PowerAssignment:
-    """Normalise raw supply weights into a PowerAssignment.
+    """The PowerAssignment whose ``T`` is ``shares``, stored as given.
 
-    ``shares[b, g]`` is a nonnegative raw weight, positive exactly where
-    generator ``g`` has a line to station ``b``.  Each station's weights are
-    scaled to sum to one, except that rows already summing to one within
-    1e-12 are kept bit for bit, so a stored ``T`` loads unchanged.  A
-    generator with no positive weight raises ValueError, and a station with
-    none raises DisconnectedError.
+    ``shares[b, g]`` is a nonnegative supply share, positive exactly where
+    generator ``g`` has a line to station ``b``.  A generator with no
+    positive share raises ValueError, and a station with none raises
+    DisconnectedError; the shares of every station must then sum to 1
+    within 1e-9 (ValueError listing the stations whose shares do not).
     """
     B = len(stations)
     shares = np.asarray(shares, dtype=float)
@@ -62,7 +62,7 @@ def build_assignment(stations: Stations, shares: np.ndarray) -> PowerAssignment:
     dead = np.nonzero(totals <= 0.0)[0]
     if dead.size:
         raise DisconnectedError(f"stations {dead.tolist()} have no supplying generator")
-    # Re-dividing a normalised row by its rounded sum would move it by an ulp.
-    totals[np.abs(totals - 1.0) <= 1e-12] = 1.0
-    T = shares / totals[:, None]
-    return PowerAssignment(T, stations.p_full)
+    leaky = np.flatnonzero(~(np.abs(totals - 1.0) <= 1e-9))  # so a NaN fails too
+    if leaky.size:
+        raise ValueError(f"supply shares of stations {leaky.tolist()} do not sum to 1")
+    return PowerAssignment(shares, stations.p_full)

@@ -35,8 +35,11 @@ each written from whole arrays, one line per row.  In the intersections,
 streets, stations and generators tables the row of id k comes k-th.
 Turning ratios and supply links are blocks of ``row column value`` lines
 holding the nonzero entries, each (row, column) pair once, in row-major
-order.  The loader takes each block only in this form, and reads each in
-one ``np.loadtxt`` pass.  Every number, ``[config]`` values included, must
+order; each station's shares, and each street's if its head has
+outflows, sum to 1.  One table, ``_BLOCKS``, lays the blocks out for
+:func:`dumps` and :func:`loads` alike.  The loader takes each block only in
+this form, stores the shares as read, and reads each block in one
+``np.loadtxt`` pass.  Every number, ``[config]`` values included, must
 be a token ``np.loadtxt`` reads: ASCII, no ``_`` digit separators, and
 finite if a float.  Coverage and the impact model are derived, so they are
 not written: loading rebuilds them.  So is a street's geometry, from its
@@ -257,7 +260,7 @@ def _wire_generators(
     Stations left out by every draw are attached to their nearest generator,
     ties to the lower generator id, so that no station is dark by
     construction.  Weights fall off with distance, zero where no line
-    exists, and are row-normalised later.
+    exists, and :func:`build_pg` divides each row by its sum.
     """
     B = len(stations)
     G = config.num_generators
@@ -319,11 +322,11 @@ def build_pg(
     config: ScenarioConfig, stations: Stations
 ) -> tuple[np.ndarray, PowerAssignment]:
     """The PG layer: seeded generator sites, read-only, and their supply
-    shares to ``stations``."""
+    shares to ``stations``, each station's wiring weights over their sum."""
     positions = _place_generators(config, _rng(config.seed, _STREAM_GENERATORS))
     positions.flags.writeable = False
-    shares = _wire_generators(config, positions, stations, _rng(config.seed, _STREAM_CONNECTIONS))
-    return positions, build_assignment(stations, shares)
+    weights = _wire_generators(config, positions, stations, _rng(config.seed, _STREAM_CONNECTIONS))
+    return positions, build_assignment(stations, weights / weights.sum(axis=1)[:, None])
 
 
 def assemble(
@@ -368,6 +371,22 @@ def _write_block(
     out.extend(map(" ".join, zip(*columns)))
 
 
+# The counted blocks after [config], in file order: (section, keyword,
+# line name, integer fields, float fields, matrix shape).  Errors name a
+# field "{line} {field}".  A table's first integer field is its row's id; an
+# entry block's are its (row, column) pair, within the shape given by the
+# row counts of the named blocks.
+_BLOCKS = (
+    ("its", "intersections", "intersection", ("id",), ("x", "y"), ()),
+    ("its", "streets", "street", ("id", "tail", "head"), (), ()),
+    ("its", "ratios", "ratio", ("row", "column"), ("value",), ("streets", "streets")),
+    ("ci", "stations", "station", ("id",),
+     ("x", "y", "cell radius", "activation power", "full power"), ()),
+    ("pg", "generators", "generator", ("id",), ("x", "y"), ()),
+    ("pg", "links", "link", ("station", "generator"), ("share",), ("stations", "generators")),
+)
+
+
 def dumps(scenario: Scenario) -> str:
     """Render a scenario in the versioned text format."""
     cfg = scenario.config
@@ -381,24 +400,23 @@ def dumps(scenario: Scenario) -> str:
             out.append(f"{f.name} = {value if f.type == 'int' else repr(float(value))}")
 
     net, graph = scenario.network, scenario.network.graph
-    out.append("[its]")
-    _write_block(out, "intersections", (np.arange(len(graph.positions)),), graph.positions.T)
-    _write_block(out, "streets", (np.arange(net.n), graph.tail, graph.head), ())
-    rows, cols, shares = csr_entries(net.Q)
-    _write_block(out, "ratios", (rows, cols), (shares,))
-
-    stations = scenario.base_stations
-    out.append("[ci]")
-    _write_block(
-        out, "stations", (np.arange(len(stations)),),
-        (*stations.center.T, stations.cell_radius, stations.p_activation, stations.p_full),
-    )
-
-    T = scenario.assignment.T
-    rows, cols = np.nonzero(T)
-    out.append("[pg]")
-    _write_block(out, "generators", (np.arange(len(scenario.generators)),), scenario.generators.T)
-    _write_block(out, "links", (rows, cols), (T[rows, cols],))
+    stations, T = scenario.base_stations, scenario.assignment.T
+    columns = {  # each block's integer columns, then its float columns
+        "intersections": (np.arange(len(graph.positions)), *graph.positions.T),
+        "streets": (np.arange(net.n), graph.tail, graph.head),
+        "ratios": csr_entries(net.Q),
+        "stations": (np.arange(len(stations)), *stations.center.T, stations.cell_radius,
+                     stations.p_activation, stations.p_full),
+        "generators": (np.arange(len(scenario.generators)), *scenario.generators.T),
+        "links": (*np.nonzero(T), T[T != 0.0]),
+    }
+    section = "config"
+    for block_section, keyword, _, ints, *_ in _BLOCKS:
+        if block_section != section:
+            section = block_section
+            out.append(f"[{section}]")
+        block = columns[keyword]
+        _write_block(out, keyword, block[:len(ints)], block[len(ints):])
     return "\n".join(out) + "\n"
 
 
@@ -471,16 +489,16 @@ def _block(
     line: str,
     ints: Sequence[str],
     floats: Sequence[str],
-    bounds: Sequence[int] | None = None,
+    bounds: Sequence[int],
 ) -> tuple[np.ndarray, np.ndarray]:
     """The next ``count`` lines as an int64 and a float table, one row each.
 
     Each line holds ``len(ints)`` integer fields and then ``len(floats)``
-    finite float fields; errors name the line ``line`` and each field by
-    its entry in ``ints`` or ``floats``.  With ``bounds``, integer field k
-    must lie in ``0..bounds[k] - 1``.  The block is read in one
-    ``np.loadtxt`` pass; if that fails, :func:`_bad_line` names the first
-    line at fault.
+    finite float fields; errors name the line ``line`` and each field as
+    ``"{line} {name}"``, its name from ``ints`` or ``floats``.  With a
+    nonempty ``bounds``, integer field k must lie in ``0..bounds[k] - 1``.
+    The block is read in one ``np.loadtxt`` pass; if that fails,
+    :func:`_bad_line` names the first line at fault.
     """
     lines = reader.take(count)
     dtype = np.dtype([("i", np.int64, (len(ints),)), ("f", float, (len(floats),))])
@@ -497,7 +515,7 @@ def _block(
     if (
         len(table) == count
         and np.isfinite(values).all()
-        and (bounds is None or ((index >= 0) & (index < bounds)).all())
+        and (not bounds or ((index >= 0) & (index < bounds)).all())
     ):
         return index, values
     _bad_line(reader.section, lines, count, line, ints, floats, bounds)
@@ -526,7 +544,7 @@ def _bad_line(
     line: str,
     ints: Sequence[str],
     floats: Sequence[str],
-    bounds: Sequence[int] | None,
+    bounds: Sequence[int],
 ) -> NoReturn:
     """Raise the error for the first line of a block that :func:`_block` rejects.
 
@@ -541,61 +559,44 @@ def _bad_line(
             raise FormatError(f"[{section}] {line}: expected {width} fields, found {len(parts)}")
         index = []
         for token, name in zip(parts, ints):
-            value = _token(section, name, int, token)
+            value = _token(section, f"{line} {name}", int, token)
             if not -2**63 <= value < 2**63:
-                raise FormatError(f"[{section}] {name}: bad integer {token!r}")
+                raise FormatError(f"[{section}] {line} {name}: bad integer {token!r}")
             index.append(value)
-        if bounds is not None and not all(0 <= i < b for i, b in zip(index, bounds)):
+        if bounds and not all(0 <= i < b for i, b in zip(index, bounds)):
             raise FormatError(
-                f"[{section}] {line.split()[0]} indices ({', '.join(map(str, index))}) out of range"
+                f"[{section}] {line} indices ({', '.join(map(str, index))}) out of range"
             )
         for token, name in zip(parts[len(ints):], floats):
-            _token(section, name, float, token)
+            _token(section, f"{line} {name}", float, token)
     if len(lines) < count:
         raise FormatError(f"file truncated inside section [{section}]")
     raise FormatError(f"[{section}] unreadable {line} block")
 
 
-def _check_ids(reader: _Reader, ids: np.ndarray, what: str) -> None:
+def _check_ids(section: str, line: str, ids: np.ndarray) -> None:
     """FormatError at the first row of a table whose id is not its row."""
     wrong = np.flatnonzero(ids != np.arange(len(ids)))
     if wrong.size:
         k = wrong[0]
         raise FormatError(
-            f"[{reader.section}] {what} ids must be 0..{len(ids) - 1} in row order: "
+            f"[{section}] {line} ids must be 0..{len(ids) - 1} in row order: "
             f"row {k} has id {ids[k]}"
         )
 
 
-# Counted keyword of each (row, column, value) block -> the names of its
-# line, row, column and value in error messages; the first word of the
-# line name also names its indices.
-_ENTRY_BLOCKS = {
-    "ratios": ("ratio", "ratio row", "ratio column", "ratio value"),
-    "links": ("link", "link station", "link generator", "link share"),
-}
-
-
-def _entries(reader: _Reader, keyword: str, shape: tuple[int, int]) -> scipy.sparse.coo_array:
-    """One counted block of ``row column value`` lines as a COO array.
-
-    Indices must lie within ``shape``, and the (row, column) pairs must be
-    unique and in row-major order.
-    """
-    line, row_name, col_name, value_name = _ENTRY_BLOCKS[keyword]
-    index, values = _block(
-        reader, reader.counted(keyword), line, (row_name, col_name), (value_name,), shape
-    )
+def _check_row_major(section: str, line: str, index: np.ndarray, width: int) -> None:
+    """FormatError at the first (row, column) pair of an entry block, in a
+    matrix ``width`` columns wide, that is not after the pair before it."""
     rows, cols = index.T
-    keys = rows * shape[1] + cols
+    keys = rows * width + cols
     wrong = np.flatnonzero(keys[1:] <= keys[:-1])
     if wrong.size:
         k = wrong[0] + 1
         raise FormatError(
-            f"[{reader.section}] {line} entries must be unique and in row-major order: "
+            f"[{section}] {line} entries must be unique and in row-major order: "
             f"row {k} is ({rows[k]}, {cols[k]}) after ({rows[k - 1]}, {cols[k - 1]})"
         )
-    return scipy.sparse.coo_array((values[:, 0], (rows, cols)), shape=shape)
 
 
 # bs_per_generator_range takes two lines, its min and its max.
@@ -650,36 +651,21 @@ def loads(text: str) -> Scenario:
     except ValueError as err:
         raise FormatError(f"[config] {err}") from None
 
-    reader.expect_section("its")
-    node_ids, node_xy = _block(
-        reader, reader.counted("intersections"), "intersection",
-        ("intersection id",), ("intersection x", "intersection y"),
-    )
-    _check_ids(reader, node_ids[:, 0], "intersection")
-    n_streets = reader.counted("streets")
-    streets, _ = _block(
-        reader, n_streets, "street", ("street id", "street tail", "street head"), ()
-    )
-    _check_ids(reader, streets[:, 0], "street")
-    Q = _entries(reader, "ratios", (n_streets, n_streets))
-
-    reader.expect_section("ci")
-    n_stations = reader.counted("stations")
-    station_ids, rows = _block(
-        reader, n_stations, "station", ("station id",),
-        ("station x", "station y", "station cell radius", "station activation power",
-         "station full power"),
-    )
-    _check_ids(reader, station_ids[:, 0], "station")
-
-    reader.expect_section("pg")
-    n_gens = reader.counted("generators")
-    gen_ids, generators = _block(
-        reader, n_gens, "generator", ("generator id",), ("generator x", "generator y")
-    )
-    _check_ids(reader, gen_ids[:, 0], "generator")
+    # Each table as its (ids, values) arrays, each entry block as a COO array.
+    blocks: dict = {}
+    for section, keyword, line, ints, floats, shape_of in _BLOCKS:
+        if section != reader.section:
+            reader.expect_section(section)
+        shape = tuple(len(blocks[k][0]) for k in shape_of)
+        index, values = _block(reader, reader.counted(keyword), line, ints, floats, shape)
+        if shape:
+            _check_row_major(section, line, index, shape[1])
+            blocks[keyword] = scipy.sparse.coo_array((values[:, 0], tuple(index.T)), shape=shape)
+        else:
+            _check_ids(section, line, index[:, 0])
+            blocks[keyword] = index, values
+    (_, node_xy), (streets, _), Q, (_, rows), (_, generators), links = blocks.values()
     generators.flags.writeable = False
-    links = _entries(reader, "links", (n_stations, n_gens))
     # A zero would be no line at all, so it cannot round-trip.
     zero = np.flatnonzero(links.data == 0.0)
     if zero.size:
@@ -708,9 +694,10 @@ def loads(text: str) -> Scenario:
         assignment = build_assignment(stations, shares)
     except (ValueError, IcisimError) as err:
         raise FormatError(f"[pg] {err}") from None
-    if n_gens != config.num_generators:
+    if len(generators) != config.num_generators:
         raise FormatError(
-            f"[pg] generator count {n_gens} != [config] num_generators {config.num_generators}"
+            f"[pg] generator count {len(generators)} != [config] num_generators "
+            f"{config.num_generators}"
         )
     return Scenario(config, network, stations, coverage, generators, assignment, impact)
 

@@ -4,7 +4,10 @@ Each oracle deliberately takes a different route from the production code:
 the LP oracle is a tableau simplex instead of a greedy fill, the
 station-residual oracle solves the station-level defender problem against
 the closed-form reply as one HiGHS linear program instead of capping a
-greedy fill at the reply to a full-headroom backup, the clipping
+greedy fill at the reply to a full-headroom backup, the source-residual
+oracle minimises the clamped residual against a reply that reads no
+backup as one HiGHS mixed-integer program instead of a greedy fill in
+score order, the clipping
 oracle moves segment endpoints half-plane by half-plane instead of tracking
 a parameter interval, the coverage oracle measures each street against
 every station centre, clips one (street, station) pair at a time and
@@ -160,6 +163,50 @@ def station_residual_lp(instance: GameInstance, budget: float) -> float:
     )
     assert result.status == 0, result.message
     return float(result.fun)
+
+
+def source_residual_milp(level: StealthLevel, instance: GameInstance, budget: float) -> float:
+    """Least clamped residual the defender can leave with ``budget`` watts
+    against a reply that reads no backup (``source``, ``line`` or
+    ``overt``), as one mixed-integer program.
+
+    Such a reply drains a fixed ``D_b`` from station b: at ``source`` half
+    of each generator's safe output ``sum_b T[b, g] p_full[b]``, spread
+    evenly over its lines; at ``line`` half of each line's capacity; at
+    ``overt`` all of it.  The residual ``sum_b z_b clip(D_b - p_b, 0,
+    h_b)`` buys nothing with the first ``e_b = max(D_b - h_b, 0)`` watts
+    at station b, so with a binary ``y_b`` per station the program
+    maximises ``sum_b z_b (p_b - e_b y_b)`` subject to ``e_b y_b <= p_b <=
+    D_b y_b`` and ``sum p <= budget``.  The allocation it finds, scaled
+    into the budget, is then evaluated exactly; times ``delta``, that is
+    the residual returned.
+    """
+    T, p_full = instance.assignment.T, instance.assignment.p_full
+    z, h = instance.impact.z_scores, instance.headroom
+    lines = T > 0.0
+    caps = T * p_full[:, None]
+    if level is StealthLevel.POWER_SOURCE:
+        drain = lines @ (caps.sum(axis=0) / 2.0 / lines.sum(axis=0))
+    else:
+        drain = caps.sum(axis=1) / (2.0 if level is StealthLevel.POWER_LINE else 1.0)
+    dead = np.maximum(drain - h, 0.0)
+    B = z.size
+    eye, spend = scipy.sparse.identity(B), scipy.sparse.coo_matrix(np.ones((1, B)))
+    A = scipy.sparse.bmat([
+        [eye, -scipy.sparse.diags(drain)], [-eye, scipy.sparse.diags(dead)], [spend, None],
+    ])
+    upper = np.concatenate([np.zeros(2 * B), [budget]])
+    result = scipy.optimize.milp(
+        np.concatenate([-z, z * dead]),
+        constraints=scipy.optimize.LinearConstraint(A, -np.inf, upper),
+        integrality=np.repeat([0, 1], B),
+        bounds=scipy.optimize.Bounds(0.0, np.concatenate([np.full(B, np.inf), np.ones(B)])),
+        options={"presolve": False},  # HiGHS's presolve takes most of the time here
+    )
+    assert result.status == 0, result.message
+    p = np.maximum(result.x[:B], 0.0)
+    p *= min(1.0, budget / p.sum()) if p.sum() > 0.0 else 1.0
+    return float(z @ np.clip(drain - p, 0.0, h)) * instance.impact.delta
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,7 @@ from icisim.game import (
     stackelberg_equilibrium,
 )
 from icisim.impact import build_impact_model
-from icisim.power import build_assignment
-from icisim.scenario import ScenarioConfig, _rng, _wire_generators, generate
+from icisim.scenario import ScenarioConfig, build_pg, generate
 
 from conftest import random_feasible_defense, random_instance, synthetic_impact
 from oracles import budgeted_allocation_lp, finite_difference_total, lattice_best_attack
@@ -260,8 +259,8 @@ def _retile(sc, radius: float) -> tuple[GameInstance, int]:
     centers = hex_tiling(((0.0, 0.0), (side, side)), radius)
     stations = Stations(centers, radius, sc.config.p_activation, sc.config.p_full)
     coverage = build_coverage(sc.network.graph, stations)
-    shares = _wire_generators(sc.config, sc.generators, stations, _rng(sc.config.seed, 3))
-    assignment = build_assignment(stations, shares)
+    # The config's seed places the same generators and wires them to the new stations.
+    _, assignment = build_pg(sc.config, stations)
     impact = build_impact_model(sc.network, coverage, stations, sc.config.delta)
     return GameInstance(impact, assignment), len(stations)
 

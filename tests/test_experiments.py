@@ -82,6 +82,29 @@ def test_spec_rejects_reps_and_levels_of_the_wrong_kind(field, value, message):
         _spec("power-sweep", **{field: value})
 
 
+@pytest.mark.parametrize(
+    "experiment, field, value, message",
+    [
+        ("power-sweep", "budgets", ("x",), "budgets must hold only numbers, got ('x',)"),
+        ("power-sweep", "budgets", (True,), "budgets must hold only numbers, got (True,)"),
+        ("power-sweep", "sweep", ("a",), "sweep must hold only numbers, got ('a',)"),
+        ("allocation-compare", "sweep", ("0.5",), "sweep must hold only numbers, got ('0.5',)"),
+        ("scale-sweep", "sweep", (3, False), "sweep must hold only numbers, got (3, False)"),
+        ("power-sweep", "base", {"grid_n": 3},
+         "base must be a ScenarioConfig, got {'grid_n': 3}"),
+    ],
+    ids=["string budget", "bool budget", "string cut", "string fraction", "bool grid",
+         "dict base"],
+)
+def test_spec_rejects_sweeps_budgets_and_bases_of_the_wrong_kind(
+    experiment, field, value, message
+):
+    # These failed late: numpy's isfinite on "x", a comparison with "a",
+    # "0.5" inside the allocation-compare run, an attribute of the dict.
+    with pytest.raises(ValueError, match=re.escape(message)):
+        _spec(experiment, **{field: value})
+
+
 def test_power_sweep_shape():
     table = run_experiment(_spec("power-sweep", sweep=tuple(range(0, 101, 10))))
     means = {row[0]: row[3] for row in table.rows}

@@ -4,8 +4,9 @@ Inputs are small valid files in the one format ``dumps`` writes -- a
 generated grid-2 file, the hand-written two-street file and the grid-4
 golden -- that are truncated, lose a line, have two lines swapped, have
 one line written twice with its block's count bumped, or have one token
-replaced by a hostile value.  Examples are derandomised so every
-run checks the same cases.
+replaced by a hostile value.  Whatever loads is stored as read: ``dumps``
+writes each block after ``[config]`` back value for value.  Examples are
+derandomised so every run checks the same cases.
 """
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from icisim.errors import FormatError
 from icisim.scenario import ScenarioConfig, dumps, generate, loads, scenarios_equal
 
+from oracles import line_entries
 from test_scenario import HAND_WRITTEN
 
 _SCENARIO = generate(ScenarioConfig(grid_n=2, seed=3))
@@ -65,4 +67,9 @@ def test_loads_succeeds_or_raises_format_error(text):
     except FormatError:
         return
     # Whatever loads must also survive its own round trip.
-    assert scenarios_equal(sc, loads(dumps(sc)))
+    text_back = dumps(sc)
+    assert scenarios_equal(sc, loads(text_back))
+    # And it is stored as read: dumps writes every block back value for value.
+    read, written = line_entries(text), line_entries(text_back)
+    del read["config"], written["config"]
+    assert read == written

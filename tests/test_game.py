@@ -40,7 +40,7 @@ from icisim.scenario import ScenarioConfig, generate
 from conftest import make_instance, random_feasible_defense, random_instance, synthetic_impact
 from oracles import (
     budgeted_allocation_lp, lattice_best_attack, loop_fill, loop_source_reply, loop_station_reply,
-    station_residual_lp, unit_detection,
+    source_residual_milp, station_residual_lp, unit_detection,
 )
 
 STEALTHY = (StealthLevel.POWER_SOURCE, StealthLevel.POWER_LINE, StealthLevel.BASE_STATION)
@@ -1008,6 +1008,42 @@ def test_no_random_allocation_leaves_less_residual_than_the_source_equilibrium()
     for grid_n in range(3, 10):
         for seed in range(4):
             _check_random_allocations(StealthLevel.POWER_SOURCE, grid_n, seed, 10 * grid_n + seed)
+
+
+def _check_milp_oracle(level: StealthLevel) -> None:
+    """On grids 3-9 and seeds 0-1, at budgets of 0, 0.1, 0.3 and 0.5 times
+    the total headroom, no allocation the MILP oracle finds leaves less
+    residual than the equilibrium.  At a zero budget the oracle's residual
+    is the undefended one, which checks the drains it assumes."""
+    for grid_n in range(3, 10):
+        for seed in range(2):
+            inst = _property_instance(grid_n, seed)
+            budgets = np.array([0.0, 0.1, 0.3, 0.5]) * float(inst.headroom.sum())
+            allocations = equilibrium_allocations(level, inst, budgets)
+            se = reply_residuals(level, inst, allocations, budgets)
+            best = np.array([source_residual_milp(level, inst, float(b)) for b in budgets])
+            tolerance = 1e-9 * max(1.0, float(se[0]))
+            assert abs(best[0] - se[0]) <= tolerance
+            assert np.all(se <= best + tolerance), (grid_n, seed, budgets[se > best + tolerance])
+
+
+@pytest.mark.parametrize(
+    "level", [StealthLevel.POWER_LINE, StealthLevel.OVERT], ids=lambda level: level.value
+)
+def test_no_milp_allocation_leaves_less_residual_than_the_equilibrium(level):
+    # Stronger than criterion 5, which compares with the equal split only.
+    _check_milp_oracle(level)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 2: the source residual is not convex in the backup, since the "
+    "first max(D_b - h_b, 0) watts at station b buy nothing; its exact minimum is a "
+    "knapsack with setup costs, which the greedy fill does not solve",
+)
+def test_no_milp_allocation_leaves_less_residual_than_the_source_equilibrium():
+    _check_milp_oracle(StealthLevel.POWER_SOURCE)
 
 
 def test_equal_allocation_examples():

@@ -30,8 +30,9 @@ def test_single_generator_supplies_everything():
 
 def test_two_equal_shares_split_in_half():
     stations = _stations(1)
-    assignment = build_assignment(stations, np.array([[3.0, 3.0]]))
-    assert np.allclose(assignment.T[0], [0.5, 0.5])
+    shares = np.array([[0.5, 0.5]])
+    assignment = build_assignment(stations, shares)
+    assert assignment.T is shares
 
 
 def test_random_wiring_rows_sum_to_one():
@@ -43,16 +44,18 @@ def test_random_wiring_rows_sum_to_one():
     connected = [tuple(int(b) for b in np.nonzero(wired[:, g])[0]) for g in range(G)]
     # Guarantee every generator lists someone.
     connected = [c if c else (int(rng.integers(B)),) for c in connected]
-    shares = np.zeros((B, G))
+    weights = np.zeros((B, G))
     for g in range(G):
         for b in connected[g]:
-            shares[b, g] = rng.uniform(0.5, 2.0)
+            weights[b, g] = rng.uniform(0.5, 2.0)
+    # Raw weights are not shares; each row over its sum is.
+    with pytest.raises(ValueError, match="do not sum to 1"):
+        build_assignment(stations, weights)
+    shares = weights / weights.sum(axis=1, keepdims=True)
     assignment = build_assignment(stations, shares)
-    # Independent recomputation of the row sums from the raw weights.
-    expected = shares / shares.sum(axis=1, keepdims=True)
     assert np.allclose(assignment.T.sum(axis=1), 1.0, atol=1e-9)
-    assert np.allclose(assignment.T, expected)
-    assert np.array_equal(assignment.T > 0.0, shares > 0.0)
+    assert np.array_equal(assignment.T, shares)
+    assert np.array_equal(assignment.T > 0.0, weights > 0.0)
 
 
 def test_station_without_supply_is_rejected():
@@ -72,7 +75,7 @@ def test_generator_must_list_stations():
 
 def test_line_capacity_values():
     stations = _stations(2)
-    shares = np.array([[1.0, 0.0], [1.0, 1.0]])
+    shares = np.array([[1.0, 0.0], [0.5, 0.5]])
     assignment = build_assignment(stations, shares)
     caps = _instance(assignment, stations).line_caps
     # caps[b, g]: generator 1 has no line to station 0, so that entry is 0.
@@ -84,7 +87,8 @@ def test_line_capacities_sum_to_safe_output():
     rng = np.random.default_rng(4)
     B, G = 6, 2
     stations = _stations(B)
-    assignment = build_assignment(stations, rng.uniform(0.1, 1.0, (B, G)))
+    weights = rng.uniform(0.1, 1.0, (B, G))
+    assignment = build_assignment(stations, weights / weights.sum(axis=1, keepdims=True))
     instance = _instance(assignment, stations)
     for g in range(G):
         lines = instance.line_caps[assignment.T[:, g] > 0.0, g]
@@ -101,6 +105,18 @@ def test_full_supply_gives_full_coverage(grid3_scenario):
     supply = (assignment.T * assignment.p_full[:, None]).sum(axis=1)
     assert supply == pytest.approx(stations.p_full, rel=1e-9)
     assert coverage_fraction(stations, supply) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_shares_must_sum_to_one_per_station():
+    stations = _stations(3)
+    with pytest.raises(ValueError, match=r"^supply shares of stations \[0, 2\] do not sum to 1$"):
+        build_assignment(stations, np.array([[3.0, 3.0], [0.25, 0.75], [0.5, 0.5 + 2e-9]]))
+    # A NaN share fails the sum rule too.
+    with pytest.raises(ValueError, match=r"^supply shares of stations \[1\] do not sum to 1$"):
+        build_assignment(stations, np.array([[1.0, 0.0], [np.nan, 1.0], [0.0, 1.0]]))
+    # Within 1e-9 of 1, the shares are stored bit for bit.
+    near = np.array([[1.0, 0.0], [0.25, 0.75], [0.5, 0.5 + 5e-10]])
+    assert np.array_equal(build_assignment(stations, near).T, near)
 
 
 def test_share_matrix_validation():

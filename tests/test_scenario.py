@@ -539,6 +539,29 @@ def test_loader_rejects_ratios_that_do_not_sum_to_1():
         loads(LEAKY_FILE.read_text(encoding="utf-8"))
 
 
+def test_loader_rejects_links_that_do_not_sum_to_1():
+    # The grid-4 file with station 0's one supply share halved: the share
+    # is stored as read, so the station would draw half its power.
+    text = _golden("grid4-seed0", "v3")
+    assert "\nlinks 9\n0 0 1.0\n" in text
+    with pytest.raises(
+        FormatError, match=r"^\[pg\] supply shares of stations \[0\] do not sum to 1$"
+    ):
+        loads(text.replace("\nlinks 9\n0 0 1.0\n", "\nlinks 9\n0 0 0.5\n"))
+
+
+def test_links_within_the_share_tolerance_load_as_read():
+    # Station 0 split over two generators, its shares 1e-10 above 1 in sum.
+    text = _golden("grid4-seed0", "v3")
+    split = "\nlinks 10\n0 0 0.4\n0 1 0.6000000001\n"
+    edited = text.replace("\nlinks 9\n0 0 1.0\n", split)
+    assert split in edited
+    assert 0.4 + 0.6000000001 != 1.0
+    sc = loads(edited)
+    assert sc.assignment.T[0].tolist() == [0.4, 0.6000000001, 0.0]
+    assert dumps(sc) == edited
+
+
 def test_negative_count_is_rejected():
     text = HAND_WRITTEN.replace("links 1\n0 0 1.0\n", "links -1\n")
     with pytest.raises(FormatError, match="negative count"):
