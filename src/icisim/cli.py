@@ -72,9 +72,9 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
           f"streets={sc.network.n} stations={len(sc.base_stations)} "
           f"generators={len(sc.generators)}")
     print("bs_id  z_score        covered_streets")
-    counts = sc.coverage.covered_street_counts
-    for b in order:
-        print(f"{int(b):<6d} {sc.impact.z_scores[b]:<14.6g} {int(counts[b])}")
+    scores, counts = sc.impact.z_scores.tolist(), sc.coverage.covered_street_counts.tolist()
+    for b in order.tolist():
+        print(f"{b:<6d} {scores[b]:<14.6g} {counts[b]}")
     return EXIT_OK
 
 

@@ -7,24 +7,30 @@ table, ``_EXPERIMENTS``, gives each experiment id its runner and default
 sweep; four of them sweep one ``ScenarioConfig`` field and share one
 runner.  :func:`run_experiment` is the entry point for all.
 Scenario replicas differ only in seed, so a run is reproducible byte for
-byte from its spec.  A run builds each scenario from its layers
-(:func:`~icisim.scenario.build_streets`, ``build_its``, ``build_ci`` and
-``build_pg``) through a per-run memo keyed on the config fields each layer
-reads: the seed touches only the ITS and PG layers, so all replicas of a
-sweep point share one street layer and one CI layer.  The street layer
-holds the flow core's analysis of the grid, so after the first replica
-each one only draws its shares and refactors the balance block with the
-stored column order.  radius-sweep reuses each seed's ITS layer across
-radii, and the generator sweeps reuse the ITS and CI layers across
-generator counts.  Scenarios are built in seed order, and the memo is
-dropped when the run ends, so nothing is shared between runs.
-Every runner works on one game instance per sweep point, its replicas
-stacked on their shared stations (:meth:`~icisim.game.GameInstance.stack`):
-power-sweep makes one :func:`~icisim.impact.its_deviations` call over all
-cuts, and the other runners one :func:`~icisim.game.equilibrium_allocations`
-fill over all budgets and one :func:`~icisim.game.reply_residuals` call per
-level, with generators-single's attack sources picked in one pass.  Each
-gives one row per budget or cut and one column per replica.
+byte from its spec.  A run builds the R replicas of each sweep point
+layer by layer along a replica axis, through a per-run memo (``_Layers``)
+keyed on the config fields each layer reads: the seed touches only the
+ITS and PG layers, so all replicas of a sweep point share one street
+layer and one CI layer, and the seeded layers are stacks, the ITS layer
+the replicas' (R, n) null vectors and the PG layer their (R, B, G) supply
+shares.  The first replica on a street layer is built by
+:func:`~icisim.scenario.generate`, which analyses the street pattern; the
+others come from :func:`~icisim.scenario.build_its_stack`, which draws
+each seed's shares, checks all in one pass and refactors each block with
+the stored column order, and :func:`~icisim.scenario.build_pg_stack`,
+which wires all seeds in one pass.  One
+:func:`~icisim.impact.build_impact_model` call gives every replica's
+scales.  radius-sweep reuses the ITS layer across radii, and the
+generator sweeps reuse the ITS and CI layers across generator counts.
+The memo is dropped when the run ends, so nothing is shared between runs.
+Every runner works on the one game instance of each sweep point, its
+replicas stacked on their shared stations: power-sweep makes one
+:func:`~icisim.impact.its_deviations` call over all cuts, and the other
+runners one :func:`~icisim.game.equilibrium_allocations` fill over all
+budgets and one :func:`~icisim.game.reply_residuals` call per level, with
+generators-single's attack sources picked in one pass.  Each gives one
+row per budget or cut and one column per replica, and every replica's
+slice is bit for bit what ``generate`` of its seed gives.
 """
 from __future__ import annotations
 
@@ -43,7 +49,8 @@ from .game import (
     equilibrium_allocations,
     reply_residuals,
 )
-from .impact import its_deviations
+from .impact import build_impact_model, its_deviations
+from .power import PowerAssignment
 from .scenario import (
     CI_FIELDS,
     ITS_FIELDS,
@@ -51,10 +58,9 @@ from .scenario import (
     STREET_FIELDS,
     Scenario,
     ScenarioConfig,
-    assemble,
     build_ci,
-    build_its,
-    build_pg,
+    build_its_stack,
+    build_pg_stack,
     generate,
 )
 
@@ -135,46 +141,56 @@ _LAYER_KEYS = (
 
 
 class _Layers:
-    """Per-run memo of scenario layers, keyed on the config fields each reads.
+    """Per-run memo of the layers of ``reps`` seeded replicas, keyed on the
+    config fields each layer reads, and built layer by layer along the
+    replica axis.
 
-    A config that shares no layer with an earlier one is built by
-    :func:`~icisim.scenario.generate`; otherwise only its missing layers
-    are built, and the scenario is assembled from those and the shared
-    ones.  Either way it equals ``generate(config)``.  The first path stays
-    although the builders alone would give the same scenario: perfbench's
-    traced sweep-grid9 workload reports the ``scenario.generate`` span,
-    which only :func:`generate` opens, and a traced run without that span
-    lacks the ``scenario.generate.s`` metric that BENCHMARK.json lists.
+    The seeded layers are stacks: the ITS layer is the replicas' (R, n)
+    null vectors, the PG layer their (R, B, G) supply shares.  The first
+    sweep point on a street layer builds its first replica by
+    :func:`~icisim.scenario.generate`, which keeps the street and CI layers
+    and orders the flow core's columns, and the stacked builders
+    (:func:`~icisim.scenario.build_its_stack`,
+    :func:`~icisim.scenario.build_pg_stack`) add the other replicas; a
+    later sweep point builds only its missing layers, each for all
+    replicas.  perfbench's traced sweep-grid9 workload reports the
+    ``scenario.generate`` span and the flow-core spans inside it, which
+    only :func:`generate` opens, so the first replica stays on that path.
+    With one replica the stacked builders get no seeds.  Every replica's
+    slice of :meth:`stack` equals ``generate(config).game_instance()``
+    of its seed, bit for bit.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, reps: int) -> None:
+        self.reps = reps
         self._built: dict[tuple, Any] = {}
 
-    def scenario(self, config: ScenarioConfig) -> Scenario:
+    def stack(self, config: ScenarioConfig) -> GameInstance:
+        """The game instance of the replicas of seeds ``config.seed`` to
+        ``config.seed + reps - 1``, stacked in seed order."""
         built = self._built
         streets, its, ci, pg = (
             (name, *(getattr(config, f) for f in keys)) for name, keys in _LAYER_KEYS
         )
+        seeds = range(config.seed, config.seed + self.reps)
         if streets not in built:
             sc = generate(config)
-            built[streets] = sc.network.pattern
-            built[its] = sc.network
-            built[ci] = (sc.base_stations, sc.coverage)
-            built[pg] = (sc.generators, sc.assignment)
-            return sc
+            pattern, stations = sc.network.pattern, sc.base_stations
+            built[streets] = pattern
+            built[ci] = (stations, sc.coverage)
+            rest = build_its_stack(pattern, seeds[1:])
+            built[its] = np.concatenate((sc.network.null_vector[None], rest))
+            rest = build_pg_stack(config, stations, seeds[1:]).T
+            built[pg] = np.concatenate((sc.assignment.T[None], rest))
         if its not in built:
-            built[its] = build_its(config, built[streets])
+            built[its] = build_its_stack(built[streets], seeds)
         if ci not in built:
-            built[ci] = build_ci(config, built[its].graph)
+            built[ci] = build_ci(config, built[streets].graph)
+        stations, coverage = built[ci]
         if pg not in built:
-            built[pg] = build_pg(config, built[ci][0])
-        return assemble(config, built[its], built[ci], built[pg])
-
-
-def _replica_stack(base: ScenarioConfig, reps: int, layers: _Layers) -> GameInstance:
-    """The game instances of ``reps`` seeds from ``base.seed`` on, stacked in order."""
-    configs = [replace(base, seed=base.seed + rep) for rep in range(reps)]
-    return GameInstance.stack([layers.scenario(c).game_instance() for c in configs])
+            built[pg] = build_pg_stack(config, stations, seeds).T
+        impact = build_impact_model(built[its], coverage, stations, config.delta)
+        return GameInstance(impact, PowerAssignment(built[pg], stations.p_full))
 
 
 def _stat_rows(
@@ -197,7 +213,7 @@ def _stat_rows(
 
 def _run_power_sweep(spec: ExperimentSpec) -> SweepTable:
     """Uniform percentage cut of all generation versus total flow deviation."""
-    instance = _replica_stack(spec.base, spec.reps, _Layers())
+    instance = _Layers(spec.reps).stack(spec.base)
     # One (1, B) cut per reduction, shared by the replicas: (K, R) samples.
     cuts = np.array(spec.sweep, dtype=float)[:, None, None] / 100.0 * instance.assignment.p_full
     samples = its_deviations(instance.impact, cuts)
@@ -233,12 +249,12 @@ def _run_config_sweep(name: str, kind: type, single: bool, spec: ExperimentSpec)
     field takes only integral sweep values; any other value reaches
     :class:`ScenarioConfig` as it is, which rejects it.
     """
-    layers = _Layers()
+    layers = _Layers(spec.reps)
     keys, samples = [], []
     for value in spec.sweep:
         if kind is float or float(value).is_integer():
             value = kind(value)
-        instance = _replica_stack(replace(spec.base, **{name: value}), spec.reps, layers)
+        instance = layers.stack(replace(spec.base, **{name: value}))
         for level in spec.levels:
             picked = _attack_sources(level, instance)[:, None].tolist() if single else None
             allocations = equilibrium_allocations(level, instance, spec.budgets)
@@ -272,7 +288,7 @@ def _run_allocation_compare(spec: ExperimentSpec) -> SweepTable:
     ``line:equal``.  Fractional budgets are resolved against the replicas'
     shared headroom, so they are those of the base config's own seed.
     """
-    instance = _replica_stack(spec.base, spec.reps, _Layers())
+    instance = _Layers(spec.reps).stack(spec.base)
     budgets = resolve_budget_sweep(spec.sweep, instance)
     K = len(budgets)
     count = instance.num_stations

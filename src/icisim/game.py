@@ -17,9 +17,9 @@ the game is therefore linear-time in the number of stations (up to the
 sort) and suits large instances.
 
 Each game step has one implementation that takes many budgets and many
-replicas at once.  A :class:`GameInstance` built by
-:meth:`GameInstance.stack` carries R seeded replicas of one sweep point
-along a leading axis; a single scenario is the case with no such axis.
+replicas at once.  A :class:`GameInstance` may carry R seeded replicas of
+one sweep point along a leading axis, as the experiment runners build
+it; a single scenario is the case with no such axis.
 One array fill gives the equilibrium backup at K budgets
 (:func:`equilibrium_allocations`), shape (K, R, B) for a stack of R
 replicas of B stations, the station-level reply of
@@ -75,10 +75,10 @@ class GameInstance:
     safe generator outputs from the supply shares and station ratings.  The
     instance caches those two and the defender's fill order.
 
-    A stack of R replicas (:meth:`stack`) shares its stations, so
-    ``headroom`` and ``p_full`` stay (B,); the scores are (R, B),
-    ``assignment.T`` and ``line_caps`` (R, B, G), ``safe_outputs`` (R, G)
-    and ``fill_order`` (R, B).
+    A stack of R replicas shares its stations, so ``headroom`` and
+    ``p_full`` stay (B,); the scores are (R, B), ``assignment.T`` and
+    ``line_caps`` (R, B, G), ``safe_outputs`` (R, G) and ``fill_order``
+    (R, B).
     """
 
     impact: ImpactModel
@@ -87,38 +87,6 @@ class GameInstance:
     def __post_init__(self) -> None:
         if self.impact.num_stations != self.assignment.num_stations:
             raise ValueError("impact model and assignment disagree on station count")
-
-    @classmethod
-    def stack(cls, instances: Sequence[GameInstance]) -> GameInstance:
-        """The replicas ``instances``, in order, along a leading axis R.
-
-        Replicas of one sweep point differ only in seed, so they share
-        their stations, street count, ``delta`` and generator count;
-        ValueError unless they do.
-        """
-        if not instances:
-            raise ValueError("need at least one replica to stack")
-        first = instances[0]
-        for other in instances[1:]:
-            if not (
-                np.array_equal(other.headroom, first.headroom)
-                and np.array_equal(other.assignment.p_full, first.assignment.p_full)
-                and other.impact.null_vector.shape == first.impact.null_vector.shape
-                and other.impact.delta == first.impact.delta
-                and other.num_generators == first.num_generators
-            ):
-                raise ValueError(
-                    "stacked replicas must share their stations, street count, delta "
-                    "and generator count"
-                )
-        impact = ImpactModel(
-            np.stack([inst.impact.null_vector for inst in instances]),
-            np.stack([inst.impact.scale for inst in instances]),
-            first.headroom,
-            first.impact.delta,
-        )
-        T = np.stack([inst.assignment.T for inst in instances])
-        return cls(impact, PowerAssignment(T, first.assignment.p_full))
 
     @property
     def num_stations(self) -> int:
@@ -582,8 +550,8 @@ def solution_to_json(
     doc = {
         "level": level.value,
         "budget": defense.budget,
-        "p_d": [repr(float(x)) for x in defense.allocation],
-        "p_a": [[repr(float(x)) for x in row] for row in attack.deviations],
+        "p_d": list(map(repr, defense.allocation.tolist())),
+        "p_a": [list(map(repr, row)) for row in attack.deviations.tolist()],
         "defender_payoff": repr(outcome.defender_payoff),
         "attacker_payoff": repr(outcome.attacker_payoff),
         "detection": outcome.detection.tolist(),

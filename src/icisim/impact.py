@@ -25,7 +25,7 @@ from typing import IO
 import numpy as np
 
 from .coverage import CoverageMap, Stations
-from .traffic import FlowNetwork, _anchor_entries, csr_entries
+from .traffic import _anchor_entries, _row_bincount, csr_entries
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,7 +39,7 @@ class ImpactModel:
     ``delta`` converts the dimensionless fractions to veh/h/lane per km of
     affected street.
 
-    The game's replica stack (:meth:`~icisim.game.GameInstance.stack`)
+    A replica stack (:func:`build_impact_model` of (R, n) null vectors)
     gives ``null_vector`` and ``scale`` a leading replica axis, and so
     ``z_scores``; the replicas share ``headroom`` and ``delta``.
     """
@@ -64,21 +64,25 @@ class ImpactModel:
 
 
 def build_impact_model(
-    net: FlowNetwork,
+    null_vector: np.ndarray,
     coverage: CoverageMap,
     stations: Stations,
     delta: float = 1.0,
 ) -> ImpactModel:
-    """Assemble the impact model for all stations of a scenario.
+    """Assemble the impact model for all stations of a scenario from its
+    network's ``null_vector``.
 
-    Raises SingularError when a covered street's null-vector entry vanishes;
-    uncovered streets are never divided by.
+    R seeded replicas on one street layer and one set of stations give
+    (R, n) null vectors and an (R, B) ``scale``, each row bit for bit its
+    own call: one gather, one anchor check and one ``np.bincount`` serve
+    them all.  Raises SingularError when a covered street's null-vector
+    entry vanishes; uncovered streets are never divided by.
     """
     headroom = stations.headroom
     streets, cells, fractions = csr_entries(coverage.fractions)
-    weights = fractions / (headroom[cells] * _anchor_entries(net, streets))
-    scale = np.bincount(cells, weights, minlength=len(stations))
-    return ImpactModel(net.null_vector, scale, headroom, float(delta))
+    weights = fractions / (headroom[cells] * _anchor_entries(null_vector, streets))
+    scale = _row_bincount(cells, weights, len(stations))
+    return ImpactModel(null_vector, scale, headroom, float(delta))
 
 
 def _row_dots(z: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -104,6 +108,5 @@ def export_impact_csv(impact: ImpactModel, coverage: CoverageMap, stream: IO[str
     """Write per-station scores as CSV (bs_id, z_score, covered_streets)."""
     writer = csv.writer(stream)
     writer.writerow(["bs_id", "z_score", "covered_streets"])
-    counts = coverage.covered_street_counts
-    for b in range(impact.num_stations):
-        writer.writerow([b, repr(float(impact.z_scores[b])), int(counts[b])])
+    counts = coverage.covered_street_counts.tolist()
+    writer.writerows(zip(range(impact.num_stations), map(repr, impact.z_scores.tolist()), counts))

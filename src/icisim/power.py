@@ -23,8 +23,8 @@ class PowerAssignment:
 
     ``T[b, g]`` is the share of station ``b``'s power supplied by generator
     ``g`` (zero where no line exists); ``p_full[b]`` is the station's
-    full-coverage power in watts.  The game's replica stack gives ``T`` a
-    leading replica axis; its replicas share ``p_full``.
+    full-coverage power in watts.  A replica stack gives ``T`` a leading
+    replica axis; its replicas share ``p_full``.
     """
 
     T: np.ndarray
@@ -47,22 +47,31 @@ def build_assignment(stations: Stations, shares: np.ndarray) -> PowerAssignment:
     positive share raises ValueError, and a station with none raises
     DisconnectedError; the shares of every station must then sum to 1
     within 1e-9 (ValueError listing the stations whose shares do not).
+    A replica stack of shares, (R, B, G), is checked in one pass over all
+    replicas, and the first replica at fault raises its own build's error.
     """
     B = len(stations)
     shares = np.asarray(shares, dtype=float)
-    if shares.ndim != 2 or shares.shape[0] != B:
+    if shares.ndim < 2 or shares.shape[-2] != B:
         raise ValueError(f"share matrix has shape {shares.shape}, expected ({B}, generators)")
-    idle = np.flatnonzero(~(shares > 0.0).any(axis=0))
-    if idle.size:
-        raise ValueError(f"generator {idle[0]} is connected to no station")
-    if np.any(shares < 0.0):
-        raise ValueError("supply shares must be nonnegative")
-
-    totals = shares.sum(axis=1)
-    dead = np.nonzero(totals <= 0.0)[0]
-    if dead.size:
-        raise DisconnectedError(f"stations {dead.tolist()} have no supplying generator")
-    leaky = np.flatnonzero(~(np.abs(totals - 1.0) <= 1e-9))  # so a NaN fails too
-    if leaky.size:
-        raise ValueError(f"supply shares of stations {leaky.tolist()} do not sum to 1")
+    stack = shares.reshape(-1, *shares.shape[-2:])
+    idle = ~(stack > 0.0).any(axis=1)
+    negative = (stack < 0.0).any(axis=(1, 2))
+    totals = stack.sum(axis=2)
+    dead = totals <= 0.0
+    leaky = ~(np.abs(totals - 1.0) <= 1e-9)  # so a NaN fails too
+    failed = np.flatnonzero(idle.any(axis=1) | negative | leaky.any(axis=1))
+    if failed.size:
+        r = failed[0]
+        if idle[r].any():
+            raise ValueError(f"generator {np.flatnonzero(idle[r])[0]} is connected to no station")
+        if negative[r]:
+            raise ValueError("supply shares must be nonnegative")
+        if dead[r].any():
+            raise DisconnectedError(
+                f"stations {np.flatnonzero(dead[r]).tolist()} have no supplying generator"
+            )
+        raise ValueError(
+            f"supply shares of stations {np.flatnonzero(leaky[r]).tolist()} do not sum to 1"
+        )
     return PowerAssignment(shares, stations.p_full)

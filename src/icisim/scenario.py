@@ -20,7 +20,13 @@ across configs that agree on those fields.  The street layer is the one
 no seed changes: :func:`generate` builds it afresh, and a caller that
 keeps it, as the experiment runners do for their replicas, has each
 further ITS layer on it only draw shares and refactor the balance block
-with the street layer's stored analysis.  Generation and loading check
+with the street layer's stored analysis.  The seeded layers of many
+seeds also come as stacks along a leading replica axis:
+:func:`build_its_stack` gives their (R, n) null vectors, with no network
+object per seed, and :func:`build_pg_stack` their (R, B, G) supply
+shares, wired and checked in one pass.  :func:`build_its` and
+:func:`build_pg` share their checks and their wiring, and each stacked
+row is bit for bit what they give its seed.  Generation and loading check
 and lay out the ITS layer the same way, through a
 :class:`~icisim.traffic.FlowPattern`, and build the other two with
 :func:`~icisim.coverage.build_coverage` and
@@ -69,6 +75,7 @@ from .traffic import (
     csr_entries,
     csr_equal,
     network_from_matrix,
+    null_vectors,
 )
 
 FILE_HEADER = "icisim scenario v3"
@@ -252,33 +259,35 @@ def _wire_generators(
     config: ScenarioConfig,
     positions: np.ndarray,
     stations: Stations,
-    rng: np.random.Generator,
+    rngs: Sequence[np.random.Generator],
 ) -> np.ndarray:
-    """Raw (B, G) supply weights: each generator wired to its k nearest
-    stations, k drawn uniformly, ties to the lower station id.
+    """Raw (R, B, G) supply weights of R replicas' (R, G, 2) generator
+    sites: each generator wired to its k nearest stations, k drawn
+    uniformly from its replica's ``rngs`` entry, ties to the lower station id.
 
     Stations left out by every draw are attached to their nearest generator,
     ties to the lower generator id, so that no station is dark by
     construction.  Weights fall off with distance, zero where no line
-    exists, and :func:`build_pg` divides each row by its sum.
+    exists, and :func:`build_pg` divides each row by its sum.  All
+    replicas are wired in one pass, each bit for bit its own.
     """
     B = len(stations)
     G = config.num_generators
     centers = stations.center
     dists = np.hypot(
-        centers[:, 0][:, None] - positions[:, 0][None, :],
-        centers[:, 1][:, None] - positions[:, 1][None, :],
-    )  # (B, G)
+        centers[:, 0][:, None] - positions[..., None, :, 0],
+        centers[:, 1][:, None] - positions[..., None, :, 1],
+    )  # (R, B, G)
     if config.bs_per_generator_range is None:
         lo, hi = 1, max(1, -(-2 * B // G))
     else:
         lo, hi = config.bs_per_generator_range
-    k = rng.integers(lo, hi + 1, size=G)
+    k = np.array([rng.integers(lo, hi + 1, size=G) for rng in rngs]).reshape(-1, 1, G)
     # Each station's rank by distance from each generator.
-    rank = np.argsort(np.argsort(dists, axis=0, kind="stable"), axis=0, kind="stable")
+    rank = np.argsort(np.argsort(dists, axis=1, kind="stable"), axis=1, kind="stable")
     wired = rank < k
-    dark = np.flatnonzero(~wired.any(axis=1))
-    wired[dark, np.argmin(dists[dark], axis=1)] = True
+    replica, dark = np.nonzero(~wired.any(axis=2))
+    wired[replica, dark, np.argmin(dists[replica, dark], axis=1)] = True
     return np.where(wired, 1.0 / np.maximum(dists, 1e-9), 0.0)
 
 
@@ -310,6 +319,15 @@ def build_its(config: ScenarioConfig, streets: FlowPattern) -> FlowNetwork:
     return build_flow_matrix(streets, shares)
 
 
+def build_its_stack(streets: FlowPattern, seeds: Sequence[int]) -> np.ndarray:
+    """The ITS layers of R seeds on ``streets``, as their (R, n) unit null
+    vectors: each seed's shares are those :func:`build_its` draws, all are
+    checked in one pass, and each row is its network's ``null_vector`` bit
+    for bit (:func:`~icisim.traffic.null_vectors`)."""
+    draws = [_sample_shares(streets.rows, _rng(seed, _STREAM_RATIOS)) for seed in seeds]
+    return null_vectors(streets, np.reshape(draws, (len(seeds), streets.nnz)))
+
+
 def build_ci(config: ScenarioConfig, graph: StreetGraph) -> tuple[Stations, CoverageMap]:
     """The CI layer: hex tiling of the grid's square, stations and coverage."""
     side = config.extent
@@ -318,15 +336,36 @@ def build_ci(config: ScenarioConfig, graph: StreetGraph) -> tuple[Stations, Cove
     return stations, build_coverage(graph, stations)
 
 
+def _pg_shares(
+    config: ScenarioConfig, stations: Stations, seeds: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (R, G, 2) generator sites and (R, B, G) supply shares of R seeds,
+    each station's wiring weights over their sum."""
+    sites = [_place_generators(config, _rng(seed, _STREAM_GENERATORS)) for seed in seeds]
+    positions = np.reshape(sites, (len(seeds), config.num_generators, 2))
+    rngs = [_rng(seed, _STREAM_CONNECTIONS) for seed in seeds]
+    weights = _wire_generators(config, positions, stations, rngs)
+    return positions, weights / weights.sum(axis=2, keepdims=True)
+
+
 def build_pg(
     config: ScenarioConfig, stations: Stations
 ) -> tuple[np.ndarray, PowerAssignment]:
     """The PG layer: seeded generator sites, read-only, and their supply
     shares to ``stations``, each station's wiring weights over their sum."""
-    positions = _place_generators(config, _rng(config.seed, _STREAM_GENERATORS))
+    (positions,), (shares,) = _pg_shares(config, stations, (config.seed,))
     positions.flags.writeable = False
-    weights = _wire_generators(config, positions, stations, _rng(config.seed, _STREAM_CONNECTIONS))
-    return positions, build_assignment(stations, weights / weights.sum(axis=1)[:, None])
+    return positions, build_assignment(stations, shares)
+
+
+def build_pg_stack(
+    config: ScenarioConfig, stations: Stations, seeds: Sequence[int]
+) -> PowerAssignment:
+    """The PG layers of R seeds, read from ``config`` but for its seed, as
+    one PowerAssignment whose (R, B, G) ``T`` holds each seed's
+    :func:`build_pg` shares bit for bit; all are wired and checked in one
+    pass."""
+    return build_assignment(stations, _pg_shares(config, stations, seeds)[1])
 
 
 def assemble(
@@ -338,7 +377,7 @@ def assemble(
     """The scenario of three built layers, with its impact model."""
     stations, coverage = ci
     generators, assignment = pg
-    impact = build_impact_model(network, coverage, stations, config.delta)
+    impact = build_impact_model(network.null_vector, coverage, stations, config.delta)
     return Scenario(config, network, stations, coverage, generators, assignment, impact)
 
 
@@ -687,7 +726,7 @@ def loads(text: str) -> Scenario:
     try:
         stations = Stations(rows[:, :2], *rows[:, 2:].T)
         coverage = build_coverage(network.graph, stations)
-        impact = build_impact_model(network, coverage, stations, config.delta)
+        impact = build_impact_model(network.null_vector, coverage, stations, config.delta)
     except (ValueError, IcisimError) as err:
         raise FormatError(f"[ci] {err}") from None
     try:

@@ -173,9 +173,26 @@ class FlowNetwork:
         (RankError otherwise); every flow solution is a scalar multiple of
         this vector.  Its largest-magnitude entry is positive.
         """
-        v = self.pattern._analysis.null_vector(self.Q.data)
-        v /= np.linalg.norm(v)
-        return v if v[np.argmax(np.abs(v))] > 0.0 else -v
+        return _unit(self.pattern._analysis.null_vector(self.Q.data))
+
+
+def _unit(v: np.ndarray) -> np.ndarray:
+    """``v`` scaled to unit norm, with its largest-magnitude entry positive."""
+    v /= np.linalg.norm(v)
+    return v if v[np.argmax(np.abs(v))] > 0.0 else -v
+
+
+def _row_bincount(index: np.ndarray, weights: np.ndarray, length: int) -> np.ndarray:
+    """``np.bincount(index, row, minlength=length)`` of every row of
+    ``weights`` over its batch axes, in one call.  ``index`` lies in
+    ``0..length - 1``; each row's bins are offset past the last row's, and
+    ``np.bincount`` adds each bin's weights in input order, so every row
+    is bit for bit its own call."""
+    batch = weights.shape[:-1]
+    count = int(np.prod(batch))
+    bins = (index + length * np.arange(count)[:, None]).reshape(-1)
+    sums = np.bincount(bins, weights.reshape(-1), minlength=count * length)
+    return sums.reshape(*batch, length)
 
 
 def csr_entries(M: scipy.sparse.csr_array) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -369,6 +386,34 @@ class _DeflatedBlock:
         return np.concatenate((y[:k], [1.0], y[k:]))
 
 
+def _checked_data(pattern: FlowPattern, shares: np.ndarray) -> np.ndarray:
+    """The ``Q.data`` rows of R rows of shares, (R, nnz), checked as
+    :func:`build_flow_matrix` says in one pass over all rows; the first
+    row that fails raises the error its own build would."""
+    n, R = pattern.graph.n, len(shares)
+    if shares.shape[1:] != pattern.rows.shape:
+        raise ValueError(f"expected {pattern.nnz} turning shares, one per pair, got {shares.size}")
+    data = np.empty((R, pattern.nnz))
+    data[:, pattern.slot] = shares
+    bad = ~(np.isfinite(data) & (data > 0.0))
+    row_sums = _row_bincount(pattern.rows, shares, n)
+    leaky = pattern.has_outflow & (np.abs(row_sums - 1.0) > 1e-9)
+    failed = np.flatnonzero(bad.any(axis=1) | leaky.any(axis=1))
+    if failed.size:
+        r = failed[0]
+        if bad[r].any():
+            e = np.flatnonzero(bad[r])[0]
+            j = int(np.searchsorted(pattern.indptr, e, side="right")) - 1
+            raise ValueError(
+                f"ratio matrix entry ({j}, {int(pattern.indices[e])}) is {float(data[r, e])!r}, "
+                "not a finite positive share"
+            )
+        raise ValueError(
+            f"outflow shares of inflow streets {np.flatnonzero(leaky[r]).tolist()} do not sum to 1"
+        )
+    return data
+
+
 def build_flow_matrix(pattern: FlowPattern, shares) -> FlowNetwork:
     """Assemble the balance system from per-inflow turning ratios, factorised.
 
@@ -379,29 +424,31 @@ def build_flow_matrix(pattern: FlowPattern, shares) -> FlowNetwork:
     within 1e-9 (ValueError listing the streets whose shares do not).
     The pattern has checked the graph and the placement of every pair;
     RankError when the resulting balance matrix does not have rank n-1.
+    The shares are checked as the one row of :func:`null_vectors`.
     """
     n = pattern.graph.n
-    shares = np.asarray(shares, dtype=float).reshape(-1)
-    if shares.shape != pattern.rows.shape:
-        raise ValueError(f"expected {pattern.nnz} turning shares, one per pair, got {shares.size}")
-    data = np.empty(pattern.nnz)
-    data[pattern.slot] = shares
-    bad = np.flatnonzero(~(np.isfinite(data) & (data > 0.0)))
-    if bad.size:
-        e = bad[0]
-        j = int(np.searchsorted(pattern.indptr, e, side="right")) - 1
-        raise ValueError(
-            f"ratio matrix entry ({j}, {int(pattern.indices[e])}) is {float(data[e])!r}, "
-            "not a finite positive share"
-        )
-    row_sums = np.bincount(pattern.rows, shares, minlength=n)
-    bad_rows = np.flatnonzero(pattern.has_outflow & (np.abs(row_sums - 1.0) > 1e-9))
-    if bad_rows.size:
-        raise ValueError(f"outflow shares of inflow streets {bad_rows.tolist()} do not sum to 1")
-    Q = scipy.sparse.csr_array((data, pattern.indices, pattern.indptr), shape=(n, n), copy=True)
+    shares = np.asarray(shares, dtype=float).reshape(1, -1)
+    data = _checked_data(pattern, shares)[0]
+    Q = scipy.sparse.csr_array((data, pattern.indices, pattern.indptr), shape=(n, n))
     net = FlowNetwork(pattern, Q)
     net.null_vector  # factorise now so a rank failure surfaces at construction
     return net
+
+
+def null_vectors(pattern: FlowPattern, shares) -> np.ndarray:
+    """The unit null vectors, (R, n), of the networks of R rows of shares
+    (R, nnz) on ``pattern``, each bit for bit its network's ``null_vector``.
+
+    All rows are checked in one pass, as :func:`build_flow_matrix` checks
+    one; the first row at fault raises its own build's error.  Each row's
+    block is then factored in turn, one ``splu`` per row, and no network
+    object is built.
+    """
+    data = _checked_data(pattern, np.asarray(shares, dtype=float))
+    v = np.empty((len(data), pattern.graph.n))
+    for r, row in enumerate(data):
+        v[r] = _unit(pattern._analysis.null_vector(row))
+    return v
 
 
 def network_from_matrix(graph: StreetGraph, Q) -> FlowNetwork:
@@ -421,17 +468,20 @@ def network_from_matrix(graph: StreetGraph, Q) -> FlowNetwork:
     return build_flow_matrix(FlowPattern(graph, Q.row, Q.col), Q.data)
 
 
-def _anchor_entries(net: FlowNetwork, streets: Sequence[int]) -> np.ndarray:
-    """Null-vector entries ``v[i]`` of the requested streets.
+def _anchor_entries(v: np.ndarray, streets: Sequence[int]) -> np.ndarray:
+    """Entries ``v[..., i]`` of the requested streets, for a null vector
+    ``v`` or a stack of them along leading axes.
 
-    Raises SingularError for a street whose entry vanishes, since no
-    balanced state moves its flow.
+    Raises SingularError for a street whose entry vanishes, against its
+    own vector's largest, since no balanced state moves its flow; the
+    first vector at fault names its first such street.
     """
     idx = np.asarray(streets, dtype=int)
-    v = net.null_vector
-    vmax = float(np.max(np.abs(v)))
-    small = np.abs(v[idx]) < 1e-9 * vmax
-    if np.any(small):
-        bad = idx[small][0]
+    entries = v[..., idx]
+    vmax = np.max(np.abs(v), axis=-1, keepdims=True)
+    small = np.abs(entries) < 1e-9 * vmax
+    if small.any():
+        rows = small.reshape(-1, len(idx))
+        bad = idx[rows[np.flatnonzero(rows.any(axis=1))[0]]][0]
         raise SingularError(f"reduced system for street {bad} is numerically singular")
-    return v[idx]
+    return entries

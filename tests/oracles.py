@@ -35,8 +35,10 @@ the source-reply oracle spreads each attacked generator's drain over
 its lines one generator at a time instead of in one array expression,
 the detection oracle sums one unit's drain and capacity line by line
 from ``T``, ``p_full`` and the headroom instead of reducing whole arrays,
-and the power-response oracle branches on the two thresholds instead of
-clipping one ratio.  ``Hexagon`` and ``anchored_flows`` restate, from
+the power-response oracle branches on the two thresholds instead of
+clipping one ratio, and the stack oracle builds each replica's whole game
+instance and copies them together instead of building the seeded layers
+along the replica axis.  ``Hexagon`` and ``anchored_flows`` restate, from
 their definitions, a cell and the flows fixed by one anchor street.
 
 The object builders are the street network as the package once held it,
@@ -64,6 +66,8 @@ import scipy.sparse
 from icisim.coverage import CoverageMap, _HEX_AXES, coverage_from_lengths
 from icisim.errors import OverlapError, SingularError
 from icisim.game import GameInstance, StealthLevel, attacker_payoff
+from icisim.impact import ImpactModel
+from icisim.power import PowerAssignment
 from icisim.traffic import StreetGraph
 
 Point = tuple[float, float]
@@ -764,6 +768,34 @@ def unit_detection(level: StealthLevel, instance: GameInstance, p_a: np.ndarray,
     if capacity <= 0.0:
         return 1.0 if drained > 0.0 else 0.0
     return min(drained / capacity, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# Replica stack
+
+
+def stack_instances(instances) -> GameInstance:
+    """The game instances of R replicas, in order, copied along a leading
+    axis, as the package once stacked them: one whole instance per replica.
+
+    Replicas of one sweep point differ only in seed, so they share their
+    stations, street count, ``delta`` and generator count.
+    """
+    first = instances[0]
+    for other in instances[1:]:
+        assert np.array_equal(other.headroom, first.headroom)
+        assert np.array_equal(other.assignment.p_full, first.assignment.p_full)
+        assert other.impact.null_vector.shape == first.impact.null_vector.shape
+        assert other.impact.delta == first.impact.delta
+        assert other.num_generators == first.num_generators
+    impact = ImpactModel(
+        np.stack([inst.impact.null_vector for inst in instances]),
+        np.stack([inst.impact.scale for inst in instances]),
+        first.headroom,
+        first.impact.delta,
+    )
+    T = np.stack([inst.assignment.T for inst in instances])
+    return GameInstance(impact, PowerAssignment(T, first.assignment.p_full))
 
 
 # ---------------------------------------------------------------------------

@@ -261,7 +261,7 @@ def _retile(sc, radius: float) -> tuple[GameInstance, int]:
     coverage = build_coverage(sc.network.graph, stations)
     # The config's seed places the same generators and wires them to the new stations.
     _, assignment = build_pg(sc.config, stations)
-    impact = build_impact_model(sc.network, coverage, stations, sc.config.delta)
+    impact = build_impact_model(sc.network.null_vector, coverage, stations, sc.config.delta)
     return GameInstance(impact, assignment), len(stations)
 
 

@@ -15,8 +15,9 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import splu
 
-from icisim import experiments, traffic
+from icisim import experiments, scenario, traffic
 from icisim.cli import main as cli_main
+from icisim.errors import IcisimError
 from icisim.experiments import (
     ExperimentSpec,
     SweepTable,
@@ -29,14 +30,9 @@ from icisim.experiments import (
     table_to_svg,
 )
 from icisim.game import StealthLevel, defender_caps
-from icisim.scenario import (
-    ScenarioConfig,
-    build_ci,
-    build_its,
-    build_pg,
-    generate,
-    scenarios_equal,
-)
+from icisim.scenario import ScenarioConfig, build_its_stack, build_streets, generate
+
+from oracles import stack_instances
 
 BASE = ScenarioConfig(grid_n=3, seed=100)
 LEVELS = (StealthLevel.POWER_SOURCE, StealthLevel.POWER_LINE, StealthLevel.BASE_STATION)
@@ -192,20 +188,22 @@ def test_allocation_compare_resolves_budgets_from_the_shared_headroom(monkeypatc
     seeds = []
     received = []
 
-    def counting(build):
-        def counted(config, *layers):
-            seeds.append(config.seed)
-            return build(config, *layers)
-        return counted
+    def generated(config):
+        seeds.append(config.seed)
+        return generate(config)
+
+    def stacked(streets, replica_seeds):
+        seeds.extend(replica_seeds)
+        return build_its_stack(streets, replica_seeds)
 
     def recording(sweep, instance):
         received.append(instance)
         return resolve_budget_sweep(sweep, instance)
 
     # The ITS layer reads the seed, so each replica builds its own: replica
-    # 0 from scratch by generate, the next one by build_its.
-    monkeypatch.setattr(experiments, "generate", counting(generate))
-    monkeypatch.setattr(experiments, "build_its", counting(build_its))
+    # 0 from scratch by generate, the next one by the stacked ITS builder.
+    monkeypatch.setattr(experiments, "generate", generated)
+    monkeypatch.setattr(experiments, "build_its_stack", stacked)
     monkeypatch.setattr(experiments, "resolve_budget_sweep", recording)
     table = run_experiment(spec)
     assert seeds == [BASE.seed, BASE.seed + 1]
@@ -220,52 +218,147 @@ def test_allocation_compare_resolves_budgets_from_the_shared_headroom(monkeypatc
     assert resolve_budget_sweep(spec.sweep, second) == resolved
 
 
-# Per experiment id: the (generate, build_its, build_ci, build_pg) calls of
-# a run with V sweep values and R replicas.  Only a config that shares no
-# layer with an earlier one is generated from scratch.
+# Per experiment id: the layer builds of a run with V sweep values and R
+# replicas, as (generate calls, the seed count of each build_its_stack
+# call, build_ci calls, the seed count of each build_pg_stack call).  The
+# first sweep point on a street layer generates its first replica and
+# stacks the other R - 1; a later one stacks only its missing layers, for
+# all R replicas.
 _LAYER_BUILDS = {
-    "power-sweep": lambda v, r: (1, r - 1, 0, r - 1),
-    "allocation-compare": lambda v, r: (1, r - 1, 0, r - 1),
-    "scale-sweep": lambda v, r: (v, v * (r - 1), 0, v * (r - 1)),
-    "radius-sweep": lambda v, r: (1, r - 1, v - 1, v * r - 1),
-    "generators-all": lambda v, r: (1, r - 1, 0, v * r - 1),
-    "generators-single": lambda v, r: (1, r - 1, 0, v * r - 1),
+    "power-sweep": lambda v, r: (1, [r - 1], 0, [r - 1]),
+    "allocation-compare": lambda v, r: (1, [r - 1], 0, [r - 1]),
+    "scale-sweep": lambda v, r: (v, [r - 1] * v, 0, [r - 1] * v),
+    "radius-sweep": lambda v, r: (1, [r - 1], v - 1, [r - 1] + [r] * (v - 1)),
+    "generators-all": lambda v, r: (1, [r - 1], 0, [r - 1] + [r] * (v - 1)),
+    "generators-single": lambda v, r: (1, [r - 1], 0, [r - 1] + [r] * (v - 1)),
 }
 _SWEEPS = {
     "power-sweep": (0.0, 50.0),
     "allocation-compare": (0.25, 1.0),
-    "scale-sweep": (2.0, 3.0),
-    "radius-sweep": (0.9, 1.2),
-    "generators-all": (1.0, 3.0),
-    "generators-single": (1.0, 3.0),
+    "scale-sweep": tuple(float(g) for g in range(3, 10)),
+    "radius-sweep": (0.6, 1.0),
+    "generators-all": (1.0, 3.0, 10.0),
+    "generators-single": (1.0, 3.0, 10.0),
 }
+_STACKED_FIELDS = (
+    ("impact", "null_vector"), ("impact", "scale"), ("impact", "z_scores"),
+    ("assignment", "T"), ("line_caps",),
+)
+
+
+_LAYER_BASES = (
+    BASE,
+    ScenarioConfig(grid_n=9, seed=5, cell_radius=0.6, num_generators=10,
+                   bs_per_generator_range=(2, 5)),
+)
 
 
 @pytest.mark.parametrize("experiment", experiments.EXPERIMENT_IDS)
 def test_shared_layers_give_the_generated_scenarios(monkeypatch, experiment):
-    calls = dict.fromkeys(("generate", "build_its", "build_ci", "build_pg"), 0)
-    scenarios = []
+    for base in _LAYER_BASES:
+        _check_shared_layers(monkeypatch, experiment, base)
+
+
+def _check_shared_layers(monkeypatch, experiment: str, base: ScenarioConfig) -> None:
+    calls = {"generate": 0, "build_its_stack": [], "build_ci": 0, "build_pg_stack": []}
+    keys, stacks = [], []
 
     def counted(name, build):
         def count(*args):
-            calls[name] += 1
+            if name in ("generate", "build_ci"):
+                calls[name] += 1
+                keys.append((name, args[0]))
+            else:
+                seeds = tuple(args[-1])
+                calls[name].append(len(seeds))
+                layer = args[0].graph.n if name == "build_its_stack" else args[0]
+                keys.append((name, layer, seeds))
             return build(*args)
         return count
 
-    def recorded(layers, config, scenario=experiments._Layers.scenario):
-        scenarios.append(scenario(layers, config))
-        return scenarios[-1]
+    def recorded(layers, config, stack=experiments._Layers.stack):
+        stacks.append((config, stack(layers, config)))
+        return stacks[-1][1]
 
-    for name in calls:
-        monkeypatch.setattr(experiments, name, counted(name, getattr(experiments, name)))
-    monkeypatch.setattr(experiments._Layers, "scenario", recorded)
-    spec = _spec(experiment, sweep=_SWEEPS[experiment], reps=3, budgets=(0.0, 50.0))
-    run_experiment(spec)
+    with monkeypatch.context() as patch:
+        for name in calls:
+            patch.setattr(experiments, name, counted(name, getattr(experiments, name)))
+        patch.setattr(experiments._Layers, "stack", recorded)
+        reps = 3
+        spec = _spec(experiment, base=base, sweep=_SWEEPS[experiment], reps=reps,
+                     budgets=(0.0, 50.0))
+        run_experiment(spec)
     values = 1 if experiment in ("power-sweep", "allocation-compare") else len(spec.sweep)
-    assert tuple(calls.values()) == _LAYER_BUILDS[experiment](values, spec.reps)
-    assert len(scenarios) == values * spec.reps
-    for sc in scenarios:
-        assert scenarios_equal(sc, generate(sc.config)), sc.config
+    assert tuple(calls.values()) == _LAYER_BUILDS[experiment](values, reps)
+    assert len(set(keys)) == len(keys)  # each layer once per key
+    assert len(stacks) == values
+    for config, stack in stacks:
+        alone = [generate(replace(config, seed=config.seed + r)).game_instance()
+                 for r in range(reps)]
+        expected = stack_instances(alone)
+        for path in _STACKED_FIELDS:
+            got, want = stack, expected
+            for attr in path:
+                got, want = getattr(got, attr), getattr(want, attr)
+            assert got.shape[0] == reps and np.array_equal(got, want), (config, path)
+        assert np.array_equal(stack.headroom, alone[0].headroom)
+        assert np.array_equal(stack.assignment.p_full, alone[0].assignment.p_full)
+        assert stack.impact.delta == alone[0].impact.delta
+
+
+def _corrupt_replica(monkeypatch, bad: ScenarioConfig, fault: str) -> None:
+    """Corrupt the layer of seed ``bad.seed`` alone, wherever it is built."""
+    if fault == "zero share":
+        sample = scenario._sample_shares
+        rows = build_streets(bad).rows
+        wrong = sample(rows, scenario._rng(bad.seed, scenario._STREAM_RATIOS))
+
+        def patched(rows, rng):
+            shares = sample(rows, rng)
+            if np.array_equal(shares, wrong):
+                shares = shares.copy()
+                shares[5] = 0.0
+            return shares
+
+        monkeypatch.setattr(scenario, "_sample_shares", patched)
+        return
+    T = generate(bad).assignment.T
+    # A station whose every generator supplies another station too, so
+    # that emptying its row leaves no generator idle.
+    b = next(b for b in range(len(T)) if ((T > 0).sum(axis=0)[T[b] > 0] > 1).all())
+    assign = scenario.build_assignment
+
+    def corrupted(stations, shares):
+        shares = np.array(shares)
+        for replica in shares.reshape(-1, *T.shape):
+            if np.array_equal(replica, T):
+                replica[b] *= 0.0 if fault == "dark station" else 0.5
+        return assign(stations, shares)
+
+    monkeypatch.setattr(scenario, "build_assignment", corrupted)
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        ("zero share", r"^ratio matrix entry \(\d+, \d+\) is 0\.0, not a finite positive share$"),
+        ("dark station", r"^stations \[\d+\] have no supplying generator$"),
+        ("leaky station", r"^supply shares of stations \[\d+\] do not sum to 1$"),
+    ],
+)
+def test_a_bad_replica_fails_the_stack_as_it_fails_alone(monkeypatch, fault, message):
+    # Replica 2 of the stack is built by the stacked ITS and PG builders,
+    # whose one pass over all replicas keeps every check of a single build.
+    base = ScenarioConfig(grid_n=4, seed=7, num_generators=3)
+    bad = replace(base, seed=base.seed + 2)
+    _corrupt_replica(monkeypatch, bad, fault)
+    with pytest.raises((IcisimError, ValueError), match=message) as alone:
+        generate(bad)
+    for r in (0, 1, 3):
+        generate(replace(base, seed=base.seed + r))  # the other replicas build cleanly
+    with pytest.raises(type(alone.value)) as stacked:
+        experiments._Layers(4).stack(base)
+    assert str(stacked.value) == str(alone.value)
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,6 @@ from icisim.errors import InfeasibleError
 from icisim.game import (
     AttackStrategy,
     DefenseStrategy,
-    GameInstance,
     StealthLevel,
     _detection_array,
     _fill_order,
@@ -33,7 +32,7 @@ from icisim.game import (
 )
 
 from icisim import game
-from icisim.experiments import _attack_sources, pick_attack_source
+from icisim.experiments import _Layers, _attack_sources, pick_attack_source
 from icisim.impact import its_deviations
 from icisim.scenario import ScenarioConfig, generate
 
@@ -599,8 +598,7 @@ def test_reply_residuals_check_allocations_and_every_reply(sweep_instances, monk
     # On a replica stack, an overspend and an overdrawn reply in the last
     # replica are caught, and the error names the unit without its replica.
     monkeypatch.setattr(game, "attacker_best_response", real)
-    other = generate(ScenarioConfig(grid_n=6, seed=2, num_generators=3)).game_instance()
-    stack = GameInstance.stack([inst, other])
+    stack = _Layers(2).stack(ScenarioConfig(grid_n=6, seed=1, num_generators=3))
     allocations = np.zeros((3, 2, B))
     allocations[2, 1, 0] = 10.0
     with pytest.raises(ValueError, match="spends 10.0 W of a 5.0 W budget"):
@@ -619,8 +617,10 @@ def test_reply_residuals_check_allocations_and_every_reply(sweep_instances, monk
 
 
 def _replicas(config, seeds):
+    # Each of the consecutive seeds' own scenario, and the experiments' stack
+    # of them, built layer by layer along the replica axis.
     scenarios = [generate(replace(config, seed=seed)) for seed in seeds]
-    return scenarios, GameInstance.stack([sc.game_instance() for sc in scenarios])
+    return scenarios, _Layers(len(seeds)).stack(replace(config, seed=seeds[0]))
 
 
 @pytest.fixture(scope="module")
@@ -677,20 +677,11 @@ def test_replica_slices_equal_the_single_instance_calls(replica_stack, level):
         assert _attack_sources(level, picked).tolist() == expected
 
 
-def test_stack_needs_shared_stations_and_one_source_list_per_replica(sweep_instances):
+def test_stack_needs_one_source_list_per_replica(sweep_instances):
     inst = sweep_instances[3]
-    assert GameInstance.stack([inst]).fill_order.shape == (1, inst.num_stations)
-    config = ScenarioConfig(grid_n=6, seed=2, num_generators=3)
-    for other in (
-        generate(replace(config, cell_radius=1.2)).game_instance(),  # other stations
-        generate(replace(config, power_ratio=3.0)).game_instance(),  # other ratings
-        sweep_instances[8],  # other generator count
-    ):
-        with pytest.raises(ValueError, match="^stacked replicas must share their stations"):
-            GameInstance.stack([inst, other])
-    with pytest.raises(ValueError, match="at least one replica"):
-        GameInstance.stack([])
-    stack = GameInstance.stack([inst, generate(config).game_instance()])
+    config = ScenarioConfig(grid_n=6, seed=1, num_generators=3)
+    assert _Layers(1).stack(config).fill_order.shape == (1, inst.num_stations)
+    stack = _Layers(2).stack(config)
     for target, sources in ((stack, [[0], [1], [2]]), (inst, [[0], [1]])):
         with pytest.raises(ValueError, match="source lists for replica axes"):
             attacker_best_response(StealthLevel.POWER_LINE, target, sources=sources)

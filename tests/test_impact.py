@@ -72,14 +72,14 @@ def test_station_covering_nothing_scores_zero():
     net = cycle_network()
     bs = Stations([(50.0, 50.0)], 1.0, 100.0, 200.0)
     coverage = coverage_from_lengths(net.graph, np.zeros((2, 1)))
-    model = build_impact_model(net, coverage, bs)
+    model = build_impact_model(net.null_vector, coverage, bs)
     assert np.array_equal(model.z_vectors, np.zeros((1, 2)))
     assert model.z_scores[0] == 0.0
 
 
 def test_station_covering_one_full_street():
     net, bs, coverage = _single_station_setup()
-    model = build_impact_model(net, coverage, bs)
+    model = build_impact_model(net.null_vector, coverage, bs)
     expected = _pattern(net, 0) / bs.headroom[0]
     assert np.allclose(model.z_vectors[0], expected, rtol=1e-12)
     assert model.z_scores[0] == pytest.approx(np.abs(expected).sum(), rel=1e-12)
@@ -90,13 +90,13 @@ def test_zero_flow_street_is_singular_only_when_covered():
     net = dead_end_network()
     bs = Stations([(0.5, 0.0)], 1.0, 100.0, 200.0)
     covers_flowing = coverage_from_lengths(net.graph, np.array([[1.0], [0.0], [0.0], [0.0]]))
-    model = build_impact_model(net, covers_flowing, bs)
+    model = build_impact_model(net.null_vector, covers_flowing, bs)
     vectors, scores = dense_impact(net, covers_flowing, bs)
     assert model.z_scores[0] == pytest.approx(scores[0], rel=1e-12)
     assert np.allclose(model.z_vectors, vectors, rtol=1e-12, atol=0.0)
     covers_dry = coverage_from_lengths(net.graph, np.array([[0.0], [0.0], [0.0], [1.0]]))
     with pytest.raises(SingularError):
-        build_impact_model(net, covers_dry, bs)
+        build_impact_model(net.null_vector, covers_dry, bs)
     with pytest.raises(SingularError):
         dense_impact(net, covers_dry, bs)
 
@@ -211,7 +211,7 @@ def _oracle_cases():
 def test_model_build_matches_per_station_route():
     # The rank-one model against the dense per-street sum of tests/oracles.py.
     for name, net, coverage, stations in _oracle_cases():
-        model = build_impact_model(net, coverage, stations)
+        model = build_impact_model(net.null_vector, coverage, stations)
         vectors, scores = dense_impact(net, coverage, stations)
         assert model.z_vectors.shape == vectors.shape, name
         assert np.allclose(model.z_vectors, vectors, rtol=1e-12, atol=0.0), name

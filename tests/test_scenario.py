@@ -287,20 +287,24 @@ def test_generated_Q_equals_Q_of_dict_oracle():
 
 
 def test_wiring_equals_set_oracle():
+    # One pass over the (R, B, G) distances of four seeds wires each as the
+    # oracle wires it alone.
+    seeds = range(4)
     for grid_n in range(2, 13):
-        for seed in range(4):
-            for num_generators, bounds in itertools.product((1, 3, 10), ((2, 5), None)):
-                config = ScenarioConfig(
-                    grid_n=grid_n, seed=seed, num_generators=num_generators,
-                    bs_per_generator_range=bounds,
-                )
-                stations = build_ci(config, _grid_topology(config))[0]
-                positions = _place_generators(config, _rng(seed, _STREAM_GENERATORS))
-                wiring = [
-                    wire(config, positions, stations, _rng(seed, _STREAM_CONNECTIONS))
-                    for wire in (_wire_generators, set_wiring)
-                ]
-                assert np.array_equal(*wiring), config
+        for num_generators, bounds in itertools.product((1, 3, 10), ((2, 5), None)):
+            config = ScenarioConfig(
+                grid_n=grid_n, num_generators=num_generators, bs_per_generator_range=bounds,
+            )
+            stations = build_ci(config, _grid_topology(config))[0]
+            positions = np.array(
+                [_place_generators(config, _rng(seed, _STREAM_GENERATORS)) for seed in seeds]
+            )
+            rngs = [_rng(seed, _STREAM_CONNECTIONS) for seed in seeds]
+            wiring = _wire_generators(config, positions, stations, rngs)
+            for seed in seeds:
+                oracle = set_wiring(config, positions[seed], stations,
+                                    _rng(seed, _STREAM_CONNECTIONS))
+                assert np.array_equal(wiring[seed], oracle), (config, seed)
 
 
 def test_ratio_support_is_one_strong_component():
@@ -850,7 +854,7 @@ def _scenario_from_lines(text: str) -> Scenario:
     return Scenario(
         config, network, stations, coverage, generators,
         build_assignment(stations, shares),
-        build_impact_model(network, coverage, stations, config.delta),
+        build_impact_model(network.null_vector, coverage, stations, config.delta),
     )
 
 
@@ -992,6 +996,10 @@ def test_readme_python_blocks_run(capsys):
     out = capsys.readouterr().out.splitlines()
     assert len(out) == 2 and float(out[0]) > 0.0
     assert out[1] == "[500. 500.]"
-    # The layer sketch's replica is the scenario generate builds.
+    # The layer sketch's replica is the scenario generate builds, and the
+    # first row of its stack is that replica.
     layers = namespaces[1]
     assert scenarios_equal(layers["replica"], generate(layers["other"]))
+    stack, replica = layers["stack"], layers["replica"]
+    assert np.array_equal(stack.impact.scale[0], replica.impact.scale)
+    assert np.array_equal(stack.assignment.T[0], replica.assignment.T)

@@ -237,7 +237,7 @@ def test_generated_flows_are_positive_and_bounded_in_spread():
             v = net.null_vector
             assert v.min() > 0.0, (grid_n, seed)
             assert v.min() / v.max() > _FLOW_SPREAD_FLOOR, (grid_n, seed, v.min() / v.max())
-            assert np.array_equal(_anchor_entries(net, np.arange(net.n)), v)
+            assert np.array_equal(_anchor_entries(net.null_vector, np.arange(net.n)), v)
 
 
 def _parallel_streets() -> StreetGraph:
@@ -249,9 +249,9 @@ def test_singular_anchor_raises():
     # state moves its flow, and its null-vector entry is refused.
     net = dead_end_network()
     with pytest.raises(SingularError):
-        _anchor_entries(net, [3])
+        _anchor_entries(net.null_vector, [3])
     # Other anchors stay solvable: the loop carries the anchor flow.
-    assert _anchor_entries(net, [0])[0] == net.null_vector[0]
+    assert _anchor_entries(net.null_vector, [0])[0] == net.null_vector[0]
     flows = anchored_flows(net, 0, 10.0)
     assert flows[0] == 10.0 and flows[1] == pytest.approx(10.0, rel=1e-12)
     assert abs(flows[3]) <= 1e-12
